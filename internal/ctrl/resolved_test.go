@@ -5,8 +5,10 @@ package ctrl
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"simdram/internal/dram"
 	"simdram/internal/ops"
 	"simdram/internal/raceflag"
 	"simdram/internal/uprog"
@@ -180,6 +182,46 @@ func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { uprog.RunResolved(sa, ss.stream) })
 	if allocs != 0 {
 		t.Fatalf("cached-plan μProgram run allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestPrepareVerifyRejectsInvalidCommands checks the control unit's
+// half of validate-once: with plan verification on, a μProgram op the
+// DRAM commands would refuse fails Prepare — naming the op — before
+// any command executes; with it off, the same op fails its job at
+// issue time instead of panicking inside the subarray.
+func TestPrepareVerifyRejectsInvalidCommands(t *testing.T) {
+	src := uprog.Ref{Space: uprog.SpaceSrc}
+	dst := uprog.Ref{Space: uprog.SpaceDst}
+	bad := map[string]uprog.MicroOp{
+		"repeated T row":     {Kind: uprog.OpAP, T: [3]int{0, 1, 1}},
+		"C0 destination":     {Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{{Space: uprog.SpaceC0}}},
+		"multi-row data dst": {Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{{Space: uprog.SpaceT}, dst}},
+	}
+	for name, op := range bad {
+		for _, verify := range []bool{true, false} {
+			r := newBatchRig(t)
+			r.unit.SetVerifyPlans(verify)
+			p := &uprog.Program{Name: "bad", Width: r.w, NumSrc: 2, DstWidth: r.w, NumScratch: 4,
+				Ops: []uprog.MicroOp{{Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{dst}}, op}}
+			jobs := []Job{{Program: p, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
+			pb, err := r.unit.Prepare(jobs)
+			if verify {
+				if err == nil || !strings.Contains(err.Error(), "op 1:") {
+					t.Errorf("%s: Prepare error %v, want one naming op 1", name, err)
+				}
+				if st := r.mod.Stats(); st != (dram.Stats{}) {
+					t.Errorf("%s: commands ran before Prepare failed: %v", name, st)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Prepare without verification: %v", name, err)
+			}
+			if _, _, err := r.unit.ExecutePrepared(pb, nil); err == nil || !strings.Contains(err.Error(), "op 1:") {
+				t.Errorf("%s: ExecutePrepared error %v, want one naming op 1", name, err)
+			}
+		}
 	}
 }
 

@@ -149,22 +149,26 @@ func (c Config) WordsPerRow() int { return c.Cols / 64 }
 // The row map is a pure function of the geometry, so resolvers that
 // know only the Config (not a materialized Subarray) can use it too.
 func (c Config) TRow(i int) int {
-	if i < 0 || i >= c.NumTRows {
+	row, ok := c.RowMap().TRow(i)
+	if !ok {
 		panic(fmt.Sprintf("dram: T row %d out of range [0,%d)", i, c.NumTRows))
 	}
-	return c.DataRows() + i
+	return int(row)
 }
 
 // DCCRow returns the physical row of dual-contact cell pair i's true row.
-func (c Config) DCCRow(i int) int {
-	if i < 0 || i >= c.NumDCCPairs {
-		panic(fmt.Sprintf("dram: DCC pair %d out of range [0,%d)", i, c.NumDCCPairs))
-	}
-	return c.DataRows() + c.NumTRows + 2*i
-}
+func (c Config) DCCRow(i int) int { return c.dccRow(i, false) }
 
 // DCCNRow returns the complement row of dual-contact cell pair i.
-func (c Config) DCCNRow(i int) int { return c.DCCRow(i) + 1 }
+func (c Config) DCCNRow(i int) int { return c.dccRow(i, true) }
+
+func (c Config) dccRow(i int, neg bool) int {
+	row, ok := c.RowMap().DCCRow(i, neg)
+	if !ok {
+		panic(fmt.Sprintf("dram: DCC pair %d out of range [0,%d)", i, c.NumDCCPairs))
+	}
+	return int(row)
+}
 
 // C0Row returns the all-zeros control row.
 func (c Config) C0Row() int { return c.RowsPerSubarray - 2 }

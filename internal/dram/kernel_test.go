@@ -1,0 +1,294 @@
+package dram
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"unsafe"
+)
+
+// refSubarray is a deliberately naive per-word model of AAP, AP and
+// MajCopy — the oracle the command kernel is checked against now that
+// the command methods and resolved streams share that kernel. It
+// stages every command's row-buffer value, writes each destination
+// word by word, and mirrors DCC rows explicitly.
+type refSubarray struct {
+	cfg   Config
+	rows  [][]uint64
+	stats Stats
+	trace []Command
+}
+
+func newRef(s *Subarray) *refSubarray {
+	r := &refSubarray{cfg: *s.cfg, rows: make([][]uint64, len(s.rows))}
+	for i, row := range s.rows {
+		r.rows[i] = append([]uint64(nil), row...)
+	}
+	return r
+}
+
+// refPartner returns row's DCC partner and whether row is a DCC row,
+// from the Config's pair accessors.
+func (r *refSubarray) refPartner(row int) (int, bool) {
+	for i := 0; i < r.cfg.NumDCCPairs; i++ {
+		switch row {
+		case r.cfg.DCCRow(i):
+			return r.cfg.DCCNRow(i), true
+		case r.cfg.DCCNRow(i):
+			return r.cfg.DCCRow(i), true
+		}
+	}
+	return 0, false
+}
+
+func (r *refSubarray) write(dsts []int, v []uint64) {
+	for _, d := range dsts {
+		p, dcc := r.refPartner(d)
+		for w := range v {
+			r.rows[d][w] = v[w]
+			if dcc {
+				r.rows[p][w] = ^v[w]
+			}
+		}
+	}
+}
+
+func (r *refSubarray) maj(t [3]int) []uint64 {
+	m := make([]uint64, len(r.rows[t[0]]))
+	for w := range m {
+		a, b, c := r.rows[t[0]][w], r.rows[t[1]][w], r.rows[t[2]][w]
+		m[w] = (a & b) | (a & c) | (b & c)
+		r.rows[t[0]][w], r.rows[t[1]][w], r.rows[t[2]][w] = m[w], m[w], m[w]
+	}
+	return m
+}
+
+func (r *refSubarray) aap(src int, dsts []int) {
+	r.write(dsts, append([]uint64(nil), r.rows[src]...))
+	r.stats.AAPs++
+	r.stats.Activates += 2
+	r.stats.Precharges++
+	r.stats.EnergyPJ += r.cfg.Energy.AAPEnergy(len(dsts))
+	c := Command{Kind: CmdAAP, Src: src, NDst: len(dsts)}
+	copy(c.Dsts[:], dsts)
+	r.trace = append(r.trace, c)
+}
+
+func (r *refSubarray) ap(t [3]int) {
+	r.maj(t)
+	r.stats.APs++
+	r.stats.Activates++
+	r.stats.Precharges++
+	r.stats.EnergyPJ += r.cfg.Energy.APEnergy()
+	r.trace = append(r.trace, Command{Kind: CmdAP, Src: -1, T: t})
+}
+
+func (r *refSubarray) majCopy(t [3]int, dsts []int) {
+	r.write(dsts, r.maj(t))
+	r.stats.MajCopies++
+	r.stats.Activates += 2
+	r.stats.Precharges++
+	r.stats.EnergyPJ += r.cfg.Energy.MajCopyEnergy()
+	c := Command{Kind: CmdMajCopy, Src: -1, T: t, NDst: len(dsts)}
+	copy(c.Dsts[:], dsts)
+	r.trace = append(r.trace, c)
+}
+
+// randomOps builds a valid command stream biased toward the aliasing
+// cases the kernel special-cases: an AAP whose source is a
+// destination's DCC partner (or the destination itself), multi-row AAPs
+// into T rows, and MajCopy into DCC rows.
+func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
+	rm := cfg.RowMap()
+	anyRow := func() int32 { return rng.Int31n(rm.Rows()) }
+	writable := func() int32 { return rng.Int31n(rm.C0) }
+	compute := func() int32 { return rm.T + rng.Int31n(rm.C0-rm.T) }
+	dcc := func() int32 { return rm.DCC + rng.Int31n(rm.C0-rm.DCC) }
+	tRows := func() [3]int32 {
+		p := rng.Perm(int(rm.DCC - rm.T))
+		return [3]int32{rm.T + int32(p[0]), rm.T + int32(p[1]), rm.T + int32(p[2])}
+	}
+	ops := make([]Op, n)
+	for i := range ops {
+		op := &ops[i]
+		switch rng.Intn(6) {
+		case 0: // single-destination copy anywhere
+			*op = Op{Kind: CmdAAP, Src: anyRow(), NDst: 1, Dsts: [3]int32{writable()}}
+		case 1: // multi-destination copy into the compute region
+			op.Kind, op.Src, op.NDst = CmdAAP, anyRow(), uint8(2+rng.Intn(2))
+			for j := 0; j < int(op.NDst); j++ {
+				op.Dsts[j] = compute()
+			}
+		case 2: // source aliases a destination's DCC partner, or the destination
+			d := dcc()
+			src := rm.partner(d)
+			if rng.Intn(3) == 0 {
+				src = d
+			}
+			op.Kind, op.Src, op.NDst = CmdAAP, src, uint8(1+rng.Intn(3))
+			op.Dsts[0] = d
+			for j := 1; j < int(op.NDst); j++ {
+				op.Dsts[j] = compute()
+			}
+			k := rng.Intn(int(op.NDst))
+			op.Dsts[0], op.Dsts[k] = op.Dsts[k], op.Dsts[0]
+		case 3:
+			*op = Op{Kind: CmdAP, T: tRows()}
+		case 4: // MajCopy into DCC rows
+			op.Kind, op.T, op.NDst = CmdMajCopy, tRows(), uint8(1+rng.Intn(3))
+			for j := 0; j < int(op.NDst); j++ {
+				op.Dsts[j] = dcc()
+			}
+		default:
+			op.Kind, op.T, op.NDst = CmdMajCopy, tRows(), uint8(1+rng.Intn(3))
+			for j := 0; j < int(op.NDst); j++ {
+				op.Dsts[j] = writable()
+			}
+		}
+	}
+	return ops
+}
+
+// TestKernelMatchesReference drives random command streams through the
+// kernel three ways — one Exec call over CheckOp'd ops (the resolved
+// stream path), the AAP/AP/MajCopy methods one command at a time, and
+// the naive reference — and requires identical rows, Stats (EnergyPJ
+// bit-exact) and command traces. Row widths cover the unrolled
+// majority loop's tail (64 and 192 columns) as well as whole blocks.
+func TestKernelMatchesReference(t *testing.T) {
+	for _, cols := range []int{64, 192, 256, 8192} {
+		t.Run(fmt.Sprintf("cols=%d", cols), func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.Cols = cols
+			rng := rand.New(rand.NewSource(int64(cols)))
+			for trial := 0; trial < 8; trial++ {
+				ops := randomOps(rng, &cfg, 200)
+				stream, single := NewSubarray(&cfg), NewSubarray(&cfg)
+				for row := 0; row < cfg.C0Row(); row++ {
+					for w := range stream.rows[row] {
+						v := rng.Uint64()
+						stream.rows[row][w], single.rows[row][w] = v, v
+					}
+				}
+				ref := newRef(stream)
+				var traceStream, traceSingle []Command
+				stream.OnCommand = func(c Command) { traceStream = append(traceStream, c) }
+				single.OnCommand = func(c Command) { traceSingle = append(traceSingle, c) }
+
+				rm := stream.RowMap()
+				for i := range ops {
+					op := ops[i]
+					dsts := make([]int, op.NDst)
+					for j := range dsts {
+						dsts[j] = int(op.Dsts[j])
+					}
+					tr := [3]int{int(op.T[0]), int(op.T[1]), int(op.T[2])}
+					switch op.Kind {
+					case CmdAAP:
+						single.AAP(int(op.Src), dsts...)
+						ref.aap(int(op.Src), dsts)
+					case CmdAP:
+						single.AP(tr[0], tr[1], tr[2])
+						ref.ap(tr)
+					case CmdMajCopy:
+						single.MajCopy(tr[0], tr[1], tr[2], dsts...)
+						ref.majCopy(tr, dsts)
+					}
+					if err := rm.CheckOp(&ops[i]); err != nil {
+						t.Fatalf("op %d %+v: %v", i, op, err)
+					}
+				}
+				stream.Exec(ops, CountOps(ops))
+
+				for row := range ref.rows {
+					for w, want := range ref.rows[row] {
+						if got := stream.rows[row][w]; got != want {
+							t.Fatalf("trial %d: stream row %d word %d = %x, reference %x", trial, row, w, got, want)
+						}
+						if got := single.rows[row][w]; got != want {
+							t.Fatalf("trial %d: per-command row %d word %d = %x, reference %x", trial, row, w, got, want)
+						}
+					}
+				}
+				if stream.Stats != ref.stats || single.Stats != ref.stats {
+					t.Fatalf("trial %d: stats diverge: stream %+v per-command %+v reference %+v", trial, stream.Stats, single.Stats, ref.stats)
+				}
+				if len(traceStream) != len(ref.trace) || len(traceSingle) != len(ref.trace) {
+					t.Fatalf("trial %d: traced %d / %d commands, reference %d", trial, len(traceStream), len(traceSingle), len(ref.trace))
+				}
+				for i, want := range ref.trace {
+					if traceStream[i] != want || traceSingle[i] != want {
+						t.Fatalf("trial %d: command %d: stream %+v per-command %+v reference %+v", trial, i, traceStream[i], traceSingle[i], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCheckOpRejects pins each condition the kernel relies on.
+func TestCheckOpRejects(t *testing.T) {
+	cfg := TestConfig()
+	rm := cfg.RowMap()
+	t0, t1, t2 := rm.T, rm.T+1, rm.T+2
+	cases := []struct {
+		name string
+		op   Op
+	}{
+		{"AAP source out of range", Op{Kind: CmdAAP, Src: rm.Rows(), NDst: 1, Dsts: [3]int32{1}}},
+		{"AAP negative source", Op{Kind: CmdAAP, Src: -1, NDst: 1, Dsts: [3]int32{1}}},
+		{"AAP destination out of range", Op{Kind: CmdAAP, Src: 0, NDst: 1, Dsts: [3]int32{rm.Rows()}}},
+		{"AAP no destination", Op{Kind: CmdAAP, Src: 0}},
+		{"AAP four destinations", Op{Kind: CmdAAP, Src: 0, NDst: 4, Dsts: [3]int32{t0, t1, t2}}},
+		{"AAP multi-row destination in data rows", Op{Kind: CmdAAP, Src: 0, NDst: 2, Dsts: [3]int32{t0, 1}}},
+		{"AAP writes C0", Op{Kind: CmdAAP, Src: 0, NDst: 1, Dsts: [3]int32{rm.C0}}},
+		{"AAP writes C1", Op{Kind: CmdAAP, Src: 0, NDst: 1, Dsts: [3]int32{rm.C0 + 1}}},
+		{"AP data row", Op{Kind: CmdAP, T: [3]int32{t0, t1, 0}}},
+		{"AP DCC row", Op{Kind: CmdAP, T: [3]int32{t0, t1, rm.DCC}}},
+		{"AP repeated T row", Op{Kind: CmdAP, T: [3]int32{t0, t1, t0}}},
+		{"MajCopy data row", Op{Kind: CmdMajCopy, T: [3]int32{0, t1, t2}, NDst: 1, Dsts: [3]int32{1}}},
+		{"MajCopy repeated T row", Op{Kind: CmdMajCopy, T: [3]int32{t1, t1, t2}, NDst: 1, Dsts: [3]int32{1}}},
+		{"MajCopy writes C1", Op{Kind: CmdMajCopy, T: [3]int32{t0, t1, t2}, NDst: 1, Dsts: [3]int32{rm.C0 + 1}}},
+		{"MajCopy no destination", Op{Kind: CmdMajCopy, T: [3]int32{t0, t1, t2}}},
+		{"host command", Op{Kind: CmdHostRead}},
+	}
+	for _, tc := range cases {
+		op := tc.op
+		if err := rm.CheckOp(&op); err == nil {
+			t.Errorf("%s: CheckOp accepted %+v", tc.name, tc.op)
+		}
+	}
+}
+
+// TestOpSize keeps resolved streams compact: the control unit caches
+// thousands of them, one Op per command.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got > 48 {
+		t.Fatalf("dram.Op is %d bytes, want at most 48", got)
+	}
+}
+
+// TestInjectBitFlipsDCCMirrors checks that a flipped dual-contact cell
+// reads back flipped through both of its rows.
+func TestInjectBitFlipsDCCMirrors(t *testing.T) {
+	s := testSubarray(t)
+	rng := rand.New(rand.NewSource(6))
+	data := randRow(rng, s.Config().WordsPerRow())
+	mask := make([]uint64, len(data))
+	mask[0], mask[len(mask)-1] = 0b1010, 1<<63
+	for _, pair := range [][2]int{{s.DCCRow(1), s.DCCNRow(1)}, {s.DCCNRow(1), s.DCCRow(1)}} {
+		row := pair[0]
+		s.Poke(row, data)
+		s.InjectBitFlips(row, mask)
+		got := s.Peek(row)
+		comp := s.Peek(pair[1])
+		for w := range data {
+			if got[w] != data[w]^mask[w] {
+				t.Fatalf("row %d word %d: flip not applied", row, w)
+			}
+			if comp[w] != ^(data[w] ^ mask[w]) {
+				t.Fatalf("row %d word %d: complement row reads %x, want %x", row, w, comp[w], ^(data[w] ^ mask[w]))
+			}
+		}
+	}
+}

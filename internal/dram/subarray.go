@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Subarray is one DRAM subarray: a grid of rows × bitlines with sense
 // amplifiers, a compute region of designated rows, and bit-exact command
@@ -15,16 +18,14 @@ import "fmt"
 type Subarray struct {
 	cfg  *Config
 	rows [][]uint64
+	rm   RowMap // cfg's row map, for the per-command checks
 
-	// scratch is the row buffer AAP and MajCopy stage their sense-amp
-	// value in — allocated once per subarray so the command hot loop
-	// performs no per-call allocation. Commands on one subarray are
-	// serial (the ctrl scheduler guarantees it), so one buffer suffices.
+	// scratch is the row buffer an AAP stages its sense-amp value in
+	// when a destination aliases its source — allocated once per
+	// subarray so the command kernel performs no per-call allocation.
+	// Commands on one subarray are serial (the ctrl scheduler guarantees
+	// it), so one buffer suffices.
 	scratch []uint64
-
-	// open tracks the activated row for the timing state machine; -1 when
-	// the subarray is precharged.
-	open int
 
 	Stats Stats
 
@@ -105,7 +106,7 @@ func NewSubarray(cfg *Config) *Subarray {
 	for i := range rows {
 		rows[i] = backing[i*words : (i+1)*words : (i+1)*words]
 	}
-	s := &Subarray{cfg: cfg, rows: rows, scratch: make([]uint64, words), open: -1}
+	s := &Subarray{cfg: cfg, rows: rows, rm: cfg.RowMap(), scratch: make([]uint64, words)}
 	for i := range s.rows[s.C1Row()] {
 		s.rows[s.C1Row()][i] = ^uint64(0)
 	}
@@ -128,16 +129,9 @@ func (s *Subarray) C0Row() int { return s.cfg.C0Row() }
 // C1Row returns the all-ones control row.
 func (s *Subarray) C1Row() int { return s.cfg.C1Row() }
 
-// isDCC reports whether row belongs to a DCC pair, returning the pair
-// index and whether it is the complement row.
-func (s *Subarray) isDCC(row int) (pair int, isN bool, ok bool) {
-	base := s.cfg.DataRows() + s.cfg.NumTRows
-	if row < base || row >= base+2*s.cfg.NumDCCPairs {
-		return 0, false, false
-	}
-	off := row - base
-	return off / 2, off%2 == 1, true
-}
+// RowMap returns the subarray's row address map, the geometry its
+// commands are checked against.
+func (s *Subarray) RowMap() RowMap { return s.rm }
 
 func (s *Subarray) checkRow(row int) {
 	if row < 0 || row >= s.cfg.RowsPerSubarray {
@@ -210,21 +204,14 @@ func (s *Subarray) Poke(row int, data []uint64) {
 
 // storeRow writes data into row, mirroring complements into DCC pairs.
 func (s *Subarray) storeRow(row int, data []uint64) {
-	if row == s.C0Row() || row == s.C1Row() {
+	if int32(row) >= s.rm.C0 {
 		panic("dram: control rows are read-only")
 	}
-	copy(s.rows[row], data)
-	if pair, isN, ok := s.isDCC(row); ok {
-		var other int
-		if isN {
-			other = s.DCCRow(pair)
-		} else {
-			other = s.DCCNRow(pair)
-		}
-		for i, w := range data {
-			s.rows[other][i] = ^w
-		}
+	if p := s.rm.partner(int32(row)); p != 0 {
+		copyComplement(s.rows[row], s.rows[p], data)
+		return
 	}
+	copy(s.rows[row], data)
 }
 
 // AAP executes ACTIVATE(src) → ACTIVATE(dst group) → PRECHARGE, copying
@@ -234,37 +221,7 @@ func (s *Subarray) storeRow(row int, data []uint64) {
 //
 //simdram:zeroalloc
 func (s *Subarray) AAP(src int, dsts ...int) {
-	s.checkRow(src)
-	if len(dsts) == 0 || len(dsts) > 3 {
-		panic(fmt.Sprintf("dram: AAP needs 1-3 destination rows, have %d", len(dsts)))
-	}
-	if len(dsts) > 1 {
-		for _, d := range dsts {
-			if d < s.cfg.DataRows() {
-				panic(fmt.Sprintf("dram: multi-row AAP destination %d outside the compute region", d))
-			}
-		}
-	}
-	// First activation latches src into the sense amplifiers (modeled by
-	// the pooled scratch buffer); the second activation connects the
-	// destination cells, overwriting them with the latched value. The
-	// snapshot matters: a destination that is the source's DCC partner
-	// must not feed back into later destinations of the same command.
-	copy(s.scratch, s.rows[src])
-	for _, d := range dsts {
-		s.checkRow(d)
-		s.storeRow(d, s.scratch)
-	}
-	s.open = -1
-	s.Stats.AAPs++
-	s.Stats.Activates += 2
-	s.Stats.Precharges++
-	s.Stats.EnergyPJ += s.cfg.Energy.AAPEnergy(len(dsts))
-	if s.OnCommand != nil {
-		c := Command{Kind: CmdAAP, Src: src, NDst: len(dsts)}
-		copy(c.Dsts[:], dsts)
-		s.trace(c)
-	}
+	s.exec1(Op{Kind: CmdAAP, Src: OpRow(src)}, dsts)
 }
 
 // AP executes a triple-row activation followed by precharge: the three
@@ -274,38 +231,7 @@ func (s *Subarray) AAP(src int, dsts ...int) {
 //
 //simdram:zeroalloc
 func (s *Subarray) AP(r0, r1, r2 int) {
-	for _, r := range [3]int{r0, r1, r2} {
-		if r < s.cfg.DataRows() || r >= s.cfg.DataRows()+s.cfg.NumTRows {
-			panic(fmt.Sprintf("dram: AP row %d is not a T row", r))
-		}
-	}
-	if r0 == r1 || r0 == r2 || r1 == r2 {
-		panic("dram: AP rows must be distinct")
-	}
-	// The restored rows already hold the majority, so the kernel can use
-	// one of them as its output.
-	majRestoreInto(s.rows[r0], s.rows[r1], s.rows[r2], s.rows[r0])
-	s.open = -1
-	s.Stats.APs++
-	s.Stats.Activates++
-	s.Stats.Precharges++
-	s.Stats.EnergyPJ += s.cfg.Energy.APEnergy()
-	if s.OnCommand != nil {
-		s.trace(Command{Kind: CmdAP, Src: -1, T: [3]int{r0, r1, r2}})
-	}
-}
-
-// majRestoreInto models a triple-row activation's charge sharing: the
-// sense amplifiers resolve the bitwise majority of rows a, b, c and
-// restore it into all three, and the resolved value is also recorded in
-// out (the row-buffer content a fused copy reads). Passing one of the
-// input rows as out is allowed.
-func majRestoreInto(a, b, c, out []uint64) {
-	for i := range a {
-		m := (a[i] & b[i]) | (a[i] & c[i]) | (b[i] & c[i])
-		a[i], b[i], c[i] = m, m, m
-		out[i] = m
-	}
+	s.exec1(Op{Kind: CmdAP, T: [3]int32{OpRow(r0), OpRow(r1), OpRow(r2)}}, nil)
 }
 
 // MajCopy executes Ambit's fused compute-and-copy: ACTIVATE the TRA
@@ -317,45 +243,42 @@ func majRestoreInto(a, b, c, out []uint64) {
 //
 //simdram:zeroalloc
 func (s *Subarray) MajCopy(r0, r1, r2 int, dsts ...int) {
-	for _, r := range [3]int{r0, r1, r2} {
-		if r < s.cfg.DataRows() || r >= s.cfg.DataRows()+s.cfg.NumTRows {
-			panic(fmt.Sprintf("dram: MajCopy row %d is not a T row", r))
-		}
+	s.exec1(Op{Kind: CmdMajCopy, T: [3]int32{OpRow(r0), OpRow(r1), OpRow(r2)}}, dsts)
+}
+
+// exec1 issues one command through the command kernel, after the
+// CheckOp validation a resolved stream runs once per op at resolve
+// time. A command that fails validation panics.
+//
+//simdram:zeroalloc
+func (s *Subarray) exec1(op Op, dsts []int) {
+	op.NDst = uint8(min(len(dsts), math.MaxUint8))
+	for j := 0; j < len(dsts) && j < len(op.Dsts); j++ {
+		op.Dsts[j] = OpRow(dsts[j])
 	}
-	if r0 == r1 || r0 == r2 || r1 == r2 {
-		panic("dram: MajCopy rows must be distinct")
+	if err := s.rm.CheckOp(&op); err != nil {
+		panic(err)
 	}
-	if len(dsts) == 0 || len(dsts) > 3 {
-		panic(fmt.Sprintf("dram: MajCopy needs 1-3 destination rows, have %d", len(dsts)))
-	}
-	// The scratch buffer holds the row-buffer value between the TRA and
-	// the destination activation: T rows are never DCC-paired, but the
-	// same snapshot discipline as AAP keeps the copy well-defined.
-	majRestoreInto(s.rows[r0], s.rows[r1], s.rows[r2], s.scratch)
-	for _, d := range dsts {
-		s.checkRow(d)
-		s.storeRow(d, s.scratch)
-	}
-	s.open = -1
-	s.Stats.MajCopies++
-	s.Stats.Activates += 2
-	s.Stats.Precharges++
-	s.Stats.EnergyPJ += s.cfg.Energy.MajCopyEnergy()
-	if s.OnCommand != nil {
-		c := Command{Kind: CmdMajCopy, Src: -1, T: [3]int{r0, r1, r2}, NDst: len(dsts)}
-		copy(c.Dsts[:], dsts)
-		s.trace(c)
-	}
+	ops := [1]Op{op}
+	s.Exec(ops[:], CountOps(ops[:]))
 }
 
 // InjectBitFlips XORs mask into the given row without any accounting —
-// the fault-injection hook used by reliability tests.
+// the fault-injection hook used by reliability tests. A flipped
+// dual-contact cell flips both of its views, so flipping a DCC row also
+// flips its complement row.
 func (s *Subarray) InjectBitFlips(row int, mask []uint64) {
 	s.checkRow(row)
-	for i := range mask {
-		if i < len(s.rows[row]) {
-			s.rows[row][i] ^= mask[i]
+	flip := func(r []uint64) {
+		for i := range mask {
+			if i < len(r) {
+				r[i] ^= mask[i]
+			}
 		}
+	}
+	flip(s.rows[row])
+	if p := s.rm.partner(int32(row)); p != 0 {
+		flip(s.rows[p])
 	}
 }
 

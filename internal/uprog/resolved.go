@@ -6,102 +6,95 @@ import (
 	"simdram/internal/dram"
 )
 
-// ResolvedOp is one μOp flattened to physical row indices: no symbolic
-// references, no slices, no failure modes. Destination rows live inline
-// so a resolved program is one contiguous allocation.
-type ResolvedOp struct {
-	Kind OpKind
-	Src  int    // OpAAP source row; -1 otherwise
-	NDst int    // live entries of Dsts (OpAAP / OpMajCopy)
-	Dsts [3]int // destination rows
-	T    [3]int // OpAP / OpMajCopy: physical T rows
-}
-
 // ResolvedStream is a μProgram bound once to a concrete placement: the
 // bind-once/run-many IR of the execution hot path. Resolve validates
-// the (program, binding, geometry) triple and flattens every op, so
-// RunResolved's loop has no error paths and performs no allocation. A
-// stream is immutable after Resolve and safe to share across goroutines
-// and runs.
+// the (program, binding, geometry) triple and flattens every op to a
+// checked dram.Op, so RunResolved hands the whole stream to the DRAM
+// command kernel with no per-command validation, no error paths and no
+// allocation. A stream is immutable after Resolve and safe to share
+// across goroutines and runs.
 type ResolvedStream struct {
 	Name string
-	Ops  []ResolvedOp
+	Ops  []dram.Op
+
+	rows   dram.RowMap // the geometry every op was checked against
+	counts dram.Stats  // command counters one run adds, from Resolve
 }
 
 // Resolve validates the binding against the program and geometry, then
-// flattens every op to physical row indices. The returned stream is the
-// run-many artifact: execute it any number of times with RunResolved on
-// any subarray of the same geometry holding operands at the bound rows.
+// flattens every op to physical rows and checks it with
+// dram.RowMap.CheckOp — every condition the DRAM commands would
+// otherwise check per issue, done once per (program, binding). The
+// returned stream is the run-many artifact: execute it any number of
+// times with RunResolved on any subarray of the same geometry holding
+// operands at the bound rows.
 func Resolve(p *Program, b Binding, cfg dram.Config) (*ResolvedStream, error) {
 	if err := b.Validate(p, cfg); err != nil {
 		return nil, err
 	}
-	resolveT := func(i, idx int) (int, error) {
-		if idx < 0 || idx >= cfg.NumTRows {
-			return 0, fmt.Errorf("uprog: op %d: T row %d out of range [0,%d)", i, idx, cfg.NumTRows)
-		}
-		return cfg.TRow(idx), nil
-	}
-	st := &ResolvedStream{Name: p.Name, Ops: make([]ResolvedOp, len(p.Ops))}
-	for i, op := range p.Ops {
-		ro := ResolvedOp{Kind: op.Kind, Src: -1}
-		switch op.Kind {
+	rm := cfg.RowMap()
+	st := &ResolvedStream{Name: p.Name, Ops: make([]dram.Op, len(p.Ops)), rows: rm}
+	for i := range p.Ops {
+		mop, op := &p.Ops[i], &st.Ops[i]
+		switch mop.Kind {
 		case OpAAP:
-			src, err := b.Resolve(op.Src, cfg)
+			op.Kind = dram.CmdAAP
+			src, err := b.row(mop.Src, &rm)
 			if err != nil {
 				return nil, fmt.Errorf("uprog: op %d: %w", i, err)
 			}
-			ro.Src = src
+			op.Src = src
 		case OpAP, OpMajCopy:
-			for j := 0; j < 3; j++ {
-				t, err := resolveT(i, op.T[j])
-				if err != nil {
-					return nil, err
-				}
-				ro.T[j] = t
+			op.Kind = dram.CmdAP
+			if mop.Kind == OpMajCopy {
+				op.Kind = dram.CmdMajCopy
 			}
-		default:
-			return nil, fmt.Errorf("uprog: op %d: unknown kind %d", i, op.Kind)
-		}
-		if op.Kind == OpAAP || op.Kind == OpMajCopy {
-			if len(op.Dsts) < 1 || len(op.Dsts) > 3 {
-				return nil, fmt.Errorf("uprog: op %d: %d destinations, want 1-3", i, len(op.Dsts))
-			}
-			for j, d := range op.Dsts {
-				row, err := b.Resolve(d, cfg)
+			for j, idx := range mop.T {
+				t, err := tRow(idx, &rm)
 				if err != nil {
 					return nil, fmt.Errorf("uprog: op %d: %w", i, err)
 				}
-				ro.Dsts[j] = row
+				op.T[j] = t
 			}
-			ro.NDst = len(op.Dsts)
+		default:
+			return nil, fmt.Errorf("uprog: op %d: unknown kind %d", i, mop.Kind)
 		}
-		st.Ops[i] = ro
+		if mop.Kind != OpAP {
+			if len(mop.Dsts) < 1 || len(mop.Dsts) > 3 {
+				return nil, fmt.Errorf("uprog: op %d: %d destinations, want 1-3", i, len(mop.Dsts))
+			}
+			for j, d := range mop.Dsts {
+				row, err := b.row(d, &rm)
+				if err != nil {
+					return nil, fmt.Errorf("uprog: op %d: %w", i, err)
+				}
+				op.Dsts[j] = row
+			}
+			op.NDst = uint8(len(mop.Dsts))
+		}
+		if err := rm.CheckOp(op); err != nil {
+			return nil, fmt.Errorf("uprog: op %d: %w", i, err)
+		}
 	}
+	st.counts = dram.CountOps(st.Ops)
 	return st, nil
 }
 
 // RunResolved executes a resolved command stream on one subarray: the
 // tight run-many loop of the bind-once/run-many pipeline. All
-// validation happened in Resolve, so the loop is branch-light,
-// allocation-free, and cannot fail — it issues exactly the same DRAM
-// command sequence as the interpretive Run under the stream's binding
-// (pinned by the differential tests).
+// validation happened in Resolve, so the stream goes straight to the
+// subarray's command kernel; it issues exactly the same DRAM command
+// sequence, row contents, Stats and trace as the interpretive Run under
+// the stream's binding (pinned by the differential tests). Running a
+// stream on a subarray of another geometry panics.
 //
 // Reentrancy matches Run: concurrent calls on distinct subarrays are
 // safe; two concurrent runs on the same subarray race.
 //
 //simdram:zeroalloc
 func RunResolved(sa *dram.Subarray, st *ResolvedStream) {
-	for i := range st.Ops {
-		op := &st.Ops[i]
-		switch op.Kind {
-		case OpAAP:
-			sa.AAP(op.Src, op.Dsts[:op.NDst]...)
-		case OpAP:
-			sa.AP(op.T[0], op.T[1], op.T[2])
-		case OpMajCopy:
-			sa.MajCopy(op.T[0], op.T[1], op.T[2], op.Dsts[:op.NDst]...)
-		}
+	if sa.RowMap() != st.rows {
+		panic("uprog: stream resolved for a different geometry")
 	}
+	sa.Exec(st.Ops, st.counts)
 }

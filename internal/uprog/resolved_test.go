@@ -6,7 +6,9 @@ package uprog_test
 // variants, and the steady-state loop must not allocate.
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simdram/internal/dram"
@@ -134,6 +136,63 @@ func TestResolveRejectsBadBindings(t *testing.T) {
 	}
 }
 
+// TestResolveRejectsInvalidCommands covers every condition the DRAM
+// command methods check at issue: Resolve rejects each one up front,
+// naming the op, and the interpretive Run — which issues through those
+// methods — refuses the same op.
+func TestResolveRejectsInvalidCommands(t *testing.T) {
+	cfg := dram.TestConfig()
+	b := uprog.Binding{SrcBase: []int{0, 8}, DstBase: 16, ScratchBase: 24}
+	src := uprog.Ref{Space: uprog.SpaceSrc}
+	dst := func(i int) uprog.Ref { return uprog.Ref{Space: uprog.SpaceDst, Idx: i} }
+	t3 := func(i int) uprog.Ref { return uprog.Ref{Space: uprog.SpaceT, Idx: i} }
+	past := uprog.Ref{Space: uprog.SpaceScratch, Idx: cfg.RowsPerSubarray} // beyond the last row
+	c0, c1 := uprog.Ref{Space: uprog.SpaceC0}, uprog.Ref{Space: uprog.SpaceC1}
+	aap := func(s uprog.Ref, d ...uprog.Ref) uprog.MicroOp {
+		return uprog.MicroOp{Kind: uprog.OpAAP, Src: s, Dsts: d}
+	}
+	majCopy := func(tr [3]int, d ...uprog.Ref) uprog.MicroOp {
+		return uprog.MicroOp{Kind: uprog.OpMajCopy, T: tr, Dsts: d}
+	}
+	cases := []struct {
+		name string
+		op   uprog.MicroOp
+	}{
+		{"source out of range", aap(past, dst(0))},
+		{"destination out of range", aap(src, past)},
+		{"negative destination", aap(src, dst(-17))},
+		{"AP non-T row", uprog.MicroOp{Kind: uprog.OpAP, T: [3]int{0, 1, cfg.NumTRows}}},
+		{"MajCopy non-T row", majCopy([3]int{-1, 1, 2}, dst(0))},
+		{"AP repeated T row", uprog.MicroOp{Kind: uprog.OpAP, T: [3]int{0, 1, 0}}},
+		{"MajCopy repeated T row", majCopy([3]int{2, 2, 1}, dst(0))},
+		{"multi-row AAP destination in data rows", aap(src, t3(0), dst(0))},
+		{"AAP writes C0", aap(src, c0)},
+		{"MajCopy writes C1", majCopy([3]int{0, 1, 2}, c1)},
+		{"AAP without destinations", aap(src)},
+		{"MajCopy with four destinations", majCopy([3]int{0, 1, 2}, dst(0), dst(1), dst(2), dst(3))},
+	}
+	for _, tc := range cases {
+		p := &uprog.Program{Name: "bad", Width: 8, NumSrc: 2, DstWidth: 8, NumScratch: 4,
+			Ops: []uprog.MicroOp{aap(src, dst(0)), tc.op}}
+		if _, err := uprog.Resolve(p, b, cfg); err == nil || !strings.Contains(err.Error(), "op 1:") {
+			t.Errorf("%s: Resolve error %v, want one naming op 1", tc.name, err)
+		}
+		if !interpretiveRunFails(p, b, cfg) {
+			t.Errorf("%s: the command methods accepted the op", tc.name)
+		}
+	}
+}
+
+// interpretiveRunFails reports whether uprog.Run errors or panics.
+func interpretiveRunFails(p *uprog.Program, b uprog.Binding, cfg dram.Config) (failed bool) {
+	defer func() {
+		if recover() != nil {
+			failed = true
+		}
+	}()
+	return uprog.Run(p, dram.NewSubarray(&cfg), b) != nil
+}
+
 // TestValidateOverlapKinds pins the typed-region overlap rules: only
 // source regions may alias each other.
 func TestValidateOverlapKinds(t *testing.T) {
@@ -163,10 +222,16 @@ func TestValidateOverlapKinds(t *testing.T) {
 }
 
 // additionStream builds the run-many fixture the allocation tests and
-// benchmarks share.
+// benchmarks share: an 8-bit addition resolved on the test geometry.
 func additionStream(tb testing.TB) (*dram.Subarray, *uprog.Program, uprog.Binding, *uprog.ResolvedStream, dram.Config) {
+	return additionStreamCols(tb, dram.TestConfig().Cols)
+}
+
+// additionStreamCols is additionStream on rows of the given width.
+func additionStreamCols(tb testing.TB, cols int) (*dram.Subarray, *uprog.Program, uprog.Binding, *uprog.ResolvedStream, dram.Config) {
 	tb.Helper()
 	cfg := dram.TestConfig()
+	cfg.Cols = cols
 	d, err := ops.ByName("addition")
 	if err != nil {
 		tb.Fatal(err)
@@ -198,12 +263,34 @@ func TestRunResolvedZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkResolvedRun times the command kernel over an 8-bit addition
+// stream on narrow (256-column) and paper-width-like (8192-column)
+// rows, reporting host ns per DRAM command.
 func BenchmarkResolvedRun(b *testing.B) {
-	sa, _, _, st, _ := additionStream(b)
+	for _, cols := range []int{256, 8192} {
+		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
+			sa, _, _, st, _ := additionStreamCols(b, cols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				uprog.RunResolved(sa, st)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(st.Ops)), "ns/cmd")
+		})
+	}
+}
+
+// BenchmarkResolve times a cold uprog.Resolve of the 8-bit addition —
+// the per-(program, binding) cost a plan-cache miss pays before its
+// first run.
+func BenchmarkResolve(b *testing.B) {
+	_, p, bind, _, cfg := additionStream(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uprog.RunResolved(sa, st)
+		if _, err := uprog.Resolve(p, bind, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -20,29 +20,50 @@ type Binding struct {
 // rows are a pure function of the geometry, so resolution needs only
 // the configuration, not a materialized subarray.
 func (b Binding) Resolve(r Ref, cfg dram.Config) (int, error) {
+	rm := cfg.RowMap()
+	row, err := b.row(r, &rm)
+	return int(row), err
+}
+
+// row is Resolve against a precomputed row map. Compute-region indices
+// are range-checked here, since an out-of-range index would still land
+// on some physical row; data-region rows are narrowed with dram.OpRow
+// and left to dram.RowMap.CheckOp.
+func (b Binding) row(r Ref, rm *dram.RowMap) (int32, error) {
 	switch r.Space {
 	case SpaceSrc:
-		if r.Op >= len(b.SrcBase) {
+		if r.Op < 0 || r.Op >= len(b.SrcBase) {
 			return 0, fmt.Errorf("uprog: binding has no base for operand %d", r.Op)
 		}
-		return b.SrcBase[r.Op] + r.Idx, nil
+		return dram.OpRow(b.SrcBase[r.Op] + r.Idx), nil
 	case SpaceDst:
-		return b.DstBase + r.Idx, nil
+		return dram.OpRow(b.DstBase + r.Idx), nil
 	case SpaceScratch:
-		return b.ScratchBase + r.Idx, nil
+		return dram.OpRow(b.ScratchBase + r.Idx), nil
 	case SpaceT:
-		return cfg.TRow(r.Idx), nil
-	case SpaceDCC:
-		return cfg.DCCRow(r.Idx), nil
-	case SpaceDCCN:
-		return cfg.DCCNRow(r.Idx), nil
+		return tRow(r.Idx, rm)
+	case SpaceDCC, SpaceDCCN:
+		row, ok := rm.DCCRow(r.Idx, r.Space == SpaceDCCN)
+		if !ok {
+			return 0, fmt.Errorf("uprog: DCC pair %d out of range", r.Idx)
+		}
+		return row, nil
 	case SpaceC0:
-		return cfg.C0Row(), nil
+		return rm.C0, nil
 	case SpaceC1:
-		return cfg.C1Row(), nil
+		return rm.C0 + 1, nil
 	default:
 		return 0, fmt.Errorf("uprog: unknown space %v", r.Space)
 	}
+}
+
+// tRow returns the physical row of T row idx.
+func tRow(idx int, rm *dram.RowMap) (int32, error) {
+	row, ok := rm.TRow(idx)
+	if !ok {
+		return 0, fmt.Errorf("uprog: T row %d out of range", idx)
+	}
+	return row, nil
 }
 
 // regionKind classifies a binding region for the overlap check: source
