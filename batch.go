@@ -119,39 +119,31 @@ func toBatchStats(st ctrl.BatchStats) BatchStats {
 	}
 }
 
-// execBatch is ExecBatch's engine, shared with the cluster facade: it
-// reports the control unit's own stats type (so per-channel results can
-// be merged without converting) and honors an external cancellation
-// signal (closed when a sibling channel fails — issuing stops, in-flight
-// instructions complete, later ones are skipped).
+// execBatch is ExecBatch's engine: it reports the control unit's own
+// stats type and honors an external cancellation signal (closed to stop
+// issuing — instructions in flight complete, later ones are skipped).
 func (s *System) execBatch(prog isa.Program, cancel <-chan struct{}) (ctrl.BatchStats, error) {
-	st, _, err := s.execBatchProfile(prog, cancel)
-	return st, err
-}
-
-// execBatchProfile is execBatch surfacing the per-instruction modeled
-// latencies: opNs[i] is the measured busy time of prog[i] (0 for
-// bbop_trsp_init, which executes nothing). This is what the
-// profile-guided plan management aggregates per shape; opNs is nil
-// when the batch errors.
-func (s *System) execBatchProfile(prog isa.Program, cancel <-chan struct{}) (ctrl.BatchStats, []float64, error) {
 	pp, err := s.prepareProgram(prog)
 	if err != nil {
-		return ctrl.BatchStats{}, nil, err
+		return ctrl.BatchStats{}, err
 	}
-	return s.runPrepared(pp, cancel)
+	st, _, err := s.runPreparedAttr(pp, cancel, nil)
+	return st, err
 }
 
 // preparedProgram is a bbop program bound once for repeated execution:
 // the control unit's prepared batch (schedule plus resolved command
 // streams) and enough context to verify on every run that the objects
-// it was resolved against are still the live ones. Compiled graphs
-// cache one of these so steady-state Execute calls skip instruction
-// resolution, binding validation, and scheduling entirely.
+// it was resolved against are still the live ones. Compiled graphs and
+// the Cluster's ExecBatch memo cache one of these so steady-state runs
+// skip instruction resolution, binding validation, and scheduling
+// entirely.
 type preparedProgram struct {
-	prep   *ctrl.Prepared // nil for a program of only trsp_init instructions
-	jobOf  []int          // instruction index → job index, -1 for trsp_init
-	nInstr int
+	prep  *ctrl.Prepared // nil for a program of only trsp_init instructions
+	jobOf []int          // instruction index → job index, -1 for trsp_init
+	// opNs is the per-instruction latency buffer every run fills and
+	// returns (0 for trsp_init); callers consume it before the next run.
+	opNs []float64
 	// binds pins every referenced handle to the Vector it resolved to:
 	// a run after the vector was freed (or its handle recycled) must
 	// fail loudly instead of computing on reallocated rows.
@@ -190,7 +182,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, tr *obs.Trace, parent in
 		return nil, err
 	}
 	jobs := make([]ctrl.Job, 0, len(prog))
-	pp := &preparedProgram{jobOf: make([]int, len(prog)), nInstr: len(prog)}
+	pp := &preparedProgram{jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog))}
 	bound := map[uint16]bool{}
 	scratch := map[[2]int]int{}
 	bind := func(v *Vector) {
@@ -254,40 +246,50 @@ func (s *System) prepareProgramTraced(prog isa.Program, tr *obs.Trace, parent in
 	return pp, nil
 }
 
-// runPrepared executes a prepared program — the run-many half. It
-// re-verifies object liveness and scratch headroom (the only state that
-// can legally drift between runs), then dispatches the prepared batch.
-func (s *System) runPrepared(pp *preparedProgram, cancel <-chan struct{}) (ctrl.BatchStats, []float64, error) {
-	return s.runPreparedAttr(pp, cancel, nil)
+// runPreparedAttr executes a prepared program — the run-many half —
+// with an optional device-attribution sink: on success the run's
+// per-bank busy time, commands, and energy are accumulated into at (see
+// ctrl.Attribution). It re-verifies the prepared program first (see
+// checkPrepared), then dispatches it. A nil sink keeps the run
+// allocation-free.
+func (s *System) runPreparedAttr(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, []float64, error) {
+	if err := s.checkPrepared(pp); err != nil {
+		return ctrl.BatchStats{}, nil, err
+	}
+	return s.execPrepared(pp, cancel, at)
 }
 
-// runPreparedAttr is runPrepared with an optional device-attribution
-// sink: on success the run's per-bank busy time, commands, and energy
-// are accumulated into at (see ctrl.Attribution). A nil sink keeps the
-// run allocation-free.
-func (s *System) runPreparedAttr(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, []float64, error) {
+// checkPrepared re-verifies object liveness and scratch headroom — the
+// only state that can legally drift between runs of a prepared program.
+func (s *System) checkPrepared(pp *preparedProgram) error {
 	for _, b := range pp.binds {
 		if v, ok := s.objects[b.h]; !ok || v != b.v || b.v.freed {
-			return ctrl.BatchStats{}, nil, errorf("prepared program is stale: object %d was freed or replaced", b.h)
+			return errorf("prepared program is stale: object %d was freed or replaced", b.h)
 		}
 	}
 	for _, sc := range pp.scratch {
 		if s.rows[sc.bank][sc.sub].tailFree() < sc.need {
-			return ctrl.BatchStats{}, nil, errorf("prepared program is stale: subarray (%d,%d) lacks %d scratch rows", sc.bank, sc.sub, sc.need)
+			return errorf("prepared program is stale: subarray (%d,%d) lacks %d scratch rows", sc.bank, sc.sub, sc.need)
 		}
 	}
+	return nil
+}
+
+// execPrepared dispatches a prepared program that passed checkPrepared.
+// The returned per-instruction latencies are pp's own buffer, valid
+// until its next run.
+func (s *System) execPrepared(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, []float64, error) {
 	if pp.prep == nil {
-		return ctrl.BatchStats{}, nil, nil // program of only trsp_init instructions
+		return ctrl.BatchStats{}, pp.opNs, nil // program of only trsp_init instructions
 	}
 	st, durNs, err := s.cu.ExecutePreparedAttr(pp.prep, cancel, at)
 	if err != nil {
 		return st, nil, err
 	}
-	opNs := make([]float64, pp.nInstr)
 	for i, j := range pp.jobOf {
 		if j >= 0 {
-			opNs[i] = durNs[j]
+			pp.opNs[i] = durNs[j]
 		}
 	}
-	return st, opNs, nil
+	return st, pp.opNs, nil
 }

@@ -1,7 +1,11 @@
 package simdram
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"simdram/internal/cluster"
@@ -88,6 +92,11 @@ type Cluster struct {
 	// (per-channel sub-programs are counted by each channel's System).
 	verifyPlans bool
 	verified    atomic.Int64
+
+	// memo is ExecBatch's one-entry memo of the last program it ran,
+	// prepared on every channel (see takeMemo).
+	memoMu sync.Mutex
+	memo   *batchMemo
 }
 
 // NewCluster builds a cluster of cfg.Channels independent channels.
@@ -147,8 +156,12 @@ func (c *Cluster) Channel(i int) *System { return c.channels[i] }
 // cluster compiler checks every lowered program against its handle
 // table, and each channel's System additionally verifies the
 // per-channel sub-programs it prepares (see System.SetVerifyPlans).
-// Do not toggle while operations are executing.
+// It drops ExecBatch's prepared program, so the next call prepares (and
+// verifies) anew. Do not toggle while operations are executing.
 func (c *Cluster) SetVerifyPlans(on bool) {
+	c.memoMu.Lock()
+	c.memo = nil
+	c.memoMu.Unlock()
 	c.verifyPlans = on
 	for _, sys := range c.channels {
 		sys.SetVerifyPlans(on)
@@ -426,39 +439,122 @@ func (s ClusterBatchStats) UtilizationSkew() float64 {
 // placement plan — allocate operand groups with the same length and
 // policy, or with explicit affinity).
 //
+// The cluster remembers the last program it ran, sharded and prepared
+// on every channel: a later call with an equal instruction sequence
+// whose objects and scratch rows are unchanged replays that prepared
+// form instead of re-sharding and re-preparing it.
+//
 // If one channel fails, in-flight sibling work completes, siblings stop
 // issuing further instructions, and all failures come back in one
 // joined error annotated with the channel that raised them.
 func (c *Cluster) ExecBatch(prog isa.Program) (ClusterBatchStats, error) {
-	st, _, err := c.execBatchProfile(prog)
-	return st, err
+	m := c.takeMemo(prog)
+	if m == nil {
+		sp, err := c.prepareSharded(prog)
+		if err != nil {
+			return ClusterBatchStats{}, err
+		}
+		m = &batchMemo{key: append(isa.Program(nil), prog...), sp: sp}
+	}
+	st, _, err := c.runSharded(m.sp)
+	if err != nil {
+		return ClusterBatchStats{}, err
+	}
+	c.memoMu.Lock()
+	c.memo = m
+	c.memoMu.Unlock()
+	return st, nil
 }
 
-// execBatchProfile is ExecBatch surfacing per-instruction measured
-// latencies for profile feedback: opNs[i] is the slowest channel's
-// modeled busy time for prog[i] (the shard that bounds the
-// instruction). opNs is nil when per-op timings cannot be attributed —
-// a channel error, or a channel whose rewritten sub-program dropped
-// instructions (zero-sized shards), which breaks index alignment.
-func (c *Cluster) execBatchProfile(prog isa.Program) (ClusterBatchStats, []float64, error) {
+// batchMemo is ExecBatch's prepared form of one program. key is a
+// private copy of its instruction sequence: callers may mutate theirs.
+type batchMemo struct {
+	key isa.Program
+	sp  *shardedProgram
+}
+
+// takeMemo removes the memo entry and returns it when it was prepared
+// from an instruction sequence equal to prog and is still live on every
+// channel; otherwise the entry is dropped and the caller prepares anew.
+// Removing it while it runs keeps overlapping calls from sharing a
+// ctrl.Prepared, which supports serial runs only.
+func (c *Cluster) takeMemo(prog isa.Program) *batchMemo {
+	c.memoMu.Lock()
+	m := c.memo
+	c.memo = nil
+	c.memoMu.Unlock()
+	if m == nil || !slices.Equal(m.key, prog) || c.checkSharded(m.sp) != nil {
+		return nil
+	}
+	return m
+}
+
+// shardedProgram is a cluster-wide bbop program bound once: validated,
+// sharded, and prepared on every channel with work. ExecBatch's memo
+// and ClusterCompiled keep one; runSharded replays it.
+type shardedProgram struct {
+	objs []*ShardedVector   // every sharded vector the program names
+	pp   []*preparedProgram // channel → its prepared share, nil if idle
+	ran  []int              // the channels with work
+	// Per-run scratch, so a replay allocates only what it returns.
+	perCh []ctrl.BatchStats
+	opNs  []float64
+}
+
+// prepareSharded validates and shards a program, then prepares every
+// channel's share, the channels in parallel.
+func (c *Cluster) prepareSharded(prog isa.Program) (*shardedProgram, error) {
 	if err := prog.Validate(); err != nil {
-		return ClusterBatchStats{}, nil, err
+		return nil, err
 	}
-	subProgs, ran, err := c.shardProgram(prog)
+	subProgs, ran, objs, err := c.shardProgram(prog)
 	if err != nil {
-		return ClusterBatchStats{}, nil, err
+		return nil, err
 	}
-	return c.runSharded(len(prog), ran, func(ch int, cancel <-chan struct{}) (ctrl.BatchStats, []float64, error) {
-		return c.channels[ch].execBatchProfile(subProgs[ch], cancel)
+	k := len(c.channels)
+	sp := &shardedProgram{
+		objs: objs, pp: make([]*preparedProgram, k), ran: ran,
+		perCh: make([]ctrl.BatchStats, k), opNs: make([]float64, len(prog)),
+	}
+	err = cluster.Dispatch(ran, func(_, ch int, _ <-chan struct{}) error {
+		var err error
+		sp.pp[ch], err = c.channels[ch].prepareProgram(subProgs[ch])
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
+// checkSharded re-verifies a prepared program before any channel runs
+// it: every channel's share (see System.checkPrepared), each stale
+// channel reported the way Dispatch annotates failures, and every
+// sharded vector the program names.
+func (c *Cluster) checkSharded(sp *shardedProgram) error {
+	var errs []error
+	for _, ch := range sp.ran {
+		if err := c.channels[ch].checkPrepared(sp.pp[ch]); err != nil {
+			errs = append(errs, fmt.Errorf("channel %d: %w", ch, err))
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for _, sv := range sp.objs {
+		if sv.freed || c.objects[sv.handle] != sv {
+			return errorf("prepared program is stale: cluster object %d was freed or replaced", sv.handle)
+		}
+	}
+	return nil
 }
 
 // shardProgram splits a cluster-wide bbop program by shard: handles and
 // element counts are rewritten per channel, and channels whose
 // rewritten sub-program is empty (every referenced shard zero-sized
 // there) are dropped. ran lists the channels with work, the indices
-// valid into subProgs.
-func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []int, err error) {
+// valid into subProgs; objs lists the sharded vectors the program names.
+func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []int, objs []*ShardedVector, err error) {
 	k := len(c.channels)
 	handleMaps := make([]map[uint16]uint16, k)
 	sizeMaps := make([]map[uint16]uint32, k)
@@ -473,12 +569,12 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 		for _, h := range handles {
 			sv, ok := c.objects[h]
 			if !ok {
-				return nil, nil, errorf("instruction %d (%s): unknown cluster object %d", i, in, h)
+				return nil, nil, nil, errorf("instruction %d (%s): unknown cluster object %d", i, in, h)
 			}
 			if first == nil {
 				first = sv
 			} else if !sv.plan.Equal(first.plan) {
-				return nil, nil, errorf(
+				return nil, nil, nil, errorf(
 					"instruction %d (%s): objects %d and %d are not shard-aligned (allocate operand groups with the same length and placement)",
 					i, in, first.handle, h)
 			}
@@ -486,6 +582,7 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 				continue
 			}
 			mapped[h] = true
+			objs = append(objs, sv)
 			for pi, span := range sv.plan.Spans {
 				handleMaps[span.Channel][h] = sv.parts[pi].Handle()
 				sizeMaps[span.Channel][h] = uint32(span.Count)
@@ -501,32 +598,28 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 	for ch := 0; ch < k; ch++ {
 		sub, err := prog.Rewrite(handleMaps[ch], sizeMaps[ch])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if len(sub) > 0 {
 			subProgs[ch] = sub
 			ran = append(ran, ch)
 		}
 	}
-	return subProgs, ran, nil
+	return subProgs, ran, objs, nil
 }
 
-// runSharded dispatches per-channel work in parallel and merges the
-// results under the cluster's timing model — the execution half of
-// execBatchProfile, shared with cached compiled programs (which skip
-// the sharding). run executes channel ch's share, honoring cancel.
-func (c *Cluster) runSharded(nInstr int, ran []int, run func(ch int, cancel <-chan struct{}) (ctrl.BatchStats, []float64, error)) (ClusterBatchStats, []float64, error) {
-	k := len(c.channels)
-	perCh := make([]ctrl.BatchStats, k)
-	perChOp := make([][]float64, k)
-	err := cluster.Dispatch(ran, func(task, ch int, cancel <-chan struct{}) error {
-		st, opNs, err := run(ch, cancel)
-		if err != nil {
-			return err
-		}
-		perCh[ch] = st
-		perChOp[ch] = opNs
-		return nil
+// runSharded runs a prepared program — checked by the caller — on its
+// channels in parallel and merges the results under the cluster's
+// timing model. opNs[i] is the slowest channel's modeled busy time for
+// instruction i (the shard that bounds it), sp's own buffer; it is nil
+// when a channel's rewritten sub-program dropped instructions
+// (zero-sized shards), which breaks index alignment.
+func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, error) {
+	clear(sp.perCh)
+	err := cluster.Dispatch(sp.ran, func(_, ch int, cancel <-chan struct{}) error {
+		st, _, err := c.channels[ch].execPrepared(sp.pp[ch], cancel, nil)
+		sp.perCh[ch] = st
+		return err
 	})
 	if err != nil {
 		return ClusterBatchStats{}, nil, err
@@ -534,22 +627,24 @@ func (c *Cluster) runSharded(nInstr int, ran []int, run func(ch int, cancel <-ch
 	// Per-channel dispatch distributions: each participating channel's
 	// modeled critical path for this batch.
 	c.batches.Inc()
-	for _, ch := range ran {
-		c.dispatch[ch].Observe(int64(perCh[ch].CriticalPathNs))
-		c.energy[ch].Add(perCh[ch].EnergyPJ)
-		c.commands[ch].Add(uint64(perCh[ch].Commands))
+	for _, ch := range sp.ran {
+		c.dispatch[ch].Observe(int64(sp.perCh[ch].CriticalPathNs))
+		c.energy[ch].Add(sp.perCh[ch].EnergyPJ)
+		c.commands[ch].Add(uint64(sp.perCh[ch].Commands))
 	}
-	m := cluster.Merge(perCh)
+	m := cluster.Merge(sp.perCh)
 	// Per-op attribution: the instruction's latency is its slowest
 	// shard. Only attributable when every participating channel ran the
 	// full program (a dropped zero-sized shard would shift indices).
-	opNs := make([]float64, nInstr)
-	for _, ch := range ran {
-		if len(perChOp[ch]) != nInstr {
+	opNs := sp.opNs
+	clear(opNs)
+	for _, ch := range sp.ran {
+		chOp := sp.pp[ch].opNs
+		if len(chOp) != len(opNs) {
 			opNs = nil
 			break
 		}
-		for i, d := range perChOp[ch] {
+		for i, d := range chOp {
 			if d > opNs[i] {
 				opNs[i] = d
 			}

@@ -997,7 +997,7 @@ func (cp *Compiled) Execute() (BatchStats, error) {
 		}
 		cp.pp = pp
 	}
-	st, opNs, err := cp.sys.runPrepared(cp.pp, nil)
+	st, opNs, err := cp.sys.runPreparedAttr(cp.pp, nil, nil)
 	if err != nil {
 		return BatchStats{}, err
 	}

@@ -2,7 +2,6 @@ package simdram
 
 import (
 	"simdram/internal/cluster"
-	"simdram/internal/ctrl"
 	"simdram/internal/graph"
 	"simdram/internal/isa"
 )
@@ -22,12 +21,10 @@ type ClusterCompiled struct {
 	stats CompileStats
 	fb    *planFeedback
 	freed bool
-	// pp[ch] is channel ch's prepared (bind-once) sub-program, built on
-	// first Execute alongside ran (the channels with work): later runs
-	// skip sharding, resolution, validation, and scheduling on every
-	// channel.
-	pp  []*preparedProgram
-	ran []int
+	// sp is the program sharded and prepared (bind-once) on every
+	// channel, built on first Execute: later runs skip sharding,
+	// resolution, validation, and scheduling on every channel.
+	sp *shardedProgram
 }
 
 // Compile lowers the expressions for cluster execution with every
@@ -144,25 +141,16 @@ func (cp *ClusterCompiled) Execute() (ClusterBatchStats, error) {
 	if len(cp.lw.prog) == 0 {
 		return ClusterBatchStats{}, nil
 	}
-	if cp.pp == nil {
-		if err := cp.lw.prog.Validate(); err != nil {
-			return ClusterBatchStats{}, err
-		}
-		subProgs, ran, err := cp.cl.shardProgram(cp.lw.prog)
+	if cp.sp == nil {
+		sp, err := cp.cl.prepareSharded(cp.lw.prog)
 		if err != nil {
 			return ClusterBatchStats{}, err
 		}
-		pp := make([]*preparedProgram, len(cp.cl.channels))
-		for _, ch := range ran {
-			if pp[ch], err = cp.cl.channels[ch].prepareProgram(subProgs[ch]); err != nil {
-				return ClusterBatchStats{}, err
-			}
-		}
-		cp.pp, cp.ran = pp, ran
+		cp.sp = sp
+	} else if err := cp.cl.checkSharded(cp.sp); err != nil {
+		return ClusterBatchStats{}, err
 	}
-	st, opNs, err := cp.cl.runSharded(len(cp.lw.prog), cp.ran, func(ch int, cancel <-chan struct{}) (ctrl.BatchStats, []float64, error) {
-		return cp.cl.channels[ch].runPrepared(cp.pp[ch], cancel)
-	})
+	st, opNs, err := cp.cl.runSharded(cp.sp)
 	if err != nil {
 		return ClusterBatchStats{}, err
 	}

@@ -206,14 +206,15 @@ func (u *Unit) runGroups(p *uprog.Program, groups [][]Segment) error {
 // jobCost is the timing and command model for one instruction shared by
 // the serial (Execute) and batched (plan) paths: segments within one
 // bank serialize on the bank's row-command bandwidth, banks overlap.
-func (u *Unit) jobCost(p *uprog.Program, nSegs int, perBank map[int]int) (durNs float64, commands int64) {
+// latNs is the μProgram's one-subarray latency (uprog.Program.LatencyNs).
+func jobCost(p *uprog.Program, latNs float64, nSegs int, perBank map[int]int) (durNs float64, commands int64) {
 	maxPerBank := 0
 	for _, c := range perBank {
 		if c > maxPerBank {
 			maxPerBank = c
 		}
 	}
-	return p.LatencyNs(u.mod.Config().Timing) * float64(maxPerBank), int64(len(p.Ops)) * int64(nSegs)
+	return latNs * float64(maxPerBank), int64(len(p.Ops)) * int64(nSegs)
 }
 
 // Execute runs the μProgram on every segment, functionally and with full
@@ -234,7 +235,7 @@ func (u *Unit) Execute(p *uprog.Program, segs []Segment) (ExecStats, error) {
 	if err := u.runGroups(p, groups); err != nil {
 		return ExecStats{}, err
 	}
-	durNs, commands := u.jobCost(p, len(segs), perBank)
+	durNs, commands := jobCost(p, p.LatencyNs(u.mod.Config().Timing), len(segs), perBank)
 	delta := u.mod.Stats().Sub(before)
 	st := ExecStats{
 		Instructions: 1,

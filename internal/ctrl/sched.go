@@ -109,6 +109,7 @@ func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
 		bankBusy: make([]float64, u.mod.NumBanks()),
 		bankCmds: make([]int64, u.mod.NumBanks()),
 	}
+	timing := u.mod.Config().Timing
 	lastOnSub := map[[2]int]int{} // subarray → last job that touched it
 	bankFree := map[int]float64{} // bank → time it goes idle
 	for i, job := range jobs {
@@ -120,10 +121,10 @@ func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
 			return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
 		}
 		pl.groups[i] = groups
-		durNs, commands := u.jobCost(job.Program, len(job.Segments), perBank)
+		latNs := job.Program.LatencyNs(timing)
+		durNs, commands := jobCost(job.Program, latNs, len(job.Segments), perBank)
 		pl.durNs[i] = durNs
 		pl.nCmds += commands
-		latNs := job.Program.LatencyNs(u.mod.Config().Timing)
 		cmdsPerSeg := int64(len(job.Program.Ops))
 		for b, segs := range perBank {
 			pl.bankBusy[b] += latNs * float64(segs)

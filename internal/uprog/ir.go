@@ -143,8 +143,8 @@ func (p *Program) SrcWidth(k int) int {
 // which has AAP latency).
 func (p *Program) NumAAP() int {
 	n := 0
-	for _, op := range p.Ops {
-		if op.Kind == OpAAP || op.Kind == OpMajCopy {
+	for i := range p.Ops { // by index: a MicroOp is too large to copy per op
+		if k := p.Ops[i].Kind; k == OpAAP || k == OpMajCopy {
 			n++
 		}
 	}
@@ -154,8 +154,8 @@ func (p *Program) NumAAP() int {
 // NumAP returns the number of AP commands.
 func (p *Program) NumAP() int {
 	n := 0
-	for _, op := range p.Ops {
-		if op.Kind == OpAP {
+	for i := range p.Ops {
+		if p.Ops[i].Kind == OpAP {
 			n++
 		}
 	}
@@ -172,7 +172,8 @@ func (p *Program) LatencyNs(t dram.Timing) float64 {
 // EnergyPJ returns the energy of one execution on one subarray.
 func (p *Program) EnergyPJ(e dram.Energy) float64 {
 	var total float64
-	for _, op := range p.Ops {
+	for i := range p.Ops {
+		op := &p.Ops[i]
 		switch op.Kind {
 		case OpAAP:
 			total += e.AAPEnergy(len(op.Dsts))

@@ -13,6 +13,7 @@ import (
 	"simdram/internal/dram"
 	"simdram/internal/isa"
 	"simdram/internal/ops"
+	"simdram/internal/raceflag"
 )
 
 // attachTracers hooks OnCommand on every subarray and returns one
@@ -158,11 +159,40 @@ func TestResolvedDifferentialSystem(t *testing.T) {
 	}
 }
 
+// clusterHazardProgram allocates and fills the operands of a
+// hazard-rich program on a cluster — RAW chains plus WAW/WAR reuse of
+// t1 — and returns it with every vector it names (a, b, t1, t2, t3).
+// Allocation and data are deterministic in seed, so identically built
+// clusters hold identical rows.
+func clusterHazardProgram(t *testing.T, c *Cluster, seed int64) (isa.Program, []*ShardedVector) {
+	t.Helper()
+	const n, w = 2048, 8
+	rng := rand.New(rand.NewSource(seed))
+	alloc := func() *ShardedVector {
+		sv, err := c.AllocShardedVector(n, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sv
+	}
+	a, b := alloc(), alloc()
+	storeRand(t, rng, a)
+	storeRand(t, rng, b)
+	t1, t2, t3 := alloc(), alloc(), alloc()
+	prog := isa.Program{
+		clusterBbop(ops.OpAdd, t1, a, b),
+		clusterBbop(ops.OpSub, t2, a, b),
+		clusterBbop(ops.OpMax, t3, t1, t2),
+		clusterBbop(ops.OpAdd, t1, t3, a), // WAW/WAR on t1
+	}
+	return prog, []*ShardedVector{a, b, t1, t2, t3}
+}
+
 // TestResolvedDifferentialCluster repeats the differential on a
 // 4-channel cluster: every channel runs interpretively on one cluster
 // and via resolved streams on the other.
 func TestResolvedDifferentialCluster(t *testing.T) {
-	const seed, channels, n, w = 31, 4, 2048, 8
+	const seed, channels = 31, 4
 
 	build := func(interp bool) (*Cluster, isa.Program, []*ShardedVector) {
 		c := testCluster(t, channels)
@@ -170,25 +200,8 @@ func TestResolvedDifferentialCluster(t *testing.T) {
 		for i := 0; i < c.Channels(); i++ {
 			c.Channel(i).SetInterpretive(interp)
 		}
-		rng := rand.New(rand.NewSource(seed))
-		alloc := func() *ShardedVector {
-			sv, err := c.AllocShardedVector(n, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sv
-		}
-		a, b := alloc(), alloc()
-		storeRand(t, rng, a)
-		storeRand(t, rng, b)
-		t1, t2, t3 := alloc(), alloc(), alloc()
-		prog := isa.Program{
-			clusterBbop(ops.OpAdd, t1, a, b),
-			clusterBbop(ops.OpSub, t2, a, b),
-			clusterBbop(ops.OpMax, t3, t1, t2),
-			clusterBbop(ops.OpAdd, t1, t3, a), // WAW/WAR on t1
-		}
-		return c, prog, []*ShardedVector{t1, t2, t3}
+		prog, vecs := clusterHazardProgram(t, c, seed)
+		return c, prog, vecs[2:]
 	}
 	cI, progI, outsI := build(true)
 	cR, progR, outsR := build(false)
@@ -332,6 +345,43 @@ func TestCompiledExecuteReuse(t *testing.T) {
 	va.Free()
 	if _, err := cp.Execute(); err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("Execute after freeing an input must report a stale prepared program, got %v", err)
+	}
+}
+
+// TestCompiledExecuteZeroAlloc gates the steady state of a compiled
+// plan: a replay reuses its prepared program's per-instruction latency
+// buffer and allocates nothing.
+func TestCompiledExecuteZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	sys := testGraphSystem(t)
+	defer sys.Close()
+	rng := rand.New(rand.NewSource(71))
+	va, err := sys.AllocVector(300, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := sys.AllocVector(300, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeRand(t, rng, va)
+	storeRand(t, rng, vb)
+	cp, err := sys.Compile(sys.Lazy(va).Add(sys.Lazy(vb)).Max(sys.Lazy(va)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := cp.Execute(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Compiled.Execute made %.1f allocations per run, want 0", allocs)
 	}
 }
 
