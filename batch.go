@@ -152,6 +152,15 @@ type preparedProgram struct {
 	// re-verified per run because later allocations can claim the tail
 	// rows the binding's scratch region resolved to.
 	scratch []scratchNeed
+	// interp and verify are the channel's interpretive and verify
+	// settings when it was prepared.
+	interp, verify bool
+}
+
+// sameMode reports whether s still has the interpretive and verify
+// settings pp was prepared under.
+func (s *System) sameMode(pp *preparedProgram) bool {
+	return pp.interp == s.cu.Interpretive() && pp.verify == s.verifyPlans
 }
 
 type objBind struct {
@@ -182,7 +191,10 @@ func (s *System) prepareProgramTraced(prog isa.Program, tr *obs.Trace, parent in
 		return nil, err
 	}
 	jobs := make([]ctrl.Job, 0, len(prog))
-	pp := &preparedProgram{jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog))}
+	pp := &preparedProgram{
+		jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog)),
+		interp: s.cu.Interpretive(), verify: s.verifyPlans,
+	}
 	bound := map[uint16]bool{}
 	scratch := map[[2]int]int{}
 	bind := func(v *Vector) {

@@ -12,6 +12,7 @@ package simdram_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -371,6 +372,54 @@ func BenchmarkClusterSingleSystem(b *testing.B) {
 	b.ReportMetric(float64(len(prog))*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 	b.ReportMetric(st.BusyNs, "serial-equivalent-ns")
 	b.ReportMetric(st.CriticalPathNs, "critical-path-ns")
+}
+
+// BenchmarkClusterExecBatchMiss is the cluster host path for callers
+// that never send the same program twice in a row, so Cluster.ExecBatch
+// shards and prepares on every call: "run" alternates two one-instruction
+// Cluster.Run operations over a full segment per channel, "program"
+// alternates BenchmarkClusterExecBatch's program with its subtraction
+// twin.
+func BenchmarkClusterExecBatchMiss(b *testing.B) {
+	const channels = 4
+	c, err := simdram.NewCluster(simdram.DefaultClusterConfig(channels))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	n := c.Config().Channel.DRAM.Cols * channels
+	vecs := make([]*simdram.ShardedVector, 3)
+	for i := range vecs {
+		if vecs[i], err = c.AllocShardedVector(n, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	prog, err := batchgen.ClusterProgram(c, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := slices.Clone(prog)
+	for i := range sub {
+		sub[i].Op = isa.FromOp(ops.OpSub)
+	}
+	b.Run("run", func(b *testing.B) {
+		opNames := [2]string{"addition", "subtraction"}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Run(opNames[i%2], vecs[2], vecs[0], vecs[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("program", func(b *testing.B) {
+		progs := [2]isa.Program{prog, sub}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.ExecBatch(progs[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSynthesis measures Step 1+2 cost for a representative set.

@@ -159,9 +159,7 @@ func (c *Cluster) Channel(i int) *System { return c.channels[i] }
 // It drops ExecBatch's prepared program, so the next call prepares (and
 // verifies) anew. Do not toggle while operations are executing.
 func (c *Cluster) SetVerifyPlans(on bool) {
-	c.memoMu.Lock()
-	c.memo = nil
-	c.memoMu.Unlock()
+	c.dropMemo()
 	c.verifyPlans = on
 	for _, sys := range c.channels {
 		sys.SetVerifyPlans(on)
@@ -181,6 +179,7 @@ func (c *Cluster) VerifiedPlans() int64 {
 
 // Close releases every channel's worker pool.
 func (c *Cluster) Close() {
+	c.dropMemo()
 	for _, sys := range c.channels {
 		sys.Close()
 	}
@@ -320,6 +319,11 @@ func (v *ShardedVector) Free() {
 	if v.freed {
 		return
 	}
+	v.cl.memoMu.Lock()
+	if m := v.cl.memo; m != nil && m.names(v.handle) {
+		v.cl.memo = nil // do not keep the freed rows' streams alive
+	}
+	v.cl.memoMu.Unlock()
 	v.freeParts()
 	delete(v.cl.objects, v.handle)
 	v.cl.handles.release(v.handle)
@@ -441,8 +445,9 @@ func (s ClusterBatchStats) UtilizationSkew() float64 {
 //
 // The cluster remembers the last program it ran, sharded and prepared
 // on every channel: a later call with an equal instruction sequence
-// whose objects and scratch rows are unchanged replays that prepared
-// form instead of re-sharding and re-preparing it.
+// whose objects, scratch rows and channel settings (SetInterpretive,
+// SetVerifyPlans) are unchanged replays that prepared form instead of
+// re-sharding and re-preparing it.
 //
 // If one channel fails, in-flight sibling work completes, siblings stop
 // issuing further instructions, and all failures come back in one
@@ -473,47 +478,75 @@ type batchMemo struct {
 	sp  *shardedProgram
 }
 
+// names reports whether the memo's program reads or writes handle h.
+func (m *batchMemo) names(h uint16) bool {
+	for _, in := range m.key {
+		if slices.Contains(in.Reads(), h) || slices.Contains(in.Writes(), h) {
+			return true
+		}
+	}
+	return false
+}
+
 // takeMemo removes the memo entry and returns it when it was prepared
-// from an instruction sequence equal to prog and is still live on every
-// channel; otherwise the entry is dropped and the caller prepares anew.
-// Removing it while it runs keeps overlapping calls from sharing a
+// from an instruction sequence equal to prog, under every channel's
+// current settings, and is still live on every channel; otherwise the
+// entry is dropped and the caller prepares anew. Unlike a compiled plan,
+// which keeps the mode it was prepared in, the memo follows the
+// channels' settings: the caller never prepared anything. Removing the
+// entry while it runs keeps overlapping calls from sharing a
 // ctrl.Prepared, which supports serial runs only.
 func (c *Cluster) takeMemo(prog isa.Program) *batchMemo {
 	c.memoMu.Lock()
 	m := c.memo
 	c.memo = nil
 	c.memoMu.Unlock()
-	if m == nil || !slices.Equal(m.key, prog) || c.checkSharded(m.sp) != nil {
+	if m == nil || !slices.Equal(m.key, prog) {
+		return nil
+	}
+	for _, ch := range m.sp.ran {
+		if !c.channels[ch].sameMode(m.sp.pp[ch]) {
+			return nil
+		}
+	}
+	if c.checkSharded(m.sp) != nil {
 		return nil
 	}
 	return m
+}
+
+// dropMemo drops ExecBatch's memo entry, if any.
+func (c *Cluster) dropMemo() {
+	c.memoMu.Lock()
+	c.memo = nil
+	c.memoMu.Unlock()
 }
 
 // shardedProgram is a cluster-wide bbop program bound once: validated,
 // sharded, and prepared on every channel with work. ExecBatch's memo
 // and ClusterCompiled keep one; runSharded replays it.
 type shardedProgram struct {
-	objs []*ShardedVector   // every sharded vector the program names
-	pp   []*preparedProgram // channel → its prepared share, nil if idle
-	ran  []int              // the channels with work
+	pp  []*preparedProgram // channel → its prepared share, nil if idle
+	ran []int              // the channels with work
 	// Per-run scratch, so a replay allocates only what it returns.
 	perCh []ctrl.BatchStats
 	opNs  []float64
 }
 
 // prepareSharded validates and shards a program, then prepares every
-// channel's share, the channels in parallel.
+// channel's share, the channels in parallel, before any channel runs:
+// a share that fails to prepare fails the call with no command issued.
 func (c *Cluster) prepareSharded(prog isa.Program) (*shardedProgram, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	subProgs, ran, objs, err := c.shardProgram(prog)
+	subProgs, ran, err := c.shardProgram(prog)
 	if err != nil {
 		return nil, err
 	}
 	k := len(c.channels)
 	sp := &shardedProgram{
-		objs: objs, pp: make([]*preparedProgram, k), ran: ran,
+		pp: make([]*preparedProgram, k), ran: ran,
 		perCh: make([]ctrl.BatchStats, k), opNs: make([]float64, len(prog)),
 	}
 	err = cluster.Dispatch(ran, func(_, ch int, _ <-chan struct{}) error {
@@ -529,8 +562,10 @@ func (c *Cluster) prepareSharded(prog isa.Program) (*shardedProgram, error) {
 
 // checkSharded re-verifies a prepared program before any channel runs
 // it: every channel's share (see System.checkPrepared), each stale
-// channel reported the way Dispatch annotates failures, and every
-// sharded vector the program names.
+// channel reported the way Dispatch annotates failures. A freed or
+// replaced cluster object shows up here too: freeing a ShardedVector
+// frees its part on every channel it spans, and each such part is bound
+// in that channel's share.
 func (c *Cluster) checkSharded(sp *shardedProgram) error {
 	var errs []error
 	for _, ch := range sp.ran {
@@ -538,23 +573,15 @@ func (c *Cluster) checkSharded(sp *shardedProgram) error {
 			errs = append(errs, fmt.Errorf("channel %d: %w", ch, err))
 		}
 	}
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	for _, sv := range sp.objs {
-		if sv.freed || c.objects[sv.handle] != sv {
-			return errorf("prepared program is stale: cluster object %d was freed or replaced", sv.handle)
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // shardProgram splits a cluster-wide bbop program by shard: handles and
 // element counts are rewritten per channel, and channels whose
 // rewritten sub-program is empty (every referenced shard zero-sized
 // there) are dropped. ran lists the channels with work, the indices
-// valid into subProgs; objs lists the sharded vectors the program names.
-func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []int, objs []*ShardedVector, err error) {
+// valid into subProgs.
+func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []int, err error) {
 	k := len(c.channels)
 	handleMaps := make([]map[uint16]uint16, k)
 	sizeMaps := make([]map[uint16]uint32, k)
@@ -569,12 +596,12 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 		for _, h := range handles {
 			sv, ok := c.objects[h]
 			if !ok {
-				return nil, nil, nil, errorf("instruction %d (%s): unknown cluster object %d", i, in, h)
+				return nil, nil, errorf("instruction %d (%s): unknown cluster object %d", i, in, h)
 			}
 			if first == nil {
 				first = sv
 			} else if !sv.plan.Equal(first.plan) {
-				return nil, nil, nil, errorf(
+				return nil, nil, errorf(
 					"instruction %d (%s): objects %d and %d are not shard-aligned (allocate operand groups with the same length and placement)",
 					i, in, first.handle, h)
 			}
@@ -582,7 +609,6 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 				continue
 			}
 			mapped[h] = true
-			objs = append(objs, sv)
 			for pi, span := range sv.plan.Spans {
 				handleMaps[span.Channel][h] = sv.parts[pi].Handle()
 				sizeMaps[span.Channel][h] = uint32(span.Count)
@@ -598,14 +624,14 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 	for ch := 0; ch < k; ch++ {
 		sub, err := prog.Rewrite(handleMaps[ch], sizeMaps[ch])
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if len(sub) > 0 {
 			subProgs[ch] = sub
 			ran = append(ran, ch)
 		}
 	}
-	return subProgs, ran, objs, nil
+	return subProgs, ran, nil
 }
 
 // runSharded runs a prepared program — checked by the caller — on its

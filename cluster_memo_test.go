@@ -7,6 +7,7 @@ package simdram
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"simdram/internal/dram"
@@ -29,12 +30,13 @@ func traceCluster(c *Cluster, exec func()) []*[]dram.Command {
 	return logs
 }
 
-// loadLive gathers every vector that has not been freed.
+// loadLive gathers every vector that has not been freed, whole or in
+// part.
 func loadLive(t *testing.T, vecs []*ShardedVector) [][]uint64 {
 	t.Helper()
 	out := make([][]uint64, len(vecs))
 	for i, v := range vecs {
-		if v.freed {
+		if v.freed || slices.ContainsFunc(v.parts, func(p *Vector) bool { return p.freed }) {
 			continue
 		}
 		vals, err := v.Load()
@@ -121,6 +123,20 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 		{"operand freed", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
 			vecs[1].Free()
 		}, true},
+		{"operand part replaced on one channel", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
+			part := vecs[1].parts[0]
+			part.Free()
+			// Exhaust the fresh handle range, as a long-lived channel
+			// does, so the next allocation recycles the part's handle.
+			part.sys.handles.next = ^uint16(0)
+			v, err := part.sys.AllocVector(part.Len(), part.Width())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Handle() != part.Handle() {
+				t.Fatalf("new vector has handle %d, want the freed part's %d", v.Handle(), part.Handle())
+			}
+		}, false},
 		{"program mutated in place", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
 			prog[1].Op = isa.FromOp(ops.OpAdd)
 			prog[3].Src[1] = vecs[1].Handle()
@@ -136,6 +152,12 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 		{"verify toggled", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
 			c.SetVerifyPlans(false)
 			c.SetVerifyPlans(true)
+		}, false},
+		{"channel switched to interpretive", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
+			c.Channel(2).SetInterpretive(true)
+		}, false},
+		{"channel verify switched off", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
+			c.Channel(1).SetVerifyPlans(false)
 		}, false},
 	}
 	for _, tc := range cases {
@@ -180,6 +202,11 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 				if c.memo == nil || c.memo.sp == stale {
 					t.Fatal("a stale memo entry was replayed or not replaced")
 				}
+				for _, ch := range c.memo.sp.ran {
+					if !c.Channel(ch).sameMode(c.memo.sp.pp[ch]) {
+						t.Fatalf("channel %d replays a program prepared under other settings", ch)
+					}
+				}
 				if c.VerifiedPlans() == verified {
 					t.Error("the re-prepared program was not verified")
 				}
@@ -188,6 +215,37 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 				t.Fatal("memo results diverge from the unprepared path")
 			}
 		})
+	}
+}
+
+// TestClusterExecBatchMemoRelease checks that the memo does not keep a
+// program's objects alive: freeing a vector the program names drops the
+// entry, freeing an unrelated one keeps it, and Close drops it.
+func TestClusterExecBatchMemoRelease(t *testing.T) {
+	c := testCluster(t, 4)
+	prog, vecs := clusterHazardProgram(t, c, 53)
+	other, err := c.AllocShardedVector(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExecBatch(prog); err != nil {
+		t.Fatal(err)
+	}
+	if other.Free(); c.memo == nil {
+		t.Fatal("freeing a vector the program does not name dropped the memo entry")
+	}
+	if vecs[0].Free(); c.memo != nil {
+		t.Fatal("freeing a vector the program names kept the memo entry")
+	}
+	if _, err := c.ExecBatch(prog); err == nil {
+		t.Fatal("a program naming a freed vector ran")
+	}
+	prog, _ = clusterHazardProgram(t, c, 59)
+	if _, err := c.ExecBatch(prog); err != nil {
+		t.Fatal(err)
+	}
+	if c.Close(); c.memo != nil {
+		t.Fatal("Close kept the memo entry")
 	}
 }
 

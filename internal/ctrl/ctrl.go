@@ -168,7 +168,7 @@ func (u *Unit) groupBySubarray(segs []Segment) ([][]Segment, map[int]int, error)
 // interpretive knob is set; errors surface identically either way.
 func (u *Unit) runGroups(p *uprog.Program, groups [][]Segment) error {
 	pool := u.pool()
-	interp := u.interpretive()
+	interp := u.Interpretive()
 	var wg sync.WaitGroup
 	errs := make(chan error, len(groups))
 	for _, group := range groups {

@@ -54,8 +54,8 @@ func (u *Unit) SetInterpretive(on bool) {
 	u.sc.mu.Unlock()
 }
 
-// interpretive reports the current execution mode.
-func (u *Unit) interpretive() bool {
+// Interpretive reports the current execution mode.
+func (u *Unit) Interpretive() bool {
 	u.sc.mu.RLock()
 	defer u.sc.mu.RUnlock()
 	return u.sc.interp

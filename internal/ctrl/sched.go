@@ -284,7 +284,7 @@ func (u *Unit) Prepare(jobs []Job) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb := &Prepared{jobs: jobs, pl: pl, interp: u.interpretive()}
+	pb := &Prepared{jobs: jobs, pl: pl, interp: u.Interpretive()}
 	eager := u.verifyPlans()
 	if pb.interp {
 		// Interpretive batches resolve per run, so an eager Prepare
