@@ -53,57 +53,15 @@ func (s BatchStats) Speedup() float64 {
 // complete, later ones are skipped, and all failures are reported in one
 // joined error annotated with the instruction that caused them.
 func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
-	st, err := s.execBatch(prog, nil)
+	pp, err := s.prepareProgram(prog)
+	if err != nil {
+		return BatchStats{}, err
+	}
+	st, _, err := s.runPreparedAttr(pp, nil, nil)
 	if err != nil {
 		return BatchStats{}, err
 	}
 	return toBatchStats(st), nil
-}
-
-// DeviceUsage attributes one executed batch to the hardware that did
-// the work: per-bank modeled busy time, DRAM command counts, and
-// measured energy, indexed by bank. Bank sums equal the batch's
-// aggregate stats (EnergyPJ exactly; BusyNs equals the batch's
-// serial-equivalent BusyNs), so usage from many batches can be summed
-// into per-tenant or per-channel bills without double counting.
-type DeviceUsage struct {
-	BusyNs   []float64
-	Commands []int64
-	EnergyPJ []float64
-}
-
-// TotalEnergyPJ sums the per-bank energy bills.
-func (u DeviceUsage) TotalEnergyPJ() float64 {
-	var t float64
-	for _, v := range u.EnergyPJ {
-		t += v
-	}
-	return t
-}
-
-// TotalBusyNs sums the per-bank busy bills.
-func (u DeviceUsage) TotalBusyNs() float64 {
-	var t float64
-	for _, v := range u.BusyNs {
-		t += v
-	}
-	return t
-}
-
-// ExecBatchUsage is ExecBatch surfacing the per-bank device usage the
-// batch was billed — the attribution a resource accountant (or the
-// serving layer's tenant bills) consumes.
-func (s *System) ExecBatchUsage(prog isa.Program) (BatchStats, DeviceUsage, error) {
-	pp, err := s.prepareProgram(prog)
-	if err != nil {
-		return BatchStats{}, DeviceUsage{}, err
-	}
-	var at ctrl.Attribution
-	st, _, err := s.runPreparedAttr(pp, nil, &at)
-	if err != nil {
-		return BatchStats{}, DeviceUsage{}, err
-	}
-	return toBatchStats(st), DeviceUsage{BusyNs: at.BusyNs, Commands: at.Commands, EnergyPJ: at.EnergyPJ}, nil
 }
 
 // toBatchStats converts the control unit's stats to the public mirror
@@ -117,18 +75,6 @@ func toBatchStats(st ctrl.BatchStats) BatchStats {
 		CriticalPathNs: st.CriticalPathNs,
 		EnergyPJ:       st.EnergyPJ,
 	}
-}
-
-// execBatch is ExecBatch's engine: it reports the control unit's own
-// stats type and honors an external cancellation signal (closed to stop
-// issuing — instructions in flight complete, later ones are skipped).
-func (s *System) execBatch(prog isa.Program, cancel <-chan struct{}) (ctrl.BatchStats, error) {
-	pp, err := s.prepareProgram(prog)
-	if err != nil {
-		return ctrl.BatchStats{}, err
-	}
-	st, _, err := s.runPreparedAttr(pp, cancel, nil)
-	return st, err
 }
 
 // preparedProgram is a bbop program bound once for repeated execution:
@@ -152,15 +98,14 @@ type preparedProgram struct {
 	// re-verified per run because later allocations can claim the tail
 	// rows the binding's scratch region resolved to.
 	scratch []scratchNeed
-	// interp and verify are the channel's interpretive and verify
-	// settings when it was prepared.
-	interp, verify bool
+	// verify is the system's SetVerifyPlans setting when it was prepared.
+	verify bool
 }
 
-// sameMode reports whether s still has the interpretive and verify
-// settings pp was prepared under.
+// sameMode reports whether s still has the verify setting pp was
+// prepared under.
 func (s *System) sameMode(pp *preparedProgram) bool {
-	return pp.interp == s.cu.Interpretive() && pp.verify == s.verifyPlans
+	return pp.verify == s.verifyPlans
 }
 
 type objBind struct {
@@ -193,7 +138,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, tr *obs.Trace, parent in
 	jobs := make([]ctrl.Job, 0, len(prog))
 	pp := &preparedProgram{
 		jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog)),
-		interp: s.cu.Interpretive(), verify: s.verifyPlans,
+		verify: s.verifyPlans,
 	}
 	bound := map[uint16]bool{}
 	scratch := map[[2]int]int{}
@@ -249,7 +194,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, tr *obs.Trace, parent in
 		return pp, nil // program of only trsp_init instructions
 	}
 	rspan := tr.Begin("resolve", parent)
-	prep, err := s.cu.Prepare(jobs)
+	prep, err := s.cu.Prepare(jobs, s.verifyPlans)
 	tr.End(rspan)
 	if err != nil {
 		return nil, err
@@ -294,7 +239,7 @@ func (s *System) execPrepared(pp *preparedProgram, cancel <-chan struct{}, at *c
 	if pp.prep == nil {
 		return ctrl.BatchStats{}, pp.opNs, nil // program of only trsp_init instructions
 	}
-	st, durNs, err := s.cu.ExecutePreparedAttr(pp.prep, cancel, at)
+	st, durNs, err := s.cu.Run(pp.prep, ctrl.RunOpts{Cancel: cancel, Attr: at})
 	if err != nil {
 		return st, nil, err
 	}

@@ -89,16 +89,24 @@ func TestExecBatchMatchesSerial(t *testing.T) {
 
 	sysSerial, prog2, outsSerial := build()
 	defer sysSerial.Close()
-	var busySerial float64
+	var serial simdram.Stats
 	for i, in := range prog2 {
 		st, err := sysSerial.Exec(in)
 		if err != nil {
 			t.Fatalf("serial instruction %d: %v", i, err)
 		}
-		busySerial += st.LatencyNs
+		serial.LatencyNs += st.LatencyNs
+		serial.EnergyPJ += st.EnergyPJ
+		serial.Commands += st.Commands
 	}
-	if math.Abs(busySerial-st.BusyNs) > 1e-6*busySerial {
-		t.Errorf("batch BusyNs %f != serial Exec sum %f", st.BusyNs, busySerial)
+	if math.Abs(serial.LatencyNs-st.BusyNs) > 1e-6*serial.LatencyNs {
+		t.Errorf("batch BusyNs %f != serial Exec sum %f", st.BusyNs, serial.LatencyNs)
+	}
+	// Energy is a sum of integral per-command picojoules, so both paths
+	// must agree exactly, as must the command counts.
+	if serial.EnergyPJ != st.EnergyPJ || serial.Commands != st.Commands {
+		t.Errorf("serial Exec sum %v pJ / %d commands, batch %v pJ / %d commands",
+			serial.EnergyPJ, serial.Commands, st.EnergyPJ, st.Commands)
 	}
 	for i := range outsBatch {
 		got, want := mustLoad(t, outsBatch[i]), mustLoad(t, outsSerial[i])

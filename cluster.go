@@ -445,9 +445,9 @@ func (s ClusterBatchStats) UtilizationSkew() float64 {
 //
 // The cluster remembers the last program it ran, sharded and prepared
 // on every channel: a later call with an equal instruction sequence
-// whose objects, scratch rows and channel settings (SetInterpretive,
-// SetVerifyPlans) are unchanged replays that prepared form instead of
-// re-sharding and re-preparing it.
+// whose objects, scratch rows and channels' SetVerifyPlans settings are
+// unchanged replays that prepared form instead of re-sharding and
+// re-preparing it.
 //
 // If one channel fails, in-flight sibling work completes, siblings stop
 // issuing further instructions, and all failures come back in one
@@ -490,10 +490,10 @@ func (m *batchMemo) names(h uint16) bool {
 
 // takeMemo removes the memo entry and returns it when it was prepared
 // from an instruction sequence equal to prog, under every channel's
-// current settings, and is still live on every channel; otherwise the
-// entry is dropped and the caller prepares anew. Unlike a compiled plan,
-// which keeps the mode it was prepared in, the memo follows the
-// channels' settings: the caller never prepared anything. Removing the
+// current verify setting, and is still live on every channel; otherwise
+// the entry is dropped and the caller prepares anew. Unlike a compiled
+// plan, which keeps the setting it was prepared under, the memo follows
+// the channels' settings: the caller never prepared anything. Removing the
 // entry while it runs keeps overlapping calls from sharing a
 // ctrl.Prepared, which supports serial runs only.
 func (c *Cluster) takeMemo(prog isa.Program) *batchMemo {

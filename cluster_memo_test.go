@@ -153,9 +153,6 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 			c.SetVerifyPlans(false)
 			c.SetVerifyPlans(true)
 		}, false},
-		{"channel switched to interpretive", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
-			c.Channel(2).SetInterpretive(true)
-		}, false},
 		{"channel verify switched off", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
 			c.Channel(1).SetVerifyPlans(false)
 		}, false},

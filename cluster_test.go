@@ -443,8 +443,8 @@ func TestClusterFailureCancelsSiblings(t *testing.T) {
 }
 
 // TestExecBatchCancelFacade drives the facade-level cancellation path
-// the cluster relies on: a pre-closed cancel signal makes execBatch
-// skip every instruction and report ErrCanceled, leaving DRAM
+// the cluster relies on: a pre-closed cancel signal makes a prepared
+// program's run skip every instruction and report ErrCanceled, leaving DRAM
 // untouched.
 func TestExecBatchCancelFacade(t *testing.T) {
 	sys := testSystem(t)
@@ -472,7 +472,11 @@ func TestExecBatchCancelFacade(t *testing.T) {
 	}}
 	cancel := make(chan struct{})
 	close(cancel)
-	_, err := sys.execBatch(prog, cancel)
+	pp, err := sys.prepareProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = sys.runPreparedAttr(pp, cancel, nil)
 	if !errors.Is(err, ctrl.ErrCanceled) {
 		t.Fatalf("pre-canceled batch must report ErrCanceled, got: %v", err)
 	}

@@ -108,9 +108,9 @@ func allocsPerRun(fn func()) float64 {
 }
 
 // reportHostPerf prints the profile and records it under the given
-// metric prefix. Only the -graph demo uses the bare "host." prefix:
-// perfcheck merges every result file last-write-wins, so the gated
-// host.allocs_per_run key must come from exactly one demo.
+// metric prefix. Only the -graph demo uses the bare "host." prefix, so
+// the gated host.allocs_per_run key is the -graph demo's measurement;
+// other demos record theirs under their own prefix for inspection.
 func reportHostPerf(m metrics, prefix string) error {
 	hp, err := measureHostPerf()
 	if err != nil {

@@ -422,7 +422,7 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 	m["serve.slo_burn_events"] = float64(sloEvents)
 	m["verify.plans_checked"] = float64(srv.VerifiedPlans())
 	// Informational only: the gated host.* keys come from the -graph
-	// demo's JSON (perfcheck merges files last-write-wins).
+	// demo's JSON.
 	if err := reportHostPerf(m, "serve.host_"); err != nil {
 		return err
 	}

@@ -26,7 +26,13 @@ func (s *System) RunOp(d ops.Def, dst *Vector, srcs ...*Vector) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	st, err := s.cu.Execute(p, segs)
+	// One operation is a one-job batch: the control unit has a single
+	// run path, so serial and batched issue cannot drift apart.
+	pb, err := s.cu.Prepare([]ctrl.Job{{Program: p, Segments: segs}}, s.verifyPlans)
+	if err != nil {
+		return Stats{}, err
+	}
+	st, _, err := s.cu.Run(pb, ctrl.RunOpts{})
 	if err != nil {
 		return Stats{}, err
 	}

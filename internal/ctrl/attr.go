@@ -1,7 +1,7 @@
 package ctrl
 
 // Attribution is a per-bank resource-usage sink for prepared-batch
-// execution: ExecutePreparedAttr *accumulates* into it, so one
+// execution: Run (through RunOpts.Attr) *accumulates* into it, so one
 // Attribution can bill a whole session of runs, or be Reset between
 // jobs for per-job attribution. Slices are indexed by bank and grown
 // on demand; a caller that reuses one Attribution per worker pays no

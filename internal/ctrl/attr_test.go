@@ -10,22 +10,22 @@ import (
 	"simdram/internal/raceflag"
 )
 
-// TestExecutePreparedAttribution checks the attribution sink against
+// TestRunAttribution checks the attribution sink against
 // the batch's own aggregate stats: bank sums must equal the batch's
 // commands and energy exactly and its serial-equivalent busy time up
 // to float rounding, with the work landing on the banks that ran it.
-func TestExecutePreparedAttribution(t *testing.T) {
+func TestRunAttribution(t *testing.T) {
 	r := newBatchRig(t)
 	jobs := []Job{
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}, {Bank: 1, Sub: 1, Binding: r.bind}}},
 	}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var at Attribution
-	st, _, err := r.unit.ExecutePreparedAttr(pb, nil, &at)
+	st, _, err := r.unit.Run(pb, RunOpts{Attr: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestExecutePreparedAttribution(t *testing.T) {
 func TestAttributionAccumulatesAndResets(t *testing.T) {
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var at Attribution
-	st, _, err := r.unit.ExecutePreparedAttr(pb, nil, &at)
+	st, _, err := r.unit.Run(pb, RunOpts{Attr: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 	if one != st.EnergyPJ || one <= 0 {
 		t.Fatalf("first run billed %v, want %v > 0", one, st.EnergyPJ)
 	}
-	if _, _, err := r.unit.ExecutePreparedAttr(pb, nil, &at); err != nil {
+	if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 		t.Fatal(err)
 	}
 	if got := at.TotalEnergyPJ(); got != 2*one {
@@ -96,12 +96,12 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 	}
 }
 
-// TestExecutePreparedZeroAlloc gates the full attribution-disabled run
+// TestRunZeroAlloc gates the full attribution-disabled run
 // path — dependency dispatch, pool hand-off, stream replay, stats fold
 // — at zero heap allocations per run. (The earlier
 // TestPreparedPlanZeroAllocPerRun gates only the μProgram replay
 // kernel; this covers everything around it.)
-func TestExecutePreparedZeroAlloc(t *testing.T) {
+func TestRunZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
@@ -111,45 +111,45 @@ func TestExecutePreparedZeroAlloc(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}}, Deps: []int{0}},
 	}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the pool and the cancel plumbing before measuring.
 	cancel := make(chan struct{})
-	if _, _, err := r.unit.ExecutePrepared(pb, cancel); err != nil {
+	if _, _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := r.unit.ExecutePrepared(pb, cancel); err != nil {
+		if _, _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("attribution-disabled ExecutePrepared allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("attribution-disabled Run allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestExecutePreparedAttrSteadyZeroAlloc: with a pre-grown sink, even
+// TestRunAttrSteadyZeroAlloc: with a pre-grown sink, even
 // the attributed path stays allocation-free — the serving layer reuses
 // one sink per channel worker.
-func TestExecutePreparedAttrSteadyZeroAlloc(t *testing.T) {
+func TestRunAttrSteadyZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var at Attribution
-	if _, _, err := r.unit.ExecutePreparedAttr(pb, nil, &at); err != nil {
+	if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		at.Reset()
-		if _, _, err := r.unit.ExecutePreparedAttr(pb, nil, &at); err != nil {
+		if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 			t.Fatal(err)
 		}
 	})

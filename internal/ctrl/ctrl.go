@@ -10,10 +10,10 @@
 package ctrl
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"simdram/internal/dram"
@@ -101,7 +101,7 @@ func (u *Unit) pool() *Pool {
 }
 
 // Close stops the unit's worker pool and releases its goroutines. A
-// later Execute transparently starts a fresh pool.
+// later Run transparently starts a fresh pool.
 func (u *Unit) Close() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -131,120 +131,32 @@ type Segment struct {
 	Binding   uprog.Binding
 }
 
-// groupBySubarray buckets segments by their (bank, subarray) pair,
-// validating coordinates, and returns the groups in deterministic
-// bank-major order alongside the per-bank segment counts.
-func (u *Unit) groupBySubarray(segs []Segment) ([][]Segment, map[int]int, error) {
-	perBank := map[int]int{}
-	bySub := map[[2]int][]Segment{}
+// groupBySubarray validates segment coordinates and buckets segments
+// by (bank, subarray): the groups come back in deterministic bank-major
+// order, each keeping its segments' original order, alongside the
+// segment count of every bank (indexed by bank).
+func (u *Unit) groupBySubarray(segs []Segment) ([][]Segment, []int, error) {
+	perBank := make([]int, u.mod.NumBanks())
 	for _, seg := range segs {
 		if seg.Bank < 0 || seg.Bank >= u.mod.NumBanks() || seg.Sub < 0 || seg.Sub >= u.mod.SubarraysPerBank() {
 			return nil, nil, fmt.Errorf("ctrl: segment (%d,%d) out of range", seg.Bank, seg.Sub)
 		}
-		bySub[[2]int{seg.Bank, seg.Sub}] = append(bySub[[2]int{seg.Bank, seg.Sub}], seg)
 		perBank[seg.Bank]++
 	}
-	keys := make([][2]int, 0, len(bySub))
-	for k := range bySub {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	sorted := slices.Clone(segs)
+	slices.SortStableFunc(sorted, func(a, b Segment) int {
+		return cmp.Or(cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Sub, b.Sub))
 	})
-	groups := make([][]Segment, len(keys))
-	for i, k := range keys {
-		groups[i] = bySub[k]
+	var groups [][]Segment
+	for start := 0; start < len(sorted); {
+		end := start + 1
+		for end < len(sorted) && sorted[end].Bank == sorted[start].Bank && sorted[end].Sub == sorted[start].Sub {
+			end++
+		}
+		groups = append(groups, sorted[start:end:end])
+		start = end
 	}
 	return groups, perBank, nil
-}
-
-// runGroups executes the μProgram over each subarray group on the
-// persistent worker pool — one task per group, since distinct subarrays
-// are independent state — and joins every failure (not just the first).
-// Execution goes through the unit's resolved-stream cache unless the
-// interpretive knob is set; errors surface identically either way.
-func (u *Unit) runGroups(p *uprog.Program, groups [][]Segment) error {
-	pool := u.pool()
-	interp := u.Interpretive()
-	var wg sync.WaitGroup
-	errs := make(chan error, len(groups))
-	for _, group := range groups {
-		group := group
-		wg.Add(1)
-		pool.Run(func() {
-			defer wg.Done()
-			for _, seg := range group {
-				sa := u.mod.Subarray(seg.Bank, seg.Sub)
-				if interp {
-					if err := uprog.Run(p, sa, seg.Binding); err != nil {
-						errs <- fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
-						return
-					}
-					continue
-				}
-				st, err := u.resolvedStream(p, seg.Binding)
-				if err != nil {
-					errs <- fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
-					return
-				}
-				uprog.RunResolved(sa, st)
-			}
-		})
-	}
-	wg.Wait()
-	close(errs)
-	var all []error
-	for err := range errs {
-		all = append(all, err)
-	}
-	return errors.Join(all...)
-}
-
-// jobCost is the timing and command model for one instruction shared by
-// the serial (Execute) and batched (plan) paths: segments within one
-// bank serialize on the bank's row-command bandwidth, banks overlap.
-// latNs is the μProgram's one-subarray latency (uprog.Program.LatencyNs).
-func jobCost(p *uprog.Program, latNs float64, nSegs int, perBank map[int]int) (durNs float64, commands int64) {
-	maxPerBank := 0
-	for _, c := range perBank {
-		if c > maxPerBank {
-			maxPerBank = c
-		}
-	}
-	return latNs * float64(maxPerBank), int64(len(p.Ops)) * int64(nSegs)
-}
-
-// Execute runs the μProgram on every segment, functionally and with full
-// command accounting. In the modeled hardware, segments in distinct
-// banks proceed in parallel and segments within one bank serialize; in
-// the simulator, distinct subarrays are independent state, so their
-// functional execution runs concurrently on the unit's persistent worker
-// pool (serialized only when two segments share a subarray).
-func (u *Unit) Execute(p *uprog.Program, segs []Segment) (ExecStats, error) {
-	if len(segs) == 0 {
-		return ExecStats{}, fmt.Errorf("ctrl: no segments to execute")
-	}
-	before := u.mod.Stats()
-	groups, perBank, err := u.groupBySubarray(segs)
-	if err != nil {
-		return ExecStats{}, err
-	}
-	if err := u.runGroups(p, groups); err != nil {
-		return ExecStats{}, err
-	}
-	durNs, commands := jobCost(p, p.LatencyNs(u.mod.Config().Timing), len(segs), perBank)
-	delta := u.mod.Stats().Sub(before)
-	st := ExecStats{
-		Instructions: 1,
-		Commands:     commands,
-		BusyNs:       durNs,
-		EnergyPJ:     delta.EnergyPJ,
-	}
-	u.Stats.Add(st)
-	return st, nil
 }
 
 // PerfModel computes paper-scale performance numbers for a μProgram

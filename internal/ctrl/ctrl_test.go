@@ -55,7 +55,7 @@ func TestExecuteAcrossBanks(t *testing.T) {
 			sa.Poke(w+r, rb[r])
 		}
 	}
-	st, err := u.Execute(p, segs)
+	st, err := runOnce(u, []Job{{Program: p, Segments: segs}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestExecuteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Execute(p, nil); err == nil {
+	if _, err := runOnce(u, []Job{{Program: p}}, nil); err == nil {
 		t.Error("empty segment list must error")
 	}
 	bad := []Segment{{Bank: 99, Sub: 0, Binding: uprog.Binding{SrcBase: []int{0, 8}, DstBase: 16, ScratchBase: 24}}}
-	if _, err := u.Execute(p, bad); err == nil {
+	if _, err := runOnce(u, []Job{{Program: p, Segments: bad}}, nil); err == nil {
 		t.Error("out-of-range bank must error")
 	}
 }

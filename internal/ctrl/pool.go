@@ -9,7 +9,7 @@ import (
 // submitted functions from a shared queue. The control unit routes all
 // functional execution through one Pool, so steady-state instruction
 // streams reuse the same workers instead of paying a goroutine spawn per
-// Execute call.
+// Run call.
 type Pool struct {
 	jobs chan func()
 	size int

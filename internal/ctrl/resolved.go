@@ -32,52 +32,6 @@ const maxStreams = 4096
 type streamCache struct {
 	mu      sync.RWMutex
 	streams map[streamKey]*uprog.ResolvedStream
-	// interp forces the interpretive uprog.Run path — the measurement
-	// and differential-testing knob. Toggling while jobs execute is not
-	// supported.
-	interp bool
-	// verify makes Prepare fail eagerly on binding problems (resolution
-	// errors, invalid interpretive-mode bindings) instead of deferring
-	// them to issue time — the control unit's half of the plan-verifier
-	// gate. Toggling while jobs execute is not supported.
-	verify bool
-}
-
-// SetInterpretive switches the unit between cached resolved command
-// streams (default, fast) and per-run interpretive execution. The two
-// are bit- and trace-identical; the knob exists for differential tests
-// and for measuring the host-side win. Do not toggle concurrently with
-// executing jobs: batches prepared before the switch keep their mode.
-func (u *Unit) SetInterpretive(on bool) {
-	u.sc.mu.Lock()
-	u.sc.interp = on
-	u.sc.mu.Unlock()
-}
-
-// Interpretive reports the current execution mode.
-func (u *Unit) Interpretive() bool {
-	u.sc.mu.RLock()
-	defer u.sc.mu.RUnlock()
-	return u.sc.interp
-}
-
-// SetVerifyPlans switches Prepare between deferring binding problems
-// to issue time (default — preserves ExecuteBatch's prefix-consistent
-// fail-fast semantics) and failing them eagerly at Prepare, before any
-// DRAM command executes. The facade's plan-verifier gate sets this
-// alongside its own static program checks. Do not toggle concurrently
-// with executing jobs.
-func (u *Unit) SetVerifyPlans(on bool) {
-	u.sc.mu.Lock()
-	u.sc.verify = on
-	u.sc.mu.Unlock()
-}
-
-// verifyPlans reports whether Prepare checks bindings eagerly.
-func (u *Unit) verifyPlans() bool {
-	u.sc.mu.RLock()
-	defer u.sc.mu.RUnlock()
-	return u.sc.verify
 }
 
 // resolvedStream returns the cached resolved stream for (p, b),

@@ -96,7 +96,7 @@ func TestStreamCacheHitZeroAlloc(t *testing.T) {
 }
 
 // TestPreparedReuse pins the bind-once/run-many contract: one Prepare,
-// many ExecutePrepared calls, identical results and stats every time.
+// many Run calls, identical results and stats every time.
 func TestPreparedReuse(t *testing.T) {
 	r := newBatchRig(t)
 	rng := rand.New(rand.NewSource(11))
@@ -106,7 +106,7 @@ func TestPreparedReuse(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPreparedReuse(t *testing.T) {
 	}
 	var prev BatchStats
 	for run := 0; run < 3; run++ {
-		st, durNs, err := r.unit.ExecutePrepared(pb, nil)
+		st, durNs, err := r.unit.Run(pb, RunOpts{})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -131,31 +131,43 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-// TestPreparedMatchesBatchProfile checks that the one-shot path is just
-// Prepare + ExecutePrepared: identical stats either way.
+// TestPreparedMatchesBatchProfile checks the per-job profile Run
+// returns: job i's modeled busy time is its μProgram latency times the
+// segment count on its busiest bank, the profile sums to the batch's
+// serial-equivalent BusyNs, and a second Prepare of the same jobs
+// reports identical stats.
 func TestPreparedMatchesBatchProfile(t *testing.T) {
 	r := newBatchRig(t)
 	rng := rand.New(rand.NewSource(17))
 	r.seed(t, rng, 0, 0)
 	r.seed(t, rng, 0, 1)
+	r.seed(t, rng, 1, 0)
 	jobs := []Job{
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
-		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}}, Deps: []int{0}},
+		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}, {Bank: 1, Sub: 0, Binding: r.bind}}, Deps: []int{0}},
 	}
-	st1, _, err := r.unit.ExecuteBatchProfile(jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := r.unit.Prepare(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, _, err := r.unit.ExecutePrepared(pb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1 != st2 {
-		t.Fatalf("ExecuteBatchProfile stats %+v != Prepare/ExecutePrepared stats %+v", st1, st2)
+	lat := r.prog.LatencyNs(r.cfg.Timing)
+	var first BatchStats
+	for pass := 0; pass < 2; pass++ {
+		pb, err := r.unit.Prepare(jobs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, durNs, err := r.unit.Run(pb, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(durNs) != 2 || durNs[0] != lat || durNs[1] != lat {
+			t.Fatalf("per-job profile %v, want [%v %v] (at most one segment per bank)", durNs, lat, lat)
+		}
+		if !approx(durNs[0]+durNs[1], st.BusyNs) {
+			t.Errorf("profile sums to %v, batch BusyNs %v", durNs[0]+durNs[1], st.BusyNs)
+		}
+		if pass == 0 {
+			first = st
+		} else if st != first {
+			t.Fatalf("re-prepared batch stats %+v != first %+v", st, first)
+		}
 	}
 }
 
@@ -170,7 +182,7 @@ func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	}
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +213,10 @@ func TestPrepareVerifyRejectsInvalidCommands(t *testing.T) {
 	for name, op := range bad {
 		for _, verify := range []bool{true, false} {
 			r := newBatchRig(t)
-			r.unit.SetVerifyPlans(verify)
 			p := &uprog.Program{Name: "bad", Width: r.w, NumSrc: 2, DstWidth: r.w, NumScratch: 4,
 				Ops: []uprog.MicroOp{{Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{dst}}, op}}
 			jobs := []Job{{Program: p, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-			pb, err := r.unit.Prepare(jobs)
+			pb, err := r.unit.Prepare(jobs, verify)
 			if verify {
 				if err == nil || !strings.Contains(err.Error(), "op 1:") {
 					t.Errorf("%s: Prepare error %v, want one naming op 1", name, err)
@@ -218,27 +229,27 @@ func TestPrepareVerifyRejectsInvalidCommands(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Prepare without verification: %v", name, err)
 			}
-			if _, _, err := r.unit.ExecutePrepared(pb, nil); err == nil || !strings.Contains(err.Error(), "op 1:") {
-				t.Errorf("%s: ExecutePrepared error %v, want one naming op 1", name, err)
+			if _, _, err := r.unit.Run(pb, RunOpts{}); err == nil || !strings.Contains(err.Error(), "op 1:") {
+				t.Errorf("%s: Run error %v, want one naming op 1", name, err)
 			}
 		}
 	}
 }
 
-func BenchmarkResolvedExecutePrepared(b *testing.B) {
+func BenchmarkResolvedPreparedRun(b *testing.B) {
 	r := newBatchRig(b)
 	jobs := []Job{
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	pb, err := r.unit.Prepare(jobs)
+	pb, err := r.unit.Prepare(jobs, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := r.unit.ExecutePrepared(pb, nil); err != nil {
+		if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

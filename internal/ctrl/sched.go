@@ -3,6 +3,7 @@ package ctrl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"simdram/internal/uprog"
 )
@@ -19,8 +20,8 @@ type Job struct {
 	Deps     []int
 }
 
-// BatchStats reports the cost of an ExecuteBatch call under the paper's
-// timing model.
+// BatchStats reports the cost of one Run under the paper's timing
+// model.
 type BatchStats struct {
 	Instructions int64
 	Commands     int64
@@ -100,18 +101,21 @@ type batchPlan struct {
 // runs for its μProgram latency times the segment count on its busiest
 // bank, and occupies its banks until it finishes.
 func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
-	n := len(jobs)
+	n, banks := len(jobs), u.mod.NumBanks()
 	pl := &batchPlan{
 		groups:   make([][][]Segment, n),
 		preds:    make([][]int, n),
 		durNs:    make([]float64, n),
 		finish:   make([]float64, n),
-		bankBusy: make([]float64, u.mod.NumBanks()),
-		bankCmds: make([]int64, u.mod.NumBanks()),
+		bankBusy: make([]float64, banks),
+		bankCmds: make([]int64, banks),
 	}
 	timing := u.mod.Config().Timing
-	lastOnSub := map[[2]int]int{} // subarray → last job that touched it
-	bankFree := map[int]float64{} // bank → time it goes idle
+	// lastOnSub[bank*subs+sub] is one plus the last job that touched the
+	// subarray (0: none yet); bankFree[bank] is when the bank goes idle.
+	subs := u.mod.SubarraysPerBank()
+	lastOnSub := make([]int, banks*subs)
+	bankFree := make([]float64, banks)
 	for i, job := range jobs {
 		if job.Program == nil || len(job.Segments) == 0 {
 			return nil, fmt.Errorf("ctrl: job %d has no program or segments", i)
@@ -121,103 +125,66 @@ func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
 			return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
 		}
 		pl.groups[i] = groups
-		latNs := job.Program.LatencyNs(timing)
-		durNs, commands := jobCost(job.Program, latNs, len(job.Segments), perBank)
-		pl.durNs[i] = durNs
-		pl.nCmds += commands
-		cmdsPerSeg := int64(len(job.Program.Ops))
-		for b, segs := range perBank {
-			pl.bankBusy[b] += latNs * float64(segs)
-			pl.bankCmds[b] += cmdsPerSeg * int64(segs)
-		}
 
 		// Constraint predecessors: declared data hazards plus program-order
 		// edges between jobs sharing a subarray (the simulator's state
 		// hazard; in hardware the same pair also serializes on the bank).
-		set := map[int]bool{}
+		var preds []int
 		for _, d := range job.Deps {
 			if d < 0 || d >= i {
 				return nil, fmt.Errorf("ctrl: job %d: dep %d is not an earlier job", i, d)
 			}
-			set[d] = true
+			preds = appendUnique(preds, d)
 		}
 		for _, g := range groups {
-			key := [2]int{g[0].Bank, g[0].Sub}
-			if prev, ok := lastOnSub[key]; ok {
-				set[prev] = true
+			last := &lastOnSub[g[0].Bank*subs+g[0].Sub]
+			if *last > 0 {
+				preds = appendUnique(preds, *last-1)
 			}
+			*last = i + 1
 		}
-		for d := range set {
-			pl.preds[i] = append(pl.preds[i], d)
-		}
-		for _, g := range groups {
-			lastOnSub[[2]int{g[0].Bank, g[0].Sub}] = i
-		}
+		pl.preds[i] = preds
 
-		// Timing: the job starts once its predecessors finish and its
-		// banks are free, then holds those banks for its duration.
-		start := 0.0
-		for _, d := range pl.preds[i] {
-			if pl.finish[d] > start {
-				start = pl.finish[d]
-			}
+		// Timing: segments within one bank serialize on the bank's
+		// row-command bandwidth, banks overlap, so the job is busy for its
+		// μProgram's one-subarray latency times its busiest bank's segment
+		// count. It starts once its predecessors finish and its banks are
+		// free, then holds those banks for its duration.
+		latNs := job.Program.LatencyNs(timing)
+		cmdsPerSeg := int64(len(job.Program.Ops))
+		start, maxPerBank := 0.0, 0
+		for _, d := range preds {
+			start = max(start, pl.finish[d])
 		}
-		for b := range perBank {
-			if bankFree[b] > start {
-				start = bankFree[b]
+		for b, segs := range perBank {
+			if segs == 0 {
+				continue
 			}
+			pl.bankBusy[b] += latNs * float64(segs)
+			pl.bankCmds[b] += cmdsPerSeg * int64(segs)
+			maxPerBank = max(maxPerBank, segs)
+			start = max(start, bankFree[b])
 		}
+		pl.durNs[i] = latNs * float64(maxPerBank)
+		pl.nCmds += cmdsPerSeg * int64(len(job.Segments))
 		pl.finish[i] = start + pl.durNs[i]
-		for b := range perBank {
-			bankFree[b] = pl.finish[i]
+		for b, segs := range perBank {
+			if segs > 0 {
+				bankFree[b] = pl.finish[i]
+			}
 		}
 		pl.busyNs += pl.durNs[i]
-		if pl.finish[i] > pl.spanNs {
-			pl.spanNs = pl.finish[i]
-		}
+		pl.spanNs = max(pl.spanNs, pl.finish[i])
 	}
 	return pl, nil
 }
 
-// ExecuteBatch runs a dependency-ordered batch of jobs, overlapping jobs
-// whose constraints allow it. Functional execution dispatches at
-// (job, subarray-group) granularity onto the unit's persistent worker
-// pool: a job is issued as soon as every constraint predecessor has
-// completed, so bank-disjoint independent instructions execute
-// concurrently while hazards and shared subarrays serialize. Timing and
-// the modeled critical path come from the deterministic plan, not from
-// host scheduling.
-//
-// On error, issuing stops (fail-fast), in-flight work drains, and every
-// failure is reported via errors.Join; jobs not yet issued are skipped,
-// so DRAM state reflects a prefix-consistent subset of the batch.
-func (u *Unit) ExecuteBatch(jobs []Job) (BatchStats, error) {
-	return u.ExecuteBatchCancel(jobs, nil)
-}
-
-// ExecuteBatchCancel is ExecuteBatch with an external cancellation
-// signal: once cancel is closed the unit stops issuing new jobs, drains
-// in-flight work, and — if any job was thereby skipped — reports
-// ErrCanceled. A cluster uses this to stop sibling channels after one
-// channel fails. A nil cancel never fires.
-func (u *Unit) ExecuteBatchCancel(jobs []Job, cancel <-chan struct{}) (BatchStats, error) {
-	st, _, err := u.ExecuteBatchProfile(jobs, cancel)
-	return st, err
-}
-
-// ExecuteBatchProfile is ExecuteBatchCancel surfacing the per-job
-// modeled busy durations alongside the aggregate stats: opNs[i] is job
-// i's latency under the timing model — μProgram latency times the
-// segment count on its busiest bank. These are the per-op measured
-// latencies a profile-guided scheduler folds back into its cost model
-// (the static per-subarray model never sees the per-bank segment
-// multiplier). opNs is nil when the batch errors.
-func (u *Unit) ExecuteBatchProfile(jobs []Job, cancel <-chan struct{}) (BatchStats, []float64, error) {
-	pb, err := u.Prepare(jobs)
-	if err != nil {
-		return BatchStats{}, nil, err
+// appendUnique appends v to s unless s already holds it.
+func appendUnique(s []int, v int) []int {
+	if slices.Contains(s, v) {
+		return s
 	}
-	return u.ExecutePrepared(pb, cancel)
+	return append(s, v)
 }
 
 // segStream pairs one prepared segment with its resolved command
@@ -238,27 +205,23 @@ type groupResult struct {
 
 // Prepared is a batch bound once for repeated execution: the validated
 // schedule (constraint graph and deterministic timing) plus one
-// resolved command stream per segment. ExecutePrepared runs it without
+// resolved command stream per segment. Run executes it without
 // re-planning or re-resolving anything — the run-many half of the
 // bind-once/run-many pipeline, which a compiled graph caches alongside
 // its plan. The schedule and streams are immutable; the dispatch
 // scratch below makes each run allocation-free, which is also why a
-// Prepared supports repeated *serial* ExecutePrepared calls only.
+// Prepared supports repeated *serial* Run calls only.
 type Prepared struct {
 	jobs    []Job
 	pl      *batchPlan
-	streams [][][]segStream // job → subarray group → segment; nil when interp
-	// interp records the unit's execution mode at Prepare time: an
-	// interpretive batch re-runs uprog.Run per segment instead of the
-	// resolved streams.
-	interp bool
+	streams [][][]segStream // job → subarray group → segment
 
 	// Static dispatch structure, derived from pl.preds once at Prepare.
 	succs  [][]int    // job → jobs unblocked by its completion
 	indeg0 []int      // job → predecessor count
 	tasks  [][]func() // job → one pool task per subarray group
 
-	// Per-run scratch, reset at the top of every ExecutePrepared.
+	// Per-run scratch, reset at the top of every Run.
 	indeg      []int
 	remain     []int // outstanding subarray groups per job
 	ready      []int
@@ -271,12 +234,12 @@ func (pb *Prepared) Jobs() int { return len(pb.jobs) }
 
 // Prepare validates and schedules a batch and resolves every segment's
 // command stream through the unit's cache. Structural errors (bad
-// coordinates, bad deps) fail here; a segment whose *binding* fails to
-// resolve is kept with its error attached and surfaces when its job
-// issues — exactly where the interpretive path reports it — so a
-// prepared batch preserves ExecuteBatch's fail-fast, prefix-consistent
-// semantics.
-func (u *Unit) Prepare(jobs []Job) (*Prepared, error) {
+// coordinates, bad deps) fail here. A segment whose *binding* fails to
+// resolve fails here too when eager is set — the plan-verifier gate,
+// which rejects the batch before any DRAM command executes; otherwise
+// it is kept with its error attached and surfaces when its job issues,
+// so Run stays fail-fast and prefix-consistent.
+func (u *Unit) Prepare(jobs []Job, eager bool) (*Prepared, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("ctrl: empty batch")
 	}
@@ -284,51 +247,34 @@ func (u *Unit) Prepare(jobs []Job) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb := &Prepared{jobs: jobs, pl: pl, interp: u.Interpretive()}
-	eager := u.verifyPlans()
-	if pb.interp {
-		// Interpretive batches resolve per run, so an eager Prepare
-		// validates each binding against the μProgram and geometry the
-		// same way uprog.Run will.
-		if eager {
-			for i, job := range jobs {
-				for _, seg := range job.Segments {
-					if err := seg.Binding.Validate(job.Program, u.mod.Config()); err != nil {
-						return nil, fmt.Errorf("ctrl: job %d: bank %d subarray %d: %w", i, seg.Bank, seg.Sub, err)
+	pb := &Prepared{jobs: jobs, pl: pl, streams: make([][][]segStream, len(jobs))}
+	for i := range jobs {
+		groups := pl.groups[i]
+		pb.streams[i] = make([][]segStream, len(groups))
+		for gi, group := range groups {
+			ss := make([]segStream, len(group))
+			for si, seg := range group {
+				st, err := u.resolvedStream(jobs[i].Program, seg.Binding)
+				if err != nil {
+					err = fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
+					if eager {
+						return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
 					}
+					ss[si] = segStream{err: err}
+					continue
 				}
+				ss[si] = segStream{stream: st}
 			}
-		}
-	} else {
-		pb.streams = make([][][]segStream, len(jobs))
-		for i := range jobs {
-			groups := pl.groups[i]
-			pb.streams[i] = make([][]segStream, len(groups))
-			for gi, group := range groups {
-				ss := make([]segStream, len(group))
-				for si, seg := range group {
-					st, err := u.resolvedStream(jobs[i].Program, seg.Binding)
-					if err != nil {
-						err = fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
-						if eager {
-							return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
-						}
-						ss[si] = segStream{err: err}
-						continue
-					}
-					ss[si] = segStream{stream: st}
-				}
-				pb.streams[i][gi] = ss
-			}
+			pb.streams[i][gi] = ss
 		}
 	}
 	u.bindDispatch(pb)
 	return pb, nil
 }
 
-// bindDispatch precomputes everything ExecutePrepared needs per run —
-// successor lists, initial in-degrees, the pool task closures, the
-// result channel, and per-bank scratch — so the run itself touches no
+// bindDispatch precomputes everything Run needs per run — successor
+// lists, initial in-degrees, the pool task closures, the result
+// channel, and per-bank scratch — so the run itself touches no
 // allocator.
 func (u *Unit) bindDispatch(pb *Prepared) {
 	pl := pb.pl
@@ -350,31 +296,22 @@ func (u *Unit) bindDispatch(pb *Prepared) {
 	pb.tasks = make([][]func(), n)
 	for i := range pb.jobs {
 		groups := pl.groups[i]
-		p := pb.jobs[i].Program
 		pb.tasks[i] = make([]func(), len(groups))
 		for gi, group := range groups {
-			id, gi, group := i, gi, group
-			bank := group[0].Bank
+			id, bank := i, group[0].Bank
+			ss := pb.streams[i][gi]
 			// Only one worker touches this subarray at a time (the
 			// constraint graph serializes same-subarray jobs), so its
 			// stats delta is race-free and attributable to this group.
 			sa := u.mod.Subarray(group[0].Bank, group[0].Sub)
 			pb.tasks[i][gi] = func() {
 				before := sa.Stats
-				for si, seg := range group {
-					if pb.interp {
-						if err := uprog.Run(p, sa, seg.Binding); err != nil {
-							pb.results <- groupResult{job: id, bank: bank, err: fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)}
-							return
-						}
-						continue
-					}
-					ss := pb.streams[id][gi][si]
-					if ss.err != nil {
-						pb.results <- groupResult{job: id, bank: bank, err: ss.err}
+				for _, seg := range ss {
+					if seg.err != nil {
+						pb.results <- groupResult{job: id, bank: bank, err: seg.err}
 						return
 					}
-					uprog.RunResolved(sa, ss.stream)
+					uprog.RunResolved(sa, seg.stream)
 				}
 				pb.results <- groupResult{job: id, bank: bank, energyPJ: sa.Stats.Sub(before).EnergyPJ}
 			}
@@ -382,26 +319,44 @@ func (u *Unit) bindDispatch(pb *Prepared) {
 	}
 }
 
-// ExecutePrepared runs a prepared batch. Semantics, stats, and errors
-// match ExecuteBatchProfile; the per-run work is only the dependency
-// dispatch and the resolved-stream loops — no validation, resolution,
-// planning, or heap allocation (the dispatch state lives in the
-// Prepared, which is why runs of one Prepared must be serial).
-func (u *Unit) ExecutePrepared(pb *Prepared, cancel <-chan struct{}) (BatchStats, []float64, error) {
-	return u.ExecutePreparedAttr(pb, cancel, nil)
+// RunOpts are the per-run options of Run.
+type RunOpts struct {
+	// Cancel, once closed, stops Run issuing new jobs: in-flight work
+	// drains and — if any job was thereby skipped — Run reports
+	// ErrCanceled. A cluster uses this to stop sibling channels after
+	// one channel fails. A nil Cancel never fires.
+	Cancel <-chan struct{}
+	// Attr, when non-nil, accumulates the run's per-bank modeled busy
+	// time, command counts and measured energy, plus the batch's
+	// critical path (see Attribution). A failed or canceled run bills
+	// nothing: its partial DRAM effects are not attributed, matching the
+	// error contract that stats are not returned.
+	Attr *Attribution
 }
 
-// ExecutePreparedAttr is ExecutePrepared with an optional resource
-// attribution sink: on success, the run's per-bank modeled busy time,
-// command counts, and measured energy — plus the batch's critical
-// path — are accumulated into at. A nil sink costs nothing; a failed
-// or canceled run bills nothing (its partial DRAM effects are not
-// attributed, matching the error contract that stats are not
-// returned).
+// Run executes a prepared batch — the control unit's only way to run
+// anything. Functional execution dispatches at (job, subarray-group)
+// granularity onto the unit's persistent worker pool: a job is issued
+// as soon as every constraint predecessor has completed, so
+// bank-disjoint independent instructions execute concurrently while
+// hazards and shared subarrays serialize (same-subarray jobs run in
+// program order). Timing and the modeled critical path come from the
+// deterministic plan, not from host scheduling; the returned durations
+// are each job's modeled busy time — μProgram latency times the segment
+// count on its busiest bank — which is the per-op cost a
+// profile-guided scheduler folds back into its cost model.
+//
+// On error, issuing stops (fail-fast), in-flight work drains, and every
+// failure is reported via errors.Join; jobs not yet issued are skipped,
+// so DRAM state reflects a prefix-consistent subset of the batch. The
+// per-run work is only the dependency dispatch and the resolved-stream
+// loops — no validation, resolution, planning, or heap allocation (the
+// dispatch state lives in the Prepared, which is why runs of one
+// Prepared must be serial).
 //
 //simdram:zeroalloc
-func (u *Unit) ExecutePreparedAttr(pb *Prepared, cancel <-chan struct{}, at *Attribution) (BatchStats, []float64, error) {
-	jobs, pl := pb.jobs, pb.pl
+func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
+	jobs, pl, cancel, at := pb.jobs, pb.pl, o.Cancel, o.Attr
 	n := len(jobs)
 	copy(pb.indeg, pb.indeg0)
 	for i := range jobs {

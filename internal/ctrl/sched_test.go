@@ -87,6 +87,17 @@ func (r *batchRig) checkDst(t *testing.T, bank, sub, base int, want []uint64) {
 	}
 }
 
+// runOnce prepares a batch (deferring binding errors to issue time) and
+// runs it once.
+func runOnce(u *Unit, jobs []Job, cancel <-chan struct{}) (BatchStats, error) {
+	pb, err := u.Prepare(jobs, false)
+	if err != nil {
+		return BatchStats{}, err
+	}
+	st, _, err := u.Run(pb, RunOpts{Cancel: cancel})
+	return st, err
+}
+
 func approx(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
@@ -100,7 +111,7 @@ func TestExecuteBatchDisjointBanksOverlap(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	st, err := r.unit.ExecuteBatch(jobs)
+	st, err := runOnce(r.unit, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +138,7 @@ func TestExecuteBatchSameBankSerializes(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}}},
 	}
-	st, err := r.unit.ExecuteBatch(jobs)
+	st, err := runOnce(r.unit, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +176,7 @@ func TestExecuteBatchRAWChain(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: bind2}}, Deps: []int{0}},
 	}
-	st, err := r.unit.ExecuteBatch(jobs)
+	st, err := runOnce(r.unit, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +193,10 @@ func TestExecuteBatchRejectsForwardDeps(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}, Deps: []int{1}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	if _, err := r.unit.ExecuteBatch(jobs); err == nil {
+	if _, err := runOnce(r.unit, jobs, nil); err == nil {
 		t.Error("forward dependency must be rejected")
 	}
-	if _, err := r.unit.ExecuteBatch(nil); err == nil {
+	if _, err := runOnce(r.unit, nil, nil); err == nil {
 		t.Error("empty batch must be rejected")
 	}
 }
@@ -199,7 +210,7 @@ func TestExecuteBatchJoinsErrors(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: bad}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: bad}}},
 	}
-	_, err := r.unit.ExecuteBatch(jobs)
+	_, err := runOnce(r.unit, jobs, nil)
 	if err == nil {
 		t.Fatal("invalid bindings must fail")
 	}
@@ -229,7 +240,7 @@ func TestExecuteBatchErrorSkipsLater(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: bad}}, Deps: []int{0}},
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: dependent}}, Deps: []int{1}},
 	}
-	_, err := r.unit.ExecuteBatch(jobs)
+	_, err := runOnce(r.unit, jobs, nil)
 	if err == nil {
 		t.Fatal("failing middle job must surface")
 	}
@@ -262,7 +273,7 @@ func TestExecuteBatchCancel(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	_, err := r.unit.ExecuteBatchCancel(jobs, cancel)
+	_, err := runOnce(r.unit, jobs, cancel)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled batch must report ErrCanceled, got: %v", err)
 	}
@@ -274,8 +285,8 @@ func TestExecuteBatchCancel(t *testing.T) {
 			}
 		}
 	}
-	// A nil cancel channel behaves exactly like ExecuteBatch.
-	if _, err := r.unit.ExecuteBatchCancel(jobs, nil); err != nil {
+	// A nil cancel channel never fires.
+	if _, err := runOnce(r.unit, jobs, nil); err != nil {
 		t.Fatalf("nil cancel must execute normally: %v", err)
 	}
 }
@@ -294,7 +305,7 @@ func TestExecuteBatchManyIndependent(t *testing.T) {
 			jobs = append(jobs, Job{Program: r.prog, Segments: []Segment{{Bank: bank, Sub: sub, Binding: r.bind}}})
 		}
 	}
-	st, err := r.unit.ExecuteBatch(jobs)
+	st, err := runOnce(r.unit, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

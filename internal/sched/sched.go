@@ -34,7 +34,7 @@
 // Cancellation composes with the execution engine's preemption: every
 // running job receives a cancel channel that closes when its
 // submission context expires, which the serving layer threads into
-// ctrl.ExecuteBatchCancel so an in-flight batch stops issuing
+// ctrl.RunOpts.Cancel so an in-flight batch stops issuing
 // instructions instead of running to completion. A context canceled
 // while the job is still queued resolves the job immediately with the
 // context's error and releases its queue slot and quota.

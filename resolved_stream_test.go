@@ -1,9 +1,11 @@
 package simdram
 
-// Facade-level differential tests for the bind-once/run-many hot path:
-// resolved command streams must be bit- AND trace-identical to the
-// interpretive μProgram path on a System, on a 4-channel Cluster, and
-// through the compiled-graph cache.
+// Facade-level differential tests for the control unit's one run path
+// (ctrl.Prepare + ctrl.Run, replaying cached resolved command streams):
+// every batch must be bit-, stats- and trace-identical to a reference
+// that walks the program in order and interprets each instruction's
+// μProgram with uprog.Run, on a System and on a 4-channel Cluster; a
+// compiled graph's roots must match the operations' golden models.
 
 import (
 	"math/rand"
@@ -14,6 +16,7 @@ import (
 	"simdram/internal/isa"
 	"simdram/internal/ops"
 	"simdram/internal/raceflag"
+	"simdram/internal/uprog"
 )
 
 // attachTracers hooks OnCommand on every subarray and returns one
@@ -40,23 +43,93 @@ func detachTracers(sys *System) {
 	}
 }
 
-func compareTraces(t *testing.T, label string, interp, resolved []*[]dram.Command) {
+// compareTraces requires identical per-subarray command logs and
+// returns the number of commands they hold.
+func compareTraces(t *testing.T, label string, want, got []*[]dram.Command) int {
 	t.Helper()
 	total := 0
-	for i := range interp {
-		ti, tr := *interp[i], *resolved[i]
-		if len(ti) != len(tr) {
-			t.Fatalf("%s subarray %d: interpretive issued %d commands, resolved %d", label, i, len(ti), len(tr))
+	for i := range want {
+		tw, tg := *want[i], *got[i]
+		if len(tw) != len(tg) {
+			t.Fatalf("%s subarray %d: reference issued %d commands, got %d", label, i, len(tw), len(tg))
 		}
-		for j := range ti {
-			if ti[j] != tr[j] {
-				t.Fatalf("%s subarray %d command %d: interpretive %+v, resolved %+v", label, i, j, ti[j], tr[j])
+		for j := range tw {
+			if tw[j] != tg[j] {
+				t.Fatalf("%s subarray %d command %d: reference %+v, got %+v", label, i, j, tw[j], tg[j])
 			}
 		}
-		total += len(ti)
+		total += len(tw)
 	}
 	if total == 0 {
 		t.Fatalf("%s: tracers captured nothing — differential is vacuous", label)
+	}
+	return total
+}
+
+// compareSubarrayStats requires every subarray of two identically
+// built systems to report identical DRAM statistics.
+func compareSubarrayStats(t *testing.T, label string, want, got *System) {
+	t.Helper()
+	cfg := want.Config().DRAM
+	for b := 0; b < cfg.Banks; b++ {
+		for s := 0; s < cfg.SubarraysPerBank; s++ {
+			if w, g := want.Module().Subarray(b, s).Stats, got.Module().Subarray(b, s).Stats; w != g {
+				t.Fatalf("%s subarray (%d,%d): reference stats %+v, got %+v", label, b, s, w, g)
+			}
+		}
+	}
+}
+
+// oracleRun is the reference executor the batch engine is checked
+// against: it walks prog in program order, resolves each instruction
+// through s.resolve and s.prepareOp, and interprets the μProgram with
+// uprog.Run on each segment's subarray — no scheduler, no resolved
+// streams, no stream cache.
+func oracleRun(t *testing.T, sys *System, prog isa.Program) {
+	t.Helper()
+	for i, in := range prog {
+		if in.Op == isa.OpTrspInit {
+			continue
+		}
+		d, dst, srcs, err := sys.resolve(in)
+		if err != nil {
+			t.Fatalf("oracle instruction %d: %v", i, err)
+		}
+		p, segs, err := sys.prepareOp(d, dst, srcs)
+		if err != nil {
+			t.Fatalf("oracle instruction %d: %v", i, err)
+		}
+		for _, seg := range segs {
+			if err := uprog.Run(p, sys.Module().Subarray(seg.Bank, seg.Sub), seg.Binding); err != nil {
+				t.Fatalf("oracle instruction %d bank %d subarray %d: %v", i, seg.Bank, seg.Sub, err)
+			}
+		}
+	}
+}
+
+// loadAll loads every vector, fatally on error.
+func loadAll[V interface{ Load() ([]uint64, error) }](t *testing.T, vecs []V) [][]uint64 {
+	t.Helper()
+	out := make([][]uint64, len(vecs))
+	for i, v := range vecs {
+		vals, err := v.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = vals
+	}
+	return out
+}
+
+// compareOutputs requires identical loaded results.
+func compareOutputs(t *testing.T, want, got [][]uint64) {
+	t.Helper()
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("output %d lane %d: got %d, reference %d", i, j, got[i][j], want[i][j])
+			}
+		}
 	}
 }
 
@@ -109,54 +182,42 @@ func randomHazardProgram(t *testing.T, rng *rand.Rand, sys *System, n, w, nTemps
 	return prog, temps
 }
 
-// TestResolvedDifferentialSystem is the satellite differential on a
-// System: a randomized hazard-rich ExecBatch must be bit-identical and
-// trace-identical between the interpretive and resolved-stream paths.
+// TestResolvedDifferentialSystem runs a randomized hazard-rich program
+// through ExecBatch and through the in-order oracle on an identically
+// seeded twin. The batch engine serializes same-subarray jobs in
+// program order, so per-subarray command traces, per-subarray DRAM
+// stats and results must all match exactly, and the batch's energy and
+// command count must equal what the oracle issued.
 func TestResolvedDifferentialSystem(t *testing.T) {
 	const seed, n, w = 23, 600, 16 // 600 > Cols: multi-segment vectors
 
-	build := func(interp bool) (*System, isa.Program, []*Vector) {
+	build := func() (*System, isa.Program, []*Vector) {
 		sys := testSystem(t)
 		t.Cleanup(sys.Close)
-		sys.SetInterpretive(interp)
 		sys.SetVerifyPlans(true) // every batch in the differential must verify clean
 		prog, outs := randomHazardProgram(t, rand.New(rand.NewSource(seed)), sys, n, w, 4, 16)
 		return sys, prog, outs
 	}
-	sysI, progI, outsI := build(true)
-	sysR, progR, outsR := build(false)
+	sysO, progO, outsO := build()
+	sysB, progB, outsB := build()
 
-	logsI, logsR := attachTracers(sysI), attachTracers(sysR)
-	stI, err := sysI.ExecBatch(progI)
+	logsO, logsB := attachTracers(sysO), attachTracers(sysB)
+	before := sysO.Module().Stats()
+	oracleRun(t, sysO, progO)
+	oracleEnergy := sysO.Module().Stats().Sub(before).EnergyPJ
+	st, err := sysB.ExecBatch(progB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stR, err := sysR.ExecBatch(progR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detachTracers(sysI)
-	detachTracers(sysR)
+	detachTracers(sysO)
+	detachTracers(sysB)
 
-	if stI != stR {
-		t.Errorf("batch stats diverge: interpretive %+v, resolved %+v", stI, stR)
+	cmds := compareTraces(t, "system", logsO, logsB)
+	compareSubarrayStats(t, "system", sysO, sysB)
+	if st.Instructions != int64(len(progB)) || st.Commands != int64(cmds) || st.EnergyPJ != oracleEnergy {
+		t.Errorf("batch stats %+v: want %d instructions, %d commands, %v pJ", st, len(progB), cmds, oracleEnergy)
 	}
-	compareTraces(t, "system", logsI, logsR)
-	for i := range outsI {
-		got, err := outsR[i].Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := outsI[i].Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("temp %d lane %d: resolved %d, interpretive %d", i, j, got[j], want[j])
-			}
-		}
-	}
+	compareOutputs(t, loadAll(t, outsO), loadAll(t, outsB))
 }
 
 // clusterHazardProgram allocates and fills the operands of a
@@ -189,102 +250,125 @@ func clusterHazardProgram(t *testing.T, c *Cluster, seed int64) (isa.Program, []
 }
 
 // TestResolvedDifferentialCluster repeats the differential on a
-// 4-channel cluster: every channel runs interpretively on one cluster
-// and via resolved streams on the other.
+// 4-channel cluster: one cluster runs ExecBatch, its twin runs each
+// channel's shardProgram share through the in-order oracle.
 func TestResolvedDifferentialCluster(t *testing.T) {
 	const seed, channels = 31, 4
 
-	build := func(interp bool) (*Cluster, isa.Program, []*ShardedVector) {
+	build := func() (*Cluster, isa.Program, []*ShardedVector) {
 		c := testCluster(t, channels)
 		c.SetVerifyPlans(true) // every shard in the differential must verify clean
-		for i := 0; i < c.Channels(); i++ {
-			c.Channel(i).SetInterpretive(interp)
-		}
 		prog, vecs := clusterHazardProgram(t, c, seed)
 		return c, prog, vecs[2:]
 	}
-	cI, progI, outsI := build(true)
-	cR, progR, outsR := build(false)
+	cO, progO, outsO := build()
+	cB, progB, outsB := build()
 
-	var logsI, logsR []*[]dram.Command
-	for i := 0; i < channels; i++ {
-		logsI = append(logsI, attachTracers(cI.Channel(i))...)
-		logsR = append(logsR, attachTracers(cR.Channel(i))...)
-	}
-	if _, err := cI.ExecBatch(progI); err != nil {
+	subProgs, ran, err := cO.shardProgram(progO)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cR.ExecBatch(progR); err != nil {
-		t.Fatal(err)
+	logsO := traceCluster(cO, func() {
+		for _, ch := range ran {
+			oracleRun(t, cO.Channel(ch), subProgs[ch])
+		}
+	})
+	logsB := traceCluster(cB, func() {
+		if _, err := cB.ExecBatch(progB); err != nil {
+			t.Fatal(err)
+		}
+	})
+	compareTraces(t, "cluster", logsO, logsB)
+	for ch := 0; ch < channels; ch++ {
+		compareSubarrayStats(t, "cluster", cO.Channel(ch), cB.Channel(ch))
 	}
-	for i := 0; i < channels; i++ {
-		detachTracers(cI.Channel(i))
-		detachTracers(cR.Channel(i))
+	compareOutputs(t, loadAll(t, outsO), loadAll(t, outsB))
+}
+
+// goldenVal is an expression's per-lane reference value and width.
+type goldenVal struct {
+	vals  []uint64
+	width int
+}
+
+// goldenExpr evaluates e lane by lane through its operations' golden
+// models (ops.Def.Golden), memoizing shared subtrees. Leaves read the
+// host copy of the data stored in them.
+func goldenExpr(t *testing.T, e *Expr, leafData map[*Vector][]uint64, n int, memo map[*Expr]goldenVal) goldenVal {
+	t.Helper()
+	if g, ok := memo[e]; ok {
+		return g
 	}
-	compareTraces(t, "cluster", logsI, logsR)
-	for i := range outsI {
-		got, err := outsR[i].Load()
+	var g goldenVal
+	switch e.kind {
+	case exprLeaf:
+		g = goldenVal{leafData[e.leaf], e.leaf.Width()}
+	case exprConst:
+		g = goldenVal{make([]uint64, n), e.width}
+		for i := range g.vals {
+			g.vals[i] = e.val & (1<<uint(e.width) - 1)
+		}
+	case exprOp:
+		d, err := ops.ByName(e.opName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := outsI[i].Load()
+		args := make([]goldenVal, len(e.args))
+		for k, a := range e.args {
+			args[k] = goldenExpr(t, a, leafData, n, memo)
+		}
+		w := args[0].width
+		g = goldenVal{make([]uint64, n), d.DstWidth(w)}
+		lane := make([]uint64, len(args))
+		for i := range g.vals {
+			for k := range args {
+				lane[k] = args[k].vals[i]
+			}
+			g.vals[i] = d.Golden(lane, w)
+		}
+	default:
+		t.Fatalf("goldenExpr: unsupported expression kind %d", e.kind)
+	}
+	memo[e] = g
+	return g
+}
+
+// TestResolvedDifferentialGraph materializes a randomized 30+-node
+// compiled DAG and requires every root to equal a per-lane golden
+// evaluation of its expression tree. (Trace identity is pinned by the
+// ExecBatch differentials above; the graph layer adds compiler-managed
+// temporaries on top of the same execution path.)
+func TestResolvedDifferentialGraph(t *testing.T) {
+	const seed, n, width = 41, 300, 16
+
+	sys := testGraphSystem(t)
+	t.Cleanup(sys.Close)
+	sys.SetVerifyPlans(true) // compiled plans must verify clean
+	rng := rand.New(rand.NewSource(seed))
+	leafData := map[*Vector][]uint64{}
+	leaves := make([]*Expr, 4)
+	for i := range leaves {
+		v, err := sys.AllocVector(n, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leafData[v] = storeRand(t, rng, v)
+		leaves[i] = sys.Lazy(v)
+	}
+	roots := buildRandomDAG(rng, leaves, width, 34)
+	if _, err := sys.Materialize(roots...); err != nil {
+		t.Fatal(err)
+	}
+	memo := map[*Expr]goldenVal{}
+	for i, r := range roots {
+		want := goldenExpr(t, r, leafData, n, memo).vals
+		got, err := r.Result().Load()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("output %d lane %d: resolved %d, interpretive %d", i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestResolvedDifferentialGraph runs a randomized 30+-node compiled DAG
-// on two identically-seeded systems, one interpretive, and requires
-// bit-identical roots. (Trace identity is pinned by the ExecBatch
-// differentials above; the graph layer adds compiler-managed
-// temporaries on top of the same execution path.)
-func TestResolvedDifferentialGraph(t *testing.T) {
-	const seed, n, width = 41, 300, 16
-
-	run := func(interp bool) [][]uint64 {
-		sys := testGraphSystem(t)
-		t.Cleanup(sys.Close)
-		sys.SetInterpretive(interp)
-		sys.SetVerifyPlans(true) // compiled plans must verify clean in both modes
-		rng := rand.New(rand.NewSource(seed))
-		leaves := make([]*Expr, 4)
-		for i := range leaves {
-			v, err := sys.AllocVector(n, width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			storeRand(t, rng, v)
-			leaves[i] = sys.Lazy(v)
-		}
-		roots := buildRandomDAG(rng, leaves, width, 34)
-		if _, err := sys.Materialize(roots...); err != nil {
-			t.Fatal(err)
-		}
-		out := make([][]uint64, len(roots))
-		for i, r := range roots {
-			vals, err := r.Result().Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = vals
-		}
-		return out
-	}
-	want := run(true)
-	got := run(false)
-	if len(got) != len(want) {
-		t.Fatalf("root count diverged: resolved %d, interpretive %d", len(got), len(want))
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("root %d element %d: resolved %d, interpretive %d", i, j, got[i][j], want[i][j])
+				t.Fatalf("root %d (%s) element %d: got %d, golden %d", i, r.opName, j, got[j], want[j])
 			}
 		}
 	}

@@ -122,8 +122,8 @@ func DefaultServerConfig(n int) ServerConfig {
 // optimization and scheduling entirely, re-binding only their operand
 // rows. A canceled or deadline-expired submission context preempts
 // the job: while queued it is dropped on the spot, while running the
-// batch engine stops issuing instructions (ctrl.ExecuteBatchCancel)
-// and the future resolves with the cancellation error.
+// batch engine stops issuing instructions (ctrl.RunOpts.Cancel) and
+// the future resolves with the cancellation error.
 //
 //	srv, _ := simdram.NewServer(simdram.DefaultServerConfig(4))
 //	defer srv.Close()

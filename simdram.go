@@ -189,14 +189,6 @@ func (s *System) Close() { s.cu.Close() }
 // injection).
 func (s *System) Module() *dram.Module { return s.mod }
 
-// SetInterpretive switches μProgram execution between cached resolved
-// command streams (the default bind-once/run-many hot path) and the
-// per-run interpretive resolver. The two are bit- and trace-identical;
-// the knob exists for differential testing and for measuring the
-// host-side speedup. Do not toggle while operations are executing;
-// programs prepared before the switch keep their mode.
-func (s *System) SetInterpretive(on bool) { s.cu.SetInterpretive(on) }
-
 // SetVerifyPlans gates the static IR verifier: when on, every program
 // the graph compiler lowers and every batch ExecBatch prepares is
 // checked (def-before-use, operand aliasing, width/arity/opcode
@@ -205,12 +197,9 @@ func (s *System) SetInterpretive(on bool) { s.cu.SetInterpretive(on) }
 // dependence graph) before anything executes, and the control unit
 // fails resolution errors eagerly at Prepare time. A verification
 // failure rejects the whole program with typed *verify.Diagnostic
-// errors. Like SetInterpretive, do not toggle while operations are
-// executing.
-func (s *System) SetVerifyPlans(on bool) {
-	s.verifyPlans = on
-	s.cu.SetVerifyPlans(on)
-}
+// errors. Do not toggle while operations are executing; programs
+// prepared before the switch keep their setting.
+func (s *System) SetVerifyPlans(on bool) { s.verifyPlans = on }
 
 // VerifiedPlans returns how many programs the IR verifier has checked
 // and passed since the system was built (0 unless SetVerifyPlans is
