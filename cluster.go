@@ -346,20 +346,28 @@ func (v *ShardedVector) Store(data []uint64) error {
 	})
 }
 
+// storeSplat stores val into every element, each shard through its
+// own channel (see Vector.storeSplat), all channels in parallel.
+func (v *ShardedVector) storeSplat(val uint64) error {
+	if v.freed {
+		return errorf("store to freed sharded vector")
+	}
+	return cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
+		return v.parts[task].storeSplat(val)
+	})
+}
+
 // Load gathers the vector back into one horizontal slice, all channels
-// in parallel.
+// in parallel, each shard transposing straight into its span of the
+// result.
 func (v *ShardedVector) Load() ([]uint64, error) {
 	if v.freed {
 		return nil, errorf("load from freed sharded vector")
 	}
 	out := make([]uint64, v.n)
 	err := cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
-		vals, err := v.parts[task].Load()
-		if err != nil {
-			return err
-		}
-		copy(out[v.plan.Spans[task].Off:], vals)
-		return nil
+		span := v.plan.Spans[task]
+		return v.parts[task].loadInto(out[span.Off : span.Off+span.Count])
 	})
 	if err != nil {
 		return nil, err

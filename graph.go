@@ -521,15 +521,6 @@ func buildPlan(g *graph.Graph, opts CompileOptions, cost graph.CostFn) *graph.Pl
 	return plan
 }
 
-// splat returns n copies of val.
-func splat(val uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = val
-	}
-	return out
-}
-
 // graphObj is the slice of the Vector/ShardedVector surface the
 // shared lowering back end needs: one implementation of the slot,
 // constant, and result bookkeeping serves both the System and the
@@ -538,6 +529,7 @@ func splat(val uint64, n int) []uint64 {
 type graphObj interface {
 	Handle() uint16
 	Store([]uint64) error
+	storeSplat(val uint64) error // Store of val in every element, without a transpose
 	Load() ([]uint64, error)
 	Free()
 }
@@ -668,7 +660,7 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 					return fail(errorf("graph: result %d: %w", i, err))
 				}
 				if node.Kind == graph.KindConst {
-					if err := o.Store(splat(node.Val, n)); err != nil {
+					if err := o.storeSplat(node.Val); err != nil {
 						o.Free()
 						return fail(err)
 					}
@@ -693,7 +685,7 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 			return fail(errorf("graph: constant vector: %w", err))
 		}
 		lw.temps = append(lw.temps, o)
-		if err := o.Store(splat(node.Val, n)); err != nil {
+		if err := o.storeSplat(node.Val); err != nil {
 			return fail(err)
 		}
 		constObj[nid] = o

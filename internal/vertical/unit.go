@@ -40,13 +40,16 @@ type Unit struct {
 	cfg   UnitConfig
 	Stats UnitStats
 
-	fifo []uint64 // line tags, FIFO eviction
+	// ring holds the buffered line tags in FIFO order, oldest at
+	// ring[head] once the buffer is full; tags indexes them.
+	ring []uint64
+	head int
 	tags map[uint64]bool
 }
 
 // NewUnit builds a transposition unit.
 func NewUnit(cfg UnitConfig) *Unit {
-	return &Unit{cfg: cfg, tags: make(map[uint64]bool)}
+	return &Unit{cfg: cfg, ring: make([]uint64, 0, max(cfg.BufferLines, 0)), tags: make(map[uint64]bool)}
 }
 
 // lineTag identifies a cache line by (object id, line index).
@@ -63,35 +66,48 @@ func (u *Unit) touch(objID uint64, lines int) {
 		u.Stats.LatencyNs += u.cfg.LatencyPerLineNs
 		u.Stats.EnergyPJ += u.cfg.EnergyPerLinePJ
 		if u.cfg.BufferLines > 0 {
-			if len(u.fifo) >= u.cfg.BufferLines {
-				delete(u.tags, u.fifo[0])
-				u.fifo = u.fifo[1:]
+			if len(u.ring) < u.cfg.BufferLines {
+				u.ring = append(u.ring, tag)
+			} else {
+				delete(u.tags, u.ring[u.head])
+				u.ring[u.head] = tag
+				u.head = (u.head + 1) % len(u.ring)
 			}
-			u.fifo = append(u.fifo, tag)
 			u.tags[tag] = true
 		}
 	}
 }
 
-// HToV transposes horizontal values into vertical rows, charging the cost
-// model. objID distinguishes objects for the line buffer.
-func (u *Unit) HToV(objID uint64, vals []uint64, width, lanes int) ([][]uint64, error) {
-	rows, err := ToVertical(vals, width, lanes)
-	if err != nil {
-		return nil, err
+// HToV transposes horizontal values into the caller's vertical rows
+// (see ToVerticalInto), charging the cost model. objID distinguishes
+// objects for the line buffer.
+func (u *Unit) HToV(objID uint64, rows [][]uint64, vals []uint64, width int) error {
+	if err := ToVerticalInto(rows, vals, width); err != nil {
+		return err
 	}
 	u.touch(objID, linesFor(len(vals), width))
-	return rows, nil
+	return nil
 }
 
-// VToH transposes vertical rows back into horizontal values.
-func (u *Unit) VToH(objID uint64, rows [][]uint64, width, n int) ([]uint64, error) {
-	vals, err := ToHorizontal(rows, width, n)
-	if err != nil {
-		return nil, err
+// Splat is HToV of n copies of val without the transpose (see
+// SplatInto): the rows and the charge are exactly those of the
+// transposition it replaces.
+func (u *Unit) Splat(objID uint64, rows [][]uint64, val uint64, width, n int) error {
+	if err := SplatInto(rows, val, width, n); err != nil {
+		return err
 	}
 	u.touch(objID, linesFor(n, width))
-	return vals, nil
+	return nil
+}
+
+// VToH transposes vertical rows back into the horizontal values dst
+// (see ToHorizontalInto), charging the cost model.
+func (u *Unit) VToH(objID uint64, dst []uint64, rows [][]uint64, width int) error {
+	if err := ToHorizontalInto(dst, rows, width); err != nil {
+		return err
+	}
+	u.touch(objID, linesFor(len(dst), width))
+	return nil
 }
 
 // linesFor returns how many 64 B cache lines n elements of the given

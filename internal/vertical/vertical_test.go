@@ -1,9 +1,12 @@
 package vertical
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"simdram/internal/raceflag"
 )
 
 func TestTranspose64x64Involution(t *testing.T) {
@@ -30,31 +33,116 @@ func TestTranspose64x64BitMapping(t *testing.T) {
 	}
 }
 
+// transposeCases covers every width with element counts around block
+// boundaries, each into exactly fitting rows and into rows with 128
+// spare lanes.
+func transposeCases() []struct{ width, n, lanes int } {
+	var cases []struct{ width, n, lanes int }
+	for width := 1; width <= 64; width++ {
+		for _, n := range []int{1, 63, 64, 65, 255, 256} {
+			fit := (n + 63) / 64 * 64
+			for _, lanes := range []int{fit, fit + 128} {
+				cases = append(cases, struct{ width, n, lanes int }{width, n, lanes})
+			}
+		}
+	}
+	return cases
+}
+
+// garbageRows returns width rows of lanes/64 random words: what a
+// caller's reused scratch holds before an Into conversion.
+func garbageRows(rng *rand.Rand, width, lanes int) [][]uint64 {
+	rows := MakeRows(width, lanes/64)
+	for _, row := range rows {
+		for w := range row {
+			row[w] = rng.Uint64()
+		}
+	}
+	return rows
+}
+
+func equalRows(a, b [][]uint64, width int) bool {
+	for i := 0; i < width; i++ {
+		for w := range a[i] {
+			if a[i][w] != b[i][w] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestToVerticalMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, width := range []int{1, 7, 8, 16, 31, 32, 63, 64} {
-		n := 100 + rng.Intn(200)
-		lanes := ((n + 63) / 64) * 64
-		vals := make([]uint64, n)
+	for _, c := range transposeCases() {
+		// Unmasked values: bits at and above width must be dropped.
+		vals := make([]uint64, c.n)
 		for i := range vals {
-			vals[i] = rng.Uint64() & widthMask(width)
+			vals[i] = rng.Uint64()
 		}
-		fast, err := ToVertical(vals, width, lanes)
+		naive := toVerticalNaive(vals, c.width, c.lanes)
+		fast, err := ToVertical(vals, c.width, c.lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive := toVerticalNaive(vals, width, lanes)
-		for i := 0; i < width; i++ {
-			for w := range fast[i] {
-				if fast[i][w] != naive[i][w] {
-					t.Fatalf("width %d: row %d word %d: fast %#x naive %#x", width, i, w, fast[i][w], naive[i][w])
-				}
-			}
+		if !equalRows(fast, naive, c.width) {
+			t.Fatalf("width %d n %d lanes %d: ToVertical differs from the naive transpose", c.width, c.n, c.lanes)
+		}
+		into := garbageRows(rng, c.width, c.lanes)
+		if err := ToVerticalInto(into, vals, c.width); err != nil {
+			t.Fatal(err)
+		}
+		if !equalRows(into, naive, c.width) {
+			t.Fatalf("width %d n %d lanes %d: ToVerticalInto differs from the naive transpose", c.width, c.n, c.lanes)
+		}
+		// A splat is the transpose of n copies of one value.
+		val := rng.Uint64()
+		for i := range vals {
+			vals[i] = val
+		}
+		splat := garbageRows(rng, c.width, c.lanes)
+		if err := SplatInto(splat, val, c.width, c.n); err != nil {
+			t.Fatal(err)
+		}
+		if !equalRows(splat, toVerticalNaive(vals, c.width, c.lanes), c.width) {
+			t.Fatalf("width %d n %d lanes %d: SplatInto(%#x) differs from the naive transpose", c.width, c.n, c.lanes, val)
 		}
 	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
+	// Every width and block boundary: naive rows, with junk in the lanes
+	// past n as computed DRAM rows have, read back horizontally.
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range transposeCases() {
+		vals := make([]uint64, c.n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & widthMask(c.width)
+		}
+		rows := toVerticalNaive(vals, c.width, c.lanes)
+		for _, row := range rows {
+			for lane := c.n; lane < c.lanes; lane++ {
+				row[lane/64] |= rng.Uint64() & (1 << uint(lane%64))
+			}
+		}
+		back, err := ToHorizontal(rows, c.width, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := make([]uint64, c.n)
+		for i := range into {
+			into[i] = rng.Uint64()
+		}
+		if err := ToHorizontalInto(into, rows, c.width); err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if back[i] != vals[i] || into[i] != vals[i] {
+				t.Fatalf("width %d n %d lanes %d element %d: ToHorizontal %#x, ToHorizontalInto %#x, want %#x",
+					c.width, c.n, c.lanes, i, back[i], into[i], vals[i])
+			}
+		}
+	}
 	err := quick.Check(func(seed int64, widthRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		width := 1 + int(widthRaw)%64
@@ -97,6 +185,38 @@ func TestToVerticalValidation(t *testing.T) {
 	if _, err := ToVertical(make([]uint64, 100), 8, 64); err == nil {
 		t.Error("lanes < len(vals) must error")
 	}
+	rows := MakeRows(8, 1)
+	if err := ToVerticalInto(rows[:7], nil, 8); err == nil {
+		t.Error("ToVerticalInto with too few rows must error")
+	}
+	if err := ToVerticalInto(rows, make([]uint64, 65), 8); err == nil {
+		t.Error("ToVerticalInto past the rows' lanes must error")
+	}
+	if err := SplatInto(rows, 1, 8, 65); err == nil {
+		t.Error("SplatInto past the rows' lanes must error")
+	}
+	if err := ToHorizontalInto(make([]uint64, 65), rows, 8); err == nil {
+		t.Error("ToHorizontalInto past the rows' lanes must error")
+	}
+}
+
+// TestIntoConversionsZeroAlloc pins the Into conversions, which the
+// facade calls once per stored or loaded segment, at zero allocations.
+func TestIntoConversionsZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector allocates; gate runs in the non-race CI job")
+	}
+	vals := make([]uint64, 200)
+	rows := MakeRows(16, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		if ToVerticalInto(rows, vals, 16) != nil || SplatInto(rows, 0xBEEF, 16, 200) != nil ||
+			ToHorizontalInto(vals, rows, 16) != nil {
+			t.Fatal("conversion failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Into conversions: %v allocs/run, want 0", allocs)
+	}
 }
 
 func TestVerticalColumnSemantics(t *testing.T) {
@@ -121,7 +241,8 @@ func TestVerticalColumnSemantics(t *testing.T) {
 func TestUnitAccounting(t *testing.T) {
 	u := NewUnit(DefaultUnitConfig())
 	vals := make([]uint64, 256) // 256 × 4 B = 16 cache lines at width 32
-	_, err := u.HToV(1, vals, 32, 256)
+	rows := MakeRows(32, 4)
+	err := u.HToV(1, rows, vals, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +253,7 @@ func TestUnitAccounting(t *testing.T) {
 		t.Error("unit must accrue cost")
 	}
 	// Re-transposing the same object hits the buffer.
-	_, err = u.HToV(1, vals, 32, 256)
+	err = u.HToV(1, rows, vals, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +270,68 @@ func TestUnitBufferEviction(t *testing.T) {
 	cfg.BufferLines = 4
 	u := NewUnit(cfg)
 	vals := make([]uint64, 64) // 8 lines at width 64
-	if _, err := u.HToV(1, vals, 64, 64); err != nil {
+	rows := MakeRows(64, 1)
+	if err := u.HToV(1, rows, vals, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.HToV(1, vals, 64, 64); err != nil {
+	if err := u.HToV(1, rows, vals, 64); err != nil {
 		t.Fatal(err)
 	}
 	// Only the last 4 lines fit; FIFO means all 8 miss again on repeat.
 	if u.Stats.BufferHits != 0 {
 		t.Errorf("hits = %d, want 0 with a 4-line buffer and 8-line object", u.Stats.BufferHits)
+	}
+}
+
+// fifoUnit is the object tracker as it was before the ring buffer:
+// a slice popped at the front and appended at the back. The ring must
+// reproduce its hit, miss and eviction sequence exactly.
+type fifoUnit struct {
+	cfg   UnitConfig
+	Stats UnitStats
+	fifo  []uint64
+	tags  map[uint64]bool
+}
+
+func (u *fifoUnit) touch(objID uint64, lines int) {
+	for l := 0; l < lines; l++ {
+		tag := lineTag(objID, l)
+		if u.tags[tag] {
+			u.Stats.BufferHits++
+			continue
+		}
+		u.Stats.LinesTransposed++
+		u.Stats.LatencyNs += u.cfg.LatencyPerLineNs
+		u.Stats.EnergyPJ += u.cfg.EnergyPerLinePJ
+		if u.cfg.BufferLines > 0 {
+			if len(u.fifo) >= u.cfg.BufferLines {
+				delete(u.tags, u.fifo[0])
+				u.fifo = u.fifo[1:]
+			}
+			u.fifo = append(u.fifo, tag)
+			u.tags[tag] = true
+		}
+	}
+}
+
+func TestUnitRingMatchesFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, lines := range []int{0, 1, 2, 3, 4, 7, 64} {
+		cfg := DefaultUnitConfig()
+		cfg.BufferLines = lines
+		u, ref := NewUnit(cfg), &fifoUnit{cfg: cfg, tags: map[uint64]bool{}}
+		for step := 0; step < 4000; step++ {
+			obj, n := uint64(1+rng.Intn(6)), rng.Intn(2*lines+3)
+			u.touch(obj, n)
+			ref.touch(obj, n)
+			if u.Stats != ref.Stats {
+				t.Fatalf("buffer %d lines, step %d (object %d, %d lines): ring %+v, FIFO %+v",
+					lines, step, obj, n, u.Stats, ref.Stats)
+			}
+		}
+		if u.Stats.BufferHits == 0 && lines > 0 {
+			t.Fatalf("buffer %d lines: no hits, the comparison is vacuous", lines)
+		}
 	}
 }
 
@@ -170,6 +344,58 @@ func BenchmarkTranspose64x64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Transpose64x64(&a)
+	}
+}
+
+// benchLanes is one serve-hot segment: a 256-column row.
+const benchLanes = 256
+
+// BenchmarkToVertical times the width-reduced transpose into reused
+// rows (ToVerticalInto, what Vector.Store runs per segment).
+func BenchmarkToVertical(b *testing.B) {
+	for _, width := range []int{1, 8, 16, 32, 64} {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			vals := make([]uint64, benchLanes)
+			for i := range vals {
+				vals[i] = rng.Uint64() & widthMask(width)
+			}
+			rows := MakeRows(width, benchLanes/64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ToVerticalInto(rows, vals, width); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchLanes), "ns/elem")
+		})
+	}
+}
+
+// BenchmarkToHorizontal times the inverse into a reused slice
+// (ToHorizontalInto, what Vector.Load runs per segment).
+func BenchmarkToHorizontal(b *testing.B) {
+	for _, width := range []int{1, 8, 16, 32, 64} {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			vals := make([]uint64, benchLanes)
+			for i := range vals {
+				vals[i] = rng.Uint64() & widthMask(width)
+			}
+			rows, err := ToVertical(vals, width, benchLanes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ToHorizontalInto(vals, rows, width); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchLanes), "ns/elem")
+		})
 	}
 }
 

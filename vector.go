@@ -1,5 +1,7 @@
 package simdram
 
+import "simdram/internal/vertical"
+
 // Vector is a SIMDRAM object: n elements of a given bit width stored in
 // the vertical layout across one or more subarrays. Element j of segment
 // i occupies column j of that subarray, bits in consecutive rows.
@@ -178,13 +180,34 @@ func (v *Vector) Store(data []uint64) error {
 	if len(data) != v.n {
 		return errorf("store: vector holds %d elements, data has %d", v.n, len(data))
 	}
-	cols := v.sys.cfg.DRAM.Cols
 	off := 0
-	for _, seg := range v.segs {
+	return v.writeSegments(func(rows [][]uint64, seg segment) error {
 		chunk := data[off : off+seg.lanes]
 		off += seg.lanes
-		rows, err := v.sys.tu.HToV(uint64(v.handle), chunk, v.width, cols)
-		if err != nil {
+		return v.sys.tu.HToV(uint64(v.handle), rows, chunk, v.width)
+	})
+}
+
+// storeSplat stores val into every element. It writes the rows Store
+// of n copies of val would write and charges the transposition unit
+// the same, but builds the rows without transposing: row i is all ones
+// over the segment's lanes when bit i of val is set, else zero.
+func (v *Vector) storeSplat(val uint64) error {
+	if v.freed {
+		return errorf("store to freed vector")
+	}
+	return v.writeSegments(func(rows [][]uint64, seg segment) error {
+		return v.sys.tu.Splat(uint64(v.handle), rows, val, v.width, seg.lanes)
+	})
+}
+
+// writeSegments has fill build each segment's vertical rows in one
+// scratch set reused across segments, then writes them through the
+// host path.
+func (v *Vector) writeSegments(fill func(rows [][]uint64, seg segment) error) error {
+	rows := vertical.MakeRows(v.width, v.sys.cfg.DRAM.WordsPerRow())
+	for _, seg := range v.segs {
+		if err := fill(rows, seg); err != nil {
 			return err
 		}
 		sa := v.sys.mod.Subarray(seg.bank, seg.sub)
@@ -198,31 +221,33 @@ func (v *Vector) Store(data []uint64) error {
 // Load reads the vector back into horizontal form through the
 // transposition unit.
 func (v *Vector) Load() ([]uint64, error) {
+	out := make([]uint64, v.n)
+	if err := v.loadInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// loadInto is Load into out (v.n elements). One scratch set of rows
+// serves every segment's vertical gather, and each segment transposes
+// straight into its slice of out.
+func (v *Vector) loadInto(out []uint64) error {
 	if v.freed {
-		return nil, errorf("load from freed vector")
+		return errorf("load from freed vector")
 	}
-	out := make([]uint64, 0, v.n)
-	// One backing buffer serves every segment's vertical gather: the
-	// transposition unit consumes each chunk before the next segment
-	// overwrites it.
-	words := v.sys.cfg.DRAM.WordsPerRow()
-	rows := make([][]uint64, v.width)
-	backing := make([]uint64, v.width*words)
-	for r := range rows {
-		rows[r] = backing[r*words : (r+1)*words]
-	}
+	rows := vertical.MakeRows(v.width, v.sys.cfg.DRAM.WordsPerRow())
+	off := 0
 	for _, seg := range v.segs {
 		sa := v.sys.mod.Subarray(seg.bank, seg.sub)
 		for r := 0; r < v.width; r++ {
 			sa.ReadRowInto(seg.baseRow+r, rows[r])
 		}
-		vals, err := v.sys.tu.VToH(uint64(v.handle), rows, v.width, seg.lanes)
-		if err != nil {
-			return nil, err
+		if err := v.sys.tu.VToH(uint64(v.handle), out[off:off+seg.lanes], rows, v.width); err != nil {
+			return err
 		}
-		out = append(out, vals...)
+		off += seg.lanes
 	}
-	return out, nil
+	return nil
 }
 
 // overlaps reports whether two segment-aligned vectors physically share
