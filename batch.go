@@ -78,8 +78,8 @@ func toBatchStats(st ctrl.BatchStats) BatchStats {
 }
 
 // preparedProgram is a bbop program bound once for repeated execution:
-// the control unit's prepared batch (schedule plus resolved command
-// streams) and enough context to verify on every run that the objects
+// the control unit's prepared batch (schedule plus bound μProgram
+// views) and enough context to verify on every run that the objects
 // it was resolved against are still the live ones. Compiled graphs and
 // the Cluster's ExecBatch memo cache one of these so steady-state runs
 // skip instruction resolution, binding validation, and scheduling
@@ -120,19 +120,29 @@ type scratchNeed struct {
 // prepareProgram validates and resolves a bbop program down to a
 // control-unit prepared batch — the bind-once half of execution.
 func (s *System) prepareProgram(prog isa.Program) (*preparedProgram, error) {
-	return s.prepareProgramTraced(prog, nil, 0)
+	return s.prepareProgramTraced(prog, nil, nil, 0)
 }
 
 // prepareProgramTraced is prepareProgram with the serving layer's
-// per-job trace threaded through: the control unit's command-stream
-// resolution (the bind-once cost a cache hit amortizes) is accounted to
-// a "resolve" span under parent. tr may be nil.
-func (s *System) prepareProgramTraced(prog isa.Program, tr *obs.Trace, parent int) (*preparedProgram, error) {
+// per-job trace threaded through: the control unit's μProgram binding
+// (the bind-once cost a cache hit amortizes) is accounted to a
+// "resolve" span under parent. tr may be nil. lw, when non-nil, is the
+// graph lowering prog came from: the plan check then uses the
+// compiler's definedness map, and is skipped when verifyLowered has
+// already checked the lowering.
+func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Trace, parent int) (*preparedProgram, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	deps := prog.Deps()
-	if err := s.maybeVerify(prog, deps, nil); err != nil {
+	var err error
+	switch {
+	case lw == nil:
+		err = s.maybeVerify(prog, deps, nil)
+	case !lw.verified:
+		err = s.maybeVerify(prog, deps, lw.defined)
+	}
+	if err != nil {
 		return nil, err
 	}
 	jobs := make([]ctrl.Job, 0, len(prog))

@@ -546,6 +546,9 @@ type lowered struct {
 	// written by the program itself). The IR verifier consumes this for
 	// its def-before-use check.
 	defined map[uint16]bool
+	// verified is set once verifyLowered has checked prog, so preparing
+	// it does not check it again.
+	verified bool
 }
 
 type compiledResult struct {
@@ -969,7 +972,7 @@ func (cp *Compiled) Program() isa.Program {
 // Execute runs the compiled batch. Results become valid once it
 // returns; calling it again recomputes them in place. The first run
 // binds the program once (instruction resolution, binding validation,
-// scheduling, resolved command streams); repeated runs reuse that
+// scheduling, bound μProgram views); repeated runs reuse that
 // prepared form and pay only the execution loop. Each successful run
 // folds its measured per-op latencies into the System's shape profile,
 // feeding the profile-guided recompile loop.
@@ -983,7 +986,7 @@ func (cp *Compiled) Execute() (BatchStats, error) {
 		return BatchStats{}, nil
 	}
 	if cp.pp == nil {
-		pp, err := cp.sys.prepareProgram(cp.lw.prog)
+		pp, err := cp.sys.prepareProgramTraced(cp.lw.prog, cp.lw, nil, 0)
 		if err != nil {
 			return BatchStats{}, err
 		}

@@ -129,7 +129,7 @@ func (cp *ClusterCompiled) Program() isa.Program {
 // Execute runs the compiled batch across the cluster. Results become
 // valid once it returns; calling it again recomputes them in place.
 // The first run shards the program and binds each channel's share once
-// (resolution, validation, scheduling, resolved command streams);
+// (resolution, validation, scheduling, bound μProgram views);
 // repeated runs reuse those prepared forms and pay only the execution
 // loops. Each successful run folds its measured per-op latencies (the
 // slowest shard of each instruction) into the Cluster's shape profile,

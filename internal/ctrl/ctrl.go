@@ -29,10 +29,11 @@ type Unit struct {
 	mu      sync.Mutex // guards workers
 	workers *Pool
 
-	// sc caches resolved command streams per (program, binding) so
-	// repeated jobs skip validation and symbolic resolution (see
-	// resolved.go).
-	sc streamCache
+	// vc caches the views binding μProgram templates to placements,
+	// so a repeated placement skips binding validation; templates are
+	// shared by every unit of one geometry, so a fresh placement skips
+	// resolution (see resolved.go).
+	vc viewCache
 
 	Stats ExecStats
 }

@@ -1,7 +1,7 @@
 package ctrl
 
-// Tests for the unit-level resolved-stream cache and the
-// prepare-once/execute-many batch path.
+// Tests for the unit-level view cache and the prepare-once/execute-many
+// batch path.
 
 import (
 	"math/rand"
@@ -14,40 +14,54 @@ import (
 	"simdram/internal/uprog"
 )
 
-func TestStreamCacheReuse(t *testing.T) {
+func TestViewCacheReuse(t *testing.T) {
 	r := newBatchRig(t)
 	u := r.unit
+	seg := Segment{Bank: 0, Sub: 0, Binding: r.bind}
 
-	st1, err := u.resolvedStream(r.prog, r.bind)
+	v1, err := u.view(r.prog, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := u.resolvedStream(r.prog, r.bind)
+	v2, err := u.view(r.prog, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1 != st2 {
-		t.Error("same (program, binding) must return the cached stream pointer")
+	if v1 != v2 {
+		t.Error("same (program, binding, subarray) must return the cached view pointer")
 	}
-	if got := u.StreamCacheSize(); got != 1 {
-		t.Errorf("StreamCacheSize = %d, want 1", got)
+	if got := u.ViewCacheSize(); got != 1 {
+		t.Errorf("ViewCacheSize = %d, want 1", got)
 	}
 
-	other := r.bind
-	other.DstBase += r.prog.DstWidth
-	st3, err := u.resolvedStream(r.prog, other)
+	other := seg
+	other.Binding.DstBase += r.prog.DstWidth
+	v3, err := u.view(r.prog, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3 == st1 {
-		t.Error("distinct bindings must resolve to distinct streams")
+	if v3 == v1 {
+		t.Error("distinct bindings must bind distinct views")
 	}
-	if got := u.StreamCacheSize(); got != 2 {
-		t.Errorf("StreamCacheSize = %d, want 2", got)
+	// A view shares one subarray's rows, so the same binding on another
+	// subarray is another view.
+	v4, err := u.view(r.prog, Segment{Bank: 1, Sub: 0, Binding: r.bind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v4 == v1 {
+		t.Error("distinct subarrays must bind distinct views")
+	}
+	if got := u.ViewCacheSize(); got != 3 {
+		t.Errorf("ViewCacheSize = %d, want 3", got)
+	}
+	// Units of one geometry share one template per program.
+	if u.template(r.prog) != newBatchRig(t).unit.template(r.prog) {
+		t.Error("two units of one geometry built separate templates")
 	}
 }
 
-func TestStreamCacheBypassesManySources(t *testing.T) {
+func TestViewCacheBypassesManySources(t *testing.T) {
 	r := newBatchRig(t)
 	u := r.unit
 	var red *ops.Def
@@ -66,32 +80,33 @@ func TestStreamCacheBypassesManySources(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := uprog.Binding{SrcBase: []int{0, 4, 8, 12}, DstBase: 16, ScratchBase: 32}
-	if _, err := u.resolvedStream(p, b); err != nil {
+	if _, err := u.view(p, Segment{Binding: b}); err != nil {
 		t.Fatal(err)
 	}
-	if got := u.StreamCacheSize(); got != 0 {
+	if got := u.ViewCacheSize(); got != 0 {
 		t.Errorf("binding with >3 sources must bypass the cache, size = %d", got)
 	}
 }
 
-// TestStreamCacheHitZeroAlloc gates the steady-state lookup: a cache hit
+// TestViewCacheHitZeroAlloc gates the steady-state lookup: a cache hit
 // must not touch the heap.
-func TestStreamCacheHitZeroAlloc(t *testing.T) {
+func TestViewCacheHitZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	r := newBatchRig(t)
 	u := r.unit
-	if _, err := u.resolvedStream(r.prog, r.bind); err != nil {
+	seg := Segment{Bank: 0, Sub: 0, Binding: r.bind}
+	if _, err := u.view(r.prog, seg); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := u.resolvedStream(r.prog, r.bind); err != nil {
+		if _, err := u.view(r.prog, seg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("stream-cache hit allocated %.1f times, want 0", allocs)
+		t.Fatalf("view-cache hit allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -174,8 +189,8 @@ func TestPreparedMatchesBatchProfile(t *testing.T) {
 // TestPreparedPlanZeroAllocPerRun is the acceptance gate from the
 // issue: steady-state execution of a cached plan's μPrograms performs
 // zero heap allocations per run. The per-μProgram kernel of a prepared
-// batch is RunResolved over a cached stream; this replays exactly the
-// stream a Prepare stored.
+// batch is RunView over a cached view; this replays exactly the view a
+// Prepare stored.
 func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
@@ -186,12 +201,12 @@ func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := pb.streams[0][0][0]
-	if ss.err != nil {
-		t.Fatal(ss.err)
+	sv := pb.views[0][0][0]
+	if sv.err != nil {
+		t.Fatal(sv.err)
 	}
 	sa := r.mod.Subarray(0, 0)
-	allocs := testing.AllocsPerRun(20, func() { uprog.RunResolved(sa, ss.stream) })
+	allocs := testing.AllocsPerRun(20, func() { uprog.RunView(sa, sv.view) })
 	if allocs != 0 {
 		t.Fatalf("cached-plan μProgram run allocated %.1f times, want 0", allocs)
 	}

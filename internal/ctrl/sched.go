@@ -187,11 +187,12 @@ func appendUnique(s []int, v int) []int {
 	return append(s, v)
 }
 
-// segStream pairs one prepared segment with its resolved command
-// stream, or with the resolution error to surface when its job issues.
-type segStream struct {
-	stream *uprog.ResolvedStream
-	err    error
+// segView pairs one prepared segment with the view that runs its
+// μProgram at its placement, or with the binding error to surface when
+// its job issues.
+type segView struct {
+	view *uprog.View
+	err  error
 }
 
 // groupResult is one subarray group's completion report, sent from a
@@ -204,17 +205,17 @@ type groupResult struct {
 }
 
 // Prepared is a batch bound once for repeated execution: the validated
-// schedule (constraint graph and deterministic timing) plus one
-// resolved command stream per segment. Run executes it without
-// re-planning or re-resolving anything — the run-many half of the
-// bind-once/run-many pipeline, which a compiled graph caches alongside
-// its plan. The schedule and streams are immutable; the dispatch
-// scratch below makes each run allocation-free, which is also why a
-// Prepared supports repeated *serial* Run calls only.
+// schedule (constraint graph and deterministic timing) plus one bound
+// μProgram view per segment. Run executes it without re-planning or
+// re-binding anything — the run-many half of the bind-once/run-many
+// pipeline, which a compiled graph caches alongside its plan. The
+// schedule and views are immutable; the dispatch scratch below makes
+// each run allocation-free, which is also why a Prepared supports
+// repeated *serial* Run calls only.
 type Prepared struct {
-	jobs    []Job
-	pl      *batchPlan
-	streams [][][]segStream // job → subarray group → segment
+	jobs  []Job
+	pl    *batchPlan
+	views [][][]segView // job → subarray group → segment
 
 	// Static dispatch structure, derived from pl.preds once at Prepare.
 	succs  [][]int    // job → jobs unblocked by its completion
@@ -232,10 +233,10 @@ type Prepared struct {
 // Jobs returns the number of jobs in the prepared batch.
 func (pb *Prepared) Jobs() int { return len(pb.jobs) }
 
-// Prepare validates and schedules a batch and resolves every segment's
-// command stream through the unit's cache. Structural errors (bad
-// coordinates, bad deps) fail here. A segment whose *binding* fails to
-// resolve fails here too when eager is set — the plan-verifier gate,
+// Prepare validates and schedules a batch and binds every segment's
+// μProgram view through the unit's cache. Structural errors (bad
+// coordinates, bad deps) fail here. A segment whose *binding* is
+// rejected fails here too when eager is set — the plan-verifier gate,
 // which rejects the batch before any DRAM command executes; otherwise
 // it is kept with its error attached and surfaces when its job issues,
 // so Run stays fail-fast and prefix-consistent.
@@ -247,25 +248,25 @@ func (u *Unit) Prepare(jobs []Job, eager bool) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb := &Prepared{jobs: jobs, pl: pl, streams: make([][][]segStream, len(jobs))}
+	pb := &Prepared{jobs: jobs, pl: pl, views: make([][][]segView, len(jobs))}
 	for i := range jobs {
 		groups := pl.groups[i]
-		pb.streams[i] = make([][]segStream, len(groups))
+		pb.views[i] = make([][]segView, len(groups))
 		for gi, group := range groups {
-			ss := make([]segStream, len(group))
+			sv := make([]segView, len(group))
 			for si, seg := range group {
-				st, err := u.resolvedStream(jobs[i].Program, seg.Binding)
+				v, err := u.view(jobs[i].Program, seg)
 				if err != nil {
 					err = fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
 					if eager {
 						return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
 					}
-					ss[si] = segStream{err: err}
+					sv[si] = segView{err: err}
 					continue
 				}
-				ss[si] = segStream{stream: st}
+				sv[si] = segView{view: v}
 			}
-			pb.streams[i][gi] = ss
+			pb.views[i][gi] = sv
 		}
 	}
 	u.bindDispatch(pb)
@@ -299,19 +300,19 @@ func (u *Unit) bindDispatch(pb *Prepared) {
 		pb.tasks[i] = make([]func(), len(groups))
 		for gi, group := range groups {
 			id, bank := i, group[0].Bank
-			ss := pb.streams[i][gi]
+			sv := pb.views[i][gi]
 			// Only one worker touches this subarray at a time (the
 			// constraint graph serializes same-subarray jobs), so its
 			// stats delta is race-free and attributable to this group.
 			sa := u.mod.Subarray(group[0].Bank, group[0].Sub)
 			pb.tasks[i][gi] = func() {
 				before := sa.Stats
-				for _, seg := range ss {
+				for _, seg := range sv {
 					if seg.err != nil {
 						pb.results <- groupResult{job: id, bank: bank, err: seg.err}
 						return
 					}
-					uprog.RunResolved(sa, seg.stream)
+					uprog.RunView(sa, seg.view)
 				}
 				pb.results <- groupResult{job: id, bank: bank, energyPJ: sa.Stats.Sub(before).EnergyPJ}
 			}
@@ -349,8 +350,8 @@ type RunOpts struct {
 // On error, issuing stops (fail-fast), in-flight work drains, and every
 // failure is reported via errors.Join; jobs not yet issued are skipped,
 // so DRAM state reflects a prefix-consistent subset of the batch. The
-// per-run work is only the dependency dispatch and the resolved-stream
-// loops — no validation, resolution, planning, or heap allocation (the
+// per-run work is only the dependency dispatch and the view runs — no
+// validation, binding, planning, or heap allocation (the
 // dispatch state lives in the Prepared, which is why runs of one
 // Prepared must be serial).
 //

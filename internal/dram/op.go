@@ -6,12 +6,12 @@ import (
 )
 
 // Op is one in-DRAM command in the form the command kernel executes:
-// physical rows as int32, destinations inline, and the fields CheckOp
-// derives once so the kernel never re-derives them — each
-// destination's DCC partner, whether an AAP must snapshot its source,
-// and the command's energy class. Resolved streams hold one Op per
-// command and the control unit caches thousands of streams, so the
-// struct is kept at 44 bytes.
+// rows as int32 (physical, or virtual under a View), destinations
+// inline, and the fields CheckOp derives once so the kernel never
+// re-derives them — each destination's DCC partner, whether an AAP
+// must snapshot its source, and the command's energy class. Templates
+// and resolved streams hold one Op per command, so the struct is kept
+// at 44 bytes.
 type Op struct {
 	Kind     CommandKind // CmdAAP, CmdAP or CmdMajCopy
 	NDst     uint8       // live entries of Dsts (AAP / MajCopy)
@@ -43,15 +43,26 @@ func (e Energy) opTable() [4]float64 {
 	}
 }
 
-// command returns op in its traced form.
-func (op *Op) command() Command {
-	return Command{
-		Kind: op.Kind,
-		Src:  int(op.Src),
-		T:    [3]int{int(op.T[0]), int(op.T[1]), int(op.T[2])},
-		Dsts: [3]int{int(op.Dsts[0]), int(op.Dsts[1]), int(op.Dsts[2])},
-		NDst: int(op.NDst),
+// command returns op in its traced form. phys, when non-nil, maps the
+// op's rows to physical rows (see View); unused slots stay as CheckOp
+// normalized them.
+func (op *Op) command(phys []int32) Command {
+	row := func(r int32) int {
+		if phys == nil {
+			return int(r)
+		}
+		return int(phys[r])
 	}
+	c := Command{Kind: op.Kind, Src: int(op.Src), NDst: int(op.NDst)}
+	if op.Kind == CmdAAP {
+		c.Src = row(op.Src)
+	} else {
+		c.T = [3]int{row(op.T[0]), row(op.T[1]), row(op.T[2])}
+	}
+	for j := 0; j < int(op.NDst); j++ {
+		c.Dsts[j] = row(op.Dsts[j])
+	}
+	return c
 }
 
 // RowMap is a geometry's row address map reduced to integer bounds, so
@@ -214,8 +225,51 @@ func OpRow(r int) int32 {
 //
 //simdram:zeroalloc
 func (s *Subarray) Exec(ops []Op, counts Stats) {
+	s.phys = nil
+	s.exec(s.rows, ops, counts)
+}
+
+// View binds a virtual row space onto one subarray: virtual row v is
+// the subarray's physical row phys[v]. Ops checked once against a
+// virtual geometry — a relocatable μProgram template — run on any
+// placement through a view, with no per-placement copy or check. A
+// view shares the subarray's row storage and is immutable once built.
+type View struct {
+	sa   *Subarray
+	rows [][]uint64 // virtual row → the physical row's storage
+	phys []int32    // virtual row → physical row, for traced commands
+}
+
+// NewView returns the view of s whose virtual row v is physical row
+// phys[v]; the view keeps phys. Several virtual rows may name one
+// physical row. NewView panics if a row lies outside the subarray.
+func (s *Subarray) NewView(phys []int32) View {
+	v := View{sa: s, rows: make([][]uint64, len(phys)), phys: phys}
+	for i, r := range phys {
+		s.checkRow(int(r))
+		v.rows[i] = s.rows[r]
+	}
+	return v
+}
+
+// ExecView is Exec through a view: ops, checked against the view's
+// virtual geometry, address the view's virtual rows. Traced commands
+// name the physical rows. Running a view of another subarray panics.
+//
+//simdram:zeroalloc
+func (s *Subarray) ExecView(v *View, ops []Op, counts Stats) {
+	if v.sa != s {
+		panic("dram: view of a different subarray")
+	}
+	s.phys = v.phys
+	s.exec(v.rows, ops, counts)
+}
+
+// exec is the kernel loop of Exec and ExecView over a row table.
+//
+//simdram:zeroalloc
+func (s *Subarray) exec(rows [][]uint64, ops []Op, counts Stats) {
 	energy := s.cfg.Energy.opTable()
-	rows := s.rows
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -230,7 +284,7 @@ func (s *Subarray) Exec(ops []Op, counts Stats) {
 				copy(s.scratch, src)
 				src = s.scratch
 			}
-			s.store(op, src)
+			store(rows, op, src)
 		case CmdAP:
 			maj3(rows[op.T[0]], rows[op.T[1]], rows[op.T[2]])
 		case CmdMajCopy:
@@ -240,11 +294,11 @@ func (s *Subarray) Exec(ops []Op, counts Stats) {
 			// staging.
 			t0 := rows[op.T[0]]
 			maj3(t0, rows[op.T[1]], rows[op.T[2]])
-			s.store(op, t0)
+			store(rows, op, t0)
 		}
 		s.Stats.EnergyPJ += energy[op.energy]
 		if s.OnCommand != nil {
-			s.OnCommand(op.command())
+			s.OnCommand(op.command(s.phys))
 		}
 	}
 	s.Stats.Add(counts)
@@ -252,11 +306,11 @@ func (s *Subarray) Exec(ops []Op, counts Stats) {
 
 // store writes v into op's destinations in order; a DCC destination's
 // complement row is written in the same pass.
-func (s *Subarray) store(op *Op, v []uint64) {
+func store(rows [][]uint64, op *Op, v []uint64) {
 	for j := 0; j < int(op.NDst); j++ {
-		d := s.rows[op.Dsts[j]]
+		d := rows[op.Dsts[j]]
 		if c := op.comp[j]; c != 0 {
-			copyComplement(d, s.rows[c], v)
+			copyComplement(d, rows[c], v)
 		} else {
 			copy(d, v)
 		}

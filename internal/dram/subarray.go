@@ -27,6 +27,11 @@ type Subarray struct {
 	// it), so one buffer suffices.
 	scratch []uint64
 
+	// phys is the row map of the view the kernel last ran (nil after
+	// Exec): ExecView and Exec set it before each run, and only traced
+	// commands read it, so the kernel loop carries no extra state.
+	phys []int32
+
 	Stats Stats
 
 	// OnCommand, when set, observes every DRAM command the subarray

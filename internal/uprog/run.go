@@ -40,6 +40,15 @@ func (b Binding) row(r Ref, rm *dram.RowMap) (int32, error) {
 		return dram.OpRow(b.DstBase + r.Idx), nil
 	case SpaceScratch:
 		return dram.OpRow(b.ScratchBase + r.Idx), nil
+	default:
+		return computeRow(r, rm)
+	}
+}
+
+// computeRow maps a compute-region reference to its row: a pure
+// function of the geometry, whatever the binding.
+func computeRow(r Ref, rm *dram.RowMap) (int32, error) {
+	switch r.Space {
 	case SpaceT:
 		return tRow(r.Idx, rm)
 	case SpaceDCC, SpaceDCCN:
@@ -95,13 +104,25 @@ func (r bindRegion) name() string {
 	}
 }
 
+// maxBindRegions is the region count Validate checks without
+// allocating: three sources — the most the ISA encodes — plus the
+// destination and scratch.
+const maxBindRegions = 5
+
 // Validate checks that the binding's regions fit in the subarray's data
-// rows and do not overlap.
+// rows and do not overlap. It allocates only to report an error or for
+// a binding of more than three sources.
 func (b Binding) Validate(p *Program, cfg dram.Config) error {
+	return b.validate(p, cfg.DataRows())
+}
+
+// validate is Validate against a data-row count.
+func (b Binding) validate(p *Program, dataRows int) error {
 	if len(b.SrcBase) < p.NumSrc {
 		return fmt.Errorf("uprog: binding supplies %d operand bases, program needs %d", len(b.SrcBase), p.NumSrc)
 	}
-	var regions []bindRegion
+	var buf [maxBindRegions]bindRegion
+	regions := buf[:0]
 	for k, base := range b.SrcBase {
 		regions = append(regions, bindRegion{kind: regionSrc, op: k, start: base, size: p.SrcWidth(k)})
 	}
@@ -110,8 +131,8 @@ func (b Binding) Validate(p *Program, cfg dram.Config) error {
 		regions = append(regions, bindRegion{kind: regionScratch, start: b.ScratchBase, size: p.NumScratch})
 	}
 	for _, r := range regions {
-		if r.start < 0 || r.start+r.size > cfg.DataRows() {
-			return fmt.Errorf("uprog: region %s [%d,%d) outside data rows [0,%d)", r.name(), r.start, r.start+r.size, cfg.DataRows())
+		if r.start < 0 || r.start+r.size > dataRows {
+			return fmt.Errorf("uprog: region %s [%d,%d) outside data rows [0,%d)", r.name(), r.start, r.start+r.size, dataRows)
 		}
 	}
 	for i := range regions {

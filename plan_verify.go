@@ -59,11 +59,13 @@ func (s *System) maybeVerify(prog isa.Program, deps [][]int, defined map[uint16]
 	return nil
 }
 
-// verifyLowered verifies a freshly lowered graph program against the
+// verifyLowered verifies a freshly compiled graph program against the
 // compiler's own definedness tracking (temp slots and op roots start
-// undefined; inputs and constants are defined). The dependence graph
-// is recomputed by the verifier so the hazard cross-check covers the
-// exact edges prepareProgram will hand the scheduler.
+// undefined; inputs and constants are defined), so Compile reports a
+// bad plan. The dependence graph is recomputed by the verifier so the
+// hazard cross-check covers the exact edges prepareProgram will hand
+// the scheduler; a lowering checked here is not checked again when it
+// is prepared. The serving path skips this and checks at prepare.
 func (s *System) verifyLowered(lw *lowered) error {
 	if !s.verifyPlans || len(lw.prog) == 0 {
 		return nil
@@ -72,6 +74,7 @@ func (s *System) verifyLowered(lw *lowered) error {
 		return err
 	}
 	s.verified.Add(1)
+	lw.verified = true
 	return nil
 }
 

@@ -647,12 +647,9 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, exprs 
 			}
 		}
 	}()
-	if err := sys.verifyLowered(lw); err != nil {
-		return err
-	}
 	if len(lw.prog) > 0 {
 		pspan := tr.Begin("prepare", 0)
-		pp, err := sys.prepareProgramTraced(lw.prog, tr, pspan)
+		pp, err := sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
 		tr.End(pspan)
 		if err != nil {
 			return err
