@@ -42,16 +42,25 @@ func (s BatchStats) Speedup() float64 {
 // ExecBatch executes a program of bbop instructions as one batch. The
 // ISA layer extracts the data-hazard graph (read-after-write,
 // write-after-write, write-after-read over object handles), and the
-// control unit's scheduler issues instructions whose hazards are
-// resolved concurrently on its persistent worker pool — instructions
-// touching disjoint (bank, subarray) sets overlap, dependent or
-// bank-sharing instructions serialize. Results are indistinguishable
-// from issuing the program through Exec in order; the returned stats
-// report both the serial-equivalent and the overlap-aware latency.
+// control unit's scheduler issues instructions as their hazards
+// resolve: the calling goroutine executes them, and idle workers of a
+// process-wide pool take subarray groups that can run alongside —
+// instructions touching disjoint (bank, subarray) sets overlap,
+// dependent or bank-sharing instructions serialize. Results are
+// indistinguishable from issuing the program through Exec in order;
+// the returned stats report both the serial-equivalent and the
+// overlap-aware latency.
 //
 // On error the batch stops issuing: instructions already in flight
 // complete, later ones are skipped, and all failures are reported in one
 // joined error annotated with the instruction that caused them.
+//
+// Concurrency: ExecBatch may be called from several goroutines on one
+// System at once, as long as nothing else mutates the System meanwhile
+// (no allocation, free, Store or SetVerifyPlans). The calls prepare
+// concurrently and execute one batch at a time, so a call whose
+// program shares no vector with the others' gets exactly the results
+// and stats it would get alone.
 func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 	pp, err := s.prepareProgram(prog)
 	if err != nil {

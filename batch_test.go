@@ -3,10 +3,13 @@ package simdram_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"simdram"
+	"simdram/internal/baseline/cpu"
 	"simdram/internal/isa"
 	"simdram/internal/ops"
 )
@@ -177,7 +180,7 @@ func TestExecBatchOverlapTiming(t *testing.T) {
 
 // TestExecBatchConcurrentStress issues many independent instructions
 // across every bank — mainly valuable under `go test -race`, where it
-// exercises concurrent dispatch through the worker pool.
+// exercises concurrent dispatch through the shared worker pool.
 func TestExecBatchConcurrentStress(t *testing.T) {
 	cfg := simdram.DefaultConfig()
 	sys, err := simdram.New(cfg)
@@ -266,5 +269,94 @@ func TestExecBatchTrspInit(t *testing.T) {
 	trsp.Src[0] = 9999
 	if _, err := sys.ExecBatch(isa.Program{trsp}); err == nil {
 		t.Error("trsp_init of unknown object must fail")
+	}
+}
+
+// TestExecBatchConcurrentCallers pins System.ExecBatch's concurrency
+// contract: two goroutines run hazard-chained programs over disjoint
+// vectors of one System at the same time. The calls serialize in the
+// control unit, so under -race nothing races, every result matches the
+// CPU golden model, and the system's command count is the sum of every
+// call's.
+func TestExecBatchConcurrentCallers(t *testing.T) {
+	sys, err := simdram.New(simdram.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	add, err := ops.ByCode(ops.OpAdd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := ops.ByCode(ops.OpSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, rounds, n, w = 2, 8, 1024, 8
+	type caller struct {
+		prog isa.Program
+		outs []*simdram.Vector
+		want [][]uint64
+	}
+	cs := make([]caller, callers)
+	for c := range cs {
+		rng := rand.New(rand.NewSource(int64(60 + c)))
+		alloc := func() *simdram.Vector {
+			v, err := sys.AllocVector(n, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		a, b := alloc(), alloc()
+		t1, t2, t3, t4 := alloc(), alloc(), alloc(), alloc()
+		av, bv := storeRandom(t, rng, a), storeRandom(t, rng, b)
+		g1 := cpu.Run(add, w, [][]uint64{av, bv})
+		g2 := cpu.Run(sub, w, [][]uint64{av, bv})
+		g3 := cpu.Run(add, w, [][]uint64{g1, g2})
+		g4 := cpu.Run(sub, w, [][]uint64{g3, av})
+		cs[c] = caller{
+			prog: isa.Program{
+				bbop(ops.OpAdd, t1, a, b),
+				bbop(ops.OpSub, t2, a, b),
+				bbop(ops.OpAdd, t3, t1, t2),
+				bbop(ops.OpSub, t4, t3, a),
+				bbop(ops.OpAdd, t1, t4, b),
+			},
+			outs: []*simdram.Vector{t1, t2, t3, t4},
+			want: [][]uint64{cpu.Run(add, w, [][]uint64{g4, bv}), g2, g3, g4},
+		}
+	}
+	before := sys.SystemStats().Commands
+	commands := make([]int64, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				st, err := sys.ExecBatch(cs[c].prog)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				commands[c] += st.Commands
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range cs {
+		if errs[c] != nil {
+			t.Fatalf("caller %d: %v", c, errs[c])
+		}
+		for i, v := range cs[c].outs {
+			if got := mustLoad(t, v); !slices.Equal(got, cs[c].want[i]) {
+				t.Errorf("caller %d output %d differs from the CPU golden model", c, i)
+			}
+		}
+	}
+	if got, want := sys.SystemStats().Commands-before, commands[0]+commands[1]; got != want {
+		t.Errorf("system counted %d commands, the calls returned %d", got, want)
 	}
 }

@@ -296,8 +296,8 @@ func BenchmarkExecSerial(b *testing.B) {
 }
 
 // BenchmarkExecBatch issues the same program through the batched
-// asynchronous engine: hazard analysis, then concurrent execution of
-// bank-disjoint instructions on the persistent worker pool.
+// engine: hazard analysis, then execution on the calling goroutine,
+// with idle pool workers running bank-disjoint instructions alongside.
 func BenchmarkExecBatch(b *testing.B) {
 	sys, prog := setupBatchProgram(b)
 	defer sys.Close()

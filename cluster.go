@@ -21,8 +21,8 @@ import (
 // sharded vectors stripe with.
 type ClusterConfig struct {
 	// Channels is the number of independent channels. Each channel is a
-	// full System — its own DRAM module, control unit, transposition
-	// unit, and worker pool — so channels execute truly concurrently.
+	// full System — its own DRAM module, control unit, and
+	// transposition unit — so channels execute truly concurrently.
 	Channels int
 	// Channel configures every channel's System.
 	Channel Config
@@ -177,7 +177,7 @@ func (c *Cluster) VerifiedPlans() int64 {
 	return total
 }
 
-// Close releases every channel's worker pool.
+// Close drops the ExecBatch memo and closes every channel's System.
 func (c *Cluster) Close() {
 	c.dropMemo()
 	for _, sys := range c.channels {

@@ -5,7 +5,7 @@
 // statistics (sums for work and energy, max for the makespan).
 //
 // A "channel" here is one independent DRAM compute fabric — a full
-// System with its own module, control unit, and worker pool. The
+// System with its own module and control unit. The
 // package never touches channel state itself; it decides where elements
 // go, runs the caller's per-channel closures, and folds their results.
 package cluster
@@ -167,29 +167,37 @@ func (a Affinity) Order(loads []int) []int {
 	return append([]int(nil), a.Channels...)
 }
 
-// Dispatch runs one task per entry of channels concurrently, one
-// goroutine each. The first failure closes the cancel channel handed to
+// Dispatch runs one task per entry of channels concurrently: every
+// task but the last on a goroutine of its own, the last on the calling
+// goroutine. The first failure closes the cancel channel handed to
 // every task, so siblings can stop issuing work they have not started;
 // tasks that observe cancellation and abort should return an error
 // (conventionally wrapping ctrl.ErrCanceled) so the caller sees which
 // channels completed. All failures come back in one joined error, each
 // annotated with its channel.
 func Dispatch(channels []int, fn func(task, channel int, cancel <-chan struct{}) error) error {
+	if len(channels) == 0 {
+		return nil
+	}
 	cancel := make(chan struct{})
 	var once sync.Once
 	errs := make([]error, len(channels))
+	run := func(i int) {
+		if err := fn(i, channels[i], cancel); err != nil {
+			errs[i] = fmt.Errorf("channel %d: %w", channels[i], err)
+			once.Do(func() { close(cancel) })
+		}
+	}
+	last := len(channels) - 1
 	var wg sync.WaitGroup
-	for i, ch := range channels {
-		i, ch := i, ch
-		wg.Add(1)
+	wg.Add(last)
+	for i := range last {
 		go func() {
 			defer wg.Done()
-			if err := fn(i, ch, cancel); err != nil {
-				errs[i] = fmt.Errorf("channel %d: %w", ch, err)
-				once.Do(func() { close(cancel) })
-			}
+			run(i)
 		}()
 	}
+	run(last)
 	wg.Wait()
 	return errors.Join(errs...)
 }

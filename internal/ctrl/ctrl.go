@@ -12,7 +12,6 @@ package ctrl
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -26,8 +25,10 @@ type Unit struct {
 	mod     *dram.Module
 	variant ops.Variant
 
-	mu      sync.Mutex // guards workers
-	workers *Pool
+	// runMu serializes Run: a unit executes one batch at a time, so
+	// concurrent callers never race on Stats, on a Prepared's dispatch
+	// scratch, or on the rows their batches share.
+	runMu sync.Mutex
 
 	// vc caches the views binding μProgram templates to placements,
 	// so a repeated placement skips binding validation; templates are
@@ -70,47 +71,11 @@ func (s ExecStats) Sub(other ExecStats) ExecStats {
 // variant (VariantSIMDRAM for the paper's flow, VariantAmbit for the
 // in-DRAM baseline).
 func New(mod *dram.Module, variant ops.Variant) *Unit {
-	u := &Unit{mod: mod, variant: variant}
-	// Idle pool workers reference only the Pool, not the Unit, so an
-	// abandoned Unit is collectable; this finalizer then shuts its pool
-	// down. Callers that create many units should still Close explicitly
-	// for deterministic reclamation.
-	runtime.SetFinalizer(u, (*Unit).Close)
-	return u
+	return &Unit{mod: mod, variant: variant}
 }
 
 // Module returns the attached DRAM module.
 func (u *Unit) Module() *dram.Module { return u.mod }
-
-// pool returns the unit's persistent worker pool, starting it on first
-// use so units that never execute (analytic PerfModel runs, encoding
-// tests) cost no goroutines. Worker count is capped at the module's
-// subarray count — the maximum number of concurrently executable
-// groups — so small geometries on big hosts don't hold idle
-// goroutines.
-func (u *Unit) pool() *Pool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.workers == nil {
-		size := runtime.NumCPU()
-		if max := u.mod.NumBanks() * u.mod.SubarraysPerBank(); size > max {
-			size = max
-		}
-		u.workers = NewPool(size)
-	}
-	return u.workers
-}
-
-// Close stops the unit's worker pool and releases its goroutines. A
-// later Run transparently starts a fresh pool.
-func (u *Unit) Close() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.workers != nil {
-		u.workers.Close()
-		u.workers = nil
-	}
-}
 
 // Variant returns the synthesis variant this unit executes.
 func (u *Unit) Variant() ops.Variant { return u.variant }

@@ -5,24 +5,25 @@ import (
 	"sync"
 )
 
-// Pool is a persistent worker pool: Size long-lived goroutines consume
-// submitted functions from a shared queue. The control unit routes all
-// functional execution through one Pool, so steady-state instruction
-// streams reuse the same workers instead of paying a goroutine spawn per
-// Run call.
+// Pool is a set of long-lived worker goroutines that take work only
+// when idle: TryRun hands a function to a worker that is waiting for
+// one, or reports that none is. The control unit runs batches on the
+// calling goroutine and offers a subarray group to the pool only when
+// another group of the same round can keep the caller busy (see
+// Unit.Run), so a dependency chain never leaves the caller while
+// bank-parallel groups still spread over free cores.
 type Pool struct {
 	jobs chan func()
-	size int
-	once sync.Once
 }
 
 // NewPool starts a pool with the given number of workers; size <= 0
-// means one worker per CPU.
+// means one worker per GOMAXPROCS. The workers live for the rest of
+// the process.
 func NewPool(size int) *Pool {
 	if size <= 0 {
-		size = runtime.NumCPU()
+		size = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{jobs: make(chan func()), size: size}
+	p := &Pool{jobs: make(chan func())}
 	for i := 0; i < size; i++ {
 		go p.worker()
 	}
@@ -35,17 +36,20 @@ func (p *Pool) worker() {
 	}
 }
 
-// Size returns the number of workers.
-func (p *Pool) Size() int { return p.size }
-
-// Run submits f for execution, blocking until a worker accepts it. The
-// caller is responsible for its own completion tracking (typically a
-// sync.WaitGroup captured by f). Run must not be called after Close, and
-// f must not call Run on the same pool (a worker waiting on a worker can
-// deadlock when all workers are busy).
-func (p *Pool) Run(f func()) { p.jobs <- f }
-
-// Close stops the workers once queued work drains. Close is idempotent.
-func (p *Pool) Close() {
-	p.once.Do(func() { close(p.jobs) })
+// TryRun hands f to an idle worker and reports whether one took it; it
+// never blocks. When it returns false the caller still owns f and
+// typically runs it itself. The caller tracks completion (typically a
+// channel or sync.WaitGroup that f signals).
+func (p *Pool) TryRun(f func()) bool {
+	select {
+	case p.jobs <- f:
+		return true
+	default:
+		return false
+	}
 }
+
+// sharedPool is the process-wide pool every control unit offers work
+// to, started on first use so programs that never execute a batch
+// (analytic PerfModel runs, encoding tests) start no goroutines.
+var sharedPool = sync.OnceValue(func() *Pool { return NewPool(0) })

@@ -195,8 +195,8 @@ type segView struct {
 	err  error
 }
 
-// groupResult is one subarray group's completion report, sent from a
-// pool worker back to the dispatch loop.
+// groupResult is one subarray group's completion report, sent to the
+// dispatch loop by whichever goroutine ran the group.
 type groupResult struct {
 	job      int
 	bank     int
@@ -210,8 +210,8 @@ type groupResult struct {
 // re-binding anything — the run-many half of the bind-once/run-many
 // pipeline, which a compiled graph caches alongside its plan. The
 // schedule and views are immutable; the dispatch scratch below makes
-// each run allocation-free, which is also why a Prepared supports
-// repeated *serial* Run calls only.
+// each run allocation-free, and the unit's run lock keeps two runs
+// from sharing it.
 type Prepared struct {
 	jobs  []Job
 	pl    *batchPlan
@@ -220,7 +220,7 @@ type Prepared struct {
 	// Static dispatch structure, derived from pl.preds once at Prepare.
 	succs  [][]int    // job → jobs unblocked by its completion
 	indeg0 []int      // job → predecessor count
-	tasks  [][]func() // job → one pool task per subarray group
+	tasks  [][]func() // job → one task per subarray group
 
 	// Per-run scratch, reset at the top of every Run.
 	indeg      []int
@@ -274,9 +274,10 @@ func (u *Unit) Prepare(jobs []Job, eager bool) (*Prepared, error) {
 }
 
 // bindDispatch precomputes everything Run needs per run — successor
-// lists, initial in-degrees, the pool task closures, the result
-// channel, and per-bank scratch — so the run itself touches no
-// allocator.
+// lists, initial in-degrees, the group task closures, the result
+// channel (buffered for every group, so a group run on the dispatching
+// goroutine never blocks reporting), and per-bank scratch — so the run
+// itself touches no allocator.
 func (u *Unit) bindDispatch(pb *Prepared) {
 	pl := pb.pl
 	n := len(pb.jobs)
@@ -301,7 +302,7 @@ func (u *Unit) bindDispatch(pb *Prepared) {
 		for gi, group := range groups {
 			id, bank := i, group[0].Bank
 			sv := pb.views[i][gi]
-			// Only one worker touches this subarray at a time (the
+			// Only one goroutine touches this subarray at a time (the
 			// constraint graph serializes same-subarray jobs), so its
 			// stats delta is race-free and attributable to this group.
 			sa := u.mod.Subarray(group[0].Bank, group[0].Sub)
@@ -337,26 +338,36 @@ type RunOpts struct {
 
 // Run executes a prepared batch — the control unit's only way to run
 // anything. Functional execution dispatches at (job, subarray-group)
-// granularity onto the unit's persistent worker pool: a job is issued
-// as soon as every constraint predecessor has completed, so
-// bank-disjoint independent instructions execute concurrently while
-// hazards and shared subarrays serialize (same-subarray jobs run in
-// program order). Timing and the modeled critical path come from the
-// deterministic plan, not from host scheduling; the returned durations
-// are each job's modeled busy time — μProgram latency times the segment
-// count on its busiest bank — which is the per-op cost a
-// profile-guided scheduler folds back into its cost model.
+// granularity: a job is issued as soon as every constraint predecessor
+// has completed, so bank-disjoint independent instructions execute
+// concurrently while hazards and shared subarrays serialize
+// (same-subarray jobs run in program order). Timing and the modeled
+// critical path come from the deterministic plan, not from host
+// scheduling; the returned durations are each job's modeled busy time
+// — μProgram latency times the segment count on its busiest bank —
+// which is the per-op cost a profile-guided scheduler folds back into
+// its cost model.
+//
+// The calling goroutine executes the batch itself. Each dispatch round
+// issues every ready job: every group but the round's last is offered
+// to an idle worker of the process-wide pool, a group no worker is
+// waiting for runs here at once, and the last always runs here. A
+// dependency chain therefore never leaves the caller, while
+// bank-parallel groups spread over free cores. Cancellation is checked
+// between rounds, so every group of an issued job completes.
 //
 // On error, issuing stops (fail-fast), in-flight work drains, and every
 // failure is reported via errors.Join; jobs not yet issued are skipped,
 // so DRAM state reflects a prefix-consistent subset of the batch. The
 // per-run work is only the dependency dispatch and the view runs — no
-// validation, binding, planning, or heap allocation (the
-// dispatch state lives in the Prepared, which is why runs of one
-// Prepared must be serial).
+// validation, binding, planning, or heap allocation. Run holds the
+// unit's run lock for the whole batch, so concurrent calls on one unit
+// execute one after another and never share a Prepared's dispatch
+// scratch.
 //
 //simdram:zeroalloc
 func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
+	u.runMu.Lock()
 	jobs, pl, cancel, at := pb.jobs, pb.pl, o.Cancel, o.Attr
 	n := len(jobs)
 	copy(pb.indeg, pb.indeg0)
@@ -366,7 +377,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 	for i := range pb.bankEnergy {
 		pb.bankEnergy[i] = 0
 	}
-	pool := u.pool()
+	pool := sharedPool()
 
 	ready := pb.ready[:0]
 	for i := range jobs {
@@ -386,12 +397,16 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 			default:
 			}
 		}
-		if len(failures) == 0 && !canceled {
+		if len(failures) == 0 && !canceled && len(ready) > 0 {
+			last := ready[len(ready)-1]
 			for _, id := range ready {
-				for _, task := range pb.tasks[id] {
-					pool.Run(task)
+				tasks := pb.tasks[id]
+				for gi, task := range tasks {
+					if (id == last && gi == len(tasks)-1) || !pool.TryRun(task) {
+						task()
+					}
 				}
-				inflight += len(pb.tasks[id])
+				inflight += len(tasks)
 			}
 		}
 		ready = ready[:0]
@@ -421,6 +436,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 		failures = append(failures, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, doneJobs, n))
 	}
 	if err := errors.Join(failures...); err != nil {
+		u.runMu.Unlock()
 		return BatchStats{}, nil, err
 	}
 	st := BatchStats{
@@ -445,6 +461,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 		}
 		at.SpanNs += pl.spanNs
 	}
+	u.runMu.Unlock()
 	return st, pl.durNs, nil
 }
 

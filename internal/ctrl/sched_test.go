@@ -25,13 +25,20 @@ type batchRig struct {
 
 func newBatchRig(t testing.TB) *batchRig {
 	t.Helper()
+	return newBatchRigCols(t, dram.TestConfig().Cols)
+}
+
+// newBatchRigCols is newBatchRig on a test geometry with the given
+// row width in columns.
+func newBatchRigCols(t testing.TB, cols int) *batchRig {
+	t.Helper()
 	cfg := dram.TestConfig()
+	cfg.Cols = cols
 	mod, err := dram.NewModule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := New(mod, ops.VariantSIMDRAM)
-	t.Cleanup(u.Close)
 	d, err := ops.ByName("addition")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +54,7 @@ func newBatchRig(t testing.TB) *batchRig {
 
 // seed fills the two source operands of one subarray with random bytes
 // and returns the expected per-lane sums.
-func (r *batchRig) seed(t *testing.T, rng *rand.Rand, bank, sub int) []uint64 {
+func (r *batchRig) seed(t testing.TB, rng *rand.Rand, bank, sub int) []uint64 {
 	t.Helper()
 	lanes := r.cfg.Cols
 	av := make([]uint64, lanes)
@@ -320,25 +327,4 @@ func TestExecuteBatchManyIndependent(t *testing.T) {
 	for k, w := range want {
 		r.checkDst(t, k.bank, k.sub, r.bind.DstBase, w)
 	}
-}
-
-func TestPool(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	if p.Size() != 4 {
-		t.Errorf("Size = %d, want 4", p.Size())
-	}
-	results := make(chan int, 100)
-	for i := 0; i < 100; i++ {
-		i := i
-		p.Run(func() { results <- i })
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		seen[<-results] = true
-	}
-	if len(seen) != 100 {
-		t.Errorf("ran %d distinct tasks, want 100", len(seen))
-	}
-	p.Close() // idempotent
 }

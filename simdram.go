@@ -180,10 +180,12 @@ func New(cfg Config) (*System, error) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Close releases the control unit's persistent worker pool. Long-lived
-// programs that create many Systems should Close each one when done;
-// execution after Close transparently restarts the pool.
-func (s *System) Close() { s.cu.Close() }
+// Close marks the end of the System's use. A System owns no goroutines
+// — batches run on the calling goroutine, helped by idle workers of a
+// process-wide pool — so Close releases nothing today; it is kept so
+// callers can bracket a System's lifetime (Cluster.Close calls it). The
+// System stays usable after Close.
+func (s *System) Close() {}
 
 // Module exposes the underlying DRAM module (for experiments and fault
 // injection).
