@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -94,10 +95,11 @@ func (r *refSubarray) majCopy(t [3]int, dsts []int) {
 	r.trace = append(r.trace, c)
 }
 
-// randomOps builds a valid command stream biased toward the aliasing
-// cases the kernel special-cases: an AAP whose source is a
-// destination's DCC partner (or the destination itself), multi-row AAPs
-// into T rows, and MajCopy into DCC rows.
+// randomOps builds a valid command stream biased toward the cases the
+// kernel and the plan lowering special-case: an AAP whose source is a
+// destination's DCC partner (or the destination itself), identity
+// AAPs, multi-row AAPs into T rows, MajCopy into DCC rows, copy-of-copy
+// and DCC negation chains, and AAPs into T rows feeding an AP.
 func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
 	rm := cfg.RowMap()
 	anyRow := func() int32 { return rng.Int31n(rm.Rows()) }
@@ -108,12 +110,17 @@ func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
 		p := rng.Perm(int(rm.DCC - rm.T))
 		return [3]int32{rm.T + int32(p[0]), rm.T + int32(p[1]), rm.T + int32(p[2])}
 	}
-	ops := make([]Op, n)
-	for i := range ops {
-		op := &ops[i]
-		switch rng.Intn(6) {
+	aap := func(src int32, dsts ...int32) Op {
+		op := Op{Kind: CmdAAP, Src: src, NDst: uint8(len(dsts))}
+		copy(op.Dsts[:], dsts)
+		return op
+	}
+	ops := make([]Op, 0, n+4)
+	for len(ops) < n {
+		var op Op
+		switch rng.Intn(10) {
 		case 0: // single-destination copy anywhere
-			*op = Op{Kind: CmdAAP, Src: anyRow(), NDst: 1, Dsts: [3]int32{writable()}}
+			op = aap(anyRow(), writable())
 		case 1: // multi-destination copy into the compute region
 			op.Kind, op.Src, op.NDst = CmdAAP, anyRow(), uint8(2+rng.Intn(2))
 			for j := 0; j < int(op.NDst); j++ {
@@ -133,96 +140,146 @@ func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
 			k := rng.Intn(int(op.NDst))
 			op.Dsts[0], op.Dsts[k] = op.Dsts[k], op.Dsts[0]
 		case 3:
-			*op = Op{Kind: CmdAP, T: tRows()}
+			op = Op{Kind: CmdAP, T: tRows()}
 		case 4: // MajCopy into DCC rows
 			op.Kind, op.T, op.NDst = CmdMajCopy, tRows(), uint8(1+rng.Intn(3))
 			for j := 0; j < int(op.NDst); j++ {
 				op.Dsts[j] = dcc()
 			}
-		default:
+		case 5:
 			op.Kind, op.T, op.NDst = CmdMajCopy, tRows(), uint8(1+rng.Intn(3))
 			for j := 0; j < int(op.NDst); j++ {
 				op.Dsts[j] = writable()
 			}
+		case 6: // identity AAP
+			r := writable()
+			op = aap(r, r)
+		case 7: // copy-of-copy chain
+			r := anyRow()
+			for k := rng.Intn(3); k > 0; k-- {
+				d := writable()
+				ops = append(ops, aap(r, d))
+				r = d
+			}
+			op = aap(r, writable())
+		case 8: // DCC negation chain: every hop reads the partner of the last write
+			r := anyRow()
+			for k := rng.Intn(3); k > 0; k-- {
+				d := dcc()
+				ops = append(ops, aap(r, d))
+				r = rm.partner(d)
+			}
+			op = aap(r, writable())
+		default: // AAPs into T rows, then a triple-row activation on them
+			t := tRows()
+			for _, r := range t {
+				ops = append(ops, aap(anyRow(), r))
+			}
+			op = Op{Kind: CmdAP, T: t}
+			if rng.Intn(2) == 0 {
+				op = Op{Kind: CmdMajCopy, T: t, NDst: 1, Dsts: [3]int32{writable()}}
+			}
 		}
+		ops = append(ops, op)
 	}
 	return ops
 }
 
 // TestKernelMatchesReference drives random command streams through the
-// kernel three ways — one Exec call over CheckOp'd ops (the resolved
-// stream path), the AAP/AP/MajCopy methods one command at a time, and
-// the naive reference — and requires identical rows, Stats (EnergyPJ
-// bit-exact) and command traces. Row widths cover the unrolled
-// majority loop's tail (64 and 192 columns) as well as whole blocks.
+// kernel four ways — one Exec of the lowered plan (the resolved stream
+// path), one Exec of the unlowered plan, the AAP/AP/MajCopy methods one
+// command at a time, and the naive reference — and requires identical
+// rows, Stats (EnergyPJ bit-exact) and command traces. It runs with the
+// vector row loops forced off and, where the CPU has them, on. Row
+// widths cover the pure-Go loop (64 to 256 columns), exactly the
+// vector threshold (512), a vector body with a one-word tail (576) and
+// wide rows (8192).
 func TestKernelMatchesReference(t *testing.T) {
-	for _, cols := range []int{64, 192, 256, 8192} {
+	defer func(v bool) { useVector = v }(useVector)
+	for _, cols := range []int{64, 192, 256, 512, 576, 8192} {
 		t.Run(fmt.Sprintf("cols=%d", cols), func(t *testing.T) {
-			cfg := TestConfig()
-			cfg.Cols = cols
-			rng := rand.New(rand.NewSource(int64(cols)))
-			for trial := 0; trial < 8; trial++ {
-				ops := randomOps(rng, &cfg, 200)
-				stream, single := NewSubarray(&cfg), NewSubarray(&cfg)
-				for row := 0; row < cfg.C0Row(); row++ {
-					for w := range stream.rows[row] {
-						v := rng.Uint64()
-						stream.rows[row][w], single.rows[row][w] = v, v
+			for _, vec := range []bool{false, true} {
+				t.Run(fmt.Sprintf("vector=%v", vec), func(t *testing.T) {
+					if vec && !haveVector {
+						t.Skip("no vector row loops on this CPU")
 					}
-				}
-				ref := newRef(stream)
-				var traceStream, traceSingle []Command
-				stream.OnCommand = func(c Command) { traceStream = append(traceStream, c) }
-				single.OnCommand = func(c Command) { traceSingle = append(traceSingle, c) }
-
-				rm := stream.RowMap()
-				for i := range ops {
-					op := ops[i]
-					dsts := make([]int, op.NDst)
-					for j := range dsts {
-						dsts[j] = int(op.Dsts[j])
+					useVector = vec
+					cfg := TestConfig()
+					cfg.Cols = cols
+					rng := rand.New(rand.NewSource(int64(cols)))
+					for trial := 0; trial < 8; trial++ {
+						checkKernelTrial(t, rng, &cfg, trial)
 					}
-					tr := [3]int{int(op.T[0]), int(op.T[1]), int(op.T[2])}
-					switch op.Kind {
-					case CmdAAP:
-						single.AAP(int(op.Src), dsts...)
-						ref.aap(int(op.Src), dsts)
-					case CmdAP:
-						single.AP(tr[0], tr[1], tr[2])
-						ref.ap(tr)
-					case CmdMajCopy:
-						single.MajCopy(tr[0], tr[1], tr[2], dsts...)
-						ref.majCopy(tr, dsts)
-					}
-					if err := rm.CheckOp(&ops[i]); err != nil {
-						t.Fatalf("op %d %+v: %v", i, op, err)
-					}
-				}
-				stream.Exec(ops, CountOps(ops))
-
-				for row := range ref.rows {
-					for w, want := range ref.rows[row] {
-						if got := stream.rows[row][w]; got != want {
-							t.Fatalf("trial %d: stream row %d word %d = %x, reference %x", trial, row, w, got, want)
-						}
-						if got := single.rows[row][w]; got != want {
-							t.Fatalf("trial %d: per-command row %d word %d = %x, reference %x", trial, row, w, got, want)
-						}
-					}
-				}
-				if stream.Stats != ref.stats || single.Stats != ref.stats {
-					t.Fatalf("trial %d: stats diverge: stream %+v per-command %+v reference %+v", trial, stream.Stats, single.Stats, ref.stats)
-				}
-				if len(traceStream) != len(ref.trace) || len(traceSingle) != len(ref.trace) {
-					t.Fatalf("trial %d: traced %d / %d commands, reference %d", trial, len(traceStream), len(traceSingle), len(ref.trace))
-				}
-				for i, want := range ref.trace {
-					if traceStream[i] != want || traceSingle[i] != want {
-						t.Fatalf("trial %d: command %d: stream %+v per-command %+v reference %+v", trial, i, traceStream[i], traceSingle[i], want)
-					}
-				}
+				})
 			}
 		})
+	}
+}
+
+// checkKernelTrial runs one random stream of TestKernelMatchesReference.
+func checkKernelTrial(t *testing.T, rng *rand.Rand, cfg *Config, trial int) {
+	t.Helper()
+	ops := randomOps(rng, cfg, 200)
+	sas := []*Subarray{NewSubarray(cfg), NewSubarray(cfg), NewSubarray(cfg)}
+	names := []string{"lowered plan", "unlowered plan", "per-command"}
+	for row := 0; row < cfg.C0Row(); row++ {
+		for w := range sas[0].rows[row] {
+			v := rng.Uint64()
+			for _, sa := range sas {
+				sa.rows[row][w] = v
+			}
+		}
+	}
+	ref := newRef(sas[0])
+	traces := make([][]Command, len(sas))
+	for i, sa := range sas {
+		sa.OnCommand = func(c Command) { traces[i] = append(traces[i], c) }
+	}
+
+	rm := sas[0].RowMap()
+	single := sas[2]
+	for i := range ops {
+		op := ops[i]
+		dsts := make([]int, op.NDst)
+		for j := range dsts {
+			dsts[j] = int(op.Dsts[j])
+		}
+		tr := [3]int{int(op.T[0]), int(op.T[1]), int(op.T[2])}
+		switch op.Kind {
+		case CmdAAP:
+			single.AAP(int(op.Src), dsts...)
+			ref.aap(int(op.Src), dsts)
+		case CmdAP:
+			single.AP(tr[0], tr[1], tr[2])
+			ref.ap(tr)
+		case CmdMajCopy:
+			single.MajCopy(tr[0], tr[1], tr[2], dsts...)
+			ref.majCopy(tr, dsts)
+		}
+		if err := rm.CheckOp(&ops[i]); err != nil {
+			t.Fatalf("op %d %+v: %v", i, op, err)
+		}
+	}
+	lowered, raw := rm.Plan(ops, true), rm.Plan(ops, false)
+	sas[0].Exec(&lowered)
+	sas[1].Exec(&raw)
+
+	for row := range ref.rows {
+		for w, want := range ref.rows[row] {
+			for i, sa := range sas {
+				if got := sa.rows[row][w]; got != want {
+					t.Fatalf("trial %d: %s row %d word %d = %x, reference %x", trial, names[i], row, w, got, want)
+				}
+			}
+		}
+	}
+	for i, sa := range sas {
+		if sa.Stats != ref.stats {
+			t.Fatalf("trial %d: %s stats %+v, reference %+v", trial, names[i], sa.Stats, ref.stats)
+		}
+		if !slices.Equal(traces[i], ref.trace) {
+			t.Fatalf("trial %d: %s trace differs from the reference", trial, names[i])
+		}
 	}
 }
 

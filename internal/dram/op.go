@@ -7,20 +7,18 @@ import (
 
 // Op is one in-DRAM command in the form the command kernel executes:
 // rows as int32 (physical, or virtual under a View), destinations
-// inline, and the fields CheckOp derives once so the kernel never
-// re-derives them — each destination's DCC partner, whether an AAP
-// must snapshot its source, and the command's energy class. Templates
-// and resolved streams hold one Op per command, so the struct is kept
-// at 44 bytes.
+// inline, and the fields CheckOp derives once so RowMap.Plan never
+// re-derives them — each destination's DCC partner and the command's
+// energy class. Templates and resolved streams hold one Op per
+// command, so the struct is kept at 44 bytes.
 type Op struct {
-	Kind     CommandKind // CmdAAP, CmdAP or CmdMajCopy
-	NDst     uint8       // live entries of Dsts (AAP / MajCopy)
-	snapshot bool        // AAP source is a destination or a destination's DCC partner
-	energy   uint8       // index into Energy.opTable
-	Src      int32       // AAP source row; -1 otherwise
-	T        [3]int32    // AP / MajCopy TRA rows
-	Dsts     [3]int32    // AAP / MajCopy destination rows
-	comp     [3]int32    // DCC partner of each destination; 0 when none
+	Kind   CommandKind // CmdAAP, CmdAP or CmdMajCopy
+	NDst   uint8       // live entries of Dsts (AAP / MajCopy)
+	energy uint8       // index into Energy.opTable
+	Src    int32       // AAP source row; -1 otherwise
+	T      [3]int32    // AP / MajCopy TRA rows
+	Dsts   [3]int32    // AAP / MajCopy destination rows
+	comp   [3]int32    // DCC partner of each destination; 0 when none
 }
 
 // Energy classes of Op, indexing Energy.opTable.
@@ -117,10 +115,9 @@ func (m RowMap) partner(row int32) int32 {
 
 // CheckOp validates op against the geometry — every condition the
 // command kernel relies on — and fills in its derived fields: each
-// destination's DCC partner, the AAP source-snapshot flag and the
-// energy class. Unused row slots are normalized (Src -1 off AAP, zero
-// T and destination slots), so the traced Command of an op depends only
-// on its live fields.
+// destination's DCC partner and the energy class. Unused row slots are
+// normalized (Src -1 off AAP, zero T and destination slots), so the
+// traced Command of an op depends only on its live fields.
 //
 // Rows must lie in the subarray; AP and MajCopy rows must be three
 // distinct T rows; AAP and MajCopy write 1-3 destinations, never a
@@ -160,7 +157,6 @@ func (m RowMap) CheckOp(op *Op) error {
 	if op.Kind != CmdAP && (op.NDst < 1 || op.NDst > 3) {
 		return fmt.Errorf("dram: %v needs 1-3 destination rows, have %d", op.Kind, op.NDst)
 	}
-	op.snapshot = false
 	for j := range op.Dsts {
 		if j >= int(op.NDst) {
 			op.Dsts[j], op.comp[j] = 0, 0
@@ -175,18 +171,14 @@ func (m RowMap) CheckOp(op *Op) error {
 		case op.Kind == CmdAAP && op.NDst > 1 && d < m.T:
 			return fmt.Errorf("dram: multi-row AAP destination %d outside the compute region", d)
 		}
-		p := m.partner(d)
-		op.comp[j] = p
-		if op.Kind == CmdAAP && (op.Src == d || (p != 0 && op.Src == p)) {
-			op.snapshot = true
-		}
+		op.comp[j] = m.partner(d)
 	}
 	return nil
 }
 
-// CountOps returns the command counters executing ops adds to Stats.
+// countOps returns the command counters executing ops adds to Stats.
 // EnergyPJ stays zero: the kernel charges energy per op, in order.
-func CountOps(ops []Op) Stats {
+func countOps(ops []Op) Stats {
 	var s Stats
 	for i := range ops {
 		switch ops[i].Kind {
@@ -214,19 +206,20 @@ func OpRow(r int) int32 {
 	return int32(r)
 }
 
-// Exec is the command kernel: it executes ops, which must have passed
-// CheckOp against this subarray's RowMap, in order. Nothing is
-// re-validated per command — an unchecked op can clobber a control
-// row, though Go's bounds checks still stop any row index outside the
-// subarray. Energy is charged per op in stream order, so the float sum
-// matches issuing the commands one at a time; counts, normally
-// CountOps(ops) taken once when the ops were checked, is added at the
-// end. OnCommand, when set, sees each command as it completes.
+// Exec is the command kernel: it runs p, whose ops passed CheckOp
+// against this subarray's RowMap. Nothing is re-validated per command
+// — an unchecked op can clobber a control row, though Go's bounds
+// checks still stop any row index outside the subarray. After the
+// plan's steps have run, each op's energy is charged in stream order,
+// so the float sum matches issuing the commands one at a time, and
+// OnCommand, when set, sees each command in order: hooks observe the
+// commands, not intermediate row contents. The plan's command counters
+// are added at the end.
 //
 //simdram:zeroalloc
-func (s *Subarray) Exec(ops []Op, counts Stats) {
+func (s *Subarray) Exec(p *Plan) {
 	s.phys = nil
-	s.exec(s.rows, ops, counts)
+	s.exec(s.rows, p)
 }
 
 // View binds a virtual row space onto one subarray: virtual row v is
@@ -252,69 +245,55 @@ func (s *Subarray) NewView(phys []int32) View {
 	return v
 }
 
-// ExecView is Exec through a view: ops, checked against the view's
+// ExecView is Exec through a view: p's ops, checked against the view's
 // virtual geometry, address the view's virtual rows. Traced commands
 // name the physical rows. Running a view of another subarray panics.
 //
 //simdram:zeroalloc
-func (s *Subarray) ExecView(v *View, ops []Op, counts Stats) {
+func (s *Subarray) ExecView(v *View, p *Plan) {
 	if v.sa != s {
 		panic("dram: view of a different subarray")
 	}
 	s.phys = v.phys
-	s.exec(v.rows, ops, counts)
+	s.exec(v.rows, p)
 }
 
 // exec is the kernel loop of Exec and ExecView over a row table.
 //
 //simdram:zeroalloc
-func (s *Subarray) exec(rows [][]uint64, ops []Op, counts Stats) {
-	energy := s.cfg.Energy.opTable()
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case CmdAAP:
-			// The first activation latches src into the sense
-			// amplifiers; the second overwrites the destinations with
-			// the latched value. Only when a destination is src or src's
-			// DCC partner can writing it change what later destinations
-			// read, so only then is src staged through scratch.
-			src := rows[op.Src]
-			if op.snapshot {
-				copy(s.scratch, src)
-				src = s.scratch
-			}
-			store(rows, op, src)
-		case CmdAP:
-			maj3(rows[op.T[0]], rows[op.T[1]], rows[op.T[2]])
-		case CmdMajCopy:
-			// The destinations read the row-buffer value, which the TRA
-			// restored into every T row. A T row has no DCC partner, so
-			// writing the destinations cannot change t0 and it needs no
-			// staging.
-			t0 := rows[op.T[0]]
-			maj3(t0, rows[op.T[1]], rows[op.T[2]])
-			store(rows, op, t0)
-		}
-		s.Stats.EnergyPJ += energy[op.energy]
-		if s.OnCommand != nil {
-			s.OnCommand(op.command(s.phys))
-		}
-	}
-	s.Stats.Add(counts)
-}
-
-// store writes v into op's destinations in order; a DCC destination's
-// complement row is written in the same pass.
-func store(rows [][]uint64, op *Op, v []uint64) {
-	for j := 0; j < int(op.NDst); j++ {
-		d := rows[op.Dsts[j]]
-		if c := op.comp[j]; c != 0 {
-			copyComplement(d, rows[c], v)
+func (s *Subarray) exec(rows [][]uint64, p *Plan) {
+	for c := p.code; len(c) > 0; {
+		h := c[0]
+		var in []int32
+		if h&stepMaj != 0 {
+			in, c = c[1:4], c[4:]
 		} else {
-			copy(d, v)
+			in, c = c[1:2], c[2:]
+		}
+		o := c[:h>>1]
+		c = c[h>>1:]
+		d, m := rows[rowOf(o[0])], mask(o[0])
+		if len(in) == 3 {
+			majRow(d, rows[rowOf(in[0])], rows[rowOf(in[1])], rows[rowOf(in[2])], mask(in[0]), mask(in[1]), mask(in[2]), m)
+		} else {
+			xorRow(d, rows[rowOf(in[0])], mask(in[0])^m)
+		}
+		for _, x := range o[1:] {
+			xorRow(rows[rowOf(x)], d, m^mask(x))
 		}
 	}
+	energy := s.cfg.Energy.opTable()
+	e, hook := s.Stats.EnergyPJ, s.OnCommand
+	for i := range p.ops {
+		op := &p.ops[i]
+		e += energy[op.energy]
+		if hook != nil {
+			s.Stats.EnergyPJ = e
+			hook(op.command(s.phys))
+		}
+	}
+	s.Stats.EnergyPJ = e
+	s.Stats.Add(p.counts)
 }
 
 // copyComplement sets dst to v and comp to its bitwise complement.
@@ -323,31 +302,5 @@ func copyComplement(dst, comp, v []uint64) {
 	for i, w := range v {
 		dst[i] = w
 		comp[i] = ^w
-	}
-}
-
-// maj3 models a triple-row activation: the sense amplifiers resolve
-// the bitwise majority of rows a, b and c and restore it into all
-// three. The loop is unrolled 4× over full-slice windows, which leaves
-// the compiler one bounds check per four words (on a's window) and none
-// in the tail.
-func maj3(a, b, c []uint64) {
-	n := len(a)
-	b, c = b[:n], c[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x, y, z := a[i:i+4:i+4], b[i:i+4:i+4], c[i:i+4:i+4]
-		m0 := (x[0] & y[0]) | (z[0] & (x[0] | y[0]))
-		m1 := (x[1] & y[1]) | (z[1] & (x[1] | y[1]))
-		m2 := (x[2] & y[2]) | (z[2] & (x[2] | y[2]))
-		m3 := (x[3] & y[3]) | (z[3] & (x[3] | y[3]))
-		x[0], x[1], x[2], x[3] = m0, m1, m2, m3
-		y[0], y[1], y[2], y[3] = m0, m1, m2, m3
-		z[0], z[1], z[2], z[3] = m0, m1, m2, m3
-	}
-	a, b, c = a[i:], b[i:], c[i:]
-	for k := range a {
-		m := (a[k] & b[k]) | (c[k] & (a[k] | b[k]))
-		a[k], b[k], c[k] = m, m, m
 	}
 }

@@ -20,13 +20,6 @@ type Subarray struct {
 	rows [][]uint64
 	rm   RowMap // cfg's row map, for the per-command checks
 
-	// scratch is the row buffer an AAP stages its sense-amp value in
-	// when a destination aliases its source — allocated once per
-	// subarray so the command kernel performs no per-call allocation.
-	// Commands on one subarray are serial (the ctrl scheduler guarantees
-	// it), so one buffer suffices.
-	scratch []uint64
-
 	// phys is the row map of the view the kernel last ran (nil after
 	// Exec): ExecView and Exec set it before each run, and only traced
 	// commands read it, so the kernel loop carries no extra state.
@@ -111,7 +104,7 @@ func NewSubarray(cfg *Config) *Subarray {
 	for i := range rows {
 		rows[i] = backing[i*words : (i+1)*words : (i+1)*words]
 	}
-	s := &Subarray{cfg: cfg, rows: rows, rm: cfg.RowMap(), scratch: make([]uint64, words)}
+	s := &Subarray{cfg: cfg, rows: rows, rm: cfg.RowMap()}
 	for i := range s.rows[s.C1Row()] {
 		s.rows[s.C1Row()][i] = ^uint64(0)
 	}
@@ -253,7 +246,8 @@ func (s *Subarray) MajCopy(r0, r1, r2 int, dsts ...int) {
 
 // exec1 issues one command through the command kernel, after the
 // CheckOp validation a resolved stream runs once per op at resolve
-// time. A command that fails validation panics.
+// time, as a one-step plan built on the stack. A command that fails
+// validation panics.
 //
 //simdram:zeroalloc
 func (s *Subarray) exec1(op Op, dsts []int) {
@@ -265,7 +259,10 @@ func (s *Subarray) exec1(op Op, dsts []int) {
 		panic(err)
 	}
 	ops := [1]Op{op}
-	s.Exec(ops[:], CountOps(ops[:]))
+	var code [maxStep]int32
+	n := op.encode(code[:])
+	p := Plan{ops: ops[:], code: code[:n], counts: countOps(ops[:])}
+	s.Exec(&p)
 }
 
 // InjectBitFlips XORs mask into the given row without any accounting —

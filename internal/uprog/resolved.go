@@ -7,18 +7,18 @@ import (
 )
 
 // ResolvedStream is a μProgram bound to one concrete placement: every
-// op flattened to a checked dram.Op on physical rows, so RunResolved
-// hands the whole stream to the DRAM command kernel with no
-// per-command validation, no error paths and no allocation. It is the
-// per-binding form a Template is differentially tested against. A
-// stream is immutable after Resolve and safe to share across
+// op flattened to a checked dram.Op on physical rows and lowered to a
+// dram.Plan, so RunResolved hands the plan to the DRAM command kernel
+// with no per-command validation, no error paths and no allocation. It
+// is the per-binding form a Template is differentially tested against.
+// A stream is immutable after Resolve and safe to share across
 // goroutines and runs.
 type ResolvedStream struct {
 	Name string
 	Ops  []dram.Op
 
-	rows   dram.RowMap // the geometry every op was checked against
-	counts dram.Stats  // command counters one run adds, from Resolve
+	rows dram.RowMap // the geometry every op was checked against
+	plan dram.Plan   // Ops lowered; rows are physical, so always sound
 }
 
 // Resolve validates the binding against the program and geometry, then
@@ -47,7 +47,7 @@ func resolve(p *Program, b Binding, rm dram.RowMap) (*ResolvedStream, error) {
 			return nil, fmt.Errorf("uprog: op %d: %w", i, err)
 		}
 	}
-	st.counts = dram.CountOps(st.Ops)
+	st.plan = rm.Plan(st.Ops, true)
 	return st, nil
 }
 
@@ -94,8 +94,8 @@ func flatten(mop *MicroOp, op *dram.Op, rm *dram.RowMap, row func(Ref, *dram.Row
 }
 
 // RunResolved executes a resolved command stream on one subarray. All
-// validation happened in Resolve, so the stream goes straight to the
-// subarray's command kernel; it issues exactly the same DRAM command
+// validation and lowering happened in Resolve, so the plan goes straight
+// to the subarray's command kernel; it issues exactly the same DRAM command
 // sequence, row contents, Stats and trace as the interpretive Run under
 // the stream's binding (pinned by the differential tests). Running a
 // stream on a subarray of another geometry panics.
@@ -108,5 +108,5 @@ func RunResolved(sa *dram.Subarray, st *ResolvedStream) {
 	if sa.RowMap() != st.rows {
 		panic("uprog: stream resolved for a different geometry")
 	}
-	sa.Exec(st.Ops, st.counts)
+	sa.Exec(&st.plan)
 }

@@ -10,29 +10,31 @@ import (
 // any placement. Its ops are flattened and checked with
 // dram.RowMap.CheckOp against a virtual geometry: the program's regions
 // packed as data rows (src0 … srcN-1, dst, scratch), followed by the
-// real geometry's compute rows. A placement is bound as a row view
-// (Bind) and the shared ops run through it (RunView), so binding a
-// fresh placement neither copies nor re-checks an op.
+// real geometry's compute rows. The checked ops are lowered once to a
+// dram.Plan. A placement is bound as a row view (Bind) and the shared
+// plan runs through it (RunView), so binding a fresh placement neither
+// copies nor re-checks an op.
 //
 // Checking once is sound because no check depends on the placement.
 // Binding.Validate keeps every region inside the data rows and forbids
 // the destination or scratch overlapping anything; only sources may
 // alias, and aliased sources only ever share data rows, which have no
-// DCC partners. So the AAP snapshot flags, the DCC partners and every
-// CheckOp condition come out the same on the virtual rows as on the
-// physical ones. A template is immutable and safe to share across
-// goroutines.
+// DCC partners. So the DCC partners and every CheckOp condition come
+// out the same on the virtual rows as on the physical ones. Lowering
+// treats virtual rows as distinct storage, which holds while no op
+// writes a source row; a program that writes one gets an unlowered
+// plan. A template is immutable and safe to share across goroutines.
 type Template struct {
 	Ops []dram.Op // on virtual rows
 
-	prog   *Program
-	rows   dram.RowMap // the physical geometry
-	vrows  dram.RowMap // the virtual geometry Ops were checked against
-	src    []int32     // virtual first row of each source region
-	dst    int32       // virtual first row of the destination region
-	scr    int32       // virtual first row of the scratch region
-	counts dram.Stats  // command counters one run adds
-	err    error       // why the program cannot be templated, if it cannot
+	prog  *Program
+	rows  dram.RowMap // the physical geometry
+	vrows dram.RowMap // the virtual geometry Ops were checked against
+	src   []int32     // virtual first row of each source region
+	dst   int32       // virtual first row of the destination region
+	scr   int32       // virtual first row of the scratch region
+	plan  dram.Plan   // Ops lowered, or not when one writes a source row
+	err   error       // why the program cannot be templated, if it cannot
 }
 
 // NewTemplate resolves p against cfg's geometry once. It never fails:
@@ -59,8 +61,23 @@ func NewTemplate(p *Program, cfg dram.Config) *Template {
 			return t
 		}
 	}
-	t.counts = dram.CountOps(t.Ops)
+	t.plan = t.vrows.Plan(t.Ops, !writesRowBelow(t.Ops, t.dst))
 	return t
+}
+
+// writesRowBelow reports whether an op writes a row below lim: on a
+// template's virtual rows, a source row, which aliased sources share.
+// Destinations name every row an op writes but DCC partners and T
+// rows, which lie above the data rows.
+func writesRowBelow(ops []dram.Op, lim int32) bool {
+	for i := range ops {
+		for _, d := range ops[i].Dsts[:ops[i].NDst] {
+			if d < lim {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // row maps a symbolic reference to its virtual row. Data references
@@ -146,5 +163,5 @@ func (t *Template) Bind(sa *dram.Subarray, b Binding) (*View, error) {
 //
 //simdram:zeroalloc
 func RunView(sa *dram.Subarray, v *View) {
-	sa.ExecView(&v.rows, v.t.Ops, v.t.counts)
+	sa.ExecView(&v.rows, &v.t.plan)
 }

@@ -295,3 +295,18 @@ func BenchmarkTemplateBind(b *testing.B) {
 		}
 	}
 }
+
+// templateSink keeps BenchmarkNewTemplate's result alive.
+var templateSink *uprog.Template
+
+// BenchmarkNewTemplate times building the 8-bit addition's template —
+// flattening, checking and lowering its ops — which a program pays once
+// per geometry.
+func BenchmarkNewTemplate(b *testing.B) {
+	_, p, _, _, cfg := additionStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		templateSink = uprog.NewTemplate(p, cfg)
+	}
+}
