@@ -1,6 +1,9 @@
 package simdram
 
 import (
+	"cmp"
+	"slices"
+
 	"simdram/internal/ctrl"
 	"simdram/internal/isa"
 	"simdram/internal/obs"
@@ -159,8 +162,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog)),
 		verify: s.verifyPlans,
 	}
-	bound := map[uint16]bool{}
-	scratch := map[[2]int]int{}
+	bound := make(map[uint16]bool, len(prog)) // compiled programs use about one handle per instruction
 	bind := func(v *Vector) {
 		if !bound[v.handle] {
 			bound[v.handle] = true
@@ -192,10 +194,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 			bind(src)
 		}
 		for _, seg := range dst.segs {
-			key := [2]int{seg.bank, seg.sub}
-			if p.NumScratch > scratch[key] {
-				scratch[key] = p.NumScratch
-			}
+			pp.scratch = append(pp.scratch, scratchNeed{bank: seg.bank, sub: seg.sub, need: p.NumScratch})
 		}
 		var jdeps []int
 		for _, dep := range deps[i] {
@@ -206,9 +205,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		pp.jobOf[i] = len(jobs)
 		jobs = append(jobs, ctrl.Job{Program: p, Segments: segs, Deps: jdeps})
 	}
-	for key, need := range scratch {
-		pp.scratch = append(pp.scratch, scratchNeed{bank: key[0], sub: key[1], need: need})
-	}
+	pp.scratch = maxScratchNeeds(pp.scratch)
 	if len(jobs) == 0 {
 		return pp, nil // program of only trsp_init instructions
 	}
@@ -220,6 +217,17 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 	}
 	pp.prep = prep
 	return pp, nil
+}
+
+// maxScratchNeeds folds the per-instruction scratch needs into one
+// entry per subarray, holding the largest need, in (bank, sub) order —
+// so checkPrepared names the same subarray every time when several
+// lack headroom.
+func maxScratchNeeds(needs []scratchNeed) []scratchNeed {
+	slices.SortFunc(needs, func(a, b scratchNeed) int {
+		return cmp.Or(cmp.Compare(a.bank, b.bank), cmp.Compare(a.sub, b.sub), cmp.Compare(b.need, a.need))
+	})
+	return slices.CompactFunc(needs, func(a, b scratchNeed) bool { return a.bank == b.bank && a.sub == b.sub })
 }
 
 // runPreparedAttr executes a prepared program — the run-many half —

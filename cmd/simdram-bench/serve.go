@@ -216,8 +216,8 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 
 	// Observability audit 1: the recorder retained one span tree per
 	// steady-state job, and every tree has the deterministic
-	// steady-state span count (job, queue, compile, cache-lookup,
-	// lower, prepare, resolve, execute, run, gather = 10 — cold
+	// steady-state span count (job, admit, queue, compile, cache-lookup,
+	// lower, prepare, resolve, execute, run, gather = 11 — cold
 	// compiles and recompiles, which add "schedule", all happened
 	// before ResetTraces).
 	traces := srv.Traces()
@@ -231,14 +231,15 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 		totalSpans += len(jt.Spans)
 	}
 	spansPerJob := float64(totalSpans) / float64(len(traces))
-	if spansPerJob != 10 {
-		return fmt.Errorf("serving demo: %.2f spans per steady-state job, want exactly 10 (all jobs are cache hits)", spansPerJob)
+	if spansPerJob != 11 {
+		return fmt.Errorf("serving demo: %.2f spans per steady-state job, want exactly 11 (all jobs are cache hits)", spansPerJob)
 	}
 
 	// Observability audit 2: for every job, the top-level span
-	// durations must sum to the job's reported latency split
-	// (QueueNs + RunNs) within tolerance — the trace and the ticket
-	// measure the same pipeline on different clocks.
+	// durations after admission must sum to the job's reported latency
+	// split (QueueNs + RunNs) within tolerance — the trace and the
+	// ticket measure the same pipeline on different clocks. The admit
+	// span precedes the ticket, so it is not part of the split.
 	for _, jl := range lats {
 		jt, ok := byID[jl.traceID]
 		if !ok {
@@ -246,7 +247,7 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 		}
 		var sum int64
 		for _, sp := range jt.Spans {
-			if sp.Parent == 0 {
+			if sp.Parent == 0 && sp.Name != "admit" {
 				sum += sp.DurNs()
 			}
 		}

@@ -236,7 +236,8 @@ type compileEnv struct {
 	firstVec   *Expr // first Vector leaf: defines System placement
 	firstShard *Expr // first ShardedVector leaf: defines Cluster placement
 	n          int
-	key        string // plan-cache shape key, set by planExprs
+	opts       CompileOptions // the passes planExprs runs
+	key        string         // plan-cache shape key: opts plus canonical graph
 }
 
 func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
@@ -350,44 +351,41 @@ func optsKey(opts CompileOptions) string {
 	return string(rune('0'+bits)) + "|"
 }
 
-// planExprs runs the backend-independent half of compilation: build the
-// IR from the expression trees, then either reuse a cached plan for
-// this shape or run the enabled passes, schedule, and assign
-// temporaries to slots. On a cache hit env.g is swapped for the cached
-// optimized graph — the fresh graph and the cached one are structurally
-// identical by construction (the cache key is the exact pre-pass
-// serialization, and passes never renumber nodes), so the node IDs in
-// env.leafOf remain valid. Concurrent cold compiles of one shape are
-// deduplicated by the cache (PlanCache.Do): one caller compiles, the
-// rest wait for its plan. cache may be nil (no caching).
+// planExprs runs the backend-independent half of compilation over an
+// IR graph buildEnv built: either reuse a cached plan for this shape or
+// run the enabled passes, schedule, and assign temporaries to slots. On
+// a cache hit env.g is swapped for the cached optimized graph — the
+// fresh graph and the cached one are structurally identical by
+// construction (the cache key is the exact pre-pass serialization, and
+// passes never renumber nodes), so the node IDs in env.leafOf remain
+// valid. Concurrent cold compiles of one shape are deduplicated by the
+// cache (PlanCache.Do): one caller compiles, the rest wait for its
+// plan. cache may be nil (no caching).
 //
 // When profiles is non-nil and the shape's measured per-op latencies
 // have diverged from the static cost model (ProfileStore.TakeRecompile),
 // the cached plan is invalidated and rebuilt with observed costs —
 // exactly one caller per diverged shape performs the recompile.
 // Profile feedback only reprices the schedule, so it is disabled when
-// opts.NoSchedule pins construction order.
+// env.opts.NoSchedule pins construction order.
 //
 // tr, when non-nil, receives "cache-lookup" and (on a cold compile or
 // recompile) "schedule" spans under parent — the serving layer's
 // per-job trace. Pass a nil trace (and any parent) when not tracing.
-func planExprs(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, cache *graph.PlanCache, profiles *graph.ProfileStore, tr *obs.Trace, parent int) (*compileEnv, *graph.Plan, CompileStats, error) {
+func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileStore, tr *obs.Trace, parent int) (*graph.Plan, CompileStats) {
 	var stats CompileStats
-	env, err := buildEnv(sys, cl, exprs)
-	if err != nil {
-		return nil, nil, stats, err
-	}
+	opts := env.opts
 	for id := 0; id < env.g.Len(); id++ {
 		if env.g.Node(graph.NodeID(id)).Kind == graph.KindOp {
 			stats.Nodes++
 		}
 	}
-	key := optsKey(opts) + env.g.CanonicalKey()
-	env.key = key
+	key := env.key
 	if opts.NoSchedule {
 		profiles = nil
 	}
-	model := modelCost(planCfg(sys, cl))
+	cfg := planCfg(env.sys, env.cl)
+	model := modelCost(cfg)
 	var plan *graph.Plan
 	look := tr.Begin("cache-lookup", parent)
 	if profiles.TakeRecompile(key) {
@@ -401,7 +399,6 @@ func planExprs(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, cac
 		// schedules under the observed costs and keep the better one,
 		// so a recompile can never install a worse schedule than the
 		// one it replaces.
-		cfg := planCfg(sys, cl)
 		staticSched := plan.Graph.Schedule(model)
 		if plan.Graph.EstimateMakespanNs(staticSched, observed, cfg.DRAM.Banks) <
 			plan.Graph.EstimateMakespanNs(plan.Sched, observed, cfg.DRAM.Banks) {
@@ -444,19 +441,19 @@ func planExprs(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, cac
 			stats.ConstVectors++
 		}
 	}
-	return env, plan, stats, nil
+	return plan, stats
 }
 
-// buildEnv constructs the IR graph from the expression trees — the
-// pure front half of planExprs, shared with admission-time cost
-// estimation (which needs the graph's canonical key and a makespan
-// estimate but must not touch the plan cache's statistics).
-func buildEnv(sys *System, cl *Cluster, exprs []*Expr) (*compileEnv, error) {
+// buildEnv constructs the IR graph from the expression trees and its
+// plan-cache key under opts — the front half of compilation, which
+// planExprs completes. The server builds it once per job, at
+// admission, where the key and graph also price the job.
+func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr) (*compileEnv, error) {
 	if len(exprs) == 0 {
 		return nil, errorf("graph: nothing to materialize")
 	}
 	env := &compileEnv{
-		sys: sys, cl: cl,
+		sys: sys, cl: cl, opts: opts,
 		g:      graph.New(),
 		memo:   map[*Expr]graph.NodeID{},
 		leafOf: map[graph.NodeID]*Expr{},
@@ -471,6 +468,7 @@ func buildEnv(sys *System, cl *Cluster, exprs []*Expr) (*compileEnv, error) {
 	if env.first == nil {
 		return nil, errorf("graph: expression has no vector or data leaf, element count unknown (combine constants with at least one Lazy vector or Input data leaf)")
 	}
+	env.key = optsKey(opts) + env.g.CanonicalKey()
 	return env, nil
 }
 
@@ -487,8 +485,9 @@ func planCfg(sys *System, cl *Cluster) Config {
 // — what the scheduler prices with before any profile feedback exists,
 // and the baseline measured profiles are compared against.
 func modelCost(cfg Config) graph.CostFn {
+	variant, timing := cfg.Variant, cfg.DRAM.Timing
 	return func(d ops.Def, w, n int) float64 {
-		c, err := ops.CostNs(d, w, n, cfg.Variant, cfg.DRAM.Timing)
+		c, err := ops.CostNs(d, w, n, variant, timing)
 		if err != nil {
 			return 1 // synthesis failures resurface with context at execution
 		}
@@ -841,10 +840,11 @@ func (s *System) Compile(exprs ...*Expr) (*Compiled, error) {
 // primarily for differential testing and baseline measurement; regular
 // callers want Compile or Materialize.
 func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, error) {
-	env, plan, stats, err := planExprs(s, nil, opts, exprs, s.plans, s.profiles, nil, 0)
+	env, err := buildEnv(s, nil, opts, exprs)
 	if err != nil {
 		return nil, err
 	}
+	plan, stats := planExprs(env, s.plans, s.profiles, nil, 0)
 	origin := 0
 	if env.firstVec != nil {
 		origin = env.firstVec.leaf.origin()

@@ -1,0 +1,150 @@
+package simdram_test
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"simdram"
+)
+
+// missOps are the operations of the miss-path benchmarks' random DAGs
+// (the serve-adhoc mix).
+var missOps = [...]string{"addition", "subtraction", "max", "min"}
+
+// randomMissDAG draws one random request shape: nOps 8-bit operations
+// over the given leaves, each operation's first operand an earlier
+// non-constant node (biased towards recent ones, so chains grow deep)
+// and its second either such a node or, one time in four, a fresh
+// random constant. Every node nothing consumes is a root.
+func randomMissDAG(rng *rand.Rand, leaves []*simdram.Expr, nOps int) []*simdram.Expr {
+	live := append([]*simdram.Expr(nil), leaves...)
+	used := map[*simdram.Expr]bool{}
+	pick := func() *simdram.Expr {
+		if rng.Intn(2) == 0 && len(live) > 4 {
+			return live[len(live)-1-rng.Intn(4)]
+		}
+		return live[rng.Intn(len(live))]
+	}
+	for i := 0; i < nOps; i++ {
+		a := pick()
+		var b *simdram.Expr
+		if rng.Intn(4) == 0 {
+			b = simdram.Scalar(uint64(rng.Intn(256)), 8)
+		} else {
+			b = pick()
+		}
+		used[a], used[b] = true, true
+		live = append(live, a.Apply(missOps[rng.Intn(len(missOps))], b))
+	}
+	var roots []*simdram.Expr
+	for _, e := range live[len(leaves):] {
+		if !used[e] {
+			roots = append(roots, e)
+		}
+	}
+	return roots
+}
+
+// missPool is the number of distinct DAGs a miss benchmark cycles
+// through: far more shapes than the default plan cache holds, so every
+// lookup misses.
+const missPool = 1024
+
+// BenchmarkGraphCompile times System.Compile of a random 32-op 8-bit
+// DAG over four resident vectors, then frees the compiled program:
+// "cold" compiles a different shape every iteration (a plan-cache
+// miss: IR build, passes, schedule, slot assignment, lowering and
+// verification), "hit" recompiles one shape (IR build, cache lookup,
+// lowering). Each iteration frees the program and its root vectors.
+func BenchmarkGraphCompile(b *testing.B) {
+	cfg := simdram.DefaultConfig()
+	cfg.DRAM.Cols = 256
+	sys, err := simdram.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	sys.SetVerifyPlans(true)
+	rng := rand.New(rand.NewSource(1))
+	leaves := make([]*simdram.Expr, 4)
+	for i := range leaves {
+		v, err := sys.AllocVector(256, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := make([]uint64, 256)
+		for j := range data {
+			data[j] = uint64(rng.Intn(256))
+		}
+		if err := v.Store(data); err != nil {
+			b.Fatal(err)
+		}
+		leaves[i] = sys.Lazy(v)
+	}
+	pool := make([][]*simdram.Expr, missPool)
+	for i := range pool {
+		pool[i] = randomMissDAG(rng, leaves, 32)
+	}
+	run := func(b *testing.B, dag func(i int) []*simdram.Expr) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			roots := dag(i)
+			cp, err := sys.Compile(roots...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cp.Free()
+			for _, e := range roots {
+				e.Result().Free()
+			}
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		run(b, func(i int) []*simdram.Expr { return pool[i%missPool] })
+	})
+	b.Run("hit", func(b *testing.B) {
+		run(b, func(int) []*simdram.Expr { return pool[0] })
+	})
+}
+
+// BenchmarkServerSubmitMiss times SubmitJob→Wait of one random 32-op
+// 8-bit DAG over 256-element Input leaves on a 2-channel server with
+// the plan verifier on, a different shape every iteration: the served
+// plan-cache miss path end to end (admission pricing, compile, lower,
+// prepare with verification, execute, gather).
+func BenchmarkServerSubmitMiss(b *testing.B) {
+	cfg := simdram.DefaultServerConfig(2)
+	cfg.Channel.DRAM.Cols = 256
+	cfg.VerifyPlans = true
+	srv, err := simdram.NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	rng := rand.New(rand.NewSource(1))
+	leaves := make([]*simdram.Expr, 4)
+	for i := range leaves {
+		data := make([]uint64, 256)
+		for j := range data {
+			data[j] = uint64(rng.Intn(256))
+		}
+		leaves[i] = simdram.Input(data, 8)
+	}
+	pool := make([][]*simdram.Expr, missPool)
+	for i := range pool {
+		pool[i] = randomMissDAG(rng, leaves, 32)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: "bench"}, pool[i%missPool]...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

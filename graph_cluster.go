@@ -36,10 +36,11 @@ func (c *Cluster) Compile(exprs ...*Expr) (*ClusterCompiled, error) {
 // CompileWith is Compile with selected passes disabled — primarily for
 // differential testing and baseline measurement.
 func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterCompiled, error) {
-	env, plan, stats, err := planExprs(nil, c, opts, exprs, c.plans, c.profiles, nil, 0)
+	env, err := buildEnv(nil, c, opts, exprs)
 	if err != nil {
 		return nil, err
 	}
+	plan, stats := planExprs(env, c.plans, c.profiles, nil, 0)
 	// Compiler-allocated vectors must share the leaves' placement plan,
 	// or per-instruction shard alignment fails at execution. Striping
 	// over the first leaf's span order with the same element count

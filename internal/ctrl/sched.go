@@ -149,8 +149,10 @@ func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
 		// row-command bandwidth, banks overlap, so the job is busy for its
 		// μProgram's one-subarray latency times its busiest bank's segment
 		// count. It starts once its predecessors finish and its banks are
-		// free, then holds those banks for its duration.
-		latNs := job.Program.LatencyNs(timing)
+		// free, then holds those banks for its duration. The latency comes
+		// from the program's shared template, which counted its commands
+		// once.
+		latNs := u.template(job.Program).LatencyNs(timing)
 		cmdsPerSeg := int64(len(job.Program.Ops))
 		start, maxPerBank := 0.0, 0
 		for _, d := range preds {

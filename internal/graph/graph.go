@@ -119,10 +119,17 @@ func (g *Graph) Op(d ops.Def, args ...NodeID) (NodeID, error) {
 		}
 	}
 	w := g.nodes[args[0]].Width
-	want := d.SourceWidths(w, len(args))
+	var want []int // nil: every operand is w bits (ops.Def.SourceWidths)
+	if d.SrcWidths != nil {
+		want = d.SrcWidths(w)
+	}
 	for k, a := range args {
-		if got := g.nodes[a].Width; got != want[k] {
-			return 0, fmt.Errorf("graph: %s: argument %d has width %d, operation expects %d", d.Name, k, got, want[k])
+		wk := w
+		if want != nil {
+			wk = want[k]
+		}
+		if got := g.nodes[a].Width; got != wk {
+			return 0, fmt.Errorf("graph: %s: argument %d has width %d, operation expects %d", d.Name, k, got, wk)
 		}
 	}
 	n := Node{Kind: KindOp, Op: d, Args: append([]NodeID(nil), args...), Width: d.DstWidth(w)}

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Assignment is the result of the liveness pass: every scheduled
 // non-root operation node mapped to a temporary-storage slot, plus the
 // row accounting that quantifies what lifetime reuse saved. Slot i
@@ -32,7 +34,7 @@ type Assignment struct {
 // the benchmarks compare against).
 func Assign(g *Graph, sched []NodeID, reuse bool) Assignment {
 	// lastUse[a] is the schedule position of the last scheduled reader.
-	lastUse := map[NodeID]int{}
+	lastUse := make([]int, g.Len())
 	for i, id := range sched {
 		for _, a := range g.Node(id).Args {
 			lastUse[a] = i
@@ -54,12 +56,10 @@ func Assign(g *Graph, sched []NodeID, reuse bool) Assignment {
 			}
 			asg.SlotOf[id] = slot
 		}
-		seen := map[NodeID]bool{}
-		for _, a := range n.Args {
-			if seen[a] {
-				continue
+		for k, a := range n.Args {
+			if slices.Contains(n.Args[:k], a) {
+				continue // a repeated argument frees its slot once
 			}
-			seen[a] = true
 			slot, pooled := asg.SlotOf[a]
 			if pooled && lastUse[a] == i {
 				w := g.Node(a).Width

@@ -1,6 +1,6 @@
 package graph
 
-import "fmt"
+import "simdram/internal/ops"
 
 // FoldConstants rewrites every operation node whose arguments are all
 // constants into a constant node holding the operation's golden result,
@@ -36,6 +36,19 @@ func (g *Graph) FoldConstants() int {
 	return folded
 }
 
+// cseKey is a node's structural identity for CSE: the constant (value
+// and width) or the operation over its canonicalized arguments. Op
+// nodes have at most three arguments (Graph.Op enforces the ISA's
+// limit); n tells a short argument list from one padded with node 0.
+type cseKey struct {
+	kind  Kind
+	code  ops.Code
+	val   uint64
+	width int
+	n     int
+	args  [3]NodeID
+}
+
 // CSE merges structurally identical nodes — same constant, or same
 // operation over the same (already canonicalized) arguments — onto
 // their first occurrence, and returns how many nodes it eliminated.
@@ -47,19 +60,20 @@ func (g *Graph) CSE() int {
 	for i := range repl {
 		repl[i] = NodeID(i)
 	}
-	canon := map[string]NodeID{}
+	canon := make(map[cseKey]NodeID, len(g.nodes))
 	merged := 0
 	for id := range g.nodes {
 		n := &g.nodes[id]
 		for k, a := range n.Args {
 			n.Args[k] = repl[a]
 		}
-		var key string
+		key := cseKey{kind: n.Kind, width: n.Width}
 		switch n.Kind {
 		case KindConst:
-			key = fmt.Sprintf("c|%d|%d", n.Val, n.Width)
+			key.val = n.Val
 		case KindOp:
-			key = fmt.Sprintf("o|%d|%v", n.Op.Code, n.Args)
+			key.code, key.n = n.Op.Code, len(n.Args)
+			copy(key.args[:], n.Args)
 		default:
 			continue // inputs are never merged
 		}

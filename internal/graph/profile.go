@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"container/heap"
 	"sync"
 
 	"simdram/internal/ops"
@@ -43,9 +44,11 @@ func (a *opAgg) meanNs() float64 { return a.sumNs / float64(a.count) }
 // ShapeProfile aggregates the measured per-op latencies of every
 // executed job of one shape.
 type ShapeProfile struct {
+	key        string
 	jobs       int
 	ops        map[OpKey]*opAgg
 	recompiled bool // a plan built from this profile is already live
+	idx        int  // position in the store's eviction heap
 }
 
 // diverged reports whether any op class's mean observed latency is
@@ -96,6 +99,7 @@ type ProfileStore struct {
 	minJobs   int
 	cap       int
 	shapes    map[string]*ShapeProfile
+	cold      coldHeap // every retained shape, coldest first
 
 	jobs       uint64
 	recompiles uint64
@@ -143,8 +147,9 @@ func (s *ProfileStore) Record(key string, plan *Plan, opNs []float64, model Cost
 		if len(s.shapes) >= s.cap {
 			s.dropColdestLocked()
 		}
-		p = &ShapeProfile{ops: make(map[OpKey]*opAgg)}
+		p = &ShapeProfile{key: key, ops: make(map[OpKey]*opAgg)}
 		s.shapes[key] = p
+		heap.Push(&s.cold, p)
 	}
 	g := plan.Graph
 	for i, id := range plan.Sched {
@@ -159,20 +164,44 @@ func (s *ProfileStore) Record(key string, plan *Plan, opNs []float64, model Cost
 		a.count++
 	}
 	p.jobs++
+	heap.Fix(&s.cold, p.idx)
 	s.jobs++
 }
 
 // dropColdestLocked evicts the retained shape with the fewest recorded
 // jobs (ties: smallest key, for determinism). Caller holds mu.
 func (s *ProfileStore) dropColdestLocked() {
-	var victim string
-	var victimJobs int
-	for k, p := range s.shapes {
-		if victim == "" || p.jobs < victimJobs || (p.jobs == victimJobs && k < victim) {
-			victim, victimJobs = k, p.jobs
-		}
+	delete(s.shapes, heap.Pop(&s.cold).(*ShapeProfile).key)
+}
+
+// coldHeap orders shapes by (jobs, key): its root is the shape
+// dropColdestLocked evicts. Keys are unique, so the order is total and
+// the root is exactly the one a scan for the fewest jobs, then the
+// smallest key, would pick.
+type coldHeap []*ShapeProfile
+
+func (h coldHeap) Len() int { return len(h) }
+func (h coldHeap) Less(i, j int) bool {
+	if h[i].jobs != h[j].jobs {
+		return h[i].jobs < h[j].jobs
 	}
-	delete(s.shapes, victim)
+	return h[i].key < h[j].key
+}
+func (h coldHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *coldHeap) Push(x any) {
+	p := x.(*ShapeProfile)
+	p.idx = len(*h)
+	*h = append(*h, p)
+}
+func (h *coldHeap) Pop() any {
+	old := *h
+	p := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return p
 }
 
 // TakeRecompile reports whether the shape's measured profile has
@@ -199,21 +228,28 @@ func (s *ProfileStore) TakeRecompile(key string) bool {
 // schedules with: op classes with observations are priced at their
 // mean measured latency, everything else falls back to base. The
 // observed means are snapshotted under the lock, so the returned
-// function is safe to use while further jobs keep recording.
+// function is safe to use while further jobs keep recording. A shape
+// without observations gets base itself.
 func (s *ProfileStore) ScheduleCost(key string, base CostFn) CostFn {
 	if s == nil {
 		return base
 	}
+	var observed map[OpKey]float64
 	s.mu.Lock()
-	observed := map[OpKey]float64{}
 	if p := s.shapes[key]; p != nil {
 		for k, a := range p.ops {
 			if a.count > 0 {
+				if observed == nil {
+					observed = make(map[OpKey]float64, len(p.ops))
+				}
 				observed[k] = a.meanNs()
 			}
 		}
 	}
 	s.mu.Unlock()
+	if observed == nil {
+		return base
+	}
 	return func(d ops.Def, width, n int) float64 {
 		if ns, ok := observed[OpKey{Code: d.Code, Width: width, N: n}]; ok {
 			return ns

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -122,6 +124,40 @@ func TestProfileStoreCapDropsColdest(t *testing.T) {
 	}
 	if st := s.Stats(); st.Shapes != 2 {
 		t.Fatalf("shapes = %d, want cap 2", st.Shapes)
+	}
+
+	// A seeded random Record sequence at capacity: a reference model
+	// tracks every shape's job count, and each time a new shape arrives
+	// at the cap, the shape a linear scan picks (fewest jobs, then
+	// smallest key) is the one the store drops.
+	const capShapes = 16
+	s = NewProfileStore(0.25, 1, capShapes)
+	ref := map[string]int{}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 4000; i++ {
+		key := fmt.Sprintf("k%03d", rng.Intn(40))
+		victim := ""
+		if _, ok := ref[key]; !ok && len(ref) >= capShapes {
+			for k, jobs := range ref {
+				if victim == "" || jobs < ref[victim] || (jobs == ref[victim] && k < victim) {
+					victim = k
+				}
+			}
+			delete(ref, victim)
+		}
+		ref[key]++
+		s.Record(key, plan, []float64{100, 100}, model)
+		if victim != "" && s.Jobs(victim) != 0 {
+			t.Fatalf("record %d (%s): the scan drops %s, the store kept it", i, key, victim)
+		}
+		if st := s.Stats(); st.Shapes != len(ref) {
+			t.Fatalf("record %d: %d shapes retained, want %d", i, st.Shapes, len(ref))
+		}
+	}
+	for k, jobs := range ref {
+		if got := s.Jobs(k); got != jobs {
+			t.Fatalf("shape %s: %d jobs, want %d", k, got, jobs)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package graph
 
-import "simdram/internal/ops"
+import (
+	"slices"
+
+	"simdram/internal/ops"
+)
 
 // CostFn estimates the latency of one operation instruction: d applied
 // at operation width w over n operands. The facade plugs in
@@ -90,12 +94,10 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 			continue
 		}
 		ownCost[id] = cost(node.Op, g.OpWidth(NodeID(id)), len(node.Args))
-		seen := map[NodeID]bool{}
-		for _, a := range node.Args {
-			if seen[a] {
-				continue
+		for k, a := range node.Args {
+			if slices.Contains(node.Args[:k], a) {
+				continue // a repeated argument is one edge
 			}
-			seen[a] = true
 			users[a] = append(users[a], NodeID(id))
 			if g.nodes[a].Kind == KindOp && g.Alive(a) {
 				pendingArgs[id]++

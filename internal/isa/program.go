@@ -2,7 +2,7 @@ package isa
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"simdram/internal/ops"
 )
@@ -55,19 +55,21 @@ func DecodeProgram(es []Encoded) (Program, error) {
 // opcode cannot be resolved, all three source slots are returned — a
 // conservative over-approximation that never drops a hazard.
 func (in Instruction) Reads() []uint16 {
+	return append([]uint16(nil), in.Src[:in.numReads()]...)
+}
+
+// numReads returns how many leading source slots the instruction
+// reads: Reads without the copy.
+func (in *Instruction) numReads() int {
 	if in.Op == OpTrspInit {
-		return []uint16{in.Src[0]}
+		return 1
 	}
-	arity := 3
 	if code, err := in.Op.ToOp(); err == nil {
 		if d, err := ops.ByCode(code); err == nil {
-			arity = d.EffArity(int(in.N))
-			if arity > 3 {
-				arity = 3
-			}
+			return min(d.EffArity(int(in.N)), 3)
 		}
 	}
-	return append([]uint16(nil), in.Src[:arity]...)
+	return 3
 }
 
 // Writes returns the object handles the instruction writes:
@@ -90,42 +92,75 @@ func (in Instruction) Writes() []uint16 {
 //
 // Executing instructions in any order consistent with these edges is
 // indistinguishable from sequential program order.
+//
+// The analysis allocates per program, not per instruction: handles are
+// numbered densely by their rank among the program's distinct handles,
+// each handle's readers since its last write form a linked list in one
+// array, and each instruction's edges are collected into one reused
+// buffer, then sorted and compacted. The per-instruction results share
+// one backing array, capacity-capped so appending to one never
+// clobbers another.
 func (p Program) Deps() [][]int {
 	deps := make([][]int, len(p))
-	lastWriter := map[uint16]int{}     // handle → last instruction that wrote it
-	readersSince := map[uint16][]int{} // handle → readers since its last write
-	for i, in := range p {
-		set := map[int]bool{}
-		reads, writes := in.Reads(), in.Writes()
+	nr := make([]uint8, len(p)) // instruction → numReads
+	hs := make([]uint16, 0, 4*len(p))
+	for i := range p {
+		in := &p[i]
+		nr[i] = uint8(in.numReads())
+		hs = append(hs, in.Src[:nr[i]]...)
+		if in.Op.IsOperation() {
+			hs = append(hs, in.Dst)
+		}
+	}
+	slices.Sort(hs)
+	hs = slices.Compact(hs)
+	rank := func(h uint16) int {
+		k, _ := slices.BinarySearch(hs, h)
+		return k
+	}
+	// Both tables hold 1 + an index, so 0 means none.
+	lastWriter := make([]int, len(hs)) // handle → last instruction that wrote it
+	readers := make([]int, len(hs))    // handle → newest reader entry since its last write
+	type reader struct{ instr, next int }
+	entries := make([]reader, 0, 3*len(p))
+	var buf []int
+	flat := make([]int, 0, 2*len(p)) // room for two edges per instruction
+	for i := range p {
+		in := &p[i]
+		buf = buf[:0]
+		reads := in.Src[:nr[i]]
 		for _, h := range reads {
-			if w, ok := lastWriter[h]; ok {
-				set[w] = true // RAW
+			if w := lastWriter[rank(h)]; w > 0 {
+				buf = append(buf, w-1) // RAW
 			}
 		}
-		for _, h := range writes {
-			if w, ok := lastWriter[h]; ok {
-				set[w] = true // WAW
+		dst := -1
+		if in.Op.IsOperation() {
+			dst = rank(in.Dst)
+			if w := lastWriter[dst]; w > 0 {
+				buf = append(buf, w-1) // WAW
 			}
-			for _, r := range readersSince[h] {
-				set[r] = true // WAR
+			for e := readers[dst]; e > 0; e = entries[e-1].next {
+				buf = append(buf, entries[e-1].instr) // WAR
 			}
 		}
 		for _, h := range reads {
-			readersSince[h] = append(readersSince[h], i)
+			k := rank(h)
+			entries = append(entries, reader{instr: i, next: readers[k]})
+			readers[k] = len(entries)
 		}
-		for _, h := range writes {
-			lastWriter[h] = i
-			readersSince[h] = nil
+		if dst >= 0 {
+			lastWriter[dst] = i + 1
+			readers[dst] = 0
 		}
-		delete(set, i)
-		if len(set) > 0 {
-			out := make([]int, 0, len(set))
-			for d := range set {
-				out = append(out, d)
-			}
-			sort.Ints(out)
-			deps[i] = out
+		if len(buf) == 0 {
+			continue
 		}
+		slices.Sort(buf)
+		buf = slices.Compact(buf)
+		start := len(flat)
+		flat = append(flat, buf...)
+		deps[i] = flat[start:len(flat):len(flat)]
 	}
 	return deps
 }

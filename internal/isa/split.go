@@ -37,7 +37,7 @@ func (p Program) Rewrite(handles map[uint16]uint16, sizes map[uint16]uint32) (Pr
 			}
 			ni.Dst = nd
 		}
-		for k := range in.Reads() {
+		for k := range in.numReads() {
 			ns, ok := handles[in.Src[k]]
 			if !ok {
 				return nil, fmt.Errorf("isa: instruction %d (%s): no shard handle for object %d", i, in, in.Src[k])

@@ -59,10 +59,10 @@ type Trace struct {
 }
 
 // spanArity is the expected span count of a steady-state served job
-// (job, queue, compile, cache-lookup, lower, prepare, resolve,
+// (job, admit, queue, compile, cache-lookup, lower, prepare, resolve,
 // execute, run, gather); traces preallocate room for it plus a cold
 // "schedule" span so tracing a typical job costs one allocation total.
-const spanArity = 11
+const spanArity = 12
 
 func newTrace(id uint64) *Trace {
 	now := time.Now()

@@ -162,9 +162,9 @@ func PaperSet() []Def {
 func ByName(name string) (Def, error) {
 	catalogMu.RLock()
 	defer catalogMu.RUnlock()
-	for _, d := range catalog {
-		if d.Name == name {
-			return d, nil
+	for i := range catalog { // by index: a Def is too large to copy per entry
+		if catalog[i].Name == name {
+			return catalog[i], nil
 		}
 	}
 	return Def{}, fmt.Errorf("ops: unknown operation %q", name)
@@ -174,9 +174,9 @@ func ByName(name string) (Def, error) {
 func ByCode(code Code) (Def, error) {
 	catalogMu.RLock()
 	defer catalogMu.RUnlock()
-	for _, d := range catalog {
-		if d.Code == code {
-			return d, nil
+	for i := range catalog { // by index: a Def is too large to copy per entry
+		if catalog[i].Code == code {
+			return catalog[i], nil
 		}
 	}
 	return Def{}, fmt.Errorf("ops: unknown opcode %d", code)

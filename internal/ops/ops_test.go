@@ -378,3 +378,33 @@ func TestSynthesizeCachedReturnsSameObject(t *testing.T) {
 		t.Error("cache must return the same synthesis object")
 	}
 }
+
+// TestCostNsMemoized checks the CostNs memo against the program it
+// prices: two passes over every catalog op at three widths, two
+// variants and two timings must each return the μProgram's own
+// latency, so no memo entry answers for another key.
+func TestCostNsMemoized(t *testing.T) {
+	slow := dram.DDR4_2400()
+	slow.TRAS *= 2
+	for pass := 0; pass < 2; pass++ {
+		for _, tm := range []dram.Timing{dram.DDR4_2400(), slow} {
+			for _, v := range []Variant{VariantSIMDRAM, VariantAmbit} {
+				for _, w := range []int{4, 8, 16} {
+					for _, d := range Catalog() {
+						got, err := CostNs(d, w, testN, v, tm)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s, err := SynthesizeCached(d, w, testN, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := s.Program.LatencyNs(tm); got != want {
+							t.Fatalf("pass %d: %s/%d (%v): CostNs %v, program latency %v", pass, d.Name, w, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

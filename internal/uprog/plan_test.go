@@ -17,7 +17,8 @@ import (
 // relies on for every synthesized program — each catalog operation
 // under both synthesis variants at widths 4, 8, …, 32, reductions at
 // three operands: no op writes a source row, so every template runs a
-// lowered plan.
+// lowered plan. It also checks that each template's latency, which
+// the control unit schedules with, equals its program's.
 func TestCatalogTemplatesLowered(t *testing.T) {
 	cfg := dram.TestConfig()
 	for _, variant := range []ops.Variant{ops.VariantSIMDRAM, ops.VariantAmbit} {
@@ -31,8 +32,12 @@ func TestCatalogTemplatesLowered(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d (variant %v): %v", d.Name, w, variant, err)
 				}
-				if !uprog.Lowered(uprog.NewTemplate(s.Program, cfg)) {
+				tp := uprog.NewTemplate(s.Program, cfg)
+				if !uprog.Lowered(tp) {
 					t.Errorf("%s/%d (variant %v) writes a source row; its template runs unlowered", d.Name, w, variant)
+				}
+				if got, want := tp.LatencyNs(cfg.Timing), s.Program.LatencyNs(cfg.Timing); got != want {
+					t.Errorf("%s/%d (variant %v): template latency %v, program latency %v", d.Name, w, variant, got, want)
 				}
 			}
 		}

@@ -35,6 +35,14 @@ type Template struct {
 	scr   int32       // virtual first row of the scratch region
 	plan  dram.Plan   // Ops lowered, or not when one writes a source row
 	err   error       // why the program cannot be templated, if it cannot
+	nAAP  int         // prog.NumAAP(), counted once
+	nAP   int         // prog.NumAP(), counted once
+}
+
+// LatencyNs is the template's Program.LatencyNs, from command counts
+// taken once when the template was built.
+func (t *Template) LatencyNs(tm dram.Timing) float64 {
+	return float64(t.nAAP)*tm.AAPLatency() + float64(t.nAP)*tm.APLatency()
 }
 
 // NewTemplate resolves p against cfg's geometry once. It never fails:
@@ -43,7 +51,7 @@ type Template struct {
 // reports the error.
 func NewTemplate(p *Program, cfg dram.Config) *Template {
 	rm := cfg.RowMap()
-	t := &Template{prog: p, rows: rm, src: make([]int32, p.NumSrc)}
+	t := &Template{prog: p, rows: rm, src: make([]int32, p.NumSrc), nAAP: p.NumAAP(), nAP: p.NumAP()}
 	var n int32
 	for k := range t.src {
 		t.src[k] = n

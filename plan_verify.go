@@ -1,6 +1,8 @@
 package simdram
 
 import (
+	"slices"
+
 	"simdram/internal/isa"
 	"simdram/internal/verify"
 )
@@ -15,28 +17,23 @@ import (
 // will execute with; passing it (rather than nil) makes the verifier
 // cross-check the exact edges the batched engine uses.
 func (s *System) verifyOptions(prog isa.Program, deps [][]int, defined map[uint16]bool) verify.Options {
-	objects := make(map[uint16]verify.Object)
-	add := func(h uint16) {
-		if _, seen := objects[h]; seen {
-			return
-		}
+	handles := programHandles(prog)
+	objects := make(map[uint16]verify.Object, len(handles))
+	for _, h := range handles {
 		v, ok := s.objects[h]
 		if !ok || v.freed {
-			return
+			continue
 		}
 		def := true
 		if defined != nil {
 			def = defined[h]
 		}
-		obj := verify.Object{Width: v.width, Defined: def}
-		for _, seg := range v.segs {
-			obj.Extents = append(obj.Extents, verify.Extent{
-				Bank: seg.bank, Sub: seg.sub, Row: seg.baseRow, Rows: v.width,
-			})
+		obj := verify.Object{Width: v.width, Defined: def, Extents: make([]verify.Extent, len(v.segs))}
+		for i, seg := range v.segs {
+			obj.Extents[i] = verify.Extent{Bank: seg.bank, Sub: seg.sub, Row: seg.baseRow, Rows: v.width}
 		}
 		objects[h] = obj
 	}
-	forEachHandle(prog, add)
 	return verify.Options{
 		Objects:  objects,
 		DataRows: s.cfg.DRAM.DataRows(),
@@ -88,21 +85,19 @@ func (c *Cluster) verifyLowered(lw *lowered) error {
 	if !c.verifyPlans || len(lw.prog) == 0 {
 		return nil
 	}
-	objects := make(map[uint16]verify.Object)
-	forEachHandle(lw.prog, func(h uint16) {
-		if _, seen := objects[h]; seen {
-			return
-		}
+	handles := programHandles(lw.prog)
+	objects := make(map[uint16]verify.Object, len(handles))
+	for _, h := range handles {
 		v, ok := c.objects[h]
 		if !ok || v.freed {
-			return
+			continue
 		}
 		def := true
 		if lw.defined != nil {
 			def = lw.defined[h]
 		}
 		objects[h] = verify.Object{Width: v.width, Defined: def}
-	})
+	}
 	if err := verify.Program(lw.prog, verify.Options{Objects: objects}); err != nil {
 		return err
 	}
@@ -110,19 +105,19 @@ func (c *Cluster) verifyLowered(lw *lowered) error {
 	return nil
 }
 
-// forEachHandle calls fn with every object handle a program
-// references: the announced object for bbop_trsp_init, the
+// programHandles returns the distinct object handles a program
+// references, ascending: the announced object for bbop_trsp_init, the
 // destination and all three source slots for operations (unused
 // slots hold handle 0, which never names a live object).
-func forEachHandle(prog isa.Program, fn func(uint16)) {
+func programHandles(prog isa.Program) []uint16 {
+	hs := make([]uint16, 0, 4*len(prog))
 	for _, in := range prog {
 		if in.Op == isa.OpTrspInit {
-			fn(in.Src[0])
+			hs = append(hs, in.Src[0])
 			continue
 		}
-		fn(in.Dst)
-		for _, h := range in.Src {
-			fn(h)
-		}
+		hs = append(hs, in.Dst, in.Src[0], in.Src[1], in.Src[2])
 	}
+	slices.Sort(hs)
+	return slices.Compact(hs)
 }

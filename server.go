@@ -374,24 +374,33 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 			return nil, err
 		}
 	}
-	// Best-effort pricing: a malformed expression (e.g. element-count
-	// mismatch) keeps its contract of failing the future at run time —
-	// it is admitted unpriced and rejected by the compiler as before.
-	modeled, _ := s.estimateModeledNs(exprs)
-	tenant := spec.Tenant
-	s.noteTier(spec)
+	// A sampled job carries a trace whose root "job" span opens here,
+	// before admission pricing, which the "admit" span covers; the
+	// queue span closes when a worker picks the job up, so its duration
+	// is the admission-to-dispatch wait (sched's QueueNs measured from
+	// the trace's own clock). A job rejected at admission or canceled
+	// while still queued never reaches the worker, so its unfinished
+	// trace is dropped rather than recorded; a cancellation still lands
+	// in the event ring below.
 	res := &JobResult{}
-	// A sampled job carries a trace whose root "job" span opened here at
-	// admission; the queue span closes when a worker picks the job up,
-	// so its duration is the admission-to-dispatch wait (sched's QueueNs
-	// measured from the trace's own clock). A job canceled while still
-	// queued never reaches the worker, so its unfinished trace is
-	// dropped rather than recorded; the cancellation still lands in the
-	// event ring below.
 	tr := s.tracer.Start()
 	if tr != nil {
 		res.TraceID = tr.ID
 	}
+	// The job's IR graph and plan-cache key are built once, here: they
+	// price the job, and the worker compiles from them. Pricing is
+	// best-effort: a malformed expression (e.g. element-count mismatch)
+	// keeps its contract of failing the future at run time — it is
+	// admitted unpriced and fails with the compiler's error.
+	aspan := tr.Begin("admit", 0)
+	env, envErr := buildEnv(s.cl.Channel(0), nil, CompileOptions{}, exprs)
+	var modeled float64
+	if envErr == nil {
+		modeled = s.estimateModeledNs(env)
+	}
+	tr.End(aspan)
+	tenant := spec.Tenant
+	s.noteTier(spec)
 	qspan := tr.Begin("queue", 0)
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
 		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight,
@@ -400,7 +409,10 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 		tr.End(qspan)
 		at := s.dev.attrFor(worker)
 		runStart := time.Now()
-		err := s.runLazy(s.cl.Channel(worker), worker, cancel, exprs, res, tr, at)
+		err := envErr
+		if err == nil {
+			err = s.runLazy(s.cl.Channel(worker), worker, cancel, env, exprs, res, tr, at)
+		}
 		if err == nil {
 			// Feed the executed batch's modeled DRAM time back into the
 			// scheduler's per-tenant accounting, and bill the device
@@ -496,8 +508,8 @@ func (s *Server) Submit(ctx context.Context, tenant string, fn func(sys *System,
 	return s.SubmitFn(ctx, JobSpec{Tenant: tenant}, fn)
 }
 
-// estimateModeledNs prices a lazy submission before it is queued: the
-// expression graph is built (no passes run), and its canonical key
+// estimateModeledNs prices a lazy submission before it is queued from
+// its freshly built IR graph (no passes run): the graph's canonical key
 // probes the plan cache without perturbing hit-rate or recency
 // (PlanCache.Peek). A hit prices the job at the cached plan's
 // scheduled makespan — exact for the plan that will actually run; a
@@ -505,26 +517,21 @@ func (s *Server) Submit(ctx context.Context, tenant string, fn func(sys *System,
 // program order under the static cost model. Either way the cost
 // model is upgraded to observed per-op latencies once the shape's
 // profile has enough jobs (ProfileStore.ScheduleCost).
-func (s *Server) estimateModeledNs(exprs []*Expr) (float64, error) {
-	sys := s.cl.Channel(0)
-	env, err := buildEnv(sys, nil, exprs)
-	if err != nil {
-		return 0, err
-	}
-	key := optsKey(CompileOptions{}) + env.g.CanonicalKey()
-	cfg := planCfg(sys, nil)
+func (s *Server) estimateModeledNs(env *compileEnv) float64 {
+	key := env.key
+	cfg := planCfg(env.sys, nil)
 	plan := s.plans.Peek(key)
 	if plan != nil {
 		s.estMu.Lock()
 		if e, ok := s.estCache[key]; ok && e.plan == plan {
 			s.estMu.Unlock()
-			return e.ns, nil
+			return e.ns
 		}
 		s.estMu.Unlock()
 	}
 	cost := s.profiles.ScheduleCost(key, modelCost(cfg))
 	if plan == nil {
-		return env.g.EstimateMakespanNs(env.g.ProgramOrder(), cost, cfg.DRAM.Banks), nil
+		return env.g.EstimateMakespanNs(env.g.ProgramOrder(), cost, cfg.DRAM.Banks)
 	}
 	ns := plan.Graph.EstimateMakespanNs(plan.Sched, cost, cfg.DRAM.Banks)
 	s.estMu.Lock()
@@ -533,7 +540,7 @@ func (s *Server) estimateModeledNs(exprs []*Expr) (float64, error) {
 	}
 	s.estCache[key] = estEntry{plan: plan, ns: ns}
 	s.estMu.Unlock()
-	return ns, nil
+	return ns
 }
 
 // estEntry is one memoized admission price (see Server.estCache).
@@ -606,20 +613,18 @@ func checkServable(e *Expr, seen map[*Expr]bool) error {
 	return nil
 }
 
-// runLazy is the per-job serving pipeline on one channel: plan (cache
-// hit, cold compile, or profile-guided recompile), bind payloads,
-// execute with preemptive cancellation, fold the measured per-op
-// latencies into the shape's profile, load every root, release
-// everything. tr (nil when the job is unsampled) receives the
-// pipeline's span tree: compile{cache-lookup[, schedule], lower} →
-// prepare{resolve} → execute[worker]{run} → gather.
-func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, exprs []*Expr, res *JobResult, tr *obs.Trace, at *ctrl.Attribution) error {
+// runLazy is the per-job serving pipeline on one channel: plan the
+// IR graph admission built (cache hit, cold compile, or
+// profile-guided recompile), bind payloads, execute with preemptive
+// cancellation, fold the measured per-op latencies into the shape's
+// profile, load every root, release everything. tr (nil when the job
+// is unsampled) receives the pipeline's span tree:
+// compile{cache-lookup[, schedule], lower} → prepare{resolve} →
+// execute[worker]{run} → gather.
+func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace, at *ctrl.Attribution) error {
 	cspan := tr.Begin("compile", 0)
-	env, plan, cst, err := planExprs(sys, nil, CompileOptions{}, exprs, s.plans, s.profiles, tr, cspan)
-	if err != nil {
-		tr.End(cspan)
-		return err
-	}
+	env.sys = sys
+	plan, cst := planExprs(env, s.plans, s.profiles, tr, cspan)
 	res.Compile = cst
 	if cst.Recompiled {
 		s.rec.Eventf("recompile", "profile-guided recompile after %d jobs (key %.24q…)", cst.ProfileJobs, env.key)

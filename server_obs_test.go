@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // obsServer is a testServer with full trace sampling.
@@ -73,7 +75,7 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 		if len(jt.Spans) == 0 || jt.Spans[0].Name != "job" || jt.Spans[0].Parent != -1 {
 			t.Fatalf("trace %d: bad root: %+v", jt.ID, jt.Spans)
 		}
-		for _, name := range []string{"queue", "compile", "cache-lookup", "lower", "prepare", "resolve", "execute", "run", "gather"} {
+		for _, name := range []string{"admit", "queue", "compile", "cache-lookup", "lower", "prepare", "resolve", "execute", "run", "gather"} {
 			sp := spanByName(jt, name)
 			if sp == nil {
 				t.Fatalf("trace %d: missing span %q (have %+v)", jt.ID, name, jt.Spans)
@@ -89,6 +91,11 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 				t.Fatalf("trace %d: span %q [%d,%d] outside parent %q [%d,%d]",
 					jt.ID, name, sp.StartNs, sp.EndNs, par.Name, par.StartNs, par.EndNs)
 			}
+		}
+		// Admission pricing (the IR build) is a child of the job span
+		// that ends before the job is queued.
+		if ad, q := spanByName(jt, "admit"), spanByName(jt, "queue"); ad.Parent != 0 || ad.EndNs > q.StartNs {
+			t.Fatalf("trace %d: admit span %+v must be a child of job that ends before queue %+v", jt.ID, ad, q)
 		}
 		// Channel-bound stages carry the channel that ran the job.
 		ex := spanByName(jt, "execute")
@@ -150,6 +157,40 @@ func TestServerSpanDurationsMatchLatencySplit(t *testing.T) {
 	}
 	if sum < total-slack {
 		t.Fatalf("span sum %dns covers too little of job latency %dns (-slack %d)", sum, total, slack)
+	}
+}
+
+// TestServerAdmissionTracing checks the admission edge of tracing: a
+// submission rejected at admission records no trace, even though its
+// trace opened before pricing, and a malformed job — admitted
+// unpriced — fails its future with the compiler's error.
+func TestServerAdmissionTracing(t *testing.T) {
+	srv := obsServer(t, 1, nil)
+	rng := rand.New(rand.NewSource(3))
+	e := Input(randData(rng, 64, 8), 8).Add(Scalar(1, 8))
+	_, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1", Deadline: time.Now().Add(time.Nanosecond)}, e)
+	if !errors.Is(err, ErrDeadlineInfeasible) {
+		t.Fatalf("1ns deadline: %v, want ErrDeadlineInfeasible", err)
+	}
+	if got := srv.Traces(); len(got) != 0 {
+		t.Fatalf("a rejected submission recorded %d traces", len(got))
+	}
+
+	bad := Input(randData(rng, 64, 8), 8).Add(Input(randData(rng, 32, 8), 8))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, bad)
+	if err != nil {
+		t.Fatalf("a malformed job must be admitted unpriced: %v", err)
+	}
+	if fut.res.Admission.ModeledNs != 0 {
+		t.Fatalf("malformed job priced at %vns", fut.res.Admission.ModeledNs)
+	}
+	_, err = fut.Wait()
+	if err == nil || !strings.Contains(err.Error(), "data leaf has 32 elements, expression has 64") {
+		t.Fatalf("malformed job: %v, want the compiler's element-count error", err)
+	}
+	traces := srv.Traces()
+	if len(traces) != 1 || traces[0].Err == "" || spanByName(traces[0], "admit") == nil {
+		t.Fatalf("the failed job must record one errored trace with an admit span: %+v", traces)
 	}
 }
 
