@@ -9,38 +9,10 @@ import (
 	"simdram/internal/obs"
 )
 
-// BatchStats describes the cost of an ExecBatch call. It mirrors
-// ctrl.BatchStats the way Stats mirrors ctrl.ExecStats — the facade
-// keeps internal types out of the public surface; keep the fields in
-// sync.
-type BatchStats struct {
-	Instructions int64
-	Commands     int64
-	// BusyNs is the serial-equivalent latency: what issuing the same
-	// program through Exec one instruction at a time would accumulate.
-	BusyNs float64
-	// CriticalPathNs is the overlap-aware latency: instructions whose
-	// segments share a bank serialize, bank-disjoint instructions
-	// overlap, and the batch completes when the last bank goes idle.
-	CriticalPathNs float64
-	EnergyPJ       float64
-}
-
-// Speedup returns the modeled gain of batched over serial issue:
-// BusyNs / CriticalPathNs. A zero critical path makes the ratio
-// undefined; an all-zero batch (nothing executed) reports 1 — no work,
-// no gain — while a zero path with nonzero busy time reports 0, so
-// inconsistent stats surface as an impossible speedup instead of
-// masquerading as neutral.
-func (s BatchStats) Speedup() float64 {
-	if s.CriticalPathNs == 0 {
-		if s.BusyNs == 0 {
-			return 1
-		}
-		return 0
-	}
-	return s.BusyNs / s.CriticalPathNs
-}
+// BatchStats describes the cost of an ExecBatch call: instruction and
+// command counts, the serial-equivalent BusyNs, the overlap-aware
+// CriticalPathNs, and energy.
+type BatchStats = ctrl.BatchStats
 
 // ExecBatch executes a program of bbop instructions as one batch. The
 // ISA layer extracts the data-hazard graph (read-after-write,
@@ -73,20 +45,7 @@ func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 	if err != nil {
 		return BatchStats{}, err
 	}
-	return toBatchStats(st), nil
-}
-
-// toBatchStats converts the control unit's stats to the public mirror
-// — the single conversion point the "keep the fields in sync" contract
-// (and its reflection test) protects.
-func toBatchStats(st ctrl.BatchStats) BatchStats {
-	return BatchStats{
-		Instructions:   st.Instructions,
-		Commands:       st.Commands,
-		BusyNs:         st.BusyNs,
-		CriticalPathNs: st.CriticalPathNs,
-		EnergyPJ:       st.EnergyPJ,
-	}
+	return st, nil
 }
 
 // preparedProgram is a bbop program bound once for repeated execution:

@@ -360,3 +360,28 @@ func TestExecBatchConcurrentCallers(t *testing.T) {
 		t.Errorf("system counted %d commands, the calls returned %d", got, want)
 	}
 }
+
+// TestSpeedupZeroPath pins the explicit zero-critical-path convention
+// shared by both stats types: an all-zero batch is neutral (1), while
+// BusyNs > 0 with a zero path is inconsistent and reports 0.
+func TestSpeedupZeroPath(t *testing.T) {
+	cases := []struct {
+		name           string
+		busy, critical float64
+		want           float64
+	}{
+		{"empty batch", 0, 0, 1},
+		{"inconsistent", 100, 0, 0},
+		{"normal", 100, 25, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := (simdram.BatchStats{BusyNs: tc.busy, CriticalPathNs: tc.critical}).Speedup(); got != tc.want {
+				t.Errorf("BatchStats.Speedup() = %v, want %v", got, tc.want)
+			}
+			if got := (simdram.ClusterBatchStats{BusyNs: tc.busy, CriticalPathNs: tc.critical}).Speedup(); got != tc.want {
+				t.Errorf("ClusterBatchStats.Speedup() = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

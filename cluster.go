@@ -384,61 +384,10 @@ func (v *ShardedVector) spanChannels() []int {
 	return chs
 }
 
-// ClusterBatchStats describes the cost of a Cluster.ExecBatch call. It
-// mirrors the internal cluster stats the way BatchStats mirrors
-// ctrl.BatchStats; keep the fields in sync.
-type ClusterBatchStats struct {
-	Instructions int64
-	Commands     int64
-	// BusyNs is the aggregate fabric work: the summed serial-equivalent
-	// time of every channel's own sub-batch. It is NOT the cost of one
-	// System holding all the shards — a single channel overlaps a
-	// multi-segment instruction across its banks, so that baseline can
-	// only be measured by actually running the merged workload on one
-	// System (cmd/simdram-bench -cluster does, and the
-	// BenchmarkClusterExecBatch / BenchmarkClusterSingleSystem pair
-	// reports both sides).
-	BusyNs float64
-	// CriticalPathNs is the cluster makespan: channels run concurrently,
-	// so it is the maximum of the per-channel critical paths, not their
-	// sum.
-	CriticalPathNs float64
-	// EnergyPJ is additive across channels: concurrency saves time, not
-	// energy.
-	EnergyPJ float64
-	// ChannelUtilization[i] is channel i's critical path as a fraction
-	// of the cluster makespan — 1.0 bounds the batch, 0 means idle.
-	ChannelUtilization []float64
-	// ChannelEnergyPJ[i] is channel i's share of EnergyPJ (entries sum
-	// to it): the per-channel energy skew of the batch.
-	ChannelEnergyPJ []float64
-}
-
-// Speedup returns the fabric-overlap factor: aggregate work divided by
-// the cluster makespan, composing bank overlap inside each channel
-// with channel overlap across the cluster. It is an upper bound on the
-// gain over one System actually holding all the data (which also
-// overlaps each instruction's segments across its banks); use the
-// measured single-System baseline for that comparison.
-//
-// A zero critical path makes the ratio undefined; an all-zero batch
-// reports 1 (no work, no gain) and a zero path with nonzero busy time
-// reports 0, the same convention as BatchStats.Speedup.
-func (s ClusterBatchStats) Speedup() float64 {
-	if s.CriticalPathNs == 0 {
-		if s.BusyNs == 0 {
-			return 1
-		}
-		return 0
-	}
-	return s.BusyNs / s.CriticalPathNs
-}
-
-// UtilizationSkew returns the utilization spread (max−min) across
-// channels: 0 is a perfectly balanced shard.
-func (s ClusterBatchStats) UtilizationSkew() float64 {
-	return cluster.Skew(s.ChannelUtilization)
-}
+// ClusterBatchStats describes the cost of a Cluster.ExecBatch call:
+// BatchStats summed across channels, the cluster makespan as the
+// critical path, and per-channel utilization and energy.
+type ClusterBatchStats = cluster.BatchStats
 
 // ExecBatch executes a program of bbop instructions — written against
 // cluster-wide object handles — across every channel: the program is
@@ -666,7 +615,7 @@ func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, 
 		c.energy[ch].Add(sp.perCh[ch].EnergyPJ)
 		c.commands[ch].Add(uint64(sp.perCh[ch].Commands))
 	}
-	m := cluster.Merge(sp.perCh)
+	st := cluster.Merge(sp.perCh)
 	// Per-op attribution: the instruction's latency is its slowest
 	// shard. Only attributable when every participating channel ran the
 	// full program (a dropped zero-sized shard would shift indices).
@@ -684,15 +633,7 @@ func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, 
 			}
 		}
 	}
-	return ClusterBatchStats{
-		Instructions:       m.Instructions,
-		Commands:           m.Commands,
-		BusyNs:             m.BusyNs,
-		CriticalPathNs:     m.CriticalPathNs,
-		EnergyPJ:           m.EnergyPJ,
-		ChannelUtilization: m.ChannelUtilization,
-		ChannelEnergyPJ:    m.ChannelEnergyPJ,
-	}, opNs, nil
+	return st, opNs, nil
 }
 
 // Run executes the named operation across the cluster: dst[i] =

@@ -271,7 +271,7 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 	// (Induced after the trace audits: raw jobs have their own span
 	// structure.)
 	for i := 0; i < 3; i++ {
-		fut, err := srv.Submit(context.Background(), "slowpoke", func(sys *simdram.System, cancel <-chan struct{}) error {
+		fut, err := srv.SubmitFn(context.Background(), simdram.JobSpec{Tenant: "slowpoke"}, func(sys *simdram.System, cancel <-chan struct{}) error {
 			time.Sleep(4 * time.Duration(slowpokeTargetNs))
 			return nil
 		})

@@ -877,69 +877,26 @@ func leafDataOf(env *compileEnv) func(graph.NodeID) ([]uint64, bool) {
 	}
 }
 
-// PlanCacheStats reports the System's compiled-plan cache counters. A
-// disabled cache reports the zero value (no counter churn, no policy).
-type PlanCacheStats struct {
-	Hits, Misses, Evicted uint64
-	// EvictedHot counts evicted plans that had been hit at least once —
-	// warm shapes lost to capacity pressure. The cost-LRU policy keeps
-	// this low under cold-shape churn; a rising value means the cache
-	// is genuinely too small for the live shape population.
-	EvictedHot uint64
-	// Coalesced counts lookups that waited for a concurrent compile of
-	// the same shape instead of compiling their own plan.
-	Coalesced      uint64
-	Size, Capacity int
-	// Policy names the eviction policy ("cost-lru"; empty when caching
-	// is disabled).
-	Policy string
-}
-
-// HitRate returns hits / lookups, or 0 before the first lookup.
-func (s PlanCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-func cacheStats(c *graph.PlanCache) PlanCacheStats {
-	st := c.Stats()
-	return PlanCacheStats{
-		Hits: st.Hits, Misses: st.Misses,
-		Evicted: st.Evicted, EvictedHot: st.EvictedHot, Coalesced: st.Coalesced,
-		Size: st.Size, Capacity: st.Capacity, Policy: st.Policy,
-	}
-}
+// PlanCacheStats reports a compiled-plan cache's counters: hits,
+// misses, evictions (EvictedHot counts warm plans lost to capacity
+// pressure), coalesced compiles, occupancy, and the eviction policy. A
+// disabled cache reports the zero value.
+type PlanCacheStats = graph.CacheStats
 
 // PlanCacheStats reports the hit/miss counters of the System's
 // compiled-plan cache, which Compile/CompileWith/Materialize consult.
-func (s *System) PlanCacheStats() PlanCacheStats { return cacheStats(s.plans) }
+func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
 
-// ProfileStats reports a profile store's aggregation counters.
-type ProfileStats struct {
-	// Shapes is the number of request shapes with at least one recorded
-	// execution.
-	Shapes int
-	// Jobs is the total executed jobs folded into profiles.
-	Jobs uint64
-	// Recompiles counts profile-guided plan rebuilds: shapes whose
-	// measured per-op latencies diverged from the static cost model far
-	// enough that the plan was re-scheduled with observed costs.
-	Recompiles uint64
-}
-
-func profileStats(p *graph.ProfileStore) ProfileStats {
-	st := p.Stats()
-	return ProfileStats{Shapes: st.Shapes, Jobs: st.Jobs, Recompiles: st.Recompiles}
-}
+// ProfileStats reports a profile store's aggregation counters: profiled
+// shapes, executed jobs folded into profiles, and profile-guided
+// recompiles.
+type ProfileStats = graph.ProfileStats
 
 // ProfileStats reports the System's shape-profile counters: executed
 // Materialize/Execute batches fold their measured per-op latencies
 // into per-shape profiles, and divergent shapes are recompiled with
 // observed costs on their next Compile.
-func (s *System) ProfileStats() ProfileStats { return profileStats(s.profiles) }
+func (s *System) ProfileStats() ProfileStats { return s.profiles.Stats() }
 
 // Materialize compiles and executes the expressions as one batch,
 // releasing every temporary afterwards. Each expression's value is then
@@ -997,7 +954,7 @@ func (cp *Compiled) Execute() (BatchStats, error) {
 		return BatchStats{}, err
 	}
 	cp.fb.record(opNs)
-	return toBatchStats(st), nil
+	return st, nil
 }
 
 // Free releases the compiler-allocated temporaries and constant splats.

@@ -92,13 +92,13 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 
 // PlanCacheStats reports the hit/miss counters of the Cluster's
 // compiled-plan cache, which Compile/CompileWith/Materialize consult.
-func (c *Cluster) PlanCacheStats() PlanCacheStats { return cacheStats(c.plans) }
+func (c *Cluster) PlanCacheStats() PlanCacheStats { return c.plans.Stats() }
 
 // ProfileStats reports the Cluster's shape-profile counters: executed
 // Materialize/Execute batches fold their measured per-op latencies
 // into per-shape profiles, and divergent shapes are recompiled with
 // observed costs on their next Compile.
-func (c *Cluster) ProfileStats() ProfileStats { return profileStats(c.profiles) }
+func (c *Cluster) ProfileStats() ProfileStats { return c.profiles.Stats() }
 
 // Materialize compiles and executes the expressions as one batch fanned
 // across every channel, releasing every temporary afterwards. Each

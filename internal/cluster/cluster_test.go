@@ -150,8 +150,8 @@ func TestMergeStats(t *testing.T) {
 			t.Errorf("utilization[%d] = %f, want %f", i, u, wantUtil[i])
 		}
 	}
-	if m.Skew() != 1 {
-		t.Errorf("skew = %f, want 1 (one idle channel)", m.Skew())
+	if m.UtilizationSkew() != 1 {
+		t.Errorf("skew = %f, want 1 (one idle channel)", m.UtilizationSkew())
 	}
 	if m.Speedup() != 2 {
 		t.Errorf("speedup = %f, want 2", m.Speedup())

@@ -9,17 +9,22 @@ import "simdram/internal/ctrl"
 type BatchStats struct {
 	Instructions int64
 	Commands     int64
-	// BusyNs is the aggregate fabric work: the sum of every channel's
-	// own serial-equivalent time. It is not the cost of one channel
-	// holding all the shards — a single channel overlaps a
-	// multi-segment instruction across its banks — so the honest
-	// single-channel baseline is measured by running the merged
-	// workload on one System, not derived from this sum.
+	// BusyNs is the aggregate fabric work: the summed serial-equivalent
+	// time of every channel's own sub-batch. It is not the cost of one
+	// channel holding all the shards — a single channel overlaps a
+	// multi-segment instruction across its banks, so that baseline can
+	// only be measured by running the merged workload on one System
+	// (cmd/simdram-bench -cluster does, and the
+	// BenchmarkClusterExecBatch / BenchmarkClusterSingleSystem pair
+	// reports both sides).
 	BusyNs float64
-	// CriticalPathNs is the cluster makespan: the maximum over channels
-	// of the per-channel overlap-aware critical path.
+	// CriticalPathNs is the cluster makespan: channels run concurrently,
+	// so it is the maximum of the per-channel critical paths, not their
+	// sum.
 	CriticalPathNs float64
-	EnergyPJ       float64
+	// EnergyPJ is additive across channels: concurrency saves time, not
+	// energy.
+	EnergyPJ float64
 	// ChannelUtilization[i] is channel i's critical path as a fraction
 	// of the cluster makespan — 1.0 for the channel that bounds the
 	// batch, lower for channels that finished early, 0 for idle ones.
@@ -59,20 +64,30 @@ func Merge(per []ctrl.BatchStats) BatchStats {
 	return out
 }
 
-// Speedup returns the fabric-overlap factor (aggregate work over the
-// makespan) — an upper bound on the gain over one System holding all
-// the data; see BusyNs for why the true baseline must be measured.
+// Speedup returns the fabric-overlap factor: aggregate work divided by
+// the cluster makespan, composing bank overlap inside each channel
+// with channel overlap across the cluster. It is an upper bound on the
+// gain over one System actually holding all the data (which also
+// overlaps each instruction's segments across its banks); use the
+// measured single-System baseline for that comparison.
+//
+// A zero critical path makes the ratio undefined; an all-zero batch
+// reports 1 (no work, no gain) and a zero path with nonzero busy time
+// reports 0, the same convention as ctrl.BatchStats.Speedup.
 func (s BatchStats) Speedup() float64 {
 	if s.CriticalPathNs == 0 {
-		return 1
+		if s.BusyNs == 0 {
+			return 1
+		}
+		return 0
 	}
 	return s.BusyNs / s.CriticalPathNs
 }
 
-// Skew returns the utilization spread max−min over channels: 0 means a
-// perfectly balanced shard, values near 1 mean some channels idled
-// while the slowest bounded the batch.
-func (s BatchStats) Skew() float64 { return Skew(s.ChannelUtilization) }
+// UtilizationSkew returns the utilization spread max−min over
+// channels: 0 means a perfectly balanced shard, values near 1 mean
+// some channels idled while the slowest bounded the batch.
+func (s BatchStats) UtilizationSkew() float64 { return Skew(s.ChannelUtilization) }
 
 // Skew is the max−min spread of a utilization vector.
 func Skew(utilization []float64) float64 {

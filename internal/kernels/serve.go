@@ -38,7 +38,7 @@ func BrightnessExpr(pixels []uint64, delta int) *simdram.Expr {
 // layer and returns the adjusted pixels plus the job's result record
 // (modeled batch cost, cache hit, latency split).
 func BrightnessServer(ctx context.Context, srv *simdram.Server, tenant string, img workload.Image, delta int) ([]uint64, *simdram.JobResult, error) {
-	fut, err := srv.SubmitLazy(ctx, tenant, BrightnessExpr(img.Pixels, delta))
+	fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: tenant}, BrightnessExpr(img.Pixels, delta))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -59,7 +59,7 @@ func BitWeavingLtExpr(codes []uint64, c uint64, bitsWidth int) *simdram.Expr {
 // popcounting the returned 1-bit result vector host-side like a scan
 // consumer would.
 func BitWeavingLtServer(ctx context.Context, srv *simdram.Server, tenant string, codes []uint64, c uint64, bitsWidth int) (int, *simdram.JobResult, error) {
-	fut, err := srv.SubmitLazy(ctx, tenant, BitWeavingLtExpr(codes, c, bitsWidth))
+	fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: tenant}, BitWeavingLtExpr(codes, c, bitsWidth))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -102,7 +102,7 @@ func TPCHQ6Expr(t workload.LineItem, p TPCHQ6Params) *simdram.Expr {
 // and the selected revenue in DRAM, the scalar sum as a host-side fold
 // over the loaded revenue column.
 func TPCHQ6Server(ctx context.Context, srv *simdram.Server, tenant string, t workload.LineItem, p TPCHQ6Params) (uint64, *simdram.JobResult, error) {
-	fut, err := srv.SubmitLazy(ctx, tenant, TPCHQ6Expr(t, p))
+	fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: tenant}, TPCHQ6Expr(t, p))
 	if err != nil {
 		return 0, nil, err
 	}

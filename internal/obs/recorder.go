@@ -7,7 +7,9 @@ import (
 )
 
 // Event is one notable incident retained by the flight recorder: a job
-// error, a plan-cache eviction, a profile-guided recompile.
+// error, a plan-cache eviction, a profile-guided recompile. The
+// facade's ObsEvent is an alias, so the JSON tags are the
+// /debug/simdram wire keys.
 type Event struct {
 	// AtUnixNs is the wall-clock time the event was recorded.
 	AtUnixNs int64 `json:"at_unix_ns"`

@@ -10,19 +10,21 @@ import (
 // Parent (an index into the trace's span slice; the root "job" span is
 // index 0 with Parent -1). Times are nanoseconds relative to the
 // trace's start, so a span tree is self-contained and cheap to ship.
+// The facade's TraceSpan is an alias, so the JSON tags are the
+// /debug/simdram wire keys.
 type Span struct {
 	// Name is the stage label ("queue", "compile", "run", ...).
-	Name string
+	Name string `json:"name"`
 	// Parent is the index of the enclosing span, -1 for the root.
-	Parent int
+	Parent int `json:"parent"`
 	// Channel is the hardware channel the span ran on, -1 when the
 	// stage is not channel-bound.
-	Channel int
+	Channel int `json:"channel"`
 	// StartNs/EndNs are offsets from the trace start. EndNs is 0 while
 	// the span is open (the root span starts at 0, so a completed
 	// non-root span always has EndNs > 0).
-	StartNs int64
-	EndNs   int64
+	StartNs int64 `json:"start_ns"`
+	EndNs   int64 `json:"end_ns"`
 }
 
 // DurNs returns the span's duration (0 while still open).

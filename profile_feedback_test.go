@@ -190,7 +190,7 @@ func TestServerProfileFeedback(t *testing.T) {
 	recompiles := 0
 	const jobs = DefaultProfileMinJobs + 3
 	for i := 0; i < jobs; i++ {
-		fut, err := srv.SubmitLazy(context.Background(), "tenant-a", profileShape(data))
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "tenant-a"}, profileShape(data))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,11 +11,10 @@ import (
 	"simdram/internal/sched"
 )
 
-// Admission errors a Server surfaces from SubmitJob/SubmitFn (and the
-// legacy Submit/SubmitLazy wrappers). All are immediate rejections —
-// the job was never queued — and arrive wrapped in an *AdmissionError
-// carrying the reason, tier, and admission-time estimate; errors.Is
-// against these sentinels keeps working unchanged.
+// Admission errors a Server surfaces from SubmitJob/SubmitFn. All are
+// immediate rejections — the job was never queued — and arrive wrapped
+// in an *AdmissionError carrying the reason, tier, and admission-time
+// estimate; errors.Is against these sentinels keeps working unchanged.
 var (
 	// ErrQueueFull reports that the server's bounded job queue is at
 	// capacity (or that a tier's MaxQueueNs backlog bound shed the
@@ -128,7 +127,7 @@ func DefaultServerConfig(n int) ServerConfig {
 //	srv, _ := simdram.NewServer(simdram.DefaultServerConfig(4))
 //	defer srv.Close()
 //	e := simdram.Input(pixels, 16).Add(simdram.Scalar(20, 16))
-//	fut, _ := srv.SubmitLazy(ctx, "tenant-a", e)
+//	fut, _ := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: "tenant-a"}, e)
 //	res, _ := fut.Wait()   // res.Values[0] holds the result elements
 //
 // Submitted expressions must be self-contained (Input and Scalar
@@ -267,8 +266,8 @@ func (s *Server) Close() {
 
 // JobSpec carries a submission's QoS intent: who is submitting, under
 // which declared tier, with what optional deadline and weight
-// override. The zero value plus Tenant reproduces the legacy
-// Submit/SubmitLazy behavior (default tier, no deadline).
+// override. The zero value plus Tenant submits under the default tier
+// with no deadline.
 type JobSpec struct {
 	// Tenant identifies the submitter for fairness, quota, quantiles,
 	// and billing.
@@ -300,7 +299,7 @@ type AdmissionEstimate struct {
 // JobResult is what a completed lazy job produced.
 type JobResult struct {
 	// Values holds one loaded result slice per submitted root
-	// expression, in submission order. Nil for raw Submit jobs.
+	// expression, in submission order. Nil for SubmitFn jobs.
 	Values [][]uint64
 	// Batch is the modeled cost of the executed batch (zero if the
 	// whole job folded away).
@@ -433,15 +432,6 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	return &Future{t: t, res: res}, nil
 }
 
-// SubmitLazy enqueues the expressions as one job for the tenant under
-// the default tier with no deadline.
-//
-// Deprecated: use SubmitJob with a JobSpec — this wrapper builds
-// JobSpec{Tenant: tenant} and is retained for compatibility.
-func (s *Server) SubmitLazy(ctx context.Context, tenant string, exprs ...*Expr) (*Future, error) {
-	return s.SubmitJob(ctx, JobSpec{Tenant: tenant}, exprs...)
-}
-
 // SubmitFn enqueues a raw job under the spec's QoS intent: fn runs
 // with exclusive use of one channel's System and the scheduler's
 // cancellation signal (closed when ctx expires). It is the escape
@@ -497,15 +487,6 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 	}
 	res.Admission = AdmissionEstimate{EstimatedWaitNs: t.EstimatedWaitNs(), ModeledNs: t.ModeledNs()}
 	return &Future{t: t, res: res}, nil
-}
-
-// Submit enqueues a raw job for the tenant under the default tier
-// with no deadline.
-//
-// Deprecated: use SubmitFn with a JobSpec — this wrapper builds
-// JobSpec{Tenant: tenant} and is retained for compatibility.
-func (s *Server) Submit(ctx context.Context, tenant string, fn func(sys *System, cancel <-chan struct{}) error) (*Future, error) {
-	return s.SubmitFn(ctx, JobSpec{Tenant: tenant}, fn)
 }
 
 // estimateModeledNs prices a lazy submission before it is queued from
@@ -668,7 +649,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 			return err
 		}
 		s.profiles.Record(env.key, plan, opNs, modelCost(sys.cfg))
-		res.Batch = toBatchStats(st)
+		res.Batch = st
 	}
 	gspan := tr.Begin("gather", 0)
 	res.Values = make([][]uint64, len(lw.results))
@@ -780,8 +761,8 @@ func (s *Server) Stats() ServerStats {
 		QueueDepth: ss.Queued, Running: ss.Running,
 		Submitted: ss.Submitted, Completed: ss.Completed, Failed: ss.Failed,
 		Rejected: ss.Rejected, Canceled: ss.Canceled,
-		Cache:   cacheStats(s.plans),
-		Profile: profileStats(s.profiles),
+		Cache:   s.plans.Stats(),
+		Profile: s.profiles.Stats(),
 		Tenants: make(map[string]TenantServerStats, len(ss.Tenants)),
 		Tiers:   make(map[string]TierServerStats, len(ss.Tiers)),
 		Rates:   s.dev.rates(s.nowNs(), ss.Completed, ss.Rejected),

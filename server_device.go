@@ -293,7 +293,7 @@ func (d *deviceTelemetry) observeJob(tenant string, worker int, at *ctrl.Attribu
 	b.energyPJ.Add(energy)
 }
 
-// observeRaw folds a raw Submit job's execution-stats delta into the
+// observeRaw folds a raw SubmitFn job's execution-stats delta into the
 // channel and tenant series. Raw jobs have no per-bank breakdown — the
 // unit's aggregate stats are the finest attribution available — so
 // they bill at channel granularity.

@@ -37,7 +37,7 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 			tenant = "bob"
 		}
 		a, b := randData(rng, 96, 8), randData(rng, 96, 8)
-		fut, err := srv.SubmitLazy(context.Background(), tenant, Input(a, 8).Add(Input(b, 8)))
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: tenant}, Input(a, 8).Add(Input(b, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 // time like lazy jobs do.
 func TestServerRawSubmitAttribution(t *testing.T) {
 	srv := testServer(t, 1, nil)
-	fut, err := srv.Submit(context.Background(), "raw", func(sys *System, cancel <-chan struct{}) error {
+	fut, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "raw"}, func(sys *System, cancel <-chan struct{}) error {
 		a, err := sys.AllocVector(32, 8)
 		if err != nil {
 			return err
@@ -188,7 +188,7 @@ func TestServerSLOBreachEmitsEvent(t *testing.T) {
 			{Metric: "queue_p50", TargetNs: int64(time.Hour)},
 		}
 	})
-	fut, err := srv.SubmitLazy(context.Background(), "slow", Input([]uint64{1, 2, 3, 4}, 8).Add(Scalar(2, 8)))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "slow"}, Input([]uint64{1, 2, 3, 4}, 8).Add(Scalar(2, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestServerWindowedRates(t *testing.T) {
 	// harmless.
 	srv.telemetryTick(srv.nowNs())
 	for i := 0; i < 4; i++ {
-		fut, err := srv.SubmitLazy(context.Background(), "rt", Input([]uint64{9, 8, 7}, 8).Add(Scalar(1, 8)))
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "rt"}, Input([]uint64{9, 8, 7}, 8).Add(Scalar(1, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestServerDebugHandlerHardening(t *testing.T) {
 
 func TestServerMetricsHandlerExposition(t *testing.T) {
 	srv := testServer(t, 1, nil)
-	fut, err := srv.SubmitLazy(context.Background(), "expo", Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "expo"}, Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,34 +12,17 @@ import (
 	"simdram/internal/obs"
 )
 
-// This file is the server's observability facade: public mirrors of
-// the internal/obs types (the facade never exposes internal packages),
-// snapshot accessors for traces, events, and metrics, and the
-// expvar-style HTTP debug handler. See docs/observability.md for the
-// span model and metric names.
+// This file is the server's observability facade: the public names of
+// the internal/obs types (a facade type that only copies an internal
+// type is an alias of it), snapshot accessors for traces, events, and
+// metrics, and the expvar-style HTTP debug handler. See
+// docs/observability.md for the span model and metric names.
 
 // TraceSpan is one timed stage of a traced job. Spans form a tree via
 // Parent (an index into JobTrace.Spans; the root "job" span is index 0
-// with Parent -1); times are nanoseconds relative to the trace start.
-type TraceSpan struct {
-	Name string `json:"name"`
-	// Parent is the index of the enclosing span in JobTrace.Spans, -1
-	// for the root.
-	Parent int `json:"parent"`
-	// Channel is the cluster channel the stage ran on, -1 when the
-	// stage is not channel-bound.
-	Channel int   `json:"channel"`
-	StartNs int64 `json:"start_ns"`
-	EndNs   int64 `json:"end_ns"`
-}
-
-// DurNs returns the span's duration (0 if it never closed).
-func (s TraceSpan) DurNs() int64 {
-	if s.EndNs <= s.StartNs {
-		return 0
-	}
-	return s.EndNs - s.StartNs
-}
+// with Parent -1); times are nanoseconds relative to the trace start,
+// and Channel is -1 when the stage is not channel-bound.
+type TraceSpan = obs.Span
 
 // JobTrace is one sampled job's completed span tree, as retained by
 // the flight recorder.
@@ -59,11 +42,7 @@ type JobTrace struct {
 // ring: kinds are "error" (a job failed), "evict" (the plan cache
 // evicted a compiled plan), and "recompile" (profile feedback rebuilt
 // a plan).
-type ObsEvent struct {
-	AtUnixNs int64  `json:"at_unix_ns"`
-	Kind     string `json:"kind"`
-	Detail   string `json:"detail"`
-}
+type ObsEvent = obs.Event
 
 // MetricPoint is one series from the server's metrics registry. For
 // histograms the quantiles are filled from the log-scale buckets
@@ -104,12 +83,7 @@ func toJobTrace(t *obs.Trace) JobTrace {
 	if t == nil {
 		return JobTrace{}
 	}
-	spans := t.Spans()
-	jt := JobTrace{ID: t.ID, StartUnixNs: t.StartUnixNs, Err: t.Err(), Spans: make([]TraceSpan, len(spans))}
-	for i, s := range spans {
-		jt.Spans[i] = TraceSpan{Name: s.Name, Parent: s.Parent, Channel: s.Channel, StartNs: s.StartNs, EndNs: s.EndNs}
-	}
-	return jt
+	return JobTrace{ID: t.ID, StartUnixNs: t.StartUnixNs, Err: t.Err(), Spans: t.Spans()}
 }
 
 // Traces returns the flight recorder's retained span trees, oldest
@@ -125,14 +99,7 @@ func (s *Server) Traces() []JobTrace {
 
 // Events returns the flight recorder's retained incidents (errors,
 // plan-cache evictions, profile-guided recompiles), oldest first.
-func (s *Server) Events() []ObsEvent {
-	es := s.rec.Events()
-	out := make([]ObsEvent, len(es))
-	for i, e := range es {
-		out[i] = ObsEvent{AtUnixNs: e.AtUnixNs, Kind: e.Kind, Detail: e.Detail}
-	}
-	return out
-}
+func (s *Server) Events() []ObsEvent { return s.rec.Events() }
 
 // TraceRing reports the flight recorder's occupancy: retained traces,
 // total ever recorded, and ring capacity.

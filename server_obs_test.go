@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +43,7 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 	ids := map[uint64]bool{}
 	for i := 0; i < jobs; i++ {
 		a, b := randData(rng, 64, 8), randData(rng, 64, 8)
-		fut, err := srv.SubmitLazy(context.Background(), "t1", Input(a, 8).Add(Input(b, 8)))
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, Input(a, 8).Add(Input(b, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestServerSpanDurationsMatchLatencySplit(t *testing.T) {
 	srv := obsServer(t, 1, nil)
 	rng := rand.New(rand.NewSource(5))
 	a, b := randData(rng, 256, 8), randData(rng, 256, 8)
-	fut, err := srv.SubmitLazy(context.Background(), "t1", Input(a, 8).Mul(Input(b, 8)))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, Input(a, 8).Mul(Input(b, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestServerAdmissionTracing(t *testing.T) {
 
 func TestServerTracingDisabledByDefault(t *testing.T) {
 	srv := testServer(t, 1, nil)
-	fut, err := srv.SubmitLazy(context.Background(), "t1", Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestServerEventsAndResetTraces(t *testing.T) {
 	// A failing job (element-count mismatch discovered at compile)
 	// must land in the event ring.
 	bad := Input([]uint64{1, 2, 3}, 8).Add(Input([]uint64{1, 2}, 8))
-	fut, err := srv.SubmitLazy(context.Background(), "t-bad", bad)
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t-bad"}, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestServerMetricsAndTenantQuantiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 8; i++ {
 		a := randData(rng, 64, 8)
-		fut, err := srv.SubmitLazy(context.Background(), "tq", Input(a, 8).Add(Scalar(3, 8)))
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "tq"}, Input(a, 8).Add(Scalar(3, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,12 +281,22 @@ func TestServerMetricsAndTenantQuantiles(t *testing.T) {
 
 func TestServerDebugHandler(t *testing.T) {
 	srv := obsServer(t, 1, nil)
-	fut, err := srv.SubmitLazy(context.Background(), "t1", Input([]uint64{4, 5, 6}, 8).Add(Scalar(1, 8)))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, Input([]uint64{4, 5, 6}, 8).Add(Scalar(1, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	// A failing job puts an "error" incident in the event ring, so the
+	// document carries at least one event whose keys can be pinned.
+	bad := Input([]uint64{1, 2, 3}, 8).Add(Input([]uint64{1, 2}, 8))
+	fut, err = srv.SubmitJob(context.Background(), JobSpec{Tenant: "t-bad"}, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.Wait(); err == nil {
+		t.Fatal("mismatched element counts must fail")
 	}
 	rr := httptest.NewRecorder()
 	srv.DebugHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/simdram", nil))
@@ -303,12 +315,49 @@ func TestServerDebugHandler(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if doc.Stats.Completed != 1 || len(doc.Traces) != 1 || len(doc.Metrics) == 0 {
+	if doc.Stats.Completed != 1 || len(doc.Traces) != 2 || len(doc.Metrics) == 0 {
 		t.Fatalf("debug doc incomplete: stats=%+v traces=%d metrics=%d",
 			doc.Stats, len(doc.Traces), len(doc.Metrics))
 	}
 	if doc.Traces[0].Spans[0].Name != "job" {
 		t.Fatalf("trace root lost in JSON round-trip: %+v", doc.Traces[0])
+	}
+
+	// The wire keys are the endpoint's contract: decode without the Go
+	// types so a renamed or dropped JSON tag fails here.
+	var raw struct {
+		Traces []struct {
+			Spans []map[string]any `json:"spans"`
+		} `json:"traces"`
+		Events []map[string]any `json:"events"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &raw); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	wantKeys := func(what string, obj map[string]any, want ...string) {
+		t.Helper()
+		got := make([]string, 0, len(obj))
+		for k := range obj {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s keys %v, want %v", what, got, want)
+		}
+	}
+	spans := 0
+	for _, tr := range raw.Traces {
+		for _, sp := range tr.Spans {
+			wantKeys("span", sp, "name", "parent", "channel", "start_ns", "end_ns")
+			spans++
+		}
+	}
+	if spans == 0 || len(raw.Events) == 0 {
+		t.Fatalf("debug doc has %d spans and %d events, want both nonzero", spans, len(raw.Events))
+	}
+	for _, ev := range raw.Events {
+		wantKeys("event", ev, "at_unix_ns", "kind", "detail")
 	}
 }
 
@@ -384,7 +433,7 @@ func TestServerStatsConsistentUnderConcurrency(t *testing.T) {
 			tenant := fmt.Sprintf("t%d", w%3)
 			for i := 0; i < perSubmitter; i++ {
 				a := randData(rng, 32, 8)
-				fut, err := srv.SubmitLazy(context.Background(), tenant, Input(a, 8).Add(Scalar(uint64(i), 8)))
+				fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: tenant}, Input(a, 8).Add(Scalar(uint64(i), 8)))
 				if err != nil {
 					// Admission rejections and a closing server are the
 					// expected overload outcomes; anything else is a bug.

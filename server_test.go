@@ -46,7 +46,7 @@ func TestServerSubmitLazyGolden(t *testing.T) {
 	ea, eb, ec := Input(a, 8), Input(b, 8), Input(c, 8)
 	sum := ea.Add(eb)
 	root2 := sum.Max(ec)
-	fut, err := srv.SubmitLazy(context.Background(), "t1", sum, root2)
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, sum, root2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestServerRejectsBoundExpressions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Free()
-	if _, err := srv.SubmitLazy(context.Background(), "t", sys.Lazy(v).Add(Scalar(1, 8))); err == nil {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t"}, sys.Lazy(v).Add(Scalar(1, 8))); err == nil {
 		t.Fatal("expression bound to a System vector must be rejected at submit")
 	}
-	if _, err := srv.SubmitLazy(context.Background(), "t"); err == nil {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t"}); err == nil {
 		t.Fatal("empty submission must be rejected")
 	}
 }
@@ -101,7 +101,7 @@ func blockedServer(t *testing.T, tune func(*ServerConfig)) (*Server, chan struct
 	t.Helper()
 	srv := testServer(t, 1, tune)
 	gate := make(chan struct{})
-	blocker, err := srv.Submit(nil, "blocker", func(sys *System, cancel <-chan struct{}) error {
+	blocker, err := srv.SubmitFn(nil, JobSpec{Tenant: "blocker"}, func(sys *System, cancel <-chan struct{}) error {
 		<-gate
 		return nil
 	})
@@ -128,18 +128,18 @@ func TestServerQueueFullAndQuota(t *testing.T) {
 	defer close(gate)
 	e := func() *Expr { return Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)) }
 
-	if _, err := srv.SubmitLazy(context.Background(), "a", e()); err != nil {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "a"}, e()); err != nil {
 		t.Fatal(err)
 	}
 	// Tenant a is at its quota (1 queued).
-	if _, err := srv.SubmitLazy(context.Background(), "a", e()); !errors.Is(err, ErrTenantQuota) {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "a"}, e()); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("over-quota submit: %v, want ErrTenantQuota", err)
 	}
 	// Tenant b fills the global queue (depth 2).
-	if _, err := srv.SubmitLazy(context.Background(), "b", e()); err != nil {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "b"}, e()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.SubmitLazy(context.Background(), "c", e()); !errors.Is(err, ErrQueueFull) {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "c"}, e()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-depth submit: %v, want ErrQueueFull", err)
 	}
 	st := srv.Stats()
@@ -151,7 +151,7 @@ func TestServerQueueFullAndQuota(t *testing.T) {
 func TestServerCtxCanceledMidQueue(t *testing.T) {
 	srv, gate, blocker := blockedServer(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	fut, err := srv.SubmitLazy(ctx, "a", Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
+	fut, err := srv.SubmitJob(ctx, JobSpec{Tenant: "a"}, Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestServerCtxCanceledMidQueue(t *testing.T) {
 
 func TestServerCloseDrainsQueue(t *testing.T) {
 	srv, gate, blocker := blockedServer(t, nil)
-	fut, err := srv.SubmitLazy(context.Background(), "a", Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "a"}, Input([]uint64{1, 2, 3}, 8).Add(Scalar(1, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestServerCloseDrainsQueue(t *testing.T) {
 		t.Fatalf("running job must finish through Close: %v", err)
 	}
 	<-closed
-	if _, err := srv.SubmitLazy(context.Background(), "a", Input([]uint64{1}, 8)); !errors.Is(err, ErrServerClosed) {
+	if _, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "a"}, Input([]uint64{1}, 8)); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("submit after Close: %v, want ErrServerClosed", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestServerConcurrentSubmit(t *testing.T) {
 			tenant := string(rune('a' + g))
 			for i := 0; i < jobsPer; i++ {
 				a, b := randData(rng, n, 8), randData(rng, n, 8)
-				fut, err := srv.SubmitLazy(context.Background(), tenant,
+				fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: tenant},
 					Input(a, 8).Add(Input(b, 8)).Max(Input(a, 8)))
 				if err != nil {
 					t.Errorf("%s job %d: %v", tenant, i, err)
@@ -261,7 +261,7 @@ func TestServerRawSubmitPreemption(t *testing.T) {
 	srv := testServer(t, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
-	fut, err := srv.Submit(ctx, "a", func(sys *System, c <-chan struct{}) error {
+	fut, err := srv.SubmitFn(ctx, JobSpec{Tenant: "a"}, func(sys *System, c <-chan struct{}) error {
 		close(started)
 		<-c
 		return errors.New("preempted")

@@ -9,45 +9,45 @@ import (
 	"time"
 )
 
-// TestSubmitJobWrapperEquivalence checks the deprecated SubmitLazy
-// wrapper is bit-identical to the JobSpec path it delegates to.
-func TestSubmitJobWrapperEquivalence(t *testing.T) {
+// TestSubmitJobRepeatEquivalence checks that two submissions of one
+// expression shape — the second served from the plan cache or
+// coalesced onto the first's compile — return identical values and
+// both carry an admission estimate.
+func TestSubmitJobRepeatEquivalence(t *testing.T) {
 	srv := testServer(t, 2, nil)
 	rng := rand.New(rand.NewSource(11))
 	const n = 64
 	a, b := randData(rng, n, 8), randData(rng, n, 8)
 
 	build := func() *Expr { return Input(a, 8).Add(Input(b, 8)).Max(Scalar(17, 8)) }
-	oldFut, err := srv.SubmitLazy(context.Background(), "compat", build())
+	firstFut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "compat"}, build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	newFut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "compat"}, build())
+	repeatFut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "compat"}, build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldRes, err := oldFut.Wait()
+	firstRes, err := firstFut.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRes, err := newFut.Wait()
+	repeatRes, err := repeatFut.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(oldRes.Values) != 1 || len(newRes.Values) != 1 {
-		t.Fatalf("result counts: old=%d new=%d", len(oldRes.Values), len(newRes.Values))
+	if len(firstRes.Values) != 1 || len(repeatRes.Values) != 1 {
+		t.Fatalf("result counts: first=%d repeat=%d", len(firstRes.Values), len(repeatRes.Values))
 	}
-	for i := range oldRes.Values[0] {
-		if oldRes.Values[0][i] != newRes.Values[0][i] {
-			t.Fatalf("element %d differs between wrapper and JobSpec path: %d vs %d",
-				i, oldRes.Values[0][i], newRes.Values[0][i])
+	for i := range firstRes.Values[0] {
+		if firstRes.Values[0][i] != repeatRes.Values[0][i] {
+			t.Fatalf("element %d differs between first and repeat submission: %d vs %d",
+				i, firstRes.Values[0][i], repeatRes.Values[0][i])
 		}
 	}
-	// Both paths price admission the same way: the wrapper is the
-	// JobSpec path, so it carries the estimate too.
-	if oldRes.Admission.ModeledNs <= 0 || newRes.Admission.ModeledNs <= 0 {
-		t.Fatalf("both paths must carry an admission estimate: old=%+v new=%+v",
-			oldRes.Admission, newRes.Admission)
+	if firstRes.Admission.ModeledNs <= 0 || repeatRes.Admission.ModeledNs <= 0 {
+		t.Fatalf("both submissions must carry an admission estimate: first=%+v repeat=%+v",
+			firstRes.Admission, repeatRes.Admission)
 	}
 }
 
@@ -57,7 +57,7 @@ func blockedTierServer(t *testing.T, tune func(*ServerConfig)) (*Server, chan st
 	t.Helper()
 	srv := testServer(t, 1, tune)
 	gate := make(chan struct{})
-	blocker, err := srv.Submit(context.Background(), "blocker", func(sys *System, cancel <-chan struct{}) error {
+	blocker, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "blocker"}, func(sys *System, cancel <-chan struct{}) error {
 		<-gate
 		return nil
 	})
