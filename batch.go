@@ -73,6 +73,17 @@ type preparedProgram struct {
 	verify bool
 }
 
+// rebind re-points pp's object pins at objs, a later binding of the
+// same plan to the same placement: pp.binds[i] pins objs[at[i]]. The
+// control unit's prepared batch is placement-bound and names no
+// handle, so the pins are all a rebinding changes; checkPrepared then
+// holds pp to the new objects.
+func (pp *preparedProgram) rebind(objs []*Vector, at []int) {
+	for i, k := range at {
+		pp.binds[i] = objBind{h: objs[k].handle, v: objs[k]}
+	}
+}
+
 // sameMode reports whether s still has the verify setting pp was
 // prepared under.
 func (s *System) sameMode(pp *preparedProgram) bool {

@@ -539,6 +539,11 @@ type lowered struct {
 	prog    isa.Program
 	temps   []graphObj // pooled slots and constant splats
 	results []compiledResult
+	// slotObj holds each temporary slot's object; nodeObj each live
+	// input's, constant's and root's (nil for other nodes, which live
+	// in their slot).
+	slotObj []graphObj
+	nodeObj []graphObj
 	// defined records, per handle the program references, whether its
 	// object holds data before the program runs (stored inputs and
 	// splatted constants do; pooled slots and op-root results are
@@ -556,52 +561,69 @@ type compiledResult struct {
 	owned bool // allocated by the compiler (as opposed to a leaf)
 }
 
-// lowerPlan binds a planned graph to storage and lowers it: pooled
-// slot objects for intermediates, dedicated objects for roots (a node
-// rooted twice shares one), splat-stored objects for surviving
-// constants, allocated-and-stored objects for data leaves, then the
-// bbop program over their handles. alloc is the backend's
-// placement-aligned allocator; leafObj resolves an input node to its
-// caller-provided storage; leafData resolves an input node to payload
-// data the compiler must allocate and store itself (an Input leaf). On
-// any failure everything allocated so far is released. Result pointers
-// on the expressions are NOT set here — callers publish them only
-// after the whole compilation succeeds, so a failed Compile never
-// leaves an expression pointing at a freed vector.
+// lowerPlan binds a planned graph to storage (bindPlan) and lowers it
+// to the bbop program over the bound objects' handles (lowerProgram).
+// On any failure everything allocated is released. Result pointers on
+// the expressions are NOT set here — callers publish them only after
+// the whole compilation succeeds, so a failed Compile never leaves an
+// expression pointing at a freed vector.
 func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 	alloc func(width int) (graphObj, error),
 	leafObj func(id graph.NodeID) graphObj,
 	leafData func(id graph.NodeID) ([]uint64, bool),
 ) (*lowered, error) {
-	lw := &lowered{}
-	// Root data-leaf storage lives here between its allocation in the
-	// input loop and its adoption as an owned result in the roots
-	// loop; fail() frees whatever has not been adopted yet, so a
-	// failure in between cannot leak rows.
-	pendingRoots := map[graph.NodeID]graphObj{}
-	fail := func(err error) (*lowered, error) {
-		for _, o := range pendingRoots {
-			o.Free()
-		}
-		for _, o := range lw.temps {
-			o.Free()
-		}
-		for _, r := range lw.results {
-			if r.owned {
-				r.obj.Free()
-			}
-		}
+	lw, err := bindPlan(env, plan, exprs, alloc, leafObj, leafData)
+	if err != nil {
 		return nil, err
 	}
-	g, asg, n := env.g, plan.Asg, env.n
+	if err := lw.lowerProgram(env, plan); err != nil {
+		lw.release()
+		return nil, err
+	}
+	return lw, nil
+}
 
-	slotObj := make([]graphObj, len(asg.SlotWidths))
+// bindPlan is the storage half of lowering: pooled slot objects for
+// intermediates, dedicated objects for roots (a node rooted twice
+// shares one), splat-stored objects for surviving constants, and
+// allocated-and-stored objects for data leaves, allocated in that
+// order. alloc is the backend's placement-aligned allocator; leafObj
+// resolves an input node to its caller-provided storage; leafData
+// resolves an input node to payload data the compiler must allocate
+// and store itself (an Input leaf). On any failure everything
+// allocated so far is released.
+func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
+	alloc func(width int) (graphObj, error),
+	leafObj func(id graph.NodeID) graphObj,
+	leafData func(id graph.NodeID) ([]uint64, bool),
+) (*lowered, error) {
+	g, asg := env.g, plan.Asg
+	lw := &lowered{
+		slotObj: make([]graphObj, len(asg.SlotWidths)),
+		nodeObj: make([]graphObj, g.Len()),
+		results: make([]compiledResult, 0, len(exprs)),
+	}
+	// Root data-leaf storage sits in pending between its allocation in
+	// the input loop and its adoption as an owned result in the roots
+	// loop; fail frees whatever has not been adopted yet, so a failure
+	// in between cannot leak rows.
+	var pending []graphObj
+	fail := func(err error) (*lowered, error) {
+		for _, o := range pending {
+			if o != nil {
+				o.Free()
+			}
+		}
+		lw.release()
+		return nil, err
+	}
+
 	for i, w := range asg.SlotWidths {
 		o, err := alloc(w)
 		if err != nil {
 			return fail(errorf("graph: temporary slot %d: %w", i, err))
 		}
-		slotObj[i] = o
+		lw.slotObj[i] = o
 		lw.temps = append(lw.temps, o)
 	}
 
@@ -609,8 +631,6 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 	// leaves; an allocated, payload-stored vector for Input data
 	// leaves. A non-root data leaf is released with the temporaries; a
 	// root one becomes that root's owned result below.
-	inputObj := map[graph.NodeID]graphObj{}
-	inputOwned := map[graph.NodeID]bool{}
 	for id := 0; id < g.Len(); id++ {
 		nid := graph.NodeID(id)
 		node := g.Node(nid)
@@ -619,7 +639,7 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 		}
 		data, isData := leafData(nid)
 		if !isData {
-			inputObj[nid] = leafObj(nid)
+			lw.nodeObj[nid] = leafObj(nid)
 			continue
 		}
 		o, err := alloc(node.Width)
@@ -627,55 +647,50 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 			return fail(errorf("graph: data leaf: %w", err))
 		}
 		if node.Root {
-			pendingRoots[nid] = o
+			pending = append(pending, o)
 		} else {
 			lw.temps = append(lw.temps, o)
 		}
 		if err := o.Store(data); err != nil {
 			return fail(err)
 		}
-		inputObj[nid] = o
-		inputOwned[nid] = node.Root
+		lw.nodeObj[nid] = o
 	}
 
 	// Dedicated storage for the roots, allocated before the shared
 	// constant pool so a root constant gets caller-owned storage.
-	rootObj := map[graph.NodeID]graphObj{}
 	for i, rid := range g.Roots() {
-		var obj graphObj
-		owned := false
-		if o, ok := rootObj[rid]; ok {
-			obj, owned = o, true // same node rooted twice shares one result
-		} else {
-			node := g.Node(rid)
-			switch node.Kind {
-			case graph.KindInput:
-				obj = inputObj[rid]
-				if inputOwned[rid] {
-					owned = true
-					rootObj[rid] = obj
-					delete(pendingRoots, rid) // ownership moves to results
+		obj, owned := lw.nodeObj[rid], true
+		node := g.Node(rid)
+		switch {
+		case node.Kind == graph.KindInput:
+			// A data leaf's storage moves from pending to the results
+			// (a node rooted twice shares it); a caller's vector stays
+			// the caller's.
+			_, owned = leafData(rid)
+			for k, o := range pending {
+				if o == obj {
+					pending[k] = nil
 				}
-			default:
-				o, err := alloc(node.Width)
-				if err != nil {
-					return fail(errorf("graph: result %d: %w", i, err))
-				}
-				if node.Kind == graph.KindConst {
-					if err := o.storeSplat(node.Val); err != nil {
-						o.Free()
-						return fail(err)
-					}
-				}
-				obj, owned = o, true
-				rootObj[rid] = o
 			}
+		case obj == nil:
+			o, err := alloc(node.Width)
+			if err != nil {
+				return fail(errorf("graph: result %d: %w", i, err))
+			}
+			if node.Kind == graph.KindConst {
+				if err := o.storeSplat(node.Val); err != nil {
+					o.Free()
+					return fail(err)
+				}
+			}
+			obj = o
+			lw.nodeObj[rid] = o
 		}
 		lw.results = append(lw.results, compiledResult{expr: exprs[i], obj: obj, owned: owned})
 	}
 
 	// Splat-stored objects for live non-root constants.
-	constObj := map[graph.NodeID]graphObj{}
 	for id := 0; id < g.Len(); id++ {
 		nid := graph.NodeID(id)
 		node := g.Node(nid)
@@ -690,56 +705,60 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 		if err := o.storeSplat(node.Val); err != nil {
 			return fail(err)
 		}
-		constObj[nid] = o
+		lw.nodeObj[nid] = o
 	}
+	return lw, nil
+}
 
+// lowerProgram is the program half of lowering: the bbop program over
+// the objects bindPlan bound, and the definedness map the IR verifier
+// checks it against.
+func (lw *lowered) lowerProgram(env *compileEnv, plan *graph.Plan) error {
+	g := env.g
 	handle := func(id graph.NodeID) (uint16, error) {
-		if o, ok := rootObj[id]; ok {
+		if o := lw.nodeObj[id]; o != nil {
 			return o.Handle(), nil
 		}
-		node := g.Node(id)
-		switch node.Kind {
+		switch g.Node(id).Kind {
 		case graph.KindInput:
-			o, ok := inputObj[id]
-			if !ok {
-				return 0, errorf("graph: input node %d has no storage", id)
-			}
-			return o.Handle(), nil
+			return 0, errorf("graph: input node %d has no storage", id)
 		case graph.KindConst:
-			return constObj[id].Handle(), nil
-		default:
-			slot, ok := asg.SlotOf[id]
-			if !ok {
-				return 0, errorf("graph: intermediate node %d has no slot", id)
-			}
-			return slotObj[slot].Handle(), nil
+			return 0, errorf("graph: constant node %d has no storage", id)
 		}
+		slot, ok := plan.Asg.SlotOf[id]
+		if !ok {
+			return 0, errorf("graph: intermediate node %d has no slot", id)
+		}
+		return lw.slotObj[slot].Handle(), nil
 	}
-	lw.defined = map[uint16]bool{}
-	for _, o := range slotObj {
+	lw.defined = make(map[uint16]bool, len(lw.slotObj)+len(lw.temps)+len(lw.results))
+	for _, o := range lw.slotObj {
 		lw.defined[o.Handle()] = false
 	}
-	for _, o := range inputObj {
-		lw.defined[o.Handle()] = true // caller vector or stored data leaf
-	}
-	for _, o := range constObj {
-		lw.defined[o.Handle()] = true // splat-stored before execution
-	}
-	for rid, o := range rootObj {
-		switch g.Node(rid).Kind {
-		case graph.KindConst, graph.KindInput:
-			lw.defined[o.Handle()] = true // splat-stored / stored data leaf
-		default:
-			lw.defined[o.Handle()] = false // op root: the program writes it
+	for id, o := range lw.nodeObj {
+		if o != nil {
+			// Caller vectors, stored data leaves and splatted constants
+			// hold data; an op root is written by the program.
+			lw.defined[o.Handle()] = g.Node(graph.NodeID(id)).Kind != graph.KindOp
 		}
 	}
-
-	prog, err := graph.Lower(g, plan.Sched, handle, uint32(n))
+	prog, err := graph.Lower(g, plan.Sched, handle, uint32(env.n))
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	lw.prog = prog
-	return lw, nil
+	return nil
+}
+
+// release frees every object the binding allocated: the temporaries
+// and the compiler-owned results.
+func (lw *lowered) release() {
+	lw.freeTemps()
+	for _, r := range lw.results {
+		if r.owned {
+			r.obj.Free()
+		}
+	}
 }
 
 // publish points each root expression at its result storage — called

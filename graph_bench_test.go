@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"simdram"
+	"simdram/internal/kernels"
+	"simdram/internal/workload"
 )
 
 // missOps are the operations of the miss-path benchmarks' random DAGs
@@ -146,5 +148,69 @@ func BenchmarkServerSubmitMiss(b *testing.B) {
 		if _, err := fut.Wait(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServerSubmitHit times SubmitJob→Wait of serve-hot's request
+// mix — brightness in both saturation directions, a BitWeaving scan and
+// TPC-H Q6 over 2048-element Input payloads — on a 2-channel server
+// with 256-column rows and the plan verifier on, after every shape has
+// compiled, converged its profile and run on both channels: the served
+// plan-cache hit path end to end (admission pricing, cache lookup,
+// storage binding and input stores, the channel's memoized prepared
+// program, execute, gather).
+func BenchmarkServerSubmitHit(b *testing.B) {
+	cfg := simdram.DefaultServerConfig(2)
+	cfg.Channel.DRAM.Cols = 256
+	cfg.VerifyPlans = true
+	srv, err := simdram.NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	const n = 2048
+	rng := rand.New(rand.NewSource(1))
+	vec := func(lo, span int) []uint64 {
+		v := make([]uint64, n)
+		for i := range v {
+			v[i] = uint64(lo + rng.Intn(span))
+		}
+		return v
+	}
+	lineitem := workload.LineItem{
+		N:             n,
+		ShipDate:      vec(9000, 2557),
+		Discount:      vec(0, 11),
+		Quantity:      vec(1, 50),
+		ExtendedPrice: vec(100, 60000),
+	}
+	shapes := []*simdram.Expr{
+		kernels.BrightnessExpr(vec(0, 256), 40),
+		kernels.BrightnessExpr(vec(0, 256), -60),
+		kernels.BitWeavingLtExpr(vec(0, 256), 100, 8),
+		kernels.TPCHQ6Expr(lineitem, kernels.DefaultQ6()),
+	}
+	ctx := context.Background()
+	submit := func(e *simdram.Expr) {
+		fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: "bench"}, e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Cold compiles, profile convergence and the profile-guided
+	// recompile, then a few rounds more so each channel holds its
+	// prepared programs.
+	for round := 0; round < 2*simdram.DefaultProfileMinJobs+8; round++ {
+		for _, e := range shapes {
+			submit(e)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(shapes[i%len(shapes)])
 	}
 }

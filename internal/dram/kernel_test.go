@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -279,6 +280,51 @@ func checkKernelTrial(t *testing.T, rng *rand.Rand, cfg *Config, trial int) {
 		}
 		if !slices.Equal(traces[i], ref.trace) {
 			t.Fatalf("trial %d: %s trace differs from the reference", trial, names[i])
+		}
+	}
+}
+
+// TestPlanEnergyHookFree pins the hook-free energy charge: a run with
+// no OnCommand charges each energy class's op count times its
+// per-command energy in one sum, and that must equal, bit for bit, the
+// per-op sum a hooked run adds in stream order, over repeated runs and
+// on top of host-transfer energy, at every width
+// TestKernelMatchesReference covers.
+func TestPlanEnergyHookFree(t *testing.T) {
+	for _, cols := range []int{64, 192, 256, 512, 576, 8192} {
+		cfg := TestConfig()
+		cfg.Cols = cols
+		rng := rand.New(rand.NewSource(int64(cols)))
+		ops := randomOps(rng, &cfg, 200)
+		free, hooked := NewSubarray(&cfg), NewSubarray(&cfg)
+		rm := free.RowMap()
+		for i := range ops {
+			if err := rm.CheckOp(&ops[i]); err != nil {
+				t.Fatalf("cols=%d: op %d: %v", cols, i, err)
+			}
+		}
+		row := make([]uint64, cfg.WordsPerRow())
+		for _, sa := range []*Subarray{free, hooked} {
+			sa.WriteRow(0, row) // host-write energy under the sums
+		}
+		commands := 0
+		hooked.OnCommand = func(Command) { commands++ }
+		for _, lower := range []bool{true, false} {
+			p := rm.Plan(ops, lower)
+			for run := 0; run < 3; run++ {
+				free.Exec(&p)
+				hooked.Exec(&p)
+				if got, want := math.Float64bits(free.Stats.EnergyPJ), math.Float64bits(hooked.Stats.EnergyPJ); got != want {
+					t.Fatalf("cols=%d lower=%v run %d: hook-free energy %v pJ, hooked %v pJ",
+						cols, lower, run, free.Stats.EnergyPJ, hooked.Stats.EnergyPJ)
+				}
+				if free.Stats != hooked.Stats {
+					t.Fatalf("cols=%d lower=%v run %d: hook-free stats %+v, hooked %+v", cols, lower, run, free.Stats, hooked.Stats)
+				}
+			}
+		}
+		if commands != 6*len(ops) {
+			t.Fatalf("cols=%d: hook saw %d commands, want %d", cols, commands, 6*len(ops))
 		}
 	}
 }

@@ -27,13 +27,14 @@ const (
 	energyAAPMulti
 	energyAP
 	energyMajCopy
+	numEnergyClasses
 )
 
 // opTable returns the per-command energy of each Op energy class from
 // the Energy formulas, so charging from the table adds exactly the
 // values calling the formulas per command would.
-func (e Energy) opTable() [4]float64 {
-	return [4]float64{
+func (e Energy) opTable() [numEnergyClasses]float64 {
+	return [numEnergyClasses]float64{
 		energyAAP:      e.AAPEnergy(1),
 		energyAAPMulti: e.AAPEnergy(2),
 		energyAP:       e.APEnergy(),
@@ -210,11 +211,13 @@ func OpRow(r int) int32 {
 // against this subarray's RowMap. Nothing is re-validated per command
 // — an unchecked op can clobber a control row, though Go's bounds
 // checks still stop any row index outside the subarray. After the
-// plan's steps have run, each op's energy is charged in stream order,
-// so the float sum matches issuing the commands one at a time, and
-// OnCommand, when set, sees each command in order: hooks observe the
-// commands, not intermediate row contents. The plan's command counters
-// are added at the end.
+// plan's steps have run, OnCommand, when set, sees each command in
+// order (hooks observe the commands, not intermediate row contents)
+// while each op's energy is charged in stream order. Without a hook
+// the energy is charged once, as each class's op count times its
+// per-command energy; with integral per-command energies, as the
+// defaults are, both sums are exact and so bit-identical. The plan's
+// command counters are added at the end.
 //
 //simdram:zeroalloc
 func (s *Subarray) Exec(p *Plan) {
@@ -284,10 +287,14 @@ func (s *Subarray) exec(rows [][]uint64, p *Plan) {
 	}
 	energy := s.cfg.Energy.opTable()
 	e, hook := s.Stats.EnergyPJ, s.OnCommand
-	for i := range p.ops {
-		op := &p.ops[i]
-		e += energy[op.energy]
-		if hook != nil {
+	if hook == nil {
+		for c, n := range p.classes {
+			e += float64(n) * energy[c]
+		}
+	} else {
+		for i := range p.ops {
+			op := &p.ops[i]
+			e += energy[op.energy]
 			s.Stats.EnergyPJ = e
 			hook(op.command(s.phys))
 		}

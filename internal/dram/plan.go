@@ -25,13 +25,17 @@ import (
 // So the rows a plan leaves are bit-identical to issuing its ops one
 // at a time, while AAP copies that only feed a triple-row activation
 // cost no row pass at all. Energy, counters and traced commands stay
-// per op: Exec charges each op's energy in stream order and shows each
-// op to OnCommand, after the steps have run. A plan is immutable and
-// safe to share across goroutines.
+// per op: after the steps have run, Exec charges each op's energy in
+// stream order and shows each op to OnCommand, or, with no OnCommand
+// set, charges the energy of the plan's per-class op counts at once.
+// A plan is immutable and safe to share across goroutines.
 type Plan struct {
 	ops    []Op    // the stream: energy and traced commands, one per op
 	code   []int32 // the steps, each encoded as below
 	counts Stats   // command counters one run adds
+	// classes counts the stream's ops per energy class, so a run
+	// without OnCommand charges its energy in one sum.
+	classes [numEnergyClasses]int64
 }
 
 // A step is encoded in Plan.code as its header n<<1 | maj, its inputs
@@ -80,12 +84,21 @@ func (m RowMap) Plan(ops []Op, lower bool) Plan {
 	if lower {
 		return lowerPlan(ops, m.Rows())
 	}
-	p := Plan{ops: ops, code: make([]int32, len(ops)*maxStep), counts: countOps(ops)}
+	code := make([]int32, len(ops)*maxStep)
 	n := 0
 	for i := range ops {
-		n += ops[i].encode(p.code[n:])
+		n += ops[i].encode(code[n:])
 	}
-	p.code = slices.Clip(p.code[:n])
+	return newPlan(ops, slices.Clip(code[:n]))
+}
+
+// newPlan returns the plan of ops with the encoded steps code, its
+// command counters and energy-class counts taken from ops.
+func newPlan(ops []Op, code []int32) Plan {
+	p := Plan{ops: ops, code: code, counts: countOps(ops)}
+	for i := range ops {
+		p.classes[ops[i].energy]++
+	}
 	return p
 }
 
@@ -257,5 +270,5 @@ func lowerPlan(ops []Op, rows int32) Plan {
 		copy(buf[at+1:], in[:nin])
 		copy(buf[at+1+nin:], kept[:k])
 	}
-	return Plan{ops: ops, code: slices.Clone(buf[at:]), counts: countOps(ops)}
+	return newPlan(ops, slices.Clone(buf[at:]))
 }

@@ -2,6 +2,7 @@ package simdram
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -118,8 +119,11 @@ func DefaultServerConfig(n int) ServerConfig {
 // raw closures — into a bounded admission queue; a per-tenant fair
 // scheduler dispatches each job onto the next free channel; and a
 // shared plan cache lets repeated request shapes skip graph
-// optimization and scheduling entirely, re-binding only their operand
-// rows. A canceled or deadline-expired submission context preempts
+// optimization and scheduling entirely. A repeated shape whose storage
+// lands where it did last time on its channel also skips lowering and
+// preparation: it replays the channel's prepared program for the shape
+// and pays only for allocating, storing its inputs, running and
+// loading. A canceled or deadline-expired submission context preempts
 // the job: while queued it is dropped on the spot, while running the
 // batch engine stops issuing instructions (ctrl.RunOpts.Cancel) and
 // the future resolves with the cancellation error.
@@ -173,6 +177,10 @@ type Server struct {
 	estMu    sync.Mutex
 	estCache map[string]estEntry
 
+	// hits holds one prepared-program memo per channel for served
+	// plan-cache hits (see runLazy).
+	hits []hitMemo
+
 	closeOnce sync.Once
 }
 
@@ -215,11 +223,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		metrics:    obs.NewRegistry(),
 		tenantTier: map[string]string{},
 		estCache:   map[string]estEntry{},
+		hits:       make([]hitMemo, cfg.Channels),
 	}
 	s.rec = obs.NewFlightRecorder(cfg.TraceDepth, cfg.EventDepth)
 	s.tracer = obs.NewTracer(cfg.TraceSampling, s.rec)
 	evictions := s.metrics.Counter("server.plan_evictions")
 	s.plans.SetEvictHook(func(key string, hits uint64) {
+		for i := range s.hits {
+			s.hits[i].drop(key)
+		}
 		evictions.Inc()
 		s.rec.Eventf("evict", "plan evicted after %d hits (key %.24q…)", hits, key)
 	})
@@ -261,6 +273,9 @@ func (s *Server) Close() {
 		<-s.pumpDone
 	})
 	s.sched.Close()
+	for i := range s.hits {
+		s.hits[i].clear()
+	}
 	s.cl.Close()
 }
 
@@ -534,6 +549,113 @@ type estEntry struct {
 // dropped and rebuilt (it repopulates in one submission per hot shape).
 const estCacheCap = 1024
 
+// hitMemo is one channel's memo of prepared programs for served
+// plan-cache hits, keyed by plan-cache key. An entry is the program a
+// job of that shape was last prepared as on this channel, plus the
+// placement its objects had. A later job of the shape binds its objects
+// first; when they land on the same placement, the entry's program is
+// valid for them once its object pins are re-pointed, and the job
+// skips lowering the program, resolving it and preparing it (and the
+// IR verifier, whose every input the plan and placement fix).
+//
+// A shape's first plan-cache hit on the channel records only that it
+// was seen (an entry with no program); the program is kept from its
+// next full preparation on. A prepared program holds every
+// instruction's bound μProgram views and dispatch tables, and shapes
+// that hit the plan cache once and then go cold would otherwise fill
+// the memo with them.
+//
+// Only the channel's scheduler worker runs, rebinds or records
+// entries, so an entry's per-run scratch is never shared; mu guards
+// the map against the plan cache's evict hook and Close.
+type hitMemo struct {
+	mu      sync.Mutex
+	entries map[string]*hitEntry
+	// objs collects the running job's allocations in order, reused
+	// from job to job.
+	objs []*Vector
+}
+
+// hitEntry is one memoized prepared program (see hitMemo).
+type hitEntry struct {
+	// plan is the cached plan the program was lowered from: a
+	// profile-guided recompile swaps the cache's plan and so misses.
+	plan *graph.Plan
+	// widths and segs are the placement: each allocated object's width
+	// and segments, in allocation order.
+	widths []int
+	segs   []segment
+	// binds maps pp.binds[i] to the allocation index of its object.
+	binds []int
+	pp    *preparedProgram // nil when the shape was only seen
+}
+
+// hitMemoCap bounds one channel's memo, seen-only shapes included; at
+// the cap the whole memo is dropped and rebuilt, two jobs per hot
+// shape. Prepared programs are large: at 128 entries, shapes that hit
+// the plan cache a few times and then went cold raised serve-adhoc's
+// resident memory by 10–13%.
+const hitMemoCap = 16
+
+// lookup returns the entry for key when it was prepared from plan and
+// objs, this job's allocations, land on the entry's placement.
+func (m *hitMemo) lookup(key string, plan *graph.Plan, objs []*Vector) *hitEntry {
+	m.mu.Lock()
+	e := m.entries[key]
+	m.mu.Unlock()
+	if e == nil || e.pp == nil || e.plan != plan || len(e.widths) != len(objs) {
+		return nil
+	}
+	segs := e.segs
+	for i, v := range objs {
+		if v.width != e.widths[i] || len(v.segs) > len(segs) || !slices.Equal(v.segs, segs[:len(v.segs)]) {
+			return nil
+		}
+		segs = segs[len(v.segs):]
+	}
+	return e
+}
+
+// record memoizes pp, prepared from plan over objs, under key, once
+// key has been seen (see hitMemo). A program that pins an object
+// outside objs is not recorded.
+func (m *hitMemo) record(key string, plan *graph.Plan, objs []*Vector, pp *preparedProgram) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, seen := m.entries[key]
+	e := &hitEntry{} // a first sighting only marks key seen
+	if seen {
+		e = &hitEntry{plan: plan, widths: make([]int, len(objs)), binds: make([]int, len(pp.binds)), pp: pp}
+		for i, b := range pp.binds {
+			if e.binds[i] = slices.Index(objs, b.v); e.binds[i] < 0 {
+				return
+			}
+		}
+		for i, v := range objs {
+			e.widths[i] = v.width
+			e.segs = append(e.segs, v.segs...)
+		}
+	}
+	if m.entries == nil || len(m.entries) >= hitMemoCap && !seen {
+		m.entries = map[string]*hitEntry{}
+	}
+	m.entries[key] = e
+}
+
+// drop forgets key's entry.
+func (m *hitMemo) drop(key string) {
+	m.mu.Lock()
+	delete(m.entries, key)
+	m.mu.Unlock()
+}
+
+// clear forgets every entry.
+func (m *hitMemo) clear() {
+	m.mu.Lock()
+	m.entries = nil
+	m.mu.Unlock()
+}
+
 // noteTier remembers the tenant's tier assignment for the SLO
 // evaluation loop (which boosts a breaching tenant's tier).
 func (s *Server) noteTier(spec JobSpec) {
@@ -600,8 +722,16 @@ func checkServable(e *Expr, seen map[*Expr]bool) error {
 // cancellation, fold the measured per-op latencies into the shape's
 // profile, load every root, release everything. tr (nil when the job
 // is unsampled) receives the pipeline's span tree:
-// compile{cache-lookup[, schedule], lower} → prepare{resolve} →
+// compile{cache-lookup[, schedule], lower} → prepare[{resolve}] →
 // execute[worker]{run} → gather.
+//
+// A plan-cache hit whose objects land on the placement the channel's
+// memo entry for the shape was prepared with (see hitMemo) replays
+// that entry: its "lower" span only binds storage, and its "prepare"
+// span only re-points the program at the new objects and checks
+// scratch headroom, with no "resolve" child. Any other job lowers and
+// prepares in full, and a plan-cache hit then records what it
+// prepared.
 func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace, at *ctrl.Attribution) error {
 	cspan := tr.Begin("compile", 0)
 	env.sys = sys
@@ -611,11 +741,35 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		s.rec.Eventf("recompile", "profile-guided recompile after %d jobs (key %.24q…)", cst.ProfileJobs, env.key)
 	}
 	lspan := tr.Begin("lower", cspan)
-	lw, err := lowerPlan(env, plan, exprs,
-		func(width int) (graphObj, error) { return sys.allocVector(env.n, width, 0) },
+	memo := &s.hits[worker]
+	objs := memo.objs[:0]
+	defer func() {
+		clear(objs) // keep no freed vector reachable
+		memo.objs = objs[:0]
+	}()
+	lw, err := bindPlan(env, plan, exprs,
+		func(width int) (graphObj, error) {
+			v, err := sys.allocVector(env.n, width, 0)
+			if err != nil {
+				return nil, err
+			}
+			objs = append(objs, v)
+			return v, nil
+		},
 		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: checkServable rejected them
 		leafDataOf(env),
 	)
+	var hit *hitEntry
+	if err == nil && cst.CacheHit {
+		if hit = memo.lookup(env.key, plan, objs); hit != nil && !sys.sameMode(hit.pp) {
+			hit = nil
+		}
+	}
+	if err == nil && hit == nil {
+		if err = lw.lowerProgram(env, plan); err != nil {
+			lw.release()
+		}
+	}
 	tr.End(lspan)
 	tr.End(cspan)
 	if err != nil {
@@ -625,21 +779,30 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 	// same expression template may be in flight on several channels at
 	// once, and every vector below is released before the future
 	// resolves anyway.
-	defer func() {
-		lw.freeTemps()
-		for _, r := range lw.results {
-			if r.owned {
-				r.obj.Free()
+	defer lw.release()
+	var pp *preparedProgram
+	if hit != nil || len(lw.prog) > 0 {
+		pspan := tr.Begin("prepare", 0)
+		if hit != nil {
+			pp = hit.pp
+			pp.rebind(objs, hit.binds)
+			if sys.checkPrepared(pp) != nil {
+				// Rows claimed since the entry was recorded took its
+				// scratch: take the full path, which reports them. The
+				// entry stays for when the rows come back.
+				hit, pp = nil, nil
+				err = lw.lowerProgram(env, plan)
 			}
 		}
-	}()
-	if len(lw.prog) > 0 {
-		pspan := tr.Begin("prepare", 0)
-		pp, err := sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
+		if err == nil && hit == nil && len(lw.prog) > 0 {
+			pp, err = sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
+		}
 		tr.End(pspan)
 		if err != nil {
 			return err
 		}
+	}
+	if pp != nil {
 		espan := tr.BeginOn("execute", 0, worker)
 		rspan := tr.BeginOn("run", espan, worker)
 		st, opNs, err := sys.runPreparedAttr(pp, cancel, at)
@@ -650,6 +813,9 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		}
 		s.profiles.Record(env.key, plan, opNs, modelCost(sys.cfg))
 		res.Batch = st
+		if hit == nil && cst.CacheHit {
+			memo.record(env.key, plan, objs, pp)
+		}
 	}
 	gspan := tr.Begin("gather", 0)
 	res.Values = make([][]uint64, len(lw.results))

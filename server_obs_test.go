@@ -41,6 +41,7 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const jobs = 6
 	ids := map[uint64]bool{}
+	cacheHit := map[uint64]bool{}
 	for i := 0; i < jobs; i++ {
 		a, b := randData(rng, 64, 8), randData(rng, 64, 8)
 		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, Input(a, 8).Add(Input(b, 8)))
@@ -58,12 +59,14 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 			t.Fatalf("duplicate trace ID %d", res.TraceID)
 		}
 		ids[res.TraceID] = true
+		cacheHit[res.TraceID] = res.Compile.CacheHit
 	}
 
 	traces := srv.Traces()
 	if len(traces) != jobs {
 		t.Fatalf("recorder has %d traces, want %d", len(traces), jobs)
 	}
+	replays := 0
 	for _, jt := range traces {
 		if !ids[jt.ID] {
 			t.Fatalf("trace %d does not match any JobResult.TraceID", jt.ID)
@@ -77,7 +80,15 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 		if len(jt.Spans) == 0 || jt.Spans[0].Name != "job" || jt.Spans[0].Parent != -1 {
 			t.Fatalf("trace %d: bad root: %+v", jt.ID, jt.Spans)
 		}
-		for _, name := range []string{"admit", "queue", "compile", "cache-lookup", "lower", "prepare", "resolve", "execute", "run", "gather"} {
+		// A job that replays its channel's memoized prepared program
+		// resolves nothing; only a plan-cache hit can replay.
+		names := []string{"admit", "queue", "compile", "cache-lookup", "lower", "prepare", "execute", "run", "gather"}
+		if spanByName(jt, "resolve") != nil || !cacheHit[jt.ID] {
+			names = append(names, "resolve")
+		} else {
+			replays++
+		}
+		for _, name := range names {
 			sp := spanByName(jt, name)
 			if sp == nil {
 				t.Fatalf("trace %d: missing span %q (have %+v)", jt.ID, name, jt.Spans)
@@ -107,6 +118,12 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 		if run := spanByName(jt, "run"); run.Channel != ex.Channel {
 			t.Fatalf("trace %d: run channel %d != execute channel %d", jt.ID, run.Channel, ex.Channel)
 		}
+	}
+	// Six jobs of one shape on two channels leave some channel three
+	// plan-cache hits, and the third replays the program the second
+	// prepared.
+	if replays == 0 {
+		t.Fatalf("no job replayed a memoized prepared program")
 	}
 }
 

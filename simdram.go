@@ -106,6 +106,13 @@ type System struct {
 
 	objects map[uint16]*Vector
 	handles handleSpace
+	serials uint64 // last Vector.serial handed out
+
+	// rowBuf is the vertical-row scratch every Store, splat and Load
+	// transposes through (see transposeRows), grown to the widest
+	// vector seen. Like the transposition unit it serves, it belongs to
+	// whichever goroutine is using the System.
+	rowBuf [][]uint64
 
 	// plans memoizes compiled expression shapes (see PlanCacheStats);
 	// profiles aggregates their measured per-op latencies and drives
@@ -148,6 +155,21 @@ func (h *handleSpace) alloc() (uint16, error) {
 
 // release returns a handle for reuse.
 func (h *handleSpace) release(id uint16) { h.free = append(h.free, id) }
+
+// nextSerial returns a Vector serial no object of s has had.
+func (s *System) nextSerial() uint64 {
+	s.serials++
+	return s.serials
+}
+
+// transposeRows returns width rows of one DRAM row each from the
+// System's reused scratch, valid until the next call.
+func (s *System) transposeRows(width int) [][]uint64 {
+	if len(s.rowBuf) < width {
+		s.rowBuf = vertical.MakeRows(width, s.cfg.DRAM.WordsPerRow())
+	}
+	return s.rowBuf[:width]
+}
 
 // New builds a System.
 func New(cfg Config) (*System, error) {

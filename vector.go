@@ -1,13 +1,15 @@
 package simdram
 
-import "simdram/internal/vertical"
-
 // Vector is a SIMDRAM object: n elements of a given bit width stored in
 // the vertical layout across one or more subarrays. Element j of segment
 // i occupies column j of that subarray, bits in consecutive rows.
 type Vector struct {
 	sys    *System
 	handle uint16
+	// serial names the object to the transposition unit's line buffer.
+	// Handles are recycled; serials never repeat within a System, so a
+	// new object never inherits a freed one's buffered lines.
+	serial uint64
 	n      int
 	width  int
 	segs   []segment
@@ -84,6 +86,7 @@ func (s *System) allocVector(n, width, origin int) (*Vector, error) {
 		return nil, err
 	}
 	v.handle = h
+	v.serial = s.nextSerial()
 	s.objects[v.handle] = v
 	return v, nil
 }
@@ -164,6 +167,7 @@ func (v *Vector) View(rowOffset, width int) (*Vector, error) {
 		return nil, err
 	}
 	nv.handle = h
+	nv.serial = v.sys.nextSerial()
 	v.sys.objects[nv.handle] = nv
 	base.views = append(base.views, nv)
 	return nv, nil
@@ -184,7 +188,7 @@ func (v *Vector) Store(data []uint64) error {
 	return v.writeSegments(func(rows [][]uint64, seg segment) error {
 		chunk := data[off : off+seg.lanes]
 		off += seg.lanes
-		return v.sys.tu.HToV(uint64(v.handle), rows, chunk, v.width)
+		return v.sys.tu.HToV(v.serial, rows, chunk, v.width)
 	})
 }
 
@@ -197,15 +201,15 @@ func (v *Vector) storeSplat(val uint64) error {
 		return errorf("store to freed vector")
 	}
 	return v.writeSegments(func(rows [][]uint64, seg segment) error {
-		return v.sys.tu.Splat(uint64(v.handle), rows, val, v.width, seg.lanes)
+		return v.sys.tu.Splat(v.serial, rows, val, v.width, seg.lanes)
 	})
 }
 
-// writeSegments has fill build each segment's vertical rows in one
-// scratch set reused across segments, then writes them through the
-// host path.
+// writeSegments has fill build each segment's vertical rows in the
+// System's transposition scratch, then writes them through the host
+// path.
 func (v *Vector) writeSegments(fill func(rows [][]uint64, seg segment) error) error {
-	rows := vertical.MakeRows(v.width, v.sys.cfg.DRAM.WordsPerRow())
+	rows := v.sys.transposeRows(v.width)
 	for _, seg := range v.segs {
 		if err := fill(rows, seg); err != nil {
 			return err
@@ -228,21 +232,21 @@ func (v *Vector) Load() ([]uint64, error) {
 	return out, nil
 }
 
-// loadInto is Load into out (v.n elements). One scratch set of rows
-// serves every segment's vertical gather, and each segment transposes
-// straight into its slice of out.
+// loadInto is Load into out (v.n elements). The System's
+// transposition scratch serves every segment's vertical gather, and
+// each segment transposes straight into its slice of out.
 func (v *Vector) loadInto(out []uint64) error {
 	if v.freed {
 		return errorf("load from freed vector")
 	}
-	rows := vertical.MakeRows(v.width, v.sys.cfg.DRAM.WordsPerRow())
+	rows := v.sys.transposeRows(v.width)
 	off := 0
 	for _, seg := range v.segs {
 		sa := v.sys.mod.Subarray(seg.bank, seg.sub)
 		for r := 0; r < v.width; r++ {
 			sa.ReadRowInto(seg.baseRow+r, rows[r])
 		}
-		if err := v.sys.tu.VToH(uint64(v.handle), out[off:off+seg.lanes], rows, v.width); err != nil {
+		if err := v.sys.tu.VToH(v.serial, out[off:off+seg.lanes], rows, v.width); err != nil {
 			return err
 		}
 		off += seg.lanes

@@ -266,3 +266,58 @@ func BenchmarkVectorLoad(b *testing.B) {
 	}
 	reportPerElem(b)
 }
+
+// TestRecycledHandleStoreIsCharged pins the transposition line buffer
+// to object identity, not to the recycled 16-bit handle: a vector that
+// reuses a freed vector's handle must pay for its first store in full
+// instead of hitting the freed vector's buffered lines.
+func TestRecycledHandleStoreIsCharged(t *testing.T) {
+	sys := splatSystem(t)
+	const n, width = 256, 8
+	data := splatOf(7, n)
+	// Spend every fresh handle but the last; freed handles are recycled
+	// last-freed first once the fresh range runs out.
+	for i := 1; i < int(^uint16(0)); i++ {
+		v, err := sys.AllocVector(n, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Free()
+	}
+	old, err := sys.AllocVector(n, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Store(data); err != nil {
+		t.Fatal(err)
+	}
+	h := old.Handle()
+	old.Free()
+	v, err := sys.AllocVector(n, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Free()
+	if v.Handle() != h {
+		t.Fatalf("new vector got handle %d, want the recycled %d", v.Handle(), h)
+	}
+	before := sys.TranspositionUnit().Stats
+	if err := v.Store(data); err != nil {
+		t.Fatal(err)
+	}
+	got := sys.TranspositionUnit().Stats
+	if hits := got.BufferHits - before.BufferHits; hits != 0 {
+		t.Errorf("store to a recycled handle hit %d buffered lines of the freed vector", hits)
+	}
+	if lines := got.LinesTransposed - before.LinesTransposed; lines != n*width/8/64 {
+		t.Errorf("store to a recycled handle transposed %d lines, want %d", lines, n*width/8/64)
+	}
+	// The buffer still serves the object itself.
+	before = got
+	if err := v.Store(data); err != nil {
+		t.Fatal(err)
+	}
+	if hits := sys.TranspositionUnit().Stats.BufferHits - before.BufferHits; hits != n*width/8/64 {
+		t.Errorf("second store to the same vector hit %d lines, want %d", hits, n*width/8/64)
+	}
+}
