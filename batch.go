@@ -42,6 +42,7 @@ func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 		return BatchStats{}, err
 	}
 	st, _, err := s.runPreparedAttr(pp, nil, nil)
+	pp.release() // a one-shot program: nothing runs it again
 	if err != nil {
 		return BatchStats{}, err
 	}
@@ -49,12 +50,13 @@ func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 }
 
 // preparedProgram is a bbop program bound once for repeated execution:
-// the control unit's prepared batch (schedule plus bound μProgram
-// views) and enough context to verify on every run that the objects
-// it was resolved against are still the live ones. Compiled graphs and
-// the Cluster's ExecBatch memo cache one of these so steady-state runs
-// skip instruction resolution, binding validation, and scheduling
-// entirely.
+// the control unit's prepared batch (schedule plus its own slab of
+// bound μProgram views) and enough context to verify on every run that
+// the objects it was resolved against are still the live ones.
+// Compiled graphs and the Cluster's ExecBatch memo cache one of these
+// so steady-state runs skip instruction resolution, binding
+// validation, and scheduling entirely; a one-shot owner releases it
+// after its run.
 type preparedProgram struct {
 	prep  *ctrl.Prepared // nil for a program of only trsp_init instructions
 	jobOf []int          // instruction index → job index, -1 for trsp_init
@@ -71,6 +73,16 @@ type preparedProgram struct {
 	scratch []scratchNeed
 	// verify is the system's SetVerifyPlans setting when it was prepared.
 	verify bool
+}
+
+// release recycles the control unit's storage of a program its owner
+// ran once and drops (see ctrl.Prepared.Release). Only such one-shot
+// owners call it: a program a Compiled or a memo keeps must never be
+// released, since it may run again.
+func (pp *preparedProgram) release() {
+	if pp.prep != nil {
+		pp.prep.Release()
+	}
 }
 
 // rebind re-points pp's object pins at objs, a later binding of the
@@ -130,15 +142,24 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 	jobs := make([]ctrl.Job, 0, len(prog))
 	pp := &preparedProgram{
 		jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog)),
+		// Compiled programs use about one handle per instruction.
+		binds:  make([]objBind, 0, len(prog)+4),
 		verify: s.verifyPlans,
 	}
-	bound := make(map[uint16]bool, len(prog)) // compiled programs use about one handle per instruction
+	nDeps := 0
+	for _, d := range deps {
+		nDeps += len(d)
+	}
+	jdeps := make([]int, 0, nDeps)
+	var segs segBufs
+	var bound [1 << 16 / 64]uint64 // bitset over handles already pinned
 	bind := func(v *Vector) {
-		if !bound[v.handle] {
-			bound[v.handle] = true
+		if w, bit := &bound[v.handle/64], uint64(1)<<(v.handle%64); *w&bit == 0 {
+			*w |= bit
 			pp.binds = append(pp.binds, objBind{h: v.handle, v: v})
 		}
 	}
+	var srcBuf [3]*Vector
 	for i, in := range prog {
 		if in.Op == isa.OpTrspInit {
 			v, ok := s.objects[in.Src[0]]
@@ -151,11 +172,11 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 			pp.jobOf[i] = -1
 			continue
 		}
-		d, dst, srcs, err := s.resolve(in)
+		d, dst, srcs, err := s.resolve(in, &srcBuf)
 		if err != nil {
 			return nil, errorf("instruction %d (%s): %w", i, in, err)
 		}
-		p, segs, err := s.prepareOp(d, dst, srcs)
+		p, jsegs, err := s.prepareOp(d, dst, srcs, &segs)
 		if err != nil {
 			return nil, errorf("instruction %d (%s): %w", i, in, err)
 		}
@@ -166,14 +187,14 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		for _, seg := range dst.segs {
 			pp.scratch = append(pp.scratch, scratchNeed{bank: seg.bank, sub: seg.sub, need: p.NumScratch})
 		}
-		var jdeps []int
+		d0 := len(jdeps)
 		for _, dep := range deps[i] {
 			if j := pp.jobOf[dep]; j >= 0 {
 				jdeps = append(jdeps, j)
 			}
 		}
 		pp.jobOf[i] = len(jobs)
-		jobs = append(jobs, ctrl.Job{Program: p, Segments: segs, Deps: jdeps})
+		jobs = append(jobs, ctrl.Job{Program: p, Segments: jsegs, Deps: jdeps[d0:len(jdeps):len(jdeps)]})
 	}
 	pp.scratch = maxScratchNeeds(pp.scratch)
 	if len(jobs) == 0 {

@@ -365,14 +365,21 @@ func (v *ShardedVector) Load() ([]uint64, error) {
 		return nil, errorf("load from freed sharded vector")
 	}
 	out := make([]uint64, v.n)
-	err := cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
-		span := v.plan.Spans[task]
-		return v.parts[task].loadInto(out[span.Off : span.Off+span.Count])
-	})
-	if err != nil {
+	if err := v.loadInto(out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// loadInto is Load into out (v.n elements).
+func (v *ShardedVector) loadInto(out []uint64) error {
+	if v.freed {
+		return errorf("load from freed sharded vector")
+	}
+	return cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
+		span := v.plan.Spans[task]
+		return v.parts[task].loadInto(out[span.Off : span.Off+span.Count])
+	})
 }
 
 // spanChannels returns the channel of every span, parallel to parts.

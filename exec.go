@@ -22,7 +22,7 @@ func (s *System) Run(opName string, dst *Vector, srcs ...*Vector) (Stats, error)
 
 // RunOp is Run with an explicit operation definition.
 func (s *System) RunOp(d ops.Def, dst *Vector, srcs ...*Vector) (Stats, error) {
-	p, segs, err := s.prepareOp(d, dst, srcs)
+	p, segs, err := s.prepareOp(d, dst, srcs, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -33,17 +33,29 @@ func (s *System) RunOp(d ops.Def, dst *Vector, srcs ...*Vector) (Stats, error) {
 		return Stats{}, err
 	}
 	st, _, err := s.cu.Run(pb, ctrl.RunOpts{})
+	pb.Release()
 	if err != nil {
 		return Stats{}, err
 	}
 	return Stats{LatencyNs: st.BusyNs, EnergyPJ: st.EnergyPJ, Commands: st.Commands}, nil
 }
 
+// segBufs is flat storage the segments of a program's instructions,
+// and their bindings' source bases, are carved from: one growing array
+// each instead of two allocations per instruction. A carved slice is
+// capacity-capped, and growing a buffer leaves earlier slices on the
+// old array, so no instruction's segments ever move or alias another's.
+type segBufs struct {
+	segs  []ctrl.Segment
+	bases []int
+}
+
 // prepareOp validates an operation invocation and resolves it to a
 // μProgram plus the per-subarray segment bindings — everything the
 // control unit needs to execute, shared by the serial (RunOp) and
-// batched (ExecBatch) paths.
-func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector) (*uprog.Program, []ctrl.Segment, error) {
+// batched (ExecBatch) paths. The segments are carved from buf, or
+// allocated when buf is nil.
+func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector, buf *segBufs) (*uprog.Program, []ctrl.Segment, error) {
 	if len(srcs) == 0 {
 		return nil, nil, errorf("%s: no sources", d.Name)
 	}
@@ -52,13 +64,20 @@ func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector) (*uprog.Progr
 		return nil, nil, errorf("%s: needs %d sources, have %d", d.Name, arity, len(srcs))
 	}
 	width := srcs[0].width
-	wantWidths := d.SourceWidths(width, len(srcs))
+	var wantWidths []int // nil: every source is width bits (ops.Def.SourceWidths)
+	if d.SrcWidths != nil {
+		wantWidths = d.SrcWidths(width)
+	}
 	for k, src := range srcs {
 		if src.freed {
 			return nil, nil, errorf("%s: source %d freed", d.Name, k)
 		}
-		if src.width != wantWidths[k] {
-			return nil, nil, errorf("%s: source %d width %d, operation expects %d", d.Name, k, src.width, wantWidths[k])
+		want := width
+		if wantWidths != nil {
+			want = wantWidths[k]
+		}
+		if src.width != want {
+			return nil, nil, errorf("%s: source %d width %d, operation expects %d", d.Name, k, src.width, want)
 		}
 		if src.n != dst.n {
 			return nil, nil, errorf("%s: source %d has %d elements, dst %d", d.Name, k, src.n, dst.n)
@@ -83,22 +102,26 @@ func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector) (*uprog.Progr
 		return nil, nil, err
 	}
 	dataRows := s.cfg.DRAM.DataRows()
-	segs := make([]ctrl.Segment, len(dst.segs))
+	if buf == nil {
+		buf = &segBufs{}
+	}
+	s0 := len(buf.segs)
 	for i := range dst.segs {
 		bank, sub := dst.segs[i].bank, dst.segs[i].sub
 		if s.rows[bank][sub].tailFree() < p.NumScratch {
 			return nil, nil, errorf("%s: subarray (%d,%d) lacks %d scratch rows", d.Name, bank, sub, p.NumScratch)
 		}
-		b := uprog.Binding{
+		b0 := len(buf.bases)
+		for _, src := range srcs {
+			buf.bases = append(buf.bases, src.segs[i].baseRow)
+		}
+		buf.segs = append(buf.segs, ctrl.Segment{Bank: bank, Sub: sub, Binding: uprog.Binding{
+			SrcBase:     buf.bases[b0:len(buf.bases):len(buf.bases)],
 			DstBase:     dst.segs[i].baseRow,
 			ScratchBase: dataRows - p.NumScratch,
-		}
-		for _, src := range srcs {
-			b.SrcBase = append(b.SrcBase, src.segs[i].baseRow)
-		}
-		segs[i] = ctrl.Segment{Bank: bank, Sub: sub, Binding: b}
+		}})
 	}
-	return p, segs, nil
+	return p, buf.segs[s0:len(buf.segs):len(buf.segs)], nil
 }
 
 // Exec executes a decoded bbop instruction against the system's object
@@ -116,7 +139,8 @@ func (s *System) Exec(in isa.Instruction) (Stats, error) {
 		// validates the object.
 		return Stats{}, nil
 	}
-	d, dst, srcs, err := s.resolve(in)
+	var buf [3]*Vector
+	d, dst, srcs, err := s.resolve(in, &buf)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -124,8 +148,9 @@ func (s *System) Exec(in isa.Instruction) (Stats, error) {
 }
 
 // resolve maps an operation instruction's opcode and object handles onto
-// the operation definition and the live vectors they name.
-func (s *System) resolve(in isa.Instruction) (ops.Def, *Vector, []*Vector, error) {
+// the operation definition and the live vectors they name; the sources
+// are returned in buf.
+func (s *System) resolve(in isa.Instruction, buf *[3]*Vector) (ops.Def, *Vector, []*Vector, error) {
 	code, err := in.Op.ToOp()
 	if err != nil {
 		return ops.Def{}, nil, nil, err
@@ -142,7 +167,7 @@ func (s *System) resolve(in isa.Instruction) (ops.Def, *Vector, []*Vector, error
 	if arity > 3 {
 		return ops.Def{}, nil, nil, errorf("bbop: ISA encodes at most 3 source objects, operation needs %d", arity)
 	}
-	srcs := make([]*Vector, arity)
+	srcs := buf[:arity]
 	for k := 0; k < arity; k++ {
 		src, ok := s.objects[in.Src[k]]
 		if !ok {

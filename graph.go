@@ -1,6 +1,7 @@
 package simdram
 
 import (
+	"sync"
 	"time"
 
 	"simdram/internal/graph"
@@ -230,11 +231,11 @@ type compileEnv struct {
 	cl  *Cluster
 
 	g          *graph.Graph
-	memo       map[*Expr]graph.NodeID
-	leafOf     map[graph.NodeID]*Expr
-	first      *Expr // first leaf of any kind: defines n
-	firstVec   *Expr // first Vector leaf: defines System placement
-	firstShard *Expr // first ShardedVector leaf: defines Cluster placement
+	memo       map[*Expr]graph.NodeID // while buildEnv runs
+	leafOf     []*Expr                // node → its leaf expression, nil for other nodes
+	first      *Expr                  // first leaf of any kind: defines n
+	firstVec   *Expr                  // first Vector leaf: defines System placement
+	firstShard *Expr                  // first ShardedVector leaf: defines Cluster placement
 	n          int
 	opts       CompileOptions // the passes planExprs runs
 	key        string         // plan-cache shape key: opts plus canonical graph
@@ -274,7 +275,6 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 		if id, err = env.g.Input(v.width); err != nil {
 			return 0, err
 		}
-		env.leafOf[id] = e
 	case exprShardLeaf:
 		if env.sys != nil {
 			return 0, errorf("graph: ShardedVector leaf in a System expression (use System.Lazy)")
@@ -299,7 +299,6 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 		if id, err = env.g.Input(v.width); err != nil {
 			return 0, err
 		}
-		env.leafOf[id] = e
 	case exprData:
 		if len(e.data) == 0 {
 			return 0, errorf("graph: data leaf is empty")
@@ -312,7 +311,6 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 		if id, err = env.g.Input(e.width); err != nil {
 			return 0, err
 		}
-		env.leafOf[id] = e
 	case exprConst:
 		if id, err = env.g.Const(e.val, e.width); err != nil {
 			return 0, err
@@ -322,11 +320,14 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 		if err != nil {
 			return 0, err
 		}
-		argIDs := make([]graph.NodeID, len(e.args))
-		for k, a := range e.args {
-			if argIDs[k], err = env.node(a); err != nil {
+		var buf [3]graph.NodeID // the ISA's limit; Op rejects more
+		argIDs := buf[:0]
+		for _, a := range e.args {
+			aid, err := env.node(a)
+			if err != nil {
 				return 0, err
 			}
+			argIDs = append(argIDs, aid)
 		}
 		if id, err = env.g.Op(d, argIDs...); err != nil {
 			return 0, err
@@ -334,9 +335,20 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 	default:
 		return 0, errorf("graph: unknown expression kind %d", e.kind)
 	}
+	// Each call adds exactly one node, after its arguments', so node id
+	// is leafOf's next entry.
+	var leaf *Expr
+	if e.kind != exprOp && e.kind != exprConst {
+		leaf = e
+	}
+	env.leafOf = append(env.leafOf, leaf)
 	env.memo[e] = id
 	return id, nil
 }
+
+// memoPool recycles buildEnv's expression memos: a memo is dead once
+// the graph is built, and a cleared map keeps its buckets.
+var memoPool = sync.Pool{New: func() any { return map[*Expr]graph.NodeID{} }}
 
 // optsKey encodes the pass switches into the plan-cache key: the same
 // shape compiled under different options yields a different plan, so
@@ -447,17 +459,24 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileS
 // buildEnv constructs the IR graph from the expression trees and its
 // plan-cache key under opts — the front half of compilation, which
 // planExprs completes. The server builds it once per job, at
-// admission, where the key and graph also price the job.
-func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr) (*compileEnv, error) {
+// admission, where the key and graph also price the job. size, when
+// the caller knows it, is the number of distinct expressions: the
+// graph's node count, which sizes its node table up front.
+func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, size int) (*compileEnv, error) {
 	if len(exprs) == 0 {
 		return nil, errorf("graph: nothing to materialize")
 	}
 	env := &compileEnv{
 		sys: sys, cl: cl, opts: opts,
-		g:      graph.New(),
-		memo:   map[*Expr]graph.NodeID{},
-		leafOf: map[graph.NodeID]*Expr{},
+		g:      graph.NewSized(size),
+		memo:   memoPool.Get().(map[*Expr]graph.NodeID),
+		leafOf: make([]*Expr, 0, size),
 	}
+	defer func() {
+		clear(env.memo)
+		memoPool.Put(env.memo)
+		env.memo = nil
+	}()
 	for _, e := range exprs {
 		id, err := env.node(e)
 		if err != nil {
@@ -523,13 +542,13 @@ func buildPlan(g *graph.Graph, opts CompileOptions, cost graph.CostFn) *graph.Pl
 // graphObj is the slice of the Vector/ShardedVector surface the
 // shared lowering back end needs: one implementation of the slot,
 // constant, and result bookkeeping serves both the System and the
-// Cluster compiler. Load is what the serving path gathers results
-// with before releasing a job's storage.
+// Cluster compiler. loadInto (Load into a caller's slice) is what the
+// serving path gathers results with before releasing a job's storage.
 type graphObj interface {
 	Handle() uint16
 	Store([]uint64) error
 	storeSplat(val uint64) error // Store of val in every element, without a transpose
-	Load() ([]uint64, error)
+	loadInto(out []uint64) error
 	Free()
 }
 
@@ -859,7 +878,7 @@ func (s *System) Compile(exprs ...*Expr) (*Compiled, error) {
 // primarily for differential testing and baseline measurement; regular
 // callers want Compile or Materialize.
 func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, error) {
-	env, err := buildEnv(s, nil, opts, exprs)
+	env, err := buildEnv(s, nil, opts, exprs, 0)
 	if err != nil {
 		return nil, err
 	}

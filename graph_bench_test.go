@@ -3,6 +3,7 @@ package simdram_test
 import (
 	"context"
 	"math/rand"
+	"runtime/metrics"
 	"testing"
 
 	"simdram"
@@ -114,7 +115,8 @@ func BenchmarkGraphCompile(b *testing.B) {
 // 8-bit DAG over 256-element Input leaves on a 2-channel server with
 // the plan verifier on, a different shape every iteration: the served
 // plan-cache miss path end to end (admission pricing, compile, lower,
-// prepare with verification, execute, gather).
+// prepare with verification, execute, gather). It also reports the
+// garbage collector's share of CPU time (gc-cpu-share).
 func BenchmarkServerSubmitMiss(b *testing.B) {
 	cfg := simdram.DefaultServerConfig(2)
 	cfg.Channel.DRAM.Cols = 256
@@ -140,6 +142,7 @@ func BenchmarkServerSubmitMiss(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := cpuClasses()
 	for i := 0; i < b.N; i++ {
 		fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: "bench"}, pool[i%missPool]...)
 		if err != nil {
@@ -148,6 +151,32 @@ func BenchmarkServerSubmitMiss(b *testing.B) {
 		if _, err := fut.Wait(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	gc.report(b)
+}
+
+// gcShare measures the garbage collector's share of the process's CPU
+// time over a benchmark loop, from the runtime's CPU-class estimates
+// (runtime/metrics), which the runtime refreshes at every collection.
+type gcShare struct{ gc, total float64 }
+
+// cpuClasses reads the runtime's cumulative GC and total CPU seconds.
+func cpuClasses() gcShare {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64 || s[1].Value.Kind() != metrics.KindFloat64 {
+		return gcShare{}
+	}
+	return gcShare{gc: s[0].Value.Float64(), total: s[1].Value.Float64()}
+}
+
+// report attaches the GC share of CPU since start (a cpuClasses
+// reading) as the gc-cpu-share
+// metric; it reports nothing when no collection ran in between.
+func (start gcShare) report(b *testing.B) {
+	end := cpuClasses()
+	if d := end.total - start.total; d > 0 {
+		b.ReportMetric((end.gc-start.gc)/d, "gc-cpu-share")
 	}
 }
 
@@ -158,7 +187,8 @@ func BenchmarkServerSubmitMiss(b *testing.B) {
 // compiled, converged its profile and run on both channels: the served
 // plan-cache hit path end to end (admission pricing, cache lookup,
 // storage binding and input stores, the channel's memoized prepared
-// program, execute, gather).
+// program, execute, gather), and the garbage collector's share of CPU
+// time (gc-cpu-share).
 func BenchmarkServerSubmitHit(b *testing.B) {
 	cfg := simdram.DefaultServerConfig(2)
 	cfg.Channel.DRAM.Cols = 256
@@ -210,7 +240,9 @@ func BenchmarkServerSubmitHit(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := cpuClasses()
 	for i := 0; i < b.N; i++ {
 		submit(shapes[i%len(shapes)])
 	}
+	gc.report(b)
 }

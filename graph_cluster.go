@@ -36,7 +36,7 @@ func (c *Cluster) Compile(exprs ...*Expr) (*ClusterCompiled, error) {
 // CompileWith is Compile with selected passes disabled — primarily for
 // differential testing and baseline measurement.
 func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterCompiled, error) {
-	env, err := buildEnv(nil, c, opts, exprs)
+	env, err := buildEnv(nil, c, opts, exprs, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,6 @@
 package ctrl
 
 import (
-	"cmp"
-	"fmt"
-	"slices"
 	"sync"
 
 	"simdram/internal/dram"
@@ -29,12 +26,6 @@ type Unit struct {
 	// concurrent callers never race on Stats, on a Prepared's dispatch
 	// scratch, or on the rows their batches share.
 	runMu sync.Mutex
-
-	// vc caches the views binding μProgram templates to placements,
-	// so a repeated placement skips binding validation; templates are
-	// shared by every unit of one geometry, so a fresh placement skips
-	// resolution (see resolved.go).
-	vc viewCache
 
 	Stats ExecStats
 }
@@ -95,34 +86,6 @@ func (u *Unit) Program(d ops.Def, width, n int) (*uprog.Program, error) {
 type Segment struct {
 	Bank, Sub int
 	Binding   uprog.Binding
-}
-
-// groupBySubarray validates segment coordinates and buckets segments
-// by (bank, subarray): the groups come back in deterministic bank-major
-// order, each keeping its segments' original order, alongside the
-// segment count of every bank (indexed by bank).
-func (u *Unit) groupBySubarray(segs []Segment) ([][]Segment, []int, error) {
-	perBank := make([]int, u.mod.NumBanks())
-	for _, seg := range segs {
-		if seg.Bank < 0 || seg.Bank >= u.mod.NumBanks() || seg.Sub < 0 || seg.Sub >= u.mod.SubarraysPerBank() {
-			return nil, nil, fmt.Errorf("ctrl: segment (%d,%d) out of range", seg.Bank, seg.Sub)
-		}
-		perBank[seg.Bank]++
-	}
-	sorted := slices.Clone(segs)
-	slices.SortStableFunc(sorted, func(a, b Segment) int {
-		return cmp.Or(cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Sub, b.Sub))
-	})
-	var groups [][]Segment
-	for start := 0; start < len(sorted); {
-		end := start + 1
-		for end < len(sorted) && sorted[end].Bank == sorted[start].Bank && sorted[end].Sub == sorted[start].Sub {
-			end++
-		}
-		groups = append(groups, sorted[start:end:end])
-		start = end
-	}
-	return groups, perBank, nil
 }
 
 // PerfModel computes paper-scale performance numbers for a μProgram

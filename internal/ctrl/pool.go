@@ -13,7 +13,15 @@ import (
 // Unit.Run), so a dependency chain never leaves the caller while
 // bank-parallel groups still spread over free cores.
 type Pool struct {
-	jobs chan func()
+	jobs chan task
+}
+
+// task is one unit of pool work: a function, or a prepared batch's
+// subarray group, which the pool runs without wrapping it in a
+// closure.
+type task struct {
+	f func()
+	g *group
 }
 
 // NewPool starts a pool with the given number of workers; size <= 0
@@ -23,7 +31,7 @@ func NewPool(size int) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{jobs: make(chan func())}
+	p := &Pool{jobs: make(chan task)}
 	for i := 0; i < size; i++ {
 		go p.worker()
 	}
@@ -31,8 +39,12 @@ func NewPool(size int) *Pool {
 }
 
 func (p *Pool) worker() {
-	for f := range p.jobs {
-		f()
+	for t := range p.jobs {
+		if t.g != nil {
+			t.g.run()
+		} else {
+			t.f()
+		}
 	}
 }
 
@@ -41,8 +53,13 @@ func (p *Pool) worker() {
 // typically runs it itself. The caller tracks completion (typically a
 // channel or sync.WaitGroup that f signals).
 func (p *Pool) TryRun(f func()) bool {
+	return p.tryRun(task{f: f})
+}
+
+// tryRun is TryRun for any task.
+func (p *Pool) tryRun(t task) bool {
 	select {
-	case p.jobs <- f:
+	case p.jobs <- t:
 		return true
 	default:
 		return false

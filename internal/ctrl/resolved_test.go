@@ -1,9 +1,10 @@
 package ctrl
 
-// Tests for the unit-level view cache and the prepare-once/execute-many
-// batch path.
+// Tests for the prepare-once/execute-many batch path and the ownership
+// of a prepared batch's storage.
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,56 +15,89 @@ import (
 	"simdram/internal/uprog"
 )
 
-func TestViewCacheReuse(t *testing.T) {
+// TestTemplatesShared checks that units of one geometry share one
+// template per program, so binding a placement never resolves again.
+func TestTemplatesShared(t *testing.T) {
 	r := newBatchRig(t)
-	u := r.unit
-	seg := Segment{Bank: 0, Sub: 0, Binding: r.bind}
-
-	v1, err := u.view(r.prog, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := u.view(r.prog, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v2 {
-		t.Error("same (program, binding, subarray) must return the cached view pointer")
-	}
-	if got := u.ViewCacheSize(); got != 1 {
-		t.Errorf("ViewCacheSize = %d, want 1", got)
-	}
-
-	other := seg
-	other.Binding.DstBase += r.prog.DstWidth
-	v3, err := u.view(r.prog, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3 == v1 {
-		t.Error("distinct bindings must bind distinct views")
-	}
-	// A view shares one subarray's rows, so the same binding on another
-	// subarray is another view.
-	v4, err := u.view(r.prog, Segment{Bank: 1, Sub: 0, Binding: r.bind})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v4 == v1 {
-		t.Error("distinct subarrays must bind distinct views")
-	}
-	if got := u.ViewCacheSize(); got != 3 {
-		t.Errorf("ViewCacheSize = %d, want 3", got)
-	}
-	// Units of one geometry share one template per program.
-	if u.template(r.prog) != newBatchRig(t).unit.template(r.prog) {
+	if r.unit.template(r.prog) != newBatchRig(t).unit.template(r.prog) {
 		t.Error("two units of one geometry built separate templates")
 	}
 }
 
-func TestViewCacheBypassesManySources(t *testing.T) {
+// TestRunReleasedPreparedPanics pins the ownership contract: a
+// released batch has handed its storage back, so running it again is
+// a bug that must fail loudly instead of running whatever batch reuses
+// the storage.
+func TestRunReleasedPreparedPanics(t *testing.T) {
 	r := newBatchRig(t)
-	u := r.unit
+	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
+	pb, err := r.unit.Prepare(jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	pb.Release()
+	pb.Release() // a second release is a no-op
+	if pb.Jobs() != 1 {
+		t.Errorf("Jobs() after Release = %d, want 1", pb.Jobs())
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "released") {
+			t.Errorf("Run of a released Prepared: recovered %v, want a panic naming the release", r)
+		}
+	}()
+	r.unit.Run(pb, RunOpts{})
+}
+
+// TestReleasedStorageLeavesKeptBatches checks that recycling is
+// confined to released batches: a kept batch still computes its own
+// placement after many one-shot batches on other placements were
+// prepared into recycled storage, run and released, and each one-shot
+// batch computes exactly what a fresh one does.
+func TestReleasedStorageLeavesKeptBatches(t *testing.T) {
+	r := newBatchRig(t)
+	rng := rand.New(rand.NewSource(5))
+	keptJobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
+	kept, err := r.unit.Prepare(keptJobs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := r.bind
+	other.DstBase += 4 * r.w
+	for i := 0; i < 200; i++ {
+		bank, sub := 1+i%(r.cfg.Banks-1), i%r.cfg.SubarraysPerBank
+		want := r.seed(t, rng, bank, sub)
+		jobs := []Job{
+			{Program: r.prog, Segments: []Segment{{Bank: bank, Sub: sub, Binding: r.bind}}},
+			{Program: r.prog, Segments: []Segment{{Bank: bank, Sub: sub, Binding: other}}},
+		}
+		pb, err := r.unit.Prepare(jobs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		pb.Release()
+		r.checkDst(t, bank, sub, r.bind.DstBase, want)
+		r.checkDst(t, bank, sub, other.DstBase, want)
+		if i%50 == 0 {
+			want0 := r.seed(t, rng, 0, 0)
+			if _, _, err := r.unit.Run(kept, RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			r.checkDst(t, 0, 0, r.bind.DstBase, want0)
+		}
+	}
+}
+
+// TestPrepareManySources binds and runs a μProgram of more than three
+// source operands, which the ISA cannot encode but the control unit
+// accepts.
+func TestPrepareManySources(t *testing.T) {
+	r := newBatchRig(t)
 	var red *ops.Def
 	for _, d := range ops.Catalog() {
 		if d.Arity < 0 {
@@ -75,38 +109,48 @@ func TestViewCacheBypassesManySources(t *testing.T) {
 	if red == nil {
 		t.Skip("no N-ary operation in the catalog")
 	}
-	p, err := u.Program(*red, 4, 4)
+	p, err := r.unit.Program(*red, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := uprog.Binding{SrcBase: []int{0, 4, 8, 12}, DstBase: 16, ScratchBase: 32}
-	if _, err := u.view(p, Segment{Binding: b}); err != nil {
+	b := uprog.Binding{SrcBase: []int{0, 4, 8, 12}, DstBase: 16, ScratchBase: r.cfg.DataRows() - p.NumScratch}
+	pb, err := r.unit.Prepare([]Job{{Program: p, Segments: []Segment{{Binding: b}}}}, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := u.ViewCacheSize(); got != 0 {
-		t.Errorf("binding with >3 sources must bypass the cache, size = %d", got)
+	if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+		t.Fatal(err)
 	}
+	pb.Release()
 }
 
-// TestViewCacheHitZeroAlloc gates the steady-state lookup: a cache hit
-// must not touch the heap.
-func TestViewCacheHitZeroAlloc(t *testing.T) {
+// TestPrepareReleaseAllocBudget gates the recycling itself: once a
+// released batch of the same shape is in the pool, a Prepare allocates
+// only its Prepared header.
+func TestPrepareReleaseAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
-		t.Skip("race detector allocates; gate runs in the non-race CI job")
+		t.Skip("race detector allocates and drops pooled storage; gate runs in the non-race CI job")
 	}
 	r := newBatchRig(t)
-	u := r.unit
-	seg := Segment{Bank: 0, Sub: 0, Binding: r.bind}
-	if _, err := u.view(r.prog, seg); err != nil {
-		t.Fatal(err)
+	jobs := []Job{
+		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}, {Bank: 1, Sub: 0, Binding: r.bind}}},
+		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}}, Deps: []int{0}},
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := u.view(r.prog, seg); err != nil {
+	cycle := func() {
+		pb, err := r.unit.Prepare(jobs, true)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("view-cache hit allocated %.1f times, want 0", allocs)
+		if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		pb.Release()
+	}
+	cycle()
+	// A garbage collection inside the measurement empties the pool, so
+	// allow the odd refill.
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 2 {
+		t.Fatalf("Prepare/Run/Release allocated %.1f times, want at most 2", allocs)
 	}
 }
 
@@ -189,7 +233,7 @@ func TestPreparedMatchesBatchProfile(t *testing.T) {
 // TestPreparedPlanZeroAllocPerRun is the acceptance gate from the
 // issue: steady-state execution of a cached plan's μPrograms performs
 // zero heap allocations per run. The per-μProgram kernel of a prepared
-// batch is RunView over a cached view; this replays exactly the view a
+// batch is RunView over a bound view; this replays exactly the view a
 // Prepare stored.
 func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	if raceflag.Enabled {
@@ -201,12 +245,12 @@ func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := pb.views[0][0][0]
+	sv := &pb.b.views[0]
 	if sv.err != nil {
 		t.Fatal(sv.err)
 	}
 	sa := r.mod.Subarray(0, 0)
-	allocs := testing.AllocsPerRun(20, func() { uprog.RunView(sa, sv.view) })
+	allocs := testing.AllocsPerRun(20, func() { uprog.RunView(sa, &sv.view) })
 	if allocs != 0 {
 		t.Fatalf("cached-plan μProgram run allocated %.1f times, want 0", allocs)
 	}

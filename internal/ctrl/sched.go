@@ -1,10 +1,13 @@
 package ctrl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
+	"simdram/internal/dram"
 	"simdram/internal/uprog"
 )
 
@@ -74,14 +77,22 @@ func (s *BatchStats) MergeParallel(o BatchStats) {
 // were skipped.
 var ErrCanceled = errors.New("ctrl: batch canceled")
 
-// batchPlan is the scheduler's precomputed view of a batch: per-job
-// subarray groups, the full constraint graph, and the deterministic
-// timing solution.
-type batchPlan struct {
-	groups [][][]Segment // job → subarray groups (each group one subarray)
-	preds  [][]int       // job → constraint predecessors (deps + subarray order)
-	durNs  []float64     // job → busy time on its busiest bank
-	finish []float64     // job → modeled completion time
+// batch is everything a Prepared owns: the schedule plan computes,
+// one slab of bound μProgram views, and the dispatch tables Run works
+// through. Its storage is recycled: Prepared.Release hands it to
+// batchPool, and the next Prepare regrows it in place, so a one-shot
+// batch allocates nothing in steady state.
+type batch struct {
+	// The schedule. Job i's subarray groups are
+	// groups[jobGrp[i]:jobGrp[i+1]], bank-major, and a group's segments
+	// are segs[lo:hi]: each job's segments, stably sorted by (bank,
+	// subarray).
+	segs   []Segment
+	groups []group
+	jobGrp []int32
+	tmpl   []*uprog.Template // job → its μProgram's template
+	durNs  []float64         // job → busy time on its busiest bank
+	finish []float64         // job → modeled completion time
 	busyNs float64
 	spanNs float64
 	nCmds  int64
@@ -91,59 +102,126 @@ type batchPlan struct {
 	// executed commands, is measured per run instead.
 	bankBusy []float64
 	bankCmds []int64
+
+	// The views: segment s runs views[s], whose row map and row table
+	// are carved from phys and rows.
+	views []segView
+	phys  []int32
+	rows  [][]uint64
+
+	// The constraint graph: job i's predecessors are
+	// preds[predOff[i]:predOff[i+1]] and the jobs its completion
+	// unblocks succs[succOff[i]:succOff[i+1]].
+	preds   []int32
+	predOff []int32
+	succs   []int32
+	succOff []int32
+	indeg0  []int32 // job → predecessor count
+
+	// Per-run scratch, reset at the top of every Run.
+	indeg      []int32
+	remain     []int32 // outstanding subarray groups per job
+	ready      []int32
+	results    chan groupResult
+	bankEnergy []float64 // bank → energy measured this run
+
+	// Planning scratch.
+	perBank   []int32   // bank → segments of the job being planned
+	lastOnSub []int32   // bank*subs+sub → 1 + the last job on it, 0 if none
+	bankFree  []float64 // bank → when it goes idle
+}
+
+// batchPool recycles the storage of released batches.
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// sized returns s resized to n zeroed elements, reusing its backing
+// array when it is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// group is one job's work on one subarray: its segments' views, run in
+// order by whichever goroutine takes the group.
+type group struct {
+	b         *batch
+	job, bank int32
+	sub       int32
+	lo, hi    int32 // the group's segments: b.views[lo:hi]
+	sa        *dram.Subarray
+}
+
+// run executes the group's views and reports to the dispatch loop.
+// Only one goroutine touches the group's subarray at a time (the
+// constraint graph serializes same-subarray jobs), so its stats delta
+// is race-free and attributable to this group.
+//
+//simdram:zeroalloc
+func (g *group) run() {
+	b, sa := g.b, g.sa
+	before := sa.Stats
+	for s := g.lo; s < g.hi; s++ {
+		sv := &b.views[s]
+		if sv.err != nil {
+			b.results <- groupResult{job: g.job, bank: g.bank, err: sv.err}
+			return
+		}
+		uprog.RunView(sa, &sv.view)
+	}
+	b.results <- groupResult{job: g.job, bank: g.bank, energyPJ: sa.Stats.Sub(before).EnergyPJ}
 }
 
 // plan validates the jobs and computes the constraint graph and timing
-// model. Timing is resolved deterministically in program order — an
-// in-order dispatch greedy schedule — so batch latency never depends on
-// the host's dynamic goroutine interleaving: job i starts when its
-// hazard predecessors have finished and every bank it touches is free,
-// runs for its μProgram latency times the segment count on its busiest
-// bank, and occupies its banks until it finishes.
-func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
-	n, banks := len(jobs), u.mod.NumBanks()
-	pl := &batchPlan{
-		groups:   make([][][]Segment, n),
-		preds:    make([][]int, n),
-		durNs:    make([]float64, n),
-		finish:   make([]float64, n),
-		bankBusy: make([]float64, banks),
-		bankCmds: make([]int64, banks),
-	}
+// model into b. Timing is resolved deterministically in program order
+// — an in-order dispatch greedy schedule — so batch latency never
+// depends on the host's dynamic goroutine interleaving: job i starts
+// when its hazard predecessors have finished and every bank it touches
+// is free, runs for its μProgram latency times the segment count on
+// its busiest bank, and occupies its banks until it finishes.
+func (u *Unit) plan(b *batch, jobs []Job) error {
+	n, banks, subs := len(jobs), u.mod.NumBanks(), u.mod.SubarraysPerBank()
+	b.segs, b.groups, b.preds = b.segs[:0], b.groups[:0], b.preds[:0]
+	b.jobGrp = sized(b.jobGrp, n+1)
+	b.predOff = sized(b.predOff, n+1)
+	b.tmpl = sized(b.tmpl, n)
+	b.durNs = sized(b.durNs, n)
+	b.finish = sized(b.finish, n)
+	b.busyNs, b.spanNs, b.nCmds = 0, 0, 0
+	b.bankBusy = sized(b.bankBusy, banks)
+	b.bankCmds = sized(b.bankCmds, banks)
+	b.bankFree = sized(b.bankFree, banks)
+	b.lastOnSub = sized(b.lastOnSub, banks*subs)
 	timing := u.mod.Config().Timing
-	// lastOnSub[bank*subs+sub] is one plus the last job that touched the
-	// subarray (0: none yet); bankFree[bank] is when the bank goes idle.
-	subs := u.mod.SubarraysPerBank()
-	lastOnSub := make([]int, banks*subs)
-	bankFree := make([]float64, banks)
 	for i, job := range jobs {
 		if job.Program == nil || len(job.Segments) == 0 {
-			return nil, fmt.Errorf("ctrl: job %d has no program or segments", i)
+			return fmt.Errorf("ctrl: job %d has no program or segments", i)
 		}
-		groups, perBank, err := u.groupBySubarray(job.Segments)
-		if err != nil {
-			return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
+		if err := u.group(b, i, job.Segments); err != nil {
+			return fmt.Errorf("ctrl: job %d: %w", i, err)
 		}
-		pl.groups[i] = groups
 
 		// Constraint predecessors: declared data hazards plus program-order
 		// edges between jobs sharing a subarray (the simulator's state
 		// hazard; in hardware the same pair also serializes on the bank).
-		var preds []int
+		p0 := len(b.preds)
 		for _, d := range job.Deps {
 			if d < 0 || d >= i {
-				return nil, fmt.Errorf("ctrl: job %d: dep %d is not an earlier job", i, d)
+				return fmt.Errorf("ctrl: job %d: dep %d is not an earlier job", i, d)
 			}
-			preds = appendUnique(preds, d)
+			b.addPred(p0, int32(d))
 		}
-		for _, g := range groups {
-			last := &lastOnSub[g[0].Bank*subs+g[0].Sub]
+		for _, g := range b.groups[b.jobGrp[i]:] {
+			last := &b.lastOnSub[int(g.bank)*subs+int(g.sub)]
 			if *last > 0 {
-				preds = appendUnique(preds, *last-1)
+				b.addPred(p0, *last-1)
 			}
-			*last = i + 1
+			*last = int32(i + 1)
 		}
-		pl.preds[i] = preds
+		b.predOff[i+1] = int32(len(b.preds))
 
 		// Timing: segments within one bank serialize on the bank's
 		// row-command bandwidth, banks overlap, so the job is busy for its
@@ -152,58 +230,94 @@ func (u *Unit) plan(jobs []Job) (*batchPlan, error) {
 		// free, then holds those banks for its duration. The latency comes
 		// from the program's shared template, which counted its commands
 		// once.
-		latNs := u.template(job.Program).LatencyNs(timing)
+		t := u.template(job.Program)
+		b.tmpl[i] = t
+		latNs := t.LatencyNs(timing)
 		cmdsPerSeg := int64(len(job.Program.Ops))
-		start, maxPerBank := 0.0, 0
-		for _, d := range preds {
-			start = max(start, pl.finish[d])
+		start, maxPerBank := 0.0, int32(0)
+		for _, d := range b.preds[p0:] {
+			start = max(start, b.finish[d])
 		}
-		for b, segs := range perBank {
+		for bk, segs := range b.perBank {
 			if segs == 0 {
 				continue
 			}
-			pl.bankBusy[b] += latNs * float64(segs)
-			pl.bankCmds[b] += cmdsPerSeg * int64(segs)
+			b.bankBusy[bk] += latNs * float64(segs)
+			b.bankCmds[bk] += cmdsPerSeg * int64(segs)
 			maxPerBank = max(maxPerBank, segs)
-			start = max(start, bankFree[b])
+			start = max(start, b.bankFree[bk])
 		}
-		pl.durNs[i] = latNs * float64(maxPerBank)
-		pl.nCmds += cmdsPerSeg * int64(len(job.Segments))
-		pl.finish[i] = start + pl.durNs[i]
-		for b, segs := range perBank {
+		b.durNs[i] = latNs * float64(maxPerBank)
+		b.nCmds += cmdsPerSeg * int64(len(job.Segments))
+		b.finish[i] = start + b.durNs[i]
+		for bk, segs := range b.perBank {
 			if segs > 0 {
-				bankFree[b] = pl.finish[i]
+				b.bankFree[bk] = b.finish[i]
 			}
 		}
-		pl.busyNs += pl.durNs[i]
-		pl.spanNs = max(pl.spanNs, pl.finish[i])
+		b.busyNs += b.durNs[i]
+		b.spanNs = max(b.spanNs, b.finish[i])
 	}
-	return pl, nil
+	return nil
 }
 
-// appendUnique appends v to s unless s already holds it.
-func appendUnique(s []int, v int) []int {
-	if slices.Contains(s, v) {
-		return s
+// group validates job i's segment coordinates, appends its segments to
+// b.segs stably sorted by (bank, subarray), and appends one group per
+// subarray in that bank-major order, leaving the segment count of
+// every bank in b.perBank.
+func (u *Unit) group(b *batch, i int, segs []Segment) error {
+	b.perBank = sized(b.perBank, u.mod.NumBanks())
+	for _, seg := range segs {
+		if seg.Bank < 0 || seg.Bank >= u.mod.NumBanks() || seg.Sub < 0 || seg.Sub >= u.mod.SubarraysPerBank() {
+			return fmt.Errorf("ctrl: segment (%d,%d) out of range", seg.Bank, seg.Sub)
+		}
+		b.perBank[seg.Bank]++
 	}
-	return append(s, v)
+	lo := len(b.segs)
+	b.jobGrp[i] = int32(len(b.groups))
+	b.segs = append(b.segs, segs...)
+	sorted := b.segs[lo:]
+	slices.SortStableFunc(sorted, func(x, y Segment) int {
+		return cmp.Or(cmp.Compare(x.Bank, y.Bank), cmp.Compare(x.Sub, y.Sub))
+	})
+	for s := 0; s < len(sorted); {
+		e := s + 1
+		for e < len(sorted) && sorted[e].Bank == sorted[s].Bank && sorted[e].Sub == sorted[s].Sub {
+			e++
+		}
+		bank, sub := sorted[s].Bank, sorted[s].Sub
+		b.groups = append(b.groups, group{
+			b: b, job: int32(i), bank: int32(bank), sub: int32(sub),
+			lo: int32(lo + s), hi: int32(lo + e), sa: u.mod.Subarray(bank, sub),
+		})
+		s = e
+	}
+	b.jobGrp[i+1] = int32(len(b.groups))
+	return nil
+}
+
+// addPred appends predecessor d to the job whose predecessors start at
+// preds[p0], unless it already has it.
+func (b *batch) addPred(p0 int, d int32) {
+	if !slices.Contains(b.preds[p0:], d) {
+		b.preds = append(b.preds, d)
+	}
 }
 
 // segView pairs one prepared segment with the view that runs its
 // μProgram at its placement, or with the binding error to surface when
 // its job issues.
 type segView struct {
-	view *uprog.View
+	view uprog.View
 	err  error
 }
 
 // groupResult is one subarray group's completion report, sent to the
 // dispatch loop by whichever goroutine ran the group.
 type groupResult struct {
-	job      int
-	bank     int
-	energyPJ float64
-	err      error
+	job, bank int32
+	energyPJ  float64
+	err       error
 }
 
 // Prepared is a batch bound once for repeated execution: the validated
@@ -211,116 +325,143 @@ type groupResult struct {
 // μProgram view per segment. Run executes it without re-planning or
 // re-binding anything — the run-many half of the bind-once/run-many
 // pipeline, which a compiled graph caches alongside its plan. The
-// schedule and views are immutable; the dispatch scratch below makes
-// each run allocation-free, and the unit's run lock keeps two runs
-// from sharing it.
+// schedule and views are immutable; the dispatch scratch makes each
+// run allocation-free, and the unit's run lock keeps two runs from
+// sharing it.
+//
+// A Prepared owns its storage: the views of all its segments share
+// one row-table slab. An owner that runs a batch once and drops it
+// calls Release, which recycles that storage for later Prepares; a
+// batch kept for more runs is simply dropped when its owner is done
+// with it, and the garbage collector reclaims it.
 type Prepared struct {
-	jobs  []Job
-	pl    *batchPlan
-	views [][][]segView // job → subarray group → segment
-
-	// Static dispatch structure, derived from pl.preds once at Prepare.
-	succs  [][]int    // job → jobs unblocked by its completion
-	indeg0 []int      // job → predecessor count
-	tasks  [][]func() // job → one task per subarray group
-
-	// Per-run scratch, reset at the top of every Run.
-	indeg      []int
-	remain     []int // outstanding subarray groups per job
-	ready      []int
-	results    chan groupResult
-	bankEnergy []float64 // bank → energy measured this run
+	b *batch // nil once released
+	n int
 }
 
 // Jobs returns the number of jobs in the prepared batch.
-func (pb *Prepared) Jobs() int { return len(pb.jobs) }
+func (pb *Prepared) Jobs() int { return pb.n }
+
+// Release returns pb's storage for reuse by later Prepares. The owner
+// must be done with pb — Run has returned and no later Run will come —
+// and so must every holder of the durations Run returned: running a
+// released batch panics. Releasing twice is a no-op.
+func (pb *Prepared) Release() {
+	b := pb.b
+	if b == nil {
+		return
+	}
+	pb.b = nil
+	b.reset()
+	batchPool.Put(b)
+}
+
+// reset drops every reference b holds into a module, a binding or a
+// template, so a pooled batch keeps nothing else alive.
+func (b *batch) reset() {
+	clear(b.segs)
+	clear(b.groups)
+	clear(b.tmpl)
+	clear(b.views)
+	clear(b.rows)
+}
 
 // Prepare validates and schedules a batch and binds every segment's
-// μProgram view through the unit's cache. Structural errors (bad
-// coordinates, bad deps) fail here. A segment whose *binding* is
-// rejected fails here too when eager is set — the plan-verifier gate,
-// which rejects the batch before any DRAM command executes; otherwise
-// it is kept with its error attached and surfaces when its job issues,
-// so Run stays fail-fast and prefix-consistent.
+// μProgram view into the batch's own slab: one row map and one row
+// table for all segments, sized from the templates before any view is
+// bound, with the templates themselves shared process-wide. Structural
+// errors (bad coordinates, bad deps) fail here. A segment whose
+// *binding* is rejected fails here too when eager is set — the
+// plan-verifier gate, which rejects the batch before any DRAM command
+// executes; otherwise it is kept with its error attached and surfaces
+// when its job issues, so Run stays fail-fast and prefix-consistent.
+//
+// The storage comes from batches earlier owners released (see
+// Prepared.Release), so a Prepare between released batches of similar
+// size allocates only the Prepared itself.
 func (u *Unit) Prepare(jobs []Job, eager bool) (*Prepared, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("ctrl: empty batch")
 	}
-	pl, err := u.plan(jobs)
+	b := batchPool.Get().(*batch)
+	err := u.plan(b, jobs)
+	if err == nil {
+		err = u.bind(b, jobs, eager)
+	}
 	if err != nil {
+		b.reset()
+		batchPool.Put(b)
 		return nil, err
 	}
-	pb := &Prepared{jobs: jobs, pl: pl, views: make([][][]segView, len(jobs))}
-	for i := range jobs {
-		groups := pl.groups[i]
-		pb.views[i] = make([][]segView, len(groups))
-		for gi, group := range groups {
-			sv := make([]segView, len(group))
-			for si, seg := range group {
-				v, err := u.view(jobs[i].Program, seg)
-				if err != nil {
-					err = fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
-					if eager {
-						return nil, fmt.Errorf("ctrl: job %d: %w", i, err)
-					}
-					sv[si] = segView{err: err}
-					continue
-				}
-				sv[si] = segView{view: v}
-			}
-			pb.views[i][gi] = sv
-		}
-	}
-	u.bindDispatch(pb)
-	return pb, nil
+	b.dispatch(u.mod.NumBanks())
+	return &Prepared{b: b, n: len(jobs)}, nil
 }
 
-// bindDispatch precomputes everything Run needs per run — successor
-// lists, initial in-degrees, the group task closures, the result
-// channel (buffered for every group, so a group run on the dispatching
-// goroutine never blocks reporting), and per-bank scratch — so the run
-// itself touches no allocator.
-func (u *Unit) bindDispatch(pb *Prepared) {
-	pl := pb.pl
-	n := len(pb.jobs)
-	pb.succs = make([][]int, n)
-	pb.indeg0 = make([]int, n)
-	for i, ps := range pl.preds {
-		pb.indeg0[i] = len(ps)
-		for _, p := range ps {
-			pb.succs[p] = append(pb.succs[p], i)
-		}
+// bind binds every segment's view into b's slab.
+func (u *Unit) bind(b *batch, jobs []Job, eager bool) error {
+	total := 0
+	for _, g := range b.groups {
+		total += b.tmpl[g.job].Rows() * int(g.hi-g.lo)
 	}
-	pb.indeg = make([]int, n)
-	pb.remain = make([]int, n)
-	pb.ready = make([]int, 0, n)
-	pb.results = make(chan groupResult, pl.totalGroups())
-	pb.bankEnergy = make([]float64, u.mod.NumBanks())
-
-	pb.tasks = make([][]func(), n)
-	for i := range pb.jobs {
-		groups := pl.groups[i]
-		pb.tasks[i] = make([]func(), len(groups))
-		for gi, group := range groups {
-			id, bank := i, group[0].Bank
-			sv := pb.views[i][gi]
-			// Only one goroutine touches this subarray at a time (the
-			// constraint graph serializes same-subarray jobs), so its
-			// stats delta is race-free and attributable to this group.
-			sa := u.mod.Subarray(group[0].Bank, group[0].Sub)
-			pb.tasks[i][gi] = func() {
-				before := sa.Stats
-				for _, seg := range sv {
-					if seg.err != nil {
-						pb.results <- groupResult{job: id, bank: bank, err: seg.err}
-						return
-					}
-					uprog.RunView(sa, seg.view)
+	b.phys = sized(b.phys, total)
+	b.rows = sized(b.rows, total)
+	b.views = sized(b.views, len(b.segs))
+	off := 0
+	for _, g := range b.groups {
+		t := b.tmpl[g.job]
+		r := t.Rows()
+		for s := g.lo; s < g.hi; s++ {
+			seg := &b.segs[s]
+			v, err := t.BindInto(g.sa, seg.Binding, b.phys[off:off+r:off+r], b.rows[off:off+r:off+r])
+			off += r
+			if err != nil {
+				err = fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
+				if eager {
+					return fmt.Errorf("ctrl: job %d: %w", g.job, err)
 				}
-				pb.results <- groupResult{job: id, bank: bank, energyPJ: sa.Stats.Sub(before).EnergyPJ}
+				b.views[s] = segView{err: err}
+				continue
 			}
+			b.views[s] = segView{view: v}
 		}
 	}
+	return nil
+}
+
+// dispatch precomputes everything Run needs per run — successor lists,
+// initial in-degrees, the result channel (buffered for every group, so
+// a group run on the dispatching goroutine never blocks reporting),
+// and per-bank scratch — so the run itself touches no allocator.
+func (b *batch) dispatch(banks int) {
+	n := len(b.durNs)
+	b.indeg0 = sized(b.indeg0, n)
+	b.succOff = sized(b.succOff, n+1)
+	for i := range n {
+		ps := b.preds[b.predOff[i]:b.predOff[i+1]]
+		b.indeg0[i] = int32(len(ps))
+		for _, p := range ps {
+			b.succOff[p+1]++
+		}
+	}
+	for i := range n {
+		b.succOff[i+1] += b.succOff[i]
+	}
+	// Successors fill in job order, so each job's list is ascending;
+	// remain serves as the per-job fill cursor until Run resets it.
+	b.succs = sized(b.succs, len(b.preds))
+	b.remain = sized(b.remain, n)
+	for i := range n {
+		for _, p := range b.preds[b.predOff[i]:b.predOff[i+1]] {
+			b.succs[b.succOff[p]+b.remain[p]] = int32(i)
+			b.remain[p]++
+		}
+	}
+	b.indeg = sized(b.indeg, n)
+	b.ready = sized(b.ready, n)[:0]
+	if cap(b.results) < len(b.groups) {
+		b.results = make(chan groupResult, len(b.groups))
+	}
+	b.bankEnergy = sized(b.bankEnergy, banks)
 }
 
 // RunOpts are the per-run options of Run.
@@ -348,7 +489,8 @@ type RunOpts struct {
 // scheduling; the returned durations are each job's modeled busy time
 // — μProgram latency times the segment count on its busiest bank —
 // which is the per-op cost a profile-guided scheduler folds back into
-// its cost model.
+// its cost model. They are pb's own buffer, valid until pb is
+// released.
 //
 // The calling goroutine executes the batch itself. Each dispatch round
 // issues every ready job: every group but the round's last is offered
@@ -356,7 +498,9 @@ type RunOpts struct {
 // waiting for runs here at once, and the last always runs here. A
 // dependency chain therefore never leaves the caller, while
 // bank-parallel groups spread over free cores. Cancellation is checked
-// between rounds, so every group of an issued job completes.
+// between rounds, so every group of an issued job completes, and Run
+// returns only once every issued group has reported: nothing touches
+// pb after Run, so its owner may release it then.
 //
 // On error, issuing stops (fail-fast), in-flight work drains, and every
 // failure is reported via errors.Join; jobs not yet issued are skipped,
@@ -365,26 +509,28 @@ type RunOpts struct {
 // validation, binding, planning, or heap allocation. Run holds the
 // unit's run lock for the whole batch, so concurrent calls on one unit
 // execute one after another and never share a Prepared's dispatch
-// scratch.
+// scratch. Running a released Prepared panics.
 //
 //simdram:zeroalloc
 func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
+	b := pb.b
+	if b == nil {
+		panic("ctrl: Run of a released Prepared")
+	}
 	u.runMu.Lock()
-	jobs, pl, cancel, at := pb.jobs, pb.pl, o.Cancel, o.Attr
-	n := len(jobs)
-	copy(pb.indeg, pb.indeg0)
-	for i := range jobs {
-		pb.remain[i] = len(pl.groups[i])
+	cancel, at := o.Cancel, o.Attr
+	n := pb.n
+	copy(b.indeg, b.indeg0)
+	for i := range n {
+		b.remain[i] = b.jobGrp[i+1] - b.jobGrp[i]
 	}
-	for i := range pb.bankEnergy {
-		pb.bankEnergy[i] = 0
-	}
+	clear(b.bankEnergy)
 	pool := sharedPool()
 
-	ready := pb.ready[:0]
-	for i := range jobs {
-		if pb.indeg[i] == 0 {
-			ready = append(ready, i) //simdram:prealloc pb.ready holds every job
+	ready := b.ready[:0]
+	for i := range n {
+		if b.indeg[i] == 0 {
+			ready = append(ready, int32(i)) //simdram:prealloc b.ready holds every job
 		}
 	}
 	var failures []error
@@ -402,33 +548,34 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 		if len(failures) == 0 && !canceled && len(ready) > 0 {
 			last := ready[len(ready)-1]
 			for _, id := range ready {
-				tasks := pb.tasks[id]
-				for gi, task := range tasks {
-					if (id == last && gi == len(tasks)-1) || !pool.TryRun(task) {
-						task()
+				g0, g1 := b.jobGrp[id], b.jobGrp[id+1]
+				for g := g0; g < g1; g++ {
+					gr := &b.groups[g]
+					if (id == last && g == g1-1) || !pool.tryRun(task{g: gr}) {
+						gr.run()
 					}
 				}
-				inflight += len(tasks)
+				inflight += int(g1 - g0)
 			}
 		}
 		ready = ready[:0]
 		if inflight == 0 {
 			break // fail-fast: nothing running, unissued jobs are skipped
 		}
-		r := <-pb.results
+		r := <-b.results
 		inflight--
 		if r.err != nil {
 			failures = append(failures, r.err) //simdram:coldpath failed batch
 		}
 		energyPJ += r.energyPJ
-		pb.bankEnergy[r.bank] += r.energyPJ
-		pb.remain[r.job]--
-		if pb.remain[r.job] == 0 {
+		b.bankEnergy[r.bank] += r.energyPJ
+		b.remain[r.job]--
+		if b.remain[r.job] == 0 {
 			doneJobs++
-			for _, s := range pb.succs[r.job] {
-				pb.indeg[s]--
-				if pb.indeg[s] == 0 {
-					ready = append(ready, s) //simdram:prealloc pb.ready holds every job
+			for _, s := range b.succs[b.succOff[r.job]:b.succOff[r.job+1]] {
+				b.indeg[s]--
+				if b.indeg[s] == 0 {
+					ready = append(ready, s) //simdram:prealloc b.ready holds every job
 				}
 			}
 		}
@@ -443,9 +590,9 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 	}
 	st := BatchStats{
 		Instructions:   int64(n),
-		Commands:       pl.nCmds,
-		BusyNs:         pl.busyNs,
-		CriticalPathNs: pl.spanNs,
+		Commands:       b.nCmds,
+		BusyNs:         b.busyNs,
+		CriticalPathNs: b.spanNs,
 		EnergyPJ:       energyPJ,
 	}
 	u.Stats.Add(ExecStats{
@@ -455,22 +602,14 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 		EnergyPJ:     st.EnergyPJ,
 	})
 	if at != nil {
-		at.grow(len(pl.bankBusy))
-		for b := range pl.bankBusy {
-			at.BusyNs[b] += pl.bankBusy[b]
-			at.Commands[b] += pl.bankCmds[b]
-			at.EnergyPJ[b] += pb.bankEnergy[b]
+		at.grow(len(b.bankBusy))
+		for bk := range b.bankBusy {
+			at.BusyNs[bk] += b.bankBusy[bk]
+			at.Commands[bk] += b.bankCmds[bk]
+			at.EnergyPJ[bk] += b.bankEnergy[bk]
 		}
-		at.SpanNs += pl.spanNs
+		at.SpanNs += b.spanNs
 	}
 	u.runMu.Unlock()
-	return st, pl.durNs, nil
-}
-
-func (pl *batchPlan) totalGroups() int {
-	total := 0
-	for _, gs := range pl.groups {
-		total += len(gs)
-	}
-	return total
+	return st, b.durNs, nil
 }

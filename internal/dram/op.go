@@ -237,15 +237,19 @@ type View struct {
 }
 
 // NewView returns the view of s whose virtual row v is physical row
-// phys[v]; the view keeps phys. Several virtual rows may name one
-// physical row. NewView panics if a row lies outside the subarray.
-func (s *Subarray) NewView(phys []int32) View {
-	v := View{sa: s, rows: make([][]uint64, len(phys)), phys: phys}
+// phys[v], with rows, as long as phys, as its row table; the view
+// keeps both, so several views can share one slab. Several virtual
+// rows may name one physical row. NewView panics if a row lies outside
+// the subarray.
+func (s *Subarray) NewView(phys []int32, rows [][]uint64) View {
+	if len(rows) != len(phys) {
+		panic("dram: view row table and row map differ in length")
+	}
 	for i, r := range phys {
 		s.checkRow(int(r))
-		v.rows[i] = s.rows[r]
+		rows[i] = s.rows[r]
 	}
-	return v
+	return View{sa: s, rows: rows, phys: phys}
 }
 
 // ExecView is Exec through a view: p's ops, checked against the view's

@@ -38,7 +38,7 @@ func (g *Graph) CanonicalKey() string {
 			b.WriteByte('o')
 			b.WriteString(strconv.Itoa(int(n.Op.Code)))
 			b.WriteByte('(')
-			for k, a := range n.Args {
+			for k, a := range n.Args() {
 				if k > 0 {
 					b.WriteByte(',')
 				}

@@ -18,15 +18,15 @@ func cseOracle(g *Graph) int {
 	merged := 0
 	for id := range g.nodes {
 		n := &g.nodes[id]
-		for k, a := range n.Args {
-			n.Args[k] = repl[a]
+		for k, a := range n.Args() {
+			n.Args()[k] = repl[a]
 		}
 		var key string
 		switch n.Kind {
 		case KindConst:
 			key = fmt.Sprintf("c|%d|%d", n.Val, n.Width)
 		case KindOp:
-			key = fmt.Sprintf("o|%d|%v", n.Op.Code, n.Args)
+			key = fmt.Sprintf("o|%d|%v", n.Op.Code, n.Args())
 		default:
 			continue
 		}
@@ -48,13 +48,10 @@ func cseOracle(g *Graph) int {
 }
 
 // cloneGraph deep-copies a graph so CSE and its oracle can each
-// rewrite their own copy.
+// rewrite their own copy. Nodes hold their arguments inline, so
+// copying the node table copies them.
 func cloneGraph(g *Graph) *Graph {
-	c := &Graph{nodes: append([]Node(nil), g.nodes...), roots: append([]NodeID(nil), g.roots...)}
-	for i := range c.nodes {
-		c.nodes[i].Args = append([]NodeID(nil), c.nodes[i].Args...)
-	}
-	return c
+	return &Graph{nodes: append([]Node(nil), g.nodes...), roots: append([]NodeID(nil), g.roots...)}
 }
 
 // checkCSE runs CSE and the oracle on copies of g and requires the
@@ -68,9 +65,9 @@ func checkCSE(t *testing.T, name string, g *Graph) int {
 		t.Fatalf("%s: CSE merged %d nodes, oracle %d", name, mg, mw)
 	}
 	for i := range want.nodes {
-		ng, nw := got.nodes[i], want.nodes[i]
-		if !reflect.DeepEqual(ng.Args, nw.Args) || ng.Root != nw.Root {
-			t.Fatalf("%s: node %d: args %v root %v, oracle args %v root %v", name, i, ng.Args, ng.Root, nw.Args, nw.Root)
+		ng, nw := &got.nodes[i], &want.nodes[i]
+		if !reflect.DeepEqual(ng.Args(), nw.Args()) || ng.Root != nw.Root {
+			t.Fatalf("%s: node %d: args %v root %v, oracle args %v root %v", name, i, ng.Args(), ng.Root, nw.Args(), nw.Root)
 		}
 	}
 	if !reflect.DeepEqual(got.roots, want.roots) {

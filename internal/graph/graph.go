@@ -40,15 +40,24 @@ const (
 
 // Node is one vertex of the dataflow DAG. Args always refer to
 // lower-numbered nodes, so ascending ID order is a topological order —
-// a property every pass in this package relies on.
+// a property every pass in this package relies on. A node holds its
+// operation by reference and its at most three arguments inline, so
+// the node table is the graph's only per-node storage.
 type Node struct {
 	Kind  Kind
-	Op    ops.Def  // KindOp: the operation applied
-	Args  []NodeID // KindOp: operand nodes, operand-major
-	Width int      // result element width in bits
-	Val   uint64   // KindConst: the splatted value
-	Root  bool     // marked as a materialization root
+	Root  bool  // marked as a materialization root
+	nArgs uint8 // KindOp: how many of args are operands
+	Width int   // result element width in bits
+	// Op is the operation a KindOp node applies: the catalog's shared
+	// definition (see ops.Intern), which must not be modified.
+	Op   *ops.Def
+	Val  uint64 // KindConst: the splatted value
+	args [3]NodeID
 }
+
+// Args returns a KindOp node's operand nodes, operand-major. The slice
+// aliases the node: passes rewrite operands through it.
+func (n *Node) Args() []NodeID { return n.args[:n.nArgs] }
 
 // Graph is a dataflow DAG under construction and optimization. Nodes
 // are append-only; passes rewrite them in place (folding an op into a
@@ -62,6 +71,9 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// NewSized returns an empty graph with room for n nodes.
+func NewSized(n int) *Graph { return &Graph{nodes: make([]Node, 0, n)} }
 
 // Len returns the number of nodes ever added (dead ones included).
 func (g *Graph) Len() int { return len(g.nodes) }
@@ -132,7 +144,8 @@ func (g *Graph) Op(d ops.Def, args ...NodeID) (NodeID, error) {
 			return 0, fmt.Errorf("graph: %s: argument %d has width %d, operation expects %d", d.Name, k, got, wk)
 		}
 	}
-	n := Node{Kind: KindOp, Op: d, Args: append([]NodeID(nil), args...), Width: d.DstWidth(w)}
+	n := Node{Kind: KindOp, Op: ops.Intern(d), nArgs: uint8(len(args)), Width: d.DstWidth(w)}
+	copy(n.args[:], args)
 	return g.add(n), nil
 }
 
@@ -151,7 +164,7 @@ func (g *Graph) add(n Node) NodeID {
 // OpWidth returns the operation width of an op node: the width of its
 // first operand, the w every catalog definition is parameterized by.
 func (g *Graph) OpWidth(id NodeID) int {
-	return g.nodes[g.nodes[id].Args[0]].Width
+	return g.nodes[g.nodes[id].args[0]].Width
 }
 
 // widthMask returns the w-bit mask.

@@ -109,7 +109,7 @@ func TestCSE(t *testing.T) {
 	if merged := g.CSE(); merged != 1 {
 		t.Fatalf("merged %d nodes, want 1", merged)
 	}
-	if args := g.Node(d).Args; args[0] != s1 || args[1] != s1 {
+	if args := g.Node(d).Args(); args[0] != s1 || args[1] != s1 {
 		t.Fatalf("subtraction args %v, want both remapped to %d", args, s1)
 	}
 	if roots := g.Roots(); roots[1] != s1 {

@@ -36,7 +36,7 @@ func Assign(g *Graph, sched []NodeID, reuse bool) Assignment {
 	// lastUse[a] is the schedule position of the last scheduled reader.
 	lastUse := make([]int, g.Len())
 	for i, id := range sched {
-		for _, a := range g.Node(id).Args {
+		for _, a := range g.Node(id).Args() {
 			lastUse[a] = i
 		}
 	}
@@ -56,8 +56,8 @@ func Assign(g *Graph, sched []NodeID, reuse bool) Assignment {
 			}
 			asg.SlotOf[id] = slot
 		}
-		for k, a := range n.Args {
-			if slices.Contains(n.Args[:k], a) {
+		for k, a := range n.Args() {
+			if slices.Contains(n.Args()[:k], a) {
 				continue // a repeated argument frees its slot once
 			}
 			slot, pooled := asg.SlotOf[a]

@@ -34,9 +34,9 @@ func Lower(g *Graph, sched []NodeID, handle HandleOf, size uint32) (isa.Program,
 			Dst:   dst,
 			Size:  size,
 			Width: uint8(g.OpWidth(id)),
-			N:     uint8(len(n.Args)),
+			N:     uint8(len(n.Args())),
 		}
-		for k, a := range n.Args {
+		for k, a := range n.Args() {
 			h, err := handle(a)
 			if err != nil {
 				return nil, fmt.Errorf("graph: node %d argument %d: %w", id, k, err)

@@ -16,7 +16,7 @@ func (g *Graph) FoldConstants() int {
 			continue
 		}
 		allConst := true
-		for _, a := range n.Args {
+		for _, a := range n.Args() {
 			if g.nodes[a].Kind != KindConst {
 				allConst = false
 				break
@@ -25,8 +25,8 @@ func (g *Graph) FoldConstants() int {
 		if !allConst {
 			continue
 		}
-		vals := make([]uint64, len(n.Args))
-		for k, a := range n.Args {
+		vals := make([]uint64, len(n.Args()))
+		for k, a := range n.Args() {
 			vals[k] = g.nodes[a].Val
 		}
 		val := n.Op.Golden(vals, g.OpWidth(NodeID(id)))
@@ -64,16 +64,16 @@ func (g *Graph) CSE() int {
 	merged := 0
 	for id := range g.nodes {
 		n := &g.nodes[id]
-		for k, a := range n.Args {
-			n.Args[k] = repl[a]
+		for k, a := range n.Args() {
+			n.Args()[k] = repl[a]
 		}
 		key := cseKey{kind: n.Kind, width: n.Width}
 		switch n.Kind {
 		case KindConst:
 			key.val = n.Val
 		case KindOp:
-			key.code, key.n = n.Op.Code, len(n.Args)
-			copy(key.args[:], n.Args)
+			key.code, key.n = n.Op.Code, len(n.Args())
+			copy(key.args[:], n.Args())
 		default:
 			continue // inputs are never merged
 		}
@@ -109,7 +109,7 @@ func (g *Graph) DCE() int {
 			return
 		}
 		live[id] = true
-		for _, a := range g.nodes[id].Args {
+		for _, a := range g.nodes[id].Args() {
 			mark(a)
 		}
 	}

@@ -27,7 +27,7 @@ type OpKey struct {
 // OpKeyOf returns the profile key of a scheduled operation node.
 func (g *Graph) OpKeyOf(id NodeID) OpKey {
 	n := g.Node(id)
-	return OpKey{Code: n.Op.Code, Width: g.OpWidth(id), N: len(n.Args)}
+	return OpKey{Code: n.Op.Code, Width: g.OpWidth(id), N: len(n.Args())}
 }
 
 // opAgg accumulates the observations for one op class of one shape.
@@ -157,7 +157,7 @@ func (s *ProfileStore) Record(key string, plan *Plan, opNs []float64, model Cost
 		a := p.ops[k]
 		if a == nil {
 			n := g.Node(id)
-			a = &opAgg{def: n.Op, modelNs: model(n.Op, k.Width, k.N)}
+			a = &opAgg{def: *n.Op, modelNs: model(*n.Op, k.Width, k.N)}
 			p.ops[k] = a
 		}
 		a.sumNs += opNs[i]

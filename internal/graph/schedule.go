@@ -34,7 +34,7 @@ func (g *Graph) EstimateMakespanNs(sched []NodeID, cost CostFn, machines int) fl
 	for _, id := range sched {
 		node := g.Node(id)
 		start := 0.0
-		for _, a := range node.Args {
+		for _, a := range node.Args() {
 			if finish[a] > start {
 				start = finish[a]
 			}
@@ -48,7 +48,7 @@ func (g *Graph) EstimateMakespanNs(sched []NodeID, cost CostFn, machines int) fl
 		if free[m] > start {
 			start = free[m]
 		}
-		end := start + cost(node.Op, g.OpWidth(id), len(node.Args))
+		end := start + cost(*node.Op, g.OpWidth(id), len(node.Args()))
 		finish[id] = end
 		free[m] = end
 		if end > makespan {
@@ -86,24 +86,46 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 	}
 	n := len(g.nodes)
 	ownCost := make([]float64, n)
-	users := make([][]NodeID, n)
 	pendingArgs := make([]int, n) // unscheduled live op arguments
+	// users(a), flat[userOff[a]:userOff[a+1]], are the live op nodes
+	// reading a, in ascending ID order; a repeated argument is one edge.
+	userOff := make([]int, n+1)
+	edges := 0
 	for id := 0; id < n; id++ {
 		node := &g.nodes[id]
 		if node.Kind != KindOp || !g.Alive(NodeID(id)) {
 			continue
 		}
-		ownCost[id] = cost(node.Op, g.OpWidth(NodeID(id)), len(node.Args))
-		for k, a := range node.Args {
-			if slices.Contains(node.Args[:k], a) {
-				continue // a repeated argument is one edge
+		ownCost[id] = cost(*node.Op, g.OpWidth(NodeID(id)), len(node.Args()))
+		for k, a := range node.Args() {
+			if slices.Contains(node.Args()[:k], a) {
+				continue
 			}
-			users[a] = append(users[a], NodeID(id))
+			userOff[a+1]++
+			edges++
 			if g.nodes[a].Kind == KindOp && g.Alive(a) {
 				pendingArgs[id]++
 			}
 		}
 	}
+	for id := 0; id < n; id++ {
+		userOff[id+1] += userOff[id]
+	}
+	flat := make([]NodeID, edges)
+	fill := slices.Clone(userOff[:n])
+	for id := 0; id < n; id++ {
+		node := &g.nodes[id]
+		if node.Kind != KindOp || !g.Alive(NodeID(id)) {
+			continue
+		}
+		for k, a := range node.Args() {
+			if !slices.Contains(node.Args()[:k], a) {
+				flat[fill[a]] = NodeID(id)
+				fill[a]++
+			}
+		}
+	}
+	users := func(id NodeID) []NodeID { return flat[userOff[id]:userOff[id+1]] }
 	// Upward rank: own cost plus the costliest dependent chain. Users
 	// always have higher IDs than their arguments, so one descending
 	// sweep resolves every rank.
@@ -113,20 +135,20 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 			continue
 		}
 		best := 0.0
-		for _, u := range users[id] {
+		for _, u := range users(NodeID(id)) {
 			if rank[u] > best {
 				best = rank[u]
 			}
 		}
 		rank[id] = ownCost[id] + best
 	}
-	var ready []NodeID
+	ready := make([]NodeID, 0, n)
 	for id := 0; id < n; id++ {
 		if g.nodes[id].Kind == KindOp && g.Alive(NodeID(id)) && pendingArgs[id] == 0 {
 			ready = append(ready, NodeID(id))
 		}
 	}
-	var sched []NodeID
+	sched := make([]NodeID, 0, n)
 	for len(ready) > 0 {
 		pick := 0
 		for i := 1; i < len(ready); i++ {
@@ -138,7 +160,7 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 		id := ready[pick]
 		ready = append(ready[:pick], ready[pick+1:]...)
 		sched = append(sched, id)
-		for _, u := range users[id] {
+		for _, u := range users(id) {
 			pendingArgs[u]--
 			if pendingArgs[u] == 0 {
 				ready = append(ready, u)

@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"simdram/internal/ops"
 )
@@ -93,17 +94,20 @@ func (in Instruction) Writes() []uint16 {
 // Executing instructions in any order consistent with these edges is
 // indistinguishable from sequential program order.
 //
-// The analysis allocates per program, not per instruction: handles are
-// numbered densely by their rank among the program's distinct handles,
-// each handle's readers since its last write form a linked list in one
-// array, and each instruction's edges are collected into one reused
-// buffer, then sorted and compacted. The per-instruction results share
+// The analysis allocates only its result: handles are numbered densely
+// by their rank among the program's distinct handles, each handle's
+// readers since its last write form a linked list in one array, and
+// each instruction's edges are collected into one reused buffer, then
+// sorted and compacted — all in working storage recycled from call to
+// call, concurrent calls included. The per-instruction results share
 // one backing array, capacity-capped so appending to one never
 // clobbers another.
 func (p Program) Deps() [][]int {
+	sc := depsPool.Get().(*depsScratch)
+	defer depsPool.Put(sc)
 	deps := make([][]int, len(p))
-	nr := make([]uint8, len(p)) // instruction → numReads
-	hs := make([]uint16, 0, 4*len(p))
+	nr := sized(sc.nr, len(p)) // instruction → numReads
+	hs := sc.hs[:0]
 	for i := range p {
 		in := &p[i]
 		nr[i] = uint8(in.numReads())
@@ -119,11 +123,10 @@ func (p Program) Deps() [][]int {
 		return k
 	}
 	// Both tables hold 1 + an index, so 0 means none.
-	lastWriter := make([]int, len(hs)) // handle → last instruction that wrote it
-	readers := make([]int, len(hs))    // handle → newest reader entry since its last write
-	type reader struct{ instr, next int }
-	entries := make([]reader, 0, 3*len(p))
-	var buf []int
+	lastWriter := sized(sc.lastWriter, len(hs)) // handle → last instruction that wrote it
+	readers := sized(sc.readers, len(hs))       // handle → newest reader entry since its last write
+	entries := sc.entries[:0]
+	buf := sc.buf[:0]
 	flat := make([]int, 0, 2*len(p)) // room for two edges per instruction
 	for i := range p {
 		in := &p[i]
@@ -146,7 +149,7 @@ func (p Program) Deps() [][]int {
 		}
 		for _, h := range reads {
 			k := rank(h)
-			entries = append(entries, reader{instr: i, next: readers[k]})
+			entries = append(entries, depsReader{instr: i, next: readers[k]})
 			readers[k] = len(entries)
 		}
 		if dst >= 0 {
@@ -162,5 +165,31 @@ func (p Program) Deps() [][]int {
 		flat = append(flat, buf...)
 		deps[i] = flat[start:len(flat):len(flat)]
 	}
+	sc.nr, sc.hs, sc.lastWriter, sc.readers, sc.entries, sc.buf = nr, hs, lastWriter, readers, entries, buf
 	return deps
+}
+
+// depsScratch is Deps' working storage, recycled through depsPool.
+type depsScratch struct {
+	nr                  []uint8
+	hs                  []uint16
+	lastWriter, readers []int
+	entries             []depsReader
+	buf                 []int
+}
+
+// depsReader is one read in Deps' per-handle reader lists.
+type depsReader struct{ instr, next int }
+
+var depsPool = sync.Pool{New: func() any { return new(depsScratch) }}
+
+// sized returns s resized to n zeroed elements, reusing its backing
+// array when it is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -107,6 +107,26 @@ func (t *Trace) BeginOn(name string, parent, channel int) int {
 	return len(t.spans) - 1
 }
 
+// Record adds a closed span under parent timed by the caller's own
+// clock readings, start and end, and returns its index: a stage that
+// another component times (the scheduler's queue wait) then spans
+// exactly the interval that component reports. On a nil trace it
+// returns -1.
+func (t *Trace) Record(name string, parent int, start, end time.Time) int {
+	if t == nil {
+		return -1
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if parent < -1 || parent >= len(t.spans) {
+		parent = 0
+	}
+	sp := Span{Name: name, Parent: parent, Channel: -1, StartNs: int64(start.Sub(t.base))}
+	sp.EndNs = sp.StartNs + max(int64(end.Sub(start)), 0)
+	t.spans = append(t.spans, sp)
+	return len(t.spans) - 1
+}
+
 // End closes the span at index i (from Begin). Out-of-range indices —
 // including the -1 a nil trace hands out — are ignored, so paired
 // Begin/End sites need no guards.

@@ -96,13 +96,16 @@ func (d Def) EffArity(n int) int {
 	return n
 }
 
+// catalog holds every registered definition. Entries are immutable
+// once registered and never removed, so a pointer to one (Intern) is a
+// stable reference to its operation.
 var (
 	catalogMu sync.RWMutex
-	catalog   []Def
+	catalog   []*Def
 )
 
 func register(d Def) {
-	catalog = append(catalog, d)
+	catalog = append(catalog, &d)
 }
 
 // customBase is the code space for user-registered operations; built-in
@@ -139,7 +142,7 @@ func RegisterCustom(d Def) (Code, error) {
 		code = customBase
 	}
 	d.Code = code
-	catalog = append(catalog, d)
+	catalog = append(catalog, &d)
 	return code, nil
 }
 
@@ -149,7 +152,9 @@ func Catalog() []Def {
 	catalogMu.RLock()
 	defer catalogMu.RUnlock()
 	out := make([]Def, len(catalog))
-	copy(out, catalog)
+	for i, d := range catalog {
+		out[i] = *d
+	}
 	return out
 }
 
@@ -162,9 +167,9 @@ func PaperSet() []Def {
 func ByName(name string) (Def, error) {
 	catalogMu.RLock()
 	defer catalogMu.RUnlock()
-	for i := range catalog { // by index: a Def is too large to copy per entry
-		if catalog[i].Name == name {
-			return catalog[i], nil
+	for _, d := range catalog {
+		if d.Name == name {
+			return *d, nil
 		}
 	}
 	return Def{}, fmt.Errorf("ops: unknown operation %q", name)
@@ -174,12 +179,28 @@ func ByName(name string) (Def, error) {
 func ByCode(code Code) (Def, error) {
 	catalogMu.RLock()
 	defer catalogMu.RUnlock()
-	for i := range catalog { // by index: a Def is too large to copy per entry
-		if catalog[i].Code == code {
-			return catalog[i], nil
+	for _, d := range catalog {
+		if d.Code == code {
+			return *d, nil
 		}
 	}
 	return Def{}, fmt.Errorf("ops: unknown opcode %d", code)
+}
+
+// Intern returns a shared, read-only reference to d: the catalog's own
+// entry when d is the registered operation of its code, otherwise a
+// copy of d (a definition built outside the catalog).
+func Intern(d Def) *Def {
+	catalogMu.RLock()
+	for _, c := range catalog {
+		if c.Code == d.Code && c.Name == d.Name {
+			catalogMu.RUnlock()
+			return c
+		}
+	}
+	catalogMu.RUnlock()
+	own := d
+	return &own
 }
 
 func widthMask(w int) uint64 {

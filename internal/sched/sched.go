@@ -182,6 +182,10 @@ type Request struct {
 	// Zero means unknown: the scheduler prices it at its trailing
 	// average charge.
 	ModeledNs float64
+	// Trace, when non-nil, receives the job's "queue" span under its
+	// root when a worker picks the job up, timed by the same two clock
+	// readings as Ticket.QueueNs: admission and dispatch.
+	Trace *obs.Trace
 }
 
 // Config sizes a Scheduler.
@@ -217,6 +221,7 @@ type job struct {
 	tier     string
 	run      Task
 	ctx      context.Context
+	trace    *obs.Trace
 	queuedAt time.Time
 	// chargeNs is the modeled cost the job was admitted with (the
 	// request's ModeledNs, or the trailing average when unknown); it is
@@ -469,7 +474,7 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 		}
 	}
 	j := &job{
-		tenant: req.Tenant, tier: tier.Name, run: run, ctx: ctx,
+		tenant: req.Tenant, tier: tier.Name, run: run, ctx: ctx, trace: req.Trace,
 		queuedAt: time.Now(), chargeNs: charge, estWaitNs: estWait,
 		done: make(chan struct{}), worker: -1,
 	}
@@ -839,6 +844,7 @@ func (s *Scheduler) worker(w int) {
 
 		start := time.Now()
 		j.queueNs = durationNs(j.queuedAt, start)
+		j.trace.Record("queue", 0, j.queuedAt, start)
 		cancel := make(chan struct{})
 		stop := make(chan struct{})
 		if j.ctx != nil && j.ctx.Done() != nil {

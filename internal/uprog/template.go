@@ -122,6 +122,10 @@ type View struct {
 	rows dram.View
 }
 
+// Rows returns the length of a view's row table: the template's
+// virtual rows, which BindInto's phys and rows must each hold.
+func (t *Template) Rows() int { return int(t.vrows.Rows()) }
+
 // Bind validates the binding against the template's program and
 // returns the view that runs the template at that placement on sa. It
 // copies no op and checks none: only the binding is validated. A
@@ -130,19 +134,31 @@ type View struct {
 // Resolve accepts such a binding, the template's own error). Binding
 // on a subarray of another geometry panics.
 func (t *Template) Bind(sa *dram.Subarray, b Binding) (*View, error) {
+	n := t.Rows()
+	v, err := t.BindInto(sa, b, make([]int32, n), make([][]uint64, n))
+	if err != nil {
+		return nil, err
+	}
+	return &v, nil
+}
+
+// BindInto is Bind into caller storage: the view keeps phys and rows,
+// each Rows() long, as its physical-row map and row table, so a
+// caller binding many views can carve them from one slab. On error
+// phys and rows hold nothing the caller needs.
+func (t *Template) BindInto(sa *dram.Subarray, b Binding, phys []int32, rows [][]uint64) (View, error) {
 	if sa.RowMap() != t.rows {
 		panic("uprog: template built for a different geometry")
 	}
 	if err := b.validate(t.prog, int(t.rows.T)); err != nil {
-		return nil, err
+		return View{}, err
 	}
 	if t.err != nil {
 		if _, err := resolve(t.prog, b, t.rows); err != nil {
-			return nil, err
+			return View{}, err
 		}
-		return nil, t.err
+		return View{}, t.err
 	}
-	phys := make([]int32, t.vrows.Rows())
 	for k, base := range t.src {
 		for i := range t.prog.SrcWidth(k) {
 			phys[int(base)+i] = int32(b.SrcBase[k] + i)
@@ -157,7 +173,7 @@ func (t *Template) Bind(sa *dram.Subarray, b Binding) (*View, error) {
 	for v := t.vrows.T; v < t.vrows.Rows(); v++ {
 		phys[v] = v - t.vrows.T + t.rows.T
 	}
-	return &View{t: t, rows: sa.NewView(phys)}, nil
+	return View{t: t, rows: sa.NewView(phys, rows)}, nil
 }
 
 // RunView executes a bound template on the subarray it was bound on:

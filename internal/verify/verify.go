@@ -35,8 +35,11 @@
 package verify
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"simdram/internal/isa"
 	"simdram/internal/ops"
@@ -165,22 +168,18 @@ func Diagnostics(err error) []*Diagnostic {
 }
 
 // Program verifies p against opt and returns every failure joined
-// into one error (nil when the program verifies clean).
+// into one error (nil when the program verifies clean). Its working
+// storage comes from a pool, so a clean verification allocates
+// nothing but the dependence graph it computes when opt.Deps is nil;
+// Program is safe for concurrent use.
 func Program(p isa.Program, opt Options) error {
-	var diags []error
-	report := func(check Check, instr, operand int, handle uint16, format string, args ...any) {
-		diags = append(diags, &Diagnostic{
-			Check:   check,
-			Instr:   instr,
-			Operand: operand,
-			Handle:  handle,
-			msg:     fmt.Sprintf(format, args...),
-		})
-	}
+	c := checkerPool.Get().(*checker)
+	defer c.recycle()
+	c.opt = opt
 
 	if len(p) == 0 {
-		report(CheckEncoding, -1, OperandNone, 0, "empty program")
-		return errors.Join(diags...)
+		c.report(CheckEncoding, -1, OperandNone, 0, "empty program")
+		return errors.Join(c.diags...)
 	}
 
 	deps := opt.Deps
@@ -189,14 +188,14 @@ func Program(p isa.Program, opt Options) error {
 	}
 	depsOK := true
 	if len(deps) != len(p) {
-		report(CheckDeps, -1, OperandNone, 0,
+		c.report(CheckDeps, -1, OperandNone, 0,
 			"dependence graph has %d rows for %d instructions", len(deps), len(p))
 		depsOK = false
 	} else {
 		for i, row := range deps {
 			for _, d := range row {
 				if d < 0 || d >= i {
-					report(CheckDeps, i, OperandNone, 0,
+					c.report(CheckDeps, i, OperandNone, 0,
 						"edge to instruction %d does not point strictly earlier", d)
 					depsOK = false
 				}
@@ -204,131 +203,188 @@ func Program(p isa.Program, opt Options) error {
 		}
 	}
 
-	touches := map[uint16][]access{}
-	written := map[uint16]bool{} // handles written by instructions already scanned
-
-	checkBounds := func(i, operand int, h uint16, obj Object) {
-		if opt.DataRows <= 0 {
-			return
-		}
-		for _, e := range obj.Extents {
-			if e.Row < 0 || e.Rows < 0 || e.Row+e.Rows > opt.DataRows {
-				report(CheckBounds, i, operand, h,
-					"object %d rows [%d,%d) outside the %d-row data region of bank %d subarray %d",
-					h, e.Row, e.Row+e.Rows, opt.DataRows, e.Bank, e.Sub)
-				return
-			}
-		}
+	for i := range p {
+		c.instruction(i, &p[i])
 	}
 
-	for i, in := range p {
-		if in.Width < 1 || in.Width > 64 {
-			report(CheckWidth, i, OperandNone, 0, "element width %d out of range [1,64]", in.Width)
-		}
-		if in.Size == 0 {
-			report(CheckEncoding, i, OperandNone, 0, "zero-size instruction")
-		}
-		if in.Op == isa.OpTrspInit {
-			h := in.Src[0]
-			if opt.Objects != nil {
-				obj, ok := opt.Objects[h]
-				if !ok {
-					report(CheckObject, i, 0, h, "handle %d names no tracked object", h)
-				} else {
-					checkBounds(i, 0, h, obj)
-				}
-			}
-			touches[h] = append(touches[h], access{instr: i, operand: 0})
-			continue
-		}
-		if !in.Op.IsOperation() {
-			report(CheckOpcode, i, OperandNone, 0,
-				"opcode %d is neither bbop_trsp_init nor an operation", in.Op)
-			continue
-		}
-		code, _ := in.Op.ToOp()
-		def, err := ops.ByCode(code)
-		if err != nil {
-			report(CheckOpcode, i, OperandNone, 0,
-				"opcode %d names no registered operation", in.Op)
-			continue
-		}
-		if def.Arity < 0 && in.N < 2 {
-			report(CheckArity, i, OperandNone, 0,
-				"N-ary operation %s needs N >= 2, have N=%d", def.Name, in.N)
-			continue
-		}
-		arity := def.EffArity(int(in.N))
-		if arity < 1 || arity > 3 {
-			report(CheckArity, i, OperandNone, 0,
-				"operation %s has effective arity %d, the encodable range is [1,3]", def.Name, arity)
-			continue
-		}
+	if depsOK {
+		c.checkHazards(p, deps)
+	}
+	return errors.Join(c.diags...)
+}
 
-		w := int(in.Width)
-		wantDst := def.DstWidth(w)
-		srcWs := def.SourceWidths(w, arity)
+// checker is one verification's state: the failures found so far and
+// the scratch the checks reuse from run to run (see checkerPool).
+type checker struct {
+	opt   Options
+	diags []error
+	// touches records every handle access in program order; written
+	// is a bitset over handles, set once an instruction writes one.
+	touches []access
+	written [1 << 16 / 64]uint64
+	// Hazard-check scratch: per-instruction ancestor bitsets and the
+	// readers of a handle since its last write.
+	anc          []uint64
+	readersSince []access
+}
 
-		var dstObj Object
-		dstKnown := false
-		if opt.Objects != nil {
-			var ok bool
-			if dstObj, ok = opt.Objects[in.Dst]; !ok {
-				report(CheckObject, i, OperandDst, in.Dst, "handle %d names no tracked object", in.Dst)
-			} else {
-				dstKnown = true
-				if dstObj.Width != wantDst {
-					report(CheckWidth, i, OperandDst, in.Dst,
-						"destination is %d bits wide, operation %s produces %d-bit elements from %d-bit sources",
-						dstObj.Width, def.Name, wantDst, w)
-				}
-				checkBounds(i, OperandDst, in.Dst, dstObj)
-			}
+// checkerPool recycles checkers across verifications, including
+// concurrent ones: each Program call takes its own.
+var checkerPool = sync.Pool{New: func() any { return new(checker) }}
+
+// recycle clears c and returns it to the pool.
+func (c *checker) recycle() {
+	for _, a := range c.touches {
+		c.written[a.handle/64] = 0
+	}
+	clear(c.diags)
+	c.opt, c.diags, c.touches = Options{}, c.diags[:0], c.touches[:0]
+	checkerPool.Put(c)
+}
+
+// report records one diagnostic.
+func (c *checker) report(check Check, instr, operand int, handle uint16, format string, args ...any) {
+	c.diags = append(c.diags, &Diagnostic{
+		Check:   check,
+		Instr:   instr,
+		Operand: operand,
+		Handle:  handle,
+		msg:     fmt.Sprintf(format, args...),
+	})
+}
+
+func (c *checker) isWritten(h uint16) bool { return c.written[h/64]&(1<<(h%64)) != 0 }
+
+// checkBounds reports the first extent of obj outside the data rows.
+func (c *checker) checkBounds(i, operand int, h uint16, obj *Object) {
+	if c.opt.DataRows <= 0 {
+		return
+	}
+	for _, e := range obj.Extents {
+		if e.Row < 0 || e.Rows < 0 || e.Row+e.Rows > c.opt.DataRows {
+			c.report(CheckBounds, i, operand, h,
+				"object %d rows [%d,%d) outside the %d-row data region of bank %d subarray %d",
+				h, e.Row, e.Row+e.Rows, c.opt.DataRows, e.Bank, e.Sub)
+			return
 		}
-		for k := 0; k < arity; k++ {
-			h := in.Src[k]
-			touches[h] = append(touches[h], access{instr: i, operand: k})
-			if opt.Objects == nil {
-				continue
-			}
-			obj, ok := opt.Objects[h]
+	}
+}
+
+// instruction runs every per-instruction check on instruction i and
+// records its accesses for the hazard check.
+func (c *checker) instruction(i int, in *isa.Instruction) {
+	if in.Width < 1 || in.Width > 64 {
+		c.report(CheckWidth, i, OperandNone, 0, "element width %d out of range [1,64]", in.Width)
+	}
+	if in.Size == 0 {
+		c.report(CheckEncoding, i, OperandNone, 0, "zero-size instruction")
+	}
+	tracked := c.opt.Objects != nil
+	if in.Op == isa.OpTrspInit {
+		h := in.Src[0]
+		if tracked {
+			obj, ok := c.opt.Objects[h]
 			if !ok {
-				report(CheckObject, i, k, h, "handle %d names no tracked object", h)
-				continue
+				c.report(CheckObject, i, 0, h, "handle %d names no tracked object", h)
+			} else {
+				c.checkBounds(i, 0, h, &obj)
 			}
-			if k < len(srcWs) && obj.Width != srcWs[k] {
-				report(CheckWidth, i, k, h,
-					"source is %d bits wide, operation %s wants a %d-bit operand here",
-					obj.Width, def.Name, srcWs[k])
+		}
+		c.touches = append(c.touches, access{handle: h, instr: i, operand: 0})
+		return
+	}
+	if !in.Op.IsOperation() {
+		c.report(CheckOpcode, i, OperandNone, 0,
+			"opcode %d is neither bbop_trsp_init nor an operation", in.Op)
+		return
+	}
+	code, _ := in.Op.ToOp()
+	def, err := ops.ByCode(code)
+	if err != nil {
+		c.report(CheckOpcode, i, OperandNone, 0,
+			"opcode %d names no registered operation", in.Op)
+		return
+	}
+	if def.Arity < 0 && in.N < 2 {
+		c.report(CheckArity, i, OperandNone, 0,
+			"N-ary operation %s needs N >= 2, have N=%d", def.Name, in.N)
+		return
+	}
+	arity := def.EffArity(int(in.N))
+	if arity < 1 || arity > 3 {
+		c.report(CheckArity, i, OperandNone, 0,
+			"operation %s has effective arity %d, the encodable range is [1,3]", def.Name, arity)
+		return
+	}
+
+	w := int(in.Width)
+	wantDst := def.DstWidth(w)
+	var srcWs []int // nil: every operand is w bits (ops.Def.SourceWidths)
+	if def.SrcWidths != nil {
+		srcWs = def.SrcWidths(w)
+	}
+
+	var dstObj Object
+	dstKnown := false
+	if tracked {
+		var ok bool
+		if dstObj, ok = c.opt.Objects[in.Dst]; !ok {
+			c.report(CheckObject, i, OperandDst, in.Dst, "handle %d names no tracked object", in.Dst)
+		} else {
+			dstKnown = true
+			if dstObj.Width != wantDst {
+				c.report(CheckWidth, i, OperandDst, in.Dst,
+					"destination is %d bits wide, operation %s produces %d-bit elements from %d-bit sources",
+					dstObj.Width, def.Name, wantDst, w)
 			}
-			if !obj.Defined && !written[h] {
-				report(CheckDefUse, i, k, h,
-					"reads object %d before any instruction defines it", h)
+			c.checkBounds(i, OperandDst, in.Dst, &dstObj)
+		}
+	}
+	for k := 0; k < arity; k++ {
+		h := in.Src[k]
+		c.touches = append(c.touches, access{handle: h, instr: i, operand: k})
+		if !tracked {
+			continue
+		}
+		obj, ok := c.opt.Objects[h]
+		if !ok {
+			c.report(CheckObject, i, k, h, "handle %d names no tracked object", h)
+			continue
+		}
+		want := w
+		if srcWs != nil {
+			want = -1
+			if k < len(srcWs) {
+				want = srcWs[k]
 			}
-			checkBounds(i, k, h, obj)
-			if h == in.Dst {
-				report(CheckAlias, i, k, h,
-					"destination and source are the same object %d; SIMDRAM operations are never in-place", h)
-			} else if dstKnown {
-				for _, de := range dstObj.Extents {
-					for _, se := range obj.Extents {
-						if de.overlaps(se) {
-							report(CheckAlias, i, k, h,
-								"destination object %d rows [%d,%d) overlap source object %d rows [%d,%d) in bank %d subarray %d",
-								in.Dst, de.Row, de.Row+de.Rows, h, se.Row, se.Row+se.Rows, de.Bank, de.Sub)
-						}
+		}
+		if want >= 0 && obj.Width != want {
+			c.report(CheckWidth, i, k, h,
+				"source is %d bits wide, operation %s wants a %d-bit operand here",
+				obj.Width, def.Name, want)
+		}
+		if !obj.Defined && !c.isWritten(h) {
+			c.report(CheckDefUse, i, k, h,
+				"reads object %d before any instruction defines it", h)
+		}
+		c.checkBounds(i, k, h, &obj)
+		if h == in.Dst {
+			c.report(CheckAlias, i, k, h,
+				"destination and source are the same object %d; SIMDRAM operations are never in-place", h)
+		} else if dstKnown {
+			for _, de := range dstObj.Extents {
+				for _, se := range obj.Extents {
+					if de.overlaps(se) {
+						c.report(CheckAlias, i, k, h,
+							"destination object %d rows [%d,%d) overlap source object %d rows [%d,%d) in bank %d subarray %d",
+							in.Dst, de.Row, de.Row+de.Rows, h, se.Row, se.Row+se.Rows, de.Bank, de.Sub)
 					}
 				}
 			}
 		}
-		touches[in.Dst] = append(touches[in.Dst], access{instr: i, operand: OperandDst, write: true})
-		written[in.Dst] = true
 	}
-
-	if depsOK {
-		checkHazards(p, deps, touches, report)
-	}
-	return errors.Join(diags...)
+	c.touches = append(c.touches, access{handle: in.Dst, instr: i, operand: OperandDst, write: true})
+	c.written[in.Dst/64] |= 1 << (in.Dst % 64)
 }
 
 // checkHazards replays every handle's access sequence, derives the
@@ -336,12 +392,16 @@ func Program(p isa.Program, opt Options) error {
 // (against the last writer and the readers since it), and requires
 // each pair to be ordered by a path of edges in deps. Reachability is
 // precomputed as per-instruction ancestor bitsets — valid because
-// every edge points strictly earlier (checked by the caller).
-func checkHazards(p isa.Program, deps [][]int,
-	touches map[uint16][]access, report reportFunc) {
+// every edge points strictly earlier (checked by the caller). Handles
+// are checked in ascending order.
+func (c *checker) checkHazards(p isa.Program, deps [][]int) {
 	n := len(p)
 	words := (n + 63) / 64
-	anc := make([]uint64, n*words)
+	if cap(c.anc) < n*words {
+		c.anc = make([]uint64, n*words)
+	}
+	anc := c.anc[:n*words]
+	clear(anc)
 	for i := 0; i < n; i++ {
 		row := anc[i*words : (i+1)*words]
 		for _, d := range deps[i] {
@@ -356,13 +416,21 @@ func checkHazards(p isa.Program, deps [][]int,
 		return anc[later*words+earlier/64]&(1<<(earlier%64)) != 0
 	}
 
-	for h, accs := range touches {
+	// A stable sort by handle keeps each handle's accesses in program
+	// order.
+	slices.SortStableFunc(c.touches, func(a, b access) int { return cmp.Compare(a.handle, b.handle) })
+	for start := 0; start < len(c.touches); {
+		h := c.touches[start].handle
+		end := start + 1
+		for end < len(c.touches) && c.touches[end].handle == h {
+			end++
+		}
 		lastWrite := -1
-		var readersSince []access
-		for _, a := range accs {
+		readersSince := c.readersSince[:0]
+		for _, a := range c.touches[start:end] {
 			if !a.write {
 				if lastWrite >= 0 && lastWrite != a.instr && !ordered(lastWrite, a.instr) {
-					report(CheckHazard, a.instr, a.operand, h,
+					c.report(CheckHazard, a.instr, a.operand, h,
 						"read-after-write hazard on object %d: no dependence path orders this after instruction %d",
 						h, lastWrite)
 				}
@@ -370,13 +438,13 @@ func checkHazards(p isa.Program, deps [][]int,
 				continue
 			}
 			if lastWrite >= 0 && lastWrite != a.instr && !ordered(lastWrite, a.instr) {
-				report(CheckHazard, a.instr, a.operand, h,
+				c.report(CheckHazard, a.instr, a.operand, h,
 					"write-after-write hazard on object %d: no dependence path orders this after instruction %d",
 					h, lastWrite)
 			}
 			for _, r := range readersSince {
 				if r.instr != a.instr && !ordered(r.instr, a.instr) {
-					report(CheckHazard, a.instr, a.operand, h,
+					c.report(CheckHazard, a.instr, a.operand, h,
 						"write-after-read hazard on object %d: no dependence path orders this after the read at instruction %d",
 						h, r.instr)
 				}
@@ -384,15 +452,16 @@ func checkHazards(p isa.Program, deps [][]int,
 			lastWrite = a.instr
 			readersSince = readersSince[:0]
 		}
+		c.readersSince = readersSince
+		start = end
 	}
 }
 
-// access records one handle touch (the instruction, the operand slot,
-// read or write) for the hazard recomputation.
+// access records one handle touch (the handle, the instruction, the
+// operand slot, read or write) for the hazard recomputation.
 type access struct {
+	handle  uint16
+	write   bool
 	instr   int
 	operand int
-	write   bool
 }
-
-type reportFunc func(check Check, instr, operand int, handle uint16, format string, args ...any)

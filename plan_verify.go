@@ -2,24 +2,57 @@ package simdram
 
 import (
 	"slices"
+	"sync"
 
 	"simdram/internal/isa"
 	"simdram/internal/verify"
 )
 
+// verifyScratch is the facade's half of a verification's working
+// storage: the object table handed to the verifier and the row extents
+// its objects point into. It is recycled through verifyPool, so
+// concurrent preparations on one System each take their own.
+type verifyScratch struct {
+	objects map[uint16]verify.Object
+	extents []verify.Extent
+	handles []uint16
+}
+
+var verifyPool = sync.Pool{New: func() any { return newVerifyScratch() }}
+
+func newVerifyScratch() *verifyScratch {
+	return &verifyScratch{objects: map[uint16]verify.Object{}}
+}
+
+// recycle clears vs and returns it to the pool.
+func (vs *verifyScratch) recycle() {
+	clear(vs.objects)
+	clear(vs.extents)
+	vs.extents = vs.extents[:0]
+	verifyPool.Put(vs)
+}
+
 // verifyOptions snapshots what the object tracker knows about every
-// handle a program references into the IR verifier's input: element
-// width, row extents per (bank, subarray) segment, and — when the
-// graph compiler supplies its definedness map — whether the object
-// holds data before the program runs. Handles that name no live
-// object are left out of the map so the verifier reports them as
+// handle a program references into the IR verifier's input, built in
+// vs: element width, row extents per (bank, subarray) segment, and —
+// when the graph compiler supplies its definedness map — whether the
+// object holds data before the program runs. Handles that name no
+// live object are left out of the map so the verifier reports them as
 // CheckObject diagnostics. deps is the dependence graph the scheduler
 // will execute with; passing it (rather than nil) makes the verifier
 // cross-check the exact edges the batched engine uses.
-func (s *System) verifyOptions(prog isa.Program, deps [][]int, defined map[uint16]bool) verify.Options {
-	handles := programHandles(prog)
-	objects := make(map[uint16]verify.Object, len(handles))
-	for _, h := range handles {
+func (s *System) verifyOptions(vs *verifyScratch, prog isa.Program, deps [][]int, defined map[uint16]bool) verify.Options {
+	vs.handles = appendHandles(vs.handles[:0], prog)
+	total := 0
+	for _, h := range vs.handles {
+		if v, ok := s.objects[h]; ok && !v.freed {
+			total += len(v.segs)
+		}
+	}
+	if cap(vs.extents) < total {
+		vs.extents = make([]verify.Extent, 0, total)
+	}
+	for _, h := range vs.handles {
 		v, ok := s.objects[h]
 		if !ok || v.freed {
 			continue
@@ -28,17 +61,29 @@ func (s *System) verifyOptions(prog isa.Program, deps [][]int, defined map[uint1
 		if defined != nil {
 			def = defined[h]
 		}
-		obj := verify.Object{Width: v.width, Defined: def, Extents: make([]verify.Extent, len(v.segs))}
-		for i, seg := range v.segs {
-			obj.Extents[i] = verify.Extent{Bank: seg.bank, Sub: seg.sub, Row: seg.baseRow, Rows: v.width}
+		start := len(vs.extents)
+		for _, seg := range v.segs {
+			vs.extents = append(vs.extents, verify.Extent{Bank: seg.bank, Sub: seg.sub, Row: seg.baseRow, Rows: v.width})
 		}
-		objects[h] = obj
+		vs.objects[h] = verify.Object{Width: v.width, Defined: def, Extents: vs.extents[start:len(vs.extents):len(vs.extents)]}
 	}
 	return verify.Options{
-		Objects:  objects,
+		Objects:  vs.objects,
 		DataRows: s.cfg.DRAM.DataRows(),
 		Deps:     deps,
 	}
+}
+
+// verifyProgram runs the IR verifier over prog against the System's
+// object table.
+func (s *System) verifyProgram(prog isa.Program, deps [][]int, defined map[uint16]bool) error {
+	vs := verifyPool.Get().(*verifyScratch)
+	defer vs.recycle()
+	if err := verify.Program(prog, s.verifyOptions(vs, prog, deps, defined)); err != nil {
+		return err
+	}
+	s.verified.Add(1)
+	return nil
 }
 
 // maybeVerify runs the IR verifier over a program about to be
@@ -49,11 +94,7 @@ func (s *System) maybeVerify(prog isa.Program, deps [][]int, defined map[uint16]
 	if !s.verifyPlans || len(prog) == 0 {
 		return nil
 	}
-	if err := verify.Program(prog, s.verifyOptions(prog, deps, defined)); err != nil {
-		return err
-	}
-	s.verified.Add(1)
-	return nil
+	return s.verifyProgram(prog, deps, defined)
 }
 
 // verifyLowered verifies a freshly compiled graph program against the
@@ -67,10 +108,9 @@ func (s *System) verifyLowered(lw *lowered) error {
 	if !s.verifyPlans || len(lw.prog) == 0 {
 		return nil
 	}
-	if err := verify.Program(lw.prog, s.verifyOptions(lw.prog, nil, lw.defined)); err != nil {
+	if err := s.verifyProgram(lw.prog, nil, lw.defined); err != nil {
 		return err
 	}
-	s.verified.Add(1)
 	lw.verified = true
 	return nil
 }
@@ -110,7 +150,11 @@ func (c *Cluster) verifyLowered(lw *lowered) error {
 // destination and all three source slots for operations (unused
 // slots hold handle 0, which never names a live object).
 func programHandles(prog isa.Program) []uint16 {
-	hs := make([]uint16, 0, 4*len(prog))
+	return appendHandles(make([]uint16, 0, 4*len(prog)), prog)
+}
+
+// appendHandles is programHandles into hs, which must be empty.
+func appendHandles(hs []uint16, prog isa.Program) []uint16 {
 	for _, in := range prog {
 		if in.Op == isa.OpTrspInit {
 			hs = append(hs, in.Src[0])

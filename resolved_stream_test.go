@@ -91,11 +91,12 @@ func oracleRun(t *testing.T, sys *System, prog isa.Program) {
 		if in.Op == isa.OpTrspInit {
 			continue
 		}
-		d, dst, srcs, err := sys.resolve(in)
+		var buf [3]*Vector
+		d, dst, srcs, err := sys.resolve(in, &buf)
 		if err != nil {
 			t.Fatalf("oracle instruction %d: %v", i, err)
 		}
-		p, segs, err := sys.prepareOp(d, dst, srcs)
+		p, segs, err := sys.prepareOp(d, dst, srcs, nil)
 		if err != nil {
 			t.Fatalf("oracle instruction %d: %v", i, err)
 		}

@@ -382,20 +382,27 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	if len(exprs) == 0 {
 		return nil, errorf("server: nothing to submit")
 	}
-	seen := map[*Expr]bool{}
+	seen := seenPool.Get().(map[*Expr]bool)
+	var err error
 	for _, e := range exprs {
-		if err := checkServable(e, seen); err != nil {
-			return nil, err
+		if err = checkServable(e, seen); err != nil {
+			break
 		}
+	}
+	size := len(seen)
+	clear(seen)
+	seenPool.Put(seen)
+	if err != nil {
+		return nil, err
 	}
 	// A sampled job carries a trace whose root "job" span opens here,
 	// before admission pricing, which the "admit" span covers; the
-	// queue span closes when a worker picks the job up, so its duration
-	// is the admission-to-dispatch wait (sched's QueueNs measured from
-	// the trace's own clock). A job rejected at admission or canceled
-	// while still queued never reaches the worker, so its unfinished
-	// trace is dropped rather than recorded; a cancellation still lands
-	// in the event ring below.
+	// scheduler records the "queue" span when a worker picks the job
+	// up, from the same admission and dispatch timestamps QueueNs is
+	// measured between. A job rejected at admission or canceled while
+	// still queued never reaches the worker, so its unfinished trace is
+	// dropped rather than recorded; a cancellation still lands in the
+	// event ring below.
 	res := &JobResult{}
 	tr := s.tracer.Start()
 	if tr != nil {
@@ -407,7 +414,7 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	// keeps its contract of failing the future at run time — it is
 	// admitted unpriced and fails with the compiler's error.
 	aspan := tr.Begin("admit", 0)
-	env, envErr := buildEnv(s.cl.Channel(0), nil, CompileOptions{}, exprs)
+	env, envErr := buildEnv(s.cl.Channel(0), nil, CompileOptions{}, exprs, size)
 	var modeled float64
 	if envErr == nil {
 		modeled = s.estimateModeledNs(env)
@@ -415,12 +422,10 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	tr.End(aspan)
 	tenant := spec.Tenant
 	s.noteTier(spec)
-	qspan := tr.Begin("queue", 0)
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
 		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight,
-		Deadline: spec.Deadline, ModeledNs: modeled,
+		Deadline: spec.Deadline, ModeledNs: modeled, Trace: tr,
 	}, func(worker int, cancel <-chan struct{}) error {
-		tr.End(qspan)
 		at := s.dev.attrFor(worker)
 		runStart := time.Now()
 		err := envErr
@@ -467,11 +472,9 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 	if tr != nil {
 		res.TraceID = tr.ID
 	}
-	qspan := tr.Begin("queue", 0)
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
-		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight, Deadline: spec.Deadline,
+		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight, Deadline: spec.Deadline, Trace: tr,
 	}, func(worker int, cancel <-chan struct{}) error {
-		tr.End(qspan)
 		espan := tr.BeginOn("execute", 0, worker)
 		// Raw jobs drive the System directly, so the finest attribution
 		// available is the channel unit's stats delta across the call —
@@ -617,9 +620,9 @@ func (m *hitMemo) lookup(key string, plan *graph.Plan, objs []*Vector) *hitEntry
 }
 
 // record memoizes pp, prepared from plan over objs, under key, once
-// key has been seen (see hitMemo). A program that pins an object
-// outside objs is not recorded.
-func (m *hitMemo) record(key string, plan *graph.Plan, objs []*Vector, pp *preparedProgram) {
+// key has been seen (see hitMemo), and reports whether it kept pp. A
+// program that pins an object outside objs is not recorded.
+func (m *hitMemo) record(key string, plan *graph.Plan, objs []*Vector, pp *preparedProgram) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	_, seen := m.entries[key]
@@ -628,7 +631,7 @@ func (m *hitMemo) record(key string, plan *graph.Plan, objs []*Vector, pp *prepa
 		e = &hitEntry{plan: plan, widths: make([]int, len(objs)), binds: make([]int, len(pp.binds)), pp: pp}
 		for i, b := range pp.binds {
 			if e.binds[i] = slices.Index(objs, b.v); e.binds[i] < 0 {
-				return
+				return false
 			}
 		}
 		for i, v := range objs {
@@ -640,6 +643,7 @@ func (m *hitMemo) record(key string, plan *graph.Plan, objs []*Vector, pp *prepa
 		m.entries = map[string]*hitEntry{}
 	}
 	m.entries[key] = e
+	return seen
 }
 
 // drop forgets key's entry.
@@ -692,6 +696,11 @@ func (s *Server) tierOfTenant(tenant string) string {
 	}
 	return sched.DefaultTierName
 }
+
+// seenPool recycles checkServable's visited sets: a cleared map keeps
+// its buckets, so a steady stream of jobs walks its DAGs without
+// allocating.
+var seenPool = sync.Pool{New: func() any { return map[*Expr]bool{} }}
 
 // checkServable rejects expressions bound to pre-allocated storage:
 // a server job must be runnable on any channel.
@@ -808,25 +817,31 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		st, opNs, err := sys.runPreparedAttr(pp, cancel, at)
 		tr.End(rspan)
 		tr.End(espan)
+		if err == nil {
+			s.profiles.Record(env.key, plan, opNs, modelCost(sys.cfg))
+			res.Batch = st
+		}
+		// A program the memo does not keep ran once and is dropped:
+		// recycle its storage. A replayed one belongs to the memo.
+		if hit == nil && (err != nil || !cst.CacheHit || !memo.record(env.key, plan, objs, pp)) {
+			pp.release()
+		}
 		if err != nil {
 			return err
 		}
-		s.profiles.Record(env.key, plan, opNs, modelCost(sys.cfg))
-		res.Batch = st
-		if hit == nil && cst.CacheHit {
-			memo.record(env.key, plan, objs, pp)
-		}
 	}
 	gspan := tr.Begin("gather", 0)
+	// Every root has the job's element count, so one backing array
+	// holds all of them.
 	res.Values = make([][]uint64, len(lw.results))
+	vals := make([]uint64, len(lw.results)*env.n)
 	for i, r := range lw.results {
-		vals, err := r.obj.Load()
-		if err != nil {
+		res.Values[i] = vals[i*env.n : (i+1)*env.n : (i+1)*env.n]
+		if err := r.obj.loadInto(res.Values[i]); err != nil {
 			res.Values = nil
 			tr.End(gspan)
 			return err
 		}
-		res.Values[i] = vals
 	}
 	tr.End(gspan)
 	return nil

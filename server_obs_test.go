@@ -179,6 +179,53 @@ func TestServerSpanDurationsMatchLatencySplit(t *testing.T) {
 	}
 }
 
+// TestServerQueueSpanIsQueueNs pins the queue span to the scheduler's
+// own measurement: for lazy and raw jobs alike, including jobs that
+// wait behind others on a single channel, the span covers exactly the
+// admission-to-dispatch interval JobResult.QueueNs reports.
+func TestServerQueueSpanIsQueueNs(t *testing.T) {
+	srv := obsServer(t, 1, nil)
+	rng := rand.New(rand.NewSource(9))
+	var futs []*Future
+	for i := 0; i < 8; i++ {
+		var fut *Future
+		var err error
+		if i%2 == 0 {
+			a, b := randData(rng, 256, 8), randData(rng, 256, 8)
+			fut, err = srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, Input(a, 8).Add(Input(b, 8)))
+		} else {
+			fut, err = srv.SubmitFn(context.Background(), JobSpec{Tenant: "t2"}, func(*System, <-chan struct{}) error { return nil })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	traces := map[uint64]JobTrace{}
+	for _, fut := range futs {
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, jt := range srv.Traces() {
+		traces[jt.ID] = jt
+	}
+	for i, fut := range futs {
+		res, _ := fut.Wait()
+		jt, ok := traces[res.TraceID]
+		if !ok {
+			t.Fatalf("job %d: trace %d not in recorder", i, res.TraceID)
+		}
+		sp := spanByName(jt, "queue")
+		if sp == nil {
+			t.Fatalf("job %d: no queue span", i)
+		}
+		if sp.DurNs() != res.QueueNs {
+			t.Errorf("job %d: queue span %dns, QueueNs %dns", i, sp.DurNs(), res.QueueNs)
+		}
+	}
+}
+
 // TestServerAdmissionTracing checks the admission edge of tracing: a
 // submission rejected at admission records no trace, even though its
 // trace opened before pricing, and a malformed job — admitted
