@@ -26,13 +26,16 @@ type BatchStats = ctrl.BatchStats
 // the returned stats report both the serial-equivalent and the
 // overlap-aware latency.
 //
-// On error the batch stops issuing: instructions already in flight
-// complete, later ones are skipped, and all failures are reported in one
-// joined error annotated with the instruction that caused them.
+// Before anything executes, the program passes the static IR verifier
+// (see VerifiedPlans) and every instruction is resolved and bound, so
+// an invalid program or a rejected binding fails with no DRAM command
+// run and the System's stats unchanged. Once the batch starts it runs
+// to completion: only cancellation, which ExecBatch never requests,
+// stops a batch part-way.
 //
 // Concurrency: ExecBatch may be called from several goroutines on one
 // System at once, as long as nothing else mutates the System meanwhile
-// (no allocation, free, Store or SetVerifyPlans). The calls prepare
+// (no allocation, free or Store). The calls prepare
 // concurrently and execute one batch at a time, so a call whose
 // program shares no vector with the others' gets exactly the results
 // and stats it would get alone.
@@ -71,8 +74,6 @@ type preparedProgram struct {
 	// re-verified per run because later allocations can claim the tail
 	// rows the binding's scratch region resolved to.
 	scratch []scratchNeed
-	// verify is the system's SetVerifyPlans setting when it was prepared.
-	verify bool
 }
 
 // release recycles the control unit's storage of a program its owner
@@ -96,12 +97,6 @@ func (pp *preparedProgram) rebind(objs []*Vector, at []int) {
 	}
 }
 
-// sameMode reports whether s still has the verify setting pp was
-// prepared under.
-func (s *System) sameMode(pp *preparedProgram) bool {
-	return pp.verify == s.verifyPlans
-}
-
 type objBind struct {
 	h uint16
 	v *Vector
@@ -120,31 +115,30 @@ func (s *System) prepareProgram(prog isa.Program) (*preparedProgram, error) {
 // prepareProgramTraced is prepareProgram with the serving layer's
 // per-job trace threaded through: the control unit's μProgram binding
 // (the bind-once cost a cache hit amortizes) is accounted to a
-// "resolve" span under parent. tr may be nil. lw, when non-nil, is the
-// graph lowering prog came from: the plan check then uses the
-// compiler's definedness map, and is skipped when verifyLowered has
-// already checked the lowering.
+// "resolve" span under parent. tr may be nil. Every program passes the
+// IR verifier before it is bound. lw, when non-nil, is the graph
+// lowering prog came from: the check then uses the compiler's
+// definedness map, and is skipped when verifyLowered has already
+// checked the lowering.
 func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Trace, parent int) (*preparedProgram, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	deps := prog.Deps()
-	var err error
-	switch {
-	case lw == nil:
-		err = s.maybeVerify(prog, deps, nil)
-	case !lw.verified:
-		err = s.maybeVerify(prog, deps, lw.defined)
-	}
-	if err != nil {
-		return nil, err
+	if lw == nil {
+		if err := s.verifyProgram(prog, deps, nil); err != nil {
+			return nil, err
+		}
+	} else if !lw.verified {
+		if err := s.verifyProgram(prog, deps, lw.defined); err != nil {
+			return nil, err
+		}
 	}
 	jobs := make([]ctrl.Job, 0, len(prog))
 	pp := &preparedProgram{
 		jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog)),
 		// Compiled programs use about one handle per instruction.
-		binds:  make([]objBind, 0, len(prog)+4),
-		verify: s.verifyPlans,
+		binds: make([]objBind, 0, len(prog)+4),
 	}
 	nDeps := 0
 	for _, d := range deps {
@@ -201,7 +195,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		return pp, nil // program of only trsp_init instructions
 	}
 	rspan := tr.Begin("resolve", parent)
-	prep, err := s.cu.Prepare(jobs, s.verifyPlans)
+	prep, err := s.cu.Prepare(jobs)
 	tr.End(rspan)
 	if err != nil {
 		return nil, err

@@ -87,11 +87,10 @@ type Cluster struct {
 	energy   []*obs.FloatCounter
 	commands []*obs.Counter
 
-	// verifyPlans gates the static IR verifier on cluster-compiled
-	// programs; verified counts the cluster-wide programs that passed
-	// (per-channel sub-programs are counted by each channel's System).
-	verifyPlans bool
-	verified    atomic.Int64
+	// verified counts the cluster-wide programs that passed the IR
+	// verifier (per-channel sub-programs are counted by each channel's
+	// System).
+	verified atomic.Int64
 
 	// memo is ExecBatch's one-entry memo of the last program it ran,
 	// prepared on every channel (see takeMemo).
@@ -152,23 +151,11 @@ func (c *Cluster) Channels() int { return len(c.channels) }
 // cluster's own vectors; use with care.
 func (c *Cluster) Channel(i int) *System { return c.channels[i] }
 
-// SetVerifyPlans gates the static IR verifier cluster-wide: the
-// cluster compiler checks every lowered program against its handle
-// table, and each channel's System additionally verifies the
-// per-channel sub-programs it prepares (see System.SetVerifyPlans).
-// It drops ExecBatch's prepared program, so the next call prepares (and
-// verifies) anew. Do not toggle while operations are executing.
-func (c *Cluster) SetVerifyPlans(on bool) {
-	c.dropMemo()
-	c.verifyPlans = on
-	for _, sys := range c.channels {
-		sys.SetVerifyPlans(on)
-	}
-}
-
 // VerifiedPlans returns how many programs the IR verifier has checked
 // and passed across the cluster: cluster-wide compiled programs plus
-// every channel's prepared sub-programs.
+// every channel's prepared sub-programs. The cluster compiler checks
+// every lowered program against its handle table, and each channel's
+// System verifies the per-channel sub-programs it prepares.
 func (c *Cluster) VerifiedPlans() int64 {
 	total := c.verified.Load()
 	for _, sys := range c.channels {
@@ -409,13 +396,13 @@ type ClusterBatchStats = cluster.BatchStats
 //
 // The cluster remembers the last program it ran, sharded and prepared
 // on every channel: a later call with an equal instruction sequence
-// whose objects, scratch rows and channels' SetVerifyPlans settings are
-// unchanged replays that prepared form instead of re-sharding and
-// re-preparing it.
+// whose objects and scratch rows are unchanged replays that prepared
+// form instead of re-sharding and re-preparing it.
 //
-// If one channel fails, in-flight sibling work completes, siblings stop
-// issuing further instructions, and all failures come back in one
-// joined error annotated with the channel that raised them.
+// Every channel's share passes the IR verifier and is bound before any
+// channel runs, so an invalid program or a rejected binding fails the
+// call, annotated with the channel that raised it, with no DRAM command
+// issued. Once the channels start they run to completion.
 func (c *Cluster) ExecBatch(prog isa.Program) (ClusterBatchStats, error) {
 	m := c.takeMemo(prog)
 	if m == nil {
@@ -453,27 +440,16 @@ func (m *batchMemo) names(h uint16) bool {
 }
 
 // takeMemo removes the memo entry and returns it when it was prepared
-// from an instruction sequence equal to prog, under every channel's
-// current verify setting, and is still live on every channel; otherwise
-// the entry is dropped and the caller prepares anew. Unlike a compiled
-// plan, which keeps the setting it was prepared under, the memo follows
-// the channels' settings: the caller never prepared anything. Removing the
-// entry while it runs keeps overlapping calls from sharing a
-// ctrl.Prepared, which supports serial runs only.
+// from an instruction sequence equal to prog and is still live on every
+// channel; otherwise the entry is dropped and the caller prepares anew.
+// Removing the entry while it runs keeps overlapping calls from sharing
+// a ctrl.Prepared, which supports serial runs only.
 func (c *Cluster) takeMemo(prog isa.Program) *batchMemo {
 	c.memoMu.Lock()
 	m := c.memo
 	c.memo = nil
 	c.memoMu.Unlock()
-	if m == nil || !slices.Equal(m.key, prog) {
-		return nil
-	}
-	for _, ch := range m.sp.ran {
-		if !c.channels[ch].sameMode(m.sp.pp[ch]) {
-			return nil
-		}
-	}
-	if c.checkSharded(m.sp) != nil {
+	if m == nil || !slices.Equal(m.key, prog) || c.checkSharded(m.sp) != nil {
 		return nil
 	}
 	return m

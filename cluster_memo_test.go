@@ -56,20 +56,18 @@ func errText(err error) string {
 }
 
 // TestClusterExecBatchMemoDifferential replays one hazard-rich program
-// through the memo, with the verifier on, and runs every call's
-// program on a freshly built cluster holding the same data. Stats,
-// per-subarray command traces and results must be identical, and every
-// call after the first must replay the first call's prepared form.
+// through the memo and runs every call's program on a freshly built
+// cluster holding the same data. Stats, per-subarray command traces and
+// results must be identical, and every call after the first must replay
+// the first call's prepared form.
 func TestClusterExecBatchMemoDifferential(t *testing.T) {
 	const seed, channels, calls = 31, 4, 4
 	c := testCluster(t, channels)
-	c.SetVerifyPlans(true)
 	prog, vecs := clusterHazardProgram(t, c, seed)
 	var first *shardedProgram
 	var verified int64
 	for call := 0; call < calls; call++ {
 		ref := testCluster(t, channels)
-		ref.SetVerifyPlans(true)
 		refProg, refVecs := clusterHazardProgram(t, ref, seed)
 		for i, vals := range loadLive(t, vecs) {
 			if err := refVecs[i].Store(vals); err != nil {
@@ -149,19 +147,11 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 				}
 			}
 		}, true},
-		{"verify toggled", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
-			c.SetVerifyPlans(false)
-			c.SetVerifyPlans(true)
-		}, false},
-		{"channel verify switched off", func(c *Cluster, prog isa.Program, vecs []*ShardedVector) {
-			c.Channel(1).SetVerifyPlans(false)
-		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*Cluster, isa.Program, []*ShardedVector, *shardedProgram) {
 				c := testCluster(t, channels)
-				c.SetVerifyPlans(true)
 				prog, vecs := clusterHazardProgram(t, c, seed)
 				if _, err := c.ExecBatch(prog); err != nil {
 					t.Fatal(err)
@@ -198,11 +188,6 @@ func TestClusterExecBatchMemoInvalidation(t *testing.T) {
 				compareTraces(t, tc.name, refLogs, logs)
 				if c.memo == nil || c.memo.sp == stale {
 					t.Fatal("a stale memo entry was replayed or not replaced")
-				}
-				for _, ch := range c.memo.sp.ran {
-					if !c.Channel(ch).sameMode(c.memo.sp.pp[ch]) {
-						t.Fatalf("channel %d replays a program prepared under other settings", ch)
-					}
 				}
 				if c.VerifiedPlans() == verified {
 					t.Error("the re-prepared program was not verified")

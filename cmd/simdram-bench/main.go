@@ -188,6 +188,7 @@ func runClusterDemo(channels int, m metrics) error {
 	m["cluster.scaling_ratio"] = ratio
 	m["cluster.fabric_overlap"] = cst.Speedup()
 	m["cluster.utilization_skew"] = cst.UtilizationSkew()
+	m["verify.plans_checked"] = float64(c.VerifiedPlans())
 	if channels >= 4 && ratio >= 0.35 {
 		return fmt.Errorf("cluster scaling regressed: critical path %.3f× serial-equivalent, want < 0.35×", ratio)
 	}
@@ -209,9 +210,6 @@ func runGraphDemo(m metrics) error {
 		return err
 	}
 	defer sys.Close()
-	// Run the demo with the IR verifier on every compiled plan: the
-	// demo doubles as an end-to-end check that real workloads verify.
-	sys.SetVerifyPlans(true)
 	roots, err := batchgen.GraphExprs(sys, 1)
 	if err != nil {
 		return err
@@ -364,5 +362,6 @@ func runBatchDemo(rounds int, m metrics) error {
 	m["batch.critical_path_ns"] = st.CriticalPathNs
 	m["batch.speedup_modeled"] = st.Speedup()
 	m["batch.instr_per_sec"] = float64(instrs) / batched.Seconds()
+	m["verify.plans_checked"] = float64(sys.VerifiedPlans())
 	return nil
 }

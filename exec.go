@@ -28,7 +28,7 @@ func (s *System) RunOp(d ops.Def, dst *Vector, srcs ...*Vector) (Stats, error) {
 	}
 	// One operation is a one-job batch: the control unit has a single
 	// run path, so serial and batched issue cannot drift apart.
-	pb, err := s.cu.Prepare([]ctrl.Job{{Program: p, Segments: segs}}, s.verifyPlans)
+	pb, err := s.cu.Prepare([]ctrl.Job{{Program: p, Segments: segs}})
 	if err != nil {
 		return Stats{}, err
 	}

@@ -68,7 +68,6 @@ func BenchmarkGraphCompile(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	sys.SetVerifyPlans(true)
 	rng := rand.New(rand.NewSource(1))
 	leaves := make([]*simdram.Expr, 4)
 	for i := range leaves {
@@ -112,15 +111,14 @@ func BenchmarkGraphCompile(b *testing.B) {
 }
 
 // BenchmarkServerSubmitMiss times SubmitJob→Wait of one random 32-op
-// 8-bit DAG over 256-element Input leaves on a 2-channel server with
-// the plan verifier on, a different shape every iteration: the served
-// plan-cache miss path end to end (admission pricing, compile, lower,
-// prepare with verification, execute, gather). It also reports the
+// 8-bit DAG over 256-element Input leaves on a 2-channel server, a
+// different shape every iteration: the served plan-cache miss path end
+// to end (admission pricing, compile, lower, prepare with verification,
+// execute, gather). It also reports the
 // garbage collector's share of CPU time (gc-cpu-share).
 func BenchmarkServerSubmitMiss(b *testing.B) {
 	cfg := simdram.DefaultServerConfig(2)
 	cfg.Channel.DRAM.Cols = 256
-	cfg.VerifyPlans = true
 	srv, err := simdram.NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -183,16 +181,14 @@ func (start gcShare) report(b *testing.B) {
 // BenchmarkServerSubmitHit times SubmitJob→Wait of serve-hot's request
 // mix — brightness in both saturation directions, a BitWeaving scan and
 // TPC-H Q6 over 2048-element Input payloads — on a 2-channel server
-// with 256-column rows and the plan verifier on, after every shape has
-// compiled, converged its profile and run on both channels: the served
-// plan-cache hit path end to end (admission pricing, cache lookup,
-// storage binding and input stores, the channel's memoized prepared
-// program, execute, gather), and the garbage collector's share of CPU
-// time (gc-cpu-share).
+// with 256-column rows, after every shape has compiled, converged its
+// profile and run on both channels: the served plan-cache hit path end
+// to end (admission pricing, cache lookup, storage binding and input
+// stores, the channel's memoized prepared program, execute, gather),
+// and the garbage collector's share of CPU time (gc-cpu-share).
 func BenchmarkServerSubmitHit(b *testing.B) {
 	cfg := simdram.DefaultServerConfig(2)
 	cfg.Channel.DRAM.Cols = 256
-	cfg.VerifyPlans = true
 	srv, err := simdram.NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)

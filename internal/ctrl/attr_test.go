@@ -20,7 +20,7 @@ func TestRunAttribution(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}, {Bank: 1, Sub: 1, Binding: r.bind}}},
 	}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunAttribution(t *testing.T) {
 func TestAttributionAccumulatesAndResets(t *testing.T) {
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunZeroAlloc(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}}, Deps: []int{0}},
 	}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunAttrSteadyZeroAlloc(t *testing.T) {
 	}
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

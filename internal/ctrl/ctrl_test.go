@@ -72,7 +72,7 @@ func TestExecuteAcrossBanks(t *testing.T) {
 		sa := mod.Subarray(seg.Bank, seg.Sub)
 		rows := make([][]uint64, w)
 		for r := 0; r < w; r++ {
-			rows[r] = sa.Peek(bind.DstBase + r)
+			rows[r] = sa.PeekRow(bind.DstBase + r)
 		}
 		got, err := vertical.ToHorizontal(rows, w, lanes)
 		if err != nil {

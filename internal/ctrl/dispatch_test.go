@@ -56,7 +56,7 @@ func (r *batchRig) checkSegment(bank, sub, base int, want []uint64) (done, untou
 	untouched = true
 	rows := make([][]uint64, r.w)
 	for row := range rows {
-		rows[row] = sa.Peek(base + row)
+		rows[row] = sa.PeekRow(base + row)
 		if slices.ContainsFunc(rows[row], func(w uint64) bool { return w != 0 }) {
 			untouched = false
 		}
@@ -229,7 +229,7 @@ func BenchmarkRunChain(b *testing.B) {
 					jobs[j].Deps = []int{j - 1}
 				}
 			}
-			pb, err := r.unit.Prepare(jobs, true)
+			pb, err := r.unit.Prepare(jobs)
 			if err != nil {
 				b.Fatal(err)
 			}

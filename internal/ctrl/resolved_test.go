@@ -31,7 +31,7 @@ func TestTemplatesShared(t *testing.T) {
 func TestRunReleasedPreparedPanics(t *testing.T) {
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestReleasedStorageLeavesKeptBatches(t *testing.T) {
 	r := newBatchRig(t)
 	rng := rand.New(rand.NewSource(5))
 	keptJobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	kept, err := r.unit.Prepare(keptJobs, true)
+	kept, err := r.unit.Prepare(keptJobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReleasedStorageLeavesKeptBatches(t *testing.T) {
 			{Program: r.prog, Segments: []Segment{{Bank: bank, Sub: sub, Binding: r.bind}}},
 			{Program: r.prog, Segments: []Segment{{Bank: bank, Sub: sub, Binding: other}}},
 		}
-		pb, err := r.unit.Prepare(jobs, true)
+		pb, err := r.unit.Prepare(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestPrepareManySources(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := uprog.Binding{SrcBase: []int{0, 4, 8, 12}, DstBase: 16, ScratchBase: r.cfg.DataRows() - p.NumScratch}
-	pb, err := r.unit.Prepare([]Job{{Program: p, Segments: []Segment{{Binding: b}}}}, true)
+	pb, err := r.unit.Prepare([]Job{{Program: p, Segments: []Segment{{Binding: b}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPrepareReleaseAllocBudget(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 1, Binding: r.bind}}, Deps: []int{0}},
 	}
 	cycle := func() {
-		pb, err := r.unit.Prepare(jobs, true)
+		pb, err := r.unit.Prepare(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestPreparedReuse(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestPreparedMatchesBatchProfile(t *testing.T) {
 	lat := r.prog.LatencyNs(r.cfg.Timing)
 	var first BatchStats
 	for pass := 0; pass < 2; pass++ {
-		pb, err := r.unit.Prepare(jobs, false)
+		pb, err := r.unit.Prepare(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,26 +241,21 @@ func TestPreparedPlanZeroAllocPerRun(t *testing.T) {
 	}
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := &pb.b.views[0]
-	if sv.err != nil {
-		t.Fatal(sv.err)
-	}
+	v := &pb.b.views[0]
 	sa := r.mod.Subarray(0, 0)
-	allocs := testing.AllocsPerRun(20, func() { uprog.RunView(sa, &sv.view) })
+	allocs := testing.AllocsPerRun(20, func() { uprog.RunView(sa, v) })
 	if allocs != 0 {
 		t.Fatalf("cached-plan μProgram run allocated %.1f times, want 0", allocs)
 	}
 }
 
 // TestPrepareVerifyRejectsInvalidCommands checks the control unit's
-// half of validate-once: with plan verification on, a μProgram op the
-// DRAM commands would refuse fails Prepare — naming the op — before
-// any command executes; with it off, the same op fails its job at
-// issue time instead of panicking inside the subarray.
+// half of validate-once: a μProgram op the DRAM commands would refuse
+// fails Prepare — naming the op — before any command executes.
 func TestPrepareVerifyRejectsInvalidCommands(t *testing.T) {
 	src := uprog.Ref{Space: uprog.SpaceSrc}
 	dst := uprog.Ref{Space: uprog.SpaceDst}
@@ -270,27 +265,15 @@ func TestPrepareVerifyRejectsInvalidCommands(t *testing.T) {
 		"multi-row data dst": {Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{{Space: uprog.SpaceT}, dst}},
 	}
 	for name, op := range bad {
-		for _, verify := range []bool{true, false} {
-			r := newBatchRig(t)
-			p := &uprog.Program{Name: "bad", Width: r.w, NumSrc: 2, DstWidth: r.w, NumScratch: 4,
-				Ops: []uprog.MicroOp{{Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{dst}}, op}}
-			jobs := []Job{{Program: p, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
-			pb, err := r.unit.Prepare(jobs, verify)
-			if verify {
-				if err == nil || !strings.Contains(err.Error(), "op 1:") {
-					t.Errorf("%s: Prepare error %v, want one naming op 1", name, err)
-				}
-				if st := r.mod.Stats(); st != (dram.Stats{}) {
-					t.Errorf("%s: commands ran before Prepare failed: %v", name, st)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: Prepare without verification: %v", name, err)
-			}
-			if _, _, err := r.unit.Run(pb, RunOpts{}); err == nil || !strings.Contains(err.Error(), "op 1:") {
-				t.Errorf("%s: Run error %v, want one naming op 1", name, err)
-			}
+		r := newBatchRig(t)
+		p := &uprog.Program{Name: "bad", Width: r.w, NumSrc: 2, DstWidth: r.w, NumScratch: 4,
+			Ops: []uprog.MicroOp{{Kind: uprog.OpAAP, Src: src, Dsts: []uprog.Ref{dst}}, op}}
+		jobs := []Job{{Program: p, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
+		if _, err := r.unit.Prepare(jobs); err == nil || !strings.Contains(err.Error(), "op 1:") {
+			t.Errorf("%s: Prepare error %v, want one naming op 1", name, err)
+		}
+		if st := r.mod.Stats(); st != (dram.Stats{}) {
+			t.Errorf("%s: commands ran before Prepare failed: %v", name, st)
 		}
 	}
 }
@@ -301,7 +284,7 @@ func BenchmarkResolvedPreparedRun(b *testing.B) {
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}},
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: r.bind}}},
 	}
-	pb, err := r.unit.Prepare(jobs, false)
+	pb, err := r.unit.Prepare(jobs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -105,7 +105,7 @@ type batch struct {
 
 	// The views: segment s runs views[s], whose row map and row table
 	// are carved from phys and rows.
-	views []segView
+	views []uprog.View
 	phys  []int32
 	rows  [][]uint64
 
@@ -165,12 +165,7 @@ func (g *group) run() {
 	b, sa := g.b, g.sa
 	before := sa.Stats
 	for s := g.lo; s < g.hi; s++ {
-		sv := &b.views[s]
-		if sv.err != nil {
-			b.results <- groupResult{job: g.job, bank: g.bank, err: sv.err}
-			return
-		}
-		uprog.RunView(sa, &sv.view)
+		uprog.RunView(sa, &b.views[s])
 	}
 	b.results <- groupResult{job: g.job, bank: g.bank, energyPJ: sa.Stats.Sub(before).EnergyPJ}
 }
@@ -304,20 +299,11 @@ func (b *batch) addPred(p0 int, d int32) {
 	}
 }
 
-// segView pairs one prepared segment with the view that runs its
-// μProgram at its placement, or with the binding error to surface when
-// its job issues.
-type segView struct {
-	view uprog.View
-	err  error
-}
-
 // groupResult is one subarray group's completion report, sent to the
 // dispatch loop by whichever goroutine ran the group.
 type groupResult struct {
 	job, bank int32
 	energyPJ  float64
-	err       error
 }
 
 // Prepared is a batch bound once for repeated execution: the validated
@@ -369,24 +355,22 @@ func (b *batch) reset() {
 // Prepare validates and schedules a batch and binds every segment's
 // μProgram view into the batch's own slab: one row map and one row
 // table for all segments, sized from the templates before any view is
-// bound, with the templates themselves shared process-wide. Structural
-// errors (bad coordinates, bad deps) fail here. A segment whose
-// *binding* is rejected fails here too when eager is set — the
-// plan-verifier gate, which rejects the batch before any DRAM command
-// executes; otherwise it is kept with its error attached and surfaces
-// when its job issues, so Run stays fail-fast and prefix-consistent.
+// bound, with the templates themselves shared process-wide. Every
+// error fails here, before any DRAM command executes: structural ones
+// (bad coordinates, bad deps) and a segment whose binding is rejected,
+// reported with every such segment's job, bank and subarray joined.
 //
 // The storage comes from batches earlier owners released (see
 // Prepared.Release), so a Prepare between released batches of similar
 // size allocates only the Prepared itself.
-func (u *Unit) Prepare(jobs []Job, eager bool) (*Prepared, error) {
+func (u *Unit) Prepare(jobs []Job) (*Prepared, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("ctrl: empty batch")
 	}
 	b := batchPool.Get().(*batch)
 	err := u.plan(b, jobs)
 	if err == nil {
-		err = u.bind(b, jobs, eager)
+		err = u.bind(b)
 	}
 	if err != nil {
 		b.reset()
@@ -397,8 +381,9 @@ func (u *Unit) Prepare(jobs []Job, eager bool) (*Prepared, error) {
 	return &Prepared{b: b, n: len(jobs)}, nil
 }
 
-// bind binds every segment's view into b's slab.
-func (u *Unit) bind(b *batch, jobs []Job, eager bool) error {
+// bind binds every segment's view into b's slab. It fails if any
+// binding is rejected, joining one error per rejected segment.
+func (u *Unit) bind(b *batch) error {
 	total := 0
 	for _, g := range b.groups {
 		total += b.tmpl[g.job].Rows() * int(g.hi-g.lo)
@@ -407,6 +392,7 @@ func (u *Unit) bind(b *batch, jobs []Job, eager bool) error {
 	b.rows = sized(b.rows, total)
 	b.views = sized(b.views, len(b.segs))
 	off := 0
+	var failures []error
 	for _, g := range b.groups {
 		t := b.tmpl[g.job]
 		r := t.Rows()
@@ -415,17 +401,13 @@ func (u *Unit) bind(b *batch, jobs []Job, eager bool) error {
 			v, err := t.BindInto(g.sa, seg.Binding, b.phys[off:off+r:off+r], b.rows[off:off+r:off+r])
 			off += r
 			if err != nil {
-				err = fmt.Errorf("ctrl: bank %d subarray %d: %w", seg.Bank, seg.Sub, err)
-				if eager {
-					return fmt.Errorf("ctrl: job %d: %w", g.job, err)
-				}
-				b.views[s] = segView{err: err}
+				failures = append(failures, fmt.Errorf("ctrl: job %d: bank %d subarray %d: %w", g.job, seg.Bank, seg.Sub, err))
 				continue
 			}
-			b.views[s] = segView{view: v}
+			b.views[s] = v
 		}
 	}
-	return nil
+	return errors.Join(failures...)
 }
 
 // dispatch precomputes everything Run needs per run — successor lists,
@@ -468,14 +450,14 @@ func (b *batch) dispatch(banks int) {
 type RunOpts struct {
 	// Cancel, once closed, stops Run issuing new jobs: in-flight work
 	// drains and — if any job was thereby skipped — Run reports
-	// ErrCanceled. A cluster uses this to stop sibling channels after
-	// one channel fails. A nil Cancel never fires.
+	// ErrCanceled. The serving layer closes it when a running job's
+	// context ends. A nil Cancel never fires.
 	Cancel <-chan struct{}
 	// Attr, when non-nil, accumulates the run's per-bank modeled busy
 	// time, command counts and measured energy, plus the batch's
-	// critical path (see Attribution). A failed or canceled run bills
-	// nothing: its partial DRAM effects are not attributed, matching the
-	// error contract that stats are not returned.
+	// critical path (see Attribution). A canceled run bills nothing:
+	// its partial DRAM effects are not attributed, matching the error
+	// contract that stats are not returned.
 	Attr *Attribution
 }
 
@@ -502,14 +484,15 @@ type RunOpts struct {
 // returns only once every issued group has reported: nothing touches
 // pb after Run, so its owner may release it then.
 //
-// On error, issuing stops (fail-fast), in-flight work drains, and every
-// failure is reported via errors.Join; jobs not yet issued are skipped,
-// so DRAM state reflects a prefix-consistent subset of the batch. The
-// per-run work is only the dependency dispatch and the view runs — no
-// validation, binding, planning, or heap allocation. Run holds the
-// unit's run lock for the whole batch, so concurrent calls on one unit
-// execute one after another and never share a Prepared's dispatch
-// scratch. Running a released Prepared panics.
+// Every binding was checked when pb was prepared, so only cancellation
+// stops a batch part-way: issuing stops, in-flight work drains, and
+// jobs not yet issued are skipped, so DRAM state reflects a
+// prefix-consistent subset of the batch. The per-run work is only the
+// dependency dispatch and the view runs — no validation, binding,
+// planning, or heap allocation. Run holds the unit's run lock for the
+// whole batch, so concurrent calls on one unit execute one after
+// another and never share a Prepared's dispatch scratch. Running a
+// released Prepared panics.
 //
 //simdram:zeroalloc
 func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
@@ -533,7 +516,6 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 			ready = append(ready, int32(i)) //simdram:prealloc b.ready holds every job
 		}
 	}
-	var failures []error
 	var energyPJ float64
 	canceled := false
 	doneJobs, inflight := 0, 0
@@ -545,7 +527,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 			default:
 			}
 		}
-		if len(failures) == 0 && !canceled && len(ready) > 0 {
+		if !canceled && len(ready) > 0 {
 			last := ready[len(ready)-1]
 			for _, id := range ready {
 				g0, g1 := b.jobGrp[id], b.jobGrp[id+1]
@@ -560,13 +542,10 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 		}
 		ready = ready[:0]
 		if inflight == 0 {
-			break // fail-fast: nothing running, unissued jobs are skipped
+			break // canceled: nothing running, unissued jobs are skipped
 		}
 		r := <-b.results
 		inflight--
-		if r.err != nil {
-			failures = append(failures, r.err) //simdram:coldpath failed batch
-		}
 		energyPJ += r.energyPJ
 		b.bankEnergy[r.bank] += r.energyPJ
 		b.remain[r.job]--
@@ -580,13 +559,10 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 			}
 		}
 	}
-	if canceled && doneJobs < n {
-		//simdram:coldpath canceled batch
-		failures = append(failures, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, doneJobs, n))
-	}
-	if err := errors.Join(failures...); err != nil {
+	if doneJobs < n {
 		u.runMu.Unlock()
-		return BatchStats{}, nil, err
+		//simdram:coldpath canceled batch
+		return BatchStats{}, nil, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, doneJobs, n)
 	}
 	st := BatchStats{
 		Instructions:   int64(n),

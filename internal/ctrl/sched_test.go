@@ -81,7 +81,7 @@ func (r *batchRig) checkDst(t *testing.T, bank, sub, base int, want []uint64) {
 	sa := r.mod.Subarray(bank, sub)
 	rows := make([][]uint64, r.w)
 	for row := 0; row < r.w; row++ {
-		rows[row] = sa.Peek(base + row)
+		rows[row] = sa.PeekRow(base + row)
 	}
 	got, err := vertical.ToHorizontal(rows, r.w, r.cfg.Cols)
 	if err != nil {
@@ -94,10 +94,9 @@ func (r *batchRig) checkDst(t *testing.T, bank, sub, base int, want []uint64) {
 	}
 }
 
-// runOnce prepares a batch (deferring binding errors to issue time) and
-// runs it once.
+// runOnce prepares a batch and runs it once.
 func runOnce(u *Unit, jobs []Job, cancel <-chan struct{}) (BatchStats, error) {
-	pb, err := u.Prepare(jobs, false)
+	pb, err := u.Prepare(jobs)
 	if err != nil {
 		return BatchStats{}, err
 	}
@@ -208,8 +207,9 @@ func TestExecuteBatchRejectsForwardDeps(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchJoinsErrors makes two independent jobs fail (bindings
-// point outside the data rows) and checks both failures surface.
+// TestExecuteBatchJoinsErrors gives two jobs on different banks a
+// binding outside the data rows: the batch fails and the joined error
+// names both failing banks.
 func TestExecuteBatchJoinsErrors(t *testing.T) {
 	r := newBatchRig(t)
 	bad := uprog.Binding{SrcBase: []int{1 << 20, 1 << 20}, DstBase: 0, ScratchBase: r.w}
@@ -227,14 +227,15 @@ func TestExecuteBatchJoinsErrors(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchErrorSkipsLater drives a dependency chain into a
-// failing middle job: the already-completed predecessor keeps its
-// result, the dependent successor is never issued, and the error names
-// the failing subarray.
+// TestExecuteBatchErrorSkipsLater drives a dependency chain whose
+// middle job's binding points outside the data rows: Prepare fails,
+// naming the job and its bank, before any DRAM command runs, so
+// neither the predecessor nor the dependent successor is issued.
 func TestExecuteBatchErrorSkipsLater(t *testing.T) {
 	r := newBatchRig(t)
 	rng := rand.New(rand.NewSource(21))
-	want := r.seed(t, rng, 0, 0)
+	r.seed(t, rng, 0, 0)
+	before := r.mod.Stats()
 	bad := uprog.Binding{SrcBase: []int{1 << 20, 1 << 20}, DstBase: 0, ScratchBase: r.w}
 	skippedDst := r.bind.DstBase + r.w
 	dependent := uprog.Binding{
@@ -247,21 +248,21 @@ func TestExecuteBatchErrorSkipsLater(t *testing.T) {
 		{Program: r.prog, Segments: []Segment{{Bank: 1, Sub: 0, Binding: bad}}, Deps: []int{0}},
 		{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: dependent}}, Deps: []int{1}},
 	}
-	_, err := runOnce(r.unit, jobs, nil)
+	_, err := r.unit.Prepare(jobs)
 	if err == nil {
-		t.Fatal("failing middle job must surface")
+		t.Fatal("a batch with an out-of-range binding must fail Prepare")
 	}
-	if !strings.Contains(err.Error(), "bank 1") {
-		t.Errorf("error must name the failing subarray, got: %v", err)
+	if msg := err.Error(); !strings.Contains(msg, "job 1") || !strings.Contains(msg, "bank 1") {
+		t.Errorf("error must name the failing job and bank, got: %v", err)
 	}
-	// Job 0 was in flight before the failure: its result stands.
-	r.checkDst(t, 0, 0, r.bind.DstBase, want)
-	// Job 2 depends on the failed job: it must never have been issued.
+	if st := r.mod.Stats(); st != before {
+		t.Errorf("commands ran before Prepare failed: %v, want %v", st, before)
+	}
 	sa := r.mod.Subarray(0, 0)
-	for row := skippedDst; row < skippedDst+r.w; row++ {
-		for _, w := range sa.Peek(row) {
+	for row := r.bind.DstBase; row < skippedDst+r.w; row++ {
+		for _, w := range sa.PeekRow(row) {
 			if w != 0 {
-				t.Fatalf("dependent job ran after failure: row %d is nonzero", row)
+				t.Fatalf("a job ran after Prepare failed: row %d is nonzero", row)
 			}
 		}
 	}
@@ -286,7 +287,7 @@ func TestExecuteBatchCancel(t *testing.T) {
 	}
 	sa := r.mod.Subarray(0, 0)
 	for row := r.bind.DstBase; row < r.bind.DstBase+r.w; row++ {
-		for _, w := range sa.Peek(row) {
+		for _, w := range sa.PeekRow(row) {
 			if w != 0 {
 				t.Fatal("canceled batch must not execute any instruction")
 			}

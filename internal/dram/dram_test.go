@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -50,12 +51,12 @@ func TestConfigValidation(t *testing.T) {
 
 func TestControlRowContents(t *testing.T) {
 	s := testSubarray(t)
-	for _, w := range s.Peek(s.C0Row()) {
+	for _, w := range s.PeekRow(s.C0Row()) {
 		if w != 0 {
 			t.Fatal("C0 must be all zeros")
 		}
 	}
-	for _, w := range s.Peek(s.C1Row()) {
+	for _, w := range s.PeekRow(s.C1Row()) {
 		if w != ^uint64(0) {
 			t.Fatal("C1 must be all ones")
 		}
@@ -68,7 +69,7 @@ func TestAAPCopiesRow(t *testing.T) {
 	data := randRow(rng, s.Config().WordsPerRow())
 	s.Poke(3, data)
 	s.AAP(3, 7)
-	got := s.Peek(7)
+	got := s.PeekRow(7)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("AAP copy mismatch at word %d", i)
@@ -86,7 +87,7 @@ func TestAAPMultiDestination(t *testing.T) {
 	s.Poke(0, data)
 	s.AAP(0, s.TRow(0), s.TRow(1), s.TRow(2))
 	for i := 0; i < 3; i++ {
-		got := s.Peek(s.TRow(i))
+		got := s.PeekRow(s.TRow(i))
 		for w := range data {
 			if got[w] != data[w] {
 				t.Fatalf("multi-dst AAP mismatch in T%d", i)
@@ -121,7 +122,7 @@ func TestTRAComputesMajority(t *testing.T) {
 		s.AP(s.TRow(0), s.TRow(1), s.TRow(2))
 		want := (a & b) | (a & c) | (b & c)
 		for _, r := range [3]int{s.TRow(0), s.TRow(1), s.TRow(2)} {
-			for _, w := range s.Peek(r) {
+			for _, w := range s.PeekRow(r) {
 				if w != want {
 					return false
 				}
@@ -150,7 +151,7 @@ func TestDCCProvidesComplement(t *testing.T) {
 	data := randRow(rng, s.Config().WordsPerRow())
 	s.Poke(5, data)
 	s.AAP(5, s.DCCRow(0))
-	neg := s.Peek(s.DCCNRow(0))
+	neg := s.PeekRow(s.DCCNRow(0))
 	for i := range data {
 		if neg[i] != ^data[i] {
 			t.Fatalf("DCC complement wrong at word %d", i)
@@ -158,7 +159,7 @@ func TestDCCProvidesComplement(t *testing.T) {
 	}
 	// And the reverse: writing the N row complements the true row.
 	s.AAP(5, s.DCCNRow(1))
-	pos := s.Peek(s.DCCRow(1))
+	pos := s.PeekRow(s.DCCRow(1))
 	for i := range data {
 		if pos[i] != ^data[i] {
 			t.Fatalf("DCCN reverse complement wrong at word %d", i)
@@ -174,7 +175,7 @@ func TestNotViaDCCRoundTrip(t *testing.T) {
 	s.Poke(9, data)
 	s.AAP(9, s.DCCRow(0))
 	s.AAP(s.DCCNRow(0), s.TRow(3))
-	got := s.Peek(s.TRow(3))
+	got := s.PeekRow(s.TRow(3))
 	for i := range data {
 		if got[i] != ^data[i] {
 			t.Fatalf("NOT idiom failed at word %d", i)
@@ -197,7 +198,8 @@ func TestHostReadWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := randRow(rng, s.Config().WordsPerRow())
 	s.WriteRow(11, data)
-	got := s.ReadRow(11)
+	got := make([]uint64, s.Config().WordsPerRow())
+	s.ReadRowInto(11, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatal("host write/read mismatch")
@@ -266,9 +268,9 @@ func TestInjectBitFlips(t *testing.T) {
 	words := s.Config().WordsPerRow()
 	mask := make([]uint64, words)
 	mask[0] = 0b1010
-	before := s.Peek(2)
+	before := slices.Clone(s.PeekRow(2))
 	s.InjectBitFlips(2, mask)
-	after := s.Peek(2)
+	after := s.PeekRow(2)
 	if after[0] != before[0]^0b1010 {
 		t.Error("bit flips not applied")
 	}

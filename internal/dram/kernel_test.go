@@ -383,8 +383,8 @@ func TestInjectBitFlipsDCCMirrors(t *testing.T) {
 		row := pair[0]
 		s.Poke(row, data)
 		s.InjectBitFlips(row, mask)
-		got := s.Peek(row)
-		comp := s.Peek(pair[1])
+		got := s.PeekRow(row)
+		comp := s.PeekRow(pair[1])
 		for w := range data {
 			if got[w] != data[w]^mask[w] {
 				t.Fatalf("row %d word %d: flip not applied", row, w)

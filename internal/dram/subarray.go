@@ -137,16 +137,9 @@ func (s *Subarray) checkRow(row int) {
 	}
 }
 
-// ReadRow returns a copy of the row contents via a normal host access.
-func (s *Subarray) ReadRow(row int) []uint64 {
-	out := make([]uint64, s.cfg.WordsPerRow())
-	s.ReadRowInto(row, out)
-	return out
-}
-
-// ReadRowInto is ReadRow into caller-provided storage — the
-// allocation-free variant bulk gather paths reuse one buffer with. dst
-// must hold exactly WordsPerRow words.
+// ReadRowInto copies the row contents into dst via a normal host
+// access, so bulk gather paths reuse one buffer. dst must hold exactly
+// WordsPerRow words.
 //
 //simdram:zeroalloc
 func (s *Subarray) ReadRowInto(row int, dst []uint64) {
@@ -178,16 +171,10 @@ func (s *Subarray) WriteRow(row int, data []uint64) {
 	s.storeRow(row, data)
 }
 
-// Peek returns a copy of the row contents without modeling a command
-// (test/debug).
-func (s *Subarray) Peek(row int) []uint64 {
-	return append([]uint64(nil), s.PeekRow(row)...)
-}
-
-// PeekRow returns the row's backing storage without copying or
-// accounting — the copy-free variant of Peek. The slice aliases live
-// subarray state: treat it as read-only and do not hold it across
-// commands that may rewrite the row.
+// PeekRow returns the row's backing storage without modeling a command
+// or copying (test/debug). The slice aliases live subarray state: treat
+// it as read-only and do not hold it across commands that may rewrite
+// the row.
 func (s *Subarray) PeekRow(row int) []uint64 {
 	s.checkRow(row)
 	return s.rows[row]

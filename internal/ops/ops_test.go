@@ -168,7 +168,7 @@ func runProgram(t *testing.T, s *Synthesized, operands [][]uint64) []uint64 {
 	dw := s.Program.DstWidth
 	dstRows := make([][]uint64, dw)
 	for i := 0; i < dw; i++ {
-		dstRows[i] = sa.Peek(bind.DstBase + i)
+		dstRows[i] = sa.PeekRow(bind.DstBase + i)
 	}
 	vals, err := vertical.ToHorizontal(dstRows, dw, n)
 	if err != nil {

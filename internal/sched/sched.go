@@ -697,6 +697,18 @@ func (s *Scheduler) Observe(tenant string, modeledNs float64) {
 	}
 }
 
+// TierOf returns the tier the tenant's last submission resolved to
+// (see ResolveTier), or DefaultTierName for a tenant the scheduler does
+// not hold: never seen, or evicted by the tenant-state cap.
+func (s *Scheduler) TierOf(tenant string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ts := s.tenants[tenant]; ts != nil {
+		return ts.tier
+	}
+	return DefaultTierName
+}
+
 // tenantLocked returns the tenant's state, creating it (with its
 // registry-backed latency histograms) on first sight. Caller holds mu.
 func (s *Scheduler) tenantLocked(tenant string) *tenantState {

@@ -29,6 +29,42 @@ func TestResolveTier(t *testing.T) {
 	}
 }
 
+// TestTierOf checks the scheduler's tenant→tier map: a declared tier
+// names itself, an undeclared one resolves to the default, a tenant
+// the scheduler never saw reads as the default, and a tenant's last
+// submission wins even when admission rejects it.
+func TestTierOf(t *testing.T) {
+	s, gate, _ := blockedScheduler(t, Config{QueueDepth: 1, Tiers: []Tier{{Name: "gold", Weight: 4}, {Name: "bronze"}}})
+	defer s.Close()
+	defer close(gate)
+	submit := func(tenant, tier string) error {
+		_, err := s.SubmitRequest(nil, Request{Tenant: tenant, Tier: tier}, func(int, <-chan struct{}) error { return nil })
+		return err
+	}
+	if err := submit("a", "gold"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TierOf("a"); got != "gold" {
+		t.Errorf("declared tier: TierOf = %q, want gold", got)
+	}
+	// The queue is full now, so the next submissions are rejected.
+	if err := submit("b", "platinum"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("want ErrQueueFull, got %v", err)
+	}
+	if got := s.TierOf("b"); got != DefaultTierName {
+		t.Errorf("undeclared tier: TierOf = %q, want %q", got, DefaultTierName)
+	}
+	if got := s.TierOf("nobody"); got != DefaultTierName {
+		t.Errorf("unknown tenant: TierOf = %q, want %q", got, DefaultTierName)
+	}
+	if err := submit("a", "bronze"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("want ErrQueueFull, got %v", err)
+	}
+	if got := s.TierOf("a"); got != "bronze" {
+		t.Errorf("after a later submission: TierOf = %q, want bronze", got)
+	}
+}
+
 // TestWeightedSharesConverge queues a sustained two-tier backlog and
 // checks the dispatch shares track the 4:1 weight ratio within 10%
 // while both tiers still have queued work.

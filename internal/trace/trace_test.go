@@ -19,7 +19,7 @@ func TestLogRecordsCommands(t *testing.T) {
 	sa.AP(sa.TRow(0), sa.TRow(1), sa.TRow(2))
 	sa.MajCopy(sa.TRow(0), sa.TRow(1), sa.TRow(2), 5)
 	sa.WriteRow(7, make([]uint64, cfg.WordsPerRow()))
-	sa.ReadRow(7)
+	sa.ReadRowInto(7, make([]uint64, cfg.WordsPerRow()))
 
 	events := l.Events()
 	if len(events) != 6 {

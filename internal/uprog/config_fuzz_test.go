@@ -123,7 +123,7 @@ func TestCodegenConfigMatrix(t *testing.T) {
 			}
 			dstRows := make([][]uint64, width)
 			for i := range dstRows {
-				dstRows[i] = sa.Peek(bind.DstBase + i)
+				dstRows[i] = sa.PeekRow(bind.DstBase + i)
 			}
 			got, err := vertical.ToHorizontal(dstRows, width, n)
 			if err != nil {

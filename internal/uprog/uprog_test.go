@@ -102,7 +102,7 @@ func runOnSubarray(t testing.TB, p *Program, width int, av, bv []uint64) []uint6
 	}
 	dstRows := make([][]uint64, p.DstWidth)
 	for i := 0; i < p.DstWidth; i++ {
-		dstRows[i] = sa.Peek(bind.DstBase + i)
+		dstRows[i] = sa.PeekRow(bind.DstBase + i)
 	}
 	vals, err := vertical.ToHorizontal(dstRows, p.DstWidth, len(av))
 	if err != nil {
@@ -232,7 +232,7 @@ func TestConstantAndPassthroughOutputs(t *testing.T) {
 	if err := Run(p, sa, bind); err != nil {
 		t.Fatal(err)
 	}
-	read := func(row int) uint64 { return sa.Peek(row)[0] & 3 }
+	read := func(row int) uint64 { return sa.PeekRow(row)[0] & 3 }
 	if read(2) != 3 {
 		t.Errorf("const-1 output wrong: %b", read(2))
 	}
@@ -329,7 +329,7 @@ func TestRandomMIGsEndToEnd(t *testing.T) {
 		}
 		dstRows := make([][]uint64, width)
 		for i := range dstRows {
-			dstRows[i] = sa.Peek(bind.DstBase + i)
+			dstRows[i] = sa.PeekRow(bind.DstBase + i)
 		}
 		got, err := vertical.ToHorizontal(dstRows, width, n)
 		if err != nil {

@@ -80,10 +80,6 @@ func transposeToLanes(a *[64]uint64, lw int) {
 	}
 }
 
-// Transpose64x64 transposes a 64×64 bit matrix in place, treating a[i]
-// as row i: the full-width case of the block transpose.
-func Transpose64x64(a *[64]uint64) { swapRounds(a, 6) }
-
 // blockLog returns the smallest lw with 1<<lw ≥ width.
 func blockLog(width int) int {
 	lw := 0

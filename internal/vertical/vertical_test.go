@@ -16,8 +16,8 @@ func TestTranspose64x64Involution(t *testing.T) {
 		a[i] = rng.Uint64()
 		orig[i] = a[i]
 	}
-	Transpose64x64(&a)
-	Transpose64x64(&a)
+	swapRounds(&a, 6)
+	swapRounds(&a, 6)
 	if a != orig {
 		t.Fatal("transpose twice must be the identity")
 	}
@@ -27,7 +27,7 @@ func TestTranspose64x64BitMapping(t *testing.T) {
 	var a [64]uint64
 	// Set bit (r=5, c=17).
 	a[5] = 1 << 17
-	Transpose64x64(&a)
+	swapRounds(&a, 6)
 	if a[17] != 1<<5 {
 		t.Fatalf("bit (5,17) should map to (17,5); a[17]=%#x", a[17])
 	}
@@ -343,7 +343,7 @@ func BenchmarkTranspose64x64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Transpose64x64(&a)
+		swapRounds(&a, 6)
 	}
 }
 

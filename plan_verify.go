@@ -74,9 +74,15 @@ func (s *System) verifyOptions(vs *verifyScratch, prog isa.Program, deps [][]int
 	}
 }
 
-// verifyProgram runs the IR verifier over prog against the System's
-// object table.
+// verifyProgram runs the IR verifier over a program about to be
+// prepared for execution, against the System's object table. defined
+// is the graph compiler's definedness map (nil for directly submitted
+// programs, whose operands are caller-stored vectors). An empty
+// program has nothing to check and is not counted.
 func (s *System) verifyProgram(prog isa.Program, deps [][]int, defined map[uint16]bool) error {
+	if len(prog) == 0 {
+		return nil
+	}
 	vs := verifyPool.Get().(*verifyScratch)
 	defer vs.recycle()
 	if err := verify.Program(prog, s.verifyOptions(vs, prog, deps, defined)); err != nil {
@@ -84,17 +90,6 @@ func (s *System) verifyProgram(prog isa.Program, deps [][]int, defined map[uint1
 	}
 	s.verified.Add(1)
 	return nil
-}
-
-// maybeVerify runs the IR verifier over a program about to be
-// prepared for execution, when SetVerifyPlans is on. defined is the
-// graph compiler's definedness map (nil for directly submitted
-// programs, whose operands are caller-stored vectors).
-func (s *System) maybeVerify(prog isa.Program, deps [][]int, defined map[uint16]bool) error {
-	if !s.verifyPlans || len(prog) == 0 {
-		return nil
-	}
-	return s.verifyProgram(prog, deps, defined)
 }
 
 // verifyLowered verifies a freshly compiled graph program against the
@@ -105,9 +100,6 @@ func (s *System) maybeVerify(prog isa.Program, deps [][]int, defined map[uint16]
 // the scheduler; a lowering checked here is not checked again when it
 // is prepared. The serving path skips this and checks at prepare.
 func (s *System) verifyLowered(lw *lowered) error {
-	if !s.verifyPlans || len(lw.prog) == 0 {
-		return nil
-	}
 	if err := s.verifyProgram(lw.prog, nil, lw.defined); err != nil {
 		return err
 	}
@@ -122,7 +114,7 @@ func (s *System) verifyLowered(lw *lowered) error {
 // against the handle table, def-before-use, and the hazard
 // cross-check.
 func (c *Cluster) verifyLowered(lw *lowered) error {
-	if !c.verifyPlans || len(lw.prog) == 0 {
+	if len(lw.prog) == 0 {
 		return nil
 	}
 	handles := programHandles(lw.prog)

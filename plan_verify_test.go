@@ -45,7 +45,6 @@ func chainExpr(t *testing.T, sys *System, rng *rand.Rand, n, width, depth int) *
 func TestVerifyRealCompiledProgram(t *testing.T) {
 	sys := testGraphSystem(t)
 	defer sys.Close()
-	sys.SetVerifyPlans(true)
 	rng := rand.New(rand.NewSource(7))
 
 	cp, err := sys.Compile(chainExpr(t, sys, rng, 64, 8, 12))
@@ -183,4 +182,65 @@ func TestSlotReuseHazardRegression(t *testing.T) {
 	if !found {
 		t.Fatalf("no hazard diagnostic at the reusing write %d: %v", second, err)
 	}
+}
+
+// TestDefaultsVerifyPlans checks that plan verification needs no
+// setting: a System, a Cluster and a Server built from their defaults
+// each pass a batch-prepared program and a compiled one through the IR
+// verifier.
+func TestDefaultsVerifyPlans(t *testing.T) {
+	raises := func(t *testing.T, what string, verified func() int64, run func() error) {
+		t.Helper()
+		before := verified()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if verified() == before {
+			t.Errorf("%s verified no plan", what)
+		}
+	}
+	t.Run("System", func(t *testing.T) {
+		sys := testSystem(t)
+		t.Cleanup(sys.Close)
+		rng := rand.New(rand.NewSource(5))
+		prog, _ := randomHazardProgram(t, rng, sys, 300, 8, 4, 16)
+		raises(t, "ExecBatch", sys.VerifiedPlans, func() error {
+			_, err := sys.ExecBatch(prog)
+			return err
+		})
+		raises(t, "Compile + Execute", sys.VerifiedPlans, func() error {
+			cp, err := sys.Compile(chainExpr(t, sys, rng, 300, 8, 4))
+			if err != nil {
+				return err
+			}
+			defer cp.Free()
+			_, err = cp.Execute()
+			return err
+		})
+	})
+
+	t.Run("Cluster", func(t *testing.T) {
+		c := testCluster(t, 2)
+		prog, vecs := clusterHazardProgram(t, c, 5)
+		raises(t, "ExecBatch", c.VerifiedPlans, func() error {
+			_, err := c.ExecBatch(prog)
+			return err
+		})
+		raises(t, "Compile + Execute", c.VerifiedPlans, func() error {
+			cp, err := c.Compile(c.Lazy(vecs[0]).Apply("addition", c.Lazy(vecs[1])))
+			if err != nil {
+				return err
+			}
+			defer cp.Free()
+			_, err = cp.Execute()
+			return err
+		})
+	})
+
+	t.Run("Server", func(t *testing.T) {
+		srv := testServer(t, 1, nil)
+		if _, verified := memoJob(t, srv, memoShape(rand.New(rand.NewSource(5)))); verified == 0 {
+			t.Error("SubmitJob verified no plan")
+		}
+	})
 }

@@ -20,8 +20,7 @@ import (
 	"simdram/internal/raceflag"
 )
 
-// smallSystem is a System on the test servers' channel geometry, with
-// the plan verifier on.
+// smallSystem is a System on the test servers' channel geometry.
 func smallSystem(t *testing.T) *System {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -31,7 +30,6 @@ func smallSystem(t *testing.T) *System {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	sys.SetVerifyPlans(true)
 	return sys
 }
 
@@ -140,13 +138,12 @@ func serveRandom(t *testing.T, srv *Server, rng *rand.Rand, nOps int) error {
 
 // TestRecycledProgramsDifferential runs one-shot programs concurrently
 // through every recycling owner — two goroutines calling ExecBatch on
-// one System, and a 2-channel server serving random DAGs — with the
-// plan verifier on, so released storage is constantly taken up by
-// other goroutines' programs. Every result must be bit-identical to
-// the CPU baseline.
+// one System, and a 2-channel server serving random DAGs — so released
+// storage is constantly taken up by other goroutines' programs. Every
+// result must be bit-identical to the CPU baseline.
 func TestRecycledProgramsDifferential(t *testing.T) {
 	sys := smallSystem(t)
-	srv := testServer(t, 2, func(cfg *ServerConfig) { cfg.VerifyPlans = true })
+	srv := testServer(t, 2, nil)
 	const rounds = 40
 	rng := rand.New(rand.NewSource(70))
 	callers := []*execCaller{newExecCaller(t, sys, 200), newExecCaller(t, sys, 200)}
@@ -240,7 +237,7 @@ func TestKeptProgramsSurviveRecycling(t *testing.T) {
 	compiledPP := cp.pp
 
 	// A memoized served program: a shape's third job records it.
-	srv := verifyingServer(t, nil)
+	srv := memoServer(t, nil)
 	for range 3 {
 		memoJob(t, srv, memoShape(rng))
 	}
@@ -252,7 +249,6 @@ func TestKeptProgramsSurviveRecycling(t *testing.T) {
 
 	// The Cluster's ExecBatch memo.
 	cl := testCluster(t, 2)
-	cl.SetVerifyPlans(true)
 	cvecs, err := cl.AllocShardedGroup(memoN, 8, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +277,7 @@ func TestKeptProgramsSurviveRecycling(t *testing.T) {
 	// Thousands of one-shot programs: ExecBatch chains and single
 	// operations on the Compiled's System, and misses served by another
 	// server (on the memo's server they could evict its plan).
-	misses := testServer(t, 1, func(cfg *ServerConfig) { cfg.VerifyPlans = true })
+	misses := testServer(t, 1, nil)
 	caller := newExecCaller(t, sys, 200)
 	dst, err := sys.AllocVector(200, 8)
 	if err != nil {
@@ -318,17 +314,15 @@ func TestKeptProgramsSurviveRecycling(t *testing.T) {
 }
 
 // TestServerMissAllocBudget gates the served miss path's allocations:
-// a one-channel server with the plan verifier on serves a fixed set of
-// 32-op 8-bit random DAGs over 256-element Input leaves. Its plan
-// cache is off, so every job compiles, prepares, verifies and releases
-// in full.
+// a one-channel server serves a fixed set of 32-op 8-bit random DAGs
+// over 256-element Input leaves. Its plan cache is off, so every job
+// compiles, prepares, verifies and releases in full.
 func TestServerMissAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	cfg := DefaultServerConfig(1)
 	cfg.Channel.DRAM.Cols = 256
-	cfg.VerifyPlans = true
 	cfg.PlanCacheSize = -1
 	srv, err := NewServer(cfg)
 	if err != nil {

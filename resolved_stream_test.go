@@ -195,7 +195,6 @@ func TestResolvedDifferentialSystem(t *testing.T) {
 	build := func() (*System, isa.Program, []*Vector) {
 		sys := testSystem(t)
 		t.Cleanup(sys.Close)
-		sys.SetVerifyPlans(true) // every batch in the differential must verify clean
 		prog, outs := randomHazardProgram(t, rand.New(rand.NewSource(seed)), sys, n, w, 4, 16)
 		return sys, prog, outs
 	}
@@ -258,7 +257,6 @@ func TestResolvedDifferentialCluster(t *testing.T) {
 
 	build := func() (*Cluster, isa.Program, []*ShardedVector) {
 		c := testCluster(t, channels)
-		c.SetVerifyPlans(true) // every shard in the differential must verify clean
 		prog, vecs := clusterHazardProgram(t, c, seed)
 		return c, prog, vecs[2:]
 	}
@@ -344,7 +342,6 @@ func TestResolvedDifferentialGraph(t *testing.T) {
 
 	sys := testGraphSystem(t)
 	t.Cleanup(sys.Close)
-	sys.SetVerifyPlans(true) // compiled plans must verify clean
 	rng := rand.New(rand.NewSource(seed))
 	leafData := map[*Vector][]uint64{}
 	leaves := make([]*Expr, 4)

@@ -97,13 +97,11 @@ type ServerConfig struct {
 	// weight-1 priority-0 default. While a tier's SLOs are burning, its
 	// priority preempts queued work of strictly lower-priority tiers.
 	Tiers []Tier
-	// VerifyPlans runs the static IR verifier (internal/verify) over
-	// every compiled plan before it executes: def-before-use, operand
-	// aliasing, width/arity/opcode consistency, binding bounds, and an
-	// independent hazard-edge recomputation cross-checked against the
-	// scheduler's dependence graph. A failing plan rejects the job with
-	// typed *verify.Diagnostic errors instead of computing wrong
-	// results. Costs one linear pass over each program per job.
+	// VerifyPlans is ignored: every plan passes the static IR verifier
+	// (internal/verify) before it executes; see Server.VerifiedPlans.
+	//
+	// Deprecated: verification is always on, so setting this has no
+	// effect.
 	VerifyPlans bool
 }
 
@@ -163,12 +161,6 @@ type Server struct {
 	pumpStop chan struct{}
 	pumpDone chan struct{}
 
-	// tenantTier remembers which tier each tenant last submitted under,
-	// so the SLO evaluation loop can translate a breaching per-tenant
-	// SLO into a tier boost for the scheduler.
-	tierMu     sync.Mutex
-	tenantTier map[string]string
-
 	// estCache memoizes admission-pricing makespans per plan-cache key,
 	// invalidated by plan identity (a profile-guided recompile swaps the
 	// plan and forces a reprice). Without it every submission of a hot
@@ -206,9 +198,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.VerifyPlans {
-		cl.SetVerifyPlans(true)
-	}
 	if cfg.TraceDepth == 0 {
 		cfg.TraceDepth = 64
 	}
@@ -216,14 +205,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.EventDepth = 256
 	}
 	s := &Server{
-		cfg:        cfg,
-		cl:         cl,
-		plans:      graph.NewPlanCache(cfg.PlanCacheSize),
-		profiles:   graph.NewProfileStore(cfg.ProfileThreshold, cfg.ProfileMinJobs, 4*cfg.PlanCacheSize),
-		metrics:    obs.NewRegistry(),
-		tenantTier: map[string]string{},
-		estCache:   map[string]estEntry{},
-		hits:       make([]hitMemo, cfg.Channels),
+		cfg:      cfg,
+		cl:       cl,
+		plans:    graph.NewPlanCache(cfg.PlanCacheSize),
+		profiles: graph.NewProfileStore(cfg.ProfileThreshold, cfg.ProfileMinJobs, 4*cfg.PlanCacheSize),
+		metrics:  obs.NewRegistry(),
+		estCache: map[string]estEntry{},
+		hits:     make([]hitMemo, cfg.Channels),
 	}
 	s.rec = obs.NewFlightRecorder(cfg.TraceDepth, cfg.EventDepth)
 	s.tracer = obs.NewTracer(cfg.TraceSampling, s.rec)
@@ -260,8 +248,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Config() ServerConfig { return s.cfg }
 
 // VerifiedPlans returns how many programs the IR verifier has checked
-// and passed across the server's channels (0 unless
-// ServerConfig.VerifyPlans is set).
+// and passed across the server's channels. Every prepared plan is
+// checked before it executes: def-before-use, operand aliasing,
+// width/arity/opcode consistency, binding bounds, and an independent
+// hazard-edge recomputation cross-checked against the scheduler's
+// dependence graph. A failing plan rejects the job with typed
+// *verify.Diagnostic errors instead of computing wrong results. A
+// replayed plan-cache hit runs a program verified when it was first
+// prepared.
 func (s *Server) VerifiedPlans() int64 { return s.cl.VerifiedPlans() }
 
 // Close stops admission, fails queued jobs with ErrServerClosed,
@@ -421,7 +415,6 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	}
 	tr.End(aspan)
 	tenant := spec.Tenant
-	s.noteTier(spec)
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
 		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight,
 		Deadline: spec.Deadline, ModeledNs: modeled, Trace: tr,
@@ -466,7 +459,6 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 		return nil, errorf("server: nil job")
 	}
 	tenant := spec.Tenant
-	s.noteTier(spec)
 	res := &JobResult{}
 	tr := s.tracer.Start()
 	if tr != nil {
@@ -660,43 +652,6 @@ func (m *hitMemo) clear() {
 	m.mu.Unlock()
 }
 
-// noteTier remembers the tenant's tier assignment for the SLO
-// evaluation loop (which boosts a breaching tenant's tier).
-func (s *Server) noteTier(spec JobSpec) {
-	tier := sched.ResolveTier(s.cfg.Tiers, spec.Tier)
-	s.tierMu.Lock()
-	s.tenantTier[spec.Tenant] = tier.Name
-	// Unbounded tenant cardinality must not grow this map without
-	// bound (same rationale as sched's tenant-state cap); an evicted
-	// tenant that returns is simply re-noted on its next submission.
-	if len(s.tenantTier) > 2*tenantTierCap {
-		for name := range s.tenantTier {
-			if name == spec.Tenant {
-				continue
-			}
-			delete(s.tenantTier, name)
-			if len(s.tenantTier) <= tenantTierCap {
-				break
-			}
-		}
-	}
-	s.tierMu.Unlock()
-}
-
-// tenantTierCap bounds the tenant→tier memory (see noteTier).
-const tenantTierCap = 4096
-
-// tierOfTenant returns the tier the tenant last submitted under (the
-// default tier name for tenants never seen).
-func (s *Server) tierOfTenant(tenant string) string {
-	s.tierMu.Lock()
-	defer s.tierMu.Unlock()
-	if t, ok := s.tenantTier[tenant]; ok {
-		return t
-	}
-	return sched.DefaultTierName
-}
-
 // seenPool recycles checkServable's visited sets: a cleared map keeps
 // its buckets, so a steady stream of jobs walks its DAGs without
 // allocating.
@@ -770,9 +725,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 	)
 	var hit *hitEntry
 	if err == nil && cst.CacheHit {
-		if hit = memo.lookup(env.key, plan, objs); hit != nil && !sys.sameMode(hit.pp) {
-			hit = nil
-		}
+		hit = memo.lookup(env.key, plan, objs)
 	}
 	if err == nil && hit == nil {
 		if err = lw.lowerProgram(env, plan); err != nil {

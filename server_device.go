@@ -457,7 +457,7 @@ func (s *Server) evalSLOs(nowNs int64) []SLOStatus {
 	boost := map[string]bool{}
 	for _, st := range out {
 		if st.Breaching && st.SLO.Tenant != "" {
-			boost[s.tierOfTenant(st.SLO.Tenant)] = true
+			boost[s.sched.TierOf(st.SLO.Tenant)] = true
 		}
 	}
 	s.sched.SetBoost(boost)

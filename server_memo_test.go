@@ -3,10 +3,9 @@ package simdram
 // Tests for the Server's per-channel prepared-program memo: a job that
 // replays a memoized program must be indistinguishable from one that
 // lowers and prepares in full, and every kind of drift that could make
-// an entry stale — plan eviction, a profile-guided recompile, the
-// channel's verify setting, rows a raw job left allocated or claimed —
-// must send the job down the full path. Every result is checked
-// against the CPU baseline, with the plan verifier on.
+// an entry stale — plan eviction, a profile-guided recompile, rows a
+// raw job left allocated or claimed — must send the job down the full
+// path. Every result is checked against the CPU baseline.
 
 import (
 	"context"
@@ -111,12 +110,11 @@ func onlyEntry(t *testing.T, srv *Server, ch int) (string, *hitEntry) {
 	return "", nil
 }
 
-// verifyingServer is a one-channel server with the plan verifier on
-// and profile feedback off, so no recompile replaces a test's plan.
-func verifyingServer(t *testing.T, tune func(*ServerConfig)) *Server {
+// memoServer is a one-channel server with profile feedback off, so
+// no recompile replaces a test's plan.
+func memoServer(t *testing.T, tune func(*ServerConfig)) *Server {
 	t.Helper()
 	return testServer(t, 1, func(cfg *ServerConfig) {
-		cfg.VerifyPlans = true
 		cfg.ProfileThreshold = -1
 		if tune != nil {
 			tune(cfg)
@@ -170,7 +168,7 @@ func requireFullPath(t *testing.T, srv *Server, rng *rand.Rand, label string) {
 // the replay's batch stats equal, field for field, those of the job
 // that prepared it; Close drops the memo.
 func TestServerMemoHitMatchesMiss(t *testing.T) {
-	srv := verifyingServer(t, nil)
+	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(1))
 	miss := warmMemo(t, srv, rng)
 	_, e := onlyEntry(t, srv, 0)
@@ -195,7 +193,7 @@ func TestServerMemoHitMatchesMiss(t *testing.T) {
 // TestServerMemoCap fills a channel's memo with seen-only shapes: the
 // shape past the cap drops the whole memo and starts it afresh.
 func TestServerMemoCap(t *testing.T) {
-	srv := verifyingServer(t, nil)
+	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i <= hitMemoCap; i++ {
 		shape := []*Expr{Input(randData(rng, memoN, 8), 8).Add(Scalar(uint64(i), 8))}
@@ -215,7 +213,7 @@ func TestServerMemoCap(t *testing.T) {
 // evict hook drops the entry, and the shape's next job compiles and
 // prepares in full.
 func TestServerMemoDropsEvictedPlan(t *testing.T) {
-	srv := verifyingServer(t, func(cfg *ServerConfig) { cfg.PlanCacheSize = 1 })
+	srv := memoServer(t, func(cfg *ServerConfig) { cfg.PlanCacheSize = 1 })
 	rng := rand.New(rand.NewSource(2))
 	warmMemo(t, srv, rng)
 	key, _ := onlyEntry(t, srv, 0)
@@ -238,7 +236,6 @@ func TestServerMemoDropsEvictedPlan(t *testing.T) {
 func TestServerMemoMissesRecompiledPlan(t *testing.T) {
 	srv := testServer(t, 1, func(cfg *ServerConfig) {
 		cfg.Channel = profileTestConfig()
-		cfg.VerifyPlans = true
 	})
 	data := make([]uint64, 512)
 	for i := range data {
@@ -295,48 +292,11 @@ func TestServerMemoMissesRecompiledPlan(t *testing.T) {
 	}
 }
 
-// TestServerMemoFollowsVerifySetting flips the channel's verify
-// setting from a raw job: an entry prepared under the other setting
-// misses, both ways.
-func TestServerMemoFollowsVerifySetting(t *testing.T) {
-	srv := verifyingServer(t, nil)
-	rng := rand.New(rand.NewSource(4))
-	warmMemo(t, srv, rng)
-	requireReplay(t, srv, rng, "replay")
-	setVerify := func(on bool) {
-		t.Helper()
-		fut, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "memo"}, func(sys *System, _ <-chan struct{}) error {
-			sys.SetVerifyPlans(on)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fut.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	setVerify(false)
-	_, before := onlyEntry(t, srv, 0)
-	memoJob(t, srv, memoShape(rng))
-	_, off := onlyEntry(t, srv, 0)
-	if off == before || off.pp.verify {
-		t.Fatal("entry prepared with the verifier on was replayed with it off")
-	}
-	memoJob(t, srv, memoShape(rng))
-	if _, again := onlyEntry(t, srv, 0); again != off {
-		t.Fatal("entry prepared with the verifier off did not replay")
-	}
-	setVerify(true)
-	requireFullPath(t, srv, rng, "verifier back on")
-	requireReplay(t, srv, rng, "replay with the verifier on")
-}
-
 // TestServerMemoMissesMovedPlacement leaves a vector allocated from a
 // raw job, which moves the shape's storage: the placement no longer
 // matches and the job prepares in full.
 func TestServerMemoMissesMovedPlacement(t *testing.T) {
-	srv := verifyingServer(t, nil)
+	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(5))
 	warmMemo(t, srv, rng)
 	var left *Vector
@@ -397,7 +357,7 @@ func claimTail(rows int, tail *[]*Vector) func(sys *System, _ <-chan struct{}) e
 // that never memoized the shape, and once the rows are back the kept
 // entry replays again.
 func TestServerMemoStaleScratchFallsBack(t *testing.T) {
-	srv := verifyingServer(t, nil)
+	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(6))
 	warmMemo(t, srv, rng)
 	_, e := onlyEntry(t, srv, 0)
@@ -432,7 +392,7 @@ func TestServerMemoStaleScratchFallsBack(t *testing.T) {
 	claim(srv, &tail)
 	got := serveErr(srv)
 
-	fresh := verifyingServer(t, nil)
+	fresh := memoServer(t, nil)
 	var freshTail []*Vector
 	claim(fresh, &freshTail)
 	want := serveErr(fresh)
@@ -465,7 +425,6 @@ func TestServerMemoStaleScratchFallsBack(t *testing.T) {
 // it under -race.
 func TestServerMemoConcurrentChannels(t *testing.T) {
 	srv := testServer(t, 2, func(cfg *ServerConfig) {
-		cfg.VerifyPlans = true
 		cfg.ProfileThreshold = -1
 	})
 	const clients, jobs = 4, 12

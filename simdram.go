@@ -120,11 +120,9 @@ type System struct {
 	plans    *graph.PlanCache
 	profiles *graph.ProfileStore
 
-	// verifyPlans gates the static IR verifier (internal/verify) on
-	// every lowered or batch-prepared program; verified counts the
-	// programs that passed.
-	verifyPlans bool
-	verified    atomic.Int64
+	// verified counts the lowered or batch-prepared programs that
+	// passed the static IR verifier (internal/verify).
+	verified atomic.Int64
 }
 
 // handleSpace hands out 16-bit object handles, recycling freed ones so
@@ -213,21 +211,14 @@ func (s *System) Close() {}
 // injection).
 func (s *System) Module() *dram.Module { return s.mod }
 
-// SetVerifyPlans gates the static IR verifier: when on, every program
-// the graph compiler lowers and every batch ExecBatch prepares is
-// checked (def-before-use, operand aliasing, width/arity/opcode
-// consistency, binding bounds, and an independent recomputation of the
-// RAW/WAW/WAR hazard edges cross-checked against the scheduler's
-// dependence graph) before anything executes, and the control unit
-// fails resolution errors eagerly at Prepare time. A verification
-// failure rejects the whole program with typed *verify.Diagnostic
-// errors. Do not toggle while operations are executing; programs
-// prepared before the switch keep their setting.
-func (s *System) SetVerifyPlans(on bool) { s.verifyPlans = on }
-
-// VerifiedPlans returns how many programs the IR verifier has checked
-// and passed since the system was built (0 unless SetVerifyPlans is
-// on).
+// VerifiedPlans returns how many programs the static IR verifier has
+// checked and passed since the system was built. Every program the
+// graph compiler lowers and every batch ExecBatch prepares is checked
+// (def-before-use, operand aliasing, width/arity/opcode consistency,
+// binding bounds, and an independent recomputation of the RAW/WAW/WAR
+// hazard edges cross-checked against the scheduler's dependence graph)
+// before anything executes. A verification failure rejects the whole
+// program with typed *verify.Diagnostic errors.
 func (s *System) VerifiedPlans() int64 { return s.verified.Load() }
 
 // TranspositionUnit exposes the transposition unit's statistics.
