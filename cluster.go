@@ -327,7 +327,7 @@ func (v *ShardedVector) Store(data []uint64) error {
 	if len(data) != v.n {
 		return errorf("store: sharded vector holds %d elements, data has %d", v.n, len(data))
 	}
-	return cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
+	return cluster.Dispatch(v.spanChannels(), func(task, ch int) error {
 		span := v.plan.Spans[task]
 		return v.parts[task].Store(data[span.Off : span.Off+span.Count])
 	})
@@ -339,7 +339,7 @@ func (v *ShardedVector) storeSplat(val uint64) error {
 	if v.freed {
 		return errorf("store to freed sharded vector")
 	}
-	return cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
+	return cluster.Dispatch(v.spanChannels(), func(task, ch int) error {
 		return v.parts[task].storeSplat(val)
 	})
 }
@@ -363,7 +363,7 @@ func (v *ShardedVector) loadInto(out []uint64) error {
 	if v.freed {
 		return errorf("load from freed sharded vector")
 	}
-	return cluster.Dispatch(v.spanChannels(), func(task, ch int, _ <-chan struct{}) error {
+	return cluster.Dispatch(v.spanChannels(), func(task, ch int) error {
 		span := v.plan.Spans[task]
 		return v.parts[task].loadInto(out[span.Off : span.Off+span.Count])
 	})
@@ -489,7 +489,7 @@ func (c *Cluster) prepareSharded(prog isa.Program) (*shardedProgram, error) {
 		pp: make([]*preparedProgram, k), ran: ran,
 		perCh: make([]ctrl.BatchStats, k), opNs: make([]float64, len(prog)),
 	}
-	err = cluster.Dispatch(ran, func(_, ch int, _ <-chan struct{}) error {
+	err = cluster.Dispatch(ran, func(_, ch int) error {
 		var err error
 		sp.pp[ch], err = c.channels[ch].prepareProgram(subProgs[ch])
 		return err
@@ -582,8 +582,8 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 // (zero-sized shards), which breaks index alignment.
 func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, error) {
 	clear(sp.perCh)
-	err := cluster.Dispatch(sp.ran, func(_, ch int, cancel <-chan struct{}) error {
-		st, _, err := c.channels[ch].execPrepared(sp.pp[ch], cancel, nil)
+	err := cluster.Dispatch(sp.ran, func(_, ch int) error {
+		st, _, err := c.channels[ch].execPrepared(sp.pp[ch], nil, nil)
 		sp.perCh[ch] = st
 		return err
 	})

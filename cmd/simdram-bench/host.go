@@ -12,18 +12,16 @@ import (
 
 // hostPerf is the host-side (wall-clock) profile of the bind-once/
 // run-many hot path measured on one subarray: how fast the resolved
-// executor replays DRAM commands, how many heap allocations one
-// μProgram run costs in steady state, and the speedup over the
-// interpretive path that validates and resolves on every run.
+// executor replays DRAM commands and how many heap allocations one
+// μProgram run costs in steady state.
 type hostPerf struct {
 	NsPerCmd     float64 // resolved-stream wall ns per DRAM command
 	AllocsPerRun float64 // heap allocations per resolved run (deterministic, gated)
-	Speedup      float64 // interpretive wall / resolved wall
 	Commands     int     // commands per μProgram run
 }
 
 // measureHostPerf times the 16-bit addition μProgram — the catalog's
-// workhorse — through both executors. Wall-clock numbers vary with the
+// workhorse — as a resolved stream. Wall-clock numbers vary with the
 // runner and are reported for inspection only; AllocsPerRun is exact
 // (a runtime malloc counter around a fixed loop) and is the metric the
 // CI baseline gates at zero.
@@ -49,24 +47,13 @@ func measureHostPerf() (hostPerf, error) {
 		return hostPerf{}, err
 	}
 
-	// Warm both paths: first runs touch cold caches and, for the
-	// interpretive executor, grow its per-run scratch slices.
+	// Warm up: first runs touch cold caches.
 	for i := 0; i < 10; i++ {
-		if err := uprog.Run(p, sa, b); err != nil {
-			return hostPerf{}, err
-		}
 		uprog.RunResolved(sa, st)
 	}
 
 	const runs = 2000
 	start := time.Now()
-	for i := 0; i < runs; i++ {
-		if err := uprog.Run(p, sa, b); err != nil {
-			return hostPerf{}, err
-		}
-	}
-	interpWall := time.Since(start)
-	start = time.Now()
 	for i := 0; i < runs; i++ {
 		uprog.RunResolved(sa, st)
 	}
@@ -82,7 +69,6 @@ func measureHostPerf() (hostPerf, error) {
 	return hostPerf{
 		NsPerCmd:     float64(resolvedWall.Nanoseconds()) / float64(runs*cmds),
 		AllocsPerRun: allocs,
-		Speedup:      float64(interpWall) / float64(resolvedWall),
 		Commands:     cmds,
 	}, nil
 }
@@ -116,10 +102,9 @@ func reportHostPerf(m metrics, prefix string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  host hot path:      %.1f ns/command resolved, %.2fx vs interpretive, %.0f allocs/run (%d commands)\n",
-		hp.NsPerCmd, hp.Speedup, hp.AllocsPerRun, hp.Commands)
+	fmt.Printf("  host hot path:      %.1f ns/command resolved, %.0f allocs/run (%d commands)\n",
+		hp.NsPerCmd, hp.AllocsPerRun, hp.Commands)
 	m[prefix+"ns_per_cmd"] = hp.NsPerCmd
 	m[prefix+"allocs_per_run"] = hp.AllocsPerRun
-	m[prefix+"resolved_speedup"] = hp.Speedup
 	return nil
 }

@@ -1,6 +1,8 @@
 // Command simdramlint runs the repo's custom static analyses — the
-// //simdram:zeroalloc hot-path allocation checker and the
-// //simdram:nilsafe observability nil-contract checker — over
+// //simdram:zeroalloc hot-path allocation checker, the
+// //simdram:nilsafe observability nil-contract checker, and the
+// testonly checker, which reports exported internal/ declarations only
+// tests use (exempt with //simdram:testapi <reason>) — over
 // module-local packages. It loads and type-checks everything from
 // source with only the standard library, so it runs in the same
 // offline sandbox as the tests.
@@ -10,16 +12,14 @@
 //	go run ./cmd/simdramlint [packages]
 //
 // Package arguments are directories, optionally ending in /... to
-// recurse (default ./...). Findings print as
+// recurse (default ./...); testonly indexes the whole tree whatever
+// the arguments. Findings print as
 // path:line:col: [analyzer] message; any finding exits nonzero.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"go/build"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,11 +59,10 @@ func run(args []string) error {
 	var findings []lint.Finding
 	for _, dir := range dirs {
 		pkg, err := loader.Load(dir)
+		if lint.IsNoGo(err) {
+			continue
+		}
 		if err != nil {
-			var noGo *build.NoGoError
-			if errors.As(err, &noGo) {
-				continue // directory holds no buildable Go files
-			}
 			return err
 		}
 		fs, err := lint.Run(pkg, lint.All())
@@ -82,43 +81,27 @@ func run(args []string) error {
 }
 
 // expand resolves the directory arguments, recursing under /...
-// patterns while skipping testdata (analyzer fixtures contain seeded
-// violations), hidden directories, and vendor trees.
+// patterns with lint.PackageDirs.
 func expand(args []string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string
-	add := func(dir string) {
-		clean := filepath.Clean(dir)
-		if !seen[clean] {
-			seen[clean] = true
-			dirs = append(dirs, clean)
-		}
-	}
 	for _, arg := range args {
 		pattern, recursive := strings.CutSuffix(arg, "/...")
 		if pattern == "" {
 			pattern = "."
 		}
-		if !recursive {
-			add(pattern)
-			continue
+		found := []string{pattern}
+		if recursive {
+			var err error
+			if found, err = lint.PackageDirs(pattern); err != nil {
+				return nil, err
+			}
 		}
-		err := filepath.WalkDir(pattern, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+		for _, dir := range found {
+			if clean := filepath.Clean(dir); !seen[clean] {
+				seen[clean] = true
+				dirs = append(dirs, clean)
 			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if name == "testdata" || name == "vendor" || (strings.HasPrefix(name, ".") && path != pattern) {
-				return filepath.SkipDir
-			}
-			add(path)
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 	sort.Strings(dirs)

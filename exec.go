@@ -125,26 +125,16 @@ func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector, buf *segBufs)
 }
 
 // Exec executes a decoded bbop instruction against the system's object
-// table — the ISA-level entry point a compiler would target.
+// table — the ISA-level entry point a compiler would target. It is a
+// one-instruction ExecBatch, so the instruction passes the IR verifier
+// like every other program; the returned latency is the batch's
+// BusyNs.
 func (s *System) Exec(in isa.Instruction) (Stats, error) {
-	if err := in.Validate(); err != nil {
-		return Stats{}, err
-	}
-	if in.Op == isa.OpTrspInit {
-		if _, ok := s.objects[in.Src[0]]; !ok {
-			return Stats{}, errorf("bbop_trsp_init: unknown object %d", in.Src[0])
-		}
-		// Transposition is configured: in this implementation Store/Load
-		// always route through the transposition unit, so trsp_init only
-		// validates the object.
-		return Stats{}, nil
-	}
-	var buf [3]*Vector
-	d, dst, srcs, err := s.resolve(in, &buf)
+	st, err := s.ExecBatch(isa.Program{in})
 	if err != nil {
 		return Stats{}, err
 	}
-	return s.RunOp(d, dst, srcs...)
+	return Stats{LatencyNs: st.BusyNs, EnergyPJ: st.EnergyPJ, Commands: st.Commands}, nil
 }
 
 // resolve maps an operation instruction's opcode and object handles onto

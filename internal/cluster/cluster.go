@@ -33,15 +33,6 @@ type Plan struct {
 	Spans []Span
 }
 
-// Len returns the total element count the plan places.
-func (p Plan) Len() int {
-	n := 0
-	for _, s := range p.Spans {
-		n += s.Count
-	}
-	return n
-}
-
 // Equal reports whether two plans place elements identically.
 func (p Plan) Equal(o Plan) bool {
 	if len(p.Spans) != len(o.Spans) {
@@ -53,17 +44,6 @@ func (p Plan) Equal(o Plan) bool {
 		}
 	}
 	return true
-}
-
-// CountOn returns how many elements the plan places on channel ch.
-func (p Plan) CountOn(ch int) int {
-	n := 0
-	for _, s := range p.Spans {
-		if s.Channel == ch {
-			n += s.Count
-		}
-	}
-	return n
 }
 
 // MakePlan stripes n elements over the given channel order as
@@ -169,23 +149,16 @@ func (a Affinity) Order(loads []int) []int {
 
 // Dispatch runs one task per entry of channels concurrently: every
 // task but the last on a goroutine of its own, the last on the calling
-// goroutine. The first failure closes the cancel channel handed to
-// every task, so siblings can stop issuing work they have not started;
-// tasks that observe cancellation and abort should return an error
-// (conventionally wrapping ctrl.ErrCanceled) so the caller sees which
-// channels completed. All failures come back in one joined error, each
-// annotated with its channel.
-func Dispatch(channels []int, fn func(task, channel int, cancel <-chan struct{}) error) error {
+// goroutine. Every task runs to completion; all failures come back in
+// one joined error, each annotated with its channel.
+func Dispatch(channels []int, fn func(task, channel int) error) error {
 	if len(channels) == 0 {
 		return nil
 	}
-	cancel := make(chan struct{})
-	var once sync.Once
 	errs := make([]error, len(channels))
 	run := func(i int) {
-		if err := fn(i, channels[i], cancel); err != nil {
+		if err := fn(i, channels[i]); err != nil {
 			errs[i] = fmt.Errorf("channel %d: %w", channels[i], err)
-			once.Do(func() { close(cancel) })
 		}
 	}
 	last := len(channels) - 1

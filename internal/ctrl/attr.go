@@ -40,28 +40,6 @@ func (a *Attribution) Reset() {
 	a.SpanNs = 0
 }
 
-// Banks returns the number of banks the sink currently covers.
-func (a *Attribution) Banks() int { return len(a.BusyNs) }
-
-// TotalBusyNs returns the sum of the per-bank busy bills (the batches'
-// serial-equivalent time).
-func (a *Attribution) TotalBusyNs() float64 {
-	var t float64
-	for _, v := range a.BusyNs {
-		t += v
-	}
-	return t
-}
-
-// TotalEnergyPJ returns the sum of the per-bank energy bills.
-func (a *Attribution) TotalEnergyPJ() float64 {
-	var t float64
-	for _, v := range a.EnergyPJ {
-		t += v
-	}
-	return t
-}
-
 // TotalCommands returns the sum of the per-bank command counts.
 func (a *Attribution) TotalCommands() int64 {
 	var t int64

@@ -29,17 +29,17 @@ func TestRunAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at.Banks() != r.mod.NumBanks() {
-		t.Fatalf("Banks() = %d, want %d", at.Banks(), r.mod.NumBanks())
+	if len(at.BusyNs) != r.mod.NumBanks() {
+		t.Fatalf("bills cover %d banks, want %d", len(at.BusyNs), r.mod.NumBanks())
 	}
 	if got := at.TotalCommands(); got != st.Commands {
 		t.Errorf("TotalCommands = %d, want batch Commands %d", got, st.Commands)
 	}
-	if got := at.TotalEnergyPJ(); got != st.EnergyPJ {
-		t.Errorf("TotalEnergyPJ = %v, want batch EnergyPJ %v", got, st.EnergyPJ)
+	if got := sum(at.EnergyPJ); got != st.EnergyPJ {
+		t.Errorf("energy bills sum to %v, want batch EnergyPJ %v", got, st.EnergyPJ)
 	}
-	if got := at.TotalBusyNs(); math.Abs(got-st.BusyNs) > 1e-9*st.BusyNs {
-		t.Errorf("TotalBusyNs = %v, want batch BusyNs %v", got, st.BusyNs)
+	if got := sum(at.BusyNs); math.Abs(got-st.BusyNs) > 1e-9*st.BusyNs {
+		t.Errorf("busy bills sum to %v, want batch BusyNs %v", got, st.BusyNs)
 	}
 	if at.SpanNs != st.CriticalPathNs {
 		t.Errorf("SpanNs = %v, want CriticalPathNs %v", at.SpanNs, st.CriticalPathNs)
@@ -53,7 +53,7 @@ func TestRunAttribution(t *testing.T) {
 	if at.Commands[1] != 2*at.Commands[0] {
 		t.Errorf("bank commands = %v, want bank1 == 2×bank0", at.Commands[:2])
 	}
-	for b := 2; b < at.Banks(); b++ {
+	for b := 2; b < len(at.BusyNs); b++ {
 		if at.BusyNs[b] != 0 || at.Commands[b] != 0 || at.EnergyPJ[b] != 0 {
 			t.Errorf("bank %d billed %v/%d/%v, want idle banks unbilled", b, at.BusyNs[b], at.Commands[b], at.EnergyPJ[b])
 		}
@@ -74,24 +74,24 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := at.TotalEnergyPJ()
+	one := sum(at.EnergyPJ)
 	if one != st.EnergyPJ || one <= 0 {
 		t.Fatalf("first run billed %v, want %v > 0", one, st.EnergyPJ)
 	}
 	if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 		t.Fatal(err)
 	}
-	if got := at.TotalEnergyPJ(); got != 2*one {
+	if got := sum(at.EnergyPJ); got != 2*one {
 		t.Errorf("two runs billed %v, want %v", got, 2*one)
 	}
 	if got := at.SpanNs; got != 2*st.CriticalPathNs {
 		t.Errorf("two runs SpanNs %v, want %v", got, 2*st.CriticalPathNs)
 	}
 	at.Reset()
-	if at.TotalBusyNs() != 0 || at.TotalEnergyPJ() != 0 || at.TotalCommands() != 0 || at.SpanNs != 0 {
+	if sum(at.BusyNs) != 0 || sum(at.EnergyPJ) != 0 || at.TotalCommands() != 0 || at.SpanNs != 0 {
 		t.Error("Reset must zero the sink")
 	}
-	if at.Banks() != r.mod.NumBanks() {
+	if len(at.BusyNs) != r.mod.NumBanks() {
 		t.Error("Reset must keep capacity")
 	}
 }
@@ -156,4 +156,13 @@ func TestRunAttrSteadyZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state attributed run allocated %.1f times, want 0", allocs)
 	}
+}
+
+// sum adds up per-bank bills.
+func sum(bills []float64) float64 {
+	var t float64
+	for _, v := range bills {
+		t += v
+	}
+	return t
 }

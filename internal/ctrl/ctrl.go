@@ -65,12 +65,6 @@ func New(mod *dram.Module, variant ops.Variant) *Unit {
 	return &Unit{mod: mod, variant: variant}
 }
 
-// Module returns the attached DRAM module.
-func (u *Unit) Module() *dram.Module { return u.mod }
-
-// Variant returns the synthesis variant this unit executes.
-func (u *Unit) Variant() ops.Variant { return u.variant }
-
 // Program returns the (cached) μProgram for an operation at the given
 // width and operand count.
 func (u *Unit) Program(d ops.Def, width, n int) (*uprog.Program, error) {

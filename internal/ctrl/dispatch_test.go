@@ -16,17 +16,17 @@ import (
 	"simdram/internal/vertical"
 )
 
-// TestPool pins TryRun's contract on a size-1 pool: it refuses work
+// TestPool pins tryRun's contract on a size-1 pool: it refuses work
 // while the only worker is busy, and hands work over once the worker
 // is idle again.
 func TestPool(t *testing.T) {
 	p := NewPool(1)
 	// tryUntil retries until the worker takes f: a worker is idle only
-	// once it is back at its receive, which TryRun cannot wait for.
+	// once it is back at its receive, which tryRun cannot wait for.
 	tryUntil := func(f func()) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for !p.TryRun(f) {
+		for !p.tryRun(task{f: f}) {
 			if time.Now().After(deadline) {
 				t.Fatal("an idle worker never took the task")
 			}
@@ -39,8 +39,8 @@ func TestPool(t *testing.T) {
 		<-release
 	})
 	<-started
-	if p.TryRun(func() { t.Error("task ran on a busy pool") }) {
-		t.Fatal("TryRun on a pool whose only worker is blocked must return false")
+	if p.tryRun(task{f: func() { t.Error("task ran on a busy pool") }}) {
+		t.Fatal("tryRun on a pool whose only worker is blocked must return false")
 	}
 	close(release)
 	ran := make(chan struct{})

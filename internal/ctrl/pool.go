@@ -6,8 +6,8 @@ import (
 )
 
 // Pool is a set of long-lived worker goroutines that take work only
-// when idle: TryRun hands a function to a worker that is waiting for
-// one, or reports that none is. The control unit runs batches on the
+// when idle: tryRun hands a task to a worker that is waiting for one,
+// or reports that none is. The control unit runs batches on the
 // calling goroutine and offers a subarray group to the pool only when
 // another group of the same round can keep the caller busy (see
 // Unit.Run), so a dependency chain never leaves the caller while
@@ -48,15 +48,10 @@ func (p *Pool) worker() {
 	}
 }
 
-// TryRun hands f to an idle worker and reports whether one took it; it
-// never blocks. When it returns false the caller still owns f and
+// tryRun hands t to an idle worker and reports whether one took it;
+// it never blocks. When it returns false the caller still owns t and
 // typically runs it itself. The caller tracks completion (typically a
-// channel or sync.WaitGroup that f signals).
-func (p *Pool) TryRun(f func()) bool {
-	return p.tryRun(task{f: f})
-}
-
-// tryRun is TryRun for any task.
+// channel or sync.WaitGroup that t signals).
 func (p *Pool) tryRun(t task) bool {
 	select {
 	case p.jobs <- t:

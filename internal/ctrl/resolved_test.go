@@ -40,8 +40,8 @@ func TestRunReleasedPreparedPanics(t *testing.T) {
 	}
 	pb.Release()
 	pb.Release() // a second release is a no-op
-	if pb.Jobs() != 1 {
-		t.Errorf("Jobs() after Release = %d, want 1", pb.Jobs())
+	if pb.n != 1 {
+		t.Errorf("job count after Release = %d, want 1", pb.n)
 	}
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "released") {
@@ -169,8 +169,8 @@ func TestPreparedReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb.Jobs() != 2 {
-		t.Fatalf("Jobs() = %d, want 2", pb.Jobs())
+	if pb.n != 2 {
+		t.Fatalf("job count = %d, want 2", pb.n)
 	}
 	var prev BatchStats
 	for run := 0; run < 3; run++ {

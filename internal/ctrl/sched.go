@@ -325,9 +325,6 @@ type Prepared struct {
 	n int
 }
 
-// Jobs returns the number of jobs in the prepared batch.
-func (pb *Prepared) Jobs() int { return pb.n }
-
 // Release returns pb's storage for reuse by later Prepares. The owner
 // must be done with pb — Run has returned and no later Run will come —
 // and so must every holder of the durations Run returned: running a

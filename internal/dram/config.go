@@ -145,31 +145,6 @@ func TestConfig() Config {
 // WordsPerRow returns the number of 64-bit words in one row.
 func (c Config) WordsPerRow() int { return c.Cols / 64 }
 
-// TRow returns the physical row index of designated compute row T[i].
-// The row map is a pure function of the geometry, so resolvers that
-// know only the Config (not a materialized Subarray) can use it too.
-func (c Config) TRow(i int) int {
-	row, ok := c.RowMap().TRow(i)
-	if !ok {
-		panic(fmt.Sprintf("dram: T row %d out of range [0,%d)", i, c.NumTRows))
-	}
-	return int(row)
-}
-
-// DCCRow returns the physical row of dual-contact cell pair i's true row.
-func (c Config) DCCRow(i int) int { return c.dccRow(i, false) }
-
-// DCCNRow returns the complement row of dual-contact cell pair i.
-func (c Config) DCCNRow(i int) int { return c.dccRow(i, true) }
-
-func (c Config) dccRow(i int, neg bool) int {
-	row, ok := c.RowMap().DCCRow(i, neg)
-	if !ok {
-		panic(fmt.Sprintf("dram: DCC pair %d out of range [0,%d)", i, c.NumDCCPairs))
-	}
-	return int(row)
-}
-
 // C0Row returns the all-zeros control row.
 func (c Config) C0Row() int { return c.RowsPerSubarray - 2 }
 
@@ -205,6 +180,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// TotalSubarrays returns Banks × SubarraysPerBank.
-func (c Config) TotalSubarrays() int { return c.Banks * c.SubarraysPerBank }

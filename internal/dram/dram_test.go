@@ -51,12 +51,12 @@ func TestConfigValidation(t *testing.T) {
 
 func TestControlRowContents(t *testing.T) {
 	s := testSubarray(t)
-	for _, w := range s.PeekRow(s.C0Row()) {
+	for _, w := range s.PeekRow(s.cfg.C0Row()) {
 		if w != 0 {
 			t.Fatal("C0 must be all zeros")
 		}
 	}
-	for _, w := range s.PeekRow(s.C1Row()) {
+	for _, w := range s.PeekRow(s.cfg.C1Row()) {
 		if w != ^uint64(0) {
 			t.Fatal("C1 must be all ones")
 		}
@@ -66,9 +66,9 @@ func TestControlRowContents(t *testing.T) {
 func TestAAPCopiesRow(t *testing.T) {
 	s := testSubarray(t)
 	rng := rand.New(rand.NewSource(1))
-	data := randRow(rng, s.Config().WordsPerRow())
+	data := randRow(rng, s.cfg.WordsPerRow())
 	s.Poke(3, data)
-	s.AAP(3, 7)
+	s.aap(3, 7)
 	got := s.PeekRow(7)
 	for i := range data {
 		if got[i] != data[i] {
@@ -83,11 +83,11 @@ func TestAAPCopiesRow(t *testing.T) {
 func TestAAPMultiDestination(t *testing.T) {
 	s := testSubarray(t)
 	rng := rand.New(rand.NewSource(2))
-	data := randRow(rng, s.Config().WordsPerRow())
+	data := randRow(rng, s.cfg.WordsPerRow())
 	s.Poke(0, data)
-	s.AAP(0, s.TRow(0), s.TRow(1), s.TRow(2))
+	s.aap(0, s.cfg.tRow(0), s.cfg.tRow(1), s.cfg.tRow(2))
 	for i := 0; i < 3; i++ {
-		got := s.PeekRow(s.TRow(i))
+		got := s.PeekRow(s.cfg.tRow(i))
 		for w := range data {
 			if got[w] != data[w] {
 				t.Fatalf("multi-dst AAP mismatch in T%d", i)
@@ -103,12 +103,12 @@ func TestAAPMultiDestinationOutsideComputeRegionPanics(t *testing.T) {
 			t.Error("multi-row AAP into data rows must panic")
 		}
 	}()
-	s.AAP(0, 1, 2)
+	s.aap(0, 1, 2)
 }
 
 func TestTRAComputesMajority(t *testing.T) {
 	s := testSubarray(t)
-	words := s.Config().WordsPerRow()
+	words := s.cfg.WordsPerRow()
 	err := quick.Check(func(a, b, c uint64) bool {
 		ra := make([]uint64, words)
 		rb := make([]uint64, words)
@@ -116,12 +116,12 @@ func TestTRAComputesMajority(t *testing.T) {
 		for i := range ra {
 			ra[i], rb[i], rc[i] = a, b, c
 		}
-		s.Poke(s.TRow(0), ra)
-		s.Poke(s.TRow(1), rb)
-		s.Poke(s.TRow(2), rc)
-		s.AP(s.TRow(0), s.TRow(1), s.TRow(2))
+		s.Poke(s.cfg.tRow(0), ra)
+		s.Poke(s.cfg.tRow(1), rb)
+		s.Poke(s.cfg.tRow(2), rc)
+		s.ap(s.cfg.tRow(0), s.cfg.tRow(1), s.cfg.tRow(2))
 		want := (a & b) | (a & c) | (b & c)
-		for _, r := range [3]int{s.TRow(0), s.TRow(1), s.TRow(2)} {
+		for _, r := range [3]int{s.cfg.tRow(0), s.cfg.tRow(1), s.cfg.tRow(2)} {
 			for _, w := range s.PeekRow(r) {
 				if w != want {
 					return false
@@ -142,24 +142,24 @@ func TestAPOnDataRowsPanics(t *testing.T) {
 			t.Error("AP on data rows must panic")
 		}
 	}()
-	s.AP(0, 1, 2)
+	s.ap(0, 1, 2)
 }
 
 func TestDCCProvidesComplement(t *testing.T) {
 	s := testSubarray(t)
 	rng := rand.New(rand.NewSource(3))
-	data := randRow(rng, s.Config().WordsPerRow())
+	data := randRow(rng, s.cfg.WordsPerRow())
 	s.Poke(5, data)
-	s.AAP(5, s.DCCRow(0))
-	neg := s.PeekRow(s.DCCNRow(0))
+	s.aap(5, s.cfg.dccRow(0))
+	neg := s.PeekRow(s.cfg.dccNRow(0))
 	for i := range data {
 		if neg[i] != ^data[i] {
 			t.Fatalf("DCC complement wrong at word %d", i)
 		}
 	}
 	// And the reverse: writing the N row complements the true row.
-	s.AAP(5, s.DCCNRow(1))
-	pos := s.PeekRow(s.DCCRow(1))
+	s.aap(5, s.cfg.dccNRow(1))
+	pos := s.PeekRow(s.cfg.dccRow(1))
 	for i := range data {
 		if pos[i] != ^data[i] {
 			t.Fatalf("DCCN reverse complement wrong at word %d", i)
@@ -171,11 +171,11 @@ func TestNotViaDCCRoundTrip(t *testing.T) {
 	// The codegen idiom: copy x into DCC0, read !x from DCC0N into a T row.
 	s := testSubarray(t)
 	rng := rand.New(rand.NewSource(4))
-	data := randRow(rng, s.Config().WordsPerRow())
+	data := randRow(rng, s.cfg.WordsPerRow())
 	s.Poke(9, data)
-	s.AAP(9, s.DCCRow(0))
-	s.AAP(s.DCCNRow(0), s.TRow(3))
-	got := s.PeekRow(s.TRow(3))
+	s.aap(9, s.cfg.dccRow(0))
+	s.aap(s.cfg.dccNRow(0), s.cfg.tRow(3))
+	got := s.PeekRow(s.cfg.tRow(3))
 	for i := range data {
 		if got[i] != ^data[i] {
 			t.Fatalf("NOT idiom failed at word %d", i)
@@ -190,15 +190,15 @@ func TestControlRowsReadOnly(t *testing.T) {
 			t.Error("writing C0 must panic")
 		}
 	}()
-	s.AAP(0, s.C0Row())
+	s.aap(0, s.cfg.C0Row())
 }
 
 func TestHostReadWrite(t *testing.T) {
 	s := testSubarray(t)
 	rng := rand.New(rand.NewSource(5))
-	data := randRow(rng, s.Config().WordsPerRow())
+	data := randRow(rng, s.cfg.WordsPerRow())
 	s.WriteRow(11, data)
-	got := make([]uint64, s.Config().WordsPerRow())
+	got := make([]uint64, s.cfg.WordsPerRow())
 	s.ReadRowInto(11, got)
 	for i := range data {
 		if got[i] != data[i] {
@@ -222,16 +222,12 @@ func TestModuleAggregation(t *testing.T) {
 	s11 := mod.Subarray(1, 1)
 	data := make([]uint64, mod.Config().WordsPerRow())
 	s00.Poke(0, data)
-	s00.AAP(0, 1)
-	s11.AAP(0, 1)
-	s11.AP(s11.TRow(0), s11.TRow(1), s11.TRow(2))
+	s00.aap(0, 1)
+	s11.aap(0, 1)
+	s11.ap(s11.cfg.tRow(0), s11.cfg.tRow(1), s11.cfg.tRow(2))
 	total := mod.Stats()
 	if total.AAPs != 2 || total.APs != 1 {
 		t.Errorf("module stats wrong: %v", total)
-	}
-	mod.ResetStats()
-	if got := mod.Stats(); got.AAPs != 0 || got.EnergyPJ != 0 {
-		t.Errorf("ResetStats left residue: %v", got)
 	}
 }
 
@@ -265,7 +261,7 @@ func TestEnergyFormulas(t *testing.T) {
 
 func TestInjectBitFlips(t *testing.T) {
 	s := testSubarray(t)
-	words := s.Config().WordsPerRow()
+	words := s.cfg.WordsPerRow()
 	mask := make([]uint64, words)
 	mask[0] = 0b1010
 	before := slices.Clone(s.PeekRow(2))

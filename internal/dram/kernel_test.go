@@ -34,10 +34,10 @@ func newRef(s *Subarray) *refSubarray {
 func (r *refSubarray) refPartner(row int) (int, bool) {
 	for i := 0; i < r.cfg.NumDCCPairs; i++ {
 		switch row {
-		case r.cfg.DCCRow(i):
-			return r.cfg.DCCNRow(i), true
-		case r.cfg.DCCNRow(i):
-			return r.cfg.DCCRow(i), true
+		case r.cfg.dccRow(i):
+			return r.cfg.dccNRow(i), true
+		case r.cfg.dccNRow(i):
+			return r.cfg.dccRow(i), true
 		}
 	}
 	return 0, false
@@ -248,13 +248,13 @@ func checkKernelTrial(t *testing.T, rng *rand.Rand, cfg *Config, trial int) {
 		tr := [3]int{int(op.T[0]), int(op.T[1]), int(op.T[2])}
 		switch op.Kind {
 		case CmdAAP:
-			single.AAP(int(op.Src), dsts...)
+			single.aap(int(op.Src), dsts...)
 			ref.aap(int(op.Src), dsts)
 		case CmdAP:
-			single.AP(tr[0], tr[1], tr[2])
+			single.ap(tr[0], tr[1], tr[2])
 			ref.ap(tr)
 		case CmdMajCopy:
-			single.MajCopy(tr[0], tr[1], tr[2], dsts...)
+			single.majCopy(tr[0], tr[1], tr[2], dsts...)
 			ref.majCopy(tr, dsts)
 		}
 		if err := rm.CheckOp(&ops[i]); err != nil {
@@ -376,10 +376,10 @@ func TestOpSize(t *testing.T) {
 func TestInjectBitFlipsDCCMirrors(t *testing.T) {
 	s := testSubarray(t)
 	rng := rand.New(rand.NewSource(6))
-	data := randRow(rng, s.Config().WordsPerRow())
+	data := randRow(rng, s.cfg.WordsPerRow())
 	mask := make([]uint64, len(data))
 	mask[0], mask[len(mask)-1] = 0b1010, 1<<63
-	for _, pair := range [][2]int{{s.DCCRow(1), s.DCCNRow(1)}, {s.DCCNRow(1), s.DCCRow(1)}} {
+	for _, pair := range [][2]int{{s.cfg.dccRow(1), s.cfg.dccNRow(1)}, {s.cfg.dccNRow(1), s.cfg.dccRow(1)}} {
 		row := pair[0]
 		s.Poke(row, data)
 		s.InjectBitFlips(row, mask)

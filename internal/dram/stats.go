@@ -94,12 +94,3 @@ func (m *Module) Stats() Stats {
 	}
 	return total
 }
-
-// ResetStats zeroes all subarray statistics.
-func (m *Module) ResetStats() {
-	for _, bank := range m.banks {
-		for _, sa := range bank {
-			sa.Stats = Stats{}
-		}
-	}
-}

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Subarray is one DRAM subarray: a grid of rows × bitlines with sense
 // amplifiers, a compute region of designated rows, and bit-exact command
@@ -105,27 +102,11 @@ func NewSubarray(cfg *Config) *Subarray {
 		rows[i] = backing[i*words : (i+1)*words : (i+1)*words]
 	}
 	s := &Subarray{cfg: cfg, rows: rows, rm: cfg.RowMap()}
-	for i := range s.rows[s.C1Row()] {
-		s.rows[s.C1Row()][i] = ^uint64(0)
+	for i := range s.rows[cfg.C1Row()] {
+		s.rows[cfg.C1Row()][i] = ^uint64(0)
 	}
 	return s
 }
-
-// TRow returns the physical row index of designated compute row T[i].
-func (s *Subarray) TRow(i int) int { return s.cfg.TRow(i) }
-
-// DCCRow returns the physical row of dual-contact cell pair i's true row.
-// Writing this row also makes the complement readable via DCCNRow(i).
-func (s *Subarray) DCCRow(i int) int { return s.cfg.DCCRow(i) }
-
-// DCCNRow returns the complement row of dual-contact cell pair i.
-func (s *Subarray) DCCNRow(i int) int { return s.cfg.DCCNRow(i) }
-
-// C0Row returns the all-zeros control row.
-func (s *Subarray) C0Row() int { return s.cfg.C0Row() }
-
-// C1Row returns the all-ones control row.
-func (s *Subarray) C1Row() int { return s.cfg.C1Row() }
 
 // RowMap returns the subarray's row address map, the geometry its
 // commands are checked against.
@@ -175,6 +156,8 @@ func (s *Subarray) WriteRow(row int, data []uint64) {
 // or copying (test/debug). The slice aliases live subarray state: treat
 // it as read-only and do not hold it across commands that may rewrite
 // the row.
+//
+//simdram:testapi reads the unexported row storage with no host access modeled
 func (s *Subarray) PeekRow(row int) []uint64 {
 	s.checkRow(row)
 	return s.rows[row]
@@ -182,6 +165,8 @@ func (s *Subarray) PeekRow(row int) []uint64 {
 
 // Poke sets row contents without modeling a command (test/debug). DCC
 // pairing is still honored.
+//
+//simdram:testapi writes the unexported row storage with no host access modeled
 func (s *Subarray) Poke(row int, data []uint64) {
 	s.checkRow(row)
 	s.storeRow(row, data)
@@ -199,63 +184,12 @@ func (s *Subarray) storeRow(row int, data []uint64) {
 	copy(s.rows[row], data)
 }
 
-// AAP executes ACTIVATE(src) → ACTIVATE(dst group) → PRECHARGE, copying
-// the source row into every destination row. Destinations must either be
-// a single row anywhere or a group of 2-3 rows inside the compute region
-// (the special row decoder only supports multi-activation there).
-//
-//simdram:zeroalloc
-func (s *Subarray) AAP(src int, dsts ...int) {
-	s.exec1(Op{Kind: CmdAAP, Src: OpRow(src)}, dsts)
-}
-
-// AP executes a triple-row activation followed by precharge: the three
-// rows charge-share on the bitlines, the sense amplifiers resolve the
-// bitwise majority, and the restored value is written back into all three
-// rows. All rows must be T rows of the compute region.
-//
-//simdram:zeroalloc
-func (s *Subarray) AP(r0, r1, r2 int) {
-	s.exec1(Op{Kind: CmdAP, T: [3]int32{OpRow(r0), OpRow(r1), OpRow(r2)}}, nil)
-}
-
-// MajCopy executes Ambit's fused compute-and-copy: ACTIVATE the TRA
-// group (sense amplifiers resolve the majority, restored into the three
-// T rows), then ACTIVATE the destination rows (overwriting them with the
-// row-buffer value), then PRECHARGE. This is the 4th AAP of Ambit's
-// canonical AND/OR sequence (AAP src1; AAP src2; AAP control; AAP
-// TRA→dst). Latency matches an AAP.
-//
-//simdram:zeroalloc
-func (s *Subarray) MajCopy(r0, r1, r2 int, dsts ...int) {
-	s.exec1(Op{Kind: CmdMajCopy, T: [3]int32{OpRow(r0), OpRow(r1), OpRow(r2)}}, dsts)
-}
-
-// exec1 issues one command through the command kernel, after the
-// CheckOp validation a resolved stream runs once per op at resolve
-// time, as a one-step plan built on the stack. A command that fails
-// validation panics.
-//
-//simdram:zeroalloc
-func (s *Subarray) exec1(op Op, dsts []int) {
-	op.NDst = uint8(min(len(dsts), math.MaxUint8))
-	for j := 0; j < len(dsts) && j < len(op.Dsts); j++ {
-		op.Dsts[j] = OpRow(dsts[j])
-	}
-	if err := s.rm.CheckOp(&op); err != nil {
-		panic(err)
-	}
-	ops := [1]Op{op}
-	var code [maxStep]int32
-	n := op.encode(code[:])
-	p := Plan{ops: ops[:], code: code[:n], counts: countOps(ops[:])}
-	s.Exec(&p)
-}
-
 // InjectBitFlips XORs mask into the given row without any accounting —
 // the fault-injection hook used by reliability tests. A flipped
 // dual-contact cell flips both of its views, so flipping a DCC row also
 // flips its complement row.
+//
+//simdram:testapi fault injection into the unexported row storage, for the reliability tests
 func (s *Subarray) InjectBitFlips(row int, mask []uint64) {
 	s.checkRow(row)
 	flip := func(r []uint64) {
@@ -270,6 +204,3 @@ func (s *Subarray) InjectBitFlips(row int, mask []uint64) {
 		flip(s.rows[p])
 	}
 }
-
-// Config returns the subarray's configuration.
-func (s *Subarray) Config() *Config { return s.cfg }

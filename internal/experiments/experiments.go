@@ -376,57 +376,3 @@ func E8Transposition() (Table, error) {
 	}
 	return t, nil
 }
-
-// All regenerates every experiment.
-func All() ([]Table, error) {
-	var tables []Table
-	e1, err := E1CommandCounts([]int{8, 16, 32})
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e1)
-	for _, w := range []int{16, 32} {
-		e2, err := E2Throughput(w)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, e2)
-	}
-	e3, err := E3Energy(32)
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e3)
-	e4, err := E4Kernels()
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e4)
-	tables = append(tables, E5Reliability(40000), E6Area())
-	e7, err := E7WidthScaling()
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e7)
-	e8, err := E8Transposition()
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e8)
-	e9, err := E9Ablation(16)
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e9)
-	e9b, err := E9Groups(16)
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e9b)
-	e10, err := E10RowHammer()
-	if err != nil {
-		return nil, err
-	}
-	tables = append(tables, e10)
-	return tables, nil
-}

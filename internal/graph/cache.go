@@ -88,8 +88,8 @@ type flight struct {
 // shape: the first caller runs the compile pipeline, later callers
 // wait for its plan instead of redoing the work.
 //
-// Eviction is recency-and-cost aware ("cost-lru"): Lookup refreshes an
-// entry's recency, Insert records the plan's compile cost, and the
+// Eviction is recency-and-cost aware ("cost-lru"): a hit refreshes an
+// entry's recency, a compile records the plan's compile cost, and the
 // victim is the entry with the lowest recency-weighted compile cost —
 // compileNs / (age+1), where age is how many logical clock ticks ago
 // the entry was last used. A hot shape (recently used) or an expensive
@@ -116,9 +116,9 @@ type PlanCache struct {
 }
 
 // NewPlanCache returns a cache bounded to capacity plans. A capacity
-// below 1 disables caching: every Lookup returns nil without touching
-// any counter, Insert is a no-op, Do always computes, and Stats
-// reports the zero value.
+// below 1 disables caching: Peek returns nil, Replace is a no-op, Do
+// always computes without touching any counter, and Stats reports the
+// zero value.
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		cap:     capacity,
@@ -129,23 +129,6 @@ func NewPlanCache(capacity int) *PlanCache {
 
 // disabled reports whether the cache ignores all traffic.
 func (c *PlanCache) disabled() bool { return c == nil || c.cap < 1 }
-
-// Lookup returns the cached plan for key, or nil, counting the hit or
-// miss and refreshing the entry's recency on a hit. A disabled cache
-// returns nil without counting anything.
-func (c *PlanCache) Lookup(key string) *Plan {
-	if c.disabled() {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.touch(e)
-		return e.plan
-	}
-	c.misses++
-	return nil
-}
 
 // Peek returns the cached plan for key without counting a hit or
 // miss and without refreshing the entry's recency — a side-effect-free
@@ -221,20 +204,6 @@ func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 		p = compute()
 		return p, false
 	}
-}
-
-// Insert stores a plan under key with the given compile cost (the
-// nanoseconds the compile pipeline spent building it — what eviction
-// weighs against recency). An existing entry is kept: first writer
-// wins, concurrent compilers of the same shape produce equivalent
-// plans.
-func (c *PlanCache) Insert(key string, p *Plan, compileNs float64) {
-	if c.disabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(key, p, compileNs)
 }
 
 // Replace stores a plan under key, overwriting any existing entry —

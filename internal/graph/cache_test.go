@@ -113,26 +113,26 @@ func TestCanonicalKeyDistinguishesTopology(t *testing.T) {
 
 func TestPlanCacheHitMissEviction(t *testing.T) {
 	c := NewPlanCache(2)
-	if p := c.Lookup("a"); p != nil {
+	if p := c.lookup("a"); p != nil {
 		t.Fatal("empty cache returned a plan")
 	}
 	pa, pb, pc := &Plan{}, &Plan{}, &Plan{}
-	c.Insert("a", pa, 100)
-	c.Insert("b", pb, 100)
-	if got := c.Lookup("a"); got != pa {
+	c.insert("a", pa, 100)
+	c.insert("b", pb, 100)
+	if got := c.lookup("a"); got != pa {
 		t.Fatal("lookup after insert missed")
 	}
 	// Third insert must evict the least valuable entry — with equal
 	// compile costs that is the least recently used ("b": "a" was just
 	// looked up), NOT the FIFO-oldest ("a").
-	c.Insert("c", pc, 100)
-	if got := c.Lookup("a"); got != pa {
+	c.insert("c", pc, 100)
+	if got := c.lookup("a"); got != pa {
 		t.Fatal("recently used plan evicted (FIFO behavior) instead of the LRU one")
 	}
-	if got := c.Lookup("b"); got != nil {
+	if got := c.lookup("b"); got != nil {
 		t.Fatal("capacity-2 cache retained 3 plans")
 	}
-	if got := c.Lookup("c"); got != pc {
+	if got := c.lookup("c"); got != pc {
 		t.Fatal("newest plan evicted instead of the LRU one")
 	}
 	st := c.Stats()
@@ -151,8 +151,8 @@ func TestPlanCacheHitMissEviction(t *testing.T) {
 	}
 
 	// Duplicate insert keeps the first plan.
-	c.Insert("c", &Plan{}, 100)
-	if got := c.Lookup("c"); got != pc {
+	c.insert("c", &Plan{}, 100)
+	if got := c.lookup("c"); got != pc {
 		t.Fatal("duplicate insert replaced the original plan")
 	}
 }
@@ -162,15 +162,15 @@ func TestPlanCacheHitMissEviction(t *testing.T) {
 // victim.
 func TestPlanCacheCostWeightedEviction(t *testing.T) {
 	c := NewPlanCache(2)
-	c.Insert("cheap", &Plan{}, 10)
-	c.Insert("costly", &Plan{}, 10_000)
+	c.insert("cheap", &Plan{}, 10)
+	c.insert("costly", &Plan{}, 10_000)
 	// Equal recency pressure (neither looked up since insert); the
 	// cheap plan must go.
-	c.Insert("new", &Plan{}, 10)
-	if c.Lookup("costly") == nil {
+	c.insert("new", &Plan{}, 10)
+	if c.lookup("costly") == nil {
 		t.Fatal("expensive plan evicted before the cheap one")
 	}
-	if c.Lookup("cheap") != nil {
+	if c.lookup("cheap") != nil {
 		t.Fatal("cheap plan survived over the expensive one")
 	}
 }
@@ -216,14 +216,14 @@ func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
 	hot := &Plan{}
 	trace := func(key string) *Plan {
 		// One lookup; on miss, an insert — both caches see the same ops.
-		p := c.Lookup(key)
+		p := c.lookup(key)
 		hitFIFO := fifoLookup(key)
 		if p == nil {
 			np := &Plan{}
 			if key == "hot" {
 				np = hot
 			}
-			c.Insert(key, np, 100)
+			c.insert(key, np, 100)
 			p = np
 		}
 		if !hitFIFO {
@@ -260,17 +260,17 @@ func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
 // a hot eviction.
 func TestPlanCacheEvictedHot(t *testing.T) {
 	c := NewPlanCache(2)
-	c.Insert("warm", &Plan{}, 10)
-	if c.Lookup("warm") == nil { // one hit: the entry is warm now
+	c.insert("warm", &Plan{}, 10)
+	if c.lookup("warm") == nil { // one hit: the entry is warm now
 		t.Fatal("warm lookup missed")
 	}
-	c.Insert("costly-1", &Plan{}, 1e9)
-	c.Insert("costly-2", &Plan{}, 1e9) // victim must be "warm" (cheapest)
+	c.insert("costly-1", &Plan{}, 1e9)
+	c.insert("costly-2", &Plan{}, 1e9) // victim must be "warm" (cheapest)
 	st := c.Stats()
 	if st.Evicted != 1 || st.EvictedHot != 1 {
 		t.Fatalf("stats = %+v, want 1 eviction counted hot", st)
 	}
-	if c.Lookup("warm") != nil {
+	if c.lookup("warm") != nil {
 		t.Fatal("expected warm entry to be the victim of the cost-weighted policy")
 	}
 }
@@ -280,9 +280,9 @@ func TestPlanCacheEvictedHot(t *testing.T) {
 func TestPlanCacheReplace(t *testing.T) {
 	c := NewPlanCache(2)
 	p1, p2 := &Plan{}, &Plan{Profiled: true}
-	c.Insert("a", p1, 100)
+	c.insert("a", p1, 100)
 	c.Replace("a", p2, 200)
-	if got := c.Lookup("a"); got != p2 {
+	if got := c.lookup("a"); got != p2 {
 		t.Fatal("Replace did not overwrite the entry")
 	}
 	st := c.Stats()
@@ -291,7 +291,7 @@ func TestPlanCacheReplace(t *testing.T) {
 	}
 	// Replace on an absent key inserts.
 	c.Replace("b", p1, 50)
-	if got := c.Lookup("b"); got != p1 {
+	if got := c.lookup("b"); got != p1 {
 		t.Fatal("Replace on an absent key did not insert")
 	}
 }
@@ -304,8 +304,8 @@ func TestPlanCacheReplace(t *testing.T) {
 func TestPlanCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := NewPlanCache(capacity)
-		c.Insert("a", &Plan{}, 100)
-		if got := c.Lookup("a"); got != nil {
+		c.insert("a", &Plan{}, 100)
+		if got := c.lookup("a"); got != nil {
 			t.Fatalf("capacity-%d cache cached a plan", capacity)
 		}
 		computes := 0
@@ -318,10 +318,10 @@ func TestPlanCacheDisabled(t *testing.T) {
 		}
 	}
 	var nilCache *PlanCache
-	if got := nilCache.Lookup("a"); got != nil {
+	if got := nilCache.lookup("a"); got != nil {
 		t.Fatal("nil cache returned a plan")
 	}
-	nilCache.Insert("a", &Plan{}, 100) // must not panic
+	nilCache.insert("a", &Plan{}, 100) // must not panic
 	if p, hit := nilCache.Do("a", func() *Plan { return &Plan{} }); p == nil || hit {
 		t.Fatal("nil cache Do must compute")
 	}
@@ -415,8 +415,8 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("shape-%d", (i+w)%32)
-				if c.Lookup(key) == nil {
-					c.Insert(key, &Plan{}, 100)
+				if c.lookup(key) == nil {
+					c.insert(key, &Plan{}, 100)
 				}
 			}
 		}()
@@ -429,4 +429,35 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	if st.Hits+st.Misses != 8*200 {
 		t.Fatalf("lookups = %d, want %d", st.Hits+st.Misses, 8*200)
 	}
+}
+
+// lookup returns the cached plan for key, or nil, counting the hit or
+// miss and refreshing the entry's recency on a hit. A disabled cache
+// returns nil without counting anything.
+func (c *PlanCache) lookup(key string) *Plan {
+	if c.disabled() {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		c.touch(e)
+		return e.plan
+	}
+	c.misses++
+	return nil
+}
+
+// insert stores a plan under key with the given compile cost (the
+// nanoseconds the compile pipeline spent building it — what eviction
+// weighs against recency). An existing entry is kept: first writer
+// wins, concurrent compilers of the same shape produce equivalent
+// plans.
+func (c *PlanCache) insert(key string, p *Plan, compileNs float64) {
+	if c.disabled() {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(key, p, compileNs)
 }

@@ -61,6 +61,8 @@ type Instruction struct {
 type Encoded [2]uint64
 
 // Encode packs the instruction.
+//
+//simdram:testapi the bbop wire format, round-tripped and fuzzed (FuzzValidate)
 func (in Instruction) Encode() Encoded {
 	var e Encoded
 	e[0] = uint64(in.Op)<<56 | uint64(in.Width)<<48 | uint64(in.N)<<40 | uint64(in.Size)
@@ -69,6 +71,8 @@ func (in Instruction) Encode() Encoded {
 }
 
 // Decode unpacks an encoded instruction.
+//
+//simdram:testapi the bbop wire format, round-tripped and fuzzed (FuzzValidate)
 func Decode(e Encoded) (Instruction, error) {
 	in := Instruction{
 		Op:    Opcode(e[0] >> 56),

@@ -28,28 +28,6 @@ func (p Program) Validate() error {
 	return nil
 }
 
-// EncodeProgram packs every instruction of the program.
-func EncodeProgram(p Program) []Encoded {
-	out := make([]Encoded, len(p))
-	for i, in := range p {
-		out[i] = in.Encode()
-	}
-	return out
-}
-
-// DecodeProgram unpacks a sequence of encoded instructions.
-func DecodeProgram(es []Encoded) (Program, error) {
-	p := make(Program, len(es))
-	for i, e := range es {
-		in, err := Decode(e)
-		if err != nil {
-			return nil, fmt.Errorf("isa: instruction %d: %w", i, err)
-		}
-		p[i] = in
-	}
-	return p, nil
-}
-
 // Reads returns the object handles the instruction reads. For operation
 // instructions that is the live source operands (the operation's
 // effective arity); bbop_trsp_init reads the object it announces. If the

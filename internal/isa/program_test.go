@@ -31,12 +31,14 @@ func TestProgramEncodeDecodeRoundTrip(t *testing.T) {
 		add(3, 1, 2),
 		add(4, 3, 1),
 	}
-	back, err := DecodeProgram(EncodeProgram(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, p) {
-		t.Errorf("round trip: got %v, want %v", back, p)
+	for i, in := range p {
+		back, err := Decode(in.Encode())
+		if err != nil {
+			t.Fatalf("instruction %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, in) {
+			t.Errorf("instruction %d round trip: got %v, want %v", i, back, in)
+		}
 	}
 }
 

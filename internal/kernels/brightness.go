@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"simdram"
-	"simdram/internal/workload"
-)
+import "simdram/internal/workload"
 
 // Brightness adjusts an 8-bit image by delta with saturation at 0 and
 // 255 — the paper's image-processing kernel [Gonzalez & Woods]. Pixels
@@ -24,71 +21,4 @@ func BrightnessRef(img workload.Image, delta int) []uint64 {
 		out[i] = uint64(v)
 	}
 	return out
-}
-
-// BrightnessSIMDRAM runs the kernel in DRAM and returns the adjusted
-// pixels plus the accumulated cost.
-func BrightnessSIMDRAM(sys *simdram.System, img workload.Image, delta int) ([]uint64, simdram.Stats, error) {
-	e := NewEngine(sys, len(img.Pixels))
-	px, err := e.FromData(img.Pixels, 16)
-	if err != nil {
-		return nil, e.Stats, err
-	}
-	defer px.Free()
-
-	var result *simdram.Vector
-	if delta >= 0 {
-		dv, err := e.Const(uint64(delta), 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer dv.Free()
-		sum, err := e.Op("addition", px, dv)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer sum.Free()
-		c255, err := e.Const(255, 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer c255.Free()
-		over, err := e.Op("greater", sum, c255) // sum > 255
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer over.Free()
-		result, err = e.Op("if_else", c255, sum, over)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-	} else {
-		dv, err := e.Const(uint64(-delta), 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer dv.Free()
-		diff, err := e.Op("subtraction", px, dv)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer diff.Free()
-		under, err := e.Op("greater", dv, px) // -delta > pixel → clamp to 0
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer under.Free()
-		zero, err := e.Const(0, 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer zero.Free()
-		result, err = e.Op("if_else", zero, diff, under)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-	}
-	defer result.Free()
-	out, err := result.Load()
-	return out, e.Stats, err
 }

@@ -71,18 +71,6 @@ func (e *Engine) Op(name string, srcs ...*simdram.Vector) (*simdram.Vector, erro
 	return dst, nil
 }
 
-// OpInto runs an operation into a caller-provided destination.
-func (e *Engine) OpInto(name string, dst *simdram.Vector, srcs ...*simdram.Vector) error {
-	st, err := e.Sys.Run(name, dst, srcs...)
-	if err != nil {
-		return err
-	}
-	e.Stats.LatencyNs += st.LatencyNs
-	e.Stats.EnergyPJ += st.EnergyPJ
-	e.Stats.Commands += st.Commands
-	return nil
-}
-
 // Replace frees *dst and points it at next — the accumulate idiom
 // acc = op(acc, x).
 func Replace(dst **simdram.Vector, next *simdram.Vector) {

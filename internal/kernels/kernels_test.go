@@ -31,7 +31,7 @@ func TestBrightnessMatchesRef(t *testing.T) {
 	img := workload.NewImage(20, 25, 1)
 	for _, delta := range []int{40, 200, -60, -300, 0} {
 		sys := kernelSystem(t)
-		got, st, err := BrightnessSIMDRAM(sys, img, delta)
+		got, st, err := brightnessSIMDRAM(sys, img, delta)
 		if err != nil {
 			t.Fatalf("delta %d: %v", delta, err)
 		}
@@ -95,7 +95,7 @@ func TestKNNDistancesAndClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := KNNRef(train, queries[0])
+	want := knnRef(train, queries[0])
 	for i := range want {
 		if dist[i] != want[i] {
 			t.Fatalf("distance %d: dram=%d ref=%d", i, dist[i], want[i])
@@ -329,4 +329,91 @@ func TestPaperSpecsEvaluate(t *testing.T) {
 		t.Logf("%-11s time: simdram %.3es ambit %.3es cpu %.3es gpu %.3es | energy ratio cpu/simdram %.0f×",
 			spec.Name, sd.TimeNs/1e9, am.TimeNs/1e9, cp.TimeNs/1e9, gp.TimeNs/1e9, cp.EnergyPJ/sd.EnergyPJ)
 	}
+}
+
+// brightnessSIMDRAM runs the brightness kernel eagerly in DRAM, one
+// Engine.Op per operation, and returns the adjusted
+// pixels plus the accumulated cost.
+func brightnessSIMDRAM(sys *simdram.System, img workload.Image, delta int) ([]uint64, simdram.Stats, error) {
+	e := NewEngine(sys, len(img.Pixels))
+	px, err := e.FromData(img.Pixels, 16)
+	if err != nil {
+		return nil, e.Stats, err
+	}
+	defer px.Free()
+
+	var result *simdram.Vector
+	if delta >= 0 {
+		dv, err := e.Const(uint64(delta), 16)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer dv.Free()
+		sum, err := e.Op("addition", px, dv)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer sum.Free()
+		c255, err := e.Const(255, 16)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer c255.Free()
+		over, err := e.Op("greater", sum, c255) // sum > 255
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer over.Free()
+		result, err = e.Op("if_else", c255, sum, over)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+	} else {
+		dv, err := e.Const(uint64(-delta), 16)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer dv.Free()
+		diff, err := e.Op("subtraction", px, dv)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer diff.Free()
+		under, err := e.Op("greater", dv, px) // -delta > pixel → clamp to 0
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer under.Free()
+		zero, err := e.Const(0, 16)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+		defer zero.Free()
+		result, err = e.Op("if_else", zero, diff, under)
+		if err != nil {
+			return nil, e.Stats, err
+		}
+	}
+	defer result.Free()
+	out, err := result.Load()
+	return out, e.Stats, err
+}
+
+// knnRef returns the L1 distances of every training point to the query.
+func knnRef(train [][]uint64, query []uint64) []uint64 {
+	n := len(train)
+	dist := make([]uint64, n)
+	for j := 0; j < n; j++ {
+		var d uint64
+		for i := range query {
+			a, b := train[j][i], query[i]
+			if a > b {
+				d += a - b
+			} else {
+				d += b - a
+			}
+		}
+		dist[j] = d
+	}
+	return dist
 }

@@ -11,25 +11,6 @@ import (
 // training point at once. The final arg-min (top-k) is a host-side scan,
 // as in the paper.
 
-// KNNRef returns the L1 distances of every training point to the query.
-func KNNRef(train [][]uint64, query []uint64) []uint64 {
-	n := len(train)
-	dist := make([]uint64, n)
-	for j := 0; j < n; j++ {
-		var d uint64
-		for i := range query {
-			a, b := train[j][i], query[i]
-			if a > b {
-				d += a - b
-			} else {
-				d += b - a
-			}
-		}
-		dist[j] = d
-	}
-	return dist
-}
-
 // KNNDistancesSIMDRAM computes the distance vector in DRAM. Features are
 // staged at 32 bits so the signed difference and the accumulated sum both
 // fit regardless of dimension count.

@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"context"
-	"math/bits"
-
 	"simdram"
 	"simdram/internal/workload"
 )
@@ -34,44 +31,10 @@ func BrightnessExpr(pixels []uint64, delta int) *simdram.Expr {
 	return under.IfElse(simdram.Scalar(0, 16), diff)
 }
 
-// BrightnessServer runs the brightness kernel through the serving
-// layer and returns the adjusted pixels plus the job's result record
-// (modeled batch cost, cache hit, latency split).
-func BrightnessServer(ctx context.Context, srv *simdram.Server, tenant string, img workload.Image, delta int) ([]uint64, *simdram.JobResult, error) {
-	fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: tenant}, BrightnessExpr(img.Pixels, delta))
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := fut.Wait()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Values[0], res, nil
-}
-
 // BitWeavingLtExpr is the BitWeaving/V scan predicate c > code as one
 // lazy expression over the code column.
 func BitWeavingLtExpr(codes []uint64, c uint64, bitsWidth int) *simdram.Expr {
 	return simdram.Scalar(c, bitsWidth).Greater(simdram.Input(codes, bitsWidth))
-}
-
-// BitWeavingLtServer performs the scan through the serving layer,
-// popcounting the returned 1-bit result vector host-side like a scan
-// consumer would.
-func BitWeavingLtServer(ctx context.Context, srv *simdram.Server, tenant string, codes []uint64, c uint64, bitsWidth int) (int, *simdram.JobResult, error) {
-	fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: tenant}, BitWeavingLtExpr(codes, c, bitsWidth))
-	if err != nil {
-		return 0, nil, err
-	}
-	res, err := fut.Wait()
-	if err != nil {
-		return 0, nil, err
-	}
-	count := 0
-	for _, v := range res.Values[0] {
-		count += bits.OnesCount64(v & 1)
-	}
-	return count, res, nil
 }
 
 // TPCHQ6Expr is the Q6-style selective aggregation as one lazy
@@ -96,23 +59,4 @@ func TPCHQ6Expr(t workload.LineItem, p TPCHQ6Params) *simdram.Expr {
 
 	rev := price.Mul(disc) // 16×16 → 32
 	return pred.IfElse(rev, simdram.Scalar(0, 32))
-}
-
-// TPCHQ6Server evaluates Q6 through the serving layer: the predicate
-// and the selected revenue in DRAM, the scalar sum as a host-side fold
-// over the loaded revenue column.
-func TPCHQ6Server(ctx context.Context, srv *simdram.Server, tenant string, t workload.LineItem, p TPCHQ6Params) (uint64, *simdram.JobResult, error) {
-	fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: tenant}, TPCHQ6Expr(t, p))
-	if err != nil {
-		return 0, nil, err
-	}
-	res, err := fut.Wait()
-	if err != nil {
-		return 0, nil, err
-	}
-	var sum uint64
-	for _, v := range res.Values[0] {
-		sum += v
-	}
-	return sum, res, nil
 }

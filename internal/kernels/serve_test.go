@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 
 	"simdram"
@@ -23,15 +24,28 @@ func kernelServer(t testing.TB) *simdram.Server {
 	return srv
 }
 
+// serve submits the expression as one job of tenant and returns its
+// result, failing the test on any error.
+func serve(t *testing.T, srv *simdram.Server, tenant string, e *simdram.Expr) *simdram.JobResult {
+	t.Helper()
+	fut, err := srv.SubmitJob(context.Background(), simdram.JobSpec{Tenant: tenant}, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fut.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestBrightnessServerMatchesRefAndEager(t *testing.T) {
 	srv := kernelServer(t)
 	defer srv.Close()
 	img := workload.NewImage(20, 25, 1)
 	for _, delta := range []int{40, 200, -60, -300, 0} {
-		got, res, err := BrightnessServer(context.Background(), srv, "imaging", img, delta)
-		if err != nil {
-			t.Fatalf("delta %d: %v", delta, err)
-		}
+		res := serve(t, srv, "imaging", BrightnessExpr(img.Pixels, delta))
+		got := res.Values[0]
 		want := BrightnessRef(img, delta)
 		for i := range want {
 			if got[i] != want[i] {
@@ -44,7 +58,7 @@ func TestBrightnessServerMatchesRefAndEager(t *testing.T) {
 
 		// The eager Engine version of the same kernel must agree too.
 		sys := kernelSystem(t)
-		eager, _, err := BrightnessSIMDRAM(sys, img, delta)
+		eager, _, err := brightnessSIMDRAM(sys, img, delta)
 		if err != nil {
 			t.Fatalf("eager delta %d: %v", delta, err)
 		}
@@ -59,10 +73,8 @@ func TestBrightnessServerMatchesRefAndEager(t *testing.T) {
 	// a cold compile — but repeating a delta with a fresh image is the
 	// same shape and must hit the cache.
 	img2 := workload.NewImage(20, 25, 7)
-	got, res, err := BrightnessServer(context.Background(), srv, "imaging", img2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serve(t, srv, "imaging", BrightnessExpr(img2.Pixels, 40))
+	got := res.Values[0]
 	if !res.Compile.CacheHit {
 		t.Errorf("repeated brightness shape should hit the plan cache: %+v", srv.Stats().Cache)
 	}
@@ -79,9 +91,9 @@ func TestBitWeavingServerMatchesRef(t *testing.T) {
 	defer srv.Close()
 	codes := workload.Codes(900, 4, 3)
 	for _, c := range []uint64{9, 3, 15} {
-		got, _, err := BitWeavingLtServer(context.Background(), srv, "analytics", codes, c, 4)
-		if err != nil {
-			t.Fatalf("c=%d: %v", c, err)
+		got := 0
+		for _, v := range serve(t, srv, "analytics", BitWeavingLtExpr(codes, c, 4)).Values[0] {
+			got += bits.OnesCount64(v & 1)
 		}
 		if want := BitWeavingLtRef(codes, c); got != want {
 			t.Fatalf("lt scan c=%d: served=%d ref=%d", c, got, want)
@@ -101,10 +113,8 @@ func TestTPCHQ6ServerMatchesRefAndEager(t *testing.T) {
 	defer srv.Close()
 	table := workload.NewLineItem(700, 2)
 	p := DefaultQ6()
-	got, res, err := TPCHQ6Server(context.Background(), srv, "warehouse", table, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serve(t, srv, "warehouse", TPCHQ6Expr(table, p))
+	got := sum(res.Values[0])
 	want := TPCHQ6Ref(table, p)
 	if got != want {
 		t.Fatalf("revenue: served=%d ref=%d", got, want)
@@ -129,14 +139,21 @@ func TestTPCHQ6ServerMatchesRefAndEager(t *testing.T) {
 	// A second request with fresh row data is the same shape: plan
 	// cache hit, identical reference agreement.
 	table2 := workload.NewLineItem(700, 9)
-	got2, res2, err := TPCHQ6Server(context.Background(), srv, "warehouse", table2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := serve(t, srv, "warehouse", TPCHQ6Expr(table2, p))
+	got2 := sum(res2.Values[0])
 	if want2 := TPCHQ6Ref(table2, p); got2 != want2 {
 		t.Fatalf("second revenue: served=%d ref=%d", got2, want2)
 	}
 	if !res2.Compile.CacheHit {
 		t.Error("second Q6 request with the same shape should hit the plan cache")
 	}
+}
+
+// sum is Q6's host-side fold over the selected revenue column.
+func sum(xs []uint64) uint64 {
+	var s uint64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

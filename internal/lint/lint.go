@@ -4,7 +4,7 @@
 // standard library — so the hot-path linters run in the same
 // offline sandbox as the tests, with no external toolchain.
 //
-// Two analyzers ship with it:
+// Three analyzers ship with it:
 //
 //   - zeroalloc enforces the //simdram:zeroalloc annotation: functions
 //     on the bind-once/run-many hot path must not contain allocation
@@ -19,6 +19,10 @@
 //     against a nil receiver (or delegate to one that does), and code
 //     outside the obs package may touch *obs.Trace fields only inside
 //     an explicit nil guard — methods are nil-safe, fields are not.
+//
+//   - testonly reports exported declarations under internal/ that no
+//     production code uses, so test-only API cannot accumulate; an
+//     audited exception carries //simdram:testapi <reason>.
 package lint
 
 import (
@@ -49,7 +53,7 @@ type Analyzer struct {
 }
 
 // All returns every analyzer the simdramlint multichecker runs.
-func All() []*Analyzer { return []*Analyzer{ZeroAlloc, ObsNil} }
+func All() []*Analyzer { return []*Analyzer{ZeroAlloc, ObsNil, TestOnly} }
 
 // Pass carries one analyzer's view of one loaded package.
 type Pass struct {
@@ -58,6 +62,7 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
+	loader     *Loader // the loader that built the package, for whole-tree analyzers
 	analyzer   string
 	findings   *[]Finding
 	suppressed map[string]map[int]bool // filename -> lines carrying a suppression
@@ -124,6 +129,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 			Files:      pkg.Files,
 			Pkg:        pkg.Types,
 			Info:       pkg.Info,
+			loader:     pkg.loader,
 			analyzer:   a.Name,
 			findings:   &findings,
 			suppressed: supp,

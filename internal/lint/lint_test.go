@@ -125,8 +125,25 @@ func TestObsNilSeededViolations(t *testing.T) {
 	checkFixture(t, "obsnilbad", []*lint.Analyzer{lint.ObsNil})
 }
 
-// TestRepoHotPathsClean runs every analyzer over the annotated
-// production packages — the linters gate CI, so HEAD must be clean.
+// TestTestOnlySeededViolations covers the testonly analyzer over a
+// small tree: a function, a method and a const only tests use, and
+// //simdram:testapi with no reason or on a used declaration, are
+// flagged; declarations used by a command, by a nested module or
+// through an interface, and annotated ones, are not.
+func TestTestOnlySeededViolations(t *testing.T) {
+	checkFixture(t, "testonly/internal/lib", []*lint.Analyzer{lint.TestOnly})
+}
+
+// TestTestOnlySkipsTestPackages pins that a package only tests import
+// is test code: its exports are not flagged.
+func TestTestOnlySkipsTestPackages(t *testing.T) {
+	checkFixture(t, "testonly/internal/onlytests", []*lint.Analyzer{lint.TestOnly})
+}
+
+// TestRepoHotPathsClean runs every analyzer over every package of the
+// module, the nested benchmark module included, as CI's
+// `simdramlint ./...` does — the linters gate CI, so HEAD must be
+// clean.
 func TestRepoHotPathsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the production packages from source")
@@ -139,8 +156,15 @@ func TestRepoHotPathsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []string{".", "internal/uprog", "internal/dram", "internal/ctrl", "internal/obs"} {
-		pkg, err := loader.Load(filepath.Join(root, dir))
+	dirs, err := lint.PackageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		pkg, err := loader.Load(dir)
+		if lint.IsNoGo(err) {
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}

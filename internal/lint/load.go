@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,6 +25,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader
 }
 
 // Loader parses and type-checks module-local packages from source.
@@ -38,6 +42,7 @@ type Loader struct {
 	std     types.Importer
 	cache   map[string]*Package
 	loading map[string]bool
+	usages  map[string]*usageIndex // testonly's index, per internal/ tree
 }
 
 // NewLoader builds a loader for the module rooted at modRoot (the
@@ -59,6 +64,7 @@ func NewLoader(modRoot string) (*Loader, error) {
 		std:     importer.ForCompiler(fset, "source", nil),
 		cache:   make(map[string]*Package),
 		loading: make(map[string]bool),
+		usages:  make(map[string]*usageIndex),
 	}, nil
 }
 
@@ -150,9 +156,38 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.cache[path] = p
 	return p, nil
+}
+
+// PackageDirs lists root and every directory below it that may hold a
+// package, skipping testdata (analyzer fixtures seed violations),
+// vendor and hidden directories. Nested modules are included.
+func PackageDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	return dirs, err
+}
+
+// IsNoGo reports whether a Load error only says the directory holds
+// no buildable Go files.
+func IsNoGo(err error) bool {
+	var noGo *build.NoGoError
+	return errors.As(err, &noGo)
 }
 
 // loaderImporter routes module-local import paths back into the

@@ -61,20 +61,3 @@ func foldBinary(d *Circuit, op func(...int) int, fanins []int, memo []int) int {
 	}
 	return acc
 }
-
-// OnlyAmbitGates reports whether the circuit uses only INPUT/CONST/NOT
-// and 2-input AND/OR gates.
-func OnlyAmbitGates(c *Circuit) bool {
-	for _, n := range c.Nodes {
-		switch n.Kind {
-		case KindInput, KindConst, KindNot:
-		case KindAnd, KindOr:
-			if len(n.Fanins) != 2 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}

@@ -9,6 +9,8 @@ import "fmt"
 // This mirrors SIMDRAM's execution model: every bit position of a word is
 // an independent SIMD lane, exactly as every bitline of a DRAM subarray is
 // an independent lane.
+//
+//simdram:testapi the functional model of a Step 1 circuit, which synthesis is checked against
 func (c *Circuit) EvalWords(inputs []uint64) []uint64 {
 	if len(inputs) != len(c.Inputs) {
 		panic(fmt.Sprintf("logic: EvalWords: want %d input words, have %d", len(c.Inputs), len(inputs)))
@@ -57,64 +59,6 @@ func (c *Circuit) EvalWords(inputs []uint64) []uint64 {
 	out := make([]uint64, len(c.Outputs))
 	for i, o := range c.Outputs {
 		out[i] = val[o]
-	}
-	return out
-}
-
-// EvalBits evaluates the circuit on a single assignment of boolean inputs.
-func (c *Circuit) EvalBits(inputs []bool) []bool {
-	words := make([]uint64, len(inputs))
-	for i, b := range inputs {
-		if b {
-			words[i] = 1
-		}
-	}
-	res := c.EvalWords(words)
-	out := make([]bool, len(res))
-	for i, w := range res {
-		out[i] = w&1 == 1
-	}
-	return out
-}
-
-// EvalUint treats the declared inputs as a sequence of little-endian buses
-// whose widths are given by widths, evaluates the circuit on the packed
-// values, and returns the outputs packed the same way using outWidths.
-// It is a convenience for testing word-level operators.
-func (c *Circuit) EvalUint(widths []int, values []uint64, outWidths []int) []uint64 {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	if total != len(c.Inputs) {
-		panic(fmt.Sprintf("logic: EvalUint: bus widths sum to %d, circuit has %d inputs", total, len(c.Inputs)))
-	}
-	if len(widths) != len(values) {
-		panic("logic: EvalUint: len(widths) != len(values)")
-	}
-	bits := make([]uint64, 0, total)
-	for i, w := range widths {
-		for b := 0; b < w; b++ {
-			bits = append(bits, (values[i]>>uint(b))&1*^uint64(0))
-		}
-	}
-	res := c.EvalWords(bits)
-	outTotal := 0
-	for _, w := range outWidths {
-		outTotal += w
-	}
-	if outTotal != len(c.Outputs) {
-		panic(fmt.Sprintf("logic: EvalUint: out widths sum to %d, circuit has %d outputs", outTotal, len(c.Outputs)))
-	}
-	out := make([]uint64, len(outWidths))
-	pos := 0
-	for i, w := range outWidths {
-		var v uint64
-		for b := 0; b < w; b++ {
-			v |= (res[pos] & 1) << uint(b)
-			pos++
-		}
-		out[i] = v
 	}
 	return out
 }

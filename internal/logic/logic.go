@@ -103,12 +103,6 @@ func New() *Circuit {
 	return &Circuit{hash: make(map[gateKey]int)}
 }
 
-// NumInputs returns the number of declared inputs.
-func (c *Circuit) NumInputs() int { return len(c.Inputs) }
-
-// NumOutputs returns the number of declared outputs.
-func (c *Circuit) NumOutputs() int { return len(c.Outputs) }
-
 // Input declares a new primary input and returns its node index.
 func (c *Circuit) Input(name string) int {
 	idx := len(c.Nodes)
@@ -420,17 +414,6 @@ func (c *Circuit) OutputBus(bus []int, name string) {
 	for i, n := range bus {
 		c.Output(n, fmt.Sprintf("%s[%d]", name, i))
 	}
-}
-
-// CountKind returns the number of nodes of the given kind.
-func (c *Circuit) CountKind(k Kind) int {
-	n := 0
-	for i := range c.Nodes {
-		if c.Nodes[i].Kind == k {
-			n++
-		}
-	}
-	return n
 }
 
 // GateCount returns the number of non-leaf nodes (gates).

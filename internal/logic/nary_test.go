@@ -1,12 +1,17 @@
-package logic
+package logic_test
 
-import "testing"
+import (
+	"testing"
+
+	"simdram/internal/logic"
+	"simdram/internal/testoracle"
+)
 
 // Tests for the n-ary (≥3 fanin) gate normalization, which keeps a single
 // wide gate so MIG lowering can use n-input templates.
 
 func TestNaryXorConstantFolding(t *testing.T) {
-	c := New()
+	c := logic.New()
 	a := c.Input("a")
 	b := c.Input("b")
 	one := c.Const(true)
@@ -14,7 +19,7 @@ func TestNaryXorConstantFolding(t *testing.T) {
 
 	// XOR(a,b,0) = XOR(a,b); XOR(a,b,1) = !XOR(a,b).
 	x := c.Xor(a, b, zero)
-	if c.Nodes[x].Kind != KindXor || len(c.Nodes[x].Fanins) != 2 {
+	if c.Nodes[x].Kind != logic.KindXor || len(c.Nodes[x].Fanins) != 2 {
 		t.Errorf("XOR(a,b,0) should fold to binary XOR, got %v/%d", c.Nodes[x].Kind, len(c.Nodes[x].Fanins))
 	}
 	nx := c.Xor(a, b, one)
@@ -28,7 +33,7 @@ func TestNaryXorConstantFolding(t *testing.T) {
 }
 
 func TestNaryXorDuplicateCancellation(t *testing.T) {
-	c := New()
+	c := logic.New()
 	a := c.Input("a")
 	b := c.Input("b")
 	if got := c.Xor(a, a, b); got != b {
@@ -44,7 +49,7 @@ func TestNaryXorDuplicateCancellation(t *testing.T) {
 }
 
 func TestNaryAndOrShortCircuit(t *testing.T) {
-	c := New()
+	c := logic.New()
 	a := c.Input("a")
 	b := c.Input("b")
 	d := c.Input("d")
@@ -54,7 +59,7 @@ func TestNaryAndOrShortCircuit(t *testing.T) {
 	if got := c.And(a, b, zero, d); got != zero {
 		t.Error("AND with a 0 fanin must fold to 0")
 	}
-	if got := c.And(a, b, one, d); c.Nodes[got].Kind != KindAnd || len(c.Nodes[got].Fanins) != 3 {
+	if got := c.And(a, b, one, d); c.Nodes[got].Kind != logic.KindAnd || len(c.Nodes[got].Fanins) != 3 {
 		t.Error("AND with a 1 fanin should drop it and stay 3-wide")
 	}
 	if got := c.Or(a, one, d); got != one {
@@ -66,14 +71,14 @@ func TestNaryAndOrShortCircuit(t *testing.T) {
 	if got := c.Or(a, b, c.Not(b)); got != one {
 		t.Error("OR(x, …, !x) must fold to 1")
 	}
-	if got := c.And(a, a, b); c.Nodes[got].Kind != KindAnd || len(c.Nodes[got].Fanins) != 2 {
+	if got := c.And(a, a, b); c.Nodes[got].Kind != logic.KindAnd || len(c.Nodes[got].Fanins) != 2 {
 		t.Error("AND(a,a,b) should dedup to AND(a,b)")
 	}
 }
 
 func TestNarySemanticsExhaustive(t *testing.T) {
 	// 4-input gates over all 16 assignments, against direct computation.
-	c := New()
+	c := logic.New()
 	in := make([]int, 4)
 	for i := range in {
 		in[i] = c.Input("x")
@@ -90,7 +95,7 @@ func TestNarySemanticsExhaustive(t *testing.T) {
 			orV = orV || bits[i]
 			xorV = xorV != bits[i]
 		}
-		out := c.EvalBits(bits)
+		out := testoracle.EvalBits(c.EvalWords, bits)
 		if out[0] != andV || out[1] != orV || out[2] != xorV {
 			t.Fatalf("assignment %04b: got %v want [%t %t %t]", v, out, andV, orV, xorV)
 		}

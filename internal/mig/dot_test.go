@@ -1,13 +1,15 @@
-package mig
+package mig_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"simdram/internal/mig"
 )
 
 func TestWriteDOT(t *testing.T) {
-	m := New(3)
+	m := mig.New(3)
 	a, b, c := m.Input(0), m.Input(1), m.Input(2)
 	m.SetInputName(0, "a")
 	x := m.Maj(a, b.Not(), c)

@@ -4,6 +4,8 @@ import "fmt"
 
 // EvalWords evaluates the MIG bit-parallel over 64 lanes. inputs[i] feeds
 // primary input i; the result has one word per output.
+//
+//simdram:testapi evaluates the unexported node list, the model MIG synthesis is checked against
 func (m *MIG) EvalWords(inputs []uint64) []uint64 {
 	if len(inputs) != m.numInputs {
 		panic(fmt.Sprintf("mig: EvalWords: want %d inputs, have %d", m.numInputs, len(inputs)))
@@ -31,20 +33,4 @@ func litWord(val []uint64, l Lit) uint64 {
 		return ^w
 	}
 	return w
-}
-
-// EvalBits evaluates the MIG on one boolean assignment.
-func (m *MIG) EvalBits(inputs []bool) []bool {
-	words := make([]uint64, len(inputs))
-	for i, b := range inputs {
-		if b {
-			words[i] = ^uint64(0)
-		}
-	}
-	res := m.EvalWords(words)
-	out := make([]bool, len(res))
-	for i, w := range res {
-		out[i] = w&1 == 1
-	}
-	return out
 }

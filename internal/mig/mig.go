@@ -118,9 +118,6 @@ func (m *MIG) Input(i int) Lit {
 // SetInputName attaches a debug name to input i.
 func (m *MIG) SetInputName(i int, name string) { m.inputNames[i] = name }
 
-// InputName returns the debug name of input i.
-func (m *MIG) InputName(i int) string { return m.inputNames[i] }
-
 // IsInput reports whether node idx is a primary input.
 func (m *MIG) IsInput(idx int) bool { return idx >= 1 && idx <= m.numInputs }
 
@@ -220,9 +217,6 @@ func (m *MIG) AddOutput(lit Lit, name string) {
 // Outputs returns the declared output literals.
 func (m *MIG) Outputs() []Lit { return m.outputs }
 
-// OutputName returns the name of output i.
-func (m *MIG) OutputName(i int) string { return m.outNames[i] }
-
 // Depth returns the number of MAJ levels on the longest path to an output.
 func (m *MIG) Depth() int {
 	depth := make([]int, len(m.nodes))
@@ -246,25 +240,6 @@ func (m *MIG) Depth() int {
 		}
 	}
 	return max
-}
-
-// NodeDepths returns per-node MAJ depth (leaves are 0).
-func (m *MIG) NodeDepths() []int {
-	depth := make([]int, len(m.nodes))
-	for i, n := range m.nodes {
-		if n.isLeaf() {
-			continue
-		}
-		d := depth[n.a.Node()]
-		if x := depth[n.b.Node()]; x > d {
-			d = x
-		}
-		if x := depth[n.c.Node()]; x > d {
-			d = x
-		}
-		depth[i] = d + 1
-	}
-	return depth
 }
 
 // FanoutCounts returns, for each node, how many MAJ fanins and outputs
@@ -370,35 +345,6 @@ func (m *MIG) Compact() int {
 
 func remapLit(l Lit, remap []int) Lit {
 	return MakeLit(remap[l.Node()], l.Neg())
-}
-
-// Validate checks structural invariants.
-func (m *MIG) Validate() error {
-	if len(m.nodes) == 0 || !m.nodes[0].isLeaf() {
-		return fmt.Errorf("mig: missing constant node")
-	}
-	for i, n := range m.nodes {
-		if i <= m.numInputs {
-			if !n.isLeaf() {
-				return fmt.Errorf("mig: node %d should be a leaf", i)
-			}
-			continue
-		}
-		if n.isLeaf() {
-			return fmt.Errorf("mig: node %d is an unexpected leaf", i)
-		}
-		for _, l := range [3]Lit{n.a, n.b, n.c} {
-			if l.Node() >= i {
-				return fmt.Errorf("mig: node %d references non-earlier node %d", i, l.Node())
-			}
-		}
-	}
-	for i, o := range m.outputs {
-		if o.Node() >= len(m.nodes) {
-			return fmt.Errorf("mig: output %d references missing node %d", i, o.Node())
-		}
-	}
-	return nil
 }
 
 // String summarizes the graph.

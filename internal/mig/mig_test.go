@@ -1,27 +1,29 @@
-package mig
+package mig_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"simdram/internal/logic"
+	"simdram/internal/mig"
+	"simdram/internal/testoracle"
 )
 
 func TestLitEncoding(t *testing.T) {
-	l := MakeLit(42, true)
+	l := mig.MakeLit(42, true)
 	if l.Node() != 42 || !l.Neg() {
 		t.Errorf("MakeLit(42,true) round trip failed: node=%d neg=%t", l.Node(), l.Neg())
 	}
 	if l.Not().Neg() {
 		t.Errorf("Not should clear complement")
 	}
-	if ConstTrue != ConstFalse.Not() {
+	if mig.ConstTrue != mig.ConstFalse.Not() {
 		t.Errorf("ConstTrue should be !ConstFalse")
 	}
 }
 
 func TestMajAxioms(t *testing.T) {
-	m := New(3)
+	m := mig.New(3)
 	a, b, c := m.Input(0), m.Input(1), m.Input(2)
 
 	if got := m.Maj(a, a, b); got != a {
@@ -46,14 +48,14 @@ func TestMajAxioms(t *testing.T) {
 }
 
 func TestAndOrXorTruthTables(t *testing.T) {
-	m := New(2)
+	m := mig.New(2)
 	a, b := m.Input(0), m.Input(1)
 	m.AddOutput(m.And(a, b), "and")
 	m.AddOutput(m.Or(a, b), "or")
 	m.AddOutput(m.Xor(a, b), "xor")
 	for av := 0; av < 2; av++ {
 		for bv := 0; bv < 2; bv++ {
-			out := m.EvalBits([]bool{av == 1, bv == 1})
+			out := testoracle.EvalBits(m.EvalWords, []bool{av == 1, bv == 1})
 			if out[0] != (av == 1 && bv == 1) {
 				t.Errorf("AND(%d,%d) wrong", av, bv)
 			}
@@ -68,7 +70,7 @@ func TestAndOrXorTruthTables(t *testing.T) {
 }
 
 func TestXor3FullAdderTemplate(t *testing.T) {
-	m := New(3)
+	m := mig.New(3)
 	a, b, c := m.Input(0), m.Input(1), m.Input(2)
 	sum := m.Xor3(a, b, c)
 	carry := m.Maj(a, b, c)
@@ -80,7 +82,7 @@ func TestXor3FullAdderTemplate(t *testing.T) {
 	}
 	for v := 0; v < 8; v++ {
 		av, bv, cv := v&1, (v>>1)&1, (v>>2)&1
-		out := m.EvalBits([]bool{av == 1, bv == 1, cv == 1})
+		out := testoracle.EvalBits(m.EvalWords, []bool{av == 1, bv == 1, cv == 1})
 		total := av + bv + cv
 		if out[0] != (total%2 == 1) || out[1] != (total >= 2) {
 			t.Errorf("full adder wrong at %d%d%d: %v", av, bv, cv, out)
@@ -99,20 +101,20 @@ func TestFromCircuitAdder(t *testing.T) {
 		carry = c.Maj(a[i], b[i], carry)
 	}
 	c.OutputBus(sum, "s")
-	m, err := FromCircuit(c)
+	m, err := mig.FromCircuit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstCircuit(m, c, 32, 1); err != nil {
+	if err := testoracle.VerifyAgainstCircuit(m, c, 32, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCompactRemovesDeadNodes(t *testing.T) {
-	m := New(3)
+	m := mig.New(3)
 	a, b, c := m.Input(0), m.Input(1), m.Input(2)
 	keep := m.Maj(a, b, c)
 	_ = m.And(a, b) // dead
@@ -131,20 +133,20 @@ func TestCompactRemovesDeadNodes(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Error(err)
 	}
-	out := m.EvalBits([]bool{true, true, false})
+	out := testoracle.EvalBits(m.EvalWords, []bool{true, true, false})
 	if !out[0] {
 		t.Error("semantics changed by Compact")
 	}
 }
 
 // buildRandomMIG constructs a random MIG over n inputs for property tests.
-func buildRandomMIG(rng *rand.Rand, nIn, nGates int) *MIG {
-	m := New(nIn)
-	lits := []Lit{ConstFalse, ConstTrue}
+func buildRandomMIG(rng *rand.Rand, nIn, nGates int) *mig.MIG {
+	m := mig.New(nIn)
+	lits := []mig.Lit{mig.ConstFalse, mig.ConstTrue}
 	for i := 0; i < nIn; i++ {
 		lits = append(lits, m.Input(i))
 	}
-	pick := func() Lit {
+	pick := func() mig.Lit {
 		l := lits[rng.Intn(len(lits))]
 		if rng.Intn(2) == 0 {
 			return l.Not()
@@ -165,15 +167,15 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
 		m := buildRandomMIG(rng, 2+rng.Intn(8), 5+rng.Intn(120))
-		ref := m.rebuild(nil) // snapshot semantics
-		stats := m.Optimize(DefaultOptimize())
+		ref := mig.Snapshot(m) // snapshot semantics
+		stats := m.Optimize(mig.DefaultOptimize())
 		if err := m.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid after optimize: %v", trial, err)
 		}
 		if stats.SizeAfter > stats.SizeBefore {
 			t.Fatalf("trial %d: optimize grew the graph %d → %d", trial, stats.SizeBefore, stats.SizeAfter)
 		}
-		if err := VerifyEquivalent(ref, m, 48, int64(trial)); err != nil {
+		if err := testoracle.VerifyEquivalent(ref, m, 48, int64(trial)); err != nil {
 			t.Fatalf("trial %d: optimize changed semantics: %v", trial, err)
 		}
 	}
@@ -181,17 +183,17 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 
 func TestOptimizeFindsDistributivity(t *testing.T) {
 	// MAJ(MAJ(x,y,u), MAJ(x,y,v), z) must shrink from 3 MAJ to 2.
-	m := New(5)
+	m := mig.New(5)
 	x, y, u, v, z := m.Input(0), m.Input(1), m.Input(2), m.Input(3), m.Input(4)
 	p := m.Maj(x, y, u)
 	q := m.Maj(x, y, v)
 	m.AddOutput(m.Maj(p, q, z), "out")
-	ref := m.rebuild(nil)
-	stats := m.Optimize(DefaultOptimize())
+	ref := mig.Snapshot(m)
+	stats := m.Optimize(mig.DefaultOptimize())
 	if stats.SizeAfter != 2 {
 		t.Errorf("distributivity: size = %d, want 2 (before=%d)", stats.SizeAfter, stats.SizeBefore)
 	}
-	if err := VerifyEquivalent(ref, m, 8, 3); err != nil {
+	if err := testoracle.VerifyEquivalent(ref, m, 8, 3); err != nil {
 		t.Error(err)
 	}
 }
@@ -199,16 +201,16 @@ func TestOptimizeFindsDistributivity(t *testing.T) {
 func TestOptimizeRelevanceFolds(t *testing.T) {
 	// MAJ(x, y, MAJ(x, v, w)): substituting x→!y inside cannot fold here,
 	// but MAJ(x, y, MAJ(x, !y, w)) folds the inner node to w.
-	m := New(3)
+	m := mig.New(3)
 	x, y, w := m.Input(0), m.Input(1), m.Input(2)
 	inner := m.Maj(x, y.Not(), w)
 	m.AddOutput(m.Maj(x, y, inner), "out")
-	ref := m.rebuild(nil)
-	stats := m.Optimize(DefaultOptimize())
+	ref := mig.Snapshot(m)
+	stats := m.Optimize(mig.DefaultOptimize())
 	if stats.SizeAfter >= stats.SizeBefore {
 		t.Errorf("relevance: expected shrink, got %d → %d", stats.SizeBefore, stats.SizeAfter)
 	}
-	if err := VerifyEquivalent(ref, m, 8, 4); err != nil {
+	if err := testoracle.VerifyEquivalent(ref, m, 8, 4); err != nil {
 		t.Error(err)
 	}
 }
@@ -228,39 +230,25 @@ func TestOptimizeReducesRealCircuits(t *testing.T) {
 		eq = c.And(eq, c.Not(c.Xor(a[i], b[i])))
 	}
 	c.Output(gt, "gt")
-	m, err := FromCircuit(c)
+	m, err := mig.FromCircuit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := m.Size()
-	m.Optimize(DefaultOptimize())
+	m.Optimize(mig.DefaultOptimize())
 	if m.Size() > before {
 		t.Errorf("optimizer grew comparator: %d → %d", before, m.Size())
 	}
-	if err := VerifyAgainstCircuit(m, c, 64, 7); err != nil {
+	if err := testoracle.VerifyAgainstCircuit(m, c, 64, 7); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestInverterCount(t *testing.T) {
-	m := New(2)
+	m := mig.New(2)
 	a, b := m.Input(0), m.Input(1)
-	m.AddOutput(m.Maj(a.Not(), b, ConstFalse), "x")
+	m.AddOutput(m.Maj(a.Not(), b, mig.ConstFalse), "x")
 	if got := m.InverterCount(); got != 1 {
 		t.Errorf("InverterCount = %d, want 1", got)
-	}
-}
-
-func TestValidateDetectsCorruption(t *testing.T) {
-	m := New(2)
-	a, b := m.Input(0), m.Input(1)
-	x := m.Maj(a, b, ConstTrue)
-	m.AddOutput(x, "x")
-	if err := m.Validate(); err != nil {
-		t.Fatalf("valid MIG rejected: %v", err)
-	}
-	m.nodes[x.Node()].a = MakeLit(x.Node(), false)
-	if err := m.Validate(); err == nil {
-		t.Error("self-referencing node must not validate")
 	}
 }

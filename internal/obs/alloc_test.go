@@ -21,7 +21,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Observe(12345)
 		c.Inc()
-		g.Add(1)
+		g.Set(1)
 	}); n != 0 {
 		t.Fatalf("metric updates allocate %v per run, want 0", n)
 	}

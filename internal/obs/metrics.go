@@ -96,13 +96,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add moves the gauge by delta (negative deltas allowed).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // Value returns the current level (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -117,9 +117,8 @@ func TestCounterGauge(t *testing.T) {
 	}
 	var g Gauge
 	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	if g.Value() != 7 {
+		t.Fatalf("gauge = %d, want 7", g.Value())
 	}
 	// nil receivers must be safe no-ops.
 	var nc *Counter
@@ -130,7 +129,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	var ng *Gauge
 	ng.Set(9)
-	ng.Add(1)
 	if ng.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
@@ -207,14 +205,14 @@ func TestTracerSampling(t *testing.T) {
 		t.Fatalf("sampling 0.5 over 100 jobs traced %d, want 50", sampled)
 	}
 	off := NewTracer(0, nil)
-	if off.Enabled() {
+	if off.everyN > 0 {
 		t.Fatal("sampling 0 must disable the tracer")
 	}
 	if off.Start() != nil {
 		t.Fatal("disabled tracer must return nil traces")
 	}
 	var nilTracer *Tracer
-	if nilTracer.Enabled() || nilTracer.Start() != nil {
+	if nilTracer.Start() != nil {
 		t.Fatal("nil tracer must be disabled")
 	}
 	nilTracer.Finish(nil)
@@ -311,12 +309,9 @@ func TestFlightRecorderRings(t *testing.T) {
 	if len(evs) != 2 || evs[0].Kind != "evict" || evs[1].Kind != "recompile" {
 		t.Fatalf("event ring wrong: %+v", evs)
 	}
-	if r.EventCount() != 3 {
-		t.Fatalf("EventCount = %d, want 3", r.EventCount())
-	}
 
 	r.Reset()
-	if len(r.Traces()) != 0 || len(r.Events()) != 0 || r.TraceCount() != 0 || r.EventCount() != 0 {
+	if len(r.Traces()) != 0 || len(r.Events()) != 0 || r.TraceCount() != 0 {
 		t.Fatal("Reset must clear rings and totals")
 	}
 

@@ -32,7 +32,6 @@ type FlightRecorder struct {
 	tTotal  uint64
 	events  []Event
 	eNext   int
-	eTotal  uint64
 	dropped uint64 // traces overwritten before being read
 }
 
@@ -77,7 +76,6 @@ func (r *FlightRecorder) Event(kind, detail string) {
 	defer r.mu.Unlock()
 	r.events[r.eNext] = Event{AtUnixNs: time.Now().UnixNano(), Kind: kind, Detail: detail}
 	r.eNext = (r.eNext + 1) % len(r.events)
-	r.eTotal++
 }
 
 // Eventf records an incident with a formatted detail string.
@@ -134,16 +132,6 @@ func (r *FlightRecorder) TraceCount() uint64 {
 	return r.tTotal
 }
 
-// EventCount returns the total number of events ever recorded.
-func (r *FlightRecorder) EventCount() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eTotal
-}
-
 // Depth returns the trace ring capacity.
 func (r *FlightRecorder) Depth() int {
 	if r == nil {
@@ -167,5 +155,5 @@ func (r *FlightRecorder) Reset() {
 		r.events[i] = Event{}
 	}
 	r.tNext, r.eNext = 0, 0
-	r.tTotal, r.eTotal, r.dropped = 0, 0, 0
+	r.tTotal, r.dropped = 0, 0
 }

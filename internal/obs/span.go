@@ -223,9 +223,6 @@ func NewTracer(sampling float64, rec *FlightRecorder) *Tracer {
 	return &Tracer{everyN: n, rec: rec}
 }
 
-// Enabled reports whether this tracer ever samples.
-func (t *Tracer) Enabled() bool { return t != nil && t.everyN > 0 }
-
 // Start returns a new trace for a job, or nil when the job is not
 // sampled (or the tracer is nil/disabled). The returned trace already
 // has its root "job" span open.

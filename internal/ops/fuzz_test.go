@@ -1,8 +1,10 @@
-package ops
+package ops_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"simdram/internal/ops"
 )
 
 // TestAllOpsAllWidthsFuzz sweeps every catalog operation across uneven
@@ -14,7 +16,7 @@ import (
 func TestAllOpsAllWidthsFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	widths := []int{1, 2, 3, 5, 7, 12, 13, 24, 33, 63, 64}
-	for _, d := range Catalog() {
+	for _, d := range ops.Catalog() {
 		for _, w := range widths {
 			if w == 1 && d.Signed {
 				continue // a 1-bit two's-complement value is degenerate
@@ -45,7 +47,7 @@ func TestAllOpsAllWidthsFuzz(t *testing.T) {
 // TestSignedComparisons pins the signed-extension semantics at the
 // boundaries where unsigned and signed orderings disagree.
 func TestSignedComparisons(t *testing.T) {
-	gt, err := ByName("greater_signed")
+	gt, err := ops.ByName("greater_signed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +74,11 @@ func TestSignedComparisons(t *testing.T) {
 			t.Errorf("circuit greater_signed(%#x,%#x) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
-	mx, _ := ByName("max_signed")
+	mx, _ := ops.ByName("max_signed")
 	if got := mx.Golden([]uint64{0xFF, 0x01}, 8); got != 0x01 {
 		t.Errorf("max_signed(-1, 1) = %#x, want 1", got)
 	}
-	mn, _ := ByName("min_signed")
+	mn, _ := ops.ByName("min_signed")
 	if got := mn.Golden([]uint64{0xFF, 0x01}, 8); got != 0xFF {
 		t.Errorf("min_signed(-1, 1) = %#x, want -1", got)
 	}
@@ -87,11 +89,11 @@ func TestSignedComparisons(t *testing.T) {
 func TestSignedOpsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, name := range []string{"greater_signed", "greater_equal_signed", "max_signed", "min_signed"} {
-		d, err := ByName(name)
+		d, err := ops.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := SynthesizeCached(d, 8, 0, VariantSIMDRAM)
+		s, err := ops.SynthesizeCached(d, 8, 0, ops.VariantSIMDRAM)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package ops
+package ops_test
 
 import (
 	"math"
@@ -8,6 +8,8 @@ import (
 	"simdram/internal/dram"
 	"simdram/internal/logic"
 	"simdram/internal/mig"
+	"simdram/internal/ops"
+	"simdram/internal/testoracle"
 	"simdram/internal/uprog"
 	"simdram/internal/vertical"
 )
@@ -16,39 +18,39 @@ const testN = 3 // operand count for N-ary reductions in tests
 
 // goldenArgs builds a random argument vector for a definition, masked to
 // each operand's width.
-func goldenArgs(rng *rand.Rand, d Def, w int) []uint64 {
+func goldenArgs(rng *rand.Rand, d ops.Def, w int) []uint64 {
 	widths := d.SourceWidths(w, testN)
 	args := make([]uint64, len(widths))
 	for i := range args {
-		args[i] = rng.Uint64() & widthMask(widths[i])
+		args[i] = rng.Uint64() & ops.WidthMask(widths[i])
 	}
 	return args
 }
 
 // evalCircuit packs args through the circuit and returns the result.
-func evalCircuit(c *logic.Circuit, d Def, w int, args []uint64) uint64 {
+func evalCircuit(c *logic.Circuit, d ops.Def, w int, args []uint64) uint64 {
 	widths := d.SourceWidths(w, len(args))
-	out := c.EvalUint(widths, args, []int{d.DstWidth(w)})
+	out := testoracle.EvalUint(c.EvalWords, widths, args, []int{d.DstWidth(w)})
 	return out[0]
 }
 
 func TestCatalogComplete(t *testing.T) {
-	if len(Catalog()) != int(numCodes) {
-		t.Fatalf("catalog has %d entries, want %d (every Code registered)", len(Catalog()), numCodes)
+	if len(ops.Catalog()) != int(ops.NumCodes) {
+		t.Fatalf("catalog has %d entries, want %d (every Code registered)", len(ops.Catalog()), ops.NumCodes)
 	}
-	if len(PaperSet()) != 16 {
-		t.Fatalf("paper set has %d ops, want 16", len(PaperSet()))
+	if len(ops.PaperSet()) != 16 {
+		t.Fatalf("paper set has %d ops, want 16", len(ops.PaperSet()))
 	}
 	names := map[string]bool{}
-	for _, d := range Catalog() {
+	for _, d := range ops.Catalog() {
 		if names[d.Name] {
 			t.Errorf("duplicate op name %q", d.Name)
 		}
 		names[d.Name] = true
-		if _, err := ByName(d.Name); err != nil {
+		if _, err := ops.ByName(d.Name); err != nil {
 			t.Errorf("ByName(%q): %v", d.Name, err)
 		}
-		if _, err := ByCode(d.Code); err != nil {
+		if _, err := ops.ByCode(d.Code); err != nil {
 			t.Errorf("ByCode(%v): %v", d.Code, err)
 		}
 	}
@@ -61,7 +63,7 @@ func TestCatalogComplete(t *testing.T) {
 			t.Errorf("paper operation %q missing from catalog", want)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
+	if _, err := ops.ByName("bogus"); err == nil {
 		t.Error("ByName must reject unknown names")
 	}
 }
@@ -70,7 +72,7 @@ func TestCatalogComplete(t *testing.T) {
 // golden model on random operands.
 func TestCircuitsMatchGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, d := range Catalog() {
+	for _, d := range ops.Catalog() {
 		for _, w := range []int{4, 8, 16} {
 			c, err := d.Build(w, testN)
 			if err != nil {
@@ -93,7 +95,7 @@ func TestCircuitsMatchGolden(t *testing.T) {
 
 // TestCircuitsExhaustiveSmall checks 2-operand ops exhaustively at 4 bits.
 func TestCircuitsExhaustiveSmall(t *testing.T) {
-	for _, d := range Catalog() {
+	for _, d := range ops.Catalog() {
 		if d.Arity != 2 {
 			continue
 		}
@@ -117,7 +119,7 @@ func TestCircuitsExhaustiveSmall(t *testing.T) {
 // TestMIGsPreserveCircuits checks the MAJ/NOT lowering and optimization
 // for every operation.
 func TestMIGsPreserveCircuits(t *testing.T) {
-	for _, d := range Catalog() {
+	for _, d := range ops.Catalog() {
 		w := 8
 		c, err := d.Build(w, testN)
 		if err != nil {
@@ -128,14 +130,14 @@ func TestMIGsPreserveCircuits(t *testing.T) {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
 		m.Optimize(mig.DefaultOptimize())
-		if err := mig.VerifyAgainstCircuit(m, c, 64, 13); err != nil {
+		if err := testoracle.VerifyAgainstCircuit(m, c, 64, 13); err != nil {
 			t.Fatalf("%s/8: optimized MIG wrong: %v", d.Name, err)
 		}
 	}
 }
 
 // runProgram executes a synthesized program on a test subarray.
-func runProgram(t *testing.T, s *Synthesized, operands [][]uint64) []uint64 {
+func runProgram(t *testing.T, s *ops.Synthesized, operands [][]uint64) []uint64 {
 	t.Helper()
 	cfg := dram.TestConfig()
 	sa := dram.NewSubarray(&cfg)
@@ -162,7 +164,7 @@ func runProgram(t *testing.T, s *Synthesized, operands [][]uint64) []uint64 {
 		}
 		base += w
 	}
-	if err := uprog.Run(s.Program, sa, bind); err != nil {
+	if err := testoracle.Run(s.Program, sa, bind); err != nil {
 		t.Fatalf("%s: %v", s.Program.Name, err)
 	}
 	dw := s.Program.DstWidth
@@ -182,14 +184,14 @@ func runProgram(t *testing.T, s *Synthesized, operands [][]uint64) []uint64 {
 // SIMDRAM flow, must compute bit-exactly in the DRAM model.
 func TestAllOpsEndToEndInDRAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, d := range Catalog() {
-		for _, variant := range []Variant{VariantSIMDRAM, VariantAmbit} {
+	for _, d := range ops.Catalog() {
+		for _, variant := range []ops.Variant{ops.VariantSIMDRAM, ops.VariantAmbit} {
 			w := 8
-			s, err := SynthesizeCached(d, w, testN, variant)
+			s, err := ops.SynthesizeCached(d, w, testN, variant)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", d.Name, variant, err)
 			}
-			if err := s.Program.Validate(dram.TestConfig()); err != nil {
+			if err := testoracle.CheckProgram(s.Program, dram.TestConfig()); err != nil {
 				t.Fatalf("%s/%v: invalid program: %v", d.Name, variant, err)
 			}
 			widths := d.SourceWidths(w, testN)
@@ -198,7 +200,7 @@ func TestAllOpsEndToEndInDRAM(t *testing.T) {
 			for k := range operands {
 				operands[k] = make([]uint64, n)
 				for i := range operands[k] {
-					operands[k][i] = rng.Uint64() & widthMask(widths[k])
+					operands[k][i] = rng.Uint64() & ops.WidthMask(widths[k])
 				}
 			}
 			got := runProgram(t, s, operands)
@@ -224,13 +226,13 @@ func TestAllOpsEndToEndInDRAM(t *testing.T) {
 func TestSIMDRAMBeatsAmbit(t *testing.T) {
 	tm := dram.DDR4_2400()
 	geo := 1.0
-	for _, d := range PaperSet() {
+	for _, d := range ops.PaperSet() {
 		w := 16
-		sd, err := SynthesizeCached(d, w, testN, VariantSIMDRAM)
+		sd, err := ops.SynthesizeCached(d, w, testN, ops.VariantSIMDRAM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		am, err := SynthesizeCached(d, w, testN, VariantAmbit)
+		am, err := ops.SynthesizeCached(d, w, testN, ops.VariantAmbit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +245,7 @@ func TestSIMDRAMBeatsAmbit(t *testing.T) {
 			t.Errorf("%s/16: SIMDRAM slower than Ambit (%.2f×)", d.Name, ratio)
 		}
 	}
-	geo = math.Pow(geo, 1.0/float64(len(PaperSet())))
+	geo = math.Pow(geo, 1.0/float64(len(ops.PaperSet())))
 	t.Logf("geomean speedup over Ambit: %.2f×", geo)
 	if geo < 1.3 {
 		t.Errorf("geomean speedup over Ambit = %.2f×, want ≥ 1.3× (paper ≈ 2×)", geo)
@@ -253,16 +255,16 @@ func TestSIMDRAMBeatsAmbit(t *testing.T) {
 // TestAblationVariants checks that each disabled optimization costs
 // commands on a representative op.
 func TestAblationVariants(t *testing.T) {
-	d, err := ByName("addition")
+	d, err := ops.ByName("addition")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := 16
-	full, err := SynthesizeCached(d, w, 0, VariantSIMDRAM)
+	full, err := ops.SynthesizeCached(d, w, 0, ops.VariantSIMDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noReuse, err := SynthesizeCached(d, w, 0, VariantNoReuse)
+	noReuse, err := ops.SynthesizeCached(d, w, 0, ops.VariantNoReuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestAblationVariants(t *testing.T) {
 }
 
 func TestReductionArity(t *testing.T) {
-	d, err := ByName("xor_red")
+	d, err := ops.ByName("xor_red")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,24 +284,24 @@ func TestReductionArity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.NumInputs() != 8*n {
-			t.Errorf("xor_red n=%d: %d inputs, want %d", n, c.NumInputs(), 8*n)
+		if len(c.Inputs) != 8*n {
+			t.Errorf("xor_red n=%d: %d inputs, want %d", n, len(c.Inputs), 8*n)
 		}
 	}
 	if _, err := d.Build(8, 1); err == nil {
 		t.Error("reduction with n=1 must error")
 	}
-	if _, err := Synthesize(d, 8, 1, VariantSIMDRAM); err == nil {
+	if _, err := ops.Synthesize(d, 8, 1, ops.VariantSIMDRAM); err == nil {
 		t.Error("Synthesize of reduction with n=1 must error")
 	}
 }
 
 func TestGoldenEdgeCases(t *testing.T) {
-	div, _ := ByName("division")
+	div, _ := ops.ByName("division")
 	if got := div.Golden([]uint64{5, 0}, 8); got != 0xFF {
 		t.Errorf("5/0 = %d, want 255 (hardware all-ones convention)", got)
 	}
-	abs, _ := ByName("abs")
+	abs, _ := ops.ByName("abs")
 	// Most negative value maps to itself (two's complement overflow).
 	if got := abs.Golden([]uint64{0x80}, 8); got != 0x80 {
 		t.Errorf("abs(-128) = %#x, want 0x80", got)
@@ -307,18 +309,18 @@ func TestGoldenEdgeCases(t *testing.T) {
 	if got := abs.Golden([]uint64{0xFF}, 8); got != 1 {
 		t.Errorf("abs(-1) = %d, want 1", got)
 	}
-	relu, _ := ByName("relu")
+	relu, _ := ops.ByName("relu")
 	if got := relu.Golden([]uint64{0x80}, 8); got != 0 {
 		t.Errorf("relu(-128) = %d, want 0", got)
 	}
 	if got := relu.Golden([]uint64{0x7F}, 8); got != 0x7F {
 		t.Errorf("relu(127) = %d, want 127", got)
 	}
-	bc, _ := ByName("bitcount")
+	bc, _ := ops.ByName("bitcount")
 	if got := bc.Golden([]uint64{0xFF}, 8); got != 8 {
 		t.Errorf("bitcount(0xFF) = %d, want 8", got)
 	}
-	ie, _ := ByName("if_else")
+	ie, _ := ops.ByName("if_else")
 	if got := ie.Golden([]uint64{3, 9, 1}, 8); got != 3 {
 		t.Errorf("if_else(3,9,sel=1) = %d, want 3", got)
 	}
@@ -330,7 +332,7 @@ func TestGoldenEdgeCases(t *testing.T) {
 func TestWidth64Golden(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, name := range []string{"addition", "subtraction", "max", "greater"} {
-		d, err := ByName(name)
+		d, err := ops.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +351,7 @@ func TestWidth64Golden(t *testing.T) {
 }
 
 func TestMulFullProduct(t *testing.T) {
-	d, _ := ByName("multiplication")
+	d, _ := ops.ByName("multiplication")
 	if d.DstWidth(8) != 16 || d.DstWidth(32) != 64 || d.DstWidth(64) != 64 {
 		t.Errorf("multiplication dst widths wrong: %d %d %d",
 			d.DstWidth(8), d.DstWidth(32), d.DstWidth(64))
@@ -365,12 +367,12 @@ func TestMulFullProduct(t *testing.T) {
 }
 
 func TestSynthesizeCachedReturnsSameObject(t *testing.T) {
-	d, _ := ByName("addition")
-	a, err := SynthesizeCached(d, 8, 0, VariantSIMDRAM)
+	d, _ := ops.ByName("addition")
+	a, err := ops.SynthesizeCached(d, 8, 0, ops.VariantSIMDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SynthesizeCached(d, 8, 0, VariantSIMDRAM)
+	b, err := ops.SynthesizeCached(d, 8, 0, ops.VariantSIMDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,14 +390,14 @@ func TestCostNsMemoized(t *testing.T) {
 	slow.TRAS *= 2
 	for pass := 0; pass < 2; pass++ {
 		for _, tm := range []dram.Timing{dram.DDR4_2400(), slow} {
-			for _, v := range []Variant{VariantSIMDRAM, VariantAmbit} {
+			for _, v := range []ops.Variant{ops.VariantSIMDRAM, ops.VariantAmbit} {
 				for _, w := range []int{4, 8, 16} {
-					for _, d := range Catalog() {
-						got, err := CostNs(d, w, testN, v, tm)
+					for _, d := range ops.Catalog() {
+						got, err := ops.CostNs(d, w, testN, v, tm)
 						if err != nil {
 							t.Fatal(err)
 						}
-						s, err := SynthesizeCached(d, w, testN, v)
+						s, err := ops.SynthesizeCached(d, w, testN, v)
 						if err != nil {
 							t.Fatal(err)
 						}

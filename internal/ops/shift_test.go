@@ -1,9 +1,11 @@
-package ops
+package ops_test
 
 import (
 	"testing"
 
 	"simdram/internal/dram"
+	"simdram/internal/ops"
+	"simdram/internal/testoracle"
 )
 
 func TestShiftCircuitsAreGateFree(t *testing.T) {
@@ -12,7 +14,7 @@ func TestShiftCircuitsAreGateFree(t *testing.T) {
 	// the paper's "shift by copying row j to row j+1".
 	for _, left := range []bool{true, false} {
 		for _, k := range []int{0, 1, 3, 8} {
-			c, err := BuildShift(8, k, left)
+			c, err := ops.BuildShift(8, k, left)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -21,20 +23,20 @@ func TestShiftCircuitsAreGateFree(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildShift(8, 9, true); err == nil {
+	if _, err := ops.BuildShift(8, 9, true); err == nil {
 		t.Error("shift distance beyond width must error")
 	}
-	if _, err := BuildShift(8, -1, true); err == nil {
+	if _, err := ops.BuildShift(8, -1, true); err == nil {
 		t.Error("negative shift must error")
 	}
 }
 
 func TestShiftProgramIsRowCopies(t *testing.T) {
-	d, err := ByName("shift_left")
+	d, err := ops.ByName("shift_left")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := SynthesizeCached(d, 16, 0, VariantSIMDRAM)
+	s, err := ops.SynthesizeCached(d, 16, 0, ops.VariantSIMDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +47,14 @@ func TestShiftProgramIsRowCopies(t *testing.T) {
 	if got := s.Program.NumAAP(); got != 16 {
 		t.Errorf("shift_left/16 uses %d AAPs, want 16", got)
 	}
-	if err := s.Program.Validate(dram.TestConfig()); err != nil {
+	if err := testoracle.CheckProgram(s.Program, dram.TestConfig()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestShiftGolden(t *testing.T) {
-	sl, _ := ByName("shift_left")
-	sr, _ := ByName("shift_right")
+	sl, _ := ops.ByName("shift_left")
+	sr, _ := ops.ByName("shift_right")
 	if got := sl.Golden([]uint64{0x81}, 8); got != 0x02 {
 		t.Errorf("0x81 << 1 = %#x, want 0x02", got)
 	}
@@ -65,12 +67,12 @@ func TestShiftDistancesExhaustive(t *testing.T) {
 	w := 6
 	for _, left := range []bool{true, false} {
 		for k := 0; k <= w; k++ {
-			c, err := BuildShift(w, k, left)
+			c, err := ops.BuildShift(w, k, left)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for v := uint64(0); v < 64; v++ {
-				got := c.EvalUint([]int{w}, []uint64{v}, []int{w})[0]
+				got := testoracle.EvalUint(c.EvalWords, []int{w}, []uint64{v}, []int{w})[0]
 				var want uint64
 				if left {
 					want = (v << uint(k)) & 0x3F

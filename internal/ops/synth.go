@@ -55,17 +55,9 @@ type Synthesized struct {
 	Program *uprog.Program
 }
 
-// StdRefs returns the conventional operand-major symbolic references for
-// arity operands of the given width and a dstWidth-bit destination.
-func StdRefs(arity, width, dstWidth int) (in, out []uprog.Ref) {
-	widths := make([]int, arity)
-	for i := range widths {
-		widths[i] = width
-	}
-	return RefsForWidths(widths, dstWidth)
-}
-
-// RefsForWidths is StdRefs with an explicit per-operand width list.
+// RefsForWidths returns the conventional operand-major symbolic
+// references for operands of the given widths and a dstWidth-bit
+// destination.
 func RefsForWidths(srcWidths []int, dstWidth int) (in, out []uprog.Ref) {
 	for op, w := range srcWidths {
 		for i := 0; i < w; i++ {

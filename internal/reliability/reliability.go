@@ -57,6 +57,8 @@ func (r Result) FailureRate() float64 {
 
 // OperationFailureRate lifts a per-TRA failure rate to a whole operation
 // with nTRA activations per lane: 1 - (1-p)^nTRA.
+//
+//simdram:testapi the paper's reliability analysis lifts per-TRA rates to whole operations
 func OperationFailureRate(perTRA float64, nTRA int) float64 {
 	ok := 1.0
 	for i := 0; i < nTRA; i++ {

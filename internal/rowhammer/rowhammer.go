@@ -22,10 +22,17 @@ import (
 
 // Thresholds for common DRAM generations: the minimum single-aggressor
 // activation count observed to flip a victim bit (Kim et al., ISCA 2020).
+// DDR4's is the one the rowhammer experiment and simdram-synth apply.
 const (
-	ThresholdDDR3  = 139_000
-	ThresholdDDR4  = 50_000
-	ThresholdLPDD4 = 20_000 // scaled nodes are markedly more vulnerable
+	// ThresholdDDR3 is the older, less vulnerable generation.
+	//
+	//simdram:testapi a row of the cited threshold table, kept beside the DDR4 value in use
+	ThresholdDDR3 = 139_000
+	ThresholdDDR4 = 50_000
+	// ThresholdLPDD4: scaled nodes are markedly more vulnerable.
+	//
+	//simdram:testapi a row of the cited threshold table, kept beside the DDR4 value in use
+	ThresholdLPDD4 = 20_000
 )
 
 // TREFWns is the DDR4 refresh window (64 ms) in nanoseconds.
@@ -161,6 +168,8 @@ func (r Report) Exceeds(threshold int64) bool {
 
 // VictimRows lists the symbolic rows whose physical neighbors need
 // protection (buffer rows or proactive refresh) at the given threshold.
+//
+//simdram:testapi the paper's RowHammer analysis: which rows a mitigation must protect
 func (r Report) VictimRows(threshold int64) []uprog.Ref {
 	var out []uprog.Ref
 	for _, rs := range r.Rows {

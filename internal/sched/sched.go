@@ -49,7 +49,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -1040,23 +1039,6 @@ func (s *Scheduler) Stats() Stats {
 	}
 	return st
 }
-
-// TierNames returns the declared tier names in a stable order —
-// convenience for demos and dashboards iterating Stats().Tiers.
-func (s *Scheduler) TierNames() []string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.tiers))
-	for name := range s.tiers {
-		names = append(names, name)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// Metrics returns the registry the scheduler publishes into (the one
-// from Config.Metrics, or the private fallback).
-func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
 
 // durationNs returns b−a in nanoseconds, clamped at zero — the
 // queue-era monotonic guard. Go's time.Time carries a monotonic

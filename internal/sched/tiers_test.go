@@ -330,8 +330,8 @@ func TestTierMergeQuantiles(t *testing.T) {
 	if !ok {
 		t.Fatalf("default tier missing from Stats: %+v", st.Tiers)
 	}
-	global := s.Metrics().Histogram("sched.run_ns").Snapshot()
-	globalQueue := s.Metrics().Histogram("sched.queue_ns").Snapshot()
+	global := s.metrics.Histogram("sched.run_ns").Snapshot()
+	globalQueue := s.metrics.Histogram("sched.queue_ns").Snapshot()
 	for _, q := range []float64{0.50, 0.99, 0.999} {
 		if got, want := tierRunQuantile(tier, q), global.Quantile(q); got != want {
 			t.Fatalf("tier run p%g = %d, global = %d — merge must be exact", q*100, got, want)

@@ -75,14 +75,6 @@ func (l *Log) Total() int64 {
 	return l.seq
 }
 
-// Reset clears stored events and the sequence counter.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = l.events[:0]
-	l.seq = 0
-}
-
 // WriteText renders the stored events, one command per line:
 //
 //	seq bank sub KIND rows…

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simdram/internal/dram"
+	"simdram/internal/testoracle"
 )
 
 func TestLogRecordsCommands(t *testing.T) {
@@ -14,10 +15,10 @@ func TestLogRecordsCommands(t *testing.T) {
 	l := NewLog(0)
 	l.Attach(sa, 1, 2)
 
-	sa.AAP(0, 1)
-	sa.AAP(2, sa.TRow(0), sa.TRow(1), sa.TRow(2))
-	sa.AP(sa.TRow(0), sa.TRow(1), sa.TRow(2))
-	sa.MajCopy(sa.TRow(0), sa.TRow(1), sa.TRow(2), 5)
+	testoracle.AAP(sa, 0, 1)
+	testoracle.AAP(sa, 2, tRow(cfg, 0), tRow(cfg, 1), tRow(cfg, 2))
+	testoracle.AP(sa, tRow(cfg, 0), tRow(cfg, 1), tRow(cfg, 2))
+	testoracle.MajCopy(sa, tRow(cfg, 0), tRow(cfg, 1), tRow(cfg, 2), 5)
 	sa.WriteRow(7, make([]uint64, cfg.WordsPerRow()))
 	sa.ReadRowInto(7, make([]uint64, cfg.WordsPerRow()))
 
@@ -56,17 +57,13 @@ func TestLogLimitAndTotal(t *testing.T) {
 	l := NewLog(3)
 	l.Attach(sa, 0, 0)
 	for i := 0; i < 10; i++ {
-		sa.AAP(0, 1)
+		testoracle.AAP(sa, 0, 1)
 	}
 	if got := len(l.Events()); got != 3 {
 		t.Errorf("stored %d events, want 3 (limit)", got)
 	}
 	if l.Total() != 10 {
 		t.Errorf("total %d, want 10", l.Total())
-	}
-	l.Reset()
-	if l.Total() != 0 || len(l.Events()) != 0 {
-		t.Error("reset left residue")
 	}
 }
 
@@ -75,17 +72,17 @@ func TestActivationHistogram(t *testing.T) {
 	sa := dram.NewSubarray(&cfg)
 	l := NewLog(0)
 	l.Attach(sa, 0, 0)
-	sa.AAP(4, sa.TRow(0))
-	sa.AAP(5, sa.TRow(1))
-	sa.AAP(6, sa.TRow(2))
-	sa.AP(sa.TRow(0), sa.TRow(1), sa.TRow(2))
+	testoracle.AAP(sa, 4, tRow(cfg, 0))
+	testoracle.AAP(sa, 5, tRow(cfg, 1))
+	testoracle.AAP(sa, 6, tRow(cfg, 2))
+	testoracle.AP(sa, tRow(cfg, 0), tRow(cfg, 1), tRow(cfg, 2))
 	hist := l.ActivationHistogram()
 	if hist[4] != 1 || hist[5] != 1 || hist[6] != 1 {
 		t.Errorf("source activations wrong: %v", hist)
 	}
 	for i := 0; i < 3; i++ {
-		if hist[sa.TRow(i)] != 2 { // one as AAP dst, one in the TRA
-			t.Errorf("T%d activations = %d, want 2", i, hist[sa.TRow(i)])
+		if hist[tRow(cfg, i)] != 2 { // one as AAP dst, one in the TRA
+			t.Errorf("T%d activations = %d, want 2", i, hist[tRow(cfg, i)])
 		}
 	}
 }
@@ -105,8 +102,8 @@ func TestAttachComposesWithExistingHook(t *testing.T) {
 	var after int
 	sa.AddCommandHook(func(dram.Command) { after++ })
 
-	sa.AAP(0, 1)
-	sa.AP(sa.TRow(0), sa.TRow(1), sa.TRow(2))
+	testoracle.AAP(sa, 0, 1)
+	testoracle.AP(sa, tRow(cfg, 0), tRow(cfg, 1), tRow(cfg, 2))
 
 	if before != 2 {
 		t.Errorf("pre-existing hook saw %d commands, want 2", before)
@@ -117,4 +114,10 @@ func TestAttachComposesWithExistingHook(t *testing.T) {
 	if got := l.Total(); got != 2 {
 		t.Errorf("log recorded %d commands, want 2", got)
 	}
+}
+
+// tRow returns the physical row of T row i.
+func tRow(cfg dram.Config, i int) int {
+	row, _ := cfg.RowMap().TRow(i)
+	return int(row)
 }

@@ -1,4 +1,4 @@
-package uprog
+package uprog_test
 
 import (
 	"math/rand"
@@ -7,6 +7,8 @@ import (
 	"simdram/internal/dram"
 	"simdram/internal/logic"
 	"simdram/internal/mig"
+	"simdram/internal/testoracle"
+	"simdram/internal/uprog"
 	"simdram/internal/vertical"
 )
 
@@ -66,29 +68,29 @@ func TestCodegenConfigMatrix(t *testing.T) {
 		if trial%2 == 0 {
 			m.Optimize(mig.DefaultOptimize())
 		}
-		var in []Ref
+		var in []uprog.Ref
 		for op := 0; op < nOps; op++ {
 			for i := 0; i < width; i++ {
-				in = append(in, Ref{Space: SpaceSrc, Op: op, Idx: i})
+				in = append(in, uprog.Ref{Space: uprog.SpaceSrc, Op: op, Idx: i})
 			}
 		}
-		var out []Ref
+		var out []uprog.Ref
 		for i := 0; i < width; i++ {
-			out = append(out, Ref{Space: SpaceDst, Idx: i})
+			out = append(out, uprog.Ref{Space: uprog.SpaceDst, Idx: i})
 		}
 
 		for _, geo := range geometries {
-			opts := CodegenOptions{
+			opts := uprog.CodegenOptions{
 				Name:        "fuzz",
 				NumTRows:    geo.tRows,
 				NumDCCPairs: geo.dccPairs,
 				ReuseRows:   trial%3 != 0, // exercise the naive path too
 			}
-			p, err := Generate(m, in, out, opts)
+			p, err := uprog.Generate(m, in, out, opts)
 			if err != nil {
 				t.Fatalf("trial %d geo %+v: %v", trial, geo, err)
 			}
-			OptimizeProgram(p)
+			uprog.OptimizeProgram(p)
 
 			cfg := dram.TestConfig()
 			cfg.NumTRows = geo.tRows
@@ -96,13 +98,13 @@ func TestCodegenConfigMatrix(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Validate(cfg); err != nil {
+			if err := testoracle.CheckProgram(p, cfg); err != nil {
 				t.Fatalf("trial %d geo %+v: invalid program: %v", trial, geo, err)
 			}
 			sa := dram.NewSubarray(&cfg)
 			n := 64
 			vals := make([][]uint64, nOps)
-			bind := Binding{DstBase: nOps * width, ScratchBase: cfg.DataRows() - p.NumScratch}
+			bind := uprog.Binding{DstBase: nOps * width, ScratchBase: cfg.DataRows() - p.NumScratch}
 			for op := 0; op < nOps; op++ {
 				vals[op] = make([]uint64, n)
 				for i := range vals[op] {
@@ -118,7 +120,7 @@ func TestCodegenConfigMatrix(t *testing.T) {
 					sa.Poke(base+i, rows[i])
 				}
 			}
-			if err := Run(p, sa, bind); err != nil {
+			if err := testoracle.Run(p, sa, bind); err != nil {
 				t.Fatalf("trial %d geo %+v: %v", trial, geo, err)
 			}
 			dstRows := make([][]uint64, width)
@@ -136,7 +138,7 @@ func TestCodegenConfigMatrix(t *testing.T) {
 						bits[op*width+i] = (vals[op][lane]>>uint(i))&1 == 1
 					}
 				}
-				wantBits := m.EvalBits(bits)
+				wantBits := testoracle.EvalBits(m.EvalWords, bits)
 				var want uint64
 				for i, wb := range wantBits {
 					if wb {

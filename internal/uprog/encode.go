@@ -24,6 +24,8 @@ var magic = [4]byte{'S', 'D', 0xCE, 0xBC} // "SD" + UTF-8 μ
 const encodeVersion = 1
 
 // Encode serializes the program.
+//
+//simdram:testapi the μProgram wire format of the paper's program store, round-tripped in tests
 func (p *Program) Encode() ([]byte, error) {
 	if len(p.Name) > 255 {
 		return nil, fmt.Errorf("uprog: program name too long (%d bytes)", len(p.Name))
@@ -157,6 +159,8 @@ func (d *decoder) ref() (Ref, error) {
 }
 
 // DecodeProgram deserializes a program encoded by Encode.
+//
+//simdram:testapi the μProgram wire format of the paper's program store, round-tripped in tests
 func DecodeProgram(b []byte) (*Program, error) {
 	d := &decoder{b: b}
 	if len(b) < 4 || !bytes.Equal(b[:4], magic[:]) {
@@ -262,14 +266,4 @@ func (d *decoder) dsts() ([]Ref, error) {
 		}
 	}
 	return out, nil
-}
-
-// EncodedSize returns the size in bytes the program occupies in the
-// control unit's program store.
-func (p *Program) EncodedSize() int {
-	b, err := p.Encode()
-	if err != nil {
-		return 0
-	}
-	return len(b)
 }

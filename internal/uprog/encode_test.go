@@ -1,26 +1,27 @@
-package uprog
+package uprog_test
 
 import (
 	"testing"
 
 	"simdram/internal/logic"
 	"simdram/internal/mig"
+	"simdram/internal/uprog"
 )
 
-func encodeRoundTrip(t *testing.T, p *Program) *Program {
+func encodeRoundTrip(t *testing.T, p *uprog.Program) *uprog.Program {
 	t.Helper()
 	b, err := p.Encode()
 	if err != nil {
 		t.Fatalf("%s: encode: %v", p.Name, err)
 	}
-	q, err := DecodeProgram(b)
+	q, err := uprog.DecodeProgram(b)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", p.Name, err)
 	}
 	return q
 }
 
-func programsEqual(a, b *Program) bool {
+func programsEqual(a, b *uprog.Program) bool {
 	if a.Name != b.Name || a.Width != b.Width || a.DstWidth != b.DstWidth ||
 		a.NumSrc != b.NumSrc || a.NumScratch != b.NumScratch || len(a.Ops) != len(b.Ops) {
 		return false
@@ -47,16 +48,13 @@ func programsEqual(a, b *Program) bool {
 func TestEncodeDecodeAdder(t *testing.T) {
 	m := buildAdderMIG(t, 8)
 	in, out := stdRefs(8, 8)
-	p, err := Generate(m, in, out, DefaultCodegen("add8"))
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add8"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := encodeRoundTrip(t, p)
 	if !programsEqual(p, q) {
 		t.Fatal("round trip changed the program")
-	}
-	if p.EncodedSize() == 0 {
-		t.Fatal("EncodedSize must be positive")
 	}
 }
 
@@ -70,15 +68,15 @@ func TestEncodeDecodeAmbitVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []Ref{{Space: SpaceSrc, Op: 0, Idx: 0}, {Space: SpaceSrc, Op: 1, Idx: 0}}
-	out := []Ref{{Space: SpaceDst, Idx: 0}}
-	p, err := GenerateAmbit(m, in, out, "and1")
+	in := []uprog.Ref{{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, {Space: uprog.SpaceSrc, Op: 1, Idx: 0}}
+	out := []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}
+	p, err := uprog.GenerateAmbit(m, in, out, "and1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	hasMajCopy := false
 	for _, op := range p.Ops {
-		if op.Kind == OpMajCopy {
+		if op.Kind == uprog.OpMajCopy {
 			hasMajCopy = true
 		}
 	}
@@ -97,7 +95,7 @@ func TestEncodeDecodeAmbitVariant(t *testing.T) {
 func TestDecodedProgramExecutes(t *testing.T) {
 	m := buildAdderMIG(t, 8)
 	in, out := stdRefs(8, 8)
-	p, err := Generate(m, in, out, DefaultCodegen("add8"))
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add8"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestDecodedProgramExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := DecodeProgram(blob)
+	q, err := uprog.DecodeProgram(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestDecodedProgramExecutes(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	m := buildAdderMIG(t, 4)
 	in, out := stdRefs(4, 4)
-	p, err := Generate(m, in, out, DefaultCodegen("add4"))
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +129,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeProgram(b[:len(b)-3]); err == nil {
+	if _, err := uprog.DecodeProgram(b[:len(b)-3]); err == nil {
 		t.Error("truncated program must be rejected")
 	}
-	if _, err := DecodeProgram(append([]byte{}, b[1:]...)); err == nil {
+	if _, err := uprog.DecodeProgram(append([]byte{}, b[1:]...)); err == nil {
 		t.Error("bad magic must be rejected")
 	}
 	bad := append([]byte{}, b...)
 	bad[4] = 99 // version
-	if _, err := DecodeProgram(bad); err == nil {
+	if _, err := uprog.DecodeProgram(bad); err == nil {
 		t.Error("bad version must be rejected")
 	}
-	if _, err := DecodeProgram(append(b, 0)); err == nil {
+	if _, err := uprog.DecodeProgram(append(b, 0)); err == nil {
 		t.Error("trailing bytes must be rejected")
 	}
 }

@@ -186,103 +186,6 @@ func (p *Program) EnergyPJ(e dram.Energy) float64 {
 	return total
 }
 
-// Validate checks internal consistency against a device configuration.
-func (p *Program) Validate(cfg dram.Config) error {
-	if p.Width < 1 || p.Width > 64 {
-		return fmt.Errorf("uprog: width %d out of range", p.Width)
-	}
-	for i, op := range p.Ops {
-		switch op.Kind {
-		case OpAAP:
-			if len(op.Dsts) < 1 || len(op.Dsts) > 3 {
-				return fmt.Errorf("uprog: op %d: AAP with %d destinations", i, len(op.Dsts))
-			}
-			if err := p.checkRef(op.Src, cfg, true); err != nil {
-				return fmt.Errorf("uprog: op %d src: %w", i, err)
-			}
-			for _, d := range op.Dsts {
-				if err := p.checkRef(d, cfg, false); err != nil {
-					return fmt.Errorf("uprog: op %d dst: %w", i, err)
-				}
-				if d.Space == SpaceSrc {
-					return fmt.Errorf("uprog: op %d writes a source operand row", i)
-				}
-				if d.Space == SpaceC0 || d.Space == SpaceC1 {
-					return fmt.Errorf("uprog: op %d writes a control row", i)
-				}
-			}
-		case OpAP, OpMajCopy:
-			seen := map[int]bool{}
-			for _, tr := range op.T {
-				if tr < 0 || tr >= cfg.NumTRows {
-					return fmt.Errorf("uprog: op %d: T row %d out of range", i, tr)
-				}
-				if seen[tr] {
-					return fmt.Errorf("uprog: op %d: duplicate T row %d", i, tr)
-				}
-				seen[tr] = true
-			}
-			if op.Kind == OpMajCopy {
-				if len(op.Dsts) < 1 || len(op.Dsts) > 3 {
-					return fmt.Errorf("uprog: op %d: MajCopy with %d destinations", i, len(op.Dsts))
-				}
-				for _, d := range op.Dsts {
-					if err := p.checkRef(d, cfg, false); err != nil {
-						return fmt.Errorf("uprog: op %d dst: %w", i, err)
-					}
-					if d.Space == SpaceSrc || d.Space == SpaceC0 || d.Space == SpaceC1 {
-						return fmt.Errorf("uprog: op %d writes a read-only row", i)
-					}
-				}
-			}
-		default:
-			return fmt.Errorf("uprog: op %d: unknown kind %d", i, op.Kind)
-		}
-	}
-	return nil
-}
-
-func (p *Program) checkRef(r Ref, cfg dram.Config, isSrc bool) error {
-	switch r.Space {
-	case SpaceSrc:
-		if r.Op < 0 || r.Op >= p.NumSrc {
-			return fmt.Errorf("operand %d out of range [0,%d)", r.Op, p.NumSrc)
-		}
-		if r.Idx < 0 || r.Idx >= p.SrcWidth(r.Op) {
-			return fmt.Errorf("source bit %d out of range [0,%d)", r.Idx, p.SrcWidth(r.Op))
-		}
-	case SpaceDst:
-		if r.Idx < 0 || r.Idx >= p.DstWidth {
-			return fmt.Errorf("destination bit %d out of range [0,%d)", r.Idx, p.DstWidth)
-		}
-	case SpaceScratch:
-		if r.Idx < 0 || r.Idx >= p.NumScratch {
-			return fmt.Errorf("scratch row %d out of range [0,%d)", r.Idx, p.NumScratch)
-		}
-	case SpaceT:
-		if r.Idx < 0 || r.Idx >= cfg.NumTRows {
-			return fmt.Errorf("T row %d out of range [0,%d)", r.Idx, cfg.NumTRows)
-		}
-	case SpaceDCC, SpaceDCCN:
-		if r.Idx < 0 || r.Idx >= cfg.NumDCCPairs {
-			return fmt.Errorf("DCC pair %d out of range [0,%d)", r.Idx, cfg.NumDCCPairs)
-		}
-	case SpaceC0, SpaceC1:
-		if !isSrc {
-			return fmt.Errorf("control row used as destination")
-		}
-	default:
-		return fmt.Errorf("unknown space %d", r.Space)
-	}
-	return nil
-}
-
-// RowsNeeded returns the number of data rows the program needs beyond the
-// compute region: operand bits, destination bits, and scratch.
-func (p *Program) RowsNeeded() int {
-	return p.NumSrc*p.Width + p.DstWidth + p.NumScratch
-}
-
 // String renders a human-readable listing.
 func (p *Program) String() string {
 	var sb strings.Builder

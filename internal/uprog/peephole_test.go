@@ -1,22 +1,24 @@
-package uprog
+package uprog_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"simdram/internal/dram"
+	"simdram/internal/testoracle"
+	"simdram/internal/uprog"
 )
 
 func TestDeadScratchWriteRemoved(t *testing.T) {
-	p := &Program{Name: "x", Width: 2, NumSrc: 1, DstWidth: 1, NumScratch: 2}
-	p.Ops = []MicroOp{
+	p := &uprog.Program{Name: "x", Width: 2, NumSrc: 1, DstWidth: 1, NumScratch: 2}
+	p.Ops = []uprog.MicroOp{
 		// Dead spill: written, never read.
-		{Kind: OpAAP, Src: Ref{Space: SpaceSrc, Op: 0, Idx: 0}, Dsts: []Ref{{Space: SpaceScratch, Idx: 0}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 0}}},
 		// Live spill: read below.
-		{Kind: OpAAP, Src: Ref{Space: SpaceSrc, Op: 0, Idx: 1}, Dsts: []Ref{{Space: SpaceScratch, Idx: 1}}},
-		{Kind: OpAAP, Src: Ref{Space: SpaceScratch, Idx: 1}, Dsts: []Ref{{Space: SpaceDst, Idx: 0}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceSrc, Op: 0, Idx: 1}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 1}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceScratch, Idx: 1}, Dsts: []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}},
 	}
-	removed := OptimizeProgram(p)
+	removed := uprog.OptimizeProgram(p)
 	if removed != 1 {
 		t.Fatalf("removed %d ops, want 1", removed)
 	}
@@ -30,13 +32,13 @@ func TestDeadScratchWriteRemoved(t *testing.T) {
 
 func TestDeadChainRemovedTransitively(t *testing.T) {
 	// scratch0 feeds scratch1 which feeds nothing: both must go.
-	p := &Program{Name: "x", Width: 1, NumSrc: 1, DstWidth: 1, NumScratch: 2}
-	p.Ops = []MicroOp{
-		{Kind: OpAAP, Src: Ref{Space: SpaceSrc, Op: 0, Idx: 0}, Dsts: []Ref{{Space: SpaceScratch, Idx: 0}}},
-		{Kind: OpAAP, Src: Ref{Space: SpaceScratch, Idx: 0}, Dsts: []Ref{{Space: SpaceScratch, Idx: 1}}},
-		{Kind: OpAAP, Src: Ref{Space: SpaceSrc, Op: 0, Idx: 0}, Dsts: []Ref{{Space: SpaceDst, Idx: 0}}},
+	p := &uprog.Program{Name: "x", Width: 1, NumSrc: 1, DstWidth: 1, NumScratch: 2}
+	p.Ops = []uprog.MicroOp{
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 0}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceScratch, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 1}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}},
 	}
-	if removed := OptimizeProgram(p); removed != 2 {
+	if removed := uprog.OptimizeProgram(p); removed != 2 {
 		t.Fatalf("removed %d ops, want 2 (transitive)", removed)
 	}
 }
@@ -44,13 +46,13 @@ func TestDeadChainRemovedTransitively(t *testing.T) {
 func TestOverwrittenSpillIsDead(t *testing.T) {
 	// scratch0 written, overwritten without a read, then read: the first
 	// write is dead, the second is live.
-	p := &Program{Name: "x", Width: 2, NumSrc: 1, DstWidth: 1, NumScratch: 1}
-	p.Ops = []MicroOp{
-		{Kind: OpAAP, Src: Ref{Space: SpaceSrc, Op: 0, Idx: 0}, Dsts: []Ref{{Space: SpaceScratch, Idx: 0}}},
-		{Kind: OpAAP, Src: Ref{Space: SpaceSrc, Op: 0, Idx: 1}, Dsts: []Ref{{Space: SpaceScratch, Idx: 0}}},
-		{Kind: OpAAP, Src: Ref{Space: SpaceScratch, Idx: 0}, Dsts: []Ref{{Space: SpaceDst, Idx: 0}}},
+	p := &uprog.Program{Name: "x", Width: 2, NumSrc: 1, DstWidth: 1, NumScratch: 1}
+	p.Ops = []uprog.MicroOp{
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 0}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceSrc, Op: 0, Idx: 1}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 0}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceScratch, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}},
 	}
-	if removed := OptimizeProgram(p); removed != 1 {
+	if removed := uprog.OptimizeProgram(p); removed != 1 {
 		t.Fatalf("removed %d ops, want 1", removed)
 	}
 	if p.Ops[0].Src.Idx != 1 {
@@ -59,13 +61,13 @@ func TestOverwrittenSpillIsDead(t *testing.T) {
 }
 
 func TestMajCopyWithDeadScratchBecomesAP(t *testing.T) {
-	p := &Program{Name: "x", Width: 1, NumSrc: 1, DstWidth: 1, NumScratch: 1}
-	p.Ops = []MicroOp{
-		{Kind: OpMajCopy, T: [3]int{0, 1, 2}, Dsts: []Ref{{Space: SpaceScratch, Idx: 0}}},
-		{Kind: OpAAP, Src: Ref{Space: SpaceT, Idx: 0}, Dsts: []Ref{{Space: SpaceDst, Idx: 0}}},
+	p := &uprog.Program{Name: "x", Width: 1, NumSrc: 1, DstWidth: 1, NumScratch: 1}
+	p.Ops = []uprog.MicroOp{
+		{Kind: uprog.OpMajCopy, T: [3]int{0, 1, 2}, Dsts: []uprog.Ref{{Space: uprog.SpaceScratch, Idx: 0}}},
+		{Kind: uprog.OpAAP, Src: uprog.Ref{Space: uprog.SpaceT, Idx: 0}, Dsts: []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}},
 	}
-	OptimizeProgram(p)
-	if p.Ops[0].Kind != OpAP {
+	uprog.OptimizeProgram(p)
+	if p.Ops[0].Kind != uprog.OpAP {
 		t.Errorf("MajCopy with dead destination should fall back to AP, got %v", p.Ops[0].Kind)
 	}
 }
@@ -75,15 +77,15 @@ func TestMajCopyWithDeadScratchBecomesAP(t *testing.T) {
 func TestPeepholePreservesSemantics(t *testing.T) {
 	m := buildAdderMIG(t, 12)
 	in, out := stdRefs(12, 12)
-	raw, err := Generate(m, in, out, DefaultCodegen("add12"))
+	raw, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add12"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Generate(m, in, out, DefaultCodegen("add12"))
+	opt, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add12"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	OptimizeProgram(opt)
+	uprog.OptimizeProgram(opt)
 	if len(opt.Ops) > len(raw.Ops) {
 		t.Fatal("peephole grew the program")
 	}
@@ -101,7 +103,7 @@ func TestPeepholePreservesSemantics(t *testing.T) {
 			t.Fatalf("lane %d: raw %d optimized %d", i, g1[i], g2[i])
 		}
 	}
-	if err := opt.Validate(dram.TestConfig()); err != nil {
+	if err := testoracle.CheckProgram(opt, dram.TestConfig()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -96,12 +96,13 @@ func flatten(mop *MicroOp, op *dram.Op, rm *dram.RowMap, row func(Ref, *dram.Row
 // RunResolved executes a resolved command stream on one subarray. All
 // validation and lowering happened in Resolve, so the plan goes straight
 // to the subarray's command kernel; it issues exactly the same DRAM command
-// sequence, row contents, Stats and trace as the interpretive Run under
-// the stream's binding (pinned by the differential tests). Running a
-// stream on a subarray of another geometry panics.
+// sequence, row contents, Stats and trace as running the program one
+// command at a time under the stream's binding (pinned by the
+// differential tests against internal/testoracle). Running a stream on
+// a subarray of another geometry panics.
 //
-// Reentrancy matches Run: concurrent calls on distinct subarrays are
-// safe; two concurrent runs on the same subarray race.
+// Concurrent calls on distinct subarrays are safe; two concurrent runs
+// on the same subarray race.
 //
 //simdram:zeroalloc
 func RunResolved(sa *dram.Subarray, st *ResolvedStream) {

@@ -14,6 +14,7 @@ import (
 	"simdram/internal/dram"
 	"simdram/internal/ops"
 	"simdram/internal/raceflag"
+	"simdram/internal/testoracle"
 	"simdram/internal/uprog"
 )
 
@@ -62,8 +63,9 @@ func catalogPrograms(t *testing.T, cfg dram.Config) map[string]*uprog.Program {
 			if err != nil {
 				t.Fatalf("%s (variant %v): %v", d.Name, variant, err)
 			}
-			if s.Program.RowsNeeded() > cfg.DataRows() {
-				t.Fatalf("%s: needs %d rows, test geometry has %d", d.Name, s.Program.RowsNeeded(), cfg.DataRows())
+			p := s.Program
+			if rows := p.NumSrc*p.Width + p.DstWidth + p.NumScratch; rows > cfg.DataRows() {
+				t.Fatalf("%s: needs %d rows, test geometry has %d", d.Name, rows, cfg.DataRows())
 			}
 			progs[d.Name+"/"+s.Program.Name] = s.Program
 		}
@@ -84,7 +86,7 @@ func TestResolvedMatchesInterpretiveAllCatalogOps(t *testing.T) {
 		saI.OnCommand = func(c dram.Command) { traceI = append(traceI, c) }
 		saR.OnCommand = func(c dram.Command) { traceR = append(traceR, c) }
 
-		if err := uprog.Run(p, saI, b); err != nil {
+		if err := testoracle.Run(p, saI, b); err != nil {
 			t.Fatalf("%s: interpretive run: %v", name, err)
 		}
 		st, err := uprog.Resolve(p, b, cfg)
@@ -190,7 +192,7 @@ func interpretiveRunFails(p *uprog.Program, b uprog.Binding, cfg dram.Config) (f
 			failed = true
 		}
 	}()
-	return uprog.Run(p, dram.NewSubarray(&cfg), b) != nil
+	return testoracle.Run(p, dram.NewSubarray(&cfg), b) != nil
 }
 
 // TestValidateOverlapKinds pins the typed-region overlap rules: only
@@ -211,7 +213,7 @@ func TestValidateOverlapKinds(t *testing.T) {
 		{"disjoint", uprog.Binding{SrcBase: []int{0, 8}, DstBase: 16, ScratchBase: 32}, true},
 	}
 	for _, tc := range cases {
-		err := tc.b.Validate(p, cfg)
+		_, err := uprog.Resolve(p, tc.b, cfg)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error: %v", tc.name, err)
 		}
@@ -299,7 +301,7 @@ func BenchmarkResolvedInterpretiveBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := uprog.Run(p, sa, bind); err != nil {
+		if err := testoracle.Run(p, sa, bind); err != nil {
 			b.Fatal(err)
 		}
 	}

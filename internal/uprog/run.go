@@ -16,19 +16,11 @@ type Binding struct {
 	ScratchBase int
 }
 
-// Resolve maps a symbolic reference to a physical row index. Compute
-// rows are a pure function of the geometry, so resolution needs only
-// the configuration, not a materialized subarray.
-func (b Binding) Resolve(r Ref, cfg dram.Config) (int, error) {
-	rm := cfg.RowMap()
-	row, err := b.row(r, &rm)
-	return int(row), err
-}
-
-// row is Resolve against a precomputed row map. Compute-region indices
-// are range-checked here, since an out-of-range index would still land
-// on some physical row; data-region rows are narrowed with dram.OpRow
-// and left to dram.RowMap.CheckOp.
+// row maps a symbolic reference to a physical row under a precomputed
+// row map. Compute-region indices are range-checked here, since an
+// out-of-range index would still land on some physical row;
+// data-region rows are narrowed with dram.OpRow and left to
+// dram.RowMap.CheckOp.
 func (b Binding) row(r Ref, rm *dram.RowMap) (int32, error) {
 	switch r.Space {
 	case SpaceSrc:
@@ -104,19 +96,14 @@ func (r bindRegion) name() string {
 	}
 }
 
-// maxBindRegions is the region count Validate checks without
+// maxBindRegions is the region count validate checks without
 // allocating: three sources — the most the ISA encodes — plus the
 // destination and scratch.
 const maxBindRegions = 5
 
-// Validate checks that the binding's regions fit in the subarray's data
-// rows and do not overlap. It allocates only to report an error or for
-// a binding of more than three sources.
-func (b Binding) Validate(p *Program, cfg dram.Config) error {
-	return b.validate(p, cfg.DataRows())
-}
-
-// validate is Validate against a data-row count.
+// validate checks that the binding's regions fit in dataRows data rows
+// and do not overlap. It allocates only to report an error or for a
+// binding of more than three sources.
 func (b Binding) validate(p *Program, dataRows int) error {
 	if len(b.SrcBase) < p.NumSrc {
 		return fmt.Errorf("uprog: binding supplies %d operand bases, program needs %d", len(b.SrcBase), p.NumSrc)
@@ -145,53 +132,6 @@ func (b Binding) validate(p *Program, dataRows int) error {
 					return fmt.Errorf("uprog: regions %s and %s overlap", a.name(), c.name())
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// Run executes the μProgram on one subarray under the binding. The caller
-// is responsible for having loaded vertical operand data into the source
-// rows; results appear in the destination rows.
-//
-// Reentrancy: Run is safe for concurrent use across *distinct*
-// subarrays. It mutates only the subarray it is given (row data and that
-// subarray's Stats); the Program is never written (programs come from
-// the synthesis cache and are shared across goroutines) and the Binding
-// is read-only. Two concurrent Runs on the same subarray race — the
-// ctrl scheduler serializes those.
-func Run(p *Program, sa *dram.Subarray, b Binding) error {
-	cfg := *sa.Config()
-	if err := b.Validate(p, cfg); err != nil {
-		return err
-	}
-	for i, op := range p.Ops {
-		switch op.Kind {
-		case OpAAP:
-			src, err := b.Resolve(op.Src, cfg)
-			if err != nil {
-				return fmt.Errorf("uprog: op %d: %w", i, err)
-			}
-			dsts := make([]int, len(op.Dsts))
-			for j, d := range op.Dsts {
-				if dsts[j], err = b.Resolve(d, cfg); err != nil {
-					return fmt.Errorf("uprog: op %d: %w", i, err)
-				}
-			}
-			sa.AAP(src, dsts...)
-		case OpAP:
-			sa.AP(sa.TRow(op.T[0]), sa.TRow(op.T[1]), sa.TRow(op.T[2]))
-		case OpMajCopy:
-			dsts := make([]int, len(op.Dsts))
-			var err error
-			for j, d := range op.Dsts {
-				if dsts[j], err = b.Resolve(d, cfg); err != nil {
-					return fmt.Errorf("uprog: op %d: %w", i, err)
-				}
-			}
-			sa.MajCopy(sa.TRow(op.T[0]), sa.TRow(op.T[1]), sa.TRow(op.T[2]), dsts...)
-		default:
-			return fmt.Errorf("uprog: op %d: unknown kind %d", i, op.Kind)
 		}
 	}
 	return nil

@@ -11,12 +11,12 @@ import (
 // dram.RowMap.CheckOp against a virtual geometry: the program's regions
 // packed as data rows (src0 … srcN-1, dst, scratch), followed by the
 // real geometry's compute rows. The checked ops are lowered once to a
-// dram.Plan. A placement is bound as a row view (Bind) and the shared
+// dram.Plan. A placement is bound as a row view (BindInto) and the shared
 // plan runs through it (RunView), so binding a fresh placement neither
 // copies nor re-checks an op.
 //
 // Checking once is sound because no check depends on the placement.
-// Binding.Validate keeps every region inside the data rows and forbids
+// Binding validation keeps every region inside the data rows and forbids
 // the destination or scratch overlapping anything; only sources may
 // alias, and aliased sources only ever share data rows, which have no
 // DCC partners. So the DCC partners and every CheckOp condition come
@@ -126,24 +126,14 @@ type View struct {
 // virtual rows, which BindInto's phys and rows must each hold.
 func (t *Template) Rows() int { return int(t.vrows.Rows()) }
 
-// Bind validates the binding against the template's program and
+// BindInto validates the binding against the template's program and
 // returns the view that runs the template at that placement on sa. It
 // copies no op and checks none: only the binding is validated. A
 // rejected binding reports exactly the error Resolve gives for it, as
 // does any binding of a template NewTemplate could not build (or, when
 // Resolve accepts such a binding, the template's own error). Binding
-// on a subarray of another geometry panics.
-func (t *Template) Bind(sa *dram.Subarray, b Binding) (*View, error) {
-	n := t.Rows()
-	v, err := t.BindInto(sa, b, make([]int32, n), make([][]uint64, n))
-	if err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
-// BindInto is Bind into caller storage: the view keeps phys and rows,
-// each Rows() long, as its physical-row map and row table, so a
+// on a subarray of another geometry panics. The view keeps phys and
+// rows, each Rows() long, as its physical-row map and row table, so a
 // caller binding many views can carve them from one slab. On error
 // phys and rows hold nothing the caller needs.
 func (t *Template) BindInto(sa *dram.Subarray, b Binding, phys []int32, rows [][]uint64) (View, error) {

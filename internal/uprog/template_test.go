@@ -81,6 +81,16 @@ func seedRows(rng *rand.Rand, cfg dram.Config, sas ...*dram.Subarray) {
 	}
 }
 
+// bindView binds t at b on sa into fresh storage.
+func bindView(t *uprog.Template, sa *dram.Subarray, b uprog.Binding) (*uprog.View, error) {
+	n := t.Rows()
+	v, err := t.BindInto(sa, b, make([]int32, n), make([][]uint64, n))
+	if err != nil {
+		return nil, err
+	}
+	return &v, nil
+}
+
 // checkViewMatchesResolved runs b through Resolve + RunResolved and
 // through the template's view on identically seeded subarrays, and
 // fails on any difference in rows, Stats or trace.
@@ -92,7 +102,7 @@ func checkViewMatchesResolved(t *testing.T, rng *rand.Rand, name string, p *upro
 	if err != nil {
 		t.Fatalf("%s %+v: resolve: %v", name, b, err)
 	}
-	v, err := tmpl.Bind(saV, b)
+	v, err := bindView(tmpl, saV, b)
 	if err != nil {
 		t.Fatalf("%s %+v: bind: %v", name, b, err)
 	}
@@ -128,7 +138,7 @@ func TestTemplateMatchesResolveAllCatalogOps(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			alias := trial%3 == 0
 			b := shuffledBinding(rng, p, cfg.DataRows(), alias)
-			if err := b.Validate(p, cfg); err == nil {
+			if _, err := uprog.Resolve(p, b, cfg); err == nil {
 				checkViewMatchesResolved(t, rng, name, p, tmpl, b, cfg)
 				valid++
 				if alias && p.NumSrc >= 2 {
@@ -137,7 +147,7 @@ func TestTemplateMatchesResolveAllCatalogOps(t *testing.T) {
 			}
 			bad := brokenBinding(rng, p, b, cfg.DataRows())
 			_, rerr := uprog.Resolve(p, bad, cfg)
-			_, berr := tmpl.Bind(dram.NewSubarray(&cfg), bad)
+			_, berr := bindView(tmpl, dram.NewSubarray(&cfg), bad)
 			switch {
 			case rerr == nil && berr == nil:
 				checkViewMatchesResolved(t, rng, name, p, tmpl, bad, cfg)
@@ -182,7 +192,7 @@ func TestTemplateRejectsInvalidCommands(t *testing.T) {
 		p := &uprog.Program{Name: "bad", Width: 8, NumSrc: 2, DstWidth: 8, NumScratch: 4,
 			Ops: []uprog.MicroOp{aap(src, dst(0)), op}}
 		_, rerr := uprog.Resolve(p, b, cfg)
-		_, berr := uprog.NewTemplate(p, cfg).Bind(dram.NewSubarray(&cfg), b)
+		_, berr := bindView(uprog.NewTemplate(p, cfg), dram.NewSubarray(&cfg), b)
 		if rerr == nil || berr == nil || rerr.Error() != berr.Error() {
 			t.Errorf("%v: bind error %v, resolve error %v", op, berr, rerr)
 		}
@@ -195,7 +205,7 @@ func TestTemplateRejectsInvalidCommands(t *testing.T) {
 	if _, err := uprog.Resolve(p, b, cfg); err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	if _, err := uprog.NewTemplate(p, cfg).Bind(dram.NewSubarray(&cfg), b); err == nil || !strings.Contains(err.Error(), "op 0:") {
+	if _, err := bindView(uprog.NewTemplate(p, cfg), dram.NewSubarray(&cfg), b); err == nil || !strings.Contains(err.Error(), "op 0:") {
 		t.Errorf("bind error %v, want one naming op 0", err)
 	}
 }
@@ -205,7 +215,7 @@ func TestTemplateRejectsInvalidCommands(t *testing.T) {
 // its own geometry.
 func TestRunViewOtherSubarrayPanics(t *testing.T) {
 	sa, p, b, _, cfg := additionStream(t)
-	v, err := uprog.NewTemplate(p, cfg).Bind(sa, b)
+	v, err := bindView(uprog.NewTemplate(p, cfg), sa, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +231,13 @@ func TestRunViewOtherSubarrayPanics(t *testing.T) {
 	mustPanic("RunView on another subarray", func() { uprog.RunView(dram.NewSubarray(&cfg), v) })
 	wide := cfg
 	wide.RowsPerSubarray *= 2
-	mustPanic("Bind on another geometry", func() { _, _ = uprog.NewTemplate(p, cfg).Bind(dram.NewSubarray(&wide), b) })
+	mustPanic("Bind on another geometry", func() { _, _ = bindView(uprog.NewTemplate(p, cfg), dram.NewSubarray(&wide), b) })
 }
 
 // TestBindingValidateZeroAlloc gates binding validation, which every
-// view-cache miss pays: a binding of up to three sources is checked
-// without touching the heap.
+// view-cache miss pays: BindInto checks a binding of up to three
+// sources and builds its view in caller storage without touching the
+// heap.
 func TestBindingValidateZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
@@ -234,13 +245,19 @@ func TestBindingValidateZeroAlloc(t *testing.T) {
 	_, p, b, _, cfg := additionStream(t)
 	three := &uprog.Program{Name: "three", Width: 8, NumSrc: 3, DstWidth: 8, NumScratch: 4}
 	b3 := uprog.Binding{SrcBase: []int{0, 8, 16}, DstBase: 24, ScratchBase: 40}
+	tmpl, tmpl3 := uprog.NewTemplate(p, cfg), uprog.NewTemplate(three, cfg)
+	sa := dram.NewSubarray(&cfg)
+	phys, rows := make([]int32, tmpl.Rows()), make([][]uint64, tmpl.Rows())
+	phys3, rows3 := make([]int32, tmpl3.Rows()), make([][]uint64, tmpl3.Rows())
 	allocs := testing.AllocsPerRun(100, func() {
-		if b.Validate(p, cfg) != nil || b3.Validate(three, cfg) != nil {
+		_, err := tmpl.BindInto(sa, b, phys, rows)
+		_, err3 := tmpl3.BindInto(sa, b3, phys3, rows3)
+		if err != nil || err3 != nil {
 			t.Fatal("valid binding rejected")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Binding.Validate allocated %.1f times, want 0", allocs)
+		t.Fatalf("validating and binding allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -251,7 +268,7 @@ func TestRunViewZeroAlloc(t *testing.T) {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	sa, p, b, _, cfg := additionStream(t)
-	v, err := uprog.NewTemplate(p, cfg).Bind(sa, b)
+	v, err := bindView(uprog.NewTemplate(p, cfg), sa, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +284,7 @@ func BenchmarkViewRun(b *testing.B) {
 		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
 			sa, p, bind, _, cfg := additionStreamCols(b, cols)
 			tmpl := uprog.NewTemplate(p, cfg)
-			v, err := tmpl.Bind(sa, bind)
+			v, err := bindView(tmpl, sa, bind)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -290,7 +307,7 @@ func BenchmarkTemplateBind(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tmpl.Bind(sa, bind); err != nil {
+		if _, err := bindView(tmpl, sa, bind); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package uprog
+package uprog_test
 
 import (
 	"math/rand"
@@ -7,6 +7,8 @@ import (
 	"simdram/internal/dram"
 	"simdram/internal/logic"
 	"simdram/internal/mig"
+	"simdram/internal/testoracle"
+	"simdram/internal/uprog"
 	"simdram/internal/vertical"
 )
 
@@ -34,14 +36,14 @@ func buildAdderMIG(t testing.TB, width int) *mig.MIG {
 
 // stdRefs builds the conventional input/output reference layout for a
 // two-operand, width-bit operation.
-func stdRefs(width, dstWidth int) (in, out []Ref) {
+func stdRefs(width, dstWidth int) (in, out []uprog.Ref) {
 	for op := 0; op < 2; op++ {
 		for i := 0; i < width; i++ {
-			in = append(in, Ref{Space: SpaceSrc, Op: op, Idx: i})
+			in = append(in, uprog.Ref{Space: uprog.SpaceSrc, Op: op, Idx: i})
 		}
 	}
 	for i := 0; i < dstWidth; i++ {
-		out = append(out, Ref{Space: SpaceDst, Idx: i})
+		out = append(out, uprog.Ref{Space: uprog.SpaceDst, Idx: i})
 	}
 	return in, out
 }
@@ -49,16 +51,16 @@ func stdRefs(width, dstWidth int) (in, out []Ref) {
 func TestGenerateAdderStructure(t *testing.T) {
 	m := buildAdderMIG(t, 8)
 	in, out := stdRefs(8, 8)
-	p, err := Generate(m, in, out, DefaultCodegen("add8"))
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add8"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(dram.TestConfig()); err != nil {
+	if err := testoracle.CheckProgram(p, dram.TestConfig()); err != nil {
 		t.Fatal(err)
 	}
 	tras := p.NumAP()
 	for _, op := range p.Ops {
-		if op.Kind == OpMajCopy {
+		if op.Kind == uprog.OpMajCopy {
 			tras++
 		}
 	}
@@ -75,7 +77,7 @@ func TestGenerateAdderStructure(t *testing.T) {
 
 // runOnSubarray loads two vertical operands, runs the program, and reads
 // back the destination.
-func runOnSubarray(t testing.TB, p *Program, width int, av, bv []uint64) []uint64 {
+func runOnSubarray(t testing.TB, p *uprog.Program, width int, av, bv []uint64) []uint64 {
 	t.Helper()
 	cfg := dram.TestConfig()
 	sa := dram.NewSubarray(&cfg)
@@ -88,7 +90,7 @@ func runOnSubarray(t testing.TB, p *Program, width int, av, bv []uint64) []uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	bind := Binding{
+	bind := uprog.Binding{
 		SrcBase:     []int{0, width},
 		DstBase:     2 * width,
 		ScratchBase: 2*width + p.DstWidth,
@@ -97,7 +99,7 @@ func runOnSubarray(t testing.TB, p *Program, width int, av, bv []uint64) []uint6
 		sa.Poke(bind.SrcBase[0]+i, rowsA[i])
 		sa.Poke(bind.SrcBase[1]+i, rowsB[i])
 	}
-	if err := Run(p, sa, bind); err != nil {
+	if err := testoracle.Run(p, sa, bind); err != nil {
 		t.Fatal(err)
 	}
 	dstRows := make([][]uint64, p.DstWidth)
@@ -115,7 +117,7 @@ func TestAdderEndToEnd(t *testing.T) {
 	for _, width := range []int{4, 8, 16} {
 		m := buildAdderMIG(t, width)
 		in, out := stdRefs(width, width)
-		p, err := Generate(m, in, out, DefaultCodegen("add"))
+		p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,13 +143,13 @@ func TestAdderEndToEnd(t *testing.T) {
 func TestNaiveCodegenMatchesAndCostsMore(t *testing.T) {
 	m := buildAdderMIG(t, 8)
 	in, out := stdRefs(8, 8)
-	optimized, err := Generate(m, in, out, DefaultCodegen("add"))
+	optimized, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveOpts := DefaultCodegen("add-naive")
+	naiveOpts := uprog.DefaultCodegen("add-naive")
 	naiveOpts.ReuseRows = false
-	naive, err := Generate(m, in, out, naiveOpts)
+	naive, err := uprog.Generate(m, in, out, naiveOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +183,9 @@ func TestNegatedOutputsAndInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []Ref{{Space: SpaceSrc, Op: 0, Idx: 0}, {Space: SpaceSrc, Op: 1, Idx: 0}}
-	out := []Ref{{Space: SpaceDst, Idx: 0}}
-	p, err := Generate(m, in, out, DefaultCodegen("nand"))
+	in := []uprog.Ref{{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, {Space: uprog.SpaceSrc, Op: 1, Idx: 0}}
+	out := []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("nand"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +213,12 @@ func TestConstantAndPassthroughOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []Ref{{Space: SpaceSrc, Op: 0, Idx: 0}, {Space: SpaceSrc, Op: 1, Idx: 0}}
-	out := make([]Ref, 4)
+	in := []uprog.Ref{{Space: uprog.SpaceSrc, Op: 0, Idx: 0}, {Space: uprog.SpaceSrc, Op: 1, Idx: 0}}
+	out := make([]uprog.Ref, 4)
 	for i := range out {
-		out[i] = Ref{Space: SpaceDst, Idx: i}
+		out[i] = uprog.Ref{Space: uprog.SpaceDst, Idx: i}
 	}
-	p, err := Generate(m, in, out, DefaultCodegen("misc"))
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("misc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +228,10 @@ func TestConstantAndPassthroughOutputs(t *testing.T) {
 	sa := dram.NewSubarray(&cfg)
 	rowsA, _ := vertical.ToVertical(av, 1, cfg.Cols)
 	rowsB, _ := vertical.ToVertical(bv, 1, cfg.Cols)
-	bind := Binding{SrcBase: []int{0, 1}, DstBase: 2, ScratchBase: 6}
+	bind := uprog.Binding{SrcBase: []int{0, 1}, DstBase: 2, ScratchBase: 6}
 	sa.Poke(0, rowsA[0])
 	sa.Poke(1, rowsB[0])
-	if err := Run(p, sa, bind); err != nil {
+	if err := testoracle.Run(p, sa, bind); err != nil {
 		t.Fatal(err)
 	}
 	read := func(row int) uint64 { return sa.PeekRow(row)[0] & 3 }
@@ -289,17 +291,17 @@ func TestRandomMIGsEndToEnd(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			m.Optimize(mig.DefaultOptimize())
 		}
-		var in []Ref
+		var in []uprog.Ref
 		for op := 0; op < nOps; op++ {
 			for i := 0; i < width; i++ {
-				in = append(in, Ref{Space: SpaceSrc, Op: op, Idx: i})
+				in = append(in, uprog.Ref{Space: uprog.SpaceSrc, Op: op, Idx: i})
 			}
 		}
-		var out []Ref
+		var out []uprog.Ref
 		for i := 0; i < width; i++ {
-			out = append(out, Ref{Space: SpaceDst, Idx: i})
+			out = append(out, uprog.Ref{Space: uprog.SpaceDst, Idx: i})
 		}
-		p, err := Generate(m, in, out, DefaultCodegen("rand"))
+		p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("rand"))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -308,7 +310,7 @@ func TestRandomMIGsEndToEnd(t *testing.T) {
 		sa := dram.NewSubarray(&cfg)
 		n := 64
 		vals := make([][]uint64, nOps)
-		bind := Binding{DstBase: nOps * width, ScratchBase: (nOps + 1) * width}
+		bind := uprog.Binding{DstBase: nOps * width, ScratchBase: (nOps + 1) * width}
 		for op := 0; op < nOps; op++ {
 			vals[op] = make([]uint64, n)
 			for i := range vals[op] {
@@ -324,7 +326,7 @@ func TestRandomMIGsEndToEnd(t *testing.T) {
 				sa.Poke(base+i, rows[i])
 			}
 		}
-		if err := Run(p, sa, bind); err != nil {
+		if err := testoracle.Run(p, sa, bind); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		dstRows := make([][]uint64, width)
@@ -343,7 +345,7 @@ func TestRandomMIGsEndToEnd(t *testing.T) {
 					bits[op*width+i] = (vals[op][lane]>>uint(i))&1 == 1
 				}
 			}
-			wantBits := m.EvalBits(bits)
+			wantBits := testoracle.EvalBits(m.EvalWords, bits)
 			var want uint64
 			for i, wb := range wantBits {
 				if wb {
@@ -359,17 +361,17 @@ func TestRandomMIGsEndToEnd(t *testing.T) {
 
 func TestBindingValidation(t *testing.T) {
 	cfg := dram.TestConfig()
-	p := &Program{Name: "x", Width: 8, NumSrc: 2, DstWidth: 8, NumScratch: 4}
-	good := Binding{SrcBase: []int{0, 8}, DstBase: 16, ScratchBase: 24}
-	if err := good.Validate(p, cfg); err != nil {
+	p := &uprog.Program{Name: "x", Width: 8, NumSrc: 2, DstWidth: 8, NumScratch: 4}
+	good := uprog.Binding{SrcBase: []int{0, 8}, DstBase: 16, ScratchBase: 24}
+	if _, err := uprog.Resolve(p, good, cfg); err != nil {
 		t.Errorf("good binding rejected: %v", err)
 	}
-	overlap := Binding{SrcBase: []int{0, 8}, DstBase: 4, ScratchBase: 24}
-	if err := overlap.Validate(p, cfg); err == nil {
+	overlap := uprog.Binding{SrcBase: []int{0, 8}, DstBase: 4, ScratchBase: 24}
+	if _, err := uprog.Resolve(p, overlap, cfg); err == nil {
 		t.Error("dst overlapping src must be rejected")
 	}
-	outside := Binding{SrcBase: []int{0, 8}, DstBase: cfg.DataRows() - 2, ScratchBase: 24}
-	if err := outside.Validate(p, cfg); err == nil {
+	outside := uprog.Binding{SrcBase: []int{0, 8}, DstBase: cfg.DataRows() - 2, ScratchBase: 24}
+	if _, err := uprog.Resolve(p, outside, cfg); err == nil {
 		t.Error("dst outside data rows must be rejected")
 	}
 }
@@ -377,7 +379,7 @@ func TestBindingValidation(t *testing.T) {
 func TestProgramCostModels(t *testing.T) {
 	m := buildAdderMIG(t, 8)
 	in, out := stdRefs(8, 8)
-	p, err := Generate(m, in, out, DefaultCodegen("add"))
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,15 +398,15 @@ func TestProgramCostModels(t *testing.T) {
 func TestGenerateRejectsBadShapes(t *testing.T) {
 	m := mig.New(2)
 	m.AddOutput(m.And(m.Input(0), m.Input(1)), "o")
-	in := []Ref{{Space: SpaceSrc, Op: 0, Idx: 0}}
-	out := []Ref{{Space: SpaceDst, Idx: 0}}
-	if _, err := Generate(m, in, out, DefaultCodegen("bad")); err == nil {
+	in := []uprog.Ref{{Space: uprog.SpaceSrc, Op: 0, Idx: 0}}
+	out := []uprog.Ref{{Space: uprog.SpaceDst, Idx: 0}}
+	if _, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("bad")); err == nil {
 		t.Error("wrong input ref count must error")
 	}
-	in = append(in, Ref{Space: SpaceSrc, Op: 1, Idx: 0})
-	opts := DefaultCodegen("bad")
+	in = append(in, uprog.Ref{Space: uprog.SpaceSrc, Op: 1, Idx: 0})
+	opts := uprog.DefaultCodegen("bad")
 	opts.NumTRows = 4
-	if _, err := Generate(m, in, out, opts); err == nil {
+	if _, err := uprog.Generate(m, in, out, opts); err == nil {
 		t.Error("NumTRows=4 must error")
 	}
 }

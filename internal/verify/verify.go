@@ -142,31 +142,6 @@ type Options struct {
 	Deps [][]int
 }
 
-// Diagnostics unpacks every *Diagnostic joined into err, in the order
-// the verifier found them. Nil for a nil error.
-func Diagnostics(err error) []*Diagnostic {
-	if err == nil {
-		return nil
-	}
-	type unwrapper interface{ Unwrap() []error }
-	var out []*Diagnostic
-	var walk func(error)
-	walk = func(e error) {
-		if u, ok := e.(unwrapper); ok {
-			for _, sub := range u.Unwrap() {
-				walk(sub)
-			}
-			return
-		}
-		var d *Diagnostic
-		if errors.As(e, &d) {
-			out = append(out, d)
-		}
-	}
-	walk(err)
-	return out
-}
-
 // Program verifies p against opt and returns every failure joined
 // into one error (nil when the program verifies clean). Its working
 // storage comes from a pool, so a clean verification allocates

@@ -8,6 +8,7 @@ import (
 	"simdram/internal/isa"
 	"simdram/internal/logic"
 	"simdram/internal/ops"
+	"simdram/internal/testoracle"
 	"simdram/internal/verify"
 )
 
@@ -56,7 +57,7 @@ func findDiag(t *testing.T, err error, check verify.Check, instr, operand int, c
 	if !errors.As(err, &first) {
 		t.Fatalf("error holds no *verify.Diagnostic: %v", err)
 	}
-	for _, d := range verify.Diagnostics(err) {
+	for _, d := range testoracle.Diagnostics(err) {
 		if d.Check == check && d.Instr == instr && d.Operand == operand &&
 			(contains == "" || strings.Contains(d.Error(), contains)) {
 			return d
@@ -257,7 +258,7 @@ func TestDiagnosticsOrder(t *testing.T) {
 	f.prog[1].Size = 0
 	f.prog[2].Src[1] = 77
 	err := verify.Program(f.prog, f.opt)
-	ds := verify.Diagnostics(err)
+	ds := testoracle.Diagnostics(err)
 	if len(ds) < 2 {
 		t.Fatalf("want >= 2 diagnostics, got %d: %v", len(ds), err)
 	}

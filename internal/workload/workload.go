@@ -110,32 +110,6 @@ func Codes(n, bits int, seed int64) []uint64 {
 	return out
 }
 
-// Uniform returns n uniform width-bit values.
-func Uniform(n, width int, seed int64) []uint64 {
-	rng := rand.New(rand.NewSource(seed))
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = (uint64(1) << uint(width)) - 1
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = rng.Uint64() & mask
-	}
-	return out
-}
-
-// Weights returns deterministic signed 8-bit weights (stored two's
-// complement in uint64) for neural-network layers.
-func Weights(n int, seed int64) []uint64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]uint64, n)
-	for i := range out {
-		w := rng.Intn(15) - 7 // [-7, 7]
-		out[i] = uint64(int64(w)) & 0xFF
-	}
-	return out
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

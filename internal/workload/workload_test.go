@@ -89,13 +89,3 @@ func TestCodesWidth(t *testing.T) {
 		}
 	}
 }
-
-func TestWeightsSignedRange(t *testing.T) {
-	ws := Weights(200, 11)
-	for _, w := range ws {
-		v := int8(uint8(w))
-		if v < -7 || v > 7 {
-			t.Fatalf("weight %d out of [-7,7]", v)
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"simdram/internal/isa"
+	"simdram/internal/testoracle"
 	"simdram/internal/verify"
 )
 
@@ -106,7 +107,7 @@ func TestVerifyRealCompiledProgram(t *testing.T) {
 			if !errors.As(err, &diag) {
 				t.Fatalf("corruption %q not rejected with a *verify.Diagnostic: %v", tc.name, err)
 			}
-			for _, got := range verify.Diagnostics(err) {
+			for _, got := range testoracle.Diagnostics(err) {
 				if got.Check == tc.check && (tc.contains == "" || strings.Contains(got.Error(), tc.contains)) {
 					return
 				}
@@ -171,7 +172,7 @@ func TestSlotReuseHazardRegression(t *testing.T) {
 		t.Fatalf("unordered slot-reuse hazard on handle %d not rejected: %v", slot, err)
 	}
 	found := false
-	for _, d := range verify.Diagnostics(err) {
+	for _, d := range testoracle.Diagnostics(err) {
 		if d.Check == verify.CheckHazard && d.Instr == second {
 			found = true
 			if !strings.Contains(d.Error(), "write-after") && !strings.Contains(d.Error(), "read-after-write") {
@@ -187,7 +188,7 @@ func TestSlotReuseHazardRegression(t *testing.T) {
 // TestDefaultsVerifyPlans checks that plan verification needs no
 // setting: a System, a Cluster and a Server built from their defaults
 // each pass a batch-prepared program and a compiled one through the IR
-// verifier.
+// verifier, and so does a System's single-instruction Exec.
 func TestDefaultsVerifyPlans(t *testing.T) {
 	raises := func(t *testing.T, what string, verified func() int64, run func() error) {
 		t.Helper()
@@ -207,6 +208,15 @@ func TestDefaultsVerifyPlans(t *testing.T) {
 		raises(t, "ExecBatch", sys.VerifiedPlans, func() error {
 			_, err := sys.ExecBatch(prog)
 			return err
+		})
+		raises(t, "Exec", sys.VerifiedPlans, func() error {
+			for _, in := range prog {
+				if in.Op != isa.OpTrspInit {
+					_, err := sys.Exec(in)
+					return err
+				}
+			}
+			return errors.New("program has no operation")
 		})
 		raises(t, "Compile + Execute", sys.VerifiedPlans, func() error {
 			cp, err := sys.Compile(chainExpr(t, sys, rng, 300, 8, 4))

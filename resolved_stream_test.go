@@ -16,7 +16,7 @@ import (
 	"simdram/internal/isa"
 	"simdram/internal/ops"
 	"simdram/internal/raceflag"
-	"simdram/internal/uprog"
+	"simdram/internal/testoracle"
 )
 
 // attachTracers hooks OnCommand on every subarray and returns one
@@ -101,7 +101,7 @@ func oracleRun(t *testing.T, sys *System, prog isa.Program) {
 			t.Fatalf("oracle instruction %d: %v", i, err)
 		}
 		for _, seg := range segs {
-			if err := uprog.Run(p, sys.Module().Subarray(seg.Bank, seg.Sub), seg.Binding); err != nil {
+			if err := testoracle.Run(p, sys.Module().Subarray(seg.Bank, seg.Sub), seg.Binding); err != nil {
 				t.Fatalf("oracle instruction %d bank %d subarray %d: %v", i, seg.Bank, seg.Sub, err)
 			}
 		}

@@ -64,9 +64,6 @@ type Config struct {
 	// Variant selects the execution flavor: VariantSIMDRAM (default) or
 	// VariantAmbit for the in-DRAM baseline. Exposed for experiments.
 	Variant ops.Variant
-	// ReductionN is the operand count used when an N-ary operation is
-	// invoked through the 2-operand Run API with extra sources.
-	ReductionN int
 }
 
 // DefaultConfig returns a laptop-friendly geometry: 4 banks × 4 subarrays
