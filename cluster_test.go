@@ -373,12 +373,12 @@ func TestClusterLeastLoadedPlacement(t *testing.T) {
 	}
 }
 
-// TestClusterFailureCancelsSiblings induces a single-channel failure
+// TestClusterPrepareFailurePartialResults induces a single-channel failure
 // (exhausted scratch rows on channel 1) and checks the contract: the
 // joined error names the failing channel, the failing channel's shard
 // is untouched, and every other element is either untouched or carries
 // the bit-exact result — nothing in between.
-func TestClusterFailureCancelsSiblings(t *testing.T) {
+func TestClusterPrepareFailurePartialResults(t *testing.T) {
 	c := testCluster(t, 3)
 	dcfg := c.Config().Channel.DRAM
 	cols := dcfg.Cols

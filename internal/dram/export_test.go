@@ -28,3 +28,15 @@ func (p *Plan) Passes() int {
 // Bytes returns the memory p's steps hold, not counting the op stream
 // it shares.
 func (p *Plan) Bytes() int { return 4 * len(p.code) }
+
+// SetVector selects the vector row loops, where the CPU has them, for
+// the external tests, and returns a function restoring the previous
+// choice.
+func SetVector(on bool) (restore func()) {
+	prev := useVector
+	useVector = on && haveVector
+	return func() { useVector = prev }
+}
+
+// HaveVector reports whether the CPU has the vector row loops.
+func HaveVector() bool { return haveVector }

@@ -30,10 +30,12 @@ func majRow(d, a, b, c []uint64, ma, mb, mc, md uint64) {
 func majGo(d, a, b, c []uint64, ma, mb, mc, md uint64) {
 	a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
 	for k := range d {
-		x, y, z := a[k]^ma, b[k]^mb, c[k]^mc
-		d[k] = (x&y | z&(x|y)) ^ md
+		d[k] = maj(a[k]^ma, b[k]^mb, c[k]^mc) ^ md
 	}
 }
+
+// maj returns the bitwise majority of x, y and z.
+func maj(x, y, z uint64) uint64 { return x&y | z&(x|y) }
 
 // xorRow sets d to s⊕m: a copy, or with m all ones a complement. d may
 // be s.

@@ -265,11 +265,42 @@ func (s *Subarray) ExecView(v *View, p *Plan) {
 	s.exec(v.rows, p)
 }
 
-// exec is the kernel loop of Exec and ExecView over a row table.
+// exec is the kernel of Exec and ExecView over a row table: it runs
+// p's steps, then charges p's energy and counters. Row width alone
+// picks the step loop: 4-word (256-column) rows have their own.
 //
 //simdram:zeroalloc
 func (s *Subarray) exec(rows [][]uint64, p *Plan) {
-	for c := p.code; len(c) > 0; {
+	if len(s.rows[0]) == narrowWords {
+		steps4(rows, p.code)
+	} else {
+		steps(rows, p.code)
+	}
+	energy := s.cfg.Energy.opTable()
+	e, hook := s.Stats.EnergyPJ, s.OnCommand
+	if hook == nil {
+		for c, n := range p.classes {
+			e += float64(n) * energy[c]
+		}
+	} else {
+		for i := range p.ops {
+			op := &p.ops[i]
+			e += energy[op.energy]
+			s.Stats.EnergyPJ = e
+			hook(op.command(s.phys))
+		}
+	}
+	s.Stats.EnergyPJ = e
+	s.Stats.Add(p.counts)
+}
+
+// steps runs the encoded steps code over rows of any width with the
+// row loops: the first output gets the step's value, and every other
+// output is filled from it.
+//
+//simdram:zeroalloc
+func steps(rows [][]uint64, code []int32) {
+	for c := code; len(c) > 0; {
 		h := c[0]
 		var in []int32
 		if h&stepMaj != 0 {
@@ -289,22 +320,42 @@ func (s *Subarray) exec(rows [][]uint64, p *Plan) {
 			xorRow(rows[rowOf(x)], d, m^mask(x))
 		}
 	}
-	energy := s.cfg.Energy.opTable()
-	e, hook := s.Stats.EnergyPJ, s.OnCommand
-	if hook == nil {
-		for c, n := range p.classes {
-			e += float64(n) * energy[c]
+}
+
+// narrowWords is the row width, in words, that steps4 runs.
+const narrowWords = 4
+
+// steps4 is steps for rows of exactly narrowWords words. It computes a
+// step's value in registers, before any store, and stores it, with
+// each output's polarity, to every output row: no row loop, no copy,
+// and no re-read of a stored row. Computing first keeps a step that
+// writes one of its own inputs correct.
+//
+//simdram:zeroalloc
+func steps4(rows [][]uint64, code []int32) {
+	for c := code; len(c) > 0; {
+		h := c[0]
+		var v0, v1, v2, v3 uint64
+		if h&stepMaj != 0 {
+			x, y, z := (*[4]uint64)(rows[rowOf(c[1])]), (*[4]uint64)(rows[rowOf(c[2])]), (*[4]uint64)(rows[rowOf(c[3])])
+			mx, my, mz := mask(c[1]), mask(c[2]), mask(c[3])
+			v0 = maj(x[0]^mx, y[0]^my, z[0]^mz)
+			v1 = maj(x[1]^mx, y[1]^my, z[1]^mz)
+			v2 = maj(x[2]^mx, y[2]^my, z[2]^mz)
+			v3 = maj(x[3]^mx, y[3]^my, z[3]^mz)
+			c = c[4:]
+		} else {
+			x, m := (*[4]uint64)(rows[rowOf(c[1])]), mask(c[1])
+			v0, v1, v2, v3 = x[0]^m, x[1]^m, x[2]^m, x[3]^m
+			c = c[2:]
 		}
-	} else {
-		for i := range p.ops {
-			op := &p.ops[i]
-			e += energy[op.energy]
-			s.Stats.EnergyPJ = e
-			hook(op.command(s.phys))
+		o := c[:h>>1]
+		c = c[h>>1:]
+		for _, x := range o {
+			d, m := (*[4]uint64)(rows[rowOf(x)]), mask(x)
+			d[0], d[1], d[2], d[3] = v0^m, v1^m, v2^m, v3^m
 		}
 	}
-	s.Stats.EnergyPJ = e
-	s.Stats.Add(p.counts)
 }
 
 // copyComplement sets dst to v and comp to its bitwise complement.

@@ -44,21 +44,27 @@ type Unit struct {
 	// ring[head] once the buffer is full; tags indexes them.
 	ring []uint64
 	head int
-	tags map[uint64]bool
+	tags tagSet
 }
 
 // NewUnit builds a transposition unit.
 func NewUnit(cfg UnitConfig) *Unit {
-	return &Unit{cfg: cfg, ring: make([]uint64, 0, max(cfg.BufferLines, 0)), tags: make(map[uint64]bool)}
+	n := max(cfg.BufferLines, 0)
+	return &Unit{cfg: cfg, ring: make([]uint64, 0, n), tags: newTagSet(n)}
 }
 
 // lineTag identifies a cache line by (object id, line index).
 func lineTag(objID uint64, line int) uint64 { return objID<<24 | uint64(line)&0xFFFFFF }
 
+// touch charges a transposition of an object's first lines lines: a
+// buffered line is a hit, any other is transposed and enters the
+// buffer, evicting its oldest line when the buffer is full.
+//
+//simdram:zeroalloc
 func (u *Unit) touch(objID uint64, lines int) {
 	for l := 0; l < lines; l++ {
 		tag := lineTag(objID, l)
-		if u.tags[tag] {
+		if u.tags.has(tag) {
 			u.Stats.BufferHits++
 			continue
 		}
@@ -67,15 +73,73 @@ func (u *Unit) touch(objID uint64, lines int) {
 		u.Stats.EnergyPJ += u.cfg.EnergyPerLinePJ
 		if u.cfg.BufferLines > 0 {
 			if len(u.ring) < u.cfg.BufferLines {
-				u.ring = append(u.ring, tag)
+				u.ring = append(u.ring, tag) //simdram:prealloc NewUnit reserves BufferLines
 			} else {
-				delete(u.tags, u.ring[u.head])
+				u.tags.remove(u.ring[u.head])
 				u.ring[u.head] = tag
 				u.head = (u.head + 1) % len(u.ring)
 			}
-			u.tags[tag] = true
+			u.tags.add(tag)
 		}
 	}
+}
+
+// tagSet is the line buffer's index: a set of line tags in a fixed
+// open-addressing table at most half full, so a lookup, insert or
+// delete probes a short run whatever the buffer's size. Deletion
+// shifts the run's later entries back instead of leaving tombstones.
+type tagSet struct {
+	slots []tagSlot // len a power of two
+	shift uint      // 64 - log2(len(slots))
+}
+
+type tagSlot struct {
+	tag  uint64
+	full bool
+}
+
+// newTagSet returns an empty set with room for n tags.
+func newTagSet(n int) tagSet {
+	size, shift := 1, uint(64)
+	for size < 2*n {
+		size, shift = size*2, shift-1
+	}
+	return tagSet{slots: make([]tagSlot, size), shift: shift}
+}
+
+// home returns tag's first probe slot, by Fibonacci hashing.
+func (s *tagSet) home(tag uint64) int {
+	return int(tag * 0x9E3779B97F4A7C15 >> s.shift) // a shift of 64 gives 0
+}
+
+// find returns tag's slot, or the empty slot that ends its probe run.
+func (s *tagSet) find(tag uint64) int {
+	m := len(s.slots) - 1
+	i := s.home(tag)
+	for s.slots[i].full && s.slots[i].tag != tag {
+		i = (i + 1) & m
+	}
+	return i
+}
+
+func (s *tagSet) has(tag uint64) bool { return s.slots[s.find(tag)].full }
+
+// add inserts tag, which must be absent; the set must hold fewer tags
+// than it has room for.
+func (s *tagSet) add(tag uint64) { s.slots[s.find(tag)] = tagSlot{tag: tag, full: true} }
+
+// remove deletes tag, which must be present, and shifts back each later
+// entry of its probe run that the hole now separates from its home.
+func (s *tagSet) remove(tag uint64) {
+	m := len(s.slots) - 1
+	i := s.find(tag)
+	for j := (i + 1) & m; s.slots[j].full; j = (j + 1) & m {
+		if (j-s.home(s.slots[j].tag))&m >= (j-i)&m {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i].full = false
 }
 
 // HToV transposes horizontal values into the caller's vertical rows

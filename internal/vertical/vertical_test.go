@@ -283,9 +283,10 @@ func TestUnitBufferEviction(t *testing.T) {
 	}
 }
 
-// fifoUnit is the object tracker as it was before the ring buffer:
-// a slice popped at the front and appended at the back. The ring must
-// reproduce its hit, miss and eviction sequence exactly.
+// fifoUnit is the object tracker as it was before the ring buffer and
+// the tag table: a slice popped at the front and appended at the back,
+// indexed by a Go map. The unit must reproduce its hit, miss and
+// eviction sequence exactly.
 type fifoUnit struct {
 	cfg   UnitConfig
 	Stats UnitStats
@@ -332,6 +333,74 @@ func TestUnitRingMatchesFIFO(t *testing.T) {
 		if u.Stats.BufferHits == 0 && lines > 0 {
 			t.Fatalf("buffer %d lines: no hits, the comparison is vacuous", lines)
 		}
+	}
+}
+
+// TestUnitTagTableMatchesMap drives random touch sequences through the
+// unit and through fifoUnit, the map version, and requires identical UnitStats after every
+// touch, and the tag table to hold exactly the map's tags. The
+// sequences repeat one object, interleave a few, and use object ids
+// whose tags differ only in high bits, so probe runs collide and
+// deletions shift entries back.
+func TestUnitTagTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, lines := range []int{0, 1, 3, 64} {
+		cfg := DefaultUnitConfig()
+		cfg.BufferLines = lines
+		u, ref := NewUnit(cfg), &fifoUnit{cfg: cfg, tags: map[uint64]bool{}}
+		objs := []uint64{1, 2, 3, 1 << 39, 1<<39 | 1, 1 << 20}
+		obj := objs[0]
+		for step := 0; step < 6000; step++ {
+			switch rng.Intn(4) {
+			case 0: // repeat the last object
+			case 1: // alternate between the first two
+				obj = objs[step&1]
+			default:
+				obj = objs[rng.Intn(len(objs))]
+			}
+			n := rng.Intn(2*lines + 3)
+			u.touch(obj, n)
+			ref.touch(obj, n)
+			if u.Stats != ref.Stats {
+				t.Fatalf("buffer %d lines, step %d (object %d, %d lines): table %+v, map %+v",
+					lines, step, obj, n, u.Stats, ref.Stats)
+			}
+			held := 0
+			for _, s := range u.tags.slots {
+				if s.full {
+					held++
+					if !ref.tags[s.tag] {
+						t.Fatalf("buffer %d lines, step %d: table holds tag %x, map does not", lines, step, s.tag)
+					}
+				}
+			}
+			if held != len(ref.tags) {
+				t.Fatalf("buffer %d lines, step %d: table holds %d tags, map %d", lines, step, held, len(ref.tags))
+			}
+		}
+		if u.Stats.BufferHits == 0 && lines > 0 {
+			t.Fatalf("buffer %d lines: no hits, the comparison is vacuous", lines)
+		}
+	}
+}
+
+// TestUnitTouchZeroAlloc gates the line buffer in steady state: hits,
+// misses and evictions touch no heap.
+func TestUnitTouchZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector allocates; gate runs in the non-race CI job")
+	}
+	u := NewUnit(DefaultUnitConfig())
+	obj := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		u.touch(obj, 40) // misses, evicting the last object's lines
+		u.touch(obj, 40) // hits
+		obj++
+	}); allocs != 0 {
+		t.Fatalf("touch allocated %.1f times per call, want 0", allocs)
+	}
+	if u.Stats.BufferHits == 0 || u.Stats.LinesTransposed <= 64 {
+		t.Fatalf("stats %+v: the gate must see hits and evictions", u.Stats)
 	}
 }
 
