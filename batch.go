@@ -86,17 +86,6 @@ func (pp *preparedProgram) release() {
 	}
 }
 
-// rebind re-points pp's object pins at objs, a later binding of the
-// same plan to the same placement: pp.binds[i] pins objs[at[i]]. The
-// control unit's prepared batch is placement-bound and names no
-// handle, so the pins are all a rebinding changes; checkPrepared then
-// holds pp to the new objects.
-func (pp *preparedProgram) rebind(objs []*Vector, at []int) {
-	for i, k := range at {
-		pp.binds[i] = objBind{h: objs[k].handle, v: objs[k]}
-	}
-}
-
 type objBind struct {
 	h uint16
 	v *Vector
@@ -236,6 +225,11 @@ func (s *System) checkPrepared(pp *preparedProgram) error {
 			return errorf("prepared program is stale: object %d was freed or replaced", b.h)
 		}
 	}
+	return s.checkScratch(pp)
+}
+
+// checkScratch is checkPrepared's scratch-headroom half.
+func (s *System) checkScratch(pp *preparedProgram) error {
 	for _, sc := range pp.scratch {
 		if s.rows[sc.bank][sc.sub].tailFree() < sc.need {
 			return errorf("prepared program is stale: subarray (%d,%d) lacks %d scratch rows", sc.bank, sc.sub, sc.need)

@@ -109,7 +109,7 @@ func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector, buf *segBufs)
 	for i := range dst.segs {
 		bank, sub := dst.segs[i].bank, dst.segs[i].sub
 		if s.rows[bank][sub].tailFree() < p.NumScratch {
-			return nil, nil, errorf("%s: subarray (%d,%d) lacks %d scratch rows", d.Name, bank, sub, p.NumScratch)
+			return nil, nil, shortagef("%s: subarray (%d,%d) lacks %d scratch rows", d.Name, bank, sub, p.NumScratch)
 		}
 		b0 := len(buf.bases)
 		for _, src := range srcs {

@@ -563,6 +563,10 @@ type lowered struct {
 	// in their slot).
 	slotObj []graphObj
 	nodeObj []graphObj
+	// stored lists the nodes whose objects bindPlan stored (data
+	// leaves) or splatted (constants), in the order it did: the order a
+	// replay repeats the stores in (see hitEntry.store).
+	stored []graph.NodeID
 	// defined records, per handle the program references, whether its
 	// object holds data before the program runs (stored inputs and
 	// splatted constants do; pooled slots and op-root results are
@@ -617,10 +621,17 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 	leafData func(id graph.NodeID) ([]uint64, bool),
 ) (*lowered, error) {
 	g, asg := env.g, plan.Asg
+	stores := 0 // live inputs and constants: at least the objects stored
+	for id := 0; id < g.Len(); id++ {
+		if k := g.Node(graph.NodeID(id)).Kind; k != graph.KindOp && g.Alive(graph.NodeID(id)) {
+			stores++
+		}
+	}
 	lw := &lowered{
 		slotObj: make([]graphObj, len(asg.SlotWidths)),
 		nodeObj: make([]graphObj, g.Len()),
 		results: make([]compiledResult, 0, len(exprs)),
+		stored:  make([]graph.NodeID, 0, stores),
 	}
 	// Root data-leaf storage sits in pending between its allocation in
 	// the input loop and its adoption as an owned result in the roots
@@ -674,6 +685,7 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 			return fail(err)
 		}
 		lw.nodeObj[nid] = o
+		lw.stored = append(lw.stored, nid)
 	}
 
 	// Dedicated storage for the roots, allocated before the shared
@@ -702,6 +714,7 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 					o.Free()
 					return fail(err)
 				}
+				lw.stored = append(lw.stored, rid)
 			}
 			obj = o
 			lw.nodeObj[rid] = o
@@ -725,6 +738,7 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 			return fail(err)
 		}
 		lw.nodeObj[nid] = o
+		lw.stored = append(lw.stored, nid)
 	}
 	return lw, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"simdram"
 	"simdram/internal/kernels"
+	"simdram/internal/raceflag"
 	"simdram/internal/workload"
 )
 
@@ -178,67 +179,131 @@ func (start gcShare) report(b *testing.B) {
 	}
 }
 
-// BenchmarkServerSubmitHit times SubmitJob→Wait of serve-hot's request
-// mix — brightness in both saturation directions, a BitWeaving scan and
-// TPC-H Q6 over 2048-element Input payloads — on a 2-channel server
-// with 256-column rows, after every shape has compiled, converged its
-// profile and run on both channels: the served plan-cache hit path end
-// to end (admission pricing, cache lookup, storage binding and input
-// stores, the channel's memoized prepared program, execute, gather),
-// and the garbage collector's share of CPU time (gc-cpu-share).
-func BenchmarkServerSubmitHit(b *testing.B) {
+// hotServer starts serve-hot's server, two channels of 256-column
+// rows, and returns it with a function that serves one expression and
+// fails tb on any error.
+func hotServer(tb testing.TB) (*simdram.Server, func(*simdram.Expr)) {
 	cfg := simdram.DefaultServerConfig(2)
 	cfg.Channel.DRAM.Cols = 256
 	srv, err := simdram.NewServer(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer srv.Close()
-	const n = 2048
-	rng := rand.New(rand.NewSource(1))
-	vec := func(lo, span int) []uint64 {
-		v := make([]uint64, n)
-		for i := range v {
-			v[i] = uint64(lo + rng.Intn(span))
-		}
-		return v
-	}
-	lineitem := workload.LineItem{
-		N:             n,
-		ShipDate:      vec(9000, 2557),
-		Discount:      vec(0, 11),
-		Quantity:      vec(1, 50),
-		ExtendedPrice: vec(100, 60000),
-	}
-	shapes := []*simdram.Expr{
-		kernels.BrightnessExpr(vec(0, 256), 40),
-		kernels.BrightnessExpr(vec(0, 256), -60),
-		kernels.BitWeavingLtExpr(vec(0, 256), 100, 8),
-		kernels.TPCHQ6Expr(lineitem, kernels.DefaultQ6()),
-	}
+	tb.Cleanup(srv.Close)
 	ctx := context.Background()
-	submit := func(e *simdram.Expr) {
+	return srv, func(e *simdram.Expr) {
 		fut, err := srv.SubmitJob(ctx, simdram.JobSpec{Tenant: "bench"}, e)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := fut.Wait(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	// Cold compiles, profile convergence and the profile-guided
-	// recompile, then a few rounds more so each channel holds its
-	// prepared programs.
+}
+
+// hotElems is serve-hot's payload length: 8 segments of 256 columns.
+const hotElems = 2048
+
+// hotVec returns hotElems random elements in [lo, lo+span).
+func hotVec(rng *rand.Rand, lo, span int) []uint64 {
+	v := make([]uint64, hotElems)
+	for i := range v {
+		v[i] = uint64(lo + rng.Intn(span))
+	}
+	return v
+}
+
+// hotShapes is serve-hot's request mix: brightness in both saturation
+// directions, a BitWeaving scan and TPC-H Q6.
+func hotShapes(rng *rand.Rand) []*simdram.Expr {
+	lineitem := workload.LineItem{
+		N:             hotElems,
+		ShipDate:      hotVec(rng, 9000, 2557),
+		Discount:      hotVec(rng, 0, 11),
+		Quantity:      hotVec(rng, 1, 50),
+		ExtendedPrice: hotVec(rng, 100, 60000),
+	}
+	return []*simdram.Expr{
+		kernels.BrightnessExpr(hotVec(rng, 0, 256), 40),
+		kernels.BrightnessExpr(hotVec(rng, 0, 256), -60),
+		kernels.BitWeavingLtExpr(hotVec(rng, 0, 256), 100, 8),
+		kernels.TPCHQ6Expr(lineitem, kernels.DefaultQ6()),
+	}
+}
+
+// warmHot serves every shape through its cold compile, profile
+// convergence and profile-guided recompile, then a few rounds more, so
+// each channel holds the shapes it can keep resident.
+func warmHot(serve func(*simdram.Expr), shapes []*simdram.Expr) {
 	for round := 0; round < 2*simdram.DefaultProfileMinJobs+8; round++ {
 		for _, e := range shapes {
-			submit(e)
+			serve(e)
 		}
 	}
+}
+
+// benchServe times serving the shapes round-robin after warmHot, and
+// reports the garbage collector's share of CPU time (gc-cpu-share).
+func benchServe(b *testing.B, serve func(*simdram.Expr), shapes []*simdram.Expr) {
+	warmHot(serve, shapes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	gc := cpuClasses()
 	for i := 0; i < b.N; i++ {
-		submit(shapes[i%len(shapes)])
+		serve(shapes[i%len(shapes)])
 	}
 	gc.report(b)
+}
+
+// BenchmarkServerSubmitHit times SubmitJob→Wait of serve-hot's request
+// mix (hotShapes) over 2048-element Input payloads: the served
+// plan-cache hit path end to end (admission pricing, cache lookup, a
+// replay of the channel's resident shape — input stores, execute —
+// and gather).
+func BenchmarkServerSubmitHit(b *testing.B) {
+	_, serve := hotServer(b)
+	benchServe(b, serve, hotShapes(rand.New(rand.NewSource(1))))
+}
+
+// BenchmarkServerSubmitHitManyShapes is BenchmarkServerSubmitHit over
+// 64 hot shapes, brightness with 64 distinct deltas: more shapes than a
+// channel's memo holds, so a job's shape has always left the memo
+// before it comes round again, and every job is a plan-cache hit that
+// binds, prepares and releases in full.
+func BenchmarkServerSubmitHitManyShapes(b *testing.B) {
+	_, serve := hotServer(b)
+	rng := rand.New(rand.NewSource(1))
+	shapes := make([]*simdram.Expr, 64)
+	for i := range shapes {
+		shapes[i] = kernels.BrightnessExpr(hotVec(rng, 0, 256), i+1)
+	}
+	benchServe(b, serve, shapes)
+}
+
+// TestServerReplayAllocBudget gates a served replay's allocations:
+// after warm-up, every job of serve-hot's request mix replays its
+// channel's resident shape (no plan is verified), and one SubmitJob
+// plus Wait allocates at most replayAllocBudget times.
+func TestServerReplayAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector allocates; gate runs in the non-race CI job")
+	}
+	srv, serve := hotServer(t)
+	shapes := hotShapes(rand.New(rand.NewSource(1)))
+	warmHot(serve, shapes)
+	verified := srv.VerifiedPlans()
+	i := 0
+	allocs := testing.AllocsPerRun(50*len(shapes), func() {
+		serve(shapes[i%len(shapes)])
+		i++
+	})
+	if v := srv.VerifiedPlans() - verified; v != 0 {
+		t.Fatalf("%d of the measured jobs prepared a plan instead of replaying", v)
+	}
+	const replayAllocBudget = 22
+	if allocs > replayAllocBudget {
+		t.Fatalf("a served replay allocated %.0f times, budget %d", allocs, replayAllocBudget)
+	}
+	t.Logf("a served replay allocated %.0f times, budget %d", allocs, replayAllocBudget)
 }

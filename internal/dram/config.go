@@ -143,20 +143,20 @@ func TestConfig() Config {
 }
 
 // WordsPerRow returns the number of 64-bit words in one row.
-func (c Config) WordsPerRow() int { return c.Cols / 64 }
+func (c *Config) WordsPerRow() int { return c.Cols / 64 }
 
 // C0Row returns the all-zeros control row.
-func (c Config) C0Row() int { return c.RowsPerSubarray - 2 }
+func (c *Config) C0Row() int { return c.RowsPerSubarray - 2 }
 
 // C1Row returns the all-ones control row.
-func (c Config) C1Row() int { return c.RowsPerSubarray - 1 }
+func (c *Config) C1Row() int { return c.RowsPerSubarray - 1 }
 
 // ComputeRows returns the number of rows reserved for the compute region:
 // T rows, two rows per DCC pair, and the two control rows.
-func (c Config) ComputeRows() int { return c.NumTRows + 2*c.NumDCCPairs + 2 }
+func (c *Config) ComputeRows() int { return c.NumTRows + 2*c.NumDCCPairs + 2 }
 
 // DataRows returns the number of rows available for operands and scratch.
-func (c Config) DataRows() int { return c.RowsPerSubarray - c.ComputeRows() }
+func (c *Config) DataRows() int { return c.RowsPerSubarray - c.ComputeRows() }
 
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {

@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -213,6 +215,60 @@ func TestHostReadWrite(t *testing.T) {
 	}
 }
 
+// TestRowViewsChargeLikeRowAccess fills rows through WriteView and
+// ChargeWrites and reads them through ReadView on one subarray, and
+// writes and reads them row by row through WriteRow and ReadRowInto on
+// another: the contents, the stats (energy bit for bit) and the traced
+// commands must agree. Views reach data rows only.
+func TestRowViewsChargeLikeRowAccess(t *testing.T) {
+	views, single := testSubarray(t), testSubarray(t)
+	var viewCmds, singleCmds []Command
+	views.OnCommand = func(c Command) { viewCmds = append(viewCmds, c) }
+	single.OnCommand = func(c Command) { singleCmds = append(singleCmds, c) }
+	rng := rand.New(rand.NewSource(6))
+	words := views.cfg.WordsPerRow()
+	const base, n = 3, 5
+	for round := 0; round < 3; round++ {
+		rows := views.WriteView(base, n)
+		for r := range rows {
+			copy(rows[r], randRow(rng, words))
+			single.WriteRow(base+r, rows[r])
+		}
+		views.ChargeWrites(base, n)
+		got := views.ReadView(base, n)
+		for r := range got {
+			want := make([]uint64, words)
+			single.ReadRowInto(base+r, want)
+			if !reflect.DeepEqual(got[r], want) {
+				t.Fatalf("round %d: row %d differs", round, base+r)
+			}
+		}
+	}
+	if views.Stats != single.Stats || math.Float64bits(views.Stats.EnergyPJ) != math.Float64bits(single.Stats.EnergyPJ) {
+		t.Fatalf("views charged %v, single-row access %v", views.Stats, single.Stats)
+	}
+	if !reflect.DeepEqual(viewCmds, singleCmds) {
+		t.Fatalf("views traced %v, single-row access %v", viewCmds, singleCmds)
+	}
+	dataRows := views.cfg.DataRows()
+	for _, c := range []struct{ base, n int }{{-1, 2}, {dataRows - 1, 2}, {dataRows, 1}, {views.cfg.C0Row(), 1}, {0, 0}} {
+		for name, view := range map[string]func(){
+			"WriteView":    func() { views.WriteView(c.base, c.n) },
+			"ReadView":     func() { views.ReadView(c.base, c.n) },
+			"ChargeWrites": func() { views.ChargeWrites(c.base, c.n) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s of rows [%d,%d) outside the data region did not panic", name, c.base, c.base+c.n)
+					}
+				}()
+				view()
+			}()
+		}
+	}
+}
+
 func TestModuleAggregation(t *testing.T) {
 	mod, err := NewModule(TestConfig())
 	if err != nil {
@@ -220,7 +276,8 @@ func TestModuleAggregation(t *testing.T) {
 	}
 	s00 := mod.Subarray(0, 0)
 	s11 := mod.Subarray(1, 1)
-	data := make([]uint64, mod.Config().WordsPerRow())
+	cfg := mod.Config()
+	data := make([]uint64, cfg.WordsPerRow())
 	s00.Poke(0, data)
 	s00.aap(0, 1)
 	s11.aap(0, 1)

@@ -119,37 +119,97 @@ func (s *Subarray) checkRow(row int) {
 }
 
 // ReadRowInto copies the row contents into dst via a normal host
-// access, so bulk gather paths reuse one buffer. dst must hold exactly
-// WordsPerRow words.
+// access. dst must hold exactly WordsPerRow words.
 //
 //simdram:zeroalloc
+//simdram:testapi single-row host read, the reference ReadView's charge is tested against
 func (s *Subarray) ReadRowInto(row int, dst []uint64) {
 	s.checkRow(row)
 	if len(dst) != s.cfg.WordsPerRow() {
 		panic(fmt.Sprintf("dram: ReadRowInto: want %d words, have %d", s.cfg.WordsPerRow(), len(dst)))
 	}
-	s.Stats.HostReads++
-	s.Stats.EnergyPJ += s.cfg.Energy.RdPJ
-	if s.OnCommand != nil {
-		s.trace(Command{Kind: CmdHostRead, Src: row})
-	}
+	s.chargeRead(row)
 	copy(dst, s.rows[row])
 }
 
 // WriteRow overwrites the row contents via a normal host access. Writing
 // a DCC row updates its complement row (dual-contact cells expose both
 // the true and negated bitline of the same cells).
+//
+//simdram:testapi single-row host write, the reference WriteView and ChargeWrites are tested against
 func (s *Subarray) WriteRow(row int, data []uint64) {
 	s.checkRow(row)
 	if len(data) != s.cfg.WordsPerRow() {
 		panic(fmt.Sprintf("dram: WriteRow: want %d words, have %d", s.cfg.WordsPerRow(), len(data)))
 	}
+	s.chargeWrite(row)
+	s.storeRow(row, data)
+}
+
+// ReadView charges a host read of each of the data rows [base,
+// base+n), in row order, exactly as n ReadRowInto calls would, and
+// returns the rows' live storage, so a bulk gather transposes straight
+// out of them instead of copying each row into a buffer first. The
+// view aliases live subarray state: treat it as read-only and do not
+// hold it across commands that may rewrite the rows.
+//
+//simdram:zeroalloc
+func (s *Subarray) ReadView(base, n int) [][]uint64 {
+	view := s.dataView(base, n)
+	for r := base; r < base+n; r++ {
+		s.chargeRead(r)
+	}
+	return view
+}
+
+// WriteView returns the live storage of the data rows [base, base+n)
+// for a host write in place: a bulk store transposes straight into
+// them instead of into a buffer that WriteRow then copies. The rows lie
+// in the data region, so no write through the view reaches a compute,
+// DCC or control row. The view models no command: once its fill has
+// succeeded the writer charges it with ChargeWrites.
+//
+//simdram:zeroalloc
+func (s *Subarray) WriteView(base, n int) [][]uint64 { return s.dataView(base, n) }
+
+// ChargeWrites charges a host write of each of the data rows [base,
+// base+n), in row order, exactly as n WriteRow calls would: the charge
+// of a fill through WriteView, or of rows that already hold what the
+// host would write.
+//
+//simdram:zeroalloc
+func (s *Subarray) ChargeWrites(base, n int) {
+	s.dataView(base, n)
+	for r := base; r < base+n; r++ {
+		s.chargeWrite(r)
+	}
+}
+
+// dataView returns rows [base, base+n), which must lie in the data
+// region.
+func (s *Subarray) dataView(base, n int) [][]uint64 {
+	if base < 0 || n < 1 || base+n > int(s.rm.T) {
+		panic(fmt.Sprintf("dram: rows [%d,%d) outside the data region [0,%d)", base, base+n, s.rm.T))
+	}
+	return s.rows[base : base+n : base+n]
+}
+
+// chargeRead models one host read of row.
+func (s *Subarray) chargeRead(row int) {
+	s.Stats.HostReads++
+	s.Stats.EnergyPJ += s.cfg.Energy.RdPJ
+	if s.OnCommand != nil {
+		s.trace(Command{Kind: CmdHostRead, Src: row})
+	}
+}
+
+// chargeWrite models one host write of row.
+func (s *Subarray) chargeWrite(row int) {
 	s.Stats.HostWrites++
 	s.Stats.EnergyPJ += s.cfg.Energy.WrPJ
 	if s.OnCommand != nil {
 		s.trace(Command{Kind: CmdHostWrite, Src: row})
 	}
-	s.storeRow(row, data)
 }
 
 // PeekRow returns the row's backing storage without modeling a command

@@ -2,7 +2,6 @@ package simdram
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
 
@@ -117,11 +116,11 @@ func DefaultServerConfig(n int) ServerConfig {
 // raw closures — into a bounded admission queue; a per-tenant fair
 // scheduler dispatches each job onto the next free channel; and a
 // shared plan cache lets repeated request shapes skip graph
-// optimization and scheduling entirely. A repeated shape whose storage
-// lands where it did last time on its channel also skips lowering and
-// preparation: it replays the channel's prepared program for the shape
-// and pays only for allocating, storing its inputs, running and
-// loading. A canceled or deadline-expired submission context preempts
+// optimization and scheduling entirely. A shape that keeps hitting
+// the plan cache on a channel becomes resident there: the channel keeps
+// the shape's storage and prepared program, and each later job of the
+// shape pays only for storing its inputs, running and loading. A
+// canceled or deadline-expired submission context preempts
 // the job: while queued it is dropped on the spot, while running the
 // batch engine stops issuing instructions (ctrl.RunOpts.Cancel) and
 // the future resolves with the cancellation error.
@@ -169,8 +168,8 @@ type Server struct {
 	estMu    sync.Mutex
 	estCache map[string]estEntry
 
-	// hits holds one prepared-program memo per channel for served
-	// plan-cache hits (see runLazy).
+	// hits holds one memo of resident shapes per channel for served
+	// plan-cache hits (see hitMemo).
 	hits []hitMemo
 
 	closeOnce sync.Once
@@ -217,9 +216,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.tracer = obs.NewTracer(cfg.TraceSampling, s.rec)
 	evictions := s.metrics.Counter("server.plan_evictions")
 	s.plans.SetEvictHook(func(key string, hits uint64) {
-		for i := range s.hits {
-			s.hits[i].drop(key)
-		}
 		evictions.Inc()
 		s.rec.Eventf("evict", "plan evicted after %d hits (key %.24q…)", hits, key)
 	})
@@ -359,10 +355,11 @@ func (f *Future) Wait() (*JobResult, error) {
 // SubmitJob enqueues the expressions as one job under the spec's QoS
 // intent: on whichever channel comes free, the graph compiles (or
 // reuses a cached plan), Input payloads are stored, the batch
-// executes, and every root's value is loaded into the JobResult. All
-// storage the job touched is released before the future resolves —
-// nothing outlives the request, which is what lets millions of
-// requests stream through a fixed set of channels.
+// executes, and every root's value is loaded into the JobResult. No
+// data outlives the request: the job's storage is released before the
+// future resolves, or, for a shape resident on the channel, kept only
+// to be overwritten by the shape's next job — which is what lets
+// millions of requests stream through a fixed set of channels.
 //
 // Admission prices the job before queueing it: the expression graph's
 // modeled critical path (exact scheduled makespan on a plan-cache
@@ -452,8 +449,11 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 // kernels, fault injection, experiments — under the same admission
 // control and fairness as lazy jobs. Raw jobs carry no modeled cost
 // estimate, so a deadline is checked against the estimated queue wait
-// plus the scheduler's trailing average job cost. fn must release
-// every vector it allocates before returning.
+// plus the scheduler's trailing average job cost. fn finds every data
+// row free that a server without plan-cache replays would leave free:
+// the channel first releases the rows its memo of served shapes holds
+// (see hitMemo). fn must release every vector it allocates before
+// returning.
 func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System, cancel <-chan struct{}) error) (*Future, error) {
 	if fn == nil {
 		return nil, errorf("server: nil job")
@@ -467,12 +467,13 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
 		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight, Deadline: spec.Deadline, Trace: tr,
 	}, func(worker int, cancel <-chan struct{}) error {
+		sys := s.cl.Channel(worker)
+		s.hits[worker].releaseRows()
 		espan := tr.BeginOn("execute", 0, worker)
 		// Raw jobs drive the System directly, so the finest attribution
 		// available is the channel unit's stats delta across the call —
 		// race-free because the worker owns the channel for the job's
 		// duration.
-		sys := s.cl.Channel(worker)
 		before := sys.cu.Stats
 		runStart := time.Now()
 		err := fn(sys, cancel)
@@ -544,112 +545,199 @@ type estEntry struct {
 // dropped and rebuilt (it repopulates in one submission per hot shape).
 const estCacheCap = 1024
 
-// hitMemo is one channel's memo of prepared programs for served
-// plan-cache hits, keyed by plan-cache key. An entry is the program a
-// job of that shape was last prepared as on this channel, plus the
-// placement its objects had. A later job of the shape binds its objects
-// first; when they land on the same placement, the entry's program is
-// valid for them once its object pins are re-pointed, and the job
-// skips lowering the program, resolving it and preparing it (and the
-// IR verifier, whose every input the plan and placement fix).
+// hitMemo is one channel's memo of resident prepared programs for
+// served plan-cache hits, keyed by plan-cache key. An entry owns the
+// whole binding of one job of its shape: every object the job
+// allocated, with its rows, and the prepared program that ran over
+// them. A later job of the shape that hits the same plan replays the
+// entry (see hitEntry.store): it writes its inputs into the entry's
+// rows and runs the entry's program, and skips allocating, lowering,
+// resolving and preparing (and the IR verifier, whose every input the
+// plan and the binding fix), and freeing. The memo keeps placement,
+// never results: every replay stores its inputs and computes afresh.
 //
 // A shape's first plan-cache hit on the channel records only that it
-// was seen (an entry with no program); the program is kept from its
-// next full preparation on. A prepared program holds every
-// instruction's bound μProgram views and dispatch tables, and shapes
-// that hit the plan cache once and then go cold would otherwise fill
-// the memo with them.
+// was seen (an entry with no binding); its next full-path hit keeps
+// its binding. Shapes that hit the plan cache once and then go cold
+// would otherwise pin rows and prepared programs. At hitMemoCap
+// entries a new shape evicts the least recently used entry and
+// releases its rows. An entry whose plan the plan cache evicted or
+// replaced is released by the shape's next lookup, or else by the cap.
+// Rows never fail a job: a shortage of data or scratch rows releases
+// every resident entry's rows and the job binds and prepares again,
+// on the rows a channel without a memo has free, so a job fails only
+// with the error such a channel reports.
 //
-// Only the channel's scheduler worker runs, rebinds or records
-// entries, so an entry's per-run scratch is never shared; mu guards
-// the map against the plan cache's evict hook and Close.
+// Only the channel's scheduler worker touches the memo, and Close
+// after the workers stop.
 type hitMemo struct {
-	mu      sync.Mutex
 	entries map[string]*hitEntry
-	// objs collects the running job's allocations in order, reused
-	// from job to job.
-	objs []*Vector
+	// clock stamps each entry's last use, for LRU eviction.
+	clock uint64
 }
 
-// hitEntry is one memoized prepared program (see hitMemo).
+// hitEntry is one memoized shape (see hitMemo).
 type hitEntry struct {
-	// plan is the cached plan the program was lowered from: a
-	// profile-guided recompile swaps the cache's plan and so misses.
+	used uint64 // hitMemo.clock at the entry's last hit
+
+	// The binding, nil while the shape was only seen. plan and n are
+	// what it was lowered from: the key omits the element count, and a
+	// profile-guided recompile swaps the cache's plan.
 	plan *graph.Plan
-	// widths and segs are the placement: each allocated object's width
-	// and segments, in allocation order.
-	widths []int
-	segs   []segment
-	// binds maps pp.binds[i] to the allocation index of its object.
-	binds []int
-	pp    *preparedProgram // nil when the shape was only seen
+	n    int
+	lw   *lowered
+	pp   *preparedProgram
+	// vecs is every object lw owns; stores repeats bindPlan's stores
+	// in its order.
+	vecs   []*Vector
+	stores []residentStore
 }
 
-// hitMemoCap bounds one channel's memo, seen-only shapes included; at
-// the cap the whole memo is dropped and rebuilt, two jobs per hot
-// shape. Prepared programs are large: at 128 entries, shapes that hit
-// the plan cache a few times and then went cold raised serve-adhoc's
-// resident memory by 10–13%.
+// residentStore is one store a replay repeats: a data leaf's payload
+// or, when splat, a constant.
+type residentStore struct {
+	v     *Vector
+	node  graph.NodeID // the data leaf, for its payload
+	splat bool
+	val   uint64 // the constant
+}
+
+// hitMemoCap bounds one channel's memo, seen-only shapes included.
+// Each resident entry pins a prepared program and its rows: at 128
+// entries, shapes that hit the plan cache a few times and then went
+// cold raised serve-adhoc's resident memory by 10–13%.
 const hitMemoCap = 16
 
-// lookup returns the entry for key when it was prepared from plan and
-// objs, this job's allocations, land on the entry's placement.
-func (m *hitMemo) lookup(key string, plan *graph.Plan, objs []*Vector) *hitEntry {
-	m.mu.Lock()
+// lookup returns key's resident entry when it was lowered from plan
+// for n elements and its program's scratch rows are free. An entry
+// lowered from another plan or element count is released and nil
+// returned: the job takes the full path. An entry whose scratch rows
+// are taken releases every entry's rows, so the full path finds the
+// rows a channel without a memo has.
+func (m *hitMemo) lookup(sys *System, key string, plan *graph.Plan, n int) *hitEntry {
 	e := m.entries[key]
-	m.mu.Unlock()
-	if e == nil || e.pp == nil || e.plan != plan || len(e.widths) != len(objs) {
+	if e == nil || e.lw == nil {
 		return nil
 	}
-	segs := e.segs
-	for i, v := range objs {
-		if v.width != e.widths[i] || len(v.segs) > len(segs) || !slices.Equal(v.segs, segs[:len(v.segs)]) {
-			return nil
-		}
-		segs = segs[len(v.segs):]
+	m.clock++
+	e.used = m.clock
+	if e.plan != plan || e.n != n {
+		e.release()
+		return nil
+	}
+	if sys.checkScratch(e.pp) != nil {
+		m.releaseRows()
+		return nil
 	}
 	return e
 }
 
-// record memoizes pp, prepared from plan over objs, under key, once
-// key has been seen (see hitMemo), and reports whether it kept pp. A
-// program that pins an object outside objs is not recorded.
-func (m *hitMemo) record(key string, plan *graph.Plan, objs []*Vector, pp *preparedProgram) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, seen := m.entries[key]
-	e := &hitEntry{} // a first sighting only marks key seen
+// record keeps lw and pp, a full-path job's binding and program
+// lowered from plan for n elements, as key's entry once key has been
+// seen, and reports whether it kept them. A first sighting adds a
+// seen-only entry, evicting the least recently used entry at the cap.
+func (m *hitMemo) record(key string, plan *graph.Plan, n int, lw *lowered, pp *preparedProgram) bool {
+	e, seen := m.entries[key]
+	m.clock++
 	if seen {
-		e = &hitEntry{plan: plan, widths: make([]int, len(objs)), binds: make([]int, len(pp.binds)), pp: pp}
-		for i, b := range pp.binds {
-			if e.binds[i] = slices.Index(objs, b.v); e.binds[i] < 0 {
-				return false
-			}
+		e.used = m.clock
+		if e.lw != nil {
+			return false
 		}
-		for i, v := range objs {
-			e.widths[i] = v.width
-			e.segs = append(e.segs, v.segs...)
-		}
+		e.keep(plan, n, lw, pp)
+		return true
 	}
-	if m.entries == nil || len(m.entries) >= hitMemoCap && !seen {
+	if m.entries == nil {
 		m.entries = map[string]*hitEntry{}
 	}
-	m.entries[key] = e
-	return seen
+	if len(m.entries) >= hitMemoCap {
+		var vk string
+		var victim *hitEntry
+		for k, o := range m.entries {
+			if victim == nil || o.used < victim.used {
+				vk, victim = k, o
+			}
+		}
+		victim.release()
+		delete(m.entries, vk)
+	}
+	m.entries[key] = &hitEntry{used: m.clock}
+	return false
 }
 
-// drop forgets key's entry.
-func (m *hitMemo) drop(key string) {
-	m.mu.Lock()
-	delete(m.entries, key)
-	m.mu.Unlock()
+// releaseRows releases every entry's rows, leaving the entries seen,
+// and reports whether any entry held rows. The worker calls it on a
+// row shortage and before a raw job, so the job finds the channel's
+// rows as a channel without a memo has them.
+func (m *hitMemo) releaseRows() bool {
+	held := false
+	for _, e := range m.entries {
+		held = held || e.lw != nil
+		e.release()
+	}
+	return held
 }
 
-// clear forgets every entry.
+// clear releases every entry and forgets it.
 func (m *hitMemo) clear() {
-	m.mu.Lock()
+	m.releaseRows()
 	m.entries = nil
-	m.mu.Unlock()
+}
+
+// keep makes lw and pp e's binding.
+func (e *hitEntry) keep(plan *graph.Plan, n int, lw *lowered, pp *preparedProgram) {
+	e.plan, e.n, e.lw, e.pp = plan, n, lw, pp
+	for _, o := range lw.temps {
+		e.vecs = append(e.vecs, o.(*Vector))
+	}
+	for _, r := range lw.results {
+		if r.owned {
+			e.vecs = append(e.vecs, r.obj.(*Vector))
+		}
+	}
+	e.stores = make([]residentStore, len(lw.stored))
+	for i, id := range lw.stored {
+		st := residentStore{v: lw.nodeObj[id].(*Vector), node: id}
+		if node := plan.Graph.Node(id); node.Kind == graph.KindConst {
+			st.splat, st.val = true, node.Val
+		}
+		e.stores[i] = st
+	}
+}
+
+// release frees e's binding, leaving e seen only.
+func (e *hitEntry) release() {
+	if e.lw == nil {
+		return
+	}
+	e.lw.release()
+	e.pp.release()
+	e.plan, e.lw, e.pp, e.vecs, e.stores = nil, nil, nil, nil, nil
+}
+
+// store writes one job's inputs into e's rows: every object gets a
+// fresh serial, so the transposition unit's line buffer never hits on
+// lines an earlier job transposed, and then each data leaf's payload
+// is stored and each constant splatted, in bindPlan's order, so the
+// job is charged exactly what the full path charges.
+//
+//simdram:zeroalloc
+func (e *hitEntry) store(sys *System, env *compileEnv) error {
+	for _, v := range e.vecs {
+		v.serial = sys.nextSerial()
+	}
+	for _, st := range e.stores {
+		var err error
+		if st.splat {
+			err = st.v.storeSplat(st.val)
+		} else {
+			err = st.v.Store(env.leafOf[st.node].data)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // seenPool recycles checkServable's visited sets: a cleared map keeps
@@ -680,6 +768,24 @@ func checkServable(e *Expr, seen map[*Expr]bool) error {
 	return nil
 }
 
+// bindJob binds plan's objects for one job on sys, storing its
+// inputs, and lowers its program; on failure it releases what it bound.
+func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lowered, error) {
+	lw, err := bindPlan(env, plan, exprs,
+		func(width int) (graphObj, error) { return sys.allocVector(env.n, width, 0) },
+		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: checkServable rejected them
+		leafDataOf(env),
+	)
+	if err != nil {
+		return nil, err
+	}
+	if err = lw.lowerProgram(env, plan); err != nil {
+		lw.release()
+		return nil, err
+	}
+	return lw, nil
+}
+
 // runLazy is the per-job serving pipeline on one channel: plan the
 // IR graph admission built (cache hit, cold compile, or
 // profile-guided recompile), bind payloads, execute with preemptive
@@ -689,13 +795,13 @@ func checkServable(e *Expr, seen map[*Expr]bool) error {
 // compile{cache-lookup[, schedule], lower} → prepare[{resolve}] →
 // execute[worker]{run} → gather.
 //
-// A plan-cache hit whose objects land on the placement the channel's
-// memo entry for the shape was prepared with (see hitMemo) replays
-// that entry: its "lower" span only binds storage, and its "prepare"
-// span only re-points the program at the new objects and checks
-// scratch headroom, with no "resolve" child. Any other job lowers and
-// prepares in full, and a plan-cache hit then records what it
-// prepared.
+// A plan-cache hit on a shape the channel's memo holds resident (see
+// hitMemo) replays the entry: its "lower" span only stores the inputs
+// into the entry's rows, and its "prepare" span only checks the
+// entry's program against the System, with no "resolve" child. Any
+// other job lowers and prepares in full, and a plan-cache hit then
+// records what it bound and prepared; a job that records nothing
+// releases its storage before the future resolves.
 func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace, at *ctrl.Attribution) error {
 	cspan := tr.Begin("compile", 0)
 	env.sys = sys
@@ -706,30 +812,17 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 	}
 	lspan := tr.Begin("lower", cspan)
 	memo := &s.hits[worker]
-	objs := memo.objs[:0]
-	defer func() {
-		clear(objs) // keep no freed vector reachable
-		memo.objs = objs[:0]
-	}()
-	lw, err := bindPlan(env, plan, exprs,
-		func(width int) (graphObj, error) {
-			v, err := sys.allocVector(env.n, width, 0)
-			if err != nil {
-				return nil, err
-			}
-			objs = append(objs, v)
-			return v, nil
-		},
-		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: checkServable rejected them
-		leafDataOf(env),
-	)
-	var hit *hitEntry
-	if err == nil && cst.CacheHit {
-		hit = memo.lookup(env.key, plan, objs)
-	}
-	if err == nil && hit == nil {
-		if err = lw.lowerProgram(env, plan); err != nil {
-			lw.release()
+	var lw *lowered
+	var pp *preparedProgram
+	var err error
+	hit := memo.lookup(sys, env.key, plan, env.n)
+	if hit != nil {
+		lw, pp = hit.lw, hit.pp
+		err = hit.store(sys, env)
+	} else {
+		lw, err = bindJob(sys, env, plan, exprs)
+		if isRowShortage(err) && memo.releaseRows() {
+			lw, err = bindJob(sys, env, plan, exprs)
 		}
 	}
 	tr.End(lspan)
@@ -739,45 +832,49 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 	}
 	// Results are NOT published onto the expressions (publish): the
 	// same expression template may be in flight on several channels at
-	// once, and every vector below is released before the future
-	// resolves anyway.
-	defer lw.release()
-	var pp *preparedProgram
-	if hit != nil || len(lw.prog) > 0 {
+	// once, and a job's vectors are released or replayed over once it
+	// is gathered.
+	kept := hit != nil
+	defer func() {
+		if !kept && lw != nil {
+			lw.release()
+		}
+	}()
+	if pp != nil || len(lw.prog) > 0 {
 		pspan := tr.Begin("prepare", 0)
 		if hit != nil {
-			pp = hit.pp
-			pp.rebind(objs, hit.binds)
-			if sys.checkPrepared(pp) != nil {
-				// Rows claimed since the entry was recorded took its
-				// scratch: take the full path, which reports them. The
-				// entry stays for when the rows come back.
-				hit, pp = nil, nil
-				err = lw.lowerProgram(env, plan)
-			}
-		}
-		if err == nil && hit == nil && len(lw.prog) > 0 {
+			err = sys.checkPrepared(pp)
+		} else {
 			pp, err = sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
+			if isRowShortage(err) && memo.releaseRows() {
+				// Bind anew: the objects sit wherever the resident rows
+				// left room, which can leave no scratch above them.
+				lw.release()
+				if lw, err = bindJob(sys, env, plan, exprs); err == nil {
+					pp, err = sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
+				}
+			}
 		}
 		tr.End(pspan)
 		if err != nil {
 			return err
 		}
-	}
-	if pp != nil {
 		espan := tr.BeginOn("execute", 0, worker)
 		rspan := tr.BeginOn("run", espan, worker)
-		st, opNs, err := sys.runPreparedAttr(pp, cancel, at)
+		st, opNs, err := sys.execPrepared(pp, cancel, at)
 		tr.End(rspan)
 		tr.End(espan)
 		if err == nil {
 			s.profiles.Record(env.key, plan, opNs, modelCost(sys.cfg))
 			res.Batch = st
 		}
-		// A program the memo does not keep ran once and is dropped:
-		// recycle its storage. A replayed one belongs to the memo.
-		if hit == nil && (err != nil || !cst.CacheHit || !memo.record(env.key, plan, objs, pp)) {
-			pp.release()
+		// A full-path program the memo does not keep ran once and is
+		// dropped: recycle its storage.
+		if hit == nil {
+			kept = err == nil && cst.CacheHit && memo.record(env.key, plan, env.n, lw, pp)
+			if !kept {
+				pp.release()
+			}
 		}
 		if err != nil {
 			return err

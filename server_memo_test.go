@@ -1,23 +1,31 @@
 package simdram
 
-// Tests for the Server's per-channel prepared-program memo: a job that
-// replays a memoized program must be indistinguishable from one that
-// lowers and prepares in full, and every kind of drift that could make
-// an entry stale — plan eviction, a profile-guided recompile, rows a
-// raw job left allocated or claimed — must send the job down the full
-// path. Every result is checked against the CPU baseline.
+// Tests for the Server's per-channel memo of resident shapes: a job
+// that replays a resident entry must be indistinguishable from one
+// that lowers and prepares in full, every kind of drift that could make
+// an entry stale — plan eviction, a profile-guided recompile, a raw
+// job — must send the job down the full path, and rows must never fail
+// a job while the memo holds any: a shortage releases every resident
+// entry's rows and the job binds again. Every result is checked against
+// the CPU baseline.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
 	"simdram/internal/baseline/cpu"
+	"simdram/internal/ctrl"
+	"simdram/internal/dram"
+	"simdram/internal/graph"
 	"simdram/internal/ops"
+	"simdram/internal/vertical"
 )
 
 // cpuEval computes a data-leaf expression on the host, one CPU-baseline
@@ -87,11 +95,8 @@ func checkRoots(t *testing.T, exprs []*Expr, res *JobResult) {
 
 // memoEntries returns a copy of channel ch's memo.
 func memoEntries(srv *Server, ch int) map[string]*hitEntry {
-	m := &srv.hits[ch]
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := map[string]*hitEntry{}
-	for k, e := range m.entries {
+	for k, e := range srv.hits[ch].entries {
 		out[k] = e
 	}
 	return out
@@ -164,70 +169,231 @@ func requireFullPath(t *testing.T, srv *Server, rng *rand.Rand, label string) {
 	}
 }
 
-// TestServerMemoHitMatchesMiss replays a memoized program and checks
-// the replay's batch stats equal, field for field, those of the job
-// that prepared it; Close drops the memo.
+// rowsInUse returns how many data rows channel ch has allocated.
+func rowsInUse(srv *Server, ch int) int {
+	sys, n := srv.cl.Channel(ch), 0
+	for _, bank := range sys.rows {
+		for _, a := range bank {
+			n += a.inUse()
+		}
+	}
+	return n
+}
+
+// residentRows returns how many data rows channel ch's resident memo
+// entries hold.
+func residentRows(srv *Server, ch int) int {
+	n := 0
+	for _, e := range memoEntries(srv, ch) {
+		seen := map[*Vector]bool{}
+		for _, v := range e.vecs {
+			if !seen[v] {
+				seen[v] = true
+				n += v.width * len(v.segs)
+			}
+		}
+	}
+	return n
+}
+
+// requireRowsResident checks that every row channel ch has allocated
+// belongs to a resident memo entry: between jobs, nothing else holds
+// rows.
+func requireRowsResident(t *testing.T, srv *Server, ch int, label string) {
+	t.Helper()
+	if used, held := rowsInUse(srv, ch), residentRows(srv, ch); used != held {
+		t.Fatalf("%s: channel %d has %d rows allocated, resident entries hold %d", label, ch, used, held)
+	}
+}
+
+// shapeKey returns the plan-cache key of exprs.
+func shapeKey(t *testing.T, srv *Server, exprs []*Expr) string {
+	t.Helper()
+	env, err := buildEnv(srv.cl.Channel(0), nil, CompileOptions{}, exprs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env.key
+}
+
+// jobCharges is what one job charged its channel: the batch, the
+// DRAM's host traffic and energy, and the transposition unit.
+type jobCharges struct {
+	batch                 BatchStats
+	hostWrites, hostReads int64
+	energyPJ              float64
+	unit                  vertical.UnitStats
+}
+
+// chargedJob serves exprs on a one-channel server with the channel's
+// DRAM and transposition-unit counters zeroed first, so the charges
+// it returns are the job's alone and accumulate from zero: two jobs
+// that charge the same amounts in the same order return bit-identical
+// values.
+func chargedJob(t *testing.T, srv *Server, exprs []*Expr) (jobCharges, int64) {
+	t.Helper()
+	sys := srv.cl.Channel(0)
+	for b := 0; b < sys.mod.NumBanks(); b++ {
+		for sub := 0; sub < sys.mod.SubarraysPerBank(); sub++ {
+			sys.mod.Subarray(b, sub).Stats = dram.Stats{}
+		}
+	}
+	sys.tu.Stats = vertical.UnitStats{}
+	res, verified := memoJob(t, srv, exprs)
+	st := sys.mod.Stats()
+	return jobCharges{res.Batch, st.HostWrites, st.HostReads, st.EnergyPJ, sys.tu.Stats}, verified
+}
+
+// TestServerMemoHitMatchesMiss replays a resident entry and checks
+// each replay charges, bit for bit, what the job that recorded it
+// charged: the batch stats, the DRAM's host writes, host reads and
+// energy, and every transposition-unit counter. A replay canceled
+// part-way leaves the entry replayable, and Close releases every row.
 func TestServerMemoHitMatchesMiss(t *testing.T) {
 	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(1))
-	miss := warmMemo(t, srv, rng)
+	for i := 0; i < 2; i++ {
+		memoJob(t, srv, memoShape(rng)) // cold compile, then seen
+	}
+	rec, verified := chargedJob(t, srv, memoShape(rng))
+	if verified != 1 {
+		t.Fatalf("recording job verified %d plans, want 1", verified)
+	}
 	_, e := onlyEntry(t, srv, 0)
-	for i := 0; i < 3; i++ {
-		hit := requireReplay(t, srv, rng, "replay")
-		if hit.Batch != miss.Batch {
-			t.Fatalf("replay %d batch %+v, preparing job's %+v", i, hit.Batch, miss.Batch)
-		}
-		if !hit.Compile.CacheHit {
-			t.Fatalf("replay %d: not a plan-cache hit", i)
-		}
+	if e.lw == nil {
+		t.Fatal("second plan-cache hit kept no binding")
 	}
-	if _, again := onlyEntry(t, srv, 0); again != e {
-		t.Fatal("replays replaced the memo entry")
+	requireRowsResident(t, srv, 0, "recorded")
+	for i := 0; i < 4; i++ {
+		hit, verified := chargedJob(t, srv, memoShape(rng))
+		if verified != 0 {
+			t.Fatalf("replay %d verified %d plans, want a replay", i, verified)
+		}
+		if hit != rec {
+			t.Fatalf("replay %d charged %+v, the recording job %+v", i, hit, rec)
+		}
+		requireRowsResident(t, srv, 0, "replay")
 	}
+	if _, again := onlyEntry(t, srv, 0); again != e || e.lw == nil {
+		t.Fatal("replays replaced or released the memo entry")
+	}
+
+	// Cancel a replay once its program has issued a few commands.
+	sys := srv.cl.Channel(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	armed, commands := true, 0
+	sys.mod.Subarray(0, 0).AddCommandHook(func(c dram.Command) {
+		if armed && c.Kind <= dram.CmdMajCopy {
+			if commands++; commands == 10 {
+				cancel()
+			}
+		}
+	})
+	fut, err := srv.SubmitJob(ctx, JobSpec{Tenant: "memo"}, memoShape(rng)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.Wait(); !errors.Is(err, ctrl.ErrCanceled) && !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled replay: %v, want a cancellation", err)
+	}
+	armed = false
+	if hit := requireReplay(t, srv, rng, "replay after a canceled one"); hit.Batch != rec.batch {
+		t.Fatalf("replay after a canceled one: batch %+v, recording job's %+v", hit.Batch, rec.batch)
+	}
+
 	srv.Close()
 	if n := len(memoEntries(srv, 0)); n != 0 {
 		t.Fatalf("memo holds %d entries after Close", n)
 	}
-}
-
-// TestServerMemoCap fills a channel's memo with seen-only shapes: the
-// shape past the cap drops the whole memo and starts it afresh.
-func TestServerMemoCap(t *testing.T) {
-	srv := memoServer(t, nil)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i <= hitMemoCap; i++ {
-		shape := []*Expr{Input(randData(rng, memoN, 8), 8).Add(Scalar(uint64(i), 8))}
-		memoJob(t, srv, shape) // cold compile
-		memoJob(t, srv, shape) // first plan-cache hit: seen
-		want := i + 1
-		if i == hitMemoCap {
-			want = 1
-		}
-		if n := len(memoEntries(srv, 0)); n != want {
-			t.Fatalf("after shape %d: memo holds %d entries, want %d", i, n, want)
-		}
+	if n := rowsInUse(srv, 0); n != 0 {
+		t.Fatalf("%d rows still allocated after Close", n)
 	}
 }
 
-// TestServerMemoDropsEvictedPlan evicts a memoized shape's plan: the
-// evict hook drops the entry, and the shape's next job compiles and
-// prepares in full.
+// TestServerMemoCap fills a channel's memo with hitMemoCap resident
+// shapes: the next shape's first plan-cache hit evicts the least
+// recently used entry, not the oldest, and releases its rows, and
+// every other entry stays resident.
+func TestServerMemoCap(t *testing.T) {
+	srv := memoServer(t, nil)
+	rng := rand.New(rand.NewSource(7))
+	shape := func(i int) []*Expr {
+		return []*Expr{Input(randData(rng, memoN, 8), 8).Add(Scalar(uint64(i), 8))}
+	}
+	keys := make([]string, hitMemoCap+1)
+	for i := 0; i < hitMemoCap; i++ {
+		keys[i] = shapeKey(t, srv, shape(i))
+		for range 3 { // cold compile, seen, recorded
+			memoJob(t, srv, shape(i))
+		}
+		if e := memoEntries(srv, 0)[keys[i]]; e == nil || e.lw == nil {
+			t.Fatalf("shape %d is not resident", i)
+		}
+	}
+	// Shape 0, the oldest, replays: shape 1 becomes the least recently
+	// used.
+	if _, verified := memoJob(t, srv, shape(0)); verified != 0 {
+		t.Fatal("shape 0 did not replay")
+	}
+	keys[hitMemoCap] = shapeKey(t, srv, shape(hitMemoCap))
+	memoJob(t, srv, shape(hitMemoCap)) // cold compile
+	memoJob(t, srv, shape(hitMemoCap)) // first plan-cache hit: seen
+	entries := memoEntries(srv, 0)
+	if len(entries) != hitMemoCap {
+		t.Fatalf("memo holds %d entries, want %d", len(entries), hitMemoCap)
+	}
+	if _, ok := entries[keys[1]]; ok {
+		t.Fatal("the least recently used shape survived the cap")
+	}
+	for i, k := range keys {
+		if e := entries[k]; i != 1 && i != hitMemoCap && (e == nil || e.lw == nil) {
+			t.Fatalf("shape %d lost its resident entry", i)
+		}
+	}
+	requireRowsResident(t, srv, 0, "at the cap")
+	if _, verified := memoJob(t, srv, shape(0)); verified != 0 {
+		t.Fatal("shape 0 stopped replaying")
+	}
+}
+
+// TestServerMemoDropsEvictedPlan evicts a resident shape's plan from
+// another goroutine, as another channel's worker inserting a plan
+// does. The evict hook leaves the memo alone: the entry keeps its rows
+// until the shape's next job, which compiles the plan again, finds the
+// entry pinned to the evicted plan, releases its rows and takes the
+// full path. The next plan-cache hit records the shape again and the
+// one after replays.
 func TestServerMemoDropsEvictedPlan(t *testing.T) {
 	srv := memoServer(t, func(cfg *ServerConfig) { cfg.PlanCacheSize = 1 })
 	rng := rand.New(rand.NewSource(2))
 	warmMemo(t, srv, rng)
-	key, _ := onlyEntry(t, srv, 0)
-	other := Input(randData(rng, memoN, 8), 8).Sub(Input(randData(rng, memoN, 8), 8))
-	if _, verified := memoJob(t, srv, []*Expr{other}); verified != 1 {
-		t.Fatalf("other shape verified %d plans, want 1", verified)
+	key, e := onlyEntry(t, srv, 0)
+	held := rowsInUse(srv, 0)
+	if held == 0 {
+		t.Fatal("resident entry holds no rows")
 	}
+	srv.plans.Do("another shape", func() *graph.Plan { return &graph.Plan{} })
 	if srv.Stats().Cache.Evicted != 1 {
 		t.Fatalf("cache stats %+v, want one eviction", srv.Stats().Cache)
 	}
-	if _, ok := memoEntries(srv, 0)[key]; ok {
-		t.Fatal("evicted plan's memo entry survived")
+	if e.lw == nil || rowsInUse(srv, 0) != held {
+		t.Fatalf("after the eviction: resident %v, %d rows allocated; want the entry still holding its %d rows",
+			e.lw != nil, rowsInUse(srv, 0), held)
 	}
-	requireFullPath(t, srv, rng, "after eviction")
+	res, verified := memoJob(t, srv, memoShape(rng))
+	if res.Compile.CacheHit || verified != 1 {
+		t.Fatalf("after the eviction: cache hit %v, %d plans verified; want a cold compile through the full path", res.Compile.CacheHit, verified)
+	}
+	if again, ok := memoEntries(srv, 0)[key]; !ok || again.lw != nil {
+		t.Fatal("the evicted plan's entry is not left seen only")
+	}
+	if n := rowsInUse(srv, 0); n != 0 {
+		t.Fatalf("%d rows allocated after the stale entry's release", n)
+	}
+	requireFullPath(t, srv, rng, "first hit on the new plan")
+	requireReplay(t, srv, rng, "replay of the new plan")
+	requireRowsResident(t, srv, 0, "after the replay")
 }
 
 // TestServerMemoMissesRecompiledPlan drives a shape to its
@@ -257,7 +423,7 @@ func TestServerMemoMissesRecompiledPlan(t *testing.T) {
 		}
 		return res, srv.VerifiedPlans() - verified
 	}
-	var old *hitEntry
+	var oldPlan *graph.Plan
 	for i := 0; ; i++ {
 		if i > 2*DefaultProfileMinJobs+2 {
 			t.Fatal("no profile-guided recompile")
@@ -269,23 +435,26 @@ func TestServerMemoMissesRecompiledPlan(t *testing.T) {
 			}
 			break
 		}
-		if old != nil && verified != 0 {
+		if oldPlan != nil && verified != 0 {
 			t.Fatalf("job %d verified %d plans, want a replay", i, verified)
 		}
 		if i >= 2 {
-			_, old = onlyEntry(t, srv, 0)
+			_, e := onlyEntry(t, srv, 0)
+			oldPlan = e.plan
 		}
 	}
-	if old == nil || old.pp == nil {
+	if oldPlan == nil {
 		t.Fatal("recompile came before the memo held a prepared program")
+	}
+	if _, e := onlyEntry(t, srv, 0); e.lw != nil {
+		t.Fatal("the recompiling job kept the replaced plan's rows resident")
 	}
 	res, verified := serve()
 	if !res.Compile.CacheHit || verified != 1 {
 		t.Fatalf("first hit on the recompiled plan: cache hit %v, %d plans verified; want a hit through the full path", res.Compile.CacheHit, verified)
 	}
-	_, e := onlyEntry(t, srv, 0)
-	if e == old || e.plan == old.plan {
-		t.Fatal("memo still holds the entry of the replaced plan")
+	if _, e := onlyEntry(t, srv, 0); e.plan == nil || e.plan == oldPlan {
+		t.Fatal("the first hit on the recompiled plan did not become resident")
 	}
 	if _, verified := serve(); verified != 0 {
 		t.Fatalf("second hit on the recompiled plan verified %d plans, want a replay", verified)
@@ -293,8 +462,10 @@ func TestServerMemoMissesRecompiledPlan(t *testing.T) {
 }
 
 // TestServerMemoMissesMovedPlacement leaves a vector allocated from a
-// raw job, which moves the shape's storage: the placement no longer
-// matches and the job prepares in full.
+// raw job. The raw job finds the memo's rows released, so the shape's
+// next job binds anew, above the left vector, and records that
+// binding, which the job after replays; the same holds once the
+// vector is freed.
 func TestServerMemoMissesMovedPlacement(t *testing.T) {
 	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(5))
@@ -311,6 +482,9 @@ func TestServerMemoMissesMovedPlacement(t *testing.T) {
 		}
 	}
 	raw(func(sys *System) (err error) {
+		if n := rowsInUse(srv, 0); n != 0 {
+			return fmt.Errorf("raw job found %d rows allocated", n)
+		}
 		left, err = sys.AllocVector(memoN, 8)
 		return err
 	})
@@ -319,6 +493,7 @@ func TestServerMemoMissesMovedPlacement(t *testing.T) {
 	raw(func(*System) error { left.Free(); return nil })
 	requireFullPath(t, srv, rng, "rows released")
 	requireReplay(t, srv, rng, "replay at the first placement")
+	requireRowsResident(t, srv, 0, "after the raw jobs")
 }
 
 // claimTail is a raw job that claims every data row above the first
@@ -350,20 +525,20 @@ func claimTail(rows int, tail *[]*Vector) func(sys *System, _ <-chan struct{}) e
 	}
 }
 
-// TestServerMemoStaleScratchFallsBack claims a memoized shape's
-// scratch rows from a raw job without moving its storage. The replay
-// check must not fail the job with the memo's own staleness error: the
-// job takes the full path and ends exactly as it does on a channel
-// that never memoized the shape, and once the rows are back the kept
-// entry replays again.
+// TestServerMemoStaleScratchFallsBack claims a resident shape's
+// scratch rows from a raw job, which first releases the memo's rows.
+// The memo's staleness must not fail the job: the job takes the full
+// path and ends exactly as it does on a channel that never memoized
+// the shape, and records nothing. Once the rows are back the shape's
+// next job records its binding again and the one after replays it.
 func TestServerMemoStaleScratchFallsBack(t *testing.T) {
 	srv := memoServer(t, nil)
 	rng := rand.New(rand.NewSource(6))
 	warmMemo(t, srv, rng)
 	_, e := onlyEntry(t, srv, 0)
 	rows := 0
-	for _, w := range e.widths {
-		rows += w
+	for _, v := range e.vecs {
+		rows += v.width
 	}
 	serveErr := func(srv *Server) error {
 		t.Helper()
@@ -396,14 +571,17 @@ func TestServerMemoStaleScratchFallsBack(t *testing.T) {
 	var freshTail []*Vector
 	claim(fresh, &freshTail)
 	want := serveErr(fresh)
-	if (got == nil) != (want == nil) || got != nil && !strings.Contains(got.Error(), "scratch rows") {
+	// The channels number their objects differently.
+	handles := regexp.MustCompile(`obj[0-9]+`)
+	if (got == nil) != (want == nil) || got != nil && (!strings.Contains(got.Error(), "scratch rows") ||
+		handles.ReplaceAllString(got.Error(), "obj") != handles.ReplaceAllString(want.Error(), "obj")) {
 		t.Fatalf("memoized channel: %v; channel without a memo: %v", got, want)
 	}
 	if got != nil && strings.Contains(got.Error(), "stale") {
 		t.Fatalf("replay check surfaced as the job's error: %v", got)
 	}
-	if _, kept := onlyEntry(t, srv, 0); kept != e {
-		t.Fatal("the full path's failure replaced the memo entry")
+	if _, kept := onlyEntry(t, srv, 0); kept.lw != nil {
+		t.Fatal("the failed full path became resident")
 	}
 	fut, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "memo"}, func(*System, <-chan struct{}) error {
 		for _, v := range tail {
@@ -417,6 +595,7 @@ func TestServerMemoStaleScratchFallsBack(t *testing.T) {
 	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	requireFullPath(t, srv, rng, "first job after the rows returned")
 	requireReplay(t, srv, rng, "replay after the rows returned")
 }
 
@@ -475,5 +654,182 @@ func TestServerMemoConcurrentChannels(t *testing.T) {
 	// its program, verify; every other job replays.
 	if v := srv.VerifiedPlans(); v > 6 {
 		t.Fatalf("%d plans verified over %d jobs, want at most 6", v, clients*jobs)
+	}
+}
+
+// notShape is a request of one not per width, each over its own Input
+// leaf: its rows are twice the widths' sum in each subarray it
+// touches, and its μPrograms need no scratch row.
+func notShape(rng *rand.Rand, widths ...int) []*Expr {
+	roots := make([]*Expr, len(widths))
+	for i, w := range widths {
+		roots[i] = Input(randData(rng, memoN, w), w).Not()
+	}
+	return roots
+}
+
+// mulShape is a 16-bit multiplication request: 64 rows in each
+// subarray it touches, and 31 scratch rows.
+func mulShape(rng *rand.Rand) []*Expr {
+	return []*Expr{Input(randData(rng, memoN, 16), 16).Mul(Input(randData(rng, memoN, 16), 16))}
+}
+
+// TestServerMemoRowPressure fills the data rows with resident shapes
+// and checks that rows never fail a job while the memo holds any: a
+// shortage releases every resident entry's rows and the job binds and
+// prepares again, on the rows a channel without a memo has free.
+func TestServerMemoRowPressure(t *testing.T) {
+	srv := memoServer(t, nil)
+	rng := rand.New(rand.NewSource(8))
+	mulKey, notKey := shapeKey(t, srv, mulShape(rng)), shapeKey(t, srv, notShape(rng, 64, 64, 64, 18))
+	resident := func(key string) bool {
+		e := memoEntries(srv, 0)[key]
+		return e != nil && e.lw != nil
+	}
+	for range 3 { // 420 of the 500 data rows in each subarray it touches
+		memoJob(t, srv, notShape(rng, 64, 64, 64, 18))
+	}
+	if !resident(notKey) {
+		t.Fatal("the not shape is not resident")
+	}
+
+	// The multiplication's 64 object rows fit in the 80 rows above the
+	// not shape, but its 31 scratch rows do not fit above them: only
+	// binding anew, once the not shape's rows are released, prepares.
+	res, verified := memoJob(t, srv, mulShape(rng))
+	if res.Compile.CacheHit || verified == 0 {
+		t.Fatalf("multiplication: cache hit %v, %d plans verified; want a cold compile", res.Compile.CacheHit, verified)
+	}
+	if resident(notKey) || rowsInUse(srv, 0) != 0 {
+		t.Fatalf("after the multiplication: not shape resident %v, %d rows allocated; want both released", resident(notKey), rowsInUse(srv, 0))
+	}
+
+	// The multiplication becomes resident first, the not shape above it:
+	// the 16 rows left are fewer than the multiplication's scratch rows.
+	for range 2 {
+		memoJob(t, srv, mulShape(rng))
+	}
+	memoJob(t, srv, notShape(rng, 64, 64, 64, 18))
+	if !resident(mulKey) || !resident(notKey) {
+		t.Fatalf("multiplication resident %v, not resident %v; want both", resident(mulKey), resident(notKey))
+	}
+	requireRowsResident(t, srv, 0, "both shapes resident")
+	if _, verified := memoJob(t, srv, mulShape(rng)); verified != 1 {
+		t.Fatalf("multiplication verified %d plans, want the full path", verified)
+	}
+	if !resident(mulKey) || resident(notKey) {
+		t.Fatal("the multiplication did not release the rows and record again")
+	}
+	requireRowsResident(t, srv, 0, "after the multiplication")
+
+	// A miss whose objects find no row at all releases both entries.
+	memoJob(t, srv, notShape(rng, 64, 64, 64, 18))
+	if !resident(mulKey) || !resident(notKey) {
+		t.Fatal("the not shape did not record again")
+	}
+	miss := []*Expr{Input(randData(rng, memoN, 16), 16).Mul(Input(randData(rng, memoN, 16), 16)).Not()}
+	res, verified = memoJob(t, srv, miss)
+	if res.Compile.CacheHit || verified != 1 {
+		t.Fatalf("miss: cache hit %v, %d plans verified; want a cold compile", res.Compile.CacheHit, verified)
+	}
+	if resident(mulKey) || resident(notKey) || rowsInUse(srv, 0) != 0 {
+		t.Fatal("the miss succeeded without releasing both entries")
+	}
+}
+
+// TestServerMemoRawJobGetsEveryRow runs a raw job on a channel that
+// holds a resident shape: the job can allocate every data row of
+// every subarray, and the shape becomes resident again afterwards.
+func TestServerMemoRawJobGetsEveryRow(t *testing.T) {
+	srv := memoServer(t, nil)
+	rng := rand.New(rand.NewSource(9))
+	warmMemo(t, srv, rng)
+	fut, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "memo"}, func(sys *System, _ <-chan struct{}) error {
+		var all []*Vector
+		defer func() {
+			for _, v := range all {
+				v.Free()
+			}
+		}()
+		cfg := sys.Config().DRAM
+		for b := 0; b < cfg.Banks; b++ {
+			for sub := 0; sub < cfg.SubarraysPerBank; sub++ {
+				for rows := cfg.DataRows(); rows > 0; rows -= min(rows, 64) {
+					v, err := sys.AllocVectorAt(cfg.Cols, min(rows, 64), b, sub)
+					if err != nil {
+						return err
+					}
+					all = append(all, v)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.Wait(); err != nil {
+		t.Fatalf("raw job could not allocate every row: %v", err)
+	}
+	requireFullPath(t, srv, rng, "after the raw job")
+	requireReplay(t, srv, rng, "replay after the raw job")
+}
+
+// TestServerMemoEvictHookConcurrent has one of two clients evict the
+// shape's plan from its own goroutine after every tenth job, while
+// both clients serve the shape on two channels: the eviction races the
+// channels' workers, which alone touch their memos and release
+// entries' rows. Between evictions the shape becomes resident and
+// replays. Run it under -race.
+func TestServerMemoEvictHookConcurrent(t *testing.T) {
+	srv := testServer(t, 2, func(cfg *ServerConfig) {
+		cfg.ProfileThreshold = -1
+		cfg.PlanCacheSize = 1
+	})
+	const clients, jobs = 2, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		rng := rand.New(rand.NewSource(int64(c + 20)))
+		reqs := make([][]*Expr, jobs)
+		wants := make([][][]uint64, jobs)
+		for i := range reqs {
+			reqs[i] = memoShape(rng)
+			for _, e := range reqs[i] {
+				w, _ := cpuEval(t, e, memoN)
+				wants[i] = append(wants[i], w)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, exprs := range reqs {
+				fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "memo"}, exprs...)
+				if err == nil {
+					var res *JobResult
+					if res, err = fut.Wait(); err == nil && !reflect.DeepEqual(res.Values, wants[i]) {
+						err = errors.New("result differs from the CPU baseline")
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if c == 0 && i%10 == 9 {
+					srv.plans.Do(fmt.Sprint("evicting shape ", i), func() *graph.Plan { return &graph.Plan{} })
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if v := srv.VerifiedPlans(); v >= clients*jobs {
+		t.Fatalf("%d plans verified over %d jobs: no job replayed", v, clients*jobs)
+	}
+	for ch := 0; ch < 2; ch++ {
+		requireRowsResident(t, srv, ch, "after the clients")
 	}
 }

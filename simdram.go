@@ -25,6 +25,7 @@
 package simdram
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -105,12 +106,6 @@ type System struct {
 	handles handleSpace
 	serials uint64 // last Vector.serial handed out
 
-	// rowBuf is the vertical-row scratch every Store, splat and Load
-	// transposes through (see transposeRows), grown to the widest
-	// vector seen. Like the transposition unit it serves, it belongs to
-	// whichever goroutine is using the System.
-	rowBuf [][]uint64
-
 	// plans memoizes compiled expression shapes (see PlanCacheStats);
 	// profiles aggregates their measured per-op latencies and drives
 	// profile-guided recompiles (see ProfileStats).
@@ -155,15 +150,6 @@ func (h *handleSpace) release(id uint16) { h.free = append(h.free, id) }
 func (s *System) nextSerial() uint64 {
 	s.serials++
 	return s.serials
-}
-
-// transposeRows returns width rows of one DRAM row each from the
-// System's reused scratch, valid until the next call.
-func (s *System) transposeRows(width int) [][]uint64 {
-	if len(s.rowBuf) < width {
-		s.rowBuf = vertical.MakeRows(width, s.cfg.DRAM.WordsPerRow())
-	}
-	return s.rowBuf[:width]
 }
 
 // New builds a System.
@@ -270,4 +256,25 @@ func Operations() []string {
 // errorf is fmt.Errorf with the package prefix.
 func errorf(format string, args ...any) error {
 	return fmt.Errorf("simdram: "+format, args...)
+}
+
+// rowShortage marks an error caused by a shortage of data or scratch
+// rows: a Server frees its memo's resident rows and retries on one.
+type rowShortage struct{ error }
+
+func (e rowShortage) Unwrap() error { return e.error }
+
+// shortagef is errorf for a row shortage.
+func shortagef(format string, args ...any) error {
+	return rowShortage{errorf(format, args...)}
+}
+
+// isRowShortage reports whether err was caused by a row shortage. A
+// nil err returns before errors.As, whose target escapes.
+func isRowShortage(err error) bool {
+	if err == nil {
+		return false
+	}
+	var rs rowShortage
+	return errors.As(err, &rs)
 }

@@ -69,7 +69,7 @@ func (s *System) allocVector(n, width, origin int) (*Vector, error) {
 			for _, seg := range v.segs {
 				s.rows[seg.bank][seg.sub].release(seg.baseRow, width)
 			}
-			return nil, errorf("out of data rows in bank %d subarray %d (need %d rows)", bank, sub, width)
+			return nil, shortagef("out of data rows in bank %d subarray %d (need %d rows)", bank, sub, width)
 		}
 		lanes := cols
 		if remaining < lanes {
@@ -174,9 +174,9 @@ func (v *Vector) View(rowOffset, width int) (*Vector, error) {
 }
 
 // Store writes horizontal data into the vector: the transposition unit
-// converts each subarray's chunk to the vertical layout and the rows are
-// written through the normal host path (so both the transposition and the
-// DRAM writes are accounted).
+// converts each subarray's chunk to the vertical layout straight into
+// the vector's rows, and each row is charged as a host write (so both
+// the transposition and the DRAM writes are accounted).
 func (v *Vector) Store(data []uint64) error {
 	if v.freed {
 		return errorf("store to freed vector")
@@ -205,19 +205,18 @@ func (v *Vector) storeSplat(val uint64) error {
 	})
 }
 
-// writeSegments has fill build each segment's vertical rows in the
-// System's transposition scratch, then writes them through the host
-// path.
+// writeSegments has fill write each segment's vertical rows in place
+// through the subarray's write view, then charges the segment's rows
+// as host writes once fill has succeeded.
+//
+//simdram:zeroalloc
 func (v *Vector) writeSegments(fill func(rows [][]uint64, seg segment) error) error {
-	rows := v.sys.transposeRows(v.width)
 	for _, seg := range v.segs {
-		if err := fill(rows, seg); err != nil {
+		sa := v.sys.mod.Subarray(seg.bank, seg.sub)
+		if err := fill(sa.WriteView(seg.baseRow, v.width), seg); err != nil {
 			return err
 		}
-		sa := v.sys.mod.Subarray(seg.bank, seg.sub)
-		for r := 0; r < v.width; r++ {
-			sa.WriteRow(seg.baseRow+r, rows[r])
-		}
+		sa.ChargeWrites(seg.baseRow, v.width)
 	}
 	return nil
 }
@@ -232,20 +231,18 @@ func (v *Vector) Load() ([]uint64, error) {
 	return out, nil
 }
 
-// loadInto is Load into out (v.n elements). The System's
-// transposition scratch serves every segment's vertical gather, and
-// each segment transposes straight into its slice of out.
+// loadInto is Load into out (v.n elements): each segment's rows are
+// charged as host reads and transposed straight out of the subarray
+// into the segment's slice of out.
+//
+//simdram:zeroalloc
 func (v *Vector) loadInto(out []uint64) error {
 	if v.freed {
 		return errorf("load from freed vector")
 	}
-	rows := v.sys.transposeRows(v.width)
 	off := 0
 	for _, seg := range v.segs {
-		sa := v.sys.mod.Subarray(seg.bank, seg.sub)
-		for r := 0; r < v.width; r++ {
-			sa.ReadRowInto(seg.baseRow+r, rows[r])
-		}
+		rows := v.sys.mod.Subarray(seg.bank, seg.sub).ReadView(seg.baseRow, v.width)
 		if err := v.sys.tu.VToH(v.serial, out[off:off+seg.lanes], rows, v.width); err != nil {
 			return err
 		}
