@@ -1,9 +1,6 @@
 package simdram
 
 import (
-	"cmp"
-	"slices"
-
 	"simdram/internal/ctrl"
 	"simdram/internal/isa"
 	"simdram/internal/obs"
@@ -106,8 +103,8 @@ func (s *System) prepareProgram(prog isa.Program) (*preparedProgram, error) {
 // (the bind-once cost a cache hit amortizes) is accounted to a
 // "resolve" span under parent. tr may be nil. Every program passes the
 // IR verifier before it is bound. lw, when non-nil, is the graph
-// lowering prog came from: the check then uses the compiler's
-// definedness map, and is skipped when verifyLowered has already
+// lowering prog came from: the check then reads definedness off the
+// lowering's tables, and is skipped when verifyLowered has already
 // checked the lowering.
 func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Trace, parent int) (*preparedProgram, error) {
 	if err := prog.Validate(); err != nil {
@@ -119,7 +116,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 			return nil, err
 		}
 	} else if !lw.verified {
-		if err := s.verifyProgram(prog, deps, lw.defined); err != nil {
+		if err := s.verifyProgram(prog, deps, lw); err != nil {
 			return nil, err
 		}
 	}
@@ -134,19 +131,29 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		nDeps += len(d)
 	}
 	jdeps := make([]int, 0, nDeps)
-	var segs segBufs
-	var bound [1 << 16 / 64]uint64 // bitset over handles already pinned
+	// Size the segment buffers from the program: an operation runs on
+	// each segment of its destination and binds up to three source
+	// bases in each.
+	nSegs := 0
+	for _, in := range prog {
+		if v := s.object(in.Dst); in.Op != isa.OpTrspInit && v != nil {
+			nSegs += len(v.segs)
+		}
+	}
+	segs := segBufs{segs: make([]ctrl.Segment, 0, nSegs), bases: make([]int, 0, 3*nSegs)}
+	pp.scratch = make([]scratchNeed, 0, nSegs)
+	var bound isa.HandleSet // handles already pinned
 	bind := func(v *Vector) {
-		if w, bit := &bound[v.handle/64], uint64(1)<<(v.handle%64); *w&bit == 0 {
-			*w |= bit
+		if !bound.Has(v.handle) {
+			bound.Mark(v.handle)
 			pp.binds = append(pp.binds, objBind{h: v.handle, v: v})
 		}
 	}
 	var srcBuf [3]*Vector
 	for i, in := range prog {
 		if in.Op == isa.OpTrspInit {
-			v, ok := s.objects[in.Src[0]]
-			if !ok {
+			v := s.object(in.Src[0])
+			if v == nil {
 				return nil, errorf("instruction %d: bbop_trsp_init: unknown object %d", i, in.Src[0])
 			}
 			bind(v)
@@ -179,7 +186,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		pp.jobOf[i] = len(jobs)
 		jobs = append(jobs, ctrl.Job{Program: p, Segments: jsegs, Deps: jdeps[d0:len(jdeps):len(jdeps)]})
 	}
-	pp.scratch = maxScratchNeeds(pp.scratch)
+	pp.scratch = maxScratchNeeds(pp.scratch, s.cfg.DRAM.Banks, s.cfg.DRAM.SubarraysPerBank)
 	if len(jobs) == 0 {
 		return pp, nil // program of only trsp_init instructions
 	}
@@ -193,15 +200,61 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 	return pp, nil
 }
 
+// scratchShort reports whether some operation of prog would find
+// fewer free scratch rows above its destination than its μProgram
+// needs — the shortage prepareOp reports — so a caller that can free
+// rows does so before the program is verified and prepared.
+// Instructions that do not resolve are left for prepare to report.
+func (s *System) scratchShort(prog isa.Program) bool {
+	var srcBuf [3]*Vector
+	for _, in := range prog {
+		if in.Op == isa.OpTrspInit {
+			continue
+		}
+		d, dst, srcs, err := s.resolve(in, &srcBuf)
+		if err != nil || len(srcs) == 0 {
+			continue
+		}
+		p, err := s.cu.Program(d, srcs[0].width, len(srcs))
+		if err != nil {
+			continue
+		}
+		for _, seg := range dst.segs {
+			if s.rows[seg.bank][seg.sub].tailFree() < p.NumScratch {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // maxScratchNeeds folds the per-instruction scratch needs into one
 // entry per subarray, holding the largest need, in (bank, sub) order —
 // so checkPrepared names the same subarray every time when several
-// lack headroom.
-func maxScratchNeeds(needs []scratchNeed) []scratchNeed {
-	slices.SortFunc(needs, func(a, b scratchNeed) int {
-		return cmp.Or(cmp.Compare(a.bank, b.bank), cmp.Compare(a.sub, b.sub), cmp.Compare(b.need, a.need))
-	})
-	return slices.CompactFunc(needs, func(a, b scratchNeed) bool { return a.bank == b.bank && a.sub == b.sub })
+// lack headroom. The fold is one pass over a dense table of the
+// geometry's banks × subs subarrays; the result reuses needs' array.
+func maxScratchNeeds(needs []scratchNeed, banks, subs int) []scratchNeed {
+	var buf [256]int // the paper geometry's 16 × 16 subarrays
+	most := buf[:0]
+	if n := banks * subs; n <= len(buf) {
+		most = buf[:n]
+	} else {
+		most = make([]int, n)
+	}
+	for k := range most {
+		most[k] = -1
+	}
+	for _, sc := range needs {
+		k := sc.bank*subs + sc.sub
+		most[k] = max(most[k], sc.need)
+	}
+	out := needs[:0]
+	for k, m := range most {
+		if m >= 0 {
+			out = append(out, scratchNeed{bank: k / subs, sub: k % subs, need: m})
+		}
+	}
+	return out
 }
 
 // runPreparedAttr executes a prepared program — the run-many half —
@@ -221,7 +274,7 @@ func (s *System) runPreparedAttr(pp *preparedProgram, cancel <-chan struct{}, at
 // only state that can legally drift between runs of a prepared program.
 func (s *System) checkPrepared(pp *preparedProgram) error {
 	for _, b := range pp.binds {
-		if v, ok := s.objects[b.h]; !ok || v != b.v || b.v.freed {
+		if s.object(b.h) != b.v || b.v.freed {
 			return errorf("prepared program is stale: object %d was freed or replaced", b.h)
 		}
 	}

@@ -82,7 +82,7 @@ func TestMaxScratchNeeds(t *testing.T) {
 	got := maxScratchNeeds([]scratchNeed{
 		{bank: 1, sub: 0, need: 2}, {bank: 0, sub: 1, need: 3}, {bank: 1, sub: 0, need: 5},
 		{bank: 0, sub: 0, need: 0}, {bank: 0, sub: 1, need: 1}, {bank: 1, sub: 0, need: 4},
-	})
+	}, 2, 2)
 	want := []scratchNeed{{bank: 0, sub: 0, need: 0}, {bank: 0, sub: 1, need: 3}, {bank: 1, sub: 0, need: 5}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("maxScratchNeeds = %+v, want %+v", got, want)

@@ -149,8 +149,8 @@ func (s *System) resolve(in isa.Instruction, buf *[3]*Vector) (ops.Def, *Vector,
 	if err != nil {
 		return ops.Def{}, nil, nil, err
 	}
-	dst, ok := s.objects[in.Dst]
-	if !ok {
+	dst := s.object(in.Dst)
+	if dst == nil {
 		return ops.Def{}, nil, nil, errorf("bbop: unknown destination object %d", in.Dst)
 	}
 	arity := d.EffArity(int(in.N))
@@ -159,8 +159,8 @@ func (s *System) resolve(in isa.Instruction, buf *[3]*Vector) (ops.Def, *Vector,
 	}
 	srcs := buf[:arity]
 	for k := 0; k < arity; k++ {
-		src, ok := s.objects[in.Src[k]]
-		if !ok {
+		src := s.object(in.Src[k])
+		if src == nil {
 			return ops.Def{}, nil, nil, errorf("bbop: unknown source object %d", in.Src[k])
 		}
 		srcs[k] = src

@@ -397,7 +397,7 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileS
 		profiles = nil
 	}
 	cfg := planCfg(env.sys, env.cl)
-	model := modelCost(cfg)
+	model := planModel(env.sys, env.cl)
 	var plan *graph.Plan
 	look := tr.Begin("cache-lookup", parent)
 	if profiles.TakeRecompile(key) {
@@ -499,10 +499,20 @@ func planCfg(sys *System, cl *Cluster) Config {
 	return cl.cfg.Channel
 }
 
+// planModel returns the static cost model of planCfg's channel (every
+// channel of a Cluster shares its configuration).
+func planModel(sys *System, cl *Cluster) graph.CostFn {
+	if sys != nil {
+		return sys.model
+	}
+	return cl.channels[0].model
+}
+
 // modelCost returns the static cost model for one channel geometry:
 // the per-op μProgram latency under the system's own timing constants
 // — what the scheduler prices with before any profile feedback exists,
-// and the baseline measured profiles are compared against.
+// and the baseline measured profiles are compared against. A System
+// builds its model once (System.model).
 func modelCost(cfg Config) graph.CostFn {
 	variant, timing := cfg.Variant, cfg.DRAM.Timing
 	return func(d ops.Def, w, n int) float64 {
@@ -567,12 +577,10 @@ type lowered struct {
 	// leaves) or splatted (constants), in the order it did: the order a
 	// replay repeats the stores in (see hitEntry.store).
 	stored []graph.NodeID
-	// defined records, per handle the program references, whether its
-	// object holds data before the program runs (stored inputs and
-	// splatted constants do; pooled slots and op-root results are
-	// written by the program itself). The IR verifier consumes this for
-	// its def-before-use check.
-	defined map[uint16]bool
+	// g is the graph nodeObj is indexed by: its node kinds tell the IR
+	// verifier which objects hold data before the program runs (see
+	// markDefined).
+	g *graph.Graph
 	// verified is set once verifyLowered has checked prog, so preparing
 	// it does not check it again.
 	verified bool
@@ -627,9 +635,16 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 			stores++
 		}
 	}
+	// The slot, node and temporary tables share one array; temps,
+	// which holds every slot plus the non-root stores, is
+	// capacity-capped so appending to it never spills into the others.
+	slots := len(asg.SlotWidths)
+	objs := make([]graphObj, slots+g.Len()+slots+stores)
 	lw := &lowered{
-		slotObj: make([]graphObj, len(asg.SlotWidths)),
-		nodeObj: make([]graphObj, g.Len()),
+		g:       g,
+		slotObj: objs[:slots:slots],
+		nodeObj: objs[slots : slots+g.Len() : slots+g.Len()],
+		temps:   objs[slots+g.Len() : slots+g.Len() : len(objs)],
 		results: make([]compiledResult, 0, len(exprs)),
 		stored:  make([]graph.NodeID, 0, stores),
 	}
@@ -744,8 +759,7 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 }
 
 // lowerProgram is the program half of lowering: the bbop program over
-// the objects bindPlan bound, and the definedness map the IR verifier
-// checks it against.
+// the objects bindPlan bound.
 func (lw *lowered) lowerProgram(env *compileEnv, plan *graph.Plan) error {
 	g := env.g
 	handle := func(id graph.NodeID) (uint16, error) {
@@ -758,22 +772,11 @@ func (lw *lowered) lowerProgram(env *compileEnv, plan *graph.Plan) error {
 		case graph.KindConst:
 			return 0, errorf("graph: constant node %d has no storage", id)
 		}
-		slot, ok := plan.Asg.SlotOf[id]
-		if !ok {
+		slot := plan.Asg.SlotOf[id]
+		if slot < 0 {
 			return 0, errorf("graph: intermediate node %d has no slot", id)
 		}
 		return lw.slotObj[slot].Handle(), nil
-	}
-	lw.defined = make(map[uint16]bool, len(lw.slotObj)+len(lw.temps)+len(lw.results))
-	for _, o := range lw.slotObj {
-		lw.defined[o.Handle()] = false
-	}
-	for id, o := range lw.nodeObj {
-		if o != nil {
-			// Caller vectors, stored data leaves and splatted constants
-			// hold data; an op root is written by the program.
-			lw.defined[o.Handle()] = g.Node(graph.NodeID(id)).Kind != graph.KindOp
-		}
 	}
 	prog, err := graph.Lower(g, plan.Sched, handle, uint32(env.n))
 	if err != nil {
@@ -860,11 +863,11 @@ func (f *planFeedback) record(opNs []float64) {
 // feedbackFor builds the execution→profile feedback for one planned
 // compilation, or nil when profile feedback is off for it (no store,
 // or the schedule was pinned to construction order).
-func feedbackFor(profiles *graph.ProfileStore, env *compileEnv, plan *graph.Plan, opts CompileOptions, cfg Config) *planFeedback {
+func feedbackFor(profiles *graph.ProfileStore, env *compileEnv, plan *graph.Plan, opts CompileOptions) *planFeedback {
 	if profiles == nil || opts.NoSchedule {
 		return nil
 	}
-	return &planFeedback{profiles: profiles, key: env.key, plan: plan, model: modelCost(cfg)}
+	return &planFeedback{profiles: profiles, key: env.key, plan: plan, model: planModel(env.sys, env.cl)}
 }
 
 // Compiled is a lazily built expression graph lowered for one System:
@@ -915,7 +918,7 @@ func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, er
 		return nil, err
 	}
 	lw.publish()
-	return &Compiled{sys: s, lw: lw, stats: stats, fb: feedbackFor(s.profiles, env, plan, opts, s.cfg)}, nil
+	return &Compiled{sys: s, lw: lw, stats: stats, fb: feedbackFor(s.profiles, env, plan, opts)}, nil
 }
 
 // leafDataOf resolves Input data leaves to their payloads for

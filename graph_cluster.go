@@ -87,7 +87,7 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 		return nil, err
 	}
 	lw.publish()
-	return &ClusterCompiled{cl: c, lw: lw, stats: stats, fb: feedbackFor(c.profiles, env, plan, opts, c.cfg.Channel)}, nil
+	return &ClusterCompiled{cl: c, lw: lw, stats: stats, fb: feedbackFor(c.profiles, env, plan, opts)}, nil
 }
 
 // PlanCacheStats reports the hit/miss counters of the Cluster's

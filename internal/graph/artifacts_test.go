@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"simdram/internal/dram"
@@ -45,13 +44,10 @@ func TestCompileArtifactsPinned(t *testing.T) {
 		sched := g.Schedule(cost)
 		asg := graph.Assign(g, sched, true)
 		put("sched", sched)
-		ids := make([]graph.NodeID, 0, len(asg.SlotOf))
-		for id := range asg.SlotOf {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			put("slot", id, asg.SlotOf[id])
+		for id, slot := range asg.SlotOf {
+			if slot >= 0 {
+				put("slot", graph.NodeID(id), slot)
+			}
 		}
 		put("slots", asg.SlotWidths, asg.NaiveRows, asg.PooledRows)
 		handle := func(id graph.NodeID) (uint16, error) {

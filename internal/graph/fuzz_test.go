@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"simdram/internal/graph"
@@ -94,22 +96,22 @@ func lowerForOracle(t *testing.T, g *graph.Graph) (progLen int) {
 		slotBase = 300 // pooled slots: slotBase + slot index
 		rootBase = 600 // root results: rootBase + node ID
 	)
-	objects := map[uint16]verify.Object{}
+	byHandle := map[uint16]verify.Object{}
 	handle := func(id graph.NodeID) (uint16, error) {
 		n := g.Node(id)
 		switch {
 		case n.Kind != graph.KindOp:
 			h := uint16(leafBase + int(id))
-			objects[h] = verify.Object{Width: n.Width, Defined: true}
+			byHandle[h] = verify.Object{Width: n.Width, Defined: true}
 			return h, nil
 		case n.Root:
 			h := uint16(rootBase + int(id))
-			objects[h] = verify.Object{Width: n.Width}
+			byHandle[h] = verify.Object{Width: n.Width}
 			return h, nil
 		default:
 			slot := asg.SlotOf[id]
 			h := uint16(slotBase + slot)
-			objects[h] = verify.Object{Width: asg.SlotWidths[slot]}
+			byHandle[h] = verify.Object{Width: asg.SlotWidths[slot]}
 			return h, nil
 		}
 	}
@@ -124,6 +126,12 @@ func lowerForOracle(t *testing.T, g *graph.Graph) (progLen int) {
 	// → assign → lower pipeline emits must pass the full IR check,
 	// including def-before-use over reused slots and the hazard
 	// cross-check against the scheduler's dependence graph.
+	objects := make([]verify.Object, 0, len(byHandle))
+	for h, o := range byHandle {
+		o.Handle = h
+		objects = append(objects, o)
+	}
+	slices.SortFunc(objects, func(a, b verify.Object) int { return cmp.Compare(a.Handle, b.Handle) })
 	if err := verify.Program(prog, verify.Options{Objects: objects, Deps: prog.Deps()}); err != nil {
 		t.Fatalf("lowered program failed verification: %v\nprogram: %v", err, prog)
 	}

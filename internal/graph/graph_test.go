@@ -224,7 +224,7 @@ func TestAssignReusesSlots(t *testing.T) {
 	if asg.PooledRows != 2*16 {
 		t.Fatalf("pooled rows %d, want 32 (two ping-pong slots)", asg.PooledRows)
 	}
-	if _, ok := asg.SlotOf[root]; ok {
+	if asg.SlotOf[root] >= 0 {
 		t.Fatal("root assigned a pooled slot")
 	}
 	if asg.SlotOf[t1] != asg.SlotOf[t3] {

@@ -1,6 +1,10 @@
 package graph
 
-import "simdram/internal/ops"
+import (
+	"sync"
+
+	"simdram/internal/ops"
+)
 
 // FoldConstants rewrites every operation node whose arguments are all
 // constants into a constant node holding the operation's golden result,
@@ -56,11 +60,15 @@ type cseKey struct {
 // even when their widths agree. Merged duplicates stay in the node
 // table but lose all references; DCE retires them.
 func (g *Graph) CSE() int {
-	repl := make([]NodeID, len(g.nodes))
+	sc := csePool.Get().(*cseScratch)
+	defer sc.recycle()
+	if cap(sc.repl) < len(g.nodes) {
+		sc.repl = make([]NodeID, len(g.nodes))
+	}
+	repl, canon := sc.repl[:len(g.nodes)], sc.canon
 	for i := range repl {
 		repl[i] = NodeID(i)
 	}
-	canon := make(map[cseKey]NodeID, len(g.nodes))
 	merged := 0
 	for id := range g.nodes {
 		n := &g.nodes[id]
@@ -95,6 +103,30 @@ func (g *Graph) CSE() int {
 		g.roots[i] = repl[r]
 	}
 	return merged
+}
+
+// cseScratch is CSE's working storage — the canonical node of every
+// structural key and the replacement table — recycled through csePool
+// so a steady stream of compiles reuses one map's buckets.
+type cseScratch struct {
+	canon map[cseKey]NodeID
+	repl  []NodeID
+}
+
+var csePool = sync.Pool{New: func() any { return &cseScratch{canon: map[cseKey]NodeID{}} }}
+
+// cseKeep bounds the map a cseScratch keeps: clearing costs the map's
+// size, so one huge graph must not tax every later compile.
+const cseKeep = 1 << 12
+
+// recycle clears sc and returns it to the pool.
+func (sc *cseScratch) recycle() {
+	if len(sc.canon) > cseKeep {
+		sc.canon, sc.repl = map[cseKey]NodeID{}, nil
+	} else {
+		clear(sc.canon)
+	}
+	csePool.Put(sc)
 }
 
 // DCE marks every node unreachable from the roots as dead and returns

@@ -32,7 +32,7 @@ func (g *Graph) OpKeyOf(id NodeID) OpKey {
 
 // opAgg accumulates the observations for one op class of one shape.
 type opAgg struct {
-	def     ops.Def
+	key     OpKey
 	sumNs   float64
 	count   int
 	modelNs float64 // what the static cost model predicted, for divergence
@@ -46,16 +46,17 @@ func (a *opAgg) meanNs() float64 { return a.sumNs / float64(a.count) }
 type ShapeProfile struct {
 	key        string
 	jobs       int
-	ops        map[OpKey]*opAgg
-	recompiled bool // a plan built from this profile is already live
-	idx        int  // position in the store's eviction heap
+	ops        []opAgg // one per op class, in first-seen order
+	recompiled bool    // a plan built from this profile is already live
+	idx        int     // position in the store's eviction heap
 }
 
 // diverged reports whether any op class's mean observed latency is
 // more than threshold (relative) away from the static model's
 // prediction.
 func (p *ShapeProfile) diverged(threshold float64) bool {
-	for _, a := range p.ops {
+	for i := range p.ops {
+		a := &p.ops[i]
 		if a.count == 0 {
 			continue
 		}
@@ -147,25 +148,33 @@ func (s *ProfileStore) Record(key string, plan *Plan, opNs []float64, model Cost
 		if len(s.shapes) >= s.cap {
 			s.dropColdestLocked()
 		}
-		p = &ShapeProfile{key: key, ops: make(map[OpKey]*opAgg)}
+		p = &ShapeProfile{key: key}
 		s.shapes[key] = p
 		heap.Push(&s.cold, p)
 	}
 	g := plan.Graph
 	for i, id := range plan.Sched {
-		k := g.OpKeyOf(id)
-		a := p.ops[k]
-		if a == nil {
-			n := g.Node(id)
-			a = &opAgg{def: *n.Op, modelNs: model(*n.Op, k.Width, k.N)}
-			p.ops[k] = a
-		}
+		a := p.agg(g, id, model)
 		a.sumNs += opNs[i]
 		a.count++
 	}
 	p.jobs++
 	heap.Fix(&s.cold, p.idx)
 	s.jobs++
+}
+
+// agg returns the aggregate of node id's op class, adding it (priced
+// by model) on the class's first observation. A shape has a handful
+// of op classes, so a scan beats hashing the key.
+func (p *ShapeProfile) agg(g *Graph, id NodeID, model CostFn) *opAgg {
+	k := g.OpKeyOf(id)
+	for i := range p.ops {
+		if p.ops[i].key == k {
+			return &p.ops[i]
+		}
+	}
+	p.ops = append(p.ops, opAgg{key: k, modelNs: model(*g.Node(id).Op, k.Width, k.N)})
+	return &p.ops[len(p.ops)-1]
 }
 
 // dropColdestLocked evicts the retained shape with the fewest recorded
@@ -234,28 +243,35 @@ func (s *ProfileStore) ScheduleCost(key string, base CostFn) CostFn {
 	if s == nil {
 		return base
 	}
-	var observed map[OpKey]float64
+	var observed []opMean
 	s.mu.Lock()
-	if p := s.shapes[key]; p != nil {
-		for k, a := range p.ops {
-			if a.count > 0 {
-				if observed == nil {
-					observed = make(map[OpKey]float64, len(p.ops))
-				}
-				observed[k] = a.meanNs()
+	if p := s.shapes[key]; p != nil && len(p.ops) > 0 {
+		observed = make([]opMean, 0, len(p.ops))
+		for i := range p.ops {
+			if a := &p.ops[i]; a.count > 0 {
+				observed = append(observed, opMean{key: a.key, ns: a.meanNs()})
 			}
 		}
 	}
 	s.mu.Unlock()
-	if observed == nil {
+	if len(observed) == 0 {
 		return base
 	}
 	return func(d ops.Def, width, n int) float64 {
-		if ns, ok := observed[OpKey{Code: d.Code, Width: width, N: n}]; ok {
-			return ns
+		k := OpKey{Code: d.Code, Width: width, N: n}
+		for _, o := range observed {
+			if o.key == k {
+				return o.ns
+			}
 		}
 		return base(d, width, n)
 	}
+}
+
+// opMean is one op class's mean observed latency.
+type opMean struct {
+	key OpKey
+	ns  float64
 }
 
 // Jobs returns how many executed jobs have been folded into the

@@ -73,9 +73,9 @@ func (in Instruction) Writes() []uint16 {
 // indistinguishable from sequential program order.
 //
 // The analysis allocates only its result: handles are numbered densely
-// by their rank among the program's distinct handles, each handle's
-// readers since its last write form a linked list in one array, and
-// each instruction's edges are collected into one reused buffer, then
+// by their rank among the program's distinct handles (HandleSet),
+// each handle's readers since its last write form a linked list in one
+// array, and each instruction's edges are collected into one reused buffer, then
 // sorted and compacted — all in working storage recycled from call to
 // call, concurrent calls included. The per-instruction results share
 // one backing array, capacity-capped so appending to one never
@@ -85,24 +85,22 @@ func (p Program) Deps() [][]int {
 	defer depsPool.Put(sc)
 	deps := make([][]int, len(p))
 	nr := sized(sc.nr, len(p)) // instruction → numReads
-	hs := sc.hs[:0]
+	rk := &sc.rank
+	defer rk.Reset()
 	for i := range p {
 		in := &p[i]
 		nr[i] = uint8(in.numReads())
-		hs = append(hs, in.Src[:nr[i]]...)
+		for _, h := range in.Src[:nr[i]] {
+			rk.Mark(h)
+		}
 		if in.Op.IsOperation() {
-			hs = append(hs, in.Dst)
+			rk.Mark(in.Dst)
 		}
 	}
-	slices.Sort(hs)
-	hs = slices.Compact(hs)
-	rank := func(h uint16) int {
-		k, _ := slices.BinarySearch(hs, h)
-		return k
-	}
+	nh := rk.Seal()
 	// Both tables hold 1 + an index, so 0 means none.
-	lastWriter := sized(sc.lastWriter, len(hs)) // handle → last instruction that wrote it
-	readers := sized(sc.readers, len(hs))       // handle → newest reader entry since its last write
+	lastWriter := sized(sc.lastWriter, nh) // handle → last instruction that wrote it
+	readers := sized(sc.readers, nh)       // handle → newest reader entry since its last write
 	entries := sc.entries[:0]
 	buf := sc.buf[:0]
 	flat := make([]int, 0, 2*len(p)) // room for two edges per instruction
@@ -111,13 +109,13 @@ func (p Program) Deps() [][]int {
 		buf = buf[:0]
 		reads := in.Src[:nr[i]]
 		for _, h := range reads {
-			if w := lastWriter[rank(h)]; w > 0 {
+			if w := lastWriter[rk.Of(h)]; w > 0 {
 				buf = append(buf, w-1) // RAW
 			}
 		}
 		dst := -1
 		if in.Op.IsOperation() {
-			dst = rank(in.Dst)
+			dst = rk.Of(in.Dst)
 			if w := lastWriter[dst]; w > 0 {
 				buf = append(buf, w-1) // WAW
 			}
@@ -126,7 +124,7 @@ func (p Program) Deps() [][]int {
 			}
 		}
 		for _, h := range reads {
-			k := rank(h)
+			k := rk.Of(h)
 			entries = append(entries, depsReader{instr: i, next: readers[k]})
 			readers[k] = len(entries)
 		}
@@ -143,14 +141,14 @@ func (p Program) Deps() [][]int {
 		flat = append(flat, buf...)
 		deps[i] = flat[start:len(flat):len(flat)]
 	}
-	sc.nr, sc.hs, sc.lastWriter, sc.readers, sc.entries, sc.buf = nr, hs, lastWriter, readers, entries, buf
+	sc.nr, sc.lastWriter, sc.readers, sc.entries, sc.buf = nr, lastWriter, readers, entries, buf
 	return deps
 }
 
 // depsScratch is Deps' working storage, recycled through depsPool.
 type depsScratch struct {
 	nr                  []uint8
-	hs                  []uint16
+	rank                HandleSet
 	lastWriter, readers []int
 	entries             []depsReader
 	buf                 []int

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"simdram/internal/logic"
 )
@@ -102,10 +103,16 @@ func (d Def) EffArity(n int) int {
 var (
 	catalogMu sync.RWMutex
 	catalog   []*Def
+	// byCode indexes the catalog by code for ByCode's lock-free
+	// lookups: the first definition registered under each code.
+	byCode [256]atomic.Pointer[Def]
 )
 
+// register adds d to the catalog. Callers other than package
+// initialization hold catalogMu.
 func register(d Def) {
 	catalog = append(catalog, &d)
+	byCode[d.Code].CompareAndSwap(nil, &d)
 }
 
 // customBase is the code space for user-registered operations; built-in
@@ -142,7 +149,7 @@ func RegisterCustom(d Def) (Code, error) {
 		code = customBase
 	}
 	d.Code = code
-	catalog = append(catalog, &d)
+	register(d)
 	return code, nil
 }
 
@@ -177,12 +184,8 @@ func ByName(name string) (Def, error) {
 
 // ByCode finds an operation by code.
 func ByCode(code Code) (Def, error) {
-	catalogMu.RLock()
-	defer catalogMu.RUnlock()
-	for _, d := range catalog {
-		if d.Code == code {
-			return *d, nil
-		}
+	if d := byCode[code].Load(); d != nil {
+		return *d, nil
 	}
 	return Def{}, fmt.Errorf("ops: unknown opcode %d", code)
 }

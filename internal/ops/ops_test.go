@@ -3,6 +3,7 @@ package ops_test
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"simdram/internal/dram"
@@ -406,6 +407,58 @@ func TestCostNsMemoized(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCacheConcurrent has goroutines race through SynthesizeCached and
+// CostNs on keys no other test touches: every caller gets the same
+// synthesis per key and the latency of that synthesis, and a key past
+// the table (five operands) still synthesizes and prices.
+func TestCacheConcurrent(t *testing.T) {
+	add, _ := ops.ByName("addition")
+	and, _ := ops.ByName("and_red")
+	tm := dram.DDR4_2400()
+	type key struct {
+		d    ops.Def
+		w, n int
+	}
+	keys := []key{{add, 13, 2}, {add, 14, 0}, {and, 5, 3}, {and, 6, 5}}
+	const callers = 8
+	synth := make([][]*ops.Synthesized, callers)
+	costs := make([][]float64, callers)
+	var wg sync.WaitGroup
+	for i := range synth {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range keys {
+				s, err := ops.SynthesizeCached(k.d, k.w, k.n, ops.VariantSIMDRAM)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ns, err := ops.CostNs(k.d, k.w, k.n, ops.VariantSIMDRAM, tm)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				synth[i], costs[i] = append(synth[i], s), append(costs[i], ns)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i := range synth {
+		for j, k := range keys {
+			if cached := k.n < 4; cached && synth[i][j] != synth[0][j] {
+				t.Fatalf("caller %d: key %s/%d/%d: a second synthesis of a cached key", i, k.d.Name, k.w, k.n)
+			}
+			if want := synth[i][j].Program.LatencyNs(tm); costs[i][j] != want {
+				t.Fatalf("caller %d: key %s/%d/%d: CostNs %v, program latency %v", i, k.d.Name, k.w, k.n, costs[i][j], want)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"sync"
 
 	"simdram/internal/logic"
 	"simdram/internal/mig"
@@ -118,31 +117,27 @@ func Synthesize(d Def, width, n int, variant Variant) (*Synthesized, error) {
 	}, nil
 }
 
-type synthKey struct {
-	code    Code
-	width   int
-	n       int
-	variant Variant
-}
-
-var (
-	synthMu    sync.Mutex
-	synthCache = map[synthKey]*Synthesized{}
-)
-
 // SynthesizeCached memoizes Synthesize; synthesis of wide multipliers and
-// dividers is expensive and μPrograms are immutable once built.
+// dividers is expensive and μPrograms are immutable once built. A
+// cached key returns without locking; concurrent first calls for one
+// key synthesize it once.
 func SynthesizeCached(d Def, width, n int, variant Variant) (*Synthesized, error) {
-	key := synthKey{d.Code, width, n, variant}
-	synthMu.Lock()
-	defer synthMu.Unlock()
-	if s, ok := synthCache[key]; ok {
+	e := entryFor(d.Code, width, n, variant)
+	if e == nil {
+		return Synthesize(d, width, n, variant)
+	}
+	if s := e.synth.Load(); s != nil {
+		return s, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s := e.synth.Load(); s != nil {
 		return s, nil
 	}
 	s, err := Synthesize(d, width, n, variant)
 	if err != nil {
 		return nil, err
 	}
-	synthCache[key] = s
+	e.synth.Store(s)
 	return s, nil
 }

@@ -15,6 +15,7 @@ package uprog
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"simdram/internal/dram"
 )
@@ -129,6 +130,10 @@ type Program struct {
 	NumSrc     int   // number of source operands
 	NumScratch int   // peak scratch rows used
 	Ops        []MicroOp
+
+	// templates caches the program's templates, one per row map
+	// (TemplateFor).
+	templates atomic.Pointer[templateCell]
 }
 
 // SrcWidth returns the element width of source operand k.

@@ -45,6 +45,50 @@ func (t *Template) LatencyNs(tm dram.Timing) float64 {
 	return float64(t.nAAP)*tm.AAPLatency() + float64(t.nAP)*tm.APLatency()
 }
 
+// templateCell is one of a program's cached templates.
+type templateCell struct {
+	t    *Template
+	next *templateCell
+}
+
+// TemplateFor returns p's template for cfg's geometry, building it on
+// first use. A template depends only on its program and the geometry's
+// row map, so a program caches its own, one per row map: every unit of
+// one geometry — each channel of a Server or Cluster — shares one
+// template per program, and a repeated lookup takes no lock. Of two
+// racing first builds the one cached first is kept; both are
+// identical.
+func (p *Program) TemplateFor(cfg dram.Config) *Template {
+	rm := cfg.RowMap()
+	if t := p.cachedTemplate(rm); t != nil {
+		return t
+	}
+	t := NewTemplate(p, cfg)
+	for {
+		head := p.templates.Load()
+		for c := head; c != nil; c = c.next {
+			if c.t.rows == rm {
+				return c.t
+			}
+		}
+		if p.templates.CompareAndSwap(head, &templateCell{t: t, next: head}) {
+			return t
+		}
+	}
+}
+
+// cachedTemplate returns p's cached template for row map rm, or nil.
+//
+//simdram:zeroalloc
+func (p *Program) cachedTemplate(rm dram.RowMap) *Template {
+	for c := p.templates.Load(); c != nil; c = c.next {
+		if c.t.rows == rm {
+			return c.t
+		}
+	}
+	return nil
+}
+
 // NewTemplate resolves p against cfg's geometry once. It never fails:
 // a program with an op the DRAM commands would refuse, or a data
 // reference outside its own regions, yields a template whose Bind

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"simdram/internal/dram"
@@ -325,5 +326,38 @@ func BenchmarkNewTemplate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		templateSink = uprog.NewTemplate(p, cfg)
+	}
+}
+
+// TestTemplateForConcurrent has goroutines race for the templates of
+// a fresh program under two geometries: every caller of one geometry
+// gets the same template, and the two geometries get their own.
+func TestTemplateForConcurrent(t *testing.T) {
+	m := buildAdderMIG(t, 8)
+	in, out := stdRefs(8, 8)
+	p, err := uprog.Generate(m, in, out, uprog.DefaultCodegen("add8"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := dram.TestConfig(), dram.TestConfig()
+	large.RowsPerSubarray *= 2
+	const callers = 8
+	got := make([][2]*uprog.Template, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = [2]*uprog.Template{p.TemplateFor(small), p.TemplateFor(large)}
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Fatalf("caller %d got templates %p, caller 0 got %p", i, g, got[0])
+		}
+	}
+	if got[0][0] == got[0][1] {
+		t.Fatal("two geometries share one template")
 	}
 }

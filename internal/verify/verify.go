@@ -35,10 +35,8 @@
 package verify
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"simdram/internal/isa"
@@ -114,6 +112,8 @@ func (e Extent) overlaps(o Extent) bool {
 // Object describes what the verifier knows about one handle's
 // backing object.
 type Object struct {
+	// Handle is the instruction handle the object backs.
+	Handle uint16
 	// Width is the object's element width in bits.
 	Width int
 	// Defined reports whether the object holds data before the program
@@ -127,11 +127,14 @@ type Object struct {
 
 // Options configures Program.
 type Options struct {
-	// Objects maps instruction handles to their backing objects. Nil
-	// skips every binding-dependent check (object, def-use, width
-	// against the binding, alias, bounds); the encoding, opcode,
-	// arity, deps, and hazard checks still run.
-	Objects map[uint16]Object
+	// Objects lists the backing object of every tracked handle, sorted
+	// by Handle with no handle listed twice; a handle the program
+	// names that is not listed is reported as untracked. Nil skips
+	// every binding-dependent check (object, def-use, width against
+	// the binding, alias, bounds); the encoding, opcode, arity, deps,
+	// and hazard checks still run. A table out of handle order is
+	// rejected with one program-level object diagnostic.
+	Objects []Object
 	// DataRows is the number of data rows per subarray; 0 skips the
 	// bounds check.
 	DataRows int
@@ -154,6 +157,9 @@ func Program(p isa.Program, opt Options) error {
 
 	if len(p) == 0 {
 		c.report(CheckEncoding, -1, OperandNone, 0, "empty program")
+		return errors.Join(c.diags...)
+	}
+	if !c.rank(p) {
 		return errors.Join(c.diags...)
 	}
 
@@ -190,15 +196,26 @@ func Program(p isa.Program, opt Options) error {
 
 // checker is one verification's state: the failures found so far and
 // the scratch the checks reuse from run to run (see checkerPool).
+//
+// Handles are ranked once per program (isa.HandleSet) over every
+// handle an instruction names. objAt maps a rank to its object's
+// index in Options.Objects, and the hazard check groups accesses by a
+// stable counting sort on rank, so no step keys a map or compares
+// while sorting.
 type checker struct {
 	opt   Options
 	diags []error
+	ranks isa.HandleSet
+	objAt []int32 // rank → index into opt.Objects, -1 when untracked
 	// touches records every handle access in program order; written
 	// is a bitset over handles, set once an instruction writes one.
 	touches []access
 	written [1 << 16 / 64]uint64
-	// Hazard-check scratch: per-instruction ancestor bitsets and the
-	// readers of a handle since its last write.
+	// Hazard-check scratch: the accesses grouped by rank and the
+	// counting sort's bucket offsets, per-instruction ancestor bitsets,
+	// and the readers of a handle since its last write.
+	grouped      []access
+	offsets      []int32
 	anc          []uint64
 	readersSince []access
 }
@@ -212,9 +229,55 @@ func (c *checker) recycle() {
 	for _, a := range c.touches {
 		c.written[a.handle/64] = 0
 	}
+	c.ranks.Reset()
 	clear(c.diags)
 	c.opt, c.diags, c.touches = Options{}, c.diags[:0], c.touches[:0]
 	checkerPool.Put(c)
+}
+
+// rank ranks every handle p names and maps each rank to its object in
+// the options' table. It reports false, after recording why, when the
+// table is out of handle order.
+//
+//simdram:zeroalloc
+func (c *checker) rank(p isa.Program) bool {
+	c.ranks.MarkNamed(p)
+	c.objAt = sized(c.objAt, c.ranks.Seal())
+	for r := range c.objAt {
+		c.objAt[r] = -1
+	}
+	for i := range c.opt.Objects {
+		h := c.opt.Objects[i].Handle
+		if i > 0 && h <= c.opt.Objects[i-1].Handle {
+			c.report(CheckObject, -1, OperandNone, h,
+				"object table is not sorted by handle: handle %d follows handle %d", h, c.opt.Objects[i-1].Handle) //simdram:coldpath rejected table
+			return false
+		}
+		if c.ranks.Has(h) {
+			c.objAt[c.ranks.Of(h)] = int32(i)
+		}
+	}
+	return true
+}
+
+// lookup returns the rank of a handle the program names and its
+// tracked object, nil when the table lists none.
+//
+//simdram:zeroalloc
+func (c *checker) lookup(h uint16) (int32, *Object) {
+	r := c.ranks.Of(h)
+	if i := c.objAt[r]; i >= 0 {
+		return int32(r), &c.opt.Objects[i]
+	}
+	return int32(r), nil
+}
+
+// sized returns s resized to n, reallocated only when too small.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // report records one diagnostic.
@@ -257,15 +320,15 @@ func (c *checker) instruction(i int, in *isa.Instruction) {
 	tracked := c.opt.Objects != nil
 	if in.Op == isa.OpTrspInit {
 		h := in.Src[0]
+		r, obj := c.lookup(h)
 		if tracked {
-			obj, ok := c.opt.Objects[h]
-			if !ok {
+			if obj == nil {
 				c.report(CheckObject, i, 0, h, "handle %d names no tracked object", h)
 			} else {
-				c.checkBounds(i, 0, h, &obj)
+				c.checkBounds(i, 0, h, obj)
 			}
 		}
-		c.touches = append(c.touches, access{handle: h, instr: i, operand: 0})
+		c.touches = append(c.touches, access{rank: r, handle: h, instr: int32(i), operand: 0})
 		return
 	}
 	if !in.Op.IsOperation() {
@@ -299,30 +362,27 @@ func (c *checker) instruction(i int, in *isa.Instruction) {
 		srcWs = def.SrcWidths(w)
 	}
 
-	var dstObj Object
-	dstKnown := false
+	dstRank, dstObj := c.lookup(in.Dst)
 	if tracked {
-		var ok bool
-		if dstObj, ok = c.opt.Objects[in.Dst]; !ok {
+		if dstObj == nil {
 			c.report(CheckObject, i, OperandDst, in.Dst, "handle %d names no tracked object", in.Dst)
 		} else {
-			dstKnown = true
 			if dstObj.Width != wantDst {
 				c.report(CheckWidth, i, OperandDst, in.Dst,
 					"destination is %d bits wide, operation %s produces %d-bit elements from %d-bit sources",
 					dstObj.Width, def.Name, wantDst, w)
 			}
-			c.checkBounds(i, OperandDst, in.Dst, &dstObj)
+			c.checkBounds(i, OperandDst, in.Dst, dstObj)
 		}
 	}
 	for k := 0; k < arity; k++ {
 		h := in.Src[k]
-		c.touches = append(c.touches, access{handle: h, instr: i, operand: k})
+		r, obj := c.lookup(h)
+		c.touches = append(c.touches, access{rank: r, handle: h, instr: int32(i), operand: int8(k)})
 		if !tracked {
 			continue
 		}
-		obj, ok := c.opt.Objects[h]
-		if !ok {
+		if obj == nil {
 			c.report(CheckObject, i, k, h, "handle %d names no tracked object", h)
 			continue
 		}
@@ -342,11 +402,11 @@ func (c *checker) instruction(i int, in *isa.Instruction) {
 			c.report(CheckDefUse, i, k, h,
 				"reads object %d before any instruction defines it", h)
 		}
-		c.checkBounds(i, k, h, &obj)
+		c.checkBounds(i, k, h, obj)
 		if h == in.Dst {
 			c.report(CheckAlias, i, k, h,
 				"destination and source are the same object %d; SIMDRAM operations are never in-place", h)
-		} else if dstKnown {
+		} else if dstObj != nil {
 			for _, de := range dstObj.Extents {
 				for _, se := range obj.Extents {
 					if de.overlaps(se) {
@@ -358,7 +418,7 @@ func (c *checker) instruction(i int, in *isa.Instruction) {
 			}
 		}
 	}
-	c.touches = append(c.touches, access{handle: in.Dst, instr: i, operand: OperandDst, write: true})
+	c.touches = append(c.touches, access{rank: dstRank, handle: in.Dst, instr: int32(i), operand: OperandDst, write: true})
 	c.written[in.Dst/64] |= 1 << (in.Dst % 64)
 }
 
@@ -370,6 +430,9 @@ func (c *checker) instruction(i int, in *isa.Instruction) {
 // every edge points strictly earlier (checked by the caller). Handles
 // are checked in ascending order.
 func (c *checker) checkHazards(p isa.Program, deps [][]int) {
+	c.grouped = sized(c.grouped, len(c.touches))
+	c.offsets = sized(c.offsets, len(c.objAt)+1)
+	grouped := c.groupByRank()
 	n := len(p)
 	words := (n + 63) / 64
 	if cap(c.anc) < n*words {
@@ -391,40 +454,39 @@ func (c *checker) checkHazards(p isa.Program, deps [][]int) {
 		return anc[later*words+earlier/64]&(1<<(earlier%64)) != 0
 	}
 
-	// A stable sort by handle keeps each handle's accesses in program
-	// order.
-	slices.SortStableFunc(c.touches, func(a, b access) int { return cmp.Compare(a.handle, b.handle) })
-	for start := 0; start < len(c.touches); {
-		h := c.touches[start].handle
+	for start := 0; start < len(grouped); {
+		h := grouped[start].handle
 		end := start + 1
-		for end < len(c.touches) && c.touches[end].handle == h {
+		for end < len(grouped) && grouped[end].handle == h {
 			end++
 		}
 		lastWrite := -1
 		readersSince := c.readersSince[:0]
-		for _, a := range c.touches[start:end] {
+		for _, a := range grouped[start:end] {
+			instr := int(a.instr)
+			operand := int(a.operand)
 			if !a.write {
-				if lastWrite >= 0 && lastWrite != a.instr && !ordered(lastWrite, a.instr) {
-					c.report(CheckHazard, a.instr, a.operand, h,
+				if lastWrite >= 0 && lastWrite != instr && !ordered(lastWrite, instr) {
+					c.report(CheckHazard, instr, operand, h,
 						"read-after-write hazard on object %d: no dependence path orders this after instruction %d",
 						h, lastWrite)
 				}
 				readersSince = append(readersSince, a)
 				continue
 			}
-			if lastWrite >= 0 && lastWrite != a.instr && !ordered(lastWrite, a.instr) {
-				c.report(CheckHazard, a.instr, a.operand, h,
+			if lastWrite >= 0 && lastWrite != instr && !ordered(lastWrite, instr) {
+				c.report(CheckHazard, instr, operand, h,
 					"write-after-write hazard on object %d: no dependence path orders this after instruction %d",
 					h, lastWrite)
 			}
 			for _, r := range readersSince {
-				if r.instr != a.instr && !ordered(r.instr, a.instr) {
-					c.report(CheckHazard, a.instr, a.operand, h,
+				if int(r.instr) != instr && !ordered(int(r.instr), instr) {
+					c.report(CheckHazard, instr, operand, h,
 						"write-after-read hazard on object %d: no dependence path orders this after the read at instruction %d",
 						h, r.instr)
 				}
 			}
-			lastWrite = a.instr
+			lastWrite = instr
 			readersSince = readersSince[:0]
 		}
 		c.readersSince = readersSince
@@ -432,11 +494,35 @@ func (c *checker) checkHazards(p isa.Program, deps [][]int) {
 	}
 }
 
-// access records one handle touch (the handle, the instruction, the
-// operand slot, read or write) for the hazard recomputation.
+// groupByRank stably counting-sorts the accesses by handle rank into
+// c.grouped, so each handle's accesses are contiguous, in program
+// order, and the handles ascend. c.grouped and c.offsets are sized by
+// the caller.
+//
+//simdram:zeroalloc
+func (c *checker) groupByRank() []access {
+	offsets := c.offsets
+	clear(offsets)
+	for _, a := range c.touches {
+		offsets[a.rank+1]++
+	}
+	for r := 1; r < len(offsets); r++ {
+		offsets[r] += offsets[r-1]
+	}
+	for _, a := range c.touches {
+		c.grouped[offsets[a.rank]] = a
+		offsets[a.rank]++
+	}
+	return c.grouped
+}
+
+// access records one handle touch (the handle and its rank, the
+// instruction, the operand slot, read or write) for the hazard
+// recomputation.
 type access struct {
+	rank    int32
+	instr   int32
 	handle  uint16
+	operand int8
 	write   bool
-	instr   int
-	operand int
 }

@@ -26,13 +26,14 @@ type fixture struct {
 func base() *fixture {
 	add := isa.FromOp(ops.OpAdd)
 	sub := isa.FromOp(ops.OpSub)
-	objects := map[uint16]verify.Object{}
+	var objects []verify.Object
 	for i, h := range []uint16{1, 2, 3, 4, 5} {
-		objects[h] = verify.Object{
+		objects = append(objects, verify.Object{
+			Handle:  h,
 			Width:   8,
 			Defined: h == 1 || h == 2,
 			Extents: []verify.Extent{{Bank: 0, Sub: 0, Row: 8 * i, Rows: 8}},
-		}
+		})
 	}
 	return &fixture{
 		prog: isa.Program{
@@ -44,6 +45,16 @@ func base() *fixture {
 		},
 		opt: verify.Options{Objects: objects, DataRows: 64},
 	}
+}
+
+// object returns the fixture's table entry for handle h.
+func (f *fixture) object(h uint16) *verify.Object {
+	for i := range f.opt.Objects {
+		if f.opt.Objects[i].Handle == h {
+			return &f.opt.Objects[i]
+		}
+	}
+	panic("fixture has no such object")
 }
 
 // findDiag returns the first joined diagnostic matching (check, instr,
@@ -136,9 +147,7 @@ func TestSeededCorruptions(t *testing.T) {
 		{
 			name: "swapped rows alias dst with source",
 			mutate: func(f *fixture) {
-				o := f.opt.Objects[3]
-				o.Extents = []verify.Extent{{Bank: 0, Sub: 0, Row: 0, Rows: 8}} // object 1's rows
-				f.opt.Objects[3] = o
+				f.object(3).Extents = []verify.Extent{{Bank: 0, Sub: 0, Row: 0, Rows: 8}} // object 1's rows
 			},
 			check: verify.CheckAlias,
 			instr: 1, operand: 0,
@@ -159,9 +168,7 @@ func TestSeededCorruptions(t *testing.T) {
 		{
 			name: "bounds overflow",
 			mutate: func(f *fixture) {
-				o := f.opt.Objects[5]
-				o.Extents = []verify.Extent{{Bank: 0, Sub: 0, Row: 60, Rows: 8}} // rows [60,68) of 64
-				f.opt.Objects[5] = o
+				f.object(5).Extents = []verify.Extent{{Bank: 0, Sub: 0, Row: 60, Rows: 8}} // rows [60,68) of 64
 			},
 			check: verify.CheckBounds,
 			instr: 4, operand: verify.OperandDst,
@@ -205,9 +212,7 @@ func TestSeededCorruptions(t *testing.T) {
 		{
 			name: "use before definition",
 			mutate: func(f *fixture) {
-				o := f.opt.Objects[2]
-				o.Defined = false
-				f.opt.Objects[2] = o
+				f.object(2).Defined = false
 			},
 			check: verify.CheckDefUse,
 			instr: 1, operand: 1,

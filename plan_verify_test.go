@@ -61,7 +61,7 @@ func TestVerifyRealCompiledProgram(t *testing.T) {
 	// The pristine program must verify clean with the exact dependence
 	// graph the batched engine executes with.
 	deps := prog.Deps()
-	if err := verify.Program(prog, sys.verifyOptions(newVerifyScratch(), prog, deps, cp.lw.defined)); err != nil {
+	if err := verify.Program(prog, sys.verifyOptions(newVerifyScratch(), prog, deps, cp.lw)); err != nil {
 		t.Fatalf("real compiled program rejected: %v", err)
 	}
 
@@ -102,7 +102,7 @@ func TestVerifyRealCompiledProgram(t *testing.T) {
 			p := cp.Program() // fresh copy per corruption
 			d := append([][]int(nil), p.Deps()...)
 			tc.mutate(p, d)
-			err := verify.Program(p, sys.verifyOptions(newVerifyScratch(), p, d, cp.lw.defined))
+			err := verify.Program(p, sys.verifyOptions(newVerifyScratch(), p, d, cp.lw))
 			var diag *verify.Diagnostic
 			if !errors.As(err, &diag) {
 				t.Fatalf("corruption %q not rejected with a *verify.Diagnostic: %v", tc.name, err)
@@ -166,7 +166,7 @@ func TestSlotReuseHazardRegression(t *testing.T) {
 		t.Fatalf("scheduler emitted no dependence edges for the reusing write at %d", second)
 	}
 	deps[second] = nil // simulate a scheduler that forgot the reuse hazards
-	err = verify.Program(prog, sys.verifyOptions(newVerifyScratch(), prog, deps, cp.lw.defined))
+	err = verify.Program(prog, sys.verifyOptions(newVerifyScratch(), prog, deps, cp.lw))
 	var diag *verify.Diagnostic
 	if !errors.As(err, &diag) {
 		t.Fatalf("unordered slot-reuse hazard on handle %d not rejected: %v", slot, err)

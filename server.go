@@ -521,7 +521,7 @@ func (s *Server) estimateModeledNs(env *compileEnv) float64 {
 		}
 		s.estMu.Unlock()
 	}
-	cost := s.profiles.ScheduleCost(key, modelCost(cfg))
+	cost := s.profiles.ScheduleCost(key, env.sys.model)
 	if plan == nil {
 		return env.g.EstimateMakespanNs(env.g.ProgramOrder(), cost, cfg.DRAM.Banks)
 	}
@@ -678,6 +678,16 @@ func (m *hitMemo) releaseRows() bool {
 	return held
 }
 
+// holdsRows reports whether any entry holds rows.
+func (m *hitMemo) holdsRows() bool {
+	for _, e := range m.entries {
+		if e.lw != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // clear releases every entry and forgets it.
 func (m *hitMemo) clear() {
 	m.releaseRows()
@@ -770,9 +780,19 @@ func checkServable(e *Expr, seen map[*Expr]bool) error {
 
 // bindJob binds plan's objects for one job on sys, storing its
 // inputs, and lowers its program; on failure it releases what it bound.
+// The job's Vectors come from one slab (see vectorSlab), sized for
+// every object bindPlan can allocate: a slot each, storage for each
+// live input and constant, and a result per root.
 func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lowered, error) {
-	lw, err := bindPlan(env, plan, exprs,
-		func(width int) (graphObj, error) { return sys.allocVector(env.n, width, 0) },
+	g := env.g
+	count := len(plan.Asg.SlotWidths) + len(g.Roots())
+	for id := 0; id < g.Len(); id++ {
+		if g.Node(graph.NodeID(id)).Kind != graph.KindOp && g.Alive(graph.NodeID(id)) {
+			count++
+		}
+	}
+	slab := newVectorSlab(sys, env.n, count)
+	lw, err := bindPlan(env, plan, exprs, slab.alloc,
 		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: checkServable rejected them
 		leafDataOf(env),
 	)
@@ -821,7 +841,15 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		err = hit.store(sys, env)
 	} else {
 		lw, err = bindJob(sys, env, plan, exprs)
-		if isRowShortage(err) && memo.releaseRows() {
+		switch {
+		case isRowShortage(err) && memo.releaseRows():
+			lw, err = bindJob(sys, env, plan, exprs)
+		case err == nil && memo.holdsRows() && sys.scratchShort(lw.prog):
+			// Bind anew before the program is verified and prepared:
+			// the objects sit wherever the resident rows left room,
+			// which can leave no scratch above them.
+			memo.releaseRows()
+			lw.release()
 			lw, err = bindJob(sys, env, plan, exprs)
 		}
 	}
@@ -846,14 +874,6 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 			err = sys.checkPrepared(pp)
 		} else {
 			pp, err = sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
-			if isRowShortage(err) && memo.releaseRows() {
-				// Bind anew: the objects sit wherever the resident rows
-				// left room, which can leave no scratch above them.
-				lw.release()
-				if lw, err = bindJob(sys, env, plan, exprs); err == nil {
-					pp, err = sys.prepareProgramTraced(lw.prog, lw, tr, pspan)
-				}
-			}
 		}
 		tr.End(pspan)
 		if err != nil {
@@ -865,7 +885,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		tr.End(rspan)
 		tr.End(espan)
 		if err == nil {
-			s.profiles.Record(env.key, plan, opNs, modelCost(sys.cfg))
+			s.profiles.Record(env.key, plan, opNs, sys.model)
 			res.Batch = st
 		}
 		// A full-path program the memo does not keep ran once and is

@@ -102,7 +102,7 @@ type System struct {
 	// rows[bank][sub] allocates the subarray's data rows.
 	rows [][]*rowAlloc
 
-	objects map[uint16]*Vector
+	objects handleTable
 	handles handleSpace
 	serials uint64 // last Vector.serial handed out
 
@@ -111,6 +111,8 @@ type System struct {
 	// profile-guided recompiles (see ProfileStats).
 	plans    *graph.PlanCache
 	profiles *graph.ProfileStore
+	// model is the static cost model of cfg (modelCost), built once.
+	model graph.CostFn
 
 	// verified counts the lowered or batch-prepared programs that
 	// passed the static IR verifier (internal/verify).
@@ -146,6 +148,63 @@ func (h *handleSpace) alloc() (uint16, error) {
 // release returns a handle for reuse.
 func (h *handleSpace) release(id uint16) { h.free = append(h.free, id) }
 
+// handleTable maps every live handle to its Vector without hashing:
+// 256 pages of 256 entries indexed by the handle's high and low byte.
+// A page exists only while one of its handles is live. Handles are
+// issued in ascending runs and freed soon after, so a System keeps a
+// few pages rather than a 512 KB table for the whole handle space,
+// and the garbage collector scans only those. spare keeps the last
+// page that emptied, so a run of handles that is freed and reissued
+// within a page does not allocate a page per run.
+type handleTable struct {
+	pages [256]*handlePage
+	spare *handlePage
+}
+
+type handlePage struct {
+	vecs [256]*Vector
+	live int
+}
+
+// object returns the live Vector handle h names, or nil.
+//
+//simdram:zeroalloc
+func (s *System) object(h uint16) *Vector {
+	if p := s.objects.pages[h>>8]; p != nil {
+		return p.vecs[h&0xff]
+	}
+	return nil
+}
+
+// bindHandle enters v in the handle table under v.handle.
+func (s *System) bindHandle(v *Vector) {
+	t := &s.objects
+	p := t.pages[v.handle>>8]
+	if p == nil {
+		if p, t.spare = t.spare, nil; p == nil {
+			p = new(handlePage)
+		}
+		t.pages[v.handle>>8] = p
+	}
+	if p.vecs[v.handle&0xff] == nil {
+		p.live++
+	}
+	p.vecs[v.handle&0xff] = v
+}
+
+// unbindHandle removes handle h from the handle table.
+func (s *System) unbindHandle(h uint16) {
+	t := &s.objects
+	p := t.pages[h>>8]
+	if p == nil || p.vecs[h&0xff] == nil {
+		return
+	}
+	p.vecs[h&0xff] = nil
+	if p.live--; p.live == 0 {
+		t.pages[h>>8], t.spare = nil, p
+	}
+}
+
 // nextSerial returns a Vector serial no object of s has had.
 func (s *System) nextSerial() uint64 {
 	s.serials++
@@ -166,9 +225,9 @@ func New(cfg Config) (*System, error) {
 		mod:      mod,
 		cu:       ctrl.New(mod, cfg.Variant),
 		tu:       vertical.NewUnit(cfg.Transposition),
-		objects:  make(map[uint16]*Vector),
 		plans:    graph.NewPlanCache(DefaultPlanCacheSize),
 		profiles: graph.NewProfileStore(DefaultProfileThreshold, DefaultProfileMinJobs, defaultProfileShapes),
+		model:    modelCost(cfg),
 	}
 	s.rows = make([][]*rowAlloc, cfg.DRAM.Banks)
 	for b := range s.rows {

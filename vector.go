@@ -51,15 +51,26 @@ func (s *System) AllocVectorAt(n, width, bank, sub int) (*Vector, error) {
 // allocVector reserves rows starting at position origin of the
 // bank-major segment order.
 func (s *System) allocVector(n, width, origin int) (*Vector, error) {
+	v := new(Vector)
+	if err := s.allocVectorIn(v, nil, n, width, origin); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// allocVectorIn is allocVector into caller-provided storage: v, which
+// it overwrites, and segs, an empty slice the segments are appended
+// to (reallocated when its capacity falls short).
+func (s *System) allocVectorIn(v *Vector, segs []segment, n, width, origin int) error {
 	if n <= 0 {
-		return nil, errorf("vector size must be positive, have %d", n)
+		return errorf("vector size must be positive, have %d", n)
 	}
 	if width < 1 || width > 64 {
-		return nil, errorf("width %d out of range [1,64]", width)
+		return errorf("width %d out of range [1,64]", width)
 	}
 	cols := s.cfg.DRAM.Cols
 	nSegs := (n + cols - 1) / cols
-	v := &Vector{sys: s, n: n, width: width}
+	*v = Vector{sys: s, n: n, width: width, segs: segs}
 	remaining := n
 	for i := 0; i < nSegs; i++ {
 		bank, sub := s.segmentOrder(origin + i)
@@ -69,7 +80,7 @@ func (s *System) allocVector(n, width, origin int) (*Vector, error) {
 			for _, seg := range v.segs {
 				s.rows[seg.bank][seg.sub].release(seg.baseRow, width)
 			}
-			return nil, shortagef("out of data rows in bank %d subarray %d (need %d rows)", bank, sub, width)
+			return shortagef("out of data rows in bank %d subarray %d (need %d rows)", bank, sub, width)
 		}
 		lanes := cols
 		if remaining < lanes {
@@ -83,11 +94,54 @@ func (s *System) allocVector(n, width, origin int) (*Vector, error) {
 		for _, seg := range v.segs {
 			s.rows[seg.bank][seg.sub].release(seg.baseRow, width)
 		}
-		return nil, err
+		return err
 	}
 	v.handle = h
 	v.serial = s.nextSerial()
-	s.objects[v.handle] = v
+	s.bindHandle(v)
+	return nil
+}
+
+// vectorSlab carves the Vectors of one served job, all of n elements
+// placed from the first subarray, and their segments out of one array
+// each. A slab is never reused: a Vector's address names it for as
+// long as anything holds it, which is what lets a prepared program
+// tell a live object from a freed one that a later allocation
+// replaced (checkPrepared).
+type vectorSlab struct {
+	sys  *System
+	n    int
+	per  int // segments per vector
+	vecs []Vector
+	segs []segment
+}
+
+// newVectorSlab returns a slab with room for count vectors.
+func newVectorSlab(sys *System, n, count int) *vectorSlab {
+	per := max((n+sys.cfg.DRAM.Cols-1)/sys.cfg.DRAM.Cols, 0)
+	return &vectorSlab{
+		sys: sys, n: n, per: per,
+		vecs: make([]Vector, 0, count),
+		segs: make([]segment, 0, count*per),
+	}
+}
+
+// alloc is allocVector from the slab; past its room it allocates
+// the vector on its own.
+func (sl *vectorSlab) alloc(width int) (graphObj, error) {
+	k := len(sl.vecs)
+	if k == cap(sl.vecs) {
+		v, err := sl.sys.allocVector(sl.n, width, 0)
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
+	}
+	v := &sl.vecs[:k+1][k]
+	if err := sl.sys.allocVectorIn(v, sl.segs[k*sl.per:k*sl.per:(k+1)*sl.per], sl.n, width, 0); err != nil {
+		return nil, err
+	}
+	sl.vecs = sl.vecs[:k+1]
 	return v, nil
 }
 
@@ -123,7 +177,7 @@ func (v *Vector) Free() {
 		}
 	} else {
 		for _, vw := range v.views {
-			delete(vw.sys.objects, vw.handle)
+			vw.sys.unbindHandle(vw.handle)
 			vw.sys.handles.release(vw.handle)
 			vw.freed = true
 		}
@@ -132,7 +186,7 @@ func (v *Vector) Free() {
 			v.sys.rows[seg.bank][seg.sub].release(seg.baseRow, v.width)
 		}
 	}
-	delete(v.sys.objects, v.handle)
+	v.sys.unbindHandle(v.handle)
 	v.sys.handles.release(v.handle)
 	v.freed = true
 }
@@ -168,7 +222,7 @@ func (v *Vector) View(rowOffset, width int) (*Vector, error) {
 	}
 	nv.handle = h
 	nv.serial = v.sys.nextSerial()
-	v.sys.objects[nv.handle] = nv
+	v.sys.bindHandle(nv)
 	base.views = append(base.views, nv)
 	return nv, nil
 }

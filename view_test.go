@@ -123,7 +123,7 @@ func TestFreeInvalidatesOutstandingViews(t *testing.T) {
 	if _, err := v2.Load(); err == nil {
 		t.Error("view-of-view must be invalid after its base is freed")
 	}
-	if _, ok := sys.objects[v1.handle]; ok {
+	if sys.object(v1.handle) != nil {
 		t.Error("invalidated view must leave the object table")
 	}
 	// The recycled rows belong to the next allocation alone.
@@ -208,7 +208,7 @@ func TestHandleReuseAndExhaustion(t *testing.T) {
 	if _, err := v2.View(0, 4); err == nil {
 		t.Fatal("view creation under handle exhaustion must be an error")
 	}
-	if _, ok := sys.objects[v2.Handle()]; !ok {
+	if sys.object(v2.Handle()) == nil {
 		t.Error("failed allocation must not disturb live objects")
 	}
 	// Freeing returns capacity.
