@@ -1,9 +1,9 @@
 package simdram_test
 
-// Benchmark harness: one benchmark per paper table/figure (E1-E8, see
-// DESIGN.md §5 and EXPERIMENTS.md), plus micro-benchmarks of the
-// framework itself. The E* benchmarks regenerate the experiment and
-// report its headline number as a custom metric; run
+// Benchmark harness: one benchmark per paper table/figure (E1-E10, see
+// docs/reproduction.md), plus micro-benchmarks of the framework
+// itself. The E* benchmarks regenerate the experiment and report its
+// headline number as a custom metric; run
 //
 //	go test -bench=. -benchmem
 //
@@ -501,7 +501,7 @@ func BenchmarkCPUBaseline(b *testing.B) {
 }
 
 // BenchmarkAblation reports the command-count benefit of each framework
-// optimization on 16-bit addition (DESIGN.md §7).
+// optimization on 16-bit addition (docs/reproduction.md, "Ablations").
 func BenchmarkAblation(b *testing.B) {
 	d, err := ops.ByName("addition")
 	if err != nil {

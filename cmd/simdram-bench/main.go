@@ -1,5 +1,6 @@
 // simdram-bench regenerates every table and figure of the SIMDRAM
-// evaluation (experiments E1-E8, see DESIGN.md and EXPERIMENTS.md).
+// evaluation (experiments E1–E10 and E9b; docs/reproduction.md says
+// what each models and what it substitutes for the paper's setup).
 //
 // Usage:
 //

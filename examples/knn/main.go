@@ -31,6 +31,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if want := hostClassify(train, trainLabels, query); label != want {
+			log.Fatalf("query %d: dram label %d, host %d", q, label, want)
+		}
 		total.Commands += st.Commands
 		total.LatencyNs += st.LatencyNs
 		total.EnergyPJ += st.EnergyPJ
@@ -42,4 +45,21 @@ func main() {
 	fmt.Printf("accuracy: %d/%d\n", correct, queryN)
 	fmt.Printf("in-DRAM distance cost: %d commands, %.2f ms, %.1f µJ\n",
 		total.Commands, total.LatencyNs/1e6, total.EnergyPJ/1e6)
+}
+
+// hostClassify is the host reference: the label of the training digit
+// at the smallest L1 distance (the first one on a tie, like
+// kernels.Argmin).
+func hostClassify(train [][]uint64, labels []int, query []uint64) int {
+	dist := make([]uint64, len(train))
+	for j, p := range train {
+		for i := range p {
+			if p[i] > query[i] {
+				dist[j] += p[i] - query[i]
+			} else {
+				dist[j] += query[i] - p[i]
+			}
+		}
+	}
+	return labels[kernels.Argmin(dist)]
 }

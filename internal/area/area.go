@@ -1,7 +1,7 @@
 // Package area estimates the DRAM die area overhead of SIMDRAM's added
 // hardware (paper §5: "less than 1% DRAM area overhead").
 //
-// Substitution note (see DESIGN.md): the paper synthesizes the added
+// Substitution note (docs/reproduction.md, "Area"): the paper synthesizes the added
 // logic with an ASIC flow. We reproduce the bill-of-materials estimate:
 // each added structure is counted in gate/SRAM-bit equivalents and
 // converted to area with published logic and DRAM densities.

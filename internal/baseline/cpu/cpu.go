@@ -1,6 +1,6 @@
 // Package cpu models the CPU baseline of SIMDRAM's evaluation.
 //
-// Substitution note (see DESIGN.md): the paper measures a real multi-core
+// Substitution note (docs/reproduction.md, "CPU baseline"): the paper measures a real multi-core
 // Intel Skylake machine. Bulk element-wise kernels on such a machine are
 // memory-bandwidth bound, so we model performance with a roofline —
 // min(SIMD compute rate, memory bandwidth / bytes moved per element) —

@@ -1,6 +1,6 @@
 // Package gpu models the GPU baseline of SIMDRAM's evaluation.
 //
-// Substitution note (see DESIGN.md): the paper measures an NVIDIA Titan V.
+// Substitution note (docs/reproduction.md, "GPU baseline"): the paper measures an NVIDIA Titan V.
 // Bulk element-wise kernels on a GPU are HBM-bandwidth bound; the model is
 // the same roofline as the CPU baseline with Titan V specifications.
 package gpu

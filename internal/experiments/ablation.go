@@ -9,7 +9,7 @@ import (
 	"simdram/internal/uprog"
 )
 
-// E9Ablation quantifies each framework optimization (DESIGN.md §7): the
+// E9Ablation quantifies each framework optimization (docs/reproduction.md, "Ablations"): the
 // Step-1 MIG rewriting, the Step-2 row reuse, and the two together
 // against the Ambit baseline, per operation.
 func E9Ablation(width int) (Table, error) {
@@ -47,8 +47,8 @@ func E9Ablation(width int) (Table, error) {
 }
 
 // E9Groups measures the benefit of the second triple-row-activation
-// group (NumTRows 6 vs 3) — a hardware design choice DESIGN.md §7 calls
-// out for ablation.
+// group (NumTRows 6 vs 3) — a hardware design choice docs/reproduction.md
+// ("Ablations") calls out for ablation.
 func E9Groups(width int) (Table, error) {
 	t := Table{
 		ID:     "E9b",

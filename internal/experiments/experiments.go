@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of SIMDRAM's
-// evaluation (E1-E8 in DESIGN.md). Each experiment returns a Table that
-// cmd/simdram-bench prints and EXPERIMENTS.md records; the package tests
-// assert the headline shapes (who wins, by roughly what factor).
+// evaluation (E1–E10 and E9b, listed in docs/reproduction.md). Each
+// experiment returns a Table that cmd/simdram-bench prints and
+// testdata/tables.golden records; the package tests pin every table
+// byte for byte and assert the headline shapes (who wins, by roughly
+// what factor).
 package experiments
 
 import (

@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math/bits"
-
-	"simdram"
-)
+import "simdram"
 
 // BitWeaving (Li & Patel, SIGMOD 2013) scans a column of narrow codes
 // with a comparison predicate, producing a result bit-vector. SIMDRAM's
@@ -23,81 +19,31 @@ func BitWeavingLtRef(codes []uint64, c uint64) int {
 	return n
 }
 
+// BitWeavingLtExpr is the BitWeaving/V scan predicate c > code as one
+// lazy expression over the code column.
+func BitWeavingLtExpr(codes []uint64, c uint64, bitsWidth int) *simdram.Expr {
+	return simdram.Scalar(c, bitsWidth).Greater(simdram.Input(codes, bitsWidth))
+}
+
 // BitWeavingLtSIMDRAM performs the scan in DRAM (predicate c > code),
 // loads the 1-bit result vector, and popcounts it host-side like a scan
 // consumer would. bitsWidth is the code width.
 func BitWeavingLtSIMDRAM(sys *simdram.System, codes []uint64, c uint64, bitsWidth int) (int, simdram.Stats, error) {
-	e := NewEngine(sys, len(codes))
-	col, err := e.FromData(codes, bitsWidth)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer col.Free()
-	cv, err := e.Const(c, bitsWidth)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer cv.Free()
-	pred, err := e.Op("greater", cv, col)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer pred.Free()
-	vals, err := pred.Load()
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	count := 0
-	for _, v := range vals {
-		count += bits.OnesCount64(v & 1)
-	}
-	return count, e.Stats, nil
+	var st simdram.Stats
+	vals, err := load(sys, &st, BitWeavingLtExpr(codes, c, bitsWidth))
+	return ones(vals), st, err
 }
 
 // BitWeavingBetweenSIMDRAM scans lo <= code < hi using two comparisons
 // and an in-DRAM AND — the two-sided range predicate of the paper's
 // database workloads.
 func BitWeavingBetweenSIMDRAM(sys *simdram.System, codes []uint64, lo, hi uint64, bitsWidth int) (int, simdram.Stats, error) {
-	e := NewEngine(sys, len(codes))
-	col, err := e.FromData(codes, bitsWidth)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer col.Free()
-	lov, err := e.Const(lo, bitsWidth)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer lov.Free()
-	hiv, err := e.Const(hi, bitsWidth)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer hiv.Free()
-	ge, err := e.Op("greater_equal", col, lov)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer ge.Free()
-	lt, err := e.Op("greater", hiv, col)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer lt.Free()
-	both, err := e.Op("and_red", ge, lt)
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	defer both.Free()
-	vals, err := both.Load()
-	if err != nil {
-		return 0, e.Stats, err
-	}
-	count := 0
-	for _, v := range vals {
-		count += int(v & 1)
-	}
-	return count, e.Stats, nil
+	var st simdram.Stats
+	col := simdram.Input(codes, bitsWidth)
+	ge := col.GreaterEqual(simdram.Scalar(lo, bitsWidth))
+	lt := simdram.Scalar(hi, bitsWidth).Greater(col)
+	vals, err := load(sys, &st, ge.Apply("and_red", lt))
+	return ones(vals), st, err
 }
 
 // BitWeavingBetweenRef is the pure-Go reference for the range scan.
@@ -107,6 +53,15 @@ func BitWeavingBetweenRef(codes []uint64, lo, hi uint64) int {
 		if v >= lo && v < hi {
 			n++
 		}
+	}
+	return n
+}
+
+// ones counts the set lanes of a loaded 1-bit result vector.
+func ones(vals []uint64) int {
+	n := 0
+	for _, v := range vals {
+		n += int(v & 1)
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -246,7 +247,7 @@ func TestLeNetEndToEnd(t *testing.T) {
 // TestVGGBlockEndToEnd runs a VGG-style block — two stacked 3×3
 // convolutions followed by a 2×2 max-pool — entirely through the in-DRAM
 // building blocks, the functional spot check behind the VGG-13/16
-// performance models (DESIGN.md §2 substitution).
+// performance models (docs/reproduction.md, "Kernels").
 func TestVGGBlockEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomInput(rng, 2, 10, 10)
@@ -283,6 +284,124 @@ func TestVGGBlockEndToEnd(t *testing.T) {
 	}
 	if st.Commands == 0 {
 		t.Error("block must account commands")
+	}
+}
+
+func TestConvReLURejectsKernelLargerThanInput(t *testing.T) {
+	for _, c := range []struct{ h, w, k int }{{2, 2, 4}, {5, 3, 4}, {3, 6, 4}} {
+		rng := rand.New(rand.NewSource(10))
+		in := randomInput(rng, 1, c.h, c.w)
+		w := randomConvWeights(rng, 1, 1, c.k)
+		sys := kernelSystem(t)
+		if _, _, err := ConvReLUSIMDRAM(sys, in, w, 4); err == nil {
+			t.Errorf("%d×%d kernel over a %d×%d input: want an error", c.k, c.k, c.h, c.w)
+		}
+		if cmds := sys.SystemStats().Commands; cmds != 0 {
+			t.Errorf("%d×%d kernel over a %d×%d input issued %d DRAM commands before failing", c.k, c.k, c.h, c.w, cmds)
+		}
+		sys.Close()
+	}
+}
+
+// TestKernelsRunVerifiedPlans runs every *SIMDRAM kernel on its test
+// input from the tests above. Each must execute through plans the IR
+// verifier checked, at the cost the kernels reported when they issued
+// one unverified System.Run per operation: the same commands and
+// energy, and the same latency up to summation order.
+func TestKernelsRunVerifiedPlans(t *testing.T) {
+	codes := workload.Codes(900, 4, 3)
+	digits, _ := workload.Digits(155, 12, 4)
+	cases := []struct {
+		name      string
+		run       func(sys *simdram.System) (simdram.Stats, error)
+		commands  int64
+		energyPJ  float64
+		latencyNs float64
+	}{
+		{"BitWeavingLt", func(sys *simdram.System) (simdram.Stats, error) {
+			_, st, err := BitWeavingLtSIMDRAM(sys, codes, 9, 4)
+			return st, err
+		}, 68, 357600, 2465.44},
+		{"BitWeavingBetween", func(sys *simdram.System) (simdram.Stats, error) {
+			_, st, err := BitWeavingBetweenSIMDRAM(sys, codes, 4, 11, 4)
+			return st, err
+		}, 152, 806400, 5556.16},
+		// The eager kernel ANDed the five comparisons with one 5-source
+		// and_red (15753 commands, 8.14086e+07 pJ, 751332.32 ns); the
+		// shared expression splits it into two 3-source and_red, the
+		// most sources the ISA and the graph encode.
+		{"TPCHQ6", func(sys *simdram.System) (simdram.Stats, error) {
+			_, st, err := TPCHQ6SIMDRAM(sys, workload.NewLineItem(700, 2), DefaultQ6())
+			return st, err
+		}, 15756, 8.1432e+07, 751552.64},
+		{"KNNDistances", func(sys *simdram.System) (simdram.Stats, error) {
+			_, st, err := KNNDistancesSIMDRAM(sys, digits[:150], digits[150])
+			return st, err
+		}, 18588, 9.7668e+07, 1.34416608e+06},
+		{"ConvReLU", func(sys *simdram.System) (simdram.Stats, error) {
+			rng := rand.New(rand.NewSource(5))
+			in := randomInput(rng, 2, 9, 9)
+			_, st, err := ConvReLUSIMDRAM(sys, in, randomConvWeights(rng, 2, 2, 3), 4)
+			return st, err
+		}, 167940, 8.683944e+08, 1.20289424e+07},
+		{"MaxPool2", func(sys *simdram.System) (simdram.Stats, error) {
+			_, st, err := MaxPool2SIMDRAM(sys, randomInput(rand.New(rand.NewSource(6)), 3, 8, 8))
+			return st, err
+		}, 1098, 5.7564e+06, 78907.68},
+		{"FC", func(sys *simdram.System) (simdram.Stats, error) {
+			rng := rand.New(rand.NewSource(7))
+			x := make([]uint64, 12)
+			for i := range x {
+				x[i] = uint64(rng.Intn(256))
+			}
+			w := make([][]int, 10)
+			for o := range w {
+				w[o] = make([]int, len(x))
+				for i := range w[o] {
+					w[o][i] = rng.Intn(255) - 127
+				}
+			}
+			_, st, err := FCSIMDRAM(sys, x, w)
+			return st, err
+		}, 63648, 3.29616e+08, 4.56269568e+06},
+		{"LeNet", func(sys *simdram.System) (simdram.Stats, error) {
+			rng := rand.New(rand.NewSource(8))
+			in := randomInput(rng, 1, 14, 14)
+			weights := LeNetWeights{
+				Conv1: randomConvWeights(rng, 2, 1, 3),
+				Conv2: randomConvWeights(rng, 3, 2, 3),
+				FC:    make([][]int, 10),
+				Shift: 5,
+			}
+			for o := range weights.FC {
+				weights.FC[o] = make([]int, 3*2*2)
+				for i := range weights.FC[o] {
+					weights.FC[o][i] = rng.Intn(15) - 7
+				}
+			}
+			_, st, err := LeNetSIMDRAM(sys, in, weights)
+			return st, err
+		}, 380545, 1.9683066e+09, 2.72607092e+07},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys := kernelSystem(t)
+			defer sys.Close()
+			before := sys.VerifiedPlans()
+			st, err := c.run(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys.VerifiedPlans() <= before {
+				t.Error("kernel ran no verified plan")
+			}
+			if st.Commands != c.commands || st.EnergyPJ != c.energyPJ {
+				t.Errorf("cost %d commands, %v pJ; want %d, %v", st.Commands, st.EnergyPJ, c.commands, c.energyPJ)
+			}
+			if math.Abs(st.LatencyNs-c.latencyNs) > 1e-9*c.latencyNs {
+				t.Errorf("latency %v ns, want %v", st.LatencyNs, c.latencyNs)
+			}
+		})
 	}
 }
 
@@ -332,71 +451,78 @@ func TestPaperSpecsEvaluate(t *testing.T) {
 }
 
 // brightnessSIMDRAM runs the brightness kernel eagerly in DRAM, one
-// Engine.Op per operation, and returns the adjusted
-// pixels plus the accumulated cost.
+// System.Run per operation on vectors it allocates and stores itself —
+// an oracle that bypasses the graph compiler BrightnessExpr goes
+// through — and returns the adjusted pixels plus the accumulated cost.
 func brightnessSIMDRAM(sys *simdram.System, img workload.Image, delta int) ([]uint64, simdram.Stats, error) {
-	e := NewEngine(sys, len(img.Pixels))
-	px, err := e.FromData(img.Pixels, 16)
-	if err != nil {
-		return nil, e.Stats, err
+	n := len(img.Pixels)
+	var st simdram.Stats
+	var err error // the first failure; every later step is skipped
+	var live []*simdram.Vector
+	defer func() {
+		for _, v := range live {
+			v.Free()
+		}
+	}()
+	vec := func(width int, data []uint64) *simdram.Vector {
+		if err != nil {
+			return nil
+		}
+		var v *simdram.Vector
+		if v, err = sys.AllocVector(n, width); err != nil {
+			return nil
+		}
+		live = append(live, v)
+		if data != nil {
+			err = v.Store(data)
+		}
+		return v
 	}
-	defer px.Free()
+	splat := func(val uint64) *simdram.Vector {
+		data := make([]uint64, n)
+		for i := range data {
+			data[i] = val
+		}
+		return vec(16, data)
+	}
+	run := func(name string, srcs ...*simdram.Vector) *simdram.Vector {
+		if err != nil {
+			return nil
+		}
+		var dw int
+		if _, dw, err = simdram.Widths(name, srcs[0].Width()); err != nil {
+			return nil
+		}
+		dst := vec(dw, nil)
+		if err != nil {
+			return nil
+		}
+		var s simdram.Stats
+		s, err = sys.Run(name, dst, srcs...)
+		st.LatencyNs += s.LatencyNs
+		st.EnergyPJ += s.EnergyPJ
+		st.Commands += s.Commands
+		return dst
+	}
 
+	px := vec(16, img.Pixels)
 	var result *simdram.Vector
 	if delta >= 0 {
-		dv, err := e.Const(uint64(delta), 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer dv.Free()
-		sum, err := e.Op("addition", px, dv)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer sum.Free()
-		c255, err := e.Const(255, 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer c255.Free()
-		over, err := e.Op("greater", sum, c255) // sum > 255
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer over.Free()
-		result, err = e.Op("if_else", c255, sum, over)
-		if err != nil {
-			return nil, e.Stats, err
-		}
+		dv, c255 := splat(uint64(delta)), splat(255)
+		sum := run("addition", px, dv)
+		over := run("greater", sum, c255) // sum > 255
+		result = run("if_else", c255, sum, over)
 	} else {
-		dv, err := e.Const(uint64(-delta), 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer dv.Free()
-		diff, err := e.Op("subtraction", px, dv)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer diff.Free()
-		under, err := e.Op("greater", dv, px) // -delta > pixel → clamp to 0
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer under.Free()
-		zero, err := e.Const(0, 16)
-		if err != nil {
-			return nil, e.Stats, err
-		}
-		defer zero.Free()
-		result, err = e.Op("if_else", zero, diff, under)
-		if err != nil {
-			return nil, e.Stats, err
-		}
+		dv, zero := splat(uint64(-delta)), splat(0)
+		diff := run("subtraction", px, dv)
+		under := run("greater", dv, px) // -delta > pixel → clamp to 0
+		result = run("if_else", zero, diff, under)
 	}
-	defer result.Free()
+	if err != nil {
+		return nil, st, err
+	}
 	out, err := result.Load()
-	return out, e.Stats, err
+	return out, st, err
 }
 
 // knnRef returns the L1 distances of every training point to the query.

@@ -1,8 +1,6 @@
 package kernels
 
-import (
-	"simdram"
-)
+import "simdram"
 
 // kNN classifies a query against a training set by L1 (Manhattan)
 // distance [Lee, Neural Computation 1991]. Training points are SIMD
@@ -11,52 +9,29 @@ import (
 // training point at once. The final arg-min (top-k) is a host-side scan,
 // as in the paper.
 
-// KNNDistancesSIMDRAM computes the distance vector in DRAM. Features are
-// staged at 32 bits so the signed difference and the accumulated sum both
-// fit regardless of dimension count.
+// KNNDistancesSIMDRAM computes the distance vector in DRAM, one batch
+// per feature dimension. Features are staged at 32 bits so the signed
+// difference and the accumulated sum both fit regardless of dimension
+// count.
 func KNNDistancesSIMDRAM(sys *simdram.System, train [][]uint64, query []uint64) ([]uint64, simdram.Stats, error) {
-	n := len(train)
-	dims := len(query)
-	e := NewEngine(sys, n)
-	fail := func(err error) ([]uint64, simdram.Stats, error) { return nil, e.Stats, err }
-
-	acc, err := e.Const(0, 32)
+	var st simdram.Stats
+	acc, err := newAccumulator(sys, &st, len(train))
 	if err != nil {
-		return fail(err)
+		return nil, st, err
 	}
-	col := make([]uint64, n)
-	for i := 0; i < dims; i++ {
-		for j := 0; j < n; j++ {
+	defer acc.free()
+	col := make([]uint64, len(train))
+	for i, q := range query {
+		for j := range train {
 			col[j] = train[j][i]
 		}
-		tv, err := e.FromData(col, 32)
-		if err != nil {
-			return fail(err)
+		d := simdram.Input(col, 32).Sub(simdram.Scalar(q, 32)).Abs()
+		if err := acc.step(acc.expr().Add(d)); err != nil {
+			return nil, st, err
 		}
-		qv, err := e.Const(query[i], 32)
-		if err != nil {
-			return fail(err)
-		}
-		diff, err := e.Op("subtraction", tv, qv)
-		FreeAll(tv, qv)
-		if err != nil {
-			return fail(err)
-		}
-		ad, err := e.Op("abs", diff)
-		diff.Free()
-		if err != nil {
-			return fail(err)
-		}
-		next, err := e.Op("addition", acc, ad)
-		ad.Free()
-		if err != nil {
-			return fail(err)
-		}
-		Replace(&acc, next)
 	}
-	defer acc.Free()
-	dist, err := acc.Load()
-	return dist, e.Stats, err
+	dist, err := acc.v.Load()
+	return dist, st, err
 }
 
 // Argmin returns the index of the smallest distance.

@@ -86,68 +86,53 @@ func ConvReLURef(in FeatureMap, w ConvWeights, shift uint) FeatureMap {
 // ConvReLUSIMDRAM runs a valid-padding convolution + ReLU + requantize
 // with all multiply-accumulates in DRAM.
 func ConvReLUSIMDRAM(sys *simdram.System, in FeatureMap, w ConvWeights, shift uint) (FeatureMap, simdram.Stats, error) {
+	var st simdram.Stats
 	if in.C != w.InC {
-		return FeatureMap{}, simdram.Stats{}, fmt.Errorf("kernels: conv expects %d input channels, have %d", w.InC, in.C)
+		return FeatureMap{}, st, fmt.Errorf("kernels: conv expects %d input channels, have %d", w.InC, in.C)
+	}
+	if w.K > in.H || w.K > in.W {
+		return FeatureMap{}, st, fmt.Errorf("kernels: %d×%d conv kernel is larger than its %d×%d input", w.K, w.K, in.H, in.W)
 	}
 	outH, outW := in.H-w.K+1, in.W-w.K+1
-	n := outH * outW
-	e := NewEngine(sys, n)
 	out := NewFeatureMap(w.OutC, outH, outW)
-	for oc := 0; oc < w.OutC; oc++ {
-		acc, err := e.Const(0, 32)
+	for oc := range out.Data {
+		vals, err := convReLUChannel(sys, &st, in, w.K, w.W[oc], outH, outW)
 		if err != nil {
-			return FeatureMap{}, e.Stats, err
-		}
-		for ic := 0; ic < w.InC; ic++ {
-			for ky := 0; ky < w.K; ky++ {
-				for kx := 0; kx < w.K; kx++ {
-					wt := w.W[oc][ic][ky*w.K+kx]
-					if wt == 0 {
-						continue
-					}
-					shifted, err := e.FromData(gatherShifted(in, ic, ky, kx, outH, outW), 16)
-					if err != nil {
-						return FeatureMap{}, e.Stats, err
-					}
-					mag := wt
-					opName := "addition"
-					if mag < 0 {
-						mag = -mag
-						opName = "subtraction"
-					}
-					wv, err := e.Const(uint64(mag), 16)
-					if err != nil {
-						return FeatureMap{}, e.Stats, err
-					}
-					prod, err := e.Op("multiplication", shifted, wv)
-					FreeAll(shifted, wv)
-					if err != nil {
-						return FeatureMap{}, e.Stats, err
-					}
-					next, err := e.Op(opName, acc, prod)
-					prod.Free()
-					if err != nil {
-						return FeatureMap{}, e.Stats, err
-					}
-					Replace(&acc, next)
-				}
-			}
-		}
-		rel, err := e.Op("relu", acc)
-		acc.Free()
-		if err != nil {
-			return FeatureMap{}, e.Stats, err
-		}
-		vals, err := rel.Load()
-		rel.Free()
-		if err != nil {
-			return FeatureMap{}, e.Stats, err
+			return FeatureMap{}, st, err
 		}
 		for i, v := range vals {
 			out.Data[oc][i] = Requantize(v, shift)
 		}
 	}
-	return out, e.Stats, nil
+	return out, st, nil
+}
+
+// convReLUChannel accumulates one output channel in DRAM, one batch per
+// nonzero tap (acc ± shifted input × |weight|), and returns the ReLU of
+// the sum.
+func convReLUChannel(sys *simdram.System, st *simdram.Stats, in FeatureMap, k int, taps [][]int, outH, outW int) ([]uint64, error) {
+	acc, err := newAccumulator(sys, st, outH*outW)
+	if err != nil {
+		return nil, err
+	}
+	defer acc.free()
+	for ic, chTaps := range taps {
+		for t, wt := range chTaps {
+			if wt == 0 {
+				continue
+			}
+			op := "addition"
+			if wt < 0 {
+				op, wt = "subtraction", -wt
+			}
+			shifted := simdram.Input(gatherShifted(in, ic, t/k, t%k, outH, outW), 16)
+			prod := shifted.Mul(simdram.Scalar(uint64(wt), 16))
+			if err := acc.step(acc.expr().Apply(op, prod)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return load(sys, st, acc.expr().ReLU())
 }
 
 // MaxPool2Ref is the pure-Go 2×2 max-pool reference.
@@ -173,50 +158,29 @@ func MaxPool2Ref(in FeatureMap) FeatureMap {
 }
 
 // MaxPool2SIMDRAM pools with three in-DRAM max operations over the four
-// gathered corner vectors.
+// gathered corner vectors, one batch per channel.
 func MaxPool2SIMDRAM(sys *simdram.System, in FeatureMap) (FeatureMap, simdram.Stats, error) {
+	var st simdram.Stats
 	outH, outW := in.H/2, in.W/2
-	n := outH * outW
-	e := NewEngine(sys, n)
 	out := NewFeatureMap(in.C, outH, outW)
-	gather := func(c, dy, dx int) []uint64 {
-		v := make([]uint64, n)
+	corner := func(c, dy, dx int) *simdram.Expr {
+		v := make([]uint64, outH*outW)
 		for y := 0; y < outH; y++ {
 			for x := 0; x < outW; x++ {
 				v[y*outW+x] = in.Data[c][(2*y+dy)*in.W+(2*x+dx)]
 			}
 		}
-		return v
+		return simdram.Input(v, 8)
 	}
-	for c := 0; c < in.C; c++ {
-		var corners [4]*simdram.Vector
-		var err error
-		for i := 0; i < 4; i++ {
-			corners[i], err = e.FromData(gather(c, i/2, i%2), 8)
-			if err != nil {
-				return FeatureMap{}, e.Stats, err
-			}
-		}
-		m01, err := e.Op("max", corners[0], corners[1])
+	for c := range out.Data {
+		m := corner(c, 0, 0).Max(corner(c, 0, 1)).Max(corner(c, 1, 0).Max(corner(c, 1, 1)))
+		vals, err := load(sys, &st, m)
 		if err != nil {
-			return FeatureMap{}, e.Stats, err
-		}
-		m23, err := e.Op("max", corners[2], corners[3])
-		if err != nil {
-			return FeatureMap{}, e.Stats, err
-		}
-		m, err := e.Op("max", m01, m23)
-		if err != nil {
-			return FeatureMap{}, e.Stats, err
-		}
-		vals, err := m.Load()
-		if err != nil {
-			return FeatureMap{}, e.Stats, err
+			return FeatureMap{}, st, err
 		}
 		copy(out.Data[c], vals)
-		FreeAll(corners[0], corners[1], corners[2], corners[3], m01, m23, m)
 	}
-	return out, e.Stats, nil
+	return out, st, nil
 }
 
 // FCRef is the pure-Go reference for FCSIMDRAM: logits = W·x (signed).
@@ -233,65 +197,39 @@ func FCRef(x []uint64, w [][]int) []int64 {
 }
 
 // FCSIMDRAM computes a fully connected layer with output neurons as SIMD
-// lanes. Per-lane signed weights use offset encoding: the stored weight
-// is w+128 (unsigned), and the bias 128·x is subtracted afterwards, so an
-// unsigned in-DRAM multiplier handles signed weights exactly.
+// lanes, one batch per nonzero input. Per-lane signed weights use offset
+// encoding: the stored weight is w+128 (unsigned), and the bias 128·x is
+// subtracted afterwards, so an unsigned in-DRAM multiplier handles
+// signed weights exactly.
 func FCSIMDRAM(sys *simdram.System, x []uint64, w [][]int) ([]int64, simdram.Stats, error) {
-	outN := len(w)
-	e := NewEngine(sys, outN)
-	fail := func(err error) ([]int64, simdram.Stats, error) { return nil, e.Stats, err }
-	acc, err := e.Const(0, 32)
+	var st simdram.Stats
+	acc, err := newAccumulator(sys, &st, len(w))
 	if err != nil {
-		return fail(err)
+		return nil, st, err
 	}
-	wCol := make([]uint64, outN)
+	defer acc.free()
+	wCol := make([]uint64, len(w))
 	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		for o := 0; o < outN; o++ {
+		for o := range w {
 			wCol[o] = uint64(w[o][i] + 128)
 		}
-		wv, err := e.FromData(wCol, 16)
-		if err != nil {
-			return fail(err)
+		prod := simdram.Scalar(xi, 16).Mul(simdram.Input(wCol, 16))
+		if err := acc.step(acc.expr().Add(prod).Sub(simdram.Scalar(xi*128, 32))); err != nil {
+			return nil, st, err
 		}
-		xv, err := e.Const(xi, 16)
-		if err != nil {
-			return fail(err)
-		}
-		prod, err := e.Op("multiplication", xv, wv)
-		FreeAll(wv, xv)
-		if err != nil {
-			return fail(err)
-		}
-		next, err := e.Op("addition", acc, prod)
-		prod.Free()
-		if err != nil {
-			return fail(err)
-		}
-		Replace(&acc, next)
-		corr, err := e.Const(xi*128, 32)
-		if err != nil {
-			return fail(err)
-		}
-		next, err = e.Op("subtraction", acc, corr)
-		corr.Free()
-		if err != nil {
-			return fail(err)
-		}
-		Replace(&acc, next)
 	}
-	defer acc.Free()
-	vals, err := acc.Load()
+	vals, err := acc.v.Load()
 	if err != nil {
-		return fail(err)
+		return nil, st, err
 	}
-	out := make([]int64, outN)
+	out := make([]int64, len(w))
 	for i, v := range vals {
 		out[i] = int64(int32(uint32(v)))
 	}
-	return out, e.Stats, nil
+	return out, st, nil
 }
 
 // LeNetWeights bundles the weights of the miniature LeNet used by the

@@ -56,7 +56,7 @@ func TestBrightnessServerMatchesRefAndEager(t *testing.T) {
 			t.Error("served kernel must account batch instructions")
 		}
 
-		// The eager Engine version of the same kernel must agree too.
+		// The eager one-System.Run-per-operation version must agree too.
 		sys := kernelSystem(t)
 		eager, _, err := brightnessSIMDRAM(sys, img, delta)
 		if err != nil {

@@ -32,99 +32,61 @@ func TPCHQ6Ref(t workload.LineItem, p TPCHQ6Params) uint64 {
 	return sum
 }
 
-// TPCHQ6SIMDRAM evaluates the predicate and the selected revenue in DRAM:
-// five in-DRAM comparisons, a 5-input and_red, a multiplication, and a
-// predicated if_else. The final scalar sum is a host-side fold over the
-// loaded revenue column (aggregation across SIMD lanes needs inter-column
-// movement, which SIMDRAM leaves to the CPU).
+// q6Columns returns the four lineitem columns Q6 reads as 16-bit data
+// leaves.
+func q6Columns(t workload.LineItem) (ship, disc, qty, price *simdram.Expr) {
+	return simdram.Input(t.ShipDate, 16), simdram.Input(t.Discount, 16),
+		simdram.Input(t.Quantity, 16), simdram.Input(t.ExtendedPrice, 16)
+}
+
+// q6Predicate is Q6's row filter: five in-DRAM comparisons ANDed by an
+// and_red tree (the ISA encodes at most 3 source operands per
+// instruction).
+func q6Predicate(ship, disc, qty *simdram.Expr, p TPCHQ6Params) *simdram.Expr {
+	p1 := ship.GreaterEqual(simdram.Scalar(p.DateLo, 16))
+	p2 := simdram.Scalar(p.DateHi, 16).Greater(ship)
+	p3 := disc.GreaterEqual(simdram.Scalar(p.DiscountLo, 16))
+	p4 := simdram.Scalar(p.DiscountHi, 16).GreaterEqual(disc)
+	p5 := simdram.Scalar(p.QuantityLt, 16).Greater(qty)
+	return p1.Apply("and_red", p2, p3).Apply("and_red", p4, p5)
+}
+
+// q6Selected is the revenue column price × discount (16×16 → 32 bits)
+// where pred holds and 0 elsewhere, a predicated if_else.
+func q6Selected(pred, price, disc *simdram.Expr) *simdram.Expr {
+	return pred.IfElse(price.Mul(disc), simdram.Scalar(0, 32))
+}
+
+// TPCHQ6Expr is the Q6-style selective aggregation as one lazy
+// expression: the predicate and the selected revenue. The final scalar
+// sum stays host-side: aggregation across SIMD lanes needs
+// inter-column movement, which SIMDRAM leaves to the CPU.
+func TPCHQ6Expr(t workload.LineItem, p TPCHQ6Params) *simdram.Expr {
+	ship, disc, qty, price := q6Columns(t)
+	return q6Selected(q6Predicate(ship, disc, qty, p), price, disc)
+}
+
+// TPCHQ6SIMDRAM evaluates TPCHQ6Expr's predicate and selected revenue in
+// DRAM and folds the loaded revenue column host-side. It runs as two
+// batches, the predicate and then the selection over its 1-bit result:
+// the compiler binds every leaf of a batch before the first instruction
+// runs, and at large row counts the one-shot expression leaves the
+// multiplication too few scratch rows.
 func TPCHQ6SIMDRAM(sys *simdram.System, t workload.LineItem, p TPCHQ6Params) (uint64, simdram.Stats, error) {
-	e := NewEngine(sys, t.N)
-	fail := func(err error) (uint64, simdram.Stats, error) { return 0, e.Stats, err }
-
-	ship, err := e.FromData(t.ShipDate, 16)
+	var st simdram.Stats
+	ship, disc, qty, price := q6Columns(t)
+	pred, err := materialize(sys, &st, q6Predicate(ship, disc, qty, p))
 	if err != nil {
-		return fail(err)
-	}
-	disc, err := e.FromData(t.Discount, 16)
-	if err != nil {
-		return fail(err)
-	}
-	qty, err := e.FromData(t.Quantity, 16)
-	if err != nil {
-		return fail(err)
-	}
-	price, err := e.FromData(t.ExtendedPrice, 16)
-	if err != nil {
-		return fail(err)
-	}
-	defer FreeAll(ship, disc, qty, price)
-
-	consts := map[string]uint64{
-		"dateLo": p.DateLo, "dateHi": p.DateHi,
-		"discLo": p.DiscountLo, "discHi": p.DiscountHi,
-		"qtyLt": p.QuantityLt,
-	}
-	cv := map[string]*simdram.Vector{}
-	for name, val := range consts {
-		v, err := e.Const(val, 16)
-		if err != nil {
-			return fail(err)
-		}
-		defer v.Free()
-		cv[name] = v
-	}
-
-	p1, err := e.Op("greater_equal", ship, cv["dateLo"])
-	if err != nil {
-		return fail(err)
-	}
-	p2, err := e.Op("greater", cv["dateHi"], ship)
-	if err != nil {
-		return fail(err)
-	}
-	p3, err := e.Op("greater_equal", disc, cv["discLo"])
-	if err != nil {
-		return fail(err)
-	}
-	p4, err := e.Op("greater_equal", cv["discHi"], disc)
-	if err != nil {
-		return fail(err)
-	}
-	p5, err := e.Op("greater", cv["qtyLt"], qty)
-	if err != nil {
-		return fail(err)
-	}
-	defer FreeAll(p1, p2, p3, p4, p5)
-
-	pred, err := e.Op("and_red", p1, p2, p3, p4, p5)
-	if err != nil {
-		return fail(err)
+		return 0, st, err
 	}
 	defer pred.Free()
-
-	rev, err := e.Op("multiplication", price, disc) // 16×16 → 32
+	vals, err := load(sys, &st, q6Selected(sys.Lazy(pred), price, disc))
 	if err != nil {
-		return fail(err)
-	}
-	defer rev.Free()
-	zero, err := e.Const(0, 32)
-	if err != nil {
-		return fail(err)
-	}
-	defer zero.Free()
-	sel, err := e.Op("if_else", rev, zero, pred)
-	if err != nil {
-		return fail(err)
-	}
-	defer sel.Free()
-
-	vals, err := sel.Load()
-	if err != nil {
-		return fail(err)
+		return 0, st, err
 	}
 	var sum uint64
 	for _, v := range vals {
 		sum += v
 	}
-	return sum, e.Stats, nil
+	return sum, st, nil
 }

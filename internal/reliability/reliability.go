@@ -2,7 +2,7 @@
 // (paper §5): whether triple-row activation still resolves the correct
 // majority as DRAM technology scales and cells become less uniform.
 //
-// Substitution note (see DESIGN.md): the paper runs SPICE Monte Carlo on
+// Substitution note (docs/reproduction.md, "Reliability"): the paper runs SPICE Monte Carlo on
 // a transistor-level sense-amplifier model. We reproduce the statistical
 // experiment with the closed-form charge-sharing equation: three cells
 // (capacitance Cc each, Gaussian variation σc) share charge with a

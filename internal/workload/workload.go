@@ -1,7 +1,7 @@
 // Package workload generates deterministic synthetic datasets for the
 // seven application kernels of SIMDRAM's evaluation (paper §5).
 //
-// Substitution note (see DESIGN.md): the paper's kernels run on their
+// Substitution note (docs/reproduction.md, "Workloads"): the paper's kernels run on their
 // original datasets (ImageNet-scale images, MNIST, TPC-H tables). Kernel
 // command counts are data-independent, so synthetic data exercises the
 // identical code paths while keeping the repository self-contained.
