@@ -69,11 +69,10 @@ type Cluster struct {
 	objects  map[uint16]*ShardedVector
 	handles  handleSpace
 
-	// plans memoizes compiled expression shapes (see PlanCacheStats);
-	// profiles aggregates their measured per-op latencies and drives
-	// profile-guided recompiles (see ProfileStats).
-	plans    *graph.PlanCache
-	profiles *graph.ProfileStore
+	// plans memoizes compiled expression shapes (see PlanCacheStats),
+	// each with the measured per-op latencies that drive its
+	// profile-guided recompile (see ProfileStats).
+	plans *graph.PlanCache
 
 	// metrics holds the cluster's dispatch observability: a batch
 	// counter and, per channel, a modeled-latency histogram
@@ -114,10 +113,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg: cfg, policy: policy,
-		objects:  make(map[uint16]*ShardedVector),
-		plans:    graph.NewPlanCache(DefaultPlanCacheSize),
-		profiles: graph.NewProfileStore(DefaultProfileThreshold, DefaultProfileMinJobs, defaultProfileShapes),
-		metrics:  obs.NewRegistry(),
+		objects: make(map[uint16]*ShardedVector),
+		plans:   graph.NewPlanCache(DefaultPlanCacheSize, DefaultProfileThreshold, DefaultProfileMinJobs),
+		metrics: obs.NewRegistry(),
 	}
 	c.batches = c.metrics.Counter("cluster.batches")
 	for ch := 0; ch < cfg.Channels; ch++ {

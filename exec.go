@@ -11,33 +11,45 @@ import (
 // srcs[1][i], …). All vectors must have the same element count, the
 // sources the same width, and dst the operation's destination width
 // (Widths reports it). Sources and destination must be segment-aligned
-// (allocate them with the same length on the same System).
+// (allocate them with the same length on the same System). It is the
+// one-instruction Exec over the vectors' handles, so the operation
+// passes the IR verifier like every other program.
 func (s *System) Run(opName string, dst *Vector, srcs ...*Vector) (Stats, error) {
 	d, err := ops.ByName(opName)
 	if err != nil {
 		return Stats{}, err
 	}
-	return s.RunOp(d, dst, srcs...)
-}
-
-// RunOp is Run with an explicit operation definition.
-func (s *System) RunOp(d ops.Def, dst *Vector, srcs ...*Vector) (Stats, error) {
-	p, segs, err := s.prepareOp(d, dst, srcs, nil)
-	if err != nil {
-		return Stats{}, err
+	if len(srcs) == 0 || len(srcs) > 3 {
+		return Stats{}, errorf("%s: ISA encodes 1-3 source objects, have %d", opName, len(srcs))
 	}
-	// One operation is a one-job batch: the control unit has a single
-	// run path, so serial and batched issue cannot drift apart.
-	pb, err := s.cu.Prepare([]ctrl.Job{{Program: p, Segments: segs}})
-	if err != nil {
-		return Stats{}, err
+	// Handles are recycled after Free and scoped per System, so a stale
+	// or foreign vector's handle may name an unrelated object of s —
+	// reject both here, while we still hold the caller's pointers.
+	if dst.freed {
+		return Stats{}, errorf("%s: destination freed", opName)
 	}
-	st, _, err := s.cu.Run(pb, ctrl.RunOpts{})
-	pb.Release()
-	if err != nil {
-		return Stats{}, err
+	if dst.sys != s {
+		return Stats{}, errorf("%s: destination belongs to a different System", opName)
 	}
-	return Stats{LatencyNs: st.BusyNs, EnergyPJ: st.EnergyPJ, Commands: st.Commands}, nil
+	for k, src := range srcs {
+		if src.freed {
+			return Stats{}, errorf("%s: source %d freed", opName, k)
+		}
+		if src.sys != s {
+			return Stats{}, errorf("%s: source %d belongs to a different System", opName, k)
+		}
+	}
+	in := isa.Instruction{
+		Op:    isa.FromOp(d.Code),
+		Dst:   dst.handle,
+		Size:  uint32(dst.n),
+		Width: uint8(srcs[0].width),
+		N:     uint8(len(srcs)),
+	}
+	for i, src := range srcs {
+		in.Src[i] = src.handle
+	}
+	return s.Exec(in)
 }
 
 // segBufs is flat storage the segments of a program's instructions,
@@ -52,9 +64,8 @@ type segBufs struct {
 
 // prepareOp validates an operation invocation and resolves it to a
 // μProgram plus the per-subarray segment bindings — everything the
-// control unit needs to execute, shared by the serial (RunOp) and
-// batched (ExecBatch) paths. The segments are carved from buf, or
-// allocated when buf is nil.
+// control unit needs to execute one instruction of a batch. The
+// segments are carved from buf.
 func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector, buf *segBufs) (*uprog.Program, []ctrl.Segment, error) {
 	if len(srcs) == 0 {
 		return nil, nil, errorf("%s: no sources", d.Name)
@@ -102,9 +113,6 @@ func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector, buf *segBufs)
 		return nil, nil, err
 	}
 	dataRows := s.cfg.DRAM.DataRows()
-	if buf == nil {
-		buf = &segBufs{}
-	}
 	s0 := len(buf.segs)
 	for i := range dst.segs {
 		bank, sub := dst.segs[i].bank, dst.segs[i].sub

@@ -152,21 +152,19 @@ func (e *Expr) Result() *Vector { return e.result }
 // ShardedResult is Result for cluster materializations.
 func (e *Expr) ShardedResult() *ShardedVector { return e.sresult }
 
-// CompileOptions disables individual compiler passes — the knobs the
-// differential tests and the naive-lowering baseline use. The zero
-// value runs every pass.
+// CompileOptions selects the compiler's passes. The zero value runs
+// every pass: constant folding, CSE, DCE, the cost-driven list
+// schedule and lifetime reuse of temporaries.
 type CompileOptions struct {
-	NoFold     bool // keep constant subexpressions as DRAM compute
-	NoCSE      bool // keep structurally duplicated subexpressions
-	NoDCE      bool // emit unreachable nodes too
-	NoReuse    bool // one fresh temporary per intermediate, no lifetime reuse
-	NoSchedule bool // construction order instead of the cost-driven list schedule
+	// Naive disables every pass: one instruction and one fresh
+	// temporary per expression node, in construction order, and no
+	// profile feedback.
+	Naive bool
 }
 
-// NaiveCompile disables every pass: one instruction and one fresh
-// temporary per expression node, in construction order — the per-node
-// baseline the optimized compiler is measured against.
-var NaiveCompile = CompileOptions{NoFold: true, NoCSE: true, NoDCE: true, NoReuse: true, NoSchedule: true}
+// NaiveCompile is the per-node baseline the optimized compiler is
+// measured against (see CompileOptions.Naive).
+var NaiveCompile = CompileOptions{Naive: true}
 
 // CompileStats reports what the graph compiler did with an expression
 // DAG.
@@ -350,17 +348,14 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 // the graph is built, and a cleared map keeps its buckets.
 var memoPool = sync.Pool{New: func() any { return map[*Expr]graph.NodeID{} }}
 
-// optsKey encodes the pass switches into the plan-cache key: the same
-// shape compiled under different options yields a different plan, so
-// the options are part of the shape's identity.
+// optsKey encodes the options into the plan-cache key: the same shape
+// compiled naively yields a different plan, so the options are part of
+// the shape's identity.
 func optsKey(opts CompileOptions) string {
-	bits := 0
-	for i, b := range []bool{opts.NoFold, opts.NoCSE, opts.NoDCE, opts.NoReuse, opts.NoSchedule} {
-		if b {
-			bits |= 1 << i
-		}
+	if opts.Naive {
+		return "1|"
 	}
-	return string(rune('0'+bits)) + "|"
+	return "0|"
 }
 
 // planExprs runs the backend-independent half of compilation over an
@@ -374,38 +369,35 @@ func optsKey(opts CompileOptions) string {
 // cache (PlanCache.Do): one caller compiles, the rest wait for its
 // plan. cache may be nil (no caching).
 //
-// When profiles is non-nil and the shape's measured per-op latencies
-// have diverged from the static cost model (ProfileStore.TakeRecompile),
-// the cached plan is invalidated and rebuilt with observed costs —
-// exactly one caller per diverged shape performs the recompile.
-// Profile feedback only reprices the schedule, so it is disabled when
-// env.opts.NoSchedule pins construction order.
+// When the shape's measured per-op latencies have diverged from the
+// static cost model (PlanCache.TakeRecompile), the cached plan is
+// replaced by one rebuilt with observed costs — exactly one caller per
+// cached shape performs the recompile. Profile feedback only reprices
+// the schedule, so a naive compile, which keeps construction order,
+// takes none.
 //
 // tr, when non-nil, receives "cache-lookup" and (on a cold compile or
 // recompile) "schedule" spans under parent — the serving layer's
 // per-job trace. Pass a nil trace (and any parent) when not tracing.
-func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileStore, tr *obs.Trace, parent int) (*graph.Plan, CompileStats) {
+func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent int) (*graph.Plan, CompileStats) {
 	var stats CompileStats
-	opts := env.opts
+	naive := env.opts.Naive
 	for id := 0; id < env.g.Len(); id++ {
 		if env.g.Node(graph.NodeID(id)).Kind == graph.KindOp {
 			stats.Nodes++
 		}
 	}
 	key := env.key
-	if opts.NoSchedule {
-		profiles = nil
-	}
 	cfg := planCfg(env.sys, env.cl)
 	model := planModel(env.sys, env.cl)
 	var plan *graph.Plan
 	look := tr.Begin("cache-lookup", parent)
-	if profiles.TakeRecompile(key) {
+	if !naive && cache.TakeRecompile(key) {
 		tr.End(look)
 		sspan := tr.Begin("schedule", parent)
 		start := time.Now()
-		observed := profiles.ScheduleCost(key, model)
-		plan = buildPlan(env.g, opts, observed)
+		observed := cache.ScheduleCost(key, model)
+		plan = buildPlan(env.g, false, observed)
 		// The list scheduler is a heuristic: re-pricing can, on some
 		// DAGs, reorder priorities unfavorably. Price both candidate
 		// schedules under the observed costs and keep the better one,
@@ -415,7 +407,7 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileS
 		if plan.Graph.EstimateMakespanNs(staticSched, observed, cfg.DRAM.Banks) <
 			plan.Graph.EstimateMakespanNs(plan.Sched, observed, cfg.DRAM.Banks) {
 			plan.Sched = staticSched
-			plan.Asg = graph.Assign(plan.Graph, plan.Sched, !opts.NoReuse)
+			plan.Asg = graph.Assign(plan.Graph, plan.Sched, true)
 		}
 		plan.Profiled = true
 		cache.Replace(key, plan, float64(time.Since(start).Nanoseconds()))
@@ -430,7 +422,7 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileS
 			tr.End(look)
 			sspan := tr.Begin("schedule", parent)
 			defer tr.End(sspan)
-			return buildPlan(env.g, opts, model)
+			return buildPlan(env.g, naive, model)
 		})
 		tr.End(look)
 		if hit {
@@ -439,7 +431,7 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, profiles *graph.ProfileS
 		}
 	}
 	stats.ProfiledPlan = plan.Profiled
-	stats.ProfileJobs = profiles.Jobs(key)
+	stats.ProfileJobs = cache.Jobs(key)
 	stats.Folded = plan.Folded
 	stats.CSEEliminated = plan.CSEEliminated
 	stats.DCEEliminated = plan.DCEEliminated
@@ -528,24 +520,20 @@ func modelCost(cfg Config) graph.CostFn {
 // assigner over a freshly built graph — the cold-compile path the plan
 // cache memoizes. cost prices the list schedule: the static model on a
 // cold compile, observed per-op latencies on a profile-guided
-// recompile.
-func buildPlan(g *graph.Graph, opts CompileOptions, cost graph.CostFn) *graph.Plan {
+// recompile. A naive plan runs no pass: construction order, one fresh
+// temporary per intermediate.
+func buildPlan(g *graph.Graph, naive bool, cost graph.CostFn) *graph.Plan {
 	plan := &graph.Plan{Graph: g}
-	if !opts.NoFold {
-		plan.Folded = g.FoldConstants()
-	}
-	if !opts.NoCSE {
-		plan.CSEEliminated = g.CSE()
-	}
-	if !opts.NoDCE {
-		plan.DCEEliminated = g.DCE()
-	}
-	if opts.NoSchedule {
+	if naive {
 		plan.Sched = g.ProgramOrder()
-	} else {
-		plan.Sched = g.Schedule(cost)
+		plan.Asg = graph.Assign(g, plan.Sched, false)
+		return plan
 	}
-	plan.Asg = graph.Assign(g, plan.Sched, !opts.NoReuse)
+	plan.Folded = g.FoldConstants()
+	plan.CSEEliminated = g.CSE()
+	plan.DCEEliminated = g.DCE()
+	plan.Sched = g.Schedule(cost)
+	plan.Asg = graph.Assign(g, plan.Sched, true)
 	return plan
 }
 
@@ -841,15 +829,15 @@ func (lw *lowered) discardResults() {
 }
 
 // planFeedback carries what an execution needs to fold its measured
-// per-op latencies back into the shape's profile: the store, the shape
-// key, the plan (for op identities, aligned with the lowered program),
-// and the static cost model the observations are compared against. A
-// nil feedback records nothing.
+// per-op latencies back into the shape's profile: the plan cache whose
+// entry holds the profile, the shape key, the plan (for op identities,
+// aligned with the lowered program), and the static cost model the
+// observations are compared against. A nil feedback records nothing.
 type planFeedback struct {
-	profiles *graph.ProfileStore
-	key      string
-	plan     *graph.Plan
-	model    graph.CostFn
+	plans *graph.PlanCache
+	key   string
+	plan  *graph.Plan
+	model graph.CostFn
 }
 
 // record folds one executed batch's per-op latencies into the profile.
@@ -857,17 +845,23 @@ func (f *planFeedback) record(opNs []float64) {
 	if f == nil {
 		return
 	}
-	f.profiles.Record(f.key, f.plan, opNs, f.model)
+	f.plans.Record(f.key, f.plan, opNs, f.model)
 }
 
 // feedbackFor builds the execution→profile feedback for one planned
-// compilation, or nil when profile feedback is off for it (no store,
-// or the schedule was pinned to construction order).
-func feedbackFor(profiles *graph.ProfileStore, env *compileEnv, plan *graph.Plan, opts CompileOptions) *planFeedback {
-	if profiles == nil || opts.NoSchedule {
+// compilation on env's System or Cluster, or nil for a naive compile,
+// whose construction-order schedule profile feedback cannot improve.
+func feedbackFor(env *compileEnv, plan *graph.Plan) *planFeedback {
+	if env.opts.Naive {
 		return nil
 	}
-	return &planFeedback{profiles: profiles, key: env.key, plan: plan, model: planModel(env.sys, env.cl)}
+	f := &planFeedback{key: env.key, plan: plan, model: planModel(env.sys, env.cl)}
+	if env.sys != nil {
+		f.plans = env.sys.plans
+	} else {
+		f.plans = env.cl.plans
+	}
+	return f
 }
 
 // Compiled is a lazily built expression graph lowered for one System:
@@ -899,7 +893,7 @@ func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, er
 	if err != nil {
 		return nil, err
 	}
-	plan, stats := planExprs(env, s.plans, s.profiles, nil, 0)
+	plan, stats := planExprs(env, s.plans, nil, 0)
 	origin := 0
 	if env.firstVec != nil {
 		origin = env.firstVec.leaf.origin()
@@ -918,7 +912,7 @@ func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, er
 		return nil, err
 	}
 	lw.publish()
-	return &Compiled{sys: s, lw: lw, stats: stats, fb: feedbackFor(s.profiles, env, plan, opts)}, nil
+	return &Compiled{sys: s, lw: lw, stats: stats, fb: feedbackFor(env, plan)}, nil
 }
 
 // leafDataOf resolves Input data leaves to their payloads for
@@ -942,16 +936,16 @@ type PlanCacheStats = graph.CacheStats
 // compiled-plan cache, which Compile/CompileWith/Materialize consult.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
 
-// ProfileStats reports a profile store's aggregation counters: profiled
-// shapes, executed jobs folded into profiles, and profile-guided
-// recompiles.
+// ProfileStats reports a plan cache's profile-feedback counters:
+// profiled shapes, executed jobs folded into profiles, and
+// profile-guided recompiles.
 type ProfileStats = graph.ProfileStats
 
 // ProfileStats reports the System's shape-profile counters: executed
 // Materialize/Execute batches fold their measured per-op latencies
 // into per-shape profiles, and divergent shapes are recompiled with
 // observed costs on their next Compile.
-func (s *System) ProfileStats() ProfileStats { return s.profiles.Stats() }
+func (s *System) ProfileStats() ProfileStats { return s.plans.ProfileStats() }
 
 // Materialize compiles and executes the expressions as one batch,
 // releasing every temporary afterwards. Each expression's value is then

@@ -40,7 +40,7 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 	if err != nil {
 		return nil, err
 	}
-	plan, stats := planExprs(env, c.plans, c.profiles, nil, 0)
+	plan, stats := planExprs(env, c.plans, nil, 0)
 	// Compiler-allocated vectors must share the leaves' placement plan,
 	// or per-instruction shard alignment fails at execution. Striping
 	// over the first leaf's span order with the same element count
@@ -87,7 +87,7 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 		return nil, err
 	}
 	lw.publish()
-	return &ClusterCompiled{cl: c, lw: lw, stats: stats, fb: feedbackFor(c.profiles, env, plan, opts)}, nil
+	return &ClusterCompiled{cl: c, lw: lw, stats: stats, fb: feedbackFor(env, plan)}, nil
 }
 
 // PlanCacheStats reports the hit/miss counters of the Cluster's
@@ -98,7 +98,7 @@ func (c *Cluster) PlanCacheStats() PlanCacheStats { return c.plans.Stats() }
 // Materialize/Execute batches fold their measured per-op latencies
 // into per-shape profiles, and divergent shapes are recompiled with
 // observed costs on their next Compile.
-func (c *Cluster) ProfileStats() ProfileStats { return c.profiles.Stats() }
+func (c *Cluster) ProfileStats() ProfileStats { return c.plans.ProfileStats() }
 
 // Materialize compiles and executes the expressions as one batch fanned
 // across every channel, releasing every temporary afterwards. Each

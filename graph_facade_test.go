@@ -517,41 +517,6 @@ func TestGraphErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("root duplicate with DCE off", func(t *testing.T) {
-		// CSE merges a root that duplicates an earlier subexpression;
-		// the orphaned duplicate must lose its root mark or, with DCE
-		// disabled, it schedules as a root without result storage.
-		va, _ := sys.AllocVector(32, 8)
-		vb, _ := sys.AllocVector(32, 8)
-		rng := rand.New(rand.NewSource(21))
-		da := storeRand(t, rng, va)
-		db := storeRand(t, rng, vb)
-		a, b := sys.Lazy(va), sys.Lazy(vb)
-		whole := a.Add(b).Max(a)
-		dupRoot := a.Add(b) // duplicates whole's first link
-		cp, err := sys.CompileWith(CompileOptions{NoDCE: true}, whole, dupRoot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cp.Execute(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := dupRoot.Result().Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range got {
-			if want := (da[j] + db[j]) & 0xFF; got[j] != want {
-				t.Fatalf("element %d: got %d, want %d", j, got[j], want)
-			}
-		}
-		cp.Free()
-		whole.Result().Free()
-		dupRoot.Result().Free()
-		va.Free()
-		vb.Free()
-	})
-
 	t.Run("freed leaf", func(t *testing.T) {
 		vf, _ := sys.AllocVector(32, 8)
 		e := sys.Lazy(vf).Not()

@@ -21,8 +21,8 @@ type Plan struct {
 	DCEEliminated int
 
 	// Profiled marks a plan whose schedule was priced with observed
-	// per-op latencies from a ShapeProfile instead of the static cost
-	// model — the result of a profile-guided recompile.
+	// per-op latencies from the shape's profile instead of the static
+	// cost model — the result of a profile-guided recompile.
 	Profiled bool
 }
 
@@ -66,12 +66,23 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// entry is one resident plan plus the bookkeeping eviction scores on.
+// entry is everything the cache keeps for one shape: the resident
+// plan, the bookkeeping eviction scores on, the shape's measured
+// profile, and the admission price of the plan. All of it lives and
+// dies with the entry.
 type entry struct {
 	plan    *Plan
 	costNs  float64 // compile cost recorded at insert/replace
 	lastUse uint64  // logical clock of the most recent lookup or insert
 	hits    uint64  // hits against this entry since insertion
+
+	// prof aggregates the jobs executed with the shape's plans; Replace
+	// keeps it, eviction drops it.
+	prof profile
+	// priceNs is the admission price of plan (see Price), valid while
+	// priced is set; Replace clears it.
+	priceNs float64
+	priced  bool
 }
 
 // flight is one in-progress compile of a shape: concurrent callers of
@@ -87,6 +98,11 @@ type flight struct {
 // concurrent use, and Do deduplicates concurrent compiles of the same
 // shape: the first caller runs the compile pipeline, later callers
 // wait for its plan instead of redoing the work.
+//
+// Each entry also owns its shape's profile — the per-op latencies
+// executed jobs measured (Record), which decide when the plan is
+// rebuilt with observed costs (TakeRecompile, ScheduleCost, Replace) —
+// and its admission price (Price). Evicting a shape drops all three.
 //
 // Eviction is recency-and-cost aware ("cost-lru"): a hit refreshes an
 // entry's recency, a compile records the plan's compile cost, and the
@@ -107,6 +123,15 @@ type PlanCache struct {
 	evictedHot uint64
 	coalesced  uint64
 
+	// Profile feedback: a shape's plan is rebuilt once at least minJobs
+	// jobs have been recorded and some op class's mean measured latency
+	// diverges from the static model by more than threshold (relative).
+	// threshold < 0 turns feedback off.
+	threshold  float64
+	minJobs    int
+	jobs       uint64
+	recompiles uint64
+
 	// onEvict, when set, observes every eviction (the victim's key and
 	// how many hits it had served). Called with the cache lock held, so
 	// the hook must be fast and must not call back into the cache —
@@ -115,36 +140,26 @@ type PlanCache struct {
 	onEvict func(key string, hits uint64)
 }
 
-// NewPlanCache returns a cache bounded to capacity plans. A capacity
-// below 1 disables caching: Peek returns nil, Replace is a no-op, Do
-// always computes without touching any counter, and Stats reports the
-// zero value.
-func NewPlanCache(capacity int) *PlanCache {
+// NewPlanCache returns a cache bounded to capacity plans whose
+// profile feedback asks for a recompile once a shape has minJobs
+// recorded jobs and some op class diverges from the static model by
+// more than threshold (relative); a threshold below 0 turns profile
+// feedback off. A capacity below 1 disables the cache: Do always
+// computes without touching any counter, Replace and Record do
+// nothing, Price and TakeRecompile report false, and Stats and
+// ProfileStats report the zero value.
+func NewPlanCache(capacity int, threshold float64, minJobs int) *PlanCache {
 	return &PlanCache{
-		cap:     capacity,
-		entries: make(map[string]*entry),
-		flights: make(map[string]*flight),
+		cap:       capacity,
+		threshold: threshold,
+		minJobs:   max(minJobs, 1),
+		entries:   make(map[string]*entry),
+		flights:   make(map[string]*flight),
 	}
 }
 
 // disabled reports whether the cache ignores all traffic.
 func (c *PlanCache) disabled() bool { return c == nil || c.cap < 1 }
-
-// Peek returns the cached plan for key without counting a hit or
-// miss and without refreshing the entry's recency — a side-effect-free
-// read for callers (admission-time cost estimation) that must not
-// perturb the cache's hit-rate statistics or eviction order.
-func (c *PlanCache) Peek(key string) *Plan {
-	if c.disabled() {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e.plan
-	}
-	return nil
-}
 
 // touch counts a hit on e and refreshes its recency. Caller holds mu.
 func (c *PlanCache) touch(e *entry) {
@@ -206,10 +221,12 @@ func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 	}
 }
 
-// Replace stores a plan under key, overwriting any existing entry —
-// the profile-guided recompile path, where the new plan supersedes the
-// stale one. The fresh entry starts with refreshed recency and zero
-// hits.
+// Replace stores a plan under key, overwriting any existing entry's
+// plan — the profile-guided recompile path, where the new plan
+// supersedes the stale one. The entry's recency is refreshed, its hits
+// restart from zero and its price is dropped (the next Price computes
+// it for p); its profile and recompile claim are kept. An absent key
+// is inserted.
 func (c *PlanCache) Replace(key string, p *Plan, compileNs float64) {
 	if c.disabled() {
 		return
@@ -218,7 +235,7 @@ func (c *PlanCache) Replace(key string, p *Plan, compileNs float64) {
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.clock++
-		*e = entry{plan: p, costNs: compileNs, lastUse: c.clock}
+		*e = entry{plan: p, costNs: compileNs, lastUse: c.clock, prof: e.prof}
 		return
 	}
 	c.insertLocked(key, p, compileNs)

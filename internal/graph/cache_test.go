@@ -112,7 +112,7 @@ func TestCanonicalKeyDistinguishesTopology(t *testing.T) {
 }
 
 func TestPlanCacheHitMissEviction(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, 0.25, 1)
 	if p := c.lookup("a"); p != nil {
 		t.Fatal("empty cache returned a plan")
 	}
@@ -161,7 +161,7 @@ func TestPlanCacheHitMissEviction(t *testing.T) {
 // between two equally stale entries, the cheap-to-recompile one is the
 // victim.
 func TestPlanCacheCostWeightedEviction(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, 0.25, 1)
 	c.insert("cheap", &Plan{}, 10)
 	c.insert("costly", &Plan{}, 10_000)
 	// Equal recency pressure (neither looked up since insert); the
@@ -212,7 +212,7 @@ func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
 		fifoOrder = append(fifoOrder, key)
 	}
 
-	c := NewPlanCache(capacity)
+	c := NewPlanCache(capacity, 0.25, 1)
 	hot := &Plan{}
 	trace := func(key string) *Plan {
 		// One lookup; on miss, an insert — both caches see the same ops.
@@ -259,7 +259,7 @@ func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
 // once-hit entry out (by stacking expensive fresher entries) counts as
 // a hot eviction.
 func TestPlanCacheEvictedHot(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, 0.25, 1)
 	c.insert("warm", &Plan{}, 10)
 	if c.lookup("warm") == nil { // one hit: the entry is warm now
 		t.Fatal("warm lookup missed")
@@ -278,7 +278,7 @@ func TestPlanCacheEvictedHot(t *testing.T) {
 // TestPlanCacheReplace pins the recompile path: Replace overwrites the
 // entry in place (no eviction, fresh recency).
 func TestPlanCacheReplace(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, 0.25, 1)
 	p1, p2 := &Plan{}, &Plan{Profiled: true}
 	c.insert("a", p1, 100)
 	c.Replace("a", p2, 200)
@@ -303,7 +303,7 @@ func TestPlanCacheReplace(t *testing.T) {
 // lookups).
 func TestPlanCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		c := NewPlanCache(capacity)
+		c := NewPlanCache(capacity, 0.25, 1)
 		c.insert("a", &Plan{}, 100)
 		if got := c.lookup("a"); got != nil {
 			t.Fatalf("capacity-%d cache cached a plan", capacity)
@@ -335,7 +335,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 // exactly once — the winner compiles, every loser waits for the
 // winner's plan instead of executing its own compile pipeline.
 func TestPlanCacheDoSingleflight(t *testing.T) {
-	c := NewPlanCache(8)
+	c := NewPlanCache(8, 0.25, 1)
 	const waiters = 16
 	var computes int32
 	release := make(chan struct{})
@@ -385,7 +385,7 @@ func TestPlanCacheDoSingleflight(t *testing.T) {
 // TestPlanCacheDoPanicRecovers pins the failure path of the flight: a
 // panicking compile must not strand waiters or poison the key.
 func TestPlanCacheDoPanicRecovers(t *testing.T) {
-	c := NewPlanCache(8)
+	c := NewPlanCache(8, 0.25, 1)
 	func() {
 		defer func() { recover() }()
 		c.Do("shape", func() *Plan { panic("compile failed") })
@@ -406,7 +406,7 @@ func TestPlanCacheDoPanicRecovers(t *testing.T) {
 }
 
 func TestPlanCacheConcurrent(t *testing.T) {
-	c := NewPlanCache(64)
+	c := NewPlanCache(64, 0.25, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -22,9 +21,20 @@ func unitModel(ns float64) CostFn {
 	return func(ops.Def, int, int) float64 { return ns }
 }
 
+// profileCache returns a cache holding plan under each key, with the
+// given profile-feedback settings: a profile lives in its shape's
+// cache entry, so observations need the entry first.
+func profileCache(threshold float64, minJobs int, plan *Plan, keys ...string) *PlanCache {
+	c := NewPlanCache(16, threshold, minJobs)
+	for _, k := range keys {
+		c.insert(k, plan, 100)
+	}
+	return c
+}
+
 func TestProfileStoreDivergenceTriggersOnce(t *testing.T) {
-	s := NewProfileStore(0.25, 3, 16)
 	plan := profilePlan(t)
+	s := profileCache(0.25, 3, plan, "match", "skew")
 	model := unitModel(100)
 
 	// Matching observations: never diverges no matter how many jobs.
@@ -49,7 +59,7 @@ func TestProfileStoreDivergenceTriggersOnce(t *testing.T) {
 	if s.TakeRecompile("skew") {
 		t.Fatal("second TakeRecompile on the same shape must lose")
 	}
-	st := s.Stats()
+	st := s.ProfileStats()
 	if st.Recompiles != 1 || st.Shapes != 2 || st.Jobs != 8 {
 		t.Fatalf("stats = %+v, want 1 recompile over 2 shapes / 8 jobs", st)
 	}
@@ -59,8 +69,8 @@ func TestProfileStoreDivergenceTriggersOnce(t *testing.T) {
 }
 
 func TestProfileStoreScheduleCost(t *testing.T) {
-	s := NewProfileStore(0.25, 1, 16)
 	plan := profilePlan(t)
+	s := profileCache(0.25, 1, plan, "k")
 	model := unitModel(100)
 	// add measured at 400, max at 100.
 	s.Record("k", plan, []float64{400, 100}, model)
@@ -77,96 +87,60 @@ func TestProfileStoreScheduleCost(t *testing.T) {
 	if got := cost(add, 16, 2); got != 7 {
 		t.Fatalf("unobserved class cost = %v, want base 7", got)
 	}
+	// A shape the cache does not hold is priced by base.
+	if got := s.ScheduleCost("absent", unitModel(7))(add, 8, 2); got != 7 {
+		t.Fatalf("uncached shape cost = %v, want base 7", got)
+	}
 }
 
 func TestProfileStoreRecordMismatchIgnored(t *testing.T) {
-	s := NewProfileStore(0.25, 1, 16)
 	plan := profilePlan(t)
-	s.Record("k", plan, []float64{1}, unitModel(1))   // wrong length
-	s.Record("k", plan, nil, unitModel(1))            // empty
-	s.Record("k", nil, []float64{1, 1}, unitModel(1)) // no plan
-	s.Record("k", plan, []float64{1, 1}, nil)         // no model
-	if st := s.Stats(); st.Jobs != 0 || st.Shapes != 0 {
+	s := profileCache(0.25, 1, plan, "k")
+	s.Record("k", plan, []float64{1}, unitModel(1))         // wrong length
+	s.Record("k", plan, nil, unitModel(1))                  // empty
+	s.Record("k", nil, []float64{1, 1}, unitModel(1))       // no plan
+	s.Record("k", plan, []float64{1, 1}, nil)               // no model
+	s.Record("absent", plan, []float64{1, 1}, unitModel(1)) // no entry
+	if st := s.ProfileStats(); st.Jobs != 0 || st.Shapes != 0 {
 		t.Fatalf("malformed records were folded in: %+v", st)
 	}
 }
 
+// TestProfileStoreNilSafe pins the off states: a nil cache, a disabled
+// (capacity < 1) cache and a negative threshold record nothing and
+// never ask for a recompile.
 func TestProfileStoreNilSafe(t *testing.T) {
-	var s *ProfileStore
-	s.Record("k", profilePlan(t), []float64{1, 1}, unitModel(1))
-	if s.TakeRecompile("k") {
-		t.Fatal("nil store asked for a recompile")
-	}
-	if got := s.ScheduleCost("k", unitModel(5))(opDef(t, "addition"), 8, 2); got != 5 {
-		t.Fatalf("nil store ScheduleCost = %v, want base", got)
-	}
-	if s.Jobs("k") != 0 || s.Stats() != (ProfileStats{}) {
-		t.Fatal("nil store reported non-zero state")
-	}
-	if NewProfileStore(-1, 1, 16) != nil {
-		t.Fatal("negative threshold must disable the store")
-	}
-}
-
-func TestProfileStoreCapDropsColdest(t *testing.T) {
-	s := NewProfileStore(0.25, 1, 2)
 	plan := profilePlan(t)
-	model := unitModel(100)
-	s.Record("busy", plan, []float64{100, 100}, model)
-	s.Record("busy", plan, []float64{100, 100}, model)
-	s.Record("quiet", plan, []float64{100, 100}, model)
-	s.Record("new", plan, []float64{100, 100}, model) // evicts "quiet" (fewest jobs)
-	if got := s.Jobs("busy"); got != 2 {
-		t.Fatalf("busy shape dropped: jobs = %d, want 2", got)
-	}
-	if got := s.Jobs("quiet"); got != 0 {
-		t.Fatalf("coldest shape retained: jobs = %d, want 0", got)
-	}
-	if st := s.Stats(); st.Shapes != 2 {
-		t.Fatalf("shapes = %d, want cap 2", st.Shapes)
-	}
-
-	// A seeded random Record sequence at capacity: a reference model
-	// tracks every shape's job count, and each time a new shape arrives
-	// at the cap, the shape a linear scan picks (fewest jobs, then
-	// smallest key) is the one the store drops.
-	const capShapes = 16
-	s = NewProfileStore(0.25, 1, capShapes)
-	ref := map[string]int{}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("k%03d", rng.Intn(40))
-		victim := ""
-		if _, ok := ref[key]; !ok && len(ref) >= capShapes {
-			for k, jobs := range ref {
-				if victim == "" || jobs < ref[victim] || (jobs == ref[victim] && k < victim) {
-					victim = k
-				}
-			}
-			delete(ref, victim)
+	var nilCache *PlanCache
+	off := profileCache(-1, 1, plan, "k")
+	for name, s := range map[string]*PlanCache{
+		"nil": nilCache, "capacity 0": NewPlanCache(0, 0.25, 1), "threshold -1": off,
+	} {
+		for i := 0; i < 3; i++ {
+			s.Record("k", plan, []float64{300, 300}, unitModel(1))
 		}
-		ref[key]++
-		s.Record(key, plan, []float64{100, 100}, model)
-		if victim != "" && s.Jobs(victim) != 0 {
-			t.Fatalf("record %d (%s): the scan drops %s, the store kept it", i, key, victim)
+		if s.TakeRecompile("k") {
+			t.Fatalf("%s: asked for a recompile", name)
 		}
-		if st := s.Stats(); st.Shapes != len(ref) {
-			t.Fatalf("record %d: %d shapes retained, want %d", i, st.Shapes, len(ref))
+		if got := s.ScheduleCost("k", unitModel(5))(opDef(t, "addition"), 8, 2); got != 5 {
+			t.Fatalf("%s: ScheduleCost = %v, want base", name, got)
+		}
+		if s.Jobs("k") != 0 || s.ProfileStats() != (ProfileStats{}) {
+			t.Fatalf("%s: reported non-zero profile state", name)
 		}
 	}
-	for k, jobs := range ref {
-		if got := s.Jobs(k); got != jobs {
-			t.Fatalf("shape %s: %d jobs, want %d", k, got, jobs)
-		}
+	if _, ok := nilCache.Price("k", unitModel(5), 1); ok {
+		t.Fatal("nil cache priced a plan")
 	}
 }
 
 // TestProfileStoreConcurrent exercises Record/TakeRecompile/
-// ScheduleCost under -race and proves at most one recompile is claimed
-// per shape.
+// ScheduleCost/Price under -race and proves at most one recompile is
+// claimed per shape.
 func TestProfileStoreConcurrent(t *testing.T) {
-	s := NewProfileStore(0.25, 1, 16)
 	plan := profilePlan(t)
+	recompiled := profilePlan(t)
+	s := profileCache(0.25, 1, plan, "k")
 	model := unitModel(100)
 	var wg sync.WaitGroup
 	wins := make([]int, 8)
@@ -179,8 +153,10 @@ func TestProfileStoreConcurrent(t *testing.T) {
 				s.Record("k", plan, []float64{300, 300}, model)
 				if s.TakeRecompile("k") {
 					wins[w]++
+					s.Replace("k", recompiled, 100)
 				}
 				_ = s.ScheduleCost("k", model)
+				_, _ = s.Price("k", model, 2)
 			}
 		}()
 	}
@@ -191,6 +167,114 @@ func TestProfileStoreConcurrent(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("%d goroutines claimed the recompile, want exactly 1", total)
+	}
+}
+
+// TestPlanCacheEvictionDropsProfileAndPrice pins the one-entry
+// lifetime: evicting a shape drops its profile, its recompile claim and
+// its price with its plan, so the shape comes back as a fresh entry.
+func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
+	plan := profilePlan(t)
+	model := unitModel(100)
+	c := NewPlanCache(1, 0.25, 1)
+	c.insert("a", plan, 100)
+	c.Record("a", plan, []float64{400, 100}, model)
+	if ns, ok := c.Price("a", model, 1); !ok || ns != 500 {
+		t.Fatalf("price = %v, %v; want 500 (observed add 400 + max 100)", ns, ok)
+	}
+	if !c.TakeRecompile("a") {
+		t.Fatal("diverged shape did not claim its recompile")
+	}
+
+	c.insert("b", plan, 100) // evicts "a"
+	if c.Jobs("a") != 0 {
+		t.Fatal("evicted shape kept its profile")
+	}
+	if _, ok := c.Price("a", model, 1); ok {
+		t.Fatal("evicted shape kept a price")
+	}
+	if st := c.ProfileStats(); st.Shapes != 0 || st.Jobs != 1 || st.Recompiles != 1 {
+		t.Fatalf("profile stats after eviction = %+v, want no profiled shape, 1 job, 1 recompile", st)
+	}
+
+	c.insert("a", plan, 100) // evicts "b"; "a" starts afresh
+	if ns, ok := c.Price("a", model, 1); !ok || ns != 200 {
+		t.Fatalf("re-inserted price = %v, %v; want the static 200", ns, ok)
+	}
+	c.Record("a", plan, []float64{400, 100}, model)
+	if !c.TakeRecompile("a") {
+		t.Fatal("re-inserted shape inherited the evicted entry's recompile claim")
+	}
+}
+
+// TestPlanCacheReplaceKeepsProfile pins what a profile-guided
+// recompile keeps: Replace swaps the plan and drops its price, but the
+// profile and the claim stay, so TakeRecompile is true at most once
+// per cached shape and the next Price reprices the new plan.
+func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
+	plan := profilePlan(t)
+	model := unitModel(100)
+	c := NewPlanCache(4, 0.25, 2)
+	c.insert("k", plan, 100)
+	if ns, _ := c.Price("k", model, 1); ns != 200 {
+		t.Fatalf("cold price = %v, want the static 200", ns)
+	}
+	for i := 0; i < 2; i++ {
+		c.Record("k", plan, []float64{400, 100}, model)
+	}
+	// The price belongs to the plan: new observations do not move it.
+	if ns, _ := c.Price("k", model, 1); ns != 200 {
+		t.Fatalf("price moved under the same plan: %v, want 200", ns)
+	}
+	if !c.TakeRecompile("k") {
+		t.Fatal("diverged shape did not claim its recompile")
+	}
+	recompiled := profilePlan(t)
+	c.Replace("k", recompiled, 100)
+	if got := c.Jobs("k"); got != 2 {
+		t.Fatalf("Replace dropped the profile: %d jobs, want 2", got)
+	}
+	if ns, _ := c.Price("k", model, 1); ns != 500 {
+		t.Fatalf("price after Replace = %v, want 500 under the observed costs", ns)
+	}
+	for i := 0; i < 4; i++ {
+		c.Record("k", recompiled, []float64{400, 100}, model)
+		if c.TakeRecompile("k") {
+			t.Fatal("a replaced shape claimed a second recompile")
+		}
+	}
+	if st := c.ProfileStats(); st.Recompiles != 1 || st.Jobs != 6 || st.Shapes != 1 {
+		t.Fatalf("profile stats = %+v, want 1 recompile, 6 jobs, 1 shape", st)
+	}
+}
+
+// BenchmarkPlanCacheChurn drives a full cache with more shapes than it
+// holds: every operation is a miss that inserts a plan, evicts a
+// victim (with its profile and price) and records one job.
+func BenchmarkPlanCacheChurn(b *testing.B) {
+	const capacity, shapes = 128, 1024
+	g := New()
+	x, _ := g.Input(8)
+	y, _ := g.Input(8)
+	add, _ := ops.ByName("addition")
+	mx, _ := ops.ByName("max")
+	s, _ := g.Op(add, x, y)
+	r, _ := g.Op(mx, s, x)
+	g.MarkRoot(r)
+	plan := &Plan{Graph: g, Sched: g.ProgramOrder()}
+	keys := make([]string, shapes)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("shape-%d", i)
+	}
+	model := unitModel(100)
+	opNs := []float64{100, 100}
+	c := NewPlanCache(capacity, 0.25, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[i%shapes]
+		c.Do(key, func() *Plan { return plan })
+		c.Record(key, plan, opNs, model)
 	}
 }
 

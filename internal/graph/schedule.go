@@ -10,7 +10,7 @@ import (
 // at operation width w over n operands. The facade plugs in
 // ops.CostNs under the system's own timing constants, so scheduling
 // decisions use the same per-op timings execution bills; a
-// profile-guided recompile instead plugs in ProfileStore.ScheduleCost,
+// profile-guided recompile instead plugs in PlanCache.ScheduleCost,
 // which prices op classes at the latencies the batch engine actually
 // measured (the static model is per-subarray and does not see, e.g.,
 // how many segments of a long vector serialize on one bank).

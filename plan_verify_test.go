@@ -204,7 +204,7 @@ func TestDefaultsVerifyPlans(t *testing.T) {
 		sys := testSystem(t)
 		t.Cleanup(sys.Close)
 		rng := rand.New(rand.NewSource(5))
-		prog, _ := randomHazardProgram(t, rng, sys, 300, 8, 4, 16)
+		prog, vecs := randomHazardProgram(t, rng, sys, 300, 8, 4, 16)
 		raises(t, "ExecBatch", sys.VerifiedPlans, func() error {
 			_, err := sys.ExecBatch(prog)
 			return err
@@ -217,6 +217,10 @@ func TestDefaultsVerifyPlans(t *testing.T) {
 				}
 			}
 			return errors.New("program has no operation")
+		})
+		raises(t, "Run", sys.VerifiedPlans, func() error {
+			_, err := sys.Run("addition", vecs[2], vecs[0], vecs[1])
+			return err
 		})
 		raises(t, "Compile + Execute", sys.VerifiedPlans, func() error {
 			cp, err := sys.Compile(chainExpr(t, sys, rng, 300, 8, 4))

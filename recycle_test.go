@@ -1,7 +1,7 @@
 package simdram
 
 // Tests for the recycling of one-shot prepared programs: owners that
-// run a program once (ExecBatch, RunOp, a served job the channel memo
+// run a program once (ExecBatch, Run, a served job the channel memo
 // does not keep) hand its control-unit storage back for reuse, while
 // programs that may run again (a Compiled, a memoized served program,
 // the Cluster's ExecBatch memo) keep theirs. Every result is checked

@@ -96,7 +96,7 @@ func oracleRun(t *testing.T, sys *System, prog isa.Program) {
 		if err != nil {
 			t.Fatalf("oracle instruction %d: %v", i, err)
 		}
-		p, segs, err := sys.prepareOp(d, dst, srcs, nil)
+		p, segs, err := sys.prepareOp(d, dst, srcs, &segBufs{})
 		if err != nil {
 			t.Fatalf("oracle instruction %d: %v", i, err)
 		}

@@ -62,7 +62,10 @@ type ServerConfig struct {
 	// per-tenant bound.
 	TenantQuota int
 	// PlanCacheSize bounds the shared compiled-plan cache. Defaults to
-	// DefaultPlanCacheSize; negative disables caching.
+	// DefaultPlanCacheSize; negative disables caching. A cached shape's
+	// profile and admission price live in its cache entry, so evicting
+	// the shape forgets its profile too, and a disabled cache turns
+	// profile feedback off.
 	PlanCacheSize int
 	// ProfileThreshold is the relative divergence between a shape's
 	// mean measured per-op latencies and the static cost model beyond
@@ -137,10 +140,11 @@ func DefaultServerConfig(n int) ServerConfig {
 // vectors is rejected.
 type Server struct {
 	cfg      ServerConfig
-	cl       *Cluster
+	channels []*System
 	sched    *sched.Scheduler
-	plans    *graph.PlanCache
-	profiles *graph.ProfileStore
+	// plans holds every served shape's plan, profile and admission
+	// price (see graph.PlanCache).
+	plans *graph.PlanCache
 
 	// Observability: one registry for every layer's counters and
 	// latency histograms, a sampling-gated tracer handing span trees to
@@ -159,14 +163,6 @@ type Server struct {
 	epoch    time.Time
 	pumpStop chan struct{}
 	pumpDone chan struct{}
-
-	// estCache memoizes admission-pricing makespans per plan-cache key,
-	// invalidated by plan identity (a profile-guided recompile swaps the
-	// plan and forces a reprice). Without it every submission of a hot
-	// shape re-walks the plan's schedule, which is slow enough to become
-	// the submission bottleneck for high-rate tenants.
-	estMu    sync.Mutex
-	estCache map[string]estEntry
 
 	// hits holds one memo of resident shapes per channel for served
 	// plan-cache hits (see hitMemo).
@@ -193,9 +189,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.ProfileMinJobs == 0 {
 		cfg.ProfileMinJobs = DefaultProfileMinJobs
 	}
-	cl, err := NewCluster(ClusterConfig{Channels: cfg.Channels, Channel: cfg.Channel, Placement: PlaceRoundRobin})
-	if err != nil {
-		return nil, err
+	channels := make([]*System, cfg.Channels)
+	for i := range channels {
+		sys, err := New(cfg.Channel)
+		if err != nil {
+			return nil, err
+		}
+		channels[i] = sys
 	}
 	if cfg.TraceDepth == 0 {
 		cfg.TraceDepth = 64
@@ -205,11 +205,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cl:       cl,
-		plans:    graph.NewPlanCache(cfg.PlanCacheSize),
-		profiles: graph.NewProfileStore(cfg.ProfileThreshold, cfg.ProfileMinJobs, 4*cfg.PlanCacheSize),
+		channels: channels,
+		plans:    graph.NewPlanCache(cfg.PlanCacheSize, cfg.ProfileThreshold, cfg.ProfileMinJobs),
 		metrics:  obs.NewRegistry(),
-		estCache: map[string]estEntry{},
 		hits:     make([]hitMemo, cfg.Channels),
 	}
 	s.rec = obs.NewFlightRecorder(cfg.TraceDepth, cfg.EventDepth)
@@ -227,11 +225,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Metrics:     s.metrics,
 	})
 	s.epoch = time.Now()
-	s.dev = newDeviceTelemetry(cfg.Channels, cl.Channel(0).mod.NumBanks(), s.metrics)
+	s.dev = newDeviceTelemetry(cfg.Channels, channels[0].mod.NumBanks(), s.metrics)
+	var err error
 	s.slos, err = newSLOTrackers(cfg.SLOs, s.metrics)
 	if err != nil {
 		s.sched.Close()
-		cl.Close()
 		return nil, err
 	}
 	s.pumpStop = make(chan struct{})
@@ -252,7 +250,13 @@ func (s *Server) Config() ServerConfig { return s.cfg }
 // *verify.Diagnostic errors instead of computing wrong results. A
 // replayed plan-cache hit runs a program verified when it was first
 // prepared.
-func (s *Server) VerifiedPlans() int64 { return s.cl.VerifiedPlans() }
+func (s *Server) VerifiedPlans() int64 {
+	var total int64
+	for _, sys := range s.channels {
+		total += sys.VerifiedPlans()
+	}
+	return total
+}
 
 // Close stops admission, fails queued jobs with ErrServerClosed,
 // waits for running jobs, stops the telemetry pump, and releases every
@@ -266,7 +270,9 @@ func (s *Server) Close() {
 	for i := range s.hits {
 		s.hits[i].clear()
 	}
-	s.cl.Close()
+	for _, sys := range s.channels {
+		sys.Close()
+	}
 }
 
 // JobSpec carries a submission's QoS intent: who is submitting, under
@@ -405,7 +411,7 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	// keeps its contract of failing the future at run time — it is
 	// admitted unpriced and fails with the compiler's error.
 	aspan := tr.Begin("admit", 0)
-	env, envErr := buildEnv(s.cl.Channel(0), nil, CompileOptions{}, exprs, size)
+	env, envErr := buildEnv(s.channels[0], nil, CompileOptions{}, exprs, size)
 	var modeled float64
 	if envErr == nil {
 		modeled = s.estimateModeledNs(env)
@@ -420,7 +426,7 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 		runStart := time.Now()
 		err := envErr
 		if err == nil {
-			err = s.runLazy(s.cl.Channel(worker), worker, cancel, env, exprs, res, tr, at)
+			err = s.runLazy(s.channels[worker], worker, cancel, env, exprs, res, tr, at)
 		}
 		if err == nil {
 			// Feed the executed batch's modeled DRAM time back into the
@@ -467,7 +473,7 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
 		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight, Deadline: spec.Deadline, Trace: tr,
 	}, func(worker int, cancel <-chan struct{}) error {
-		sys := s.cl.Channel(worker)
+		sys := s.channels[worker]
 		s.hits[worker].releaseRows()
 		espan := tr.BeginOn("execute", 0, worker)
 		// Raw jobs drive the System directly, so the finest attribution
@@ -501,49 +507,21 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 }
 
 // estimateModeledNs prices a lazy submission before it is queued from
-// its freshly built IR graph (no passes run): the graph's canonical key
-// probes the plan cache without perturbing hit-rate or recency
-// (PlanCache.Peek). A hit prices the job at the cached plan's
-// scheduled makespan — exact for the plan that will actually run; a
-// cold shape falls back to the makespan of the unoptimized graph in
-// program order under the static cost model. Either way the cost
-// model is upgraded to observed per-op latencies once the shape's
-// profile has enough jobs (ProfileStore.ScheduleCost).
+// its freshly built IR graph (no passes run). A shape the plan cache
+// holds is priced at its plan's scheduled makespan — exact for the plan
+// that will actually run — under the observed per-op latencies of the
+// shape's profile, once it has some; the price is kept in the cache
+// entry until the plan changes (PlanCache.Price), and the lookup
+// perturbs neither hit rate nor recency. A cold shape falls back to the
+// makespan of the unoptimized graph in program order under the static
+// cost model.
 func (s *Server) estimateModeledNs(env *compileEnv) float64 {
-	key := env.key
-	cfg := planCfg(env.sys, nil)
-	plan := s.plans.Peek(key)
-	if plan != nil {
-		s.estMu.Lock()
-		if e, ok := s.estCache[key]; ok && e.plan == plan {
-			s.estMu.Unlock()
-			return e.ns
-		}
-		s.estMu.Unlock()
+	banks := env.sys.cfg.DRAM.Banks
+	if ns, ok := s.plans.Price(env.key, env.sys.model, banks); ok {
+		return ns
 	}
-	cost := s.profiles.ScheduleCost(key, env.sys.model)
-	if plan == nil {
-		return env.g.EstimateMakespanNs(env.g.ProgramOrder(), cost, cfg.DRAM.Banks)
-	}
-	ns := plan.Graph.EstimateMakespanNs(plan.Sched, cost, cfg.DRAM.Banks)
-	s.estMu.Lock()
-	if len(s.estCache) >= estCacheCap {
-		s.estCache = map[string]estEntry{}
-	}
-	s.estCache[key] = estEntry{plan: plan, ns: ns}
-	s.estMu.Unlock()
-	return ns
+	return env.g.EstimateMakespanNs(env.g.ProgramOrder(), env.sys.model, banks)
 }
-
-// estEntry is one memoized admission price (see Server.estCache).
-type estEntry struct {
-	plan *graph.Plan
-	ns   float64
-}
-
-// estCacheCap bounds the estimate memo; at the cap the whole memo is
-// dropped and rebuilt (it repopulates in one submission per hot shape).
-const estCacheCap = 1024
 
 // hitMemo is one channel's memo of resident prepared programs for
 // served plan-cache hits, keyed by plan-cache key. An entry owns the
@@ -825,7 +803,7 @@ func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lo
 func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace, at *ctrl.Attribution) error {
 	cspan := tr.Begin("compile", 0)
 	env.sys = sys
-	plan, cst := planExprs(env, s.plans, s.profiles, tr, cspan)
+	plan, cst := planExprs(env, s.plans, tr, cspan)
 	res.Compile = cst
 	if cst.Recompiled {
 		s.rec.Eventf("recompile", "profile-guided recompile after %d jobs (key %.24q…)", cst.ProfileJobs, env.key)
@@ -885,7 +863,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		tr.End(rspan)
 		tr.End(espan)
 		if err == nil {
-			s.profiles.Record(env.key, plan, opNs, sys.model)
+			s.plans.Record(env.key, plan, opNs, sys.model)
 			res.Batch = st
 		}
 		// A full-path program the memo does not keep ran once and is
@@ -917,18 +895,13 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 	return nil
 }
 
-// TenantServerStats is one tenant's serving counters.
+// TenantServerStats is one tenant's serving counters: the scheduler's
+// (tier, counters, wall and modeled busy time, and queue/run latency
+// quantiles from the tenant's log-scale histograms, bounded relative
+// error 1/8; ModeledNs is the batch critical path of the tenant's
+// completed jobs) plus its share of execution time and its bills.
 type TenantServerStats struct {
-	Submitted, Completed, Failed, Rejected, Canceled uint64
-	Queued, Running                                  int
-	// BusyNs is cumulative wall time this tenant's jobs spent running;
-	// WaitNs cumulative time queued.
-	BusyNs, WaitNs int64
-	// ModeledNs is the cumulative modeled DRAM time (batch critical
-	// path) of the tenant's completed jobs — the fed-back execution
-	// stats, which price capacity in simulated-hardware time rather
-	// than host wall time.
-	ModeledNs float64
+	sched.TenantStats
 	// Utilization is the tenant's share of all execution time the
 	// server has performed so far (0 when nothing has run).
 	Utilization float64
@@ -939,12 +912,6 @@ type TenantServerStats struct {
 	// and cross-checked by the -serve demo.
 	BilledNs       float64
 	BilledEnergyPJ float64
-	// Queue/Run latency quantiles from the tenant's log-scale
-	// histograms (sched.Ticket.QueueNs/RunNs observed per finished
-	// job): honest per-tenant tail latency, bounded relative error 1/8.
-	// Zero until the tenant's first job finishes.
-	QueueP50Ns, QueueP99Ns, QueueP999Ns int64
-	RunP50Ns, RunP99Ns, RunP999Ns       int64
 }
 
 // TierServerStats is one QoS tier's serving counters: the scheduler's
@@ -953,28 +920,10 @@ type TenantServerStats struct {
 // achieved share of all modeled DRAM time the device has executed —
 // the number to compare against the configured weight ratio.
 type TierServerStats struct {
-	Weight   float64
-	Priority int
-	// Tenants is how many tenants currently resolve to this tier.
-	Tenants         int
-	Queued, Running int
-	// Dispatched counts jobs dispatched for this tier's tenants;
-	// Rejected its admission rejections (all reasons); DeadlineRejects
-	// the subset rejected with ErrDeadlineInfeasible; Preempts
-	// dispatches the tier took past queued lower-priority work while
-	// its SLO burn was active.
-	Dispatched, Rejected, DeadlineRejects, Preempts uint64
-	// ModeledNs is the cumulative modeled DRAM time charged to the
-	// tier at dispatch; ShareOfDevice its fraction of the modeled time
-	// all tiers consumed (0 when nothing has run).
-	ModeledNs     float64
+	sched.TierStats
+	// ShareOfDevice is the tier's fraction of the modeled time all
+	// tiers consumed (0 when nothing has run).
 	ShareOfDevice float64
-	// Merged queue/run latency quantiles over the tier's tenants.
-	// When every tenant shares one tier these equal the
-	// whole-population quantiles exactly (same observations, same
-	// bucket arithmetic).
-	QueueP50Ns, QueueP99Ns, QueueP999Ns int64
-	RunP50Ns, RunP99Ns, RunP999Ns       int64
 }
 
 // ServerStats is a point-in-time snapshot of the serving layer.
@@ -1013,7 +962,7 @@ func (s *Server) Stats() ServerStats {
 		Submitted: ss.Submitted, Completed: ss.Completed, Failed: ss.Failed,
 		Rejected: ss.Rejected, Canceled: ss.Canceled,
 		Cache:   s.plans.Stats(),
-		Profile: s.profiles.Stats(),
+		Profile: s.plans.ProfileStats(),
 		Tenants: make(map[string]TenantServerStats, len(ss.Tenants)),
 		Tiers:   make(map[string]TierServerStats, len(ss.Tiers)),
 		Rates:   s.dev.rates(s.nowNs(), ss.Completed, ss.Rejected),
@@ -1023,15 +972,7 @@ func (s *Server) Stats() ServerStats {
 		totalTierModeled += ts.ModeledNs
 	}
 	for name, ts := range ss.Tiers {
-		t := TierServerStats{
-			Weight: ts.Weight, Priority: ts.Priority, Tenants: ts.Tenants,
-			Queued: ts.Queued, Running: ts.Running,
-			Dispatched: ts.Dispatched, Rejected: ts.Rejected,
-			DeadlineRejects: ts.DeadlineRejects, Preempts: ts.Preempts,
-			ModeledNs:  ts.ModeledNs,
-			QueueP50Ns: ts.QueueP50Ns, QueueP99Ns: ts.QueueP99Ns, QueueP999Ns: ts.QueueP999Ns,
-			RunP50Ns: ts.RunP50Ns, RunP99Ns: ts.RunP99Ns, RunP999Ns: ts.RunP999Ns,
-		}
+		t := TierServerStats{TierStats: ts}
 		if totalTierModeled > 0 {
 			t.ShareOfDevice = ts.ModeledNs / totalTierModeled
 		}
@@ -1043,15 +984,7 @@ func (s *Server) Stats() ServerStats {
 		totalBusy += ts.BusyNs
 	}
 	for name, ts := range ss.Tenants {
-		t := TenantServerStats{
-			Submitted: ts.Submitted, Completed: ts.Completed, Failed: ts.Failed,
-			Rejected: ts.Rejected, Canceled: ts.Canceled,
-			Queued: ts.Queued, Running: ts.Running,
-			BusyNs: ts.BusyNs, WaitNs: ts.WaitNs,
-			ModeledNs:  ts.ModeledNs,
-			QueueP50Ns: ts.QueueP50Ns, QueueP99Ns: ts.QueueP99Ns, QueueP999Ns: ts.QueueP999Ns,
-			RunP50Ns: ts.RunP50Ns, RunP99Ns: ts.RunP99Ns, RunP999Ns: ts.RunP999Ns,
-		}
+		t := TenantServerStats{TenantStats: ts}
 		if totalBusy > 0 {
 			t.Utilization = float64(ts.BusyNs) / float64(totalBusy)
 		}

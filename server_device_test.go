@@ -123,8 +123,6 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 		"tenant.energy_pj{tenant=alice}",
 		"tenant.dram_ns{tenant=bob}",
 		"device.energy_pj",
-		"cluster.energy_pj{channel=0}",
-		"cluster.commands{channel=0}",
 	} {
 		if _, ok := byName[name]; !ok {
 			t.Errorf("series %s missing from registry", name)

@@ -171,7 +171,7 @@ func requireFullPath(t *testing.T, srv *Server, rng *rand.Rand, label string) {
 
 // rowsInUse returns how many data rows channel ch has allocated.
 func rowsInUse(srv *Server, ch int) int {
-	sys, n := srv.cl.Channel(ch), 0
+	sys, n := srv.channels[ch], 0
 	for _, bank := range sys.rows {
 		for _, a := range bank {
 			n += a.inUse()
@@ -209,7 +209,7 @@ func requireRowsResident(t *testing.T, srv *Server, ch int, label string) {
 // shapeKey returns the plan-cache key of exprs.
 func shapeKey(t *testing.T, srv *Server, exprs []*Expr) string {
 	t.Helper()
-	env, err := buildEnv(srv.cl.Channel(0), nil, CompileOptions{}, exprs, 0)
+	env, err := buildEnv(srv.channels[0], nil, CompileOptions{}, exprs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ type jobCharges struct {
 // values.
 func chargedJob(t *testing.T, srv *Server, exprs []*Expr) (jobCharges, int64) {
 	t.Helper()
-	sys := srv.cl.Channel(0)
+	sys := srv.channels[0]
 	for b := 0; b < sys.mod.NumBanks(); b++ {
 		for sub := 0; sub < sys.mod.SubarraysPerBank(); sub++ {
 			sys.mod.Subarray(b, sub).Stats = dram.Stats{}
@@ -279,7 +279,7 @@ func TestServerMemoHitMatchesMiss(t *testing.T) {
 	}
 
 	// Cancel a replay once its program has issued a few commands.
-	sys := srv.cl.Channel(0)
+	sys := srv.channels[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	armed, commands := true, 0

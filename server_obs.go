@@ -116,11 +116,10 @@ func (s *Server) ResetTraces() { s.rec.Reset() }
 // Metrics returns every series from the serving stack's metrics
 // registry — scheduler counters and depth gauges, global and
 // per-tenant latency histograms, plan-eviction counters, and the
-// cluster's per-channel dispatch histograms — sorted by kind then
-// name.
+// per-channel, per-bank and per-tenant device attribution — sorted by
+// kind then name.
 func (s *Server) Metrics() []MetricPoint {
 	out := toMetricPoints(s.metrics.Snapshot())
-	out = append(out, s.cl.Metrics()...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {
 			return out[i].Kind < out[j].Kind

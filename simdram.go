@@ -53,9 +53,6 @@ const DefaultPlanCacheSize = 128
 const (
 	DefaultProfileThreshold = 0.25
 	DefaultProfileMinJobs   = 3
-	// defaultProfileShapes bounds the shapes a profile store retains —
-	// above the plan cache so profiles survive their plan's eviction.
-	defaultProfileShapes = 4 * DefaultPlanCacheSize
 )
 
 // Config configures a System.
@@ -106,11 +103,10 @@ type System struct {
 	handles handleSpace
 	serials uint64 // last Vector.serial handed out
 
-	// plans memoizes compiled expression shapes (see PlanCacheStats);
-	// profiles aggregates their measured per-op latencies and drives
-	// profile-guided recompiles (see ProfileStats).
-	plans    *graph.PlanCache
-	profiles *graph.ProfileStore
+	// plans memoizes compiled expression shapes (see PlanCacheStats),
+	// each with the measured per-op latencies that drive its
+	// profile-guided recompile (see ProfileStats).
+	plans *graph.PlanCache
 	// model is the static cost model of cfg (modelCost), built once.
 	model graph.CostFn
 
@@ -221,13 +217,12 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:      cfg,
-		mod:      mod,
-		cu:       ctrl.New(mod, cfg.Variant),
-		tu:       vertical.NewUnit(cfg.Transposition),
-		plans:    graph.NewPlanCache(DefaultPlanCacheSize),
-		profiles: graph.NewProfileStore(DefaultProfileThreshold, DefaultProfileMinJobs, defaultProfileShapes),
-		model:    modelCost(cfg),
+		cfg:   cfg,
+		mod:   mod,
+		cu:    ctrl.New(mod, cfg.Variant),
+		tu:    vertical.NewUnit(cfg.Transposition),
+		plans: graph.NewPlanCache(DefaultPlanCacheSize, DefaultProfileThreshold, DefaultProfileMinJobs),
+		model: modelCost(cfg),
 	}
 	s.rows = make([][]*rowAlloc, cfg.DRAM.Banks)
 	for b := range s.rows {
