@@ -1,6 +1,8 @@
 package simdram
 
 import (
+	"sync"
+
 	"simdram/internal/ctrl"
 	"simdram/internal/isa"
 	"simdram/internal/obs"
@@ -73,14 +75,24 @@ type preparedProgram struct {
 	scratch []scratchNeed
 }
 
-// release recycles the control unit's storage of a program its owner
-// ran once and drops (see ctrl.Prepared.Release). Only such one-shot
-// owners call it: a program a Compiled or a memo keeps must never be
-// released, since it may run again.
+// ppPool recycles released prepared programs with their tables.
+var ppPool = sync.Pool{New: func() any { return new(preparedProgram) }}
+
+// release recycles a program its owner ran and drops: the control
+// unit's storage (see ctrl.Prepared.Release) and pp itself with its
+// tables. The owner — a one-shot caller after its run, or a keeping
+// owner (a Compiled, a memo entry) when it lets the program go — must
+// hold no other reference to pp, or to the latencies a run returned.
+// A program whose binds name slab Vectors is released together with
+// the slab (see lowered.release), so no live program ever names a
+// recycled Vector.
 func (pp *preparedProgram) release() {
 	if pp.prep != nil {
 		pp.prep.Release()
 	}
+	clear(pp.binds) // drop the Vectors
+	*pp = preparedProgram{jobOf: pp.jobOf[:0], opNs: pp.opNs[:0], binds: pp.binds[:0], scratch: pp.scratch[:0]}
+	ppPool.Put(pp)
 }
 
 type objBind struct {
@@ -90,6 +102,34 @@ type objBind struct {
 
 type scratchNeed struct {
 	bank, sub, need int
+}
+
+// prepScratch is what prepareProgramTraced needs only while it runs:
+// the hazard graph, the control unit's job table with its dependency
+// lists, the segment and base tables the jobs' segments are carved
+// from, and the set of handles already pinned (a 12 KB bitset that
+// would otherwise grow a fresh goroutine's stack). ctrl.Unit.Prepare
+// keeps no reference into them, so they go back to prepPool as prepare
+// returns.
+type prepScratch struct {
+	deps  [][]int
+	flat  []int
+	jobs  []ctrl.Job
+	jdeps []int
+	segs  segBufs
+	bound isa.HandleSet
+}
+
+var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
+
+// recycle drops sc's references to μPrograms and bindings, empties its
+// handle set and returns it to prepPool.
+func (sc *prepScratch) recycle() {
+	clear(sc.deps)
+	clear(sc.jobs)
+	clear(sc.segs.segs)
+	sc.bound.Reset()
+	prepPool.Put(sc)
 }
 
 // prepareProgram validates and resolves a bbop program down to a
@@ -106,11 +146,19 @@ func (s *System) prepareProgram(prog isa.Program) (*preparedProgram, error) {
 // lowering prog came from: the check then reads definedness off the
 // lowering's tables, and is skipped when verifyLowered has already
 // checked the lowering.
+//
+// The returned program and its tables come from programs earlier
+// owners released (see preparedProgram.release), and prepare's own
+// working tables are recycled as it returns, so preparing between
+// released programs of similar size allocates almost nothing.
 func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Trace, parent int) (*preparedProgram, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	deps := prog.Deps()
+	sc := prepPool.Get().(*prepScratch)
+	defer sc.recycle()
+	sc.deps, sc.flat = prog.DepsInto(sc.deps, sc.flat)
+	deps := sc.deps
 	if lw == nil {
 		if err := s.verifyProgram(prog, deps, nil); err != nil {
 			return nil, err
@@ -120,17 +168,17 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 			return nil, err
 		}
 	}
-	jobs := make([]ctrl.Job, 0, len(prog))
-	pp := &preparedProgram{
-		jobOf: make([]int, len(prog)), opNs: make([]float64, len(prog)),
-		// Compiled programs use about one handle per instruction.
-		binds: make([]objBind, 0, len(prog)+4),
-	}
+	pp := ppPool.Get().(*preparedProgram)
+	pp.jobOf = sized(pp.jobOf, len(prog))
+	pp.opNs = sized(pp.opNs, len(prog))
+	// Compiled programs use about one handle per instruction.
+	pp.binds = grown(pp.binds, len(prog)+4)
 	nDeps := 0
 	for _, d := range deps {
 		nDeps += len(d)
 	}
-	jdeps := make([]int, 0, nDeps)
+	jobs := grown(sc.jobs, len(prog))
+	jdeps := grown(sc.jdeps, nDeps)
 	// Size the segment buffers from the program: an operation runs on
 	// each segment of its destination and binds up to three source
 	// bases in each.
@@ -140,9 +188,15 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 			nSegs += len(v.segs)
 		}
 	}
-	segs := segBufs{segs: make([]ctrl.Segment, 0, nSegs), bases: make([]int, 0, 3*nSegs)}
-	pp.scratch = make([]scratchNeed, 0, nSegs)
-	var bound isa.HandleSet // handles already pinned
+	segs := &sc.segs
+	segs.segs, segs.bases = grown(segs.segs, nSegs), grown(segs.bases, 3*nSegs)
+	pp.scratch = grown(pp.scratch, nSegs)
+	defer func() { sc.jobs, sc.jdeps = jobs, jdeps }()
+	fail := func(err error) (*preparedProgram, error) {
+		pp.release()
+		return nil, err
+	}
+	bound := &sc.bound // handles already pinned
 	bind := func(v *Vector) {
 		if !bound.Has(v.handle) {
 			bound.Mark(v.handle)
@@ -154,7 +208,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		if in.Op == isa.OpTrspInit {
 			v := s.object(in.Src[0])
 			if v == nil {
-				return nil, errorf("instruction %d: bbop_trsp_init: unknown object %d", i, in.Src[0])
+				return fail(errorf("instruction %d: bbop_trsp_init: unknown object %d", i, in.Src[0]))
 			}
 			bind(v)
 			// trsp_init only validates the object (see Exec): it writes
@@ -164,11 +218,11 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		}
 		d, dst, srcs, err := s.resolve(in, &srcBuf)
 		if err != nil {
-			return nil, errorf("instruction %d (%s): %w", i, in, err)
+			return fail(errorf("instruction %d (%s): %w", i, in, err))
 		}
-		p, jsegs, err := s.prepareOp(d, dst, srcs, &segs)
+		p, jsegs, err := s.prepareOp(d, dst, srcs, segs)
 		if err != nil {
-			return nil, errorf("instruction %d (%s): %w", i, in, err)
+			return fail(errorf("instruction %d (%s): %w", i, in, err))
 		}
 		bind(dst)
 		for _, src := range srcs {
@@ -194,10 +248,30 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 	prep, err := s.cu.Prepare(jobs)
 	tr.End(rspan)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	pp.prep = prep
 	return pp, nil
+}
+
+// sized returns s resized to n zeroed elements, reusing its backing
+// array when it is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// grown returns s emptied, with room for n elements: its own array
+// when large enough, otherwise a fresh one.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // scratchShort reports whether some operation of prog would find

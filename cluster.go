@@ -519,48 +519,63 @@ func (c *Cluster) checkSharded(sp *shardedProgram) error {
 // rewritten sub-program is empty (every referenced shard zero-sized
 // there) are dropped. ran lists the channels with work, the indices
 // valid into subProgs.
+//
+// Each object's share of every channel is looked up through dense
+// tables indexed by the handle's rank among the program's handles
+// (isa.HandleSet), like the System's handle table, in storage
+// recycled from call to call.
 func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []int, err error) {
 	k := len(c.channels)
-	handleMaps := make([]map[uint16]uint16, k)
-	sizeMaps := make([]map[uint16]uint32, k)
-	for ch := 0; ch < k; ch++ {
-		handleMaps[ch] = map[uint16]uint16{}
-		sizeMaps[ch] = map[uint16]uint32{}
-	}
-	mapped := map[uint16]bool{} // objects whose per-channel entries are filled
-	for i, in := range prog {
-		handles := append(in.Writes(), in.Reads()...)
+	sc := shardPool.Get().(*shardScratch)
+	defer shardPool.Put(sc)
+	rk := &sc.rank
+	defer rk.Reset()
+	rk.MarkNamed(prog)
+	nh := rk.Seal()
+	// shares[ch*nh+rank] is the object's share of channel ch: the zero
+	// entry (no handle, no elements) until the object is mapped, and for
+	// a channel the object has no part on.
+	shares := sized(sc.shares, k*nh)
+	mapped := sized(sc.mapped, nh) // rank → the object's shares are filled
+	sc.shares, sc.mapped = shares, mapped
+	for i := range prog {
+		in := &prog[i]
+		var buf [4]uint16
+		handles := buf[:0]
+		if in.Op.IsOperation() {
+			handles = append(handles, in.Dst)
+		}
+		handles = append(handles, in.Reads()...)
 		var first *ShardedVector
 		for _, h := range handles {
 			sv, ok := c.objects[h]
 			if !ok {
-				return nil, nil, errorf("instruction %d (%s): unknown cluster object %d", i, in, h)
+				return nil, nil, errorf("instruction %d (%s): unknown cluster object %d", i, *in, h)
 			}
 			if first == nil {
 				first = sv
 			} else if !sv.plan.Equal(first.plan) {
 				return nil, nil, errorf(
 					"instruction %d (%s): objects %d and %d are not shard-aligned (allocate operand groups with the same length and placement)",
-					i, in, first.handle, h)
+					i, *in, first.handle, h)
 			}
-			if mapped[h] {
+			r := rk.Of(h)
+			if mapped[r] {
 				continue
 			}
-			mapped[h] = true
+			mapped[r] = true
 			for pi, span := range sv.plan.Spans {
-				handleMaps[span.Channel][h] = sv.parts[pi].Handle()
-				sizeMaps[span.Channel][h] = uint32(span.Count)
-			}
-			for ch := 0; ch < k; ch++ {
-				if _, ok := sizeMaps[ch][h]; !ok {
-					sizeMaps[ch][h] = 0
-				}
+				shares[span.Channel*nh+r] = shardShare{h: sv.parts[pi].Handle(), n: uint32(span.Count)}
 			}
 		}
 	}
 	subProgs = make([]isa.Program, k)
 	for ch := 0; ch < k; ch++ {
-		sub, err := prog.Rewrite(handleMaps[ch], sizeMaps[ch])
+		tab := shares[ch*nh : (ch+1)*nh]
+		sub, err := prog.Rewrite(func(h uint16) (uint16, uint32, bool) {
+			sh := tab[rk.Of(h)]
+			return sh.h, sh.n, true
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -571,6 +586,23 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 	}
 	return subProgs, ran, nil
 }
+
+// shardShare is one object's share of one channel: its part's handle
+// there (0 when it has no part on the channel) and element count.
+type shardShare struct {
+	h uint16
+	n uint32
+}
+
+// shardScratch is shardProgram's working storage: the program's
+// handles, ranked, and the share tables indexed by rank.
+type shardScratch struct {
+	rank   isa.HandleSet
+	shares []shardShare
+	mapped []bool
+}
+
+var shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 // runSharded runs a prepared program — checked by the caller — on its
 // channels in parallel and merges the results under the cluster's

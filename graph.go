@@ -2,7 +2,6 @@ package simdram
 
 import (
 	"sync"
-	"time"
 
 	"simdram/internal/graph"
 	"simdram/internal/isa"
@@ -224,11 +223,18 @@ func (s CompileStats) TempRowsSaved() float64 {
 // *Expr pointers onto graph nodes (so shared subtrees become shared
 // nodes before CSE even runs) and records which leaf backs each input
 // node.
+//
+// An env is recycled (see recycle) once its compilation or served job
+// is done: the walk builds the IR graph in the env's own storage
+// (build), and planExprs points g at the plan's graph — the cached one
+// on a hit, an exact-size copy the plan keeps on a miss — so nothing
+// that outlives the env refers to build.
 type compileEnv struct {
 	sys *System // exactly one of sys/cl is set
 	cl  *Cluster
 
-	g          *graph.Graph
+	g          *graph.Graph           // build until planExprs, then the plan's graph
+	build      graph.Graph            // the graph buildEnv walks the expressions into
 	memo       map[*Expr]graph.NodeID // while buildEnv runs
 	leafOf     []*Expr                // node → its leaf expression, nil for other nodes
 	first      *Expr                  // first leaf of any kind: defines n
@@ -237,14 +243,29 @@ type compileEnv struct {
 	n          int
 	opts       CompileOptions // the passes planExprs runs
 	key        string         // plan-cache shape key: opts plus canonical graph
+	// served marks a Server job, which must run on any channel: the walk
+	// rejects leaves bound to pre-allocated storage (see unservable).
+	served bool
 }
+
+// unservable is a served job's admission rejection: an expression a
+// Server cannot run on whichever channel comes free. SubmitJob fails
+// with it at once, where any other error of the walk fails the job's
+// future at run time.
+type unservable struct{ error }
 
 func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 	if e == nil {
+		if env.served {
+			return 0, unservable{errorf("server: nil expression")}
+		}
 		return 0, errorf("graph: nil expression")
 	}
 	if id, ok := env.memo[e]; ok {
 		return id, nil
+	}
+	if env.served && (e.kind == exprLeaf || e.kind == exprShardLeaf) {
+		return 0, unservable{errorf("server: expression is bound to a pre-allocated vector; server jobs must use Input data leaves so they can run on any free channel")}
 	}
 	var id graph.NodeID
 	var err error
@@ -344,9 +365,28 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 	return id, nil
 }
 
-// memoPool recycles buildEnv's expression memos: a memo is dead once
-// the graph is built, and a cleared map keeps its buckets.
-var memoPool = sync.Pool{New: func() any { return map[*Expr]graph.NodeID{} }}
+// envPool recycles compile environments with their graph, memo and
+// leaf tables (see compileEnv.recycle).
+var envPool = sync.Pool{New: func() any { return &compileEnv{memo: map[*Expr]graph.NodeID{}} }}
+
+// memoKeep bounds the memo a recycled env keeps: clearing costs the
+// map's size, so one huge DAG must not tax every later compile.
+const memoKeep = 1 << 12
+
+// recycle returns env to envPool. The caller must be done with env:
+// its graph storage, leaf table and key are reused by later
+// compilations.
+func (env *compileEnv) recycle() {
+	if len(env.memo) > memoKeep {
+		env.memo = map[*Expr]graph.NodeID{}
+	} else {
+		clear(env.memo)
+	}
+	clear(env.leafOf)
+	env.build.Reset()
+	*env = compileEnv{build: env.build, memo: env.memo, leafOf: env.leafOf[:0]}
+	envPool.Put(env)
+}
 
 // optsKey encodes the options into the plan-cache key: the same shape
 // compiled naively yields a different plan, so the options are part of
@@ -360,14 +400,14 @@ func optsKey(opts CompileOptions) string {
 
 // planExprs runs the backend-independent half of compilation over an
 // IR graph buildEnv built: either reuse a cached plan for this shape or
-// run the enabled passes, schedule, and assign temporaries to slots. On
-// a cache hit env.g is swapped for the cached optimized graph — the
-// fresh graph and the cached one are structurally identical by
-// construction (the cache key is the exact pre-pass serialization, and
-// passes never renumber nodes), so the node IDs in env.leafOf remain
-// valid. Concurrent cold compiles of one shape are deduplicated by the
-// cache (PlanCache.Do): one caller compiles, the rest wait for its
-// plan. cache may be nil (no caching).
+// run the enabled passes, schedule, and assign temporaries to slots
+// over a copy of the graph the plan keeps. Either way env.g is then
+// swapped for the plan's optimized graph — the fresh graph and the
+// plan's are structurally identical by construction (the cache key is
+// the exact pre-pass serialization, and passes never renumber nodes),
+// so the node IDs in env.leafOf remain valid. Concurrent cold compiles
+// of one shape are deduplicated by the cache (PlanCache.Do): one caller
+// compiles, the rest wait for its plan. cache may be nil (no caching).
 //
 // When the shape's measured per-op latencies have diverged from the
 // static cost model (PlanCache.TakeRecompile), the cached plan is
@@ -395,9 +435,8 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent in
 	if !naive && cache.TakeRecompile(key) {
 		tr.End(look)
 		sspan := tr.Begin("schedule", parent)
-		start := time.Now()
 		observed := cache.ScheduleCost(key, model)
-		plan = buildPlan(env.g, false, observed)
+		plan = buildPlan(env.g.Clone(), false, observed)
 		// The list scheduler is a heuristic: re-pricing can, on some
 		// DAGs, reorder priorities unfavorably. Price both candidate
 		// schedules under the observed costs and keep the better one,
@@ -410,7 +449,7 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent in
 			plan.Asg = graph.Assign(plan.Graph, plan.Sched, true)
 		}
 		plan.Profiled = true
-		cache.Replace(key, plan, float64(time.Since(start).Nanoseconds()))
+		cache.Replace(key, plan)
 		stats.Recompiled = true
 		tr.End(sspan)
 	} else {
@@ -422,14 +461,12 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent in
 			tr.End(look)
 			sspan := tr.Begin("schedule", parent)
 			defer tr.End(sspan)
-			return buildPlan(env.g, naive, model)
+			return buildPlan(env.g.Clone(), naive, model)
 		})
 		tr.End(look)
-		if hit {
-			env.g = plan.Graph
-			stats.CacheHit = true
-		}
+		stats.CacheHit = hit
 	}
+	env.g = plan.Graph
 	stats.ProfiledPlan = plan.Profiled
 	stats.ProfileJobs = cache.Jobs(key)
 	stats.Folded = plan.Folded
@@ -450,36 +487,31 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent in
 
 // buildEnv constructs the IR graph from the expression trees and its
 // plan-cache key under opts — the front half of compilation, which
-// planExprs completes. The server builds it once per job, at
-// admission, where the key and graph also price the job. size, when
-// the caller knows it, is the number of distinct expressions: the
-// graph's node count, which sizes its node table up front.
-func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, size int) (*compileEnv, error) {
+// planExprs completes — in a recycled env the caller recycles when it
+// is done with it. The server builds it once per job, at admission,
+// where the key and graph also price the job; served makes the same
+// walk reject what a Server cannot run (see unservable).
+func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, served bool) (*compileEnv, error) {
 	if len(exprs) == 0 {
 		return nil, errorf("graph: nothing to materialize")
 	}
-	env := &compileEnv{
-		sys: sys, cl: cl, opts: opts,
-		g:      graph.NewSized(size),
-		memo:   memoPool.Get().(map[*Expr]graph.NodeID),
-		leafOf: make([]*Expr, 0, size),
-	}
-	defer func() {
-		clear(env.memo)
-		memoPool.Put(env.memo)
-		env.memo = nil
-	}()
+	env := envPool.Get().(*compileEnv)
+	env.sys, env.cl, env.opts, env.served = sys, cl, opts, served
+	env.g = &env.build
 	for _, e := range exprs {
 		id, err := env.node(e)
 		if err != nil {
+			env.recycle()
 			return nil, err
 		}
 		env.g.MarkRoot(id)
 	}
+	clear(env.memo)
 	if env.first == nil {
+		env.recycle()
 		return nil, errorf("graph: expression has no vector or data leaf, element count unknown (combine constants with at least one Lazy vector or Input data leaf)")
 	}
-	env.key = optsKey(opts) + env.g.CanonicalKey()
+	env.key = env.g.CanonicalKey(optsKey(opts))
 	return env, nil
 }
 
@@ -551,7 +583,8 @@ type graphObj interface {
 }
 
 // lowered is a compiled graph bound to storage: the bbop program plus
-// the temporary, constant, and result objects it runs against.
+// the temporary, constant, and result objects it runs against. A
+// lowered and its tables are recycled by release (see loweredPool).
 type lowered struct {
 	prog    isa.Program
 	temps   []graphObj // pooled slots and constant splats
@@ -572,7 +605,16 @@ type lowered struct {
 	// verified is set once verifyLowered has checked prog, so preparing
 	// it does not check it again.
 	verified bool
+	// objs is the one array slotObj, nodeObj and temps share.
+	objs []graphObj
+	// slab, for a served job, is the slab its Vectors came from (see
+	// bindJob), recycled with the binding.
+	slab *vectorSlab
 }
+
+// loweredPool recycles released bindings with their object tables and
+// program.
+var loweredPool = sync.Pool{New: func() any { return new(lowered) }}
 
 type compiledResult struct {
 	expr  *Expr
@@ -627,15 +669,14 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 	// which holds every slot plus the non-root stores, is
 	// capacity-capped so appending to it never spills into the others.
 	slots := len(asg.SlotWidths)
-	objs := make([]graphObj, slots+g.Len()+slots+stores)
-	lw := &lowered{
-		g:       g,
-		slotObj: objs[:slots:slots],
-		nodeObj: objs[slots : slots+g.Len() : slots+g.Len()],
-		temps:   objs[slots+g.Len() : slots+g.Len() : len(objs)],
-		results: make([]compiledResult, 0, len(exprs)),
-		stored:  make([]graph.NodeID, 0, stores),
-	}
+	lw := loweredPool.Get().(*lowered)
+	objs := sized(lw.objs, slots+g.Len()+slots+stores)
+	lw.g, lw.objs = g, objs
+	lw.slotObj = objs[:slots:slots]
+	lw.nodeObj = objs[slots : slots+g.Len() : slots+g.Len()]
+	lw.temps = objs[slots+g.Len() : slots+g.Len() : len(objs)]
+	lw.results = grown(lw.results, len(exprs))
+	lw.stored = grown(lw.stored, stores)
 	// Root data-leaf storage sits in pending between its allocation in
 	// the input loop and its adoption as an owned result in the roots
 	// loop; fail frees whatever has not been adopted yet, so a failure
@@ -766,7 +807,7 @@ func (lw *lowered) lowerProgram(env *compileEnv, plan *graph.Plan) error {
 		}
 		return lw.slotObj[slot].Handle(), nil
 	}
-	prog, err := graph.Lower(g, plan.Sched, handle, uint32(env.n))
+	prog, err := graph.Lower(lw.prog[:0], g, plan.Sched, handle, uint32(env.n))
 	if err != nil {
 		return err
 	}
@@ -774,8 +815,11 @@ func (lw *lowered) lowerProgram(env *compileEnv, plan *graph.Plan) error {
 	return nil
 }
 
-// release frees every object the binding allocated: the temporaries
-// and the compiler-owned results.
+// release frees every object the binding allocated — the temporaries
+// and the compiler-owned results — and recycles lw with its tables,
+// its program and its slab. The owner must be done with lw and with
+// any prepared program that binds its objects: a served job's is
+// released with it (see preparedProgram.release).
 func (lw *lowered) release() {
 	lw.freeTemps()
 	for _, r := range lw.results {
@@ -783,6 +827,13 @@ func (lw *lowered) release() {
 			r.obj.Free()
 		}
 	}
+	if lw.slab != nil {
+		lw.slab.recycle()
+	}
+	clear(lw.objs)
+	clear(lw.results)
+	*lw = lowered{prog: lw.prog[:0], results: lw.results[:0], stored: lw.stored[:0], objs: lw.objs[:0]}
+	loweredPool.Put(lw)
 }
 
 // publish points each root expression at its result storage — called
@@ -889,10 +940,11 @@ func (s *System) Compile(exprs ...*Expr) (*Compiled, error) {
 // primarily for differential testing and baseline measurement; regular
 // callers want Compile or Materialize.
 func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, error) {
-	env, err := buildEnv(s, nil, opts, exprs, 0)
+	env, err := buildEnv(s, nil, opts, exprs, false)
 	if err != nil {
 		return nil, err
 	}
+	defer env.recycle()
 	plan, stats := planExprs(env, s.plans, nil, 0)
 	origin := 0
 	if env.firstVec != nil {
@@ -1006,14 +1058,19 @@ func (cp *Compiled) Execute() (BatchStats, error) {
 	return st, nil
 }
 
-// Free releases the compiler-allocated temporaries and constant splats.
-// Result vectors are untouched — they belong to the caller.
+// Free releases the compiler-allocated temporaries and constant splats
+// and recycles the prepared program, which nothing runs again. Result
+// vectors are untouched — they belong to the caller.
 func (cp *Compiled) Free() {
 	if cp.freed {
 		return
 	}
 	cp.freed = true
 	cp.lw.freeTemps()
+	if cp.pp != nil {
+		cp.pp.release()
+		cp.pp = nil
+	}
 }
 
 // discardResults releases compiler-owned result vectors and clears the

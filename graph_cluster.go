@@ -36,10 +36,11 @@ func (c *Cluster) Compile(exprs ...*Expr) (*ClusterCompiled, error) {
 // CompileWith is Compile with selected passes disabled — primarily for
 // differential testing and baseline measurement.
 func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterCompiled, error) {
-	env, err := buildEnv(nil, c, opts, exprs, 0)
+	env, err := buildEnv(nil, c, opts, exprs, false)
 	if err != nil {
 		return nil, err
 	}
+	defer env.recycle()
 	plan, stats := planExprs(env, c.plans, nil, 0)
 	// Compiler-allocated vectors must share the leaves' placement plan,
 	// or per-instruction shard alignment fails at execution. Striping

@@ -352,7 +352,9 @@ func (b *batch) reset() {
 // Prepare validates and schedules a batch and binds every segment's
 // μProgram view into the batch's own slab: one row map and one row
 // table for all segments, sized from the templates before any view is
-// bound, with the templates themselves shared process-wide. Every
+// bound, with the templates themselves shared process-wide. The
+// returned batch keeps no reference into jobs or their segments, so
+// the caller may reuse their storage once Prepare returns. Every
 // error fails here, before any DRAM command executes: structural ones
 // (bad coordinates, bad deps) and a segment whose binding is rejected,
 // reported with every such segment's job, bank and subarray joined.
@@ -397,6 +399,10 @@ func (u *Unit) bind(b *batch) error {
 			seg := &b.segs[s]
 			v, err := t.BindInto(g.sa, seg.Binding, b.phys[off:off+r:off+r], b.rows[off:off+r:off+r])
 			off += r
+			// The view holds everything the binding resolved to; drop its
+			// source bases, which are the caller's storage, so a Prepared
+			// keeps no reference into tables the caller may recycle.
+			seg.Binding.SrcBase = nil
 			if err != nil {
 				failures = append(failures, fmt.Errorf("ctrl: job %d: bank %d subarray %d: %w", g.job, seg.Bank, seg.Sub, err))
 				continue

@@ -56,7 +56,7 @@ func TestCompileArtifactsPinned(t *testing.T) {
 			}
 			return uint16(1 + id), nil
 		}
-		prog, err := graph.Lower(g, sched, handle, 64)
+		prog, err := graph.Lower(nil, g, sched, handle, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Plan is the backend-independent result of compiling one expression
 // shape: the optimized graph, the instruction schedule, and the
@@ -72,7 +69,7 @@ func (s CacheStats) HitRate() float64 {
 // dies with the entry.
 type entry struct {
 	plan    *Plan
-	costNs  float64 // compile cost recorded at insert/replace
+	cost    float64 // the plan's compile cost (see compileCost)
 	lastUse uint64  // logical clock of the most recent lookup or insert
 	hits    uint64  // hits against this entry since insertion
 
@@ -105,12 +102,15 @@ type flight struct {
 // and its admission price (Price). Evicting a shape drops all three.
 //
 // Eviction is recency-and-cost aware ("cost-lru"): a hit refreshes an
-// entry's recency, a compile records the plan's compile cost, and the
-// victim is the entry with the lowest recency-weighted compile cost —
-// compileNs / (age+1), where age is how many logical clock ticks ago
-// the entry was last used. A hot shape (recently used) or an expensive
-// shape (slow to recompile) therefore survives a churn of cold, cheap
-// shapes that a FIFO policy would let push it out.
+// entry's recency, and the victim is the entry with the lowest
+// recency-weighted compile cost — cost / (age+1), where cost is derived
+// from the plan (compileCost) and age is how many logical clock ticks
+// ago the entry was last used. A hot shape (recently used) or an
+// expensive shape (slow to recompile) therefore survives a churn of
+// cold, cheap shapes that a FIFO policy would let push it out. Every
+// input to the policy is a function of the lookup trace and the plans,
+// never of the host's clock, so one trace always evicts the same
+// shapes.
 type PlanCache struct {
 	mu         sync.Mutex
 	cap        int
@@ -172,10 +172,9 @@ func (c *PlanCache) touch(e *entry) {
 // Do returns the plan for key: the cached one (hit), the plan of a
 // concurrent in-flight compile of the same key (counted as a hit and
 // as Coalesced — the caller waited instead of compiling), or the
-// result of running compute (miss; its duration is recorded as the
-// shape's compile cost and the plan inserted). compute runs without
-// the cache lock held. A disabled cache always computes and reports
-// hit=false.
+// result of running compute (miss; the plan is inserted). compute
+// runs without the cache lock held. A disabled cache always computes
+// and reports hit=false.
 func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 	if c.disabled() {
 		return compute(), false
@@ -203,13 +202,12 @@ func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 		c.mu.Unlock()
 
 		var p *Plan
-		start := time.Now()
 		// Resolve the flight even if compute panics, so waiters never
 		// deadlock: they observe a nil plan and retry for themselves.
 		defer func() {
 			c.mu.Lock()
 			if p != nil {
-				c.insertLocked(key, p, float64(time.Since(start).Nanoseconds()))
+				c.insertLocked(key, p)
 				f.plan = p
 			}
 			delete(c.flights, key)
@@ -227,7 +225,7 @@ func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 // restart from zero and its price is dropped (the next Price computes
 // it for p); its profile and recompile claim are kept. An absent key
 // is inserted.
-func (c *PlanCache) Replace(key string, p *Plan, compileNs float64) {
+func (c *PlanCache) Replace(key string, p *Plan) {
 	if c.disabled() {
 		return
 	}
@@ -235,14 +233,14 @@ func (c *PlanCache) Replace(key string, p *Plan, compileNs float64) {
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.clock++
-		*e = entry{plan: p, costNs: compileNs, lastUse: c.clock, prof: e.prof}
+		*e = entry{plan: p, cost: compileCost(p), lastUse: c.clock, prof: e.prof}
 		return
 	}
-	c.insertLocked(key, p, compileNs)
+	c.insertLocked(key, p)
 }
 
 // insertLocked inserts under the cost-LRU policy. Caller holds mu.
-func (c *PlanCache) insertLocked(key string, p *Plan, compileNs float64) {
+func (c *PlanCache) insertLocked(key string, p *Plan) {
 	if _, ok := c.entries[key]; ok {
 		return
 	}
@@ -250,11 +248,17 @@ func (c *PlanCache) insertLocked(key string, p *Plan, compileNs float64) {
 		c.evictLocked()
 	}
 	c.clock++
-	c.entries[key] = &entry{plan: p, costNs: compileNs, lastUse: c.clock}
+	c.entries[key] = &entry{plan: p, cost: compileCost(p), lastUse: c.clock}
 }
 
+// compileCost is what eviction weighs an entry by: the work of
+// rebuilding its plan, which grows with the instructions the compile
+// scheduled, plus one for the passes every compile runs. It is a
+// function of the plan alone, so eviction repeats from run to run.
+func compileCost(p *Plan) float64 { return float64(1 + len(p.Sched)) }
+
 // evictLocked drops the entry with the lowest recency-weighted compile
-// cost: score = compileNs / (age+1), age = clock − lastUse. Ties break
+// cost: score = cost / (age+1), age = clock − lastUse. Ties break
 // on oldest lastUse, then on key, so eviction is deterministic for a
 // given trace. Caller holds mu and guarantees the cache is non-empty.
 func (c *PlanCache) evictLocked() {
@@ -262,7 +266,7 @@ func (c *PlanCache) evictLocked() {
 	var victim *entry
 	var victimScore float64
 	for k, e := range c.entries {
-		score := e.costNs / float64(c.clock-e.lastUse+1)
+		score := e.cost / float64(c.clock-e.lastUse+1)
 		if victim == nil || score < victimScore ||
 			(score == victimScore && (e.lastUse < victim.lastUse ||
 				(e.lastUse == victim.lastUse && k < victimKey))) {

@@ -43,21 +43,21 @@ func buildAddMax(t *testing.T, width int, op1, op2 string) *Graph {
 func TestCanonicalKeyEquivalence(t *testing.T) {
 	// Same shape built twice — regardless of which storage would back
 	// the inputs — has the same key.
-	k1 := buildAddMax(t, 8, "addition", "max").CanonicalKey()
-	k2 := buildAddMax(t, 8, "addition", "max").CanonicalKey()
+	k1 := buildAddMax(t, 8, "addition", "max").CanonicalKey("")
+	k2 := buildAddMax(t, 8, "addition", "max").CanonicalKey("")
 	if k1 != k2 {
 		t.Fatalf("identical shapes, different keys:\n%q\n%q", k1, k2)
 	}
 
 	// Same topology, different width: must differ.
-	if k := buildAddMax(t, 16, "addition", "max").CanonicalKey(); k == k1 {
+	if k := buildAddMax(t, 16, "addition", "max").CanonicalKey(""); k == k1 {
 		t.Fatal("different widths produced the same key")
 	}
 	// Same topology, different opcode: must differ.
-	if k := buildAddMax(t, 8, "subtraction", "max").CanonicalKey(); k == k1 {
+	if k := buildAddMax(t, 8, "subtraction", "max").CanonicalKey(""); k == k1 {
 		t.Fatal("different opcodes produced the same key")
 	}
-	if k := buildAddMax(t, 8, "addition", "min").CanonicalKey(); k == k1 {
+	if k := buildAddMax(t, 8, "addition", "min").CanonicalKey(""); k == k1 {
 		t.Fatal("different second opcode produced the same key")
 	}
 }
@@ -75,7 +75,7 @@ func TestCanonicalKeyDistinguishesConstsAndRoots(t *testing.T) {
 		if markBoth {
 			g.MarkRoot(a)
 		}
-		return g.CanonicalKey()
+		return g.CanonicalKey("")
 	}
 	if build(3, false) == build(4, false) {
 		t.Fatal("different constant values produced the same key")
@@ -106,7 +106,7 @@ func TestCanonicalKeyDistinguishesTopology(t *testing.T) {
 		s2, _ := right.Op(add, a, s1)
 		right.MarkRoot(s2)
 	}
-	if left.CanonicalKey() == right.CanonicalKey() {
+	if left.CanonicalKey("") == right.CanonicalKey("") {
 		t.Fatal("different topologies produced the same key")
 	}
 }
@@ -117,15 +117,15 @@ func TestPlanCacheHitMissEviction(t *testing.T) {
 		t.Fatal("empty cache returned a plan")
 	}
 	pa, pb, pc := &Plan{}, &Plan{}, &Plan{}
-	c.insert("a", pa, 100)
-	c.insert("b", pb, 100)
+	c.insert("a", pa)
+	c.insert("b", pb)
 	if got := c.lookup("a"); got != pa {
 		t.Fatal("lookup after insert missed")
 	}
 	// Third insert must evict the least valuable entry — with equal
-	// compile costs that is the least recently used ("b": "a" was just
+	// plan sizes (compile costs) that is the least recently used ("b": "a" was just
 	// looked up), NOT the FIFO-oldest ("a").
-	c.insert("c", pc, 100)
+	c.insert("c", pc)
 	if got := c.lookup("a"); got != pa {
 		t.Fatal("recently used plan evicted (FIFO behavior) instead of the LRU one")
 	}
@@ -151,22 +151,25 @@ func TestPlanCacheHitMissEviction(t *testing.T) {
 	}
 
 	// Duplicate insert keeps the first plan.
-	c.insert("c", &Plan{}, 100)
+	c.insert("c", &Plan{})
 	if got := c.lookup("c"); got != pc {
 		t.Fatal("duplicate insert replaced the original plan")
 	}
 }
 
+// sizedPlan returns a plan scheduling ops instructions: what the
+// cost-LRU policy prices an entry's compile cost by.
+func sizedPlan(ops int) *Plan { return &Plan{Sched: make([]NodeID, ops)} }
+
 // TestPlanCacheCostWeightedEviction pins the cost half of the policy:
-// between two equally stale entries, the cheap-to-recompile one is the
-// victim.
+// of two entries, the cheap-to-recompile (smaller) one is the victim
+// even though the costly one is older.
 func TestPlanCacheCostWeightedEviction(t *testing.T) {
 	c := NewPlanCache(2, 0.25, 1)
-	c.insert("cheap", &Plan{}, 10)
-	c.insert("costly", &Plan{}, 10_000)
-	// Equal recency pressure (neither looked up since insert); the
-	// cheap plan must go.
-	c.insert("new", &Plan{}, 10)
+	c.insert("costly", sizedPlan(1000))
+	c.insert("cheap", &Plan{})
+	// The costly plan is staler, yet the cheap plan must go.
+	c.insert("new", &Plan{})
 	if c.lookup("costly") == nil {
 		t.Fatal("expensive plan evicted before the cheap one")
 	}
@@ -223,7 +226,7 @@ func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
 			if key == "hot" {
 				np = hot
 			}
-			c.insert(key, np, 100)
+			c.insert(key, np)
 			p = np
 		}
 		if !hitFIFO {
@@ -260,12 +263,12 @@ func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
 // a hot eviction.
 func TestPlanCacheEvictedHot(t *testing.T) {
 	c := NewPlanCache(2, 0.25, 1)
-	c.insert("warm", &Plan{}, 10)
+	c.insert("warm", &Plan{})
 	if c.lookup("warm") == nil { // one hit: the entry is warm now
 		t.Fatal("warm lookup missed")
 	}
-	c.insert("costly-1", &Plan{}, 1e9)
-	c.insert("costly-2", &Plan{}, 1e9) // victim must be "warm" (cheapest)
+	c.insert("costly-1", sizedPlan(1000))
+	c.insert("costly-2", sizedPlan(1000)) // victim must be "warm" (cheapest)
 	st := c.Stats()
 	if st.Evicted != 1 || st.EvictedHot != 1 {
 		t.Fatalf("stats = %+v, want 1 eviction counted hot", st)
@@ -280,8 +283,8 @@ func TestPlanCacheEvictedHot(t *testing.T) {
 func TestPlanCacheReplace(t *testing.T) {
 	c := NewPlanCache(2, 0.25, 1)
 	p1, p2 := &Plan{}, &Plan{Profiled: true}
-	c.insert("a", p1, 100)
-	c.Replace("a", p2, 200)
+	c.insert("a", p1)
+	c.Replace("a", p2)
 	if got := c.lookup("a"); got != p2 {
 		t.Fatal("Replace did not overwrite the entry")
 	}
@@ -290,7 +293,7 @@ func TestPlanCacheReplace(t *testing.T) {
 		t.Fatalf("stats = %+v, want size 1 and no evictions after Replace", st)
 	}
 	// Replace on an absent key inserts.
-	c.Replace("b", p1, 50)
+	c.Replace("b", p1)
 	if got := c.lookup("b"); got != p1 {
 		t.Fatal("Replace on an absent key did not insert")
 	}
@@ -304,7 +307,7 @@ func TestPlanCacheReplace(t *testing.T) {
 func TestPlanCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := NewPlanCache(capacity, 0.25, 1)
-		c.insert("a", &Plan{}, 100)
+		c.insert("a", &Plan{})
 		if got := c.lookup("a"); got != nil {
 			t.Fatalf("capacity-%d cache cached a plan", capacity)
 		}
@@ -321,7 +324,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if got := nilCache.lookup("a"); got != nil {
 		t.Fatal("nil cache returned a plan")
 	}
-	nilCache.insert("a", &Plan{}, 100) // must not panic
+	nilCache.insert("a", &Plan{}) // must not panic
 	if p, hit := nilCache.Do("a", func() *Plan { return &Plan{} }); p == nil || hit {
 		t.Fatal("nil cache Do must compute")
 	}
@@ -416,7 +419,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("shape-%d", (i+w)%32)
 				if c.lookup(key) == nil {
-					c.insert(key, &Plan{}, 100)
+					c.insert(key, &Plan{})
 				}
 			}
 		}()
@@ -448,16 +451,14 @@ func (c *PlanCache) lookup(key string) *Plan {
 	return nil
 }
 
-// insert stores a plan under key with the given compile cost (the
-// nanoseconds the compile pipeline spent building it — what eviction
-// weighs against recency). An existing entry is kept: first writer
-// wins, concurrent compilers of the same shape produce equivalent
-// plans.
-func (c *PlanCache) insert(key string, p *Plan, compileNs float64) {
+// insert stores a plan under key. An existing entry is kept: first
+// writer wins, concurrent compilers of the same shape produce
+// equivalent plans.
+func (c *PlanCache) insert(key string, p *Plan) {
 	if c.disabled() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(key, p, compileNs)
+	c.insertLocked(key, p)
 }

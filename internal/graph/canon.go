@@ -2,7 +2,7 @@ package graph
 
 import (
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // CanonicalKey serializes the structural shape of the graph — node
@@ -19,41 +19,48 @@ import (
 //
 // The key is exact, not a digest: using it as a map key can never
 // collide two distinct shapes. Call on the freshly built graph, before
-// any pass mutates it.
-func (g *Graph) CanonicalKey() string {
-	var b strings.Builder
-	b.Grow(16 * len(g.nodes))
+// any pass mutates it. The key starts with prefix (a caller's own
+// qualifier, such as compile options) and is built in recycled storage,
+// so the string is its only allocation.
+func (g *Graph) CanonicalKey(prefix string) string {
+	bp := keyPool.Get().(*[]byte)
+	defer keyPool.Put(bp)
+	b := append((*bp)[:0], prefix...)
 	for i := range g.nodes {
 		n := &g.nodes[i]
 		switch n.Kind {
 		case KindInput:
-			b.WriteByte('i')
-			b.WriteString(strconv.Itoa(n.Width))
+			b = append(b, 'i')
+			b = strconv.AppendInt(b, int64(n.Width), 10)
 		case KindConst:
-			b.WriteByte('c')
-			b.WriteString(strconv.FormatUint(n.Val, 16))
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(n.Width))
+			b = append(b, 'c')
+			b = strconv.AppendUint(b, n.Val, 16)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(n.Width), 10)
 		case KindOp:
-			b.WriteByte('o')
-			b.WriteString(strconv.Itoa(int(n.Op.Code)))
-			b.WriteByte('(')
+			b = append(b, 'o')
+			b = strconv.AppendInt(b, int64(n.Op.Code), 10)
+			b = append(b, '(')
 			for k, a := range n.Args() {
 				if k > 0 {
-					b.WriteByte(',')
+					b = append(b, ',')
 				}
-				b.WriteString(strconv.Itoa(int(a)))
+				b = strconv.AppendInt(b, int64(a), 10)
 			}
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	b.WriteByte('r')
+	b = append(b, 'r')
 	for k, r := range g.roots {
 		if k > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(int(r)))
+		b = strconv.AppendInt(b, int64(r), 10)
 	}
-	return b.String()
+	*bp = b
+	return string(b)
 }
+
+// keyPool recycles CanonicalKey's byte buffers.
+var keyPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -115,7 +115,7 @@ func lowerForOracle(t *testing.T, g *graph.Graph) (progLen int) {
 			return h, nil
 		}
 	}
-	prog, err := graph.Lower(g, sched, handle, 64)
+	prog, err := graph.Lower(nil, g, sched, handle, 64)
 	if err != nil {
 		t.Fatalf("lowering a valid fuzz DAG failed: %v", err)
 	}
@@ -156,14 +156,14 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g1 := buildFuzzDAG(data, catalog)
 		g2 := buildFuzzDAG(data, catalog)
-		k1, k2 := g1.CanonicalKey(), g2.CanonicalKey()
+		k1, k2 := g1.CanonicalKey(""), g2.CanonicalKey("")
 		if k1 != k2 {
 			t.Fatalf("canonical key not deterministic:\n%q\n%q", k1, k2)
 		}
 		lowerForOracle(t, g1)
 		// Optimization must not change the canonical key's input: g2 is
 		// still the un-lowered twin, so its key pins the pre-pass shape.
-		if g2.CanonicalKey() != k1 {
+		if g2.CanonicalKey("") != k1 {
 			t.Fatal("canonical key changed without the graph changing")
 		}
 	})

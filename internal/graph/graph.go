@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"simdram/internal/ops"
 )
@@ -72,8 +73,22 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
-// NewSized returns an empty graph with room for n nodes.
-func NewSized(n int) *Graph { return &Graph{nodes: make([]Node, 0, n)} }
+// Reset empties the graph for reuse, keeping its storage: a caller
+// that builds many short-lived graphs (the serving path's per-job IR)
+// recycles one instead of growing a fresh node table each time.
+func (g *Graph) Reset() {
+	g.nodes, g.roots, g.dead = g.nodes[:0], g.roots[:0], nil
+}
+
+// Clone returns a copy of the graph in exact-size storage of its own,
+// which passes may then mutate without touching g.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{nodes: slices.Clone(g.nodes), roots: slices.Clone(g.roots)}
+	if g.dead != nil {
+		c.dead = slices.Clone(g.dead)
+	}
+	return c
+}
 
 // Len returns the number of nodes ever added (dead ones included).
 func (g *Graph) Len() int { return len(g.nodes) }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -284,7 +285,7 @@ func TestLowerEmitsProgramWithSlotHazards(t *testing.T) {
 		}
 		return 10 + uint16(asg.SlotOf[id]), nil
 	}
-	prog, err := Lower(g, sched, handle, 64)
+	prog, err := Lower(nil, g, sched, handle, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +316,47 @@ func TestLowerEmitsProgramWithSlotHazards(t *testing.T) {
 	for _, in := range prog {
 		if in.Size != 64 || in.Width != 16 {
 			t.Fatalf("instruction %v has wrong size/width", in)
+		}
+	}
+}
+
+// TestDCEMatchesReachability checks DCE's one-sweep marking against a
+// depth-first reachability oracle from the roots on random DAGs,
+// including ones where CSE left duplicates unreferenced.
+func TestDCEMatchesReachability(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := range 50 {
+		g := randomGraph(t, rng, 1+rng.Intn(40))
+		if trial%2 == 1 {
+			g.CSE()
+		}
+		reach := make([]bool, g.Len())
+		var visit func(NodeID)
+		visit = func(id NodeID) {
+			if reach[id] {
+				return
+			}
+			reach[id] = true
+			for _, a := range g.Node(id).Args() {
+				visit(a)
+			}
+		}
+		for _, r := range g.Roots() {
+			visit(r)
+		}
+		wantRemoved := 0
+		for id := range reach {
+			if !reach[id] && g.Node(NodeID(id)).Kind != KindInput {
+				wantRemoved++
+			}
+		}
+		if removed := g.DCE(); removed != wantRemoved {
+			t.Fatalf("trial %d: DCE removed %d nodes, want %d", trial, removed, wantRemoved)
+		}
+		for id := range reach {
+			if g.Alive(NodeID(id)) != reach[id] {
+				t.Fatalf("trial %d: node %d alive %v, reachable %v", trial, id, g.Alive(NodeID(id)), reach[id])
+			}
 		}
 	}
 }

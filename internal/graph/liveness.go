@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // noSlot marks a node with no pooled slot in Assignment.SlotOf.
 const noSlot = -1
@@ -41,8 +44,10 @@ func Assign(g *Graph, sched []NodeID, reuse bool) Assignment {
 	// One scratch array: lastUse[a] is the schedule position of a's
 	// last scheduled reader; next threads each width's free list (a
 	// LIFO stack of slots) through the slot indices, headed by free.
-	scratch := make([]int32, 2*n)
-	lastUse, next := scratch[:n], scratch[n:]
+	sc := assignPool.Get().(*[]int32)
+	defer assignPool.Put(sc)
+	*sc = sized(*sc, 2*n)
+	lastUse, next := (*sc)[:n], (*sc)[n:]
 	for i, id := range sched {
 		for _, a := range g.Node(id).Args() {
 			lastUse[a] = int32(i)
@@ -97,3 +102,6 @@ func Assign(g *Graph, sched []NodeID, reuse bool) Assignment {
 	}
 	return asg
 }
+
+// assignPool recycles Assign's scratch array.
+var assignPool = sync.Pool{New: func() any { return new([]int32) }}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"simdram/internal/isa"
 )
@@ -13,13 +14,14 @@ import (
 type HandleOf func(NodeID) (uint16, error)
 
 // Lower emits the scheduled DAG as an isa.Program over object handles:
-// one bbop instruction per scheduled operation node, in schedule order.
+// one bbop instruction per scheduled operation node, in schedule order,
+// appended to prog (nil, or a recycled program's storage) and returned.
 // Slot reuse shows up to the batched engine as ordinary WAR/WAW hazards
 // over the slot handles, so isa.Program.Deps keeps reused rows
 // correctly ordered while everything else overlaps. size is the element
 // count every instruction operates on.
-func Lower(g *Graph, sched []NodeID, handle HandleOf, size uint32) (isa.Program, error) {
-	prog := make(isa.Program, 0, len(sched))
+func Lower(prog isa.Program, g *Graph, sched []NodeID, handle HandleOf, size uint32) (isa.Program, error) {
+	prog = slices.Grow(prog, len(sched))
 	for _, id := range sched {
 		n := g.Node(id)
 		if n.Kind != KindOp {

@@ -134,30 +134,27 @@ func (sc *cseScratch) recycle() {
 // marked too (so the facade skips binding them) but not counted — they
 // cost the compiled program nothing.
 func (g *Graph) DCE() int {
-	live := make([]bool, len(g.nodes))
-	var mark func(id NodeID)
-	mark = func(id NodeID) {
-		if live[id] {
-			return
-		}
-		live[id] = true
-		for _, a := range g.nodes[id].Args() {
-			mark(a)
-		}
+	// Arguments always precede their users, so one descending sweep
+	// from the roots marks every reachable node: dead starts all set,
+	// and a live node clears its arguments before the sweep reaches
+	// them.
+	dead := make([]bool, len(g.nodes))
+	for id := range dead {
+		dead[id] = true
 	}
 	for _, r := range g.roots {
-		mark(r)
+		dead[r] = false
 	}
-	g.dead = make([]bool, len(g.nodes))
 	removed := 0
-	for id := range g.nodes {
-		if live[id] {
-			continue
-		}
-		g.dead[id] = true
-		if g.nodes[id].Kind != KindInput {
+	for id := len(g.nodes) - 1; id >= 0; id-- {
+		if !dead[id] {
+			for _, a := range g.nodes[id].Args() {
+				dead[a] = false
+			}
+		} else if g.nodes[id].Kind != KindInput {
 			removed++
 		}
 	}
+	g.dead = dead
 	return removed
 }

@@ -27,7 +27,7 @@ func unitModel(ns float64) CostFn {
 func profileCache(threshold float64, minJobs int, plan *Plan, keys ...string) *PlanCache {
 	c := NewPlanCache(16, threshold, minJobs)
 	for _, k := range keys {
-		c.insert(k, plan, 100)
+		c.insert(k, plan)
 	}
 	return c
 }
@@ -153,7 +153,7 @@ func TestProfileStoreConcurrent(t *testing.T) {
 				s.Record("k", plan, []float64{300, 300}, model)
 				if s.TakeRecompile("k") {
 					wins[w]++
-					s.Replace("k", recompiled, 100)
+					s.Replace("k", recompiled)
 				}
 				_ = s.ScheduleCost("k", model)
 				_, _ = s.Price("k", model, 2)
@@ -177,7 +177,7 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 	plan := profilePlan(t)
 	model := unitModel(100)
 	c := NewPlanCache(1, 0.25, 1)
-	c.insert("a", plan, 100)
+	c.insert("a", plan)
 	c.Record("a", plan, []float64{400, 100}, model)
 	if ns, ok := c.Price("a", model, 1); !ok || ns != 500 {
 		t.Fatalf("price = %v, %v; want 500 (observed add 400 + max 100)", ns, ok)
@@ -186,7 +186,7 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 		t.Fatal("diverged shape did not claim its recompile")
 	}
 
-	c.insert("b", plan, 100) // evicts "a"
+	c.insert("b", plan) // evicts "a"
 	if c.Jobs("a") != 0 {
 		t.Fatal("evicted shape kept its profile")
 	}
@@ -197,7 +197,7 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 		t.Fatalf("profile stats after eviction = %+v, want no profiled shape, 1 job, 1 recompile", st)
 	}
 
-	c.insert("a", plan, 100) // evicts "b"; "a" starts afresh
+	c.insert("a", plan) // evicts "b"; "a" starts afresh
 	if ns, ok := c.Price("a", model, 1); !ok || ns != 200 {
 		t.Fatalf("re-inserted price = %v, %v; want the static 200", ns, ok)
 	}
@@ -215,7 +215,7 @@ func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
 	plan := profilePlan(t)
 	model := unitModel(100)
 	c := NewPlanCache(4, 0.25, 2)
-	c.insert("k", plan, 100)
+	c.insert("k", plan)
 	if ns, _ := c.Price("k", model, 1); ns != 200 {
 		t.Fatalf("cold price = %v, want the static 200", ns)
 	}
@@ -230,7 +230,7 @@ func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
 		t.Fatal("diverged shape did not claim its recompile")
 	}
 	recompiled := profilePlan(t)
-	c.Replace("k", recompiled, 100)
+	c.Replace("k", recompiled)
 	if got := c.Jobs("k"); got != 2 {
 		t.Fatalf("Replace dropped the profile: %d jobs, want 2", got)
 	}

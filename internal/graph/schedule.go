@@ -2,6 +2,7 @@ package graph
 
 import (
 	"slices"
+	"sync"
 
 	"simdram/internal/ops"
 )
@@ -23,15 +24,19 @@ type CostFn func(d ops.Def, width, n int) float64
 // its argument nodes have finished and the earliest machine frees).
 // It lets two candidate schedules of the same graph be compared under
 // one cost model, which is how a profile-guided recompile guarantees
-// it never installs a schedule worse than the one it replaces.
+// it never installs a schedule worse than the one it replaces. A nil
+// sched prices ProgramOrder's schedule without building it.
 func (g *Graph) EstimateMakespanNs(sched []NodeID, cost CostFn, machines int) float64 {
 	if machines < 1 {
 		machines = 1
 	}
-	finish := make([]float64, len(g.nodes))
-	free := make([]float64, machines)
+	sc := schedPool.Get().(*schedScratch)
+	defer schedPool.Put(sc)
+	finish := sized(sc.f0, len(g.nodes))
+	free := sized(sc.f1, machines)
+	sc.f0, sc.f1 = finish, free
 	makespan := 0.0
-	for _, id := range sched {
+	price := func(id NodeID) {
 		node := g.Node(id)
 		start := 0.0
 		for _, a := range node.Args() {
@@ -54,6 +59,17 @@ func (g *Graph) EstimateMakespanNs(sched []NodeID, cost CostFn, machines int) fl
 		if end > makespan {
 			makespan = end
 		}
+	}
+	if sched == nil {
+		for id := range g.nodes {
+			if g.nodes[id].Kind == KindOp && g.Alive(NodeID(id)) {
+				price(NodeID(id))
+			}
+		}
+		return makespan
+	}
+	for _, id := range sched {
+		price(id)
 	}
 	return makespan
 }
@@ -85,17 +101,21 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 		cost = func(ops.Def, int, int) float64 { return 1 }
 	}
 	n := len(g.nodes)
-	ownCost := make([]float64, n)
-	pendingArgs := make([]int, n) // unscheduled live op arguments
+	sc := schedPool.Get().(*schedScratch)
+	defer schedPool.Put(sc)
+	ownCost, rank := sized(sc.f0, n), sized(sc.f1, n)
+	pendingArgs := sized(sc.i0, n) // unscheduled live op arguments
 	// users(a), flat[userOff[a]:userOff[a+1]], are the live op nodes
 	// reading a, in ascending ID order; a repeated argument is one edge.
-	userOff := make([]int, n+1)
-	edges := 0
+	userOff := sized(sc.i1, n+1)
+	defer func() { sc.f0, sc.f1, sc.i0, sc.i1 = ownCost, rank, pendingArgs, userOff }()
+	edges, live := 0, 0
 	for id := 0; id < n; id++ {
 		node := &g.nodes[id]
 		if node.Kind != KindOp || !g.Alive(NodeID(id)) {
 			continue
 		}
+		live++
 		ownCost[id] = cost(*node.Op, g.OpWidth(NodeID(id)), len(node.Args()))
 		for k, a := range node.Args() {
 			if slices.Contains(node.Args()[:k], a) {
@@ -111,8 +131,13 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 	for id := 0; id < n; id++ {
 		userOff[id+1] += userOff[id]
 	}
-	flat := make([]NodeID, edges)
-	fill := slices.Clone(userOff[:n])
+	// flat holds the edges, then fill (each node's next free edge slot,
+	// dead once flat is filled), then the ready list.
+	sc.ids = sized(sc.ids, edges+n+live)
+	flat, fill, ready := sc.ids[:edges], sc.ids[edges:edges+n], sc.ids[edges+n:edges+n]
+	for id := 0; id < n; id++ {
+		fill[id] = NodeID(userOff[id])
+	}
 	for id := 0; id < n; id++ {
 		node := &g.nodes[id]
 		if node.Kind != KindOp || !g.Alive(NodeID(id)) {
@@ -129,7 +154,6 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 	// Upward rank: own cost plus the costliest dependent chain. Users
 	// always have higher IDs than their arguments, so one descending
 	// sweep resolves every rank.
-	rank := make([]float64, n)
 	for id := n - 1; id >= 0; id-- {
 		if g.nodes[id].Kind != KindOp || !g.Alive(NodeID(id)) {
 			continue
@@ -142,13 +166,12 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 		}
 		rank[id] = ownCost[id] + best
 	}
-	ready := make([]NodeID, 0, n)
 	for id := 0; id < n; id++ {
 		if g.nodes[id].Kind == KindOp && g.Alive(NodeID(id)) && pendingArgs[id] == 0 {
 			ready = append(ready, NodeID(id))
 		}
 	}
-	sched := make([]NodeID, 0, n)
+	sched := make([]NodeID, 0, live)
 	for len(ready) > 0 {
 		pick := 0
 		for i := 1; i < len(ready); i++ {
@@ -168,4 +191,27 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 		}
 	}
 	return sched
+}
+
+// schedScratch is the working storage of Schedule and
+// EstimateMakespanNs — per-node costs and ranks, counters and edge
+// lists — recycled through schedPool, so a compile allocates only the
+// schedule it returns.
+type schedScratch struct {
+	f0, f1 []float64
+	i0, i1 []int
+	ids    []NodeID
+}
+
+var schedPool = sync.Pool{New: func() any { return new(schedScratch) }}
+
+// sized returns s resized to n zeroed elements, reusing its backing
+// array when it is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -81,9 +81,29 @@ func (in Instruction) Writes() []uint16 {
 // one backing array, capacity-capped so appending to one never
 // clobbers another.
 func (p Program) Deps() [][]int {
+	deps, _ := p.DepsInto(nil, nil)
+	return deps
+}
+
+// DepsInto is Deps into the caller's storage: the result reuses deps'
+// array and the edge array flat when they are large enough, and flat
+// is returned with the edges (grown if it fell short), so a caller
+// that recycles both allocates nothing once they have grown. The
+// caller must be done with every slice of an earlier result it passes
+// back in.
+func (p Program) DepsInto(deps [][]int, flat []int) ([][]int, []int) {
 	sc := depsPool.Get().(*depsScratch)
 	defer depsPool.Put(sc)
-	deps := make([][]int, len(p))
+	if deps == nil || cap(deps) < len(p) {
+		deps = make([][]int, len(p))
+	} else {
+		deps = deps[:len(p)]
+		clear(deps)
+	}
+	if cap(flat) < 2*len(p) {
+		flat = make([]int, 0, 2*len(p)) // room for two edges per instruction
+	}
+	flat = flat[:0]
 	nr := sized(sc.nr, len(p)) // instruction → numReads
 	rk := &sc.rank
 	defer rk.Reset()
@@ -103,7 +123,6 @@ func (p Program) Deps() [][]int {
 	readers := sized(sc.readers, nh)       // handle → newest reader entry since its last write
 	entries := sc.entries[:0]
 	buf := sc.buf[:0]
-	flat := make([]int, 0, 2*len(p)) // room for two edges per instruction
 	for i := range p {
 		in := &p[i]
 		buf = buf[:0]
@@ -142,7 +161,7 @@ func (p Program) Deps() [][]int {
 		deps[i] = flat[start:len(flat):len(flat)]
 	}
 	sc.nr, sc.lastWriter, sc.readers, sc.entries, sc.buf = nr, lastWriter, readers, entries, buf
-	return deps
+	return deps, flat
 }
 
 // depsScratch is Deps' working storage, recycled through depsPool.

@@ -42,7 +42,7 @@ func TestRewriteEdgeCases(t *testing.T) {
 	sizes := map[uint16]uint32{1: 4, 2: 4, 3: 4}
 
 	// Empty program: trivially rewrites to an empty (non-nil) program.
-	out, err := (Program{}).Rewrite(handles, sizes)
+	out, err := (Program{}).Rewrite(shardOf(handles, sizes))
 	if err != nil {
 		t.Fatalf("empty program: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestRewriteEdgeCases(t *testing.T) {
 	}
 
 	// Single instruction: handles map, size replaced.
-	out, err = (Program{add(3, 1, 2)}).Rewrite(handles, sizes)
+	out, err = (Program{add(3, 1, 2)}).Rewrite(shardOf(handles, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRewriteEdgeCases(t *testing.T) {
 	}
 
 	// Zero shard size drops the instruction.
-	out, err = (Program{add(3, 1, 2)}).Rewrite(handles, map[uint16]uint32{1: 0, 2: 0, 3: 0})
+	out, err = (Program{add(3, 1, 2)}).Rewrite(shardOf(handles, map[uint16]uint32{1: 0, 2: 0, 3: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRewriteEdgeCases(t *testing.T) {
 	// Repeated identical instructions rewrite independently — three
 	// copies in, three identical mapped copies out, order preserved.
 	p := Program{add(3, 1, 2), add(3, 1, 2), add(3, 1, 2)}
-	out, err = p.Rewrite(handles, sizes)
+	out, err = p.Rewrite(shardOf(handles, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestRewriteEdgeCases(t *testing.T) {
 
 	// Missing mappings fail loudly rather than emitting a half-mapped
 	// shard.
-	if _, err := (Program{add(3, 1, 2)}).Rewrite(map[uint16]uint16{3: 13}, sizes); err == nil {
+	if _, err := (Program{add(3, 1, 2)}).Rewrite(shardOf(map[uint16]uint16{3: 13}, sizes)); err == nil {
 		t.Error("missing source handle accepted")
 	}
-	if _, err := (Program{add(3, 1, 2)}).Rewrite(handles, map[uint16]uint32{1: 4, 2: 4}); err == nil {
+	if _, err := (Program{add(3, 1, 2)}).Rewrite(shardOf(handles, map[uint16]uint32{1: 4, 2: 4})); err == nil {
 		t.Error("missing size for the defining object accepted")
 	}
 }

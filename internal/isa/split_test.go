@@ -7,6 +7,16 @@ import (
 	"simdram/internal/ops"
 )
 
+// shardOf is a Rewrite shard lookup over two maps: an object's handle
+// on the shard (0 when absent) and its element count there, known when
+// sizes has it.
+func shardOf(handles map[uint16]uint16, sizes map[uint16]uint32) func(uint16) (uint16, uint32, bool) {
+	return func(h uint16) (uint16, uint32, bool) {
+		size, ok := sizes[h]
+		return handles[h], size, ok
+	}
+}
+
 func TestRewriteMapsHandlesAndSizes(t *testing.T) {
 	prog := Program{
 		{Op: OpTrspInit, Src: [3]uint16{1}, Size: 100, Width: 8},
@@ -14,7 +24,7 @@ func TestRewriteMapsHandlesAndSizes(t *testing.T) {
 	}
 	handles := map[uint16]uint16{1: 11, 2: 12, 3: 13}
 	sizes := map[uint16]uint32{1: 40, 2: 40, 3: 40}
-	sub, err := prog.Rewrite(handles, sizes)
+	sub, err := prog.Rewrite(shardOf(handles, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +52,7 @@ func TestRewriteDropsZeroSizeInstructions(t *testing.T) {
 	// vanishes and their handles need no mapping.
 	handles := map[uint16]uint16{1: 11, 2: 12, 3: 13}
 	sizes := map[uint16]uint32{3: 25, 6: 0}
-	sub, err := prog.Rewrite(handles, sizes)
+	sub, err := prog.Rewrite(shardOf(handles, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +63,13 @@ func TestRewriteDropsZeroSizeInstructions(t *testing.T) {
 
 func TestRewriteMissingMappings(t *testing.T) {
 	prog := Program{{Op: FromOp(ops.OpAdd), Dst: 3, Src: [3]uint16{1, 2}, Size: 100, Width: 8}}
-	if _, err := prog.Rewrite(map[uint16]uint16{1: 11, 2: 12, 3: 13}, map[uint16]uint32{}); err == nil || !strings.Contains(err.Error(), "no shard size") {
+	if _, err := prog.Rewrite(shardOf(map[uint16]uint16{1: 11, 2: 12, 3: 13}, map[uint16]uint32{})); err == nil || !strings.Contains(err.Error(), "no shard size") {
 		t.Errorf("missing size must fail, got: %v", err)
 	}
-	if _, err := prog.Rewrite(map[uint16]uint16{3: 13}, map[uint16]uint32{3: 10}); err == nil || !strings.Contains(err.Error(), "no shard handle") {
+	if _, err := prog.Rewrite(shardOf(map[uint16]uint16{3: 13}, map[uint16]uint32{3: 10})); err == nil || !strings.Contains(err.Error(), "no shard handle") {
 		t.Errorf("missing source handle must fail, got: %v", err)
 	}
-	if _, err := prog.Rewrite(map[uint16]uint16{1: 11, 2: 12}, map[uint16]uint32{3: 10}); err == nil || !strings.Contains(err.Error(), "no shard handle") {
+	if _, err := prog.Rewrite(shardOf(map[uint16]uint16{1: 11, 2: 12}, map[uint16]uint32{3: 10})); err == nil || !strings.Contains(err.Error(), "no shard handle") {
 		t.Errorf("missing destination handle must fail, got: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package simdram
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -362,4 +363,51 @@ func TestInputLeavesOnSystemAndCluster(t *testing.T) {
 		}
 	}
 	ce.ShardedResult().Free()
+}
+
+// TestServedPlanCacheRepeats pins deterministic eviction: one trace of
+// jobs over 1024 random DAG shapes, some drawn far more often than
+// others, submitted one job at a time to a 2-channel Server twice,
+// leaves the plan cache with identical counters both times. The
+// cost-LRU policy weighs an entry by its plan, never by a clock, so
+// which shapes survive depends on the trace alone.
+func TestServedPlanCacheRepeats(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	leaves := make([]*Expr, 4)
+	for i := range leaves {
+		leaves[i] = Input(randData(rng, 128, 8), 8)
+	}
+	dags := make([][]*Expr, 1024)
+	for i := range dags {
+		dags[i] = buildRandomDAG(rng, leaves, 8, 12)
+	}
+	trace := make([]int, 3072)
+	for i := range trace {
+		if rng.Intn(2) == 0 {
+			trace[i] = rng.Intn(96) // a hot set that fits the cache
+		} else {
+			trace[i] = rng.Intn(len(dags))
+		}
+	}
+	run := func() PlanCacheStats {
+		srv := testServer(t, 2, nil)
+		for _, d := range trace {
+			fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "trace"}, dags[d]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fut.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return srv.Stats().Cache
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("one trace gave different plan-cache stats:\n%+v\n%+v", first, second)
+	}
+	if first.Hits == 0 || first.Evicted == 0 {
+		t.Fatalf("stats = %+v, want both hits and evictions (the trace must exercise the policy)", first)
+	}
+	t.Logf("%+v", first)
 }

@@ -9,8 +9,12 @@ package simdram
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -313,14 +317,13 @@ func TestKeptProgramsSurviveRecycling(t *testing.T) {
 	}
 }
 
-// TestServerMissAllocBudget gates the served miss path's allocations:
-// a one-channel server serves a fixed set of 32-op 8-bit random DAGs
-// over 256-element Input leaves. Its plan cache is off, so every job
-// compiles, prepares, verifies exactly one plan and releases in full.
-func TestServerMissAllocBudget(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("race detector allocates; gate runs in the non-race CI job")
-	}
+// missJobs returns a job that serves, on a one-channel server, the
+// next of a fixed set of 32-op 8-bit random DAGs over 256-element Input
+// leaves, having served each once. The server's plan cache is off, so
+// every job compiles, prepares, verifies exactly one plan and releases
+// in full.
+func missJobs(t *testing.T) func() {
+	t.Helper()
 	cfg := DefaultServerConfig(1)
 	cfg.Channel.DRAM.Cols = 256
 	cfg.PlanCacheSize = -1
@@ -328,21 +331,20 @@ func TestServerMissAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	rng := rand.New(rand.NewSource(3))
 	leaves := make([]*Expr, 4)
 	for i := range leaves {
 		leaves[i] = Input(randData(rng, 256, 8), 8)
 	}
-	const shapes = 64
-	dags := make([][]*Expr, shapes)
+	dags := make([][]*Expr, missShapes)
 	for i := range dags {
 		dags[i] = buildRandomDAG(rng, leaves, 8, 32)
 	}
 	i := 0
 	serve := func() {
 		verified := srv.VerifiedPlans()
-		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "budget"}, dags[i%shapes]...)
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "budget"}, dags[i%missShapes]...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,14 +356,151 @@ func TestServerMissAllocBudget(t *testing.T) {
 		}
 		i++
 	}
-	for range shapes {
+	for range missShapes {
 		serve()
 	}
-	// 72 measured (Go 1.24, x86-64) plus 10%.
-	const budget = 79
-	allocs := testing.AllocsPerRun(shapes, serve)
+	return serve
+}
+
+// missShapes is how many DAGs missJobs cycles through.
+const missShapes = 64
+
+// TestServerMissAllocBudget gates the served miss path's allocations
+// (see missJobs): a job allocates its scheduler request and future,
+// its results and its plan (the plan cache is off, so every job builds
+// one); every other per-job table is recycled.
+func TestServerMissAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector allocates; gate runs in the non-race CI job")
+	}
+	serve := missJobs(t)
+	// 21 measured (Go 1.24, x86-64) plus 10%.
+	const budget = 23
+	allocs := testing.AllocsPerRun(missShapes, serve)
 	if allocs > budget {
 		t.Fatalf("a served miss allocated %.0f times, budget %d", allocs, budget)
 	}
 	t.Logf("a served miss allocated %.0f times, budget %d", allocs, budget)
+}
+
+// TestServerMissByteAllocBudget gates the bytes a served miss
+// allocates (see missJobs), from the runtime's cumulative allocation
+// count over many jobs: mostly the job's results, which the caller
+// keeps, and its plan.
+func TestServerMissByteAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector allocates; gate runs in the non-race CI job")
+	}
+	serve := missJobs(t)
+	const jobs = 4 * missShapes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range jobs {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	// At most 40.6 KB measured over repeated runs (Go 1.24, x86-64),
+	// 29 KB of it results, plus 10%.
+	const budget = 44_600
+	if perJob > budget {
+		t.Fatalf("a served miss allocated %.0f bytes, budget %d", perJob, budget)
+	}
+	t.Logf("a served miss allocated %.0f bytes, budget %d", perJob, budget)
+}
+
+// TestRecyclingLeavesMemoEntryIntact interleaves, on a one-channel
+// server, replays of a memo-recorded hot shape with served misses and
+// with direct ExecBatch calls on another System, so every recycled
+// table — environments, bindings, slabs, prepared programs, prepare
+// and schedule scratch — is taken up again and again beside the
+// entry's kept storage. Every result must match the CPU baseline, the
+// entry must keep its prepared program, tables and rows untouched, and
+// a program naming a freed handle must still fail as an unknown
+// object.
+func TestRecyclingLeavesMemoEntryIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	srv := memoServer(t, nil)
+	hot := func() int64 {
+		t.Helper()
+		_, verified := memoJob(t, srv, memoShape(rng))
+		return verified
+	}
+	for range 3 {
+		hot()
+	}
+	key, entry := onlyEntry(t, srv, 0)
+	if entry.pp == nil {
+		t.Fatal("the hot shape has no memoized program")
+	}
+	pp, prep := entry.pp, entry.pp.prep
+	binds := slices.Clone(pp.binds)
+	jobOf, scratch := slices.Clone(pp.jobOf), slices.Clone(pp.scratch)
+	type rows struct {
+		handle uint16
+		width  int
+		segs   []segment
+	}
+	vecs := slices.Clone(entry.vecs)
+	vecRows := make([]rows, len(vecs))
+	for i, v := range vecs {
+		vecRows[i] = rows{v.handle, v.width, slices.Clone(v.segs)}
+	}
+	intact := func(round int) {
+		t.Helper()
+		k, e := onlyEntry(t, srv, 0)
+		if k != key || e != entry || e.pp != pp || pp.prep != prep {
+			t.Fatalf("round %d: the hot shape's memo entry or its prepared program was replaced", round)
+		}
+		if !slices.Equal(pp.binds, binds) || !slices.Equal(pp.jobOf, jobOf) || !slices.Equal(pp.scratch, scratch) {
+			t.Fatalf("round %d: the memoized program's tables changed", round)
+		}
+		if !slices.Equal(e.vecs, vecs) {
+			t.Fatalf("round %d: the memo entry's objects changed", round)
+		}
+		for i, v := range vecs {
+			if v.freed || v.handle != vecRows[i].handle || v.width != vecRows[i].width || !slices.Equal(v.segs, vecRows[i].segs) {
+				t.Fatalf("round %d: resident object %d was freed or moved", round, i)
+			}
+		}
+	}
+
+	sys := smallSystem(t)
+	caller := newExecCaller(t, sys, 200)
+	for round := range 60 {
+		if n := hot(); n != 0 {
+			t.Fatalf("round %d: the hot shape verified %d plans instead of replaying", round, n)
+		}
+		// Misses from 2 to 16 operations: the small ones fit in storage
+		// sized for the hot shape, so they take up any of its tables that
+		// were wrongly recycled.
+		if err := serveRandom(t, srv, rng, 2+round%15); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := caller.run(rng); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		// A freed vector's handle stays unknown to later programs: the
+		// IR verifier rejects an announcement of it, or an operation
+		// reading it, as naming no object, before anything runs.
+		v, err := sys.AllocVector(200, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := v.Handle()
+		v.Free()
+		unknown := fmt.Sprintf("handle %d names no tracked object", h)
+		for _, prog := range []isa.Program{
+			{{Op: isa.OpTrspInit, Src: [3]uint16{h}, Size: 200, Width: 8}},
+			{{Op: isa.FromOp(ops.OpAdd), Dst: caller.vecs[3].handle, Src: [3]uint16{h, caller.vecs[1].handle}, Size: 200, Width: 8}},
+		} {
+			if _, err := sys.ExecBatch(prog); err == nil || !strings.Contains(err.Error(), unknown) {
+				t.Fatalf("round %d: a program naming freed handle %d gave %v, want %q", round, h, err, unknown)
+			}
+		}
+		intact(round)
+	}
+	if err := caller.check(); err != nil {
+		t.Fatal(err)
+	}
 }

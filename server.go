@@ -379,19 +379,6 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	if len(exprs) == 0 {
 		return nil, errorf("server: nothing to submit")
 	}
-	seen := seenPool.Get().(map[*Expr]bool)
-	var err error
-	for _, e := range exprs {
-		if err = checkServable(e, seen); err != nil {
-			break
-		}
-	}
-	size := len(seen)
-	clear(seen)
-	seenPool.Put(seen)
-	if err != nil {
-		return nil, err
-	}
 	// A sampled job carries a trace whose root "job" span opens here,
 	// before admission pricing, which the "admit" span covers; the
 	// scheduler records the "queue" span when a worker picks the job
@@ -405,13 +392,18 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	if tr != nil {
 		res.TraceID = tr.ID
 	}
-	// The job's IR graph and plan-cache key are built once, here: they
-	// price the job, and the worker compiles from them. Pricing is
-	// best-effort: a malformed expression (e.g. element-count mismatch)
-	// keeps its contract of failing the future at run time — it is
-	// admitted unpriced and fails with the compiler's error.
+	// The job's IR graph and plan-cache key are built once, here, in one
+	// walk of its expressions: they price the job, and the worker
+	// compiles from them. An expression a Server cannot run on any
+	// channel is rejected outright. Pricing is best-effort: a malformed
+	// expression (e.g. element-count mismatch) keeps its contract of
+	// failing the future at run time — it is admitted unpriced and fails
+	// with the compiler's error.
 	aspan := tr.Begin("admit", 0)
-	env, envErr := buildEnv(s.channels[0], nil, CompileOptions{}, exprs, size)
+	env, envErr := buildEnv(s.channels[0], nil, CompileOptions{}, exprs, true)
+	if _, ok := envErr.(unservable); ok {
+		return nil, envErr
+	}
 	var modeled float64
 	if envErr == nil {
 		modeled = s.estimateModeledNs(env)
@@ -427,6 +419,7 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 		err := envErr
 		if err == nil {
 			err = s.runLazy(s.channels[worker], worker, cancel, env, exprs, res, tr, at)
+			env.recycle()
 		}
 		if err == nil {
 			// Feed the executed batch's modeled DRAM time back into the
@@ -442,6 +435,9 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 		return err
 	})
 	if err != nil {
+		if env != nil {
+			env.recycle()
+		}
 		return nil, err
 	}
 	res.Admission = AdmissionEstimate{EstimatedWaitNs: t.EstimatedWaitNs(), ModeledNs: t.ModeledNs()}
@@ -520,7 +516,7 @@ func (s *Server) estimateModeledNs(env *compileEnv) float64 {
 	if ns, ok := s.plans.Price(env.key, env.sys.model, banks); ok {
 		return ns
 	}
-	return env.g.EstimateMakespanNs(env.g.ProgramOrder(), env.sys.model, banks)
+	return env.g.EstimateMakespanNs(nil, env.sys.model, banks)
 }
 
 // hitMemo is one channel's memo of resident prepared programs for
@@ -728,39 +724,12 @@ func (e *hitEntry) store(sys *System, env *compileEnv) error {
 	return nil
 }
 
-// seenPool recycles checkServable's visited sets: a cleared map keeps
-// its buckets, so a steady stream of jobs walks its DAGs without
-// allocating.
-var seenPool = sync.Pool{New: func() any { return map[*Expr]bool{} }}
-
-// checkServable rejects expressions bound to pre-allocated storage:
-// a server job must be runnable on any channel.
-func checkServable(e *Expr, seen map[*Expr]bool) error {
-	if e == nil {
-		return errorf("server: nil expression")
-	}
-	if seen[e] {
-		return nil
-	}
-	seen[e] = true
-	switch e.kind {
-	case exprLeaf, exprShardLeaf:
-		return errorf("server: expression is bound to a pre-allocated vector; server jobs must use Input data leaves so they can run on any free channel")
-	case exprOp:
-		for _, a := range e.args {
-			if err := checkServable(a, seen); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // bindJob binds plan's objects for one job on sys, storing its
 // inputs, and lowers its program; on failure it releases what it bound.
 // The job's Vectors come from one slab (see vectorSlab), sized for
 // every object bindPlan can allocate: a slot each, storage for each
-// live input and constant, and a result per root.
+// live input and constant, and a result per root. The slab is the
+// binding's, recycled when it is released.
 func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lowered, error) {
 	g := env.g
 	count := len(plan.Asg.SlotWidths) + len(g.Roots())
@@ -771,12 +740,14 @@ func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lo
 	}
 	slab := newVectorSlab(sys, env.n, count)
 	lw, err := bindPlan(env, plan, exprs, slab.alloc,
-		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: checkServable rejected them
+		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: admission rejected them
 		leafDataOf(env),
 	)
 	if err != nil {
+		slab.recycle()
 		return nil, err
 	}
+	lw.slab = slab
 	if err = lw.lowerProgram(env, plan); err != nil {
 		lw.release()
 		return nil, err

@@ -209,10 +209,11 @@ func requireRowsResident(t *testing.T, srv *Server, ch int, label string) {
 // shapeKey returns the plan-cache key of exprs.
 func shapeKey(t *testing.T, srv *Server, exprs []*Expr) string {
 	t.Helper()
-	env, err := buildEnv(srv.channels[0], nil, CompileOptions{}, exprs, 0)
+	env, err := buildEnv(srv.channels[0], nil, CompileOptions{}, exprs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.recycle()
 	return env.key
 }
 

@@ -1,5 +1,7 @@
 package simdram
 
+import "sync"
+
 // Vector is a SIMDRAM object: n elements of a given bit width stored in
 // the vertical layout across one or more subarrays. Element j of segment
 // i occupies column j of that subarray, bits in consecutive rows.
@@ -104,33 +106,45 @@ func (s *System) allocVectorIn(v *Vector, segs []segment, n, width, origin int) 
 
 // vectorSlab carves the Vectors of one served job, all of n elements
 // placed from the first subarray, and their segments out of one array
-// each. A slab is never reused: a Vector's address names it for as
-// long as anything holds it, which is what lets a prepared program
-// tell a live object from a freed one that a later allocation
-// replaced (checkPrepared).
+// each. A Vector's address names it for as long as anything holds it,
+// which is what lets a prepared program tell a live object from a
+// freed one that a later allocation replaced (checkPrepared), so a
+// slab is recycled (slabPool) only with its job's binding and the
+// prepared program that binds its Vectors (see lowered.release).
 type vectorSlab struct {
 	sys  *System
 	n    int
 	per  int // segments per vector
+	room int // vectors the slab holds
 	vecs []Vector
 	segs []segment
 }
 
+var slabPool = sync.Pool{New: func() any { return new(vectorSlab) }}
+
 // newVectorSlab returns a slab with room for count vectors.
 func newVectorSlab(sys *System, n, count int) *vectorSlab {
-	per := max((n+sys.cfg.DRAM.Cols-1)/sys.cfg.DRAM.Cols, 0)
-	return &vectorSlab{
-		sys: sys, n: n, per: per,
-		vecs: make([]Vector, 0, count),
-		segs: make([]segment, 0, count*per),
-	}
+	sl := slabPool.Get().(*vectorSlab)
+	sl.sys, sl.n, sl.room = sys, n, count
+	sl.per = max((n+sys.cfg.DRAM.Cols-1)/sys.cfg.DRAM.Cols, 0)
+	sl.vecs = grown(sl.vecs, count)
+	sl.segs = grown(sl.segs, count*sl.per)
+	return sl
+}
+
+// recycle returns the slab to slabPool once every Vector carved from
+// it is freed and nothing holds one.
+func (sl *vectorSlab) recycle() {
+	clear(sl.vecs[:sl.room])
+	*sl = vectorSlab{vecs: sl.vecs[:0], segs: sl.segs[:0]}
+	slabPool.Put(sl)
 }
 
 // alloc is allocVector from the slab; past its room it allocates
 // the vector on its own.
 func (sl *vectorSlab) alloc(width int) (graphObj, error) {
 	k := len(sl.vecs)
-	if k == cap(sl.vecs) {
+	if k == sl.room {
 		v, err := sl.sys.allocVector(sl.n, width, 0)
 		if err != nil {
 			return nil, err
