@@ -40,3 +40,13 @@ func SetVector(on bool) (restore func()) {
 
 // HaveVector reports whether the CPU has the vector row loops.
 func HaveVector() bool { return haveVector }
+
+// Steps4 runs p's steps alone, with no charge, over the 4-word row
+// table rows: with the Go step loop, or with vector set the AVX2 one.
+func Steps4(rows [][]uint64, p *Plan, vector bool) {
+	if !vector {
+		steps4(rows, p.code)
+	} else if !steps4Vec(rows, p.code) {
+		panic("dram: plan step outside the row table")
+	}
+}

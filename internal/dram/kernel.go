@@ -8,8 +8,9 @@ func mask(x int32) uint64 { return uint64(int64(x >> 31)) }
 // use vector instructions: below it the call costs more than it saves.
 const vectorMinWords = 8
 
-// useVector selects the vector row loops. It is set from the CPU once;
-// only tests flip it, to run both paths on one machine.
+// useVector selects the vector row loops and the vector 4-word step
+// loop. It is set from the CPU once; only tests flip it, to run both
+// paths on one machine.
 var useVector = haveVector
 
 // majRow models a triple-row activation on a lowered step: d gets the

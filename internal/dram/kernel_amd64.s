@@ -1,24 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // func majVector(d, a, b, c []uint64, ma, mb, mc, md uint64)
 //
 // d[i] = maj(a[i]^ma, b[i]^mb, c[i]^mc) ^ md over whole 4-word blocks,
@@ -114,4 +95,105 @@ xorloop4:
 
 xordone:
 	VZEROUPPER
+	RET
+
+// polarity<> is {zeros, ones}: the 4-word mask a row entry XORs in,
+// at offset 0 for a plain entry and 32 for a complemented one.
+DATA polarity<>+0(SB)/8, $0
+DATA polarity<>+8(SB)/8, $0
+DATA polarity<>+16(SB)/8, $0
+DATA polarity<>+24(SB)/8, $0
+DATA polarity<>+32(SB)/8, $-1
+DATA polarity<>+40(SB)/8, $-1
+DATA polarity<>+48(SB)/8, $-1
+DATA polarity<>+56(SB)/8, $-1
+GLOBL polarity<>(SB), RODATA|NOPTR, $64
+
+// ROW resolves the row entry at off(DI): the row's storage into AX and
+// its polarity's offset in polarity<> into BX. It jumps to fail when
+// the row lies outside the table (SI, R8 entries) or holds fewer than
+// 4 words. A table entry is a slice header: 24 bytes, length at 8.
+#define ROW(off) \
+	MOVLQSX off(DI), AX; \
+	MOVQ    AX, BX; \
+	SARQ    $63, BX; \
+	XORQ    BX, AX; \
+	ANDQ    $32, BX; \
+	CMPQ    AX, R8; \
+	JAE     fail; \
+	LEAQ    (AX)(AX*2), AX; \
+	CMPQ    8(SI)(AX*8), $4; \
+	JLT     fail; \
+	MOVQ    (SI)(AX*8), AX
+
+// LOAD sets Y to the 4 words of the row entry at off(DI), with the
+// entry's polarity.
+#define LOAD(off, Y) \
+	ROW(off); \
+	VMOVDQU (R9)(BX*1), Y; \
+	VPXOR   (AX), Y, Y
+
+// func steps4Vec(rows [][]uint64, code []int32) bool
+//
+// Each step's value is computed into Y0 from its inputs, all loaded
+// first, then stored with each output's polarity. CX counts the code
+// entries left; a step longer than that fails before its first store.
+TEXT ·steps4Vec(SB), NOSPLIT, $0-49
+	MOVQ rows_base+0(FP), SI
+	MOVQ rows_len+8(FP), R8
+	MOVQ code_base+24(FP), DI
+	MOVQ code_len+32(FP), CX
+	LEAQ polarity<>(SB), R9
+
+step:
+	TESTQ CX, CX
+	JZ    done
+	MOVLQSX (DI), DX
+	TESTQ $1, DX
+	JNZ   majority
+	CMPQ  CX, $2
+	JB    fail
+	SUBQ  $2, CX
+	LOAD(4, Y0)
+	ADDQ  $8, DI
+	JMP   outputs
+
+majority:
+	CMPQ CX, $4
+	JB   fail
+	SUBQ $4, CX
+	LOAD(4, Y0)
+	LOAD(8, Y1)
+	LOAD(12, Y2)
+	VPAND Y0, Y1, Y3
+	VPOR  Y0, Y1, Y0
+	VPAND Y2, Y0, Y0
+	VPOR  Y3, Y0, Y0
+	ADDQ  $16, DI
+
+outputs:
+	// DX = header>>1 outputs; unsigned, a negative count is too long.
+	SARQ $1, DX
+	CMPQ DX, CX
+	JA   fail
+	SUBQ DX, CX
+
+output:
+	TESTQ DX, DX
+	JZ    step
+	ROW(0)
+	VPXOR   (R9)(BX*1), Y0, Y1
+	VMOVDQU Y1, (AX)
+	ADDQ    $4, DI
+	DECQ    DX
+	JMP     output
+
+done:
+	VZEROUPPER
+	MOVB $1, ret+48(FP)
+	RET
+
+fail:
+	VZEROUPPER
+	MOVB $0, ret+48(FP)
 	RET

@@ -191,10 +191,11 @@ func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
 // path), one Exec of the unlowered plan, the AAP/AP/MajCopy methods one
 // command at a time, and the naive reference — and requires identical
 // rows, Stats (EnergyPJ bit-exact) and command traces. It runs with the
-// vector row loops forced off and, where the CPU has them, on. Row
-// widths cover the pure-Go loop (64 to 256 columns), exactly the
-// vector threshold (512), a vector body with a one-word tail (576) and
-// wide rows (8192).
+// vector loops forced off and, where the CPU has them, on. Row widths
+// cover the pure-Go row loops (64 and 192 columns), the 4-word step
+// loop and its vector form (256), exactly the vector row-loop
+// threshold (512), a vector body with a one-word tail (576) and wide
+// rows (8192).
 func TestKernelMatchesReference(t *testing.T) {
 	defer func(v bool) { useVector = v }(useVector)
 	for _, cols := range []int{64, 192, 256, 512, 576, 8192} {

@@ -209,8 +209,9 @@ func OpRow(r int) int32 {
 
 // Exec is the command kernel: it runs p, whose ops passed CheckOp
 // against this subarray's RowMap. Nothing is re-validated per command
-// — an unchecked op can clobber a control row, though Go's bounds
-// checks still stop any row index outside the subarray. After the
+// — an unchecked op can clobber a control row, though bounds checks
+// (Go's, and the vector step loop's own) still stop any row index
+// outside the subarray. After the
 // plan's steps have run, OnCommand, when set, sees each command in
 // order (hooks observe the commands, not intermediate row contents)
 // while each op's energy is charged in stream order. Without a hook
@@ -267,12 +268,17 @@ func (s *Subarray) ExecView(v *View, p *Plan) {
 
 // exec is the kernel of Exec and ExecView over a row table: it runs
 // p's steps, then charges p's energy and counters. Row width alone
-// picks the step loop: 4-word (256-column) rows have their own.
+// picks the step loop: 4-word (256-column) rows have their own, on
+// AVX2 where the CPU has it.
 //
 //simdram:zeroalloc
 func (s *Subarray) exec(rows [][]uint64, p *Plan) {
 	if len(s.rows[0]) == narrowWords {
-		steps4(rows, p.code)
+		if !useVector {
+			steps4(rows, p.code)
+		} else if !steps4Vec(rows, p.code) {
+			panic("dram: plan step outside the row table")
+		}
 	} else {
 		steps(rows, p.code)
 	}

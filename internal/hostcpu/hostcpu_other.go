@@ -1,0 +1,6 @@
+//go:build !amd64
+
+package hostcpu
+
+// AVX2 is false off amd64.
+const AVX2 = false

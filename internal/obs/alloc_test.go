@@ -59,3 +59,24 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 		t.Fatalf("unsampled Start allocates %v per run, want ~0", n)
 	}
 }
+
+// TestEventKeyZeroAlloc pins EventKey, which the plan cache's eviction
+// hook calls under the cache's lock, at zero allocations, and its
+// detail, formatted when Events reads the ring, at what Eventf gives.
+func TestEventKeyZeroAlloc(t *testing.T) {
+	const format = "plan evicted after %d hits (key %.24q…)"
+	key := "lanes=256;add(in0:8,in1:8)->sat8"
+	r := NewFlightRecorder(1, 4)
+	if !raceflag.Enabled {
+		if n := testing.AllocsPerRun(100, func() { r.EventKey("evict", format, 7, key) }); n != 0 {
+			t.Fatalf("EventKey allocates %v per run, want 0", n)
+		}
+	}
+	r.EventKey("evict", format, 7, key)
+	r.Eventf("evict", format, uint64(7), key)
+	evs := r.Events()
+	n := len(evs)
+	if n < 2 || evs[n-2].Detail != evs[n-1].Detail || evs[n-2].Kind != "evict" {
+		t.Fatalf("event ring %+v: want an EventKey event, then an equal Eventf one", evs)
+	}
+}

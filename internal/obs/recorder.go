@@ -30,7 +30,7 @@ type FlightRecorder struct {
 	traces  []*Trace // ring storage; nil slots not yet filled
 	tNext   int
 	tTotal  uint64
-	events  []Event
+	events  []event
 	eNext   int
 	dropped uint64 // traces overwritten before being read
 }
@@ -47,7 +47,7 @@ func NewFlightRecorder(traceDepth, eventDepth int) *FlightRecorder {
 	}
 	return &FlightRecorder{
 		traces: make([]*Trace, traceDepth),
-		events: make([]Event, eventDepth),
+		events: make([]event, eventDepth),
 	}
 }
 
@@ -67,15 +67,44 @@ func (r *FlightRecorder) RecordTrace(t *Trace) {
 	r.tTotal++
 }
 
+// event is one slot of the event ring. With format set, the Event's
+// Detail is format applied to n and key, formatted when Events reads
+// the slot.
+type event struct {
+	Event
+	format string
+	n      uint64
+	key    string
+}
+
+// record puts e in the ring, stamped with the current time.
+func (r *FlightRecorder) record(e event) {
+	e.AtUnixNs = time.Now().UnixNano()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events[r.eNext] = e
+	r.eNext = (r.eNext + 1) % len(r.events)
+}
+
 // Event records an incident.
 func (r *FlightRecorder) Event(kind, detail string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events[r.eNext] = Event{AtUnixNs: time.Now().UnixNano(), Kind: kind, Detail: detail}
-	r.eNext = (r.eNext + 1) % len(r.events)
+	r.record(event{Event: Event{Kind: kind, Detail: detail}})
+}
+
+// EventKey records an incident whose detail is format, a count verb
+// then a key verb, applied to n and key. The detail is formatted only
+// when Events reads it, so recording allocates nothing: what a
+// producer holding a lock records.
+//
+//simdram:zeroalloc
+func (r *FlightRecorder) EventKey(kind, format string, n uint64, key string) {
+	if r == nil {
+		return
+	}
+	r.record(event{Event: Event{Kind: kind}, format: format, n: n, key: key})
 }
 
 // Eventf records an incident with a formatted detail string.
@@ -114,9 +143,13 @@ func (r *FlightRecorder) Events() []Event {
 	n := len(r.events)
 	for i := 0; i < n; i++ {
 		e := r.events[(r.eNext+i)%n]
-		if e.AtUnixNs != 0 {
-			out = append(out, e)
+		if e.AtUnixNs == 0 {
+			continue
 		}
+		if e.format != "" {
+			e.Detail = fmt.Sprintf(e.format, e.n, e.key)
+		}
+		out = append(out, e.Event)
 	}
 	return out
 }
@@ -151,9 +184,7 @@ func (r *FlightRecorder) Reset() {
 	for i := range r.traces {
 		r.traces[i] = nil
 	}
-	for i := range r.events {
-		r.events[i] = Event{}
-	}
+	clear(r.events)
 	r.tNext, r.eNext = 0, 0
 	r.tTotal, r.dropped = 0, 0
 }

@@ -123,6 +123,10 @@ func ToVerticalInto(rows [][]uint64, vals []uint64, width int) error {
 	if err := checkRows(rows, width, len(vals)); err != nil {
 		return err
 	}
+	if useVector && width <= 16 {
+		storePlanes16(rows[:width], vals)
+		return nil
+	}
 	words := len(rows[0])
 	lw, mask := blockLog(width), widthMask(width)
 	var block [64]uint64
@@ -146,6 +150,42 @@ func ToVerticalInto(rows [][]uint64, vals []uint64, width int) error {
 		}
 	}
 	return nil
+}
+
+// useVector selects the vector bit-plane store for widths up to 16. It
+// is set from the CPU once; only tests flip it, to run both paths on
+// one machine.
+var useVector = haveVector
+
+// storePlanes16 is ToVerticalInto for len(rows) ≤ 16 bits with
+// planes16: per 64 lanes the rows take their bit planes, and a partial
+// last word is read from a zero-padded copy.
+//
+//simdram:zeroalloc
+func storePlanes16(rows [][]uint64, vals []uint64) {
+	var planes [16]uint64
+	var pad [64]uint64
+	wide := len(rows) > 8
+	for wd := range rows[0] {
+		base := wd * 64
+		var v *[64]uint64
+		switch {
+		case base+64 <= len(vals):
+			v = (*[64]uint64)(vals[base : base+64])
+		case base < len(vals): // the one partial word
+			copy(pad[:], vals[base:])
+			v = &pad
+		default:
+			for _, row := range rows {
+				row[wd] = 0
+			}
+			continue
+		}
+		planes16(&planes, v, wide)
+		for i, row := range rows {
+			row[wd] = planes[i]
+		}
+	}
 }
 
 // ToHorizontal is the inverse of ToVertical: it reads n elements of the

@@ -72,6 +72,23 @@ func equalRows(a, b [][]uint64, width int) bool {
 	return true
 }
 
+// storePaths lists the ToVerticalInto paths this CPU runs: the block
+// transpose and, with AVX2, the vector bit-plane store.
+func storePaths() []bool {
+	if haveVector {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// setVector selects the vector store and returns a function restoring
+// the previous choice.
+func setVector(on bool) (restore func()) {
+	prev := useVector
+	useVector = on
+	return func() { useVector = prev }
+}
+
 func TestToVerticalMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, c := range transposeCases() {
@@ -88,12 +105,17 @@ func TestToVerticalMatchesNaive(t *testing.T) {
 		if !equalRows(fast, naive, c.width) {
 			t.Fatalf("width %d n %d lanes %d: ToVertical differs from the naive transpose", c.width, c.n, c.lanes)
 		}
-		into := garbageRows(rng, c.width, c.lanes)
-		if err := ToVerticalInto(into, vals, c.width); err != nil {
-			t.Fatal(err)
-		}
-		if !equalRows(into, naive, c.width) {
-			t.Fatalf("width %d n %d lanes %d: ToVerticalInto differs from the naive transpose", c.width, c.n, c.lanes)
+		for _, vec := range storePaths() {
+			into := garbageRows(rng, c.width, c.lanes)
+			restore := setVector(vec)
+			err := ToVerticalInto(into, vals, c.width)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalRows(into, naive, c.width) {
+				t.Fatalf("width %d n %d lanes %d vector=%v: ToVerticalInto differs from the naive transpose", c.width, c.n, c.lanes, vec)
+			}
 		}
 		// A splat is the transpose of n copies of one value.
 		val := rng.Uint64()
@@ -198,6 +220,48 @@ func TestToVerticalValidation(t *testing.T) {
 	if err := ToHorizontalInto(make([]uint64, 65), rows, 8); err == nil {
 		t.Error("ToHorizontalInto past the rows' lanes must error")
 	}
+}
+
+// FuzzToVerticalInto holds both ToVerticalInto paths to the naive
+// transpose over widths 1-64, element counts 0 to the rows' lanes and
+// values with bits set at and above the width, into rows holding
+// garbage; each result must also read back through ToHorizontalInto.
+func FuzzToVerticalInto(f *testing.F) {
+	for width := uint8(1); width <= 64; width += 7 {
+		f.Add(int64(width), width, uint8(width%4), uint16(width)*5)
+	}
+	f.Add(int64(1), uint8(16), uint8(3), uint16(256))
+	f.Add(int64(2), uint8(8), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, w, words uint8, n uint16) {
+		width, lanes := 1+int(w)%64, 64*(1+int(words)%4)
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]uint64, int(n)%(lanes+1))
+		for i := range vals {
+			vals[i] = rng.Uint64()
+		}
+		naive := toVerticalNaive(vals, width, lanes)
+		back := make([]uint64, len(vals))
+		for _, vec := range storePaths() {
+			rows := garbageRows(rng, width, lanes)
+			restore := setVector(vec)
+			err := ToVerticalInto(rows, vals, width)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalRows(rows, naive, width) {
+				t.Fatalf("width %d n %d lanes %d vector=%v: ToVerticalInto differs from the naive transpose", width, len(vals), lanes, vec)
+			}
+			if err := ToHorizontalInto(back, rows, width); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range vals {
+				if back[i] != v&widthMask(width) {
+					t.Fatalf("width %d n %d vector=%v element %d: read back %#x, want %#x", width, len(vals), vec, i, back[i], v&widthMask(width))
+				}
+			}
+		}
+	})
 }
 
 // TestIntoConversionsZeroAlloc pins the Into conversions, which the
@@ -419,26 +483,39 @@ func BenchmarkTranspose64x64(b *testing.B) {
 // benchLanes is one serve-hot segment: a 256-column row.
 const benchLanes = 256
 
-// BenchmarkToVertical times the width-reduced transpose into reused
-// rows (ToVerticalInto, what Vector.Store runs per segment).
+// BenchmarkToVertical times the store into reused rows
+// (ToVerticalInto, what Vector.Store runs per segment) with the block
+// transpose ("go") and, where the CPU has AVX2, with the vector
+// bit-plane store ("vector"), which runs widths up to 16 and leaves
+// wider ones to the block transpose.
 func BenchmarkToVertical(b *testing.B) {
 	for _, width := range []int{1, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			vals := make([]uint64, benchLanes)
-			for i := range vals {
-				vals[i] = rng.Uint64() & widthMask(width)
+		for _, vec := range []bool{false, true} {
+			name := "go"
+			if vec {
+				name = "vector"
 			}
-			rows := MakeRows(width, benchLanes/64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ToVerticalInto(rows, vals, width); err != nil {
-					b.Fatal(err)
+			b.Run(fmt.Sprintf("w%d/%s", width, name), func(b *testing.B) {
+				if vec && !haveVector {
+					b.Skip("no vector store on this CPU")
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchLanes), "ns/elem")
-		})
+				defer setVector(vec)()
+				rng := rand.New(rand.NewSource(1))
+				vals := make([]uint64, benchLanes)
+				for i := range vals {
+					vals[i] = rng.Uint64() & widthMask(width)
+				}
+				rows := MakeRows(width, benchLanes/64)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := ToVerticalInto(rows, vals, width); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchLanes), "ns/elem")
+			})
+		}
 	}
 }
 

@@ -215,7 +215,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	evictions := s.metrics.Counter("server.plan_evictions")
 	s.plans.SetEvictHook(func(key string, hits uint64) {
 		evictions.Inc()
-		s.rec.Eventf("evict", "plan evicted after %d hits (key %.24q…)", hits, key)
+		s.rec.EventKey("evict", "plan evicted after %d hits (key %.24q…)", hits, key)
 	})
 	s.sched = sched.New(sched.Config{
 		Workers:     cfg.Channels,
