@@ -304,7 +304,8 @@ func TestServerReplayAllocBudget(t *testing.T) {
 	if v := srv.VerifiedPlans() - verified; v != 0 {
 		t.Fatalf("%d of the measured jobs prepared a plan instead of replaying", v)
 	}
-	const replayAllocBudget = 22
+	// 8 measured (Go 1.24, x86-64) plus 10%.
+	const replayAllocBudget = 9
 	if allocs > replayAllocBudget {
 		t.Fatalf("a served replay allocated %.0f times, budget %d", allocs, replayAllocBudget)
 	}

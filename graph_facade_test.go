@@ -2,6 +2,7 @@ package simdram
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"simdram/internal/isa"
@@ -315,12 +316,11 @@ func TestGraphEveryOpDifferential(t *testing.T) {
 	}
 }
 
-// TestGraphCustomBuilderOp registers a user operation through
-// DefineOperation and materializes it through the graph compiler — the
-// paper's extensibility story carried end to end: Builder circuit →
-// μProgram → bbop opcode → lazy expression.
-func TestGraphCustomBuilderOp(t *testing.T) {
-	err := DefineOperation(OperationSpec{
+// defineGraphTestNand registers graph_test_nand once per process: the
+// operation catalog is process-wide, so registering again (as a second
+// run of the test under -count would) fails.
+var defineGraphTestNand = sync.OnceValue(func() error {
+	return DefineOperation(OperationSpec{
 		Name:  "graph_test_nand",
 		Arity: 2,
 		Build: func(b *Builder, width int) error {
@@ -338,7 +338,14 @@ func TestGraphCustomBuilderOp(t *testing.T) {
 			return ^(args[0] & args[1]) & mask
 		},
 	})
-	if err != nil {
+})
+
+// TestGraphCustomBuilderOp registers a user operation through
+// DefineOperation and materializes it through the graph compiler — the
+// paper's extensibility story carried end to end: Builder circuit →
+// μProgram → bbop opcode → lazy expression.
+func TestGraphCustomBuilderOp(t *testing.T) {
+	if err := defineGraphTestNand(); err != nil {
 		t.Fatal(err)
 	}
 	sys := testGraphSystem(t)

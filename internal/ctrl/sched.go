@@ -453,8 +453,8 @@ func (b *batch) dispatch(banks int) {
 type RunOpts struct {
 	// Cancel, once closed, stops Run issuing new jobs: in-flight work
 	// drains and — if any job was thereby skipped — Run reports
-	// ErrCanceled. The serving layer closes it when a running job's
-	// context ends. A nil Cancel never fires.
+	// ErrCanceled. The serving layer passes a running job's context's
+	// Done channel. A nil Cancel never fires.
 	Cancel <-chan struct{}
 	// Attr, when non-nil, accumulates the run's per-bank modeled busy
 	// time, command counts and measured energy, plus the batch's

@@ -31,16 +31,17 @@
 // similarly sheds load ("tier-backlog") when the estimated wait
 // exceeds what the tier is willing to tolerate.
 //
-// Cancellation composes with the execution engine's preemption: every
-// running job receives a cancel channel that closes when its
-// submission context expires, which the serving layer threads into
-// ctrl.RunOpts.Cancel so an in-flight batch stops issuing
-// instructions instead of running to completion. A context canceled
-// while the job is still queued resolves the job immediately with the
-// context's error and releases its queue slot and quota.
+// Cancellation composes with the execution engine's preemption: a
+// running job's cancel signal is its submission context's Done
+// channel, which the serving layer threads into ctrl.RunOpts.Cancel so
+// an in-flight batch stops issuing instructions instead of running to
+// completion. A context canceled while the job is still queued
+// resolves the job immediately with the context's error and releases
+// its queue slot and quota, through one context.AfterFunc registration
+// that is stopped when the job resolves: no goroutine starts per job.
 //
 // The package is execution-agnostic: a job is just a closure given a
-// worker index and a cancel channel. The facade owns what a worker
+// worker index and a cancel signal. The facade owns what a worker
 // index means (a channel's System) and what running a job does
 // (compile, bind, execute, load).
 package sched
@@ -49,6 +50,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,22 +157,20 @@ func normalizeTier(t Tier) Tier {
 
 // Task is one unit of scheduled work: run on the given worker until
 // done, or until cancel closes (then stop early and return an error,
-// conventionally wrapping ctrl.ErrCanceled).
+// conventionally wrapping ctrl.ErrCanceled). cancel is the submission
+// context's Done channel, nil when the context can never be canceled.
 type Task func(worker int, cancel <-chan struct{}) error
 
 // Request carries a submission's QoS intent into admission: who is
-// submitting, under which tier, with what (optional) per-request
-// weight override, deadline, and modeled run cost. The zero value
-// (plus Tenant) reproduces the legacy Submit behavior: default tier,
-// tier weight, no deadline, cost learned from history.
+// submitting, under which tier, with what (optional) deadline and
+// modeled run cost. The zero value (plus Tenant) reproduces the legacy
+// Submit behavior: default tier, no deadline, cost learned from
+// history.
 type Request struct {
 	Tenant string
 	// Tier names a declared Config.Tiers entry; empty or undeclared
 	// resolves per ResolveTier.
 	Tier string
-	// Weight, when positive, overrides the tier's weight for this
-	// tenant from this submission on.
-	Weight float64
 	// Deadline, when set, makes admission reject the request with
 	// ErrDeadlineInfeasible if estimated wait + modeled run time cannot
 	// meet it.
@@ -214,12 +214,17 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// job is one submitted task moving through queued → running → done.
-type job struct {
-	tenant   string
-	tier     string
-	run      Task
+// Ticket is one submitted job moving through queued → running → done,
+// and the caller's handle on it: the future the facade wraps.
+type Ticket struct {
+	tenant string
+	tier   string
+	run    Task
+	// ctx's Done channel is the running job's cancel signal; stop
+	// unregisters the AfterFunc that cancels the job while queued (nil
+	// when ctx can never be canceled).
 	ctx      context.Context
+	stop     func() bool
 	trace    *obs.Trace
 	queuedAt time.Time
 	// chargeNs is the modeled cost the job was admitted with (the
@@ -238,42 +243,38 @@ type job struct {
 	fin     bool
 }
 
-// Ticket is the caller's handle on a submitted job — the future the
-// facade wraps.
-type Ticket struct{ j *job }
-
 // Done returns a channel closed when the job finishes (successfully,
 // with an error, or canceled).
-func (t *Ticket) Done() <-chan struct{} { return t.j.done }
+func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 // Wait blocks until the job finishes and returns its error.
-func (t *Ticket) Wait() error { <-t.j.done; return t.j.err }
+func (t *Ticket) Wait() error { <-t.done; return t.err }
 
 // Worker returns the worker index that ran the job, or -1 if it never
 // ran. Valid after Done.
-func (t *Ticket) Worker() int { return t.j.worker }
+func (t *Ticket) Worker() int { return t.worker }
 
 // QueueNs returns how long the job waited in the queue; RunNs how long
 // it ran. Valid after Done; both measured on the monotonic clock and
 // never negative.
-func (t *Ticket) QueueNs() int64 { return t.j.queueNs }
+func (t *Ticket) QueueNs() int64 { return t.queueNs }
 
 // RunNs returns the job's execution time in nanoseconds. Valid after
 // Done.
-func (t *Ticket) RunNs() int64 { return t.j.runNs }
+func (t *Ticket) RunNs() int64 { return t.runNs }
 
 // EstimatedWaitNs returns the queue wait admission predicted for this
 // job; ModeledNs the modeled cost it was priced with. Valid
 // immediately after submission — compare against QueueNs/RunNs after
 // Done to audit the admission estimate.
-func (t *Ticket) EstimatedWaitNs() int64 { return t.j.estWaitNs }
+func (t *Ticket) EstimatedWaitNs() int64 { return t.estWaitNs }
 
 // ModeledNs returns the modeled run cost the job was admitted with.
-func (t *Ticket) ModeledNs() float64 { return t.j.chargeNs }
+func (t *Ticket) ModeledNs() float64 { return t.chargeNs }
 
 // tenantState is one tenant's queue and counters.
 type tenantState struct {
-	queue   []*job
+	queue   []*Ticket
 	running int
 
 	// tier/weight are the tenant's current QoS assignment (last
@@ -403,8 +404,8 @@ func (s *Scheduler) Submit(ctx context.Context, tenant string, run Task) (*Ticke
 	return s.SubmitRequest(ctx, Request{Tenant: tenant}, run)
 }
 
-// SubmitRequest enqueues a job with full QoS intent: tier, weight
-// override, deadline, and modeled cost. Admission applies, in order:
+// SubmitRequest enqueues a job with full QoS intent: tier, deadline,
+// and modeled cost. Admission applies, in order:
 // the global queue depth (ErrQueueFull), the tenant quota
 // (ErrTenantQuota), the tier's MaxQueueNs backlog bound (ErrQueueFull,
 // reason "tier-backlog"), and the deadline feasibility check
@@ -415,10 +416,11 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 	if run == nil {
 		return nil, errors.New("sched: nil task")
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -430,9 +432,6 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 	ts := s.tenantLocked(req.Tenant)
 	ts.tier = tier.Name
 	ts.weight = tier.Weight
-	if req.Weight > 0 {
-		ts.weight = req.Weight
-	}
 	// Price the request: its own modeled cost when known, else the
 	// trailing average charge. estWait converts the queued modeled
 	// backlog into predicted wall-clock wait through the calibration
@@ -472,10 +471,15 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 			return reject(ReasonDeadline, ErrDeadlineInfeasible)
 		}
 	}
-	j := &job{
+	j := &Ticket{
 		tenant: req.Tenant, tier: tier.Name, run: run, ctx: ctx, trace: req.Trace,
 		queuedAt: time.Now(), chargeNs: charge, estWaitNs: estWait,
 		done: make(chan struct{}), worker: -1,
+	}
+	if ctx.Done() != nil {
+		// Under mu, so stop is set before the job can resolve; an
+		// already canceled ctx runs the callback on its own goroutine.
+		j.stop = context.AfterFunc(ctx, func() { s.cancelQueued(j) })
 	}
 	if len(ts.queue) == 0 {
 		// (Re-)activation: the tenant's virtual time catches up to the
@@ -502,17 +506,7 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 	tst.gQueued.Set(int64(tst.queued))
 	s.cond.Signal()
 	s.mu.Unlock()
-
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.cancelQueued(j)
-			case <-j.done:
-			}
-		}()
-	}
-	return &Ticket{j: j}, nil
+	return j, nil
 }
 
 // SetBoost declares which tiers currently have an active SLO burn:
@@ -542,9 +536,9 @@ func (s *Scheduler) SetBoost(tiers map[string]bool) {
 
 // cancelQueued resolves a job whose context expired while it was still
 // waiting in the queue, releasing its slot and quota. A job already
-// taken by a worker is left alone — the worker's cancel channel is
-// about to fire and preempt it.
-func (s *Scheduler) cancelQueued(j *job) {
+// taken by a worker is left alone: its cancel signal, the context's
+// Done channel, has already closed and preempts it.
+func (s *Scheduler) cancelQueued(j *Ticket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.started || j.fin {
@@ -553,7 +547,7 @@ func (s *Scheduler) cancelQueued(j *job) {
 	ts := s.tenants[j.tenant]
 	for i, q := range ts.queue {
 		if q == j {
-			ts.queue = append(ts.queue[:i], ts.queue[i+1:]...)
+			ts.queue = slices.Delete(ts.queue, i, i+1)
 			s.dequeuedLocked(j)
 			if len(ts.queue) == 0 {
 				s.dropActive(j.tenant)
@@ -568,7 +562,7 @@ func (s *Scheduler) cancelQueued(j *job) {
 // dequeuedLocked updates the global and per-tier queue accounting for
 // a job leaving the queue (dispatched, canceled, or drained). Caller
 // holds mu.
-func (s *Scheduler) dequeuedLocked(j *job) {
+func (s *Scheduler) dequeuedLocked(j *Ticket) {
 	s.queued--
 	s.gQueued.Set(int64(s.queued))
 	s.pendingModeledNs -= j.chargeNs
@@ -598,7 +592,7 @@ func (s *Scheduler) dropActive(tenant string) {
 // excluded from this dispatch — their queued jobs wait — and a
 // dispatch the boosted tier takes past skipped work counts as a
 // preemption. Caller holds mu.
-func (s *Scheduler) pop() *job {
+func (s *Scheduler) pop() *Ticket {
 	if len(s.active) == 0 {
 		return nil
 	}
@@ -648,7 +642,8 @@ func (s *Scheduler) pop() *job {
 	}
 	ts := s.tenants[best]
 	j := ts.queue[0]
-	ts.queue = ts.queue[1:]
+	// Shift in place, so the FIFO keeps its capacity.
+	ts.queue = slices.Delete(ts.queue, 0, 1)
 	s.dequeuedLocked(j)
 	if len(ts.queue) == 0 {
 		s.dropActive(best)
@@ -767,13 +762,17 @@ const reactivationLagJobs = 2
 
 // finishLocked resolves a job and updates the counters. canceled
 // marks jobs that never ran (context expired in queue, or drained by
-// Close). Caller holds mu.
-func (s *Scheduler) finishLocked(j *job, err error, canceled bool) {
+// Close). Resolving stops the job's queued-cancel registration. Caller
+// holds mu.
+func (s *Scheduler) finishLocked(j *Ticket, err error, canceled bool) {
 	if j.fin {
 		return
 	}
 	j.fin = true
 	j.err = err
+	if j.stop != nil {
+		j.stop()
+	}
 	ts := s.tenantLocked(j.tenant)
 	switch {
 	case canceled:
@@ -819,8 +818,8 @@ func (s *Scheduler) finishLocked(j *job, err error, canceled bool) {
 	}
 }
 
-// worker is one executor loop: wait for work, run it with a
-// context-driven cancel channel, resolve the ticket.
+// worker is one executor loop: wait for work, run it with its
+// context's Done channel as the cancel signal, resolve the ticket.
 func (s *Scheduler) worker(w int) {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -836,8 +835,9 @@ func (s *Scheduler) worker(w int) {
 			}
 			continue
 		}
-		if j.ctx != nil && j.ctx.Err() != nil {
-			// Canceled while queued and not yet reaped by its watcher.
+		if j.ctx.Err() != nil {
+			// Canceled while queued; its AfterFunc callback has not
+			// reaped it yet.
 			j.queueNs = durationNs(j.queuedAt, time.Now())
 			s.finishLocked(j, j.ctx.Err(), true)
 			continue
@@ -856,20 +856,7 @@ func (s *Scheduler) worker(w int) {
 		start := time.Now()
 		j.queueNs = durationNs(j.queuedAt, start)
 		j.trace.Record("queue", 0, j.queuedAt, start)
-		cancel := make(chan struct{})
-		stop := make(chan struct{})
-		if j.ctx != nil && j.ctx.Done() != nil {
-			ctx := j.ctx
-			go func() {
-				select {
-				case <-ctx.Done():
-					close(cancel)
-				case <-stop:
-				}
-			}()
-		}
-		err := runTask(j.run, w, cancel)
-		close(stop)
+		err := runTask(j.run, w, j.ctx.Done())
 		j.runNs = durationNs(start, time.Now())
 		j.worker = w
 

@@ -3,6 +3,7 @@ package verify_test
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"simdram/internal/isa"
@@ -271,17 +272,36 @@ func TestDiagnosticsOrder(t *testing.T) {
 	findDiag(t, err, verify.CheckObject, 2, 1, "")
 }
 
+// registerXnor and registerArity4 register TestCustomOpVerifies's
+// operations once per process: the operation catalog is process-wide,
+// so registering again (as a second run of the test under -count
+// would) fails.
+var (
+	registerXnor = sync.OnceValues(func() (ops.Code, error) {
+		return ops.RegisterCustom(ops.Def{
+			Name:     "verify_test_xnor",
+			Arity:    2,
+			DstWidth: func(w int) int { return w },
+			Build:    func(w, n int) (*logic.Circuit, error) { return nil, nil },
+			Golden:   func(args []uint64, w int) uint64 { return ^(args[0] ^ args[1]) },
+		})
+	})
+	registerArity4 = sync.OnceValues(func() (ops.Code, error) {
+		return ops.RegisterCustom(ops.Def{
+			Name:     "verify_test_arity4",
+			Arity:    4,
+			DstWidth: func(w int) int { return w },
+			Build:    func(w, n int) (*logic.Circuit, error) { return nil, nil },
+			Golden:   func(args []uint64, w int) uint64 { return 0 },
+		})
+	})
+)
+
 // TestCustomOpVerifies pins that RegisterCustom operations are
 // first-class verifier subjects: a registered custom op verifies
 // clean, and an unencodable arity-4 custom op is rejected.
 func TestCustomOpVerifies(t *testing.T) {
-	code, err := ops.RegisterCustom(ops.Def{
-		Name:     "verify_test_xnor",
-		Arity:    2,
-		DstWidth: func(w int) int { return w },
-		Build:    func(w, n int) (*logic.Circuit, error) { return nil, nil },
-		Golden:   func(args []uint64, w int) uint64 { return ^(args[0] ^ args[1]) },
-	})
+	code, err := registerXnor()
 	if err != nil {
 		t.Fatalf("RegisterCustom: %v", err)
 	}
@@ -291,13 +311,7 @@ func TestCustomOpVerifies(t *testing.T) {
 		t.Fatalf("custom op program: %v", err)
 	}
 
-	wide, err := ops.RegisterCustom(ops.Def{
-		Name:     "verify_test_arity4",
-		Arity:    4,
-		DstWidth: func(w int) int { return w },
-		Build:    func(w, n int) (*logic.Circuit, error) { return nil, nil },
-		Golden:   func(args []uint64, w int) uint64 { return 0 },
-	})
+	wide, err := registerArity4()
 	if err != nil {
 		t.Fatalf("RegisterCustom: %v", err)
 	}

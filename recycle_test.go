@@ -366,16 +366,16 @@ func missJobs(t *testing.T) func() {
 const missShapes = 64
 
 // TestServerMissAllocBudget gates the served miss path's allocations
-// (see missJobs): a job allocates its scheduler request and future,
-// its results and its plan (the plan cache is off, so every job builds
+// (see missJobs): a job allocates its scheduler ticket, task and
+// future, its results and its plan (the plan cache is off, so every job builds
 // one); every other per-job table is recycled.
 func TestServerMissAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	serve := missJobs(t)
-	// 21 measured (Go 1.24, x86-64) plus 10%.
-	const budget = 23
+	// At most 17 measured (Go 1.24, x86-64) plus 10%.
+	const budget = 19
 	allocs := testing.AllocsPerRun(missShapes, serve)
 	if allocs > budget {
 		t.Fatalf("a served miss allocated %.0f times, budget %d", allocs, budget)

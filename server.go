@@ -276,9 +276,8 @@ func (s *Server) Close() {
 }
 
 // JobSpec carries a submission's QoS intent: who is submitting, under
-// which declared tier, with what optional deadline and weight
-// override. The zero value plus Tenant submits under the default tier
-// with no deadline.
+// which declared tier, with what optional deadline. The zero value plus
+// Tenant submits under the default tier with no deadline.
 type JobSpec struct {
 	// Tenant identifies the submitter for fairness, quota, quantiles,
 	// and billing.
@@ -291,9 +290,6 @@ type JobSpec struct {
 	// ErrDeadlineInfeasible if estimated queue wait plus modeled run
 	// time cannot meet it — the job is never queued just to miss it.
 	Deadline time.Time
-	// Weight, when positive, overrides the tier's dispatch weight for
-	// this tenant from this submission on.
-	Weight float64
 }
 
 // AdmissionEstimate is what admission predicted for a job, surfaced in
@@ -331,10 +327,11 @@ type JobResult struct {
 	Admission AdmissionEstimate
 }
 
-// Future is the caller's handle on a submitted job.
+// Future is the caller's handle on a submitted job. It holds the job's
+// result, which the job fills in on its worker.
 type Future struct {
 	t    *sched.Ticket
-	res  *JobResult
+	res  JobResult
 	once sync.Once
 	err  error
 }
@@ -355,7 +352,7 @@ func (f *Future) Wait() (*JobResult, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	return f.res, nil
+	return &f.res, nil
 }
 
 // SubmitJob enqueues the expressions as one job under the spec's QoS
@@ -386,12 +383,8 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	// measured between. A job rejected at admission or canceled while
 	// still queued never reaches the worker, so its unfinished trace is
 	// dropped rather than recorded; a cancellation still lands in the
-	// event ring below.
-	res := &JobResult{}
+	// event ring (endJob).
 	tr := s.tracer.Start()
-	if tr != nil {
-		res.TraceID = tr.ID
-	}
 	// The job's IR graph and plan-cache key are built once, here, in one
 	// walk of its expressions: they price the job, and the worker
 	// compiles from them. An expression a Server cannot run on any
@@ -410,43 +403,35 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	}
 	tr.End(aspan)
 	tenant := spec.Tenant
-	t, err := s.sched.SubmitRequest(ctx, sched.Request{
-		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight,
-		Deadline: spec.Deadline, ModeledNs: modeled, Trace: tr,
-	}, func(worker int, cancel <-chan struct{}) error {
-		at := s.dev.attrFor(worker)
-		runStart := time.Now()
-		err := envErr
-		if err == nil {
-			err = s.runLazy(s.channels[worker], worker, cancel, env, exprs, res, tr, at)
-			env.recycle()
+	f, err := s.submit(ctx, spec, modeled, tr, func(f *Future) sched.Task {
+		return func(worker int, cancel <-chan struct{}) error {
+			at := s.dev.attrFor(worker)
+			runStart := time.Now()
+			err := envErr
+			if err == nil {
+				err = s.runLazy(s.channels[worker], worker, cancel, env, exprs, &f.res, tr, at)
+				env.recycle()
+			}
+			if err == nil {
+				// Feed the executed batch's modeled DRAM time back into the
+				// scheduler's per-tenant accounting, and bill the device
+				// attribution to the tenant and the channel that ran it.
+				s.sched.Observe(tenant, f.res.Batch.CriticalPathNs)
+				s.dev.observeJob(tenant, worker, at, int64(time.Since(runStart)))
+			}
+			return s.endJob(tenant, tr, err)
 		}
-		if err == nil {
-			// Feed the executed batch's modeled DRAM time back into the
-			// scheduler's per-tenant accounting, and bill the device
-			// attribution to the tenant and the channel that ran it.
-			s.sched.Observe(tenant, res.Batch.CriticalPathNs)
-			s.dev.observeJob(tenant, worker, at, int64(time.Since(runStart)))
-		} else {
-			tr.SetErr(err.Error())
-			s.rec.Eventf("error", "tenant %s: %v", tenant, err)
-		}
-		s.tracer.Finish(tr)
-		return err
 	})
-	if err != nil {
-		if env != nil {
-			env.recycle()
-		}
-		return nil, err
+	if err != nil && env != nil {
+		env.recycle()
 	}
-	res.Admission = AdmissionEstimate{EstimatedWaitNs: t.EstimatedWaitNs(), ModeledNs: t.ModeledNs()}
-	return &Future{t: t, res: res}, nil
+	return f, err
 }
 
 // SubmitFn enqueues a raw job under the spec's QoS intent: fn runs
-// with exclusive use of one channel's System and the scheduler's
-// cancellation signal (closed when ctx expires). It is the escape
+// with exclusive use of one channel's System and the job's cancel
+// signal, the submission context's Done channel (nil when ctx can never
+// be canceled). It is the escape
 // hatch for work the expression graph cannot phrase — multi-batch
 // kernels, fault injection, experiments — under the same admission
 // control and fairness as lazy jobs. Raw jobs carry no modeled cost
@@ -461,45 +446,65 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 		return nil, errorf("server: nil job")
 	}
 	tenant := spec.Tenant
-	res := &JobResult{}
 	tr := s.tracer.Start()
+	return s.submit(ctx, spec, 0, tr, func(*Future) sched.Task {
+		return func(worker int, cancel <-chan struct{}) error {
+			sys := s.channels[worker]
+			s.hits[worker].releaseRows()
+			espan := tr.BeginOn("execute", 0, worker)
+			// Raw jobs drive the System directly, so the finest attribution
+			// available is the channel unit's stats delta across the call —
+			// race-free because the worker owns the channel for the job's
+			// duration.
+			before := sys.cu.Stats
+			runStart := time.Now()
+			err := fn(sys, cancel)
+			wallNs := int64(time.Since(runStart))
+			tr.End(espan)
+			if err == nil {
+				delta := sys.cu.Stats.Sub(before)
+				// BusyNs accumulates batch critical paths, the same modeled
+				// DRAM time lazy jobs feed back — keep both pipelines priced
+				// in the same unit.
+				s.sched.Observe(tenant, delta.BusyNs)
+				s.dev.observeRaw(tenant, worker, delta, wallNs)
+			}
+			return s.endJob(tenant, tr, err)
+		}
+	})
+}
+
+// submit admits a job under the spec's QoS intent, priced at modeled
+// DRAM-ns (0 when unknown) and traced by tr (nil when not sampled).
+// task builds the job's work around its Future, whose result the work
+// fills in on the worker.
+func (s *Server) submit(ctx context.Context, spec JobSpec, modeled float64, tr *obs.Trace, task func(*Future) sched.Task) (*Future, error) {
+	f := &Future{}
 	if tr != nil {
-		res.TraceID = tr.ID
+		f.res.TraceID = tr.ID
 	}
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
-		Tenant: tenant, Tier: spec.Tier, Weight: spec.Weight, Deadline: spec.Deadline, Trace: tr,
-	}, func(worker int, cancel <-chan struct{}) error {
-		sys := s.channels[worker]
-		s.hits[worker].releaseRows()
-		espan := tr.BeginOn("execute", 0, worker)
-		// Raw jobs drive the System directly, so the finest attribution
-		// available is the channel unit's stats delta across the call —
-		// race-free because the worker owns the channel for the job's
-		// duration.
-		before := sys.cu.Stats
-		runStart := time.Now()
-		err := fn(sys, cancel)
-		wallNs := int64(time.Since(runStart))
-		tr.End(espan)
-		if err != nil {
-			tr.SetErr(err.Error())
-			s.rec.Eventf("error", "tenant %s: %v", tenant, err)
-		} else {
-			delta := sys.cu.Stats.Sub(before)
-			// BusyNs accumulates batch critical paths, the same modeled
-			// DRAM time lazy jobs feed back — keep both pipelines priced
-			// in the same unit.
-			s.sched.Observe(tenant, delta.BusyNs)
-			s.dev.observeRaw(tenant, worker, delta, wallNs)
-		}
-		s.tracer.Finish(tr)
-		return err
-	})
+		Tenant: spec.Tenant, Tier: spec.Tier,
+		Deadline: spec.Deadline, ModeledNs: modeled, Trace: tr,
+	}, task(f))
 	if err != nil {
 		return nil, err
 	}
-	res.Admission = AdmissionEstimate{EstimatedWaitNs: t.EstimatedWaitNs(), ModeledNs: t.ModeledNs()}
-	return &Future{t: t, res: res}, nil
+	f.t = t
+	f.res.Admission = AdmissionEstimate{EstimatedWaitNs: t.EstimatedWaitNs(), ModeledNs: t.ModeledNs()}
+	return f, nil
+}
+
+// endJob closes a job on its worker: a failure marks the trace and
+// lands in the event ring, and the trace goes to the flight recorder.
+// It returns err.
+func (s *Server) endJob(tenant string, tr *obs.Trace, err error) error {
+	if err != nil {
+		tr.SetErr(err.Error())
+		s.rec.Eventf("error", "tenant %s: %v", tenant, err)
+	}
+	s.tracer.Finish(tr)
+	return err
 }
 
 // estimateModeledNs prices a lazy submission before it is queued from
