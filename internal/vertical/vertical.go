@@ -6,6 +6,15 @@
 // in-DRAM computation requires this layout, while the CPU reads and
 // writes data horizontally; the transposition unit converts between the
 // two so both can coexist (SIMDRAM §4).
+//
+// Both directions have two forms. The portable one is a 64×64 block
+// transpose. On AVX2 hosts, widths up to 32 bits run byte-plane
+// assembly instead (planes_amd64.s): the store gathers each element
+// byte of 32 elements into a vector and takes its bit planes with
+// VPMOVMSKB, and the load expands each bit plane back into the bytes
+// with a shuffle and compare, then widens the bytes to words. The block
+// transpose stays the fallback for wider values and other hosts, and
+// the tests' oracle.
 package vertical
 
 import "fmt"
@@ -116,15 +125,17 @@ func MakeRows(width, words int) [][]uint64 {
 
 // ToVerticalInto is ToVertical into caller-provided rows: rows[i] for
 // i < width receives row i, and every such row must hold the same
-// number of words (lanes/64). Lanes past len(vals) are zeroed.
+// number of words (lanes/64). Lanes past len(vals) are zeroed. On AVX2
+// hosts widths up to 32 run the byte-plane store, wider ones the block
+// transpose.
 //
 //simdram:zeroalloc
 func ToVerticalInto(rows [][]uint64, vals []uint64, width int) error {
 	if err := checkRows(rows, width, len(vals)); err != nil {
 		return err
 	}
-	if useVector && width <= 16 {
-		storePlanes16(rows[:width], vals)
+	if useVector && width <= 32 {
+		storePlanes(rows[:width], vals)
 		return nil
 	}
 	words := len(rows[0])
@@ -152,20 +163,20 @@ func ToVerticalInto(rows [][]uint64, vals []uint64, width int) error {
 	return nil
 }
 
-// useVector selects the vector bit-plane store for widths up to 16. It
-// is set from the CPU once; only tests flip it, to run both paths on
+// useVector selects the byte-plane store and load for widths up to 32.
+// It is set from the CPU once; only tests flip it, to run both paths on
 // one machine.
 var useVector = haveVector
 
-// storePlanes16 is ToVerticalInto for len(rows) ≤ 16 bits with
-// planes16: per 64 lanes the rows take their bit planes, and a partial
-// last word is read from a zero-padded copy.
+// storePlanes is ToVerticalInto for len(rows) ≤ 32 bits with planes32:
+// per 64 lanes the rows take their bit planes, and a partial last word
+// is read from a zero-padded copy.
 //
 //simdram:zeroalloc
-func storePlanes16(rows [][]uint64, vals []uint64) {
-	var planes [16]uint64
+func storePlanes(rows [][]uint64, vals []uint64) {
+	var planes [32]uint64
 	var pad [64]uint64
-	wide := len(rows) > 8
+	bytes := (len(rows) + 7) / 8
 	for wd := range rows[0] {
 		base := wd * 64
 		var v *[64]uint64
@@ -181,7 +192,7 @@ func storePlanes16(rows [][]uint64, vals []uint64) {
 			}
 			continue
 		}
-		planes16(&planes, v, wide)
+		planes32(&planes, v, bytes)
 		for i, row := range rows {
 			row[wd] = planes[i]
 		}
@@ -199,12 +210,19 @@ func ToHorizontal(rows [][]uint64, width, n int) ([]uint64, error) {
 }
 
 // ToHorizontalInto is ToHorizontal into caller-provided storage: it
-// reads len(dst) elements of the given width from vertical rows.
+// reads len(dst) elements of the given width from vertical rows. Lanes
+// past len(dst) are not read into dst, whatever they hold. On AVX2
+// hosts widths up to 32 run the byte-plane load, wider ones the block
+// transpose.
 //
 //simdram:zeroalloc
 func ToHorizontalInto(dst []uint64, rows [][]uint64, width int) error {
 	if err := checkRows(rows, width, len(dst)); err != nil {
 		return err
+	}
+	if useVector && width <= 32 {
+		loadPlanes(dst, rows[:width])
+		return nil
 	}
 	lw := blockLog(width)
 	var block [64]uint64
@@ -217,6 +235,32 @@ func ToHorizontalInto(dst []uint64, rows [][]uint64, width int) error {
 		copy(dst[wd*64:], block[:])
 	}
 	return nil
+}
+
+// loadPlanes is ToHorizontalInto for len(rows) ≤ 32 bits with lanes32,
+// which reads each row's word straight from the rows, so every row is
+// bounds-checked here, once. A whole word of elements goes straight
+// into dst, a partial last one through a copy.
+//
+//simdram:zeroalloc
+func loadPlanes(dst []uint64, rows [][]uint64) {
+	words := (len(dst) + 63) / 64
+	if words == 0 {
+		return
+	}
+	for _, row := range rows {
+		_ = row[words-1]
+	}
+	for wd := 0; wd < words; wd++ {
+		out := dst[wd*64:]
+		if len(out) >= 64 {
+			lanes32((*[64]uint64)(out), &rows[0], wd, len(rows))
+			continue
+		}
+		var part [64]uint64 // the one partial word
+		lanes32(&part, &rows[0], wd, len(rows))
+		copy(out, part[:])
+	}
 }
 
 // SplatInto writes the vertical form of n copies of val into rows
@@ -273,6 +317,18 @@ func toVerticalNaive(vals []uint64, width, lanes int) [][]uint64 {
 		}
 	}
 	return rows
+}
+
+// toHorizontalNaive is the bit-at-a-time inverse of toVerticalNaive
+// used by tests: n elements of the given width.
+func toHorizontalNaive(rows [][]uint64, width, n int) []uint64 {
+	vals := make([]uint64, n)
+	for j := range vals {
+		for i := 0; i < width; i++ {
+			vals[j] |= (rows[i][j/64] >> uint(j%64) & 1) << uint(i)
+		}
+	}
+	return vals
 }
 
 func widthMask(width int) uint64 {

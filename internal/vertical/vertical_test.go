@@ -72,17 +72,17 @@ func equalRows(a, b [][]uint64, width int) bool {
 	return true
 }
 
-// storePaths lists the ToVerticalInto paths this CPU runs: the block
-// transpose and, with AVX2, the vector bit-plane store.
-func storePaths() []bool {
+// vectorPaths lists the conversion paths this CPU runs: the block
+// transpose and, with AVX2, the vector byte-plane store and load.
+func vectorPaths() []bool {
 	if haveVector {
 		return []bool{false, true}
 	}
 	return []bool{false}
 }
 
-// setVector selects the vector store and returns a function restoring
-// the previous choice.
+// setVector selects the vector conversions and returns a function
+// restoring the previous choice.
 func setVector(on bool) (restore func()) {
 	prev := useVector
 	useVector = on
@@ -105,7 +105,7 @@ func TestToVerticalMatchesNaive(t *testing.T) {
 		if !equalRows(fast, naive, c.width) {
 			t.Fatalf("width %d n %d lanes %d: ToVertical differs from the naive transpose", c.width, c.n, c.lanes)
 		}
-		for _, vec := range storePaths() {
+		for _, vec := range vectorPaths() {
 			into := garbageRows(rng, c.width, c.lanes)
 			restore := setVector(vec)
 			err := ToVerticalInto(into, vals, c.width)
@@ -151,17 +151,22 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		into := make([]uint64, c.n)
-		for i := range into {
-			into[i] = rng.Uint64()
-		}
-		if err := ToHorizontalInto(into, rows, c.width); err != nil {
-			t.Fatal(err)
-		}
-		for i := range vals {
-			if back[i] != vals[i] || into[i] != vals[i] {
-				t.Fatalf("width %d n %d lanes %d element %d: ToHorizontal %#x, ToHorizontalInto %#x, want %#x",
-					c.width, c.n, c.lanes, i, back[i], into[i], vals[i])
+		for _, vec := range vectorPaths() {
+			into := make([]uint64, c.n)
+			for i := range into {
+				into[i] = rng.Uint64()
+			}
+			restore := setVector(vec)
+			err := ToHorizontalInto(into, rows, c.width)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				if back[i] != vals[i] || into[i] != vals[i] {
+					t.Fatalf("width %d n %d lanes %d vector=%v element %d: ToHorizontal %#x, ToHorizontalInto %#x, want %#x",
+						c.width, c.n, c.lanes, vec, i, back[i], into[i], vals[i])
+				}
 			}
 		}
 	}
@@ -241,7 +246,7 @@ func FuzzToVerticalInto(f *testing.F) {
 		}
 		naive := toVerticalNaive(vals, width, lanes)
 		back := make([]uint64, len(vals))
-		for _, vec := range storePaths() {
+		for _, vec := range vectorPaths() {
 			rows := garbageRows(rng, width, lanes)
 			restore := setVector(vec)
 			err := ToVerticalInto(rows, vals, width)
@@ -264,22 +269,68 @@ func FuzzToVerticalInto(f *testing.F) {
 	})
 }
 
+// FuzzToHorizontalInto holds both ToHorizontalInto paths to the naive
+// bit-at-a-time load over widths 1-64, 1-4 words of rows and element
+// counts 0 to the rows' lanes. The rows hold random garbage, in the
+// lanes past the last element too, and dst holds garbage before the
+// load.
+func FuzzToHorizontalInto(f *testing.F) {
+	for width := uint8(1); width <= 64; width += 7 {
+		f.Add(int64(width), width, uint8(width%4), uint16(width)*5)
+	}
+	f.Add(int64(1), uint8(16), uint8(3), uint16(256))
+	f.Add(int64(2), uint8(32), uint8(3), uint16(200))
+	f.Add(int64(3), uint8(8), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, w, words uint8, n uint16) {
+		width, lanes := 1+int(w)%64, 64*(1+int(words)%4)
+		rng := rand.New(rand.NewSource(seed))
+		n = uint16(int(n) % (lanes + 1))
+		rows := garbageRows(rng, width, lanes)
+		naive := toHorizontalNaive(rows, width, int(n))
+		for _, vec := range vectorPaths() {
+			dst := make([]uint64, n)
+			for i := range dst {
+				dst[i] = rng.Uint64()
+			}
+			restore := setVector(vec)
+			err := ToHorizontalInto(dst, rows, width)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range naive {
+				if dst[i] != v {
+					t.Fatalf("width %d n %d lanes %d vector=%v element %d: %#x, want %#x", width, n, lanes, vec, i, dst[i], v)
+				}
+			}
+		}
+	})
+}
+
 // TestIntoConversionsZeroAlloc pins the Into conversions, which the
-// facade calls once per stored or loaded segment, at zero allocations.
+// facade calls once per stored or loaded segment, at zero allocations:
+// on every path this CPU runs, at the widths the byte-plane store and
+// load cover and one above, with a partial last word.
 func TestIntoConversionsZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	vals := make([]uint64, 200)
-	rows := MakeRows(16, 4)
-	allocs := testing.AllocsPerRun(100, func() {
-		if ToVerticalInto(rows, vals, 16) != nil || SplatInto(rows, 0xBEEF, 16, 200) != nil ||
-			ToHorizontalInto(vals, rows, 16) != nil {
-			t.Fatal("conversion failed")
+	rows := MakeRows(64, 4)
+	for _, vec := range vectorPaths() {
+		for _, width := range []int{1, 8, 16, 32, 64} {
+			restore := setVector(vec)
+			allocs := testing.AllocsPerRun(100, func() {
+				if ToVerticalInto(rows, vals, width) != nil || SplatInto(rows, 0xBEEF, width, 200) != nil ||
+					ToHorizontalInto(vals, rows, width) != nil {
+					t.Error("conversion failed")
+				}
+			})
+			restore()
+			if allocs != 0 {
+				t.Fatalf("Into conversions, width %d vector=%v: %v allocs/run, want 0", width, vec, allocs)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Into conversions: %v allocs/run, want 0", allocs)
 	}
 }
 
@@ -483,12 +534,11 @@ func BenchmarkTranspose64x64(b *testing.B) {
 // benchLanes is one serve-hot segment: a 256-column row.
 const benchLanes = 256
 
-// BenchmarkToVertical times the store into reused rows
-// (ToVerticalInto, what Vector.Store runs per segment) with the block
-// transpose ("go") and, where the CPU has AVX2, with the vector
-// bit-plane store ("vector"), which runs widths up to 16 and leaves
-// wider ones to the block transpose.
-func BenchmarkToVertical(b *testing.B) {
+// benchPaths runs body as sub-benchmarks w<width>/go (the block
+// transpose) and, where the CPU has AVX2, w<width>/vector (the
+// byte-plane conversions, which cover widths up to 32 and leave wider
+// ones to the block transpose), and reports ns/elem.
+func benchPaths(b *testing.B, body func(b *testing.B, width int)) {
 	for _, width := range []int{1, 8, 16, 32, 64} {
 		for _, vec := range []bool{false, true} {
 			name := "go"
@@ -497,52 +547,57 @@ func BenchmarkToVertical(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("w%d/%s", width, name), func(b *testing.B) {
 				if vec && !haveVector {
-					b.Skip("no vector store on this CPU")
+					b.Skip("no vector conversions on this CPU")
 				}
 				defer setVector(vec)()
-				rng := rand.New(rand.NewSource(1))
-				vals := make([]uint64, benchLanes)
-				for i := range vals {
-					vals[i] = rng.Uint64() & widthMask(width)
-				}
-				rows := MakeRows(width, benchLanes/64)
 				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := ToVerticalInto(rows, vals, width); err != nil {
-						b.Fatal(err)
-					}
-				}
+				body(b, width)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchLanes), "ns/elem")
 			})
 		}
 	}
 }
 
+// benchVals returns one segment of random width-bit values.
+func benchVals(width int) []uint64 {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]uint64, benchLanes)
+	for i := range vals {
+		vals[i] = rng.Uint64() & widthMask(width)
+	}
+	return vals
+}
+
+// BenchmarkToVertical times the store into reused rows
+// (ToVerticalInto, what Vector.Store runs per segment).
+func BenchmarkToVertical(b *testing.B) {
+	benchPaths(b, func(b *testing.B, width int) {
+		vals, rows := benchVals(width), MakeRows(width, benchLanes/64)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ToVerticalInto(rows, vals, width); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkToHorizontal times the inverse into a reused slice
 // (ToHorizontalInto, what Vector.Load runs per segment).
 func BenchmarkToHorizontal(b *testing.B) {
-	for _, width := range []int{1, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			vals := make([]uint64, benchLanes)
-			for i := range vals {
-				vals[i] = rng.Uint64() & widthMask(width)
-			}
-			rows, err := ToVertical(vals, width, benchLanes)
-			if err != nil {
+	benchPaths(b, func(b *testing.B, width int) {
+		vals := benchVals(width)
+		rows, err := ToVertical(vals, width, benchLanes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ToHorizontalInto(vals, rows, width); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ToHorizontalInto(vals, rows, width); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchLanes), "ns/elem")
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkToVertical32bit1M(b *testing.B) {
