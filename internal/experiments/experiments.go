@@ -19,6 +19,7 @@ import (
 	"simdram/internal/kernels"
 	"simdram/internal/ops"
 	"simdram/internal/reliability"
+	"simdram/internal/vertical"
 )
 
 // Table is a printable experiment result.
@@ -361,13 +362,15 @@ func E8Transposition() (Table, error) {
 	}
 	model := ctrl.PerfModel{Cfg: cfg, Banks: 16}
 	timing := cfg.Timing
+	perLine := vertical.DefaultUnitConfig().LatencyPerLineNs
 	for _, n := range []int{1 << 20, 1 << 23, 1 << 26} {
 		// The swap network is pipelined at channel rate: each row write
 		// pays only the pipeline-fill latency of one 64 B line, not a
 		// serialized per-line cost — the per-line work overlaps with the
-		// burst transfer (paper §4).
+		// burst transfer (paper §4). The fill latency is the unit's own
+		// per-line cost.
 		rowsTouched := float64(3*32) * math.Ceil(float64(n)/float64(cfg.Cols))
-		trans := rowsTouched * 0.85
+		trans := rowsTouched * perLine
 		storeLoad := rowsTouched * timing.RowAccessLatency()
 		compute := model.LatencyNs(s.Program, n)
 		t.Rows = append(t.Rows, []string{

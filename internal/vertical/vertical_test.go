@@ -2,6 +2,7 @@ package vertical
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -353,169 +354,47 @@ func TestVerticalColumnSemantics(t *testing.T) {
 	}
 }
 
+// TestUnitAccounting checks that every transposition pays for every
+// line it moves: repeating one, or moving the same values the other
+// way, is charged again in full.
 func TestUnitAccounting(t *testing.T) {
-	u := NewUnit(DefaultUnitConfig())
+	cfg := DefaultUnitConfig()
+	u := NewUnit(cfg)
 	vals := make([]uint64, 256) // 256 × 4 B = 16 cache lines at width 32
 	rows := MakeRows(32, 4)
-	err := u.HToV(1, rows, vals, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Stats.LinesTransposed != 16 {
-		t.Errorf("lines = %d, want 16", u.Stats.LinesTransposed)
-	}
-	if u.Stats.EnergyPJ <= 0 || u.Stats.LatencyNs <= 0 {
-		t.Error("unit must accrue cost")
-	}
-	// Re-transposing the same object hits the buffer.
-	err = u.HToV(1, rows, vals, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Stats.BufferHits != 16 {
-		t.Errorf("hits = %d, want 16", u.Stats.BufferHits)
-	}
-	if u.Stats.LinesTransposed != 16 {
-		t.Errorf("lines after hit = %d, want still 16", u.Stats.LinesTransposed)
-	}
-}
-
-func TestUnitBufferEviction(t *testing.T) {
-	cfg := DefaultUnitConfig()
-	cfg.BufferLines = 4
-	u := NewUnit(cfg)
-	vals := make([]uint64, 64) // 8 lines at width 64
-	rows := MakeRows(64, 1)
-	if err := u.HToV(1, rows, vals, 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.HToV(1, rows, vals, 64); err != nil {
-		t.Fatal(err)
-	}
-	// Only the last 4 lines fit; FIFO means all 8 miss again on repeat.
-	if u.Stats.BufferHits != 0 {
-		t.Errorf("hits = %d, want 0 with a 4-line buffer and 8-line object", u.Stats.BufferHits)
-	}
-}
-
-// fifoUnit is the object tracker as it was before the ring buffer and
-// the tag table: a slice popped at the front and appended at the back,
-// indexed by a Go map. The unit must reproduce its hit, miss and
-// eviction sequence exactly.
-type fifoUnit struct {
-	cfg   UnitConfig
-	Stats UnitStats
-	fifo  []uint64
-	tags  map[uint64]bool
-}
-
-func (u *fifoUnit) touch(objID uint64, lines int) {
-	for l := 0; l < lines; l++ {
-		tag := lineTag(objID, l)
-		if u.tags[tag] {
-			u.Stats.BufferHits++
-			continue
+	var lines int64
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"store", func() error { return u.HToV(rows, vals, 32) }},
+		{"repeated store", func() error { return u.HToV(rows, vals, 32) }},
+		{"load", func() error { return u.VToH(vals, rows, 32) }},
+		{"splat", func() error { return u.Splat(rows, 5, 32, len(vals)) }},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
 		}
-		u.Stats.LinesTransposed++
-		u.Stats.LatencyNs += u.cfg.LatencyPerLineNs
-		u.Stats.EnergyPJ += u.cfg.EnergyPerLinePJ
-		if u.cfg.BufferLines > 0 {
-			if len(u.fifo) >= u.cfg.BufferLines {
-				delete(u.tags, u.fifo[0])
-				u.fifo = u.fifo[1:]
-			}
-			u.fifo = append(u.fifo, tag)
-			u.tags[tag] = true
+		lines += 16
+		st := u.Stats
+		if st.LinesTransposed != lines ||
+			math.Abs(st.LatencyNs-float64(lines)*cfg.LatencyPerLineNs) > 1e-9 ||
+			math.Abs(st.EnergyPJ-float64(lines)*cfg.EnergyPerLinePJ) > 1e-9 {
+			t.Fatalf("after %s: stats %+v, want %d lines at %g ns and %g pJ each",
+				step.name, st, lines, cfg.LatencyPerLineNs, cfg.EnergyPerLinePJ)
 		}
 	}
 }
 
-func TestUnitRingMatchesFIFO(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, lines := range []int{0, 1, 2, 3, 4, 7, 64} {
-		cfg := DefaultUnitConfig()
-		cfg.BufferLines = lines
-		u, ref := NewUnit(cfg), &fifoUnit{cfg: cfg, tags: map[uint64]bool{}}
-		for step := 0; step < 4000; step++ {
-			obj, n := uint64(1+rng.Intn(6)), rng.Intn(2*lines+3)
-			u.touch(obj, n)
-			ref.touch(obj, n)
-			if u.Stats != ref.Stats {
-				t.Fatalf("buffer %d lines, step %d (object %d, %d lines): ring %+v, FIFO %+v",
-					lines, step, obj, n, u.Stats, ref.Stats)
-			}
-		}
-		if u.Stats.BufferHits == 0 && lines > 0 {
-			t.Fatalf("buffer %d lines: no hits, the comparison is vacuous", lines)
-		}
-	}
-}
-
-// TestUnitTagTableMatchesMap drives random touch sequences through the
-// unit and through fifoUnit, the map version, and requires identical UnitStats after every
-// touch, and the tag table to hold exactly the map's tags. The
-// sequences repeat one object, interleave a few, and use object ids
-// whose tags differ only in high bits, so probe runs collide and
-// deletions shift entries back.
-func TestUnitTagTableMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for _, lines := range []int{0, 1, 3, 64} {
-		cfg := DefaultUnitConfig()
-		cfg.BufferLines = lines
-		u, ref := NewUnit(cfg), &fifoUnit{cfg: cfg, tags: map[uint64]bool{}}
-		objs := []uint64{1, 2, 3, 1 << 39, 1<<39 | 1, 1 << 20}
-		obj := objs[0]
-		for step := 0; step < 6000; step++ {
-			switch rng.Intn(4) {
-			case 0: // repeat the last object
-			case 1: // alternate between the first two
-				obj = objs[step&1]
-			default:
-				obj = objs[rng.Intn(len(objs))]
-			}
-			n := rng.Intn(2*lines + 3)
-			u.touch(obj, n)
-			ref.touch(obj, n)
-			if u.Stats != ref.Stats {
-				t.Fatalf("buffer %d lines, step %d (object %d, %d lines): table %+v, map %+v",
-					lines, step, obj, n, u.Stats, ref.Stats)
-			}
-			held := 0
-			for _, s := range u.tags.slots {
-				if s.full {
-					held++
-					if !ref.tags[s.tag] {
-						t.Fatalf("buffer %d lines, step %d: table holds tag %x, map does not", lines, step, s.tag)
-					}
-				}
-			}
-			if held != len(ref.tags) {
-				t.Fatalf("buffer %d lines, step %d: table holds %d tags, map %d", lines, step, held, len(ref.tags))
-			}
-		}
-		if u.Stats.BufferHits == 0 && lines > 0 {
-			t.Fatalf("buffer %d lines: no hits, the comparison is vacuous", lines)
-		}
-	}
-}
-
-// TestUnitTouchZeroAlloc gates the line buffer in steady state: hits,
-// misses and evictions touch no heap.
+// TestUnitTouchZeroAlloc gates the unit's charge: touch allocates
+// nothing.
 func TestUnitTouchZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
 	}
 	u := NewUnit(DefaultUnitConfig())
-	obj := uint64(0)
-	if allocs := testing.AllocsPerRun(100, func() {
-		u.touch(obj, 40) // misses, evicting the last object's lines
-		u.touch(obj, 40) // hits
-		obj++
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { u.touch(40) }); allocs != 0 {
 		t.Fatalf("touch allocated %.1f times per call, want 0", allocs)
-	}
-	if u.Stats.BufferHits == 0 || u.Stats.LinesTransposed <= 64 {
-		t.Fatalf("stats %+v: the gate must see hits and evictions", u.Stats)
 	}
 }
 

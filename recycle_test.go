@@ -441,7 +441,7 @@ func TestRecyclingLeavesMemoEntryIntact(t *testing.T) {
 		width  int
 		segs   []segment
 	}
-	vecs := slices.Clone(entry.vecs)
+	vecs := entryVecs(entry)
 	vecRows := make([]rows, len(vecs))
 	for i, v := range vecs {
 		vecRows[i] = rows{v.handle, v.width, slices.Clone(v.segs)}
@@ -455,7 +455,7 @@ func TestRecyclingLeavesMemoEntryIntact(t *testing.T) {
 		if !slices.Equal(pp.binds, binds) || !slices.Equal(pp.jobOf, jobOf) || !slices.Equal(pp.scratch, scratch) {
 			t.Fatalf("round %d: the memoized program's tables changed", round)
 		}
-		if !slices.Equal(e.vecs, vecs) {
+		if !slices.Equal(entryVecs(e), vecs) {
 			t.Fatalf("round %d: the memo entry's objects changed", round)
 		}
 		for i, v := range vecs {

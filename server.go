@@ -566,9 +566,7 @@ type hitEntry struct {
 	n    int
 	lw   *lowered
 	pp   *preparedProgram
-	// vecs is every object lw owns; stores repeats bindPlan's stores
-	// in its order.
-	vecs   []*Vector
+	// stores repeats bindPlan's stores in its order.
 	stores []residentStore
 }
 
@@ -676,14 +674,6 @@ func (m *hitMemo) clear() {
 // keep makes lw and pp e's binding.
 func (e *hitEntry) keep(plan *graph.Plan, n int, lw *lowered, pp *preparedProgram) {
 	e.plan, e.n, e.lw, e.pp = plan, n, lw, pp
-	for _, o := range lw.temps {
-		e.vecs = append(e.vecs, o.(*Vector))
-	}
-	for _, r := range lw.results {
-		if r.owned {
-			e.vecs = append(e.vecs, r.obj.(*Vector))
-		}
-	}
 	e.stores = make([]residentStore, len(lw.stored))
 	for i, id := range lw.stored {
 		st := residentStore{v: lw.nodeObj[id].(*Vector), node: id}
@@ -701,20 +691,15 @@ func (e *hitEntry) release() {
 	}
 	e.lw.release()
 	e.pp.release()
-	e.plan, e.lw, e.pp, e.vecs, e.stores = nil, nil, nil, nil, nil
+	e.plan, e.lw, e.pp, e.stores = nil, nil, nil, nil
 }
 
-// store writes one job's inputs into e's rows: every object gets a
-// fresh serial, so the transposition unit's line buffer never hits on
-// lines an earlier job transposed, and then each data leaf's payload
-// is stored and each constant splatted, in bindPlan's order, so the
-// job is charged exactly what the full path charges.
+// store writes one job's inputs into e's rows: each data leaf's
+// payload is stored and each constant splatted, in bindPlan's order, so
+// the job is charged exactly what the full path charges.
 //
 //simdram:zeroalloc
-func (e *hitEntry) store(sys *System, env *compileEnv) error {
-	for _, v := range e.vecs {
-		v.serial = sys.nextSerial()
-	}
+func (e *hitEntry) store(env *compileEnv) error {
 	for _, st := range e.stores {
 		var err error
 		if st.splat {
@@ -792,7 +777,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 	hit := memo.lookup(sys, env.key, plan, env.n)
 	if hit != nil {
 		lw, pp = hit.lw, hit.pp
-		err = hit.store(sys, env)
+		err = hit.store(env)
 	} else {
 		lw, err = bindJob(sys, env, plan, exprs)
 		switch {

@@ -180,13 +180,31 @@ func rowsInUse(srv *Server, ch int) int {
 	return n
 }
 
+// entryVecs returns every object e's binding owns: its temporaries
+// and its owned results (none for a seen-only entry).
+func entryVecs(e *hitEntry) []*Vector {
+	if e.lw == nil {
+		return nil
+	}
+	var vecs []*Vector
+	for _, o := range e.lw.temps {
+		vecs = append(vecs, o.(*Vector))
+	}
+	for _, r := range e.lw.results {
+		if r.owned {
+			vecs = append(vecs, r.obj.(*Vector))
+		}
+	}
+	return vecs
+}
+
 // residentRows returns how many data rows channel ch's resident memo
 // entries hold.
 func residentRows(srv *Server, ch int) int {
 	n := 0
 	for _, e := range memoEntries(srv, ch) {
 		seen := map[*Vector]bool{}
-		for _, v := range e.vecs {
+		for _, v := range entryVecs(e) {
 			if !seen[v] {
 				seen[v] = true
 				n += v.width * len(v.segs)
@@ -538,7 +556,7 @@ func TestServerMemoStaleScratchFallsBack(t *testing.T) {
 	warmMemo(t, srv, rng)
 	_, e := onlyEntry(t, srv, 0)
 	rows := 0
-	for _, v := range e.vecs {
+	for _, v := range entryVecs(e) {
 		rows += v.width
 	}
 	serveErr := func(srv *Server) error {

@@ -57,7 +57,10 @@ const (
 
 // Config configures a System.
 type Config struct {
-	DRAM          dram.Config
+	DRAM dram.Config
+	// Transposition prices the transposition unit: every Store, Load
+	// and constant splat pays its per-line cost for each 64 B line it
+	// moves.
 	Transposition vertical.UnitConfig
 	// Variant selects the execution flavor: VariantSIMDRAM (default) or
 	// VariantAmbit for the in-DRAM baseline. Exposed for experiments.
@@ -101,7 +104,6 @@ type System struct {
 
 	objects handleTable
 	handles handleSpace
-	serials uint64 // last Vector.serial handed out
 
 	// plans memoizes compiled expression shapes (see PlanCacheStats),
 	// each with the measured per-op latencies that drive its
@@ -199,12 +201,6 @@ func (s *System) unbindHandle(h uint16) {
 	if p.live--; p.live == 0 {
 		t.pages[h>>8], t.spare = nil, p
 	}
-}
-
-// nextSerial returns a Vector serial no object of s has had.
-func (s *System) nextSerial() uint64 {
-	s.serials++
-	return s.serials
 }
 
 // New builds a System.

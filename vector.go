@@ -8,10 +8,6 @@ import "sync"
 type Vector struct {
 	sys    *System
 	handle uint16
-	// serial names the object to the transposition unit's line buffer.
-	// Handles are recycled; serials never repeat within a System, so a
-	// new object never inherits a freed one's buffered lines.
-	serial uint64
 	n      int
 	width  int
 	segs   []segment
@@ -99,7 +95,6 @@ func (s *System) allocVectorIn(v *Vector, segs []segment, n, width, origin int) 
 		return err
 	}
 	v.handle = h
-	v.serial = s.nextSerial()
 	s.bindHandle(v)
 	return nil
 }
@@ -235,7 +230,6 @@ func (v *Vector) View(rowOffset, width int) (*Vector, error) {
 		return nil, err
 	}
 	nv.handle = h
-	nv.serial = v.sys.nextSerial()
 	v.sys.bindHandle(nv)
 	base.views = append(base.views, nv)
 	return nv, nil
@@ -256,7 +250,7 @@ func (v *Vector) Store(data []uint64) error {
 	return v.writeSegments(func(rows [][]uint64, seg segment) error {
 		chunk := data[off : off+seg.lanes]
 		off += seg.lanes
-		return v.sys.tu.HToV(v.serial, rows, chunk, v.width)
+		return v.sys.tu.HToV(rows, chunk, v.width)
 	})
 }
 
@@ -269,7 +263,7 @@ func (v *Vector) storeSplat(val uint64) error {
 		return errorf("store to freed vector")
 	}
 	return v.writeSegments(func(rows [][]uint64, seg segment) error {
-		return v.sys.tu.Splat(v.serial, rows, val, v.width, seg.lanes)
+		return v.sys.tu.Splat(rows, val, v.width, seg.lanes)
 	})
 }
 
@@ -311,7 +305,7 @@ func (v *Vector) loadInto(out []uint64) error {
 	off := 0
 	for _, seg := range v.segs {
 		rows := v.sys.mod.Subarray(seg.bank, seg.sub).ReadView(seg.baseRow, v.width)
-		if err := v.sys.tu.VToH(v.serial, out[off:off+seg.lanes], rows, v.width); err != nil {
+		if err := v.sys.tu.VToH(out[off:off+seg.lanes], rows, v.width); err != nil {
 			return err
 		}
 		off += seg.lanes

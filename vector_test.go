@@ -6,6 +6,7 @@ package simdram
 // System and on a sharded Cluster vector.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -105,7 +106,8 @@ func TestStoreSplatMatchesStoreSystem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Twice each: the second store hits the unit's line buffer.
+			// Twice each: a second store into the same rows is charged
+			// again.
 			for rep := 0; rep < 2; rep++ {
 				if err := rv.Store(splatOf(val, n)); err != nil {
 					t.Fatal(err)
@@ -128,9 +130,6 @@ func TestStoreSplatMatchesStoreSystem(t *testing.T) {
 	}
 	compareTraces(t, "system", refLogs, gotLogs)
 	requireHostAccesses(t, gotLogs)
-	if got.TranspositionUnit().Stats.BufferHits == 0 {
-		t.Fatal("no line-buffer hits: the repeated stores compared nothing")
-	}
 	gv, err := got.AllocVector(n, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -267,10 +266,12 @@ func BenchmarkVectorLoad(b *testing.B) {
 	reportPerElem(b)
 }
 
-// TestRecycledHandleStoreIsCharged pins the transposition line buffer
-// to object identity, not to the recycled 16-bit handle: a vector that
-// reuses a freed vector's handle must pay for its first store in full
-// instead of hitting the freed vector's buffered lines.
+// TestRecycledHandleStoreIsCharged pins the transposition unit's rule
+// that every transposition pays for every line it moves, whatever the
+// object's handle or history: a store to a vector that reuses a freed
+// vector's handle, a second store of new data, a store and a load of a
+// multi-segment vector (each segment its linesFor lines), and a load
+// after a program rewrote the vector's rows.
 func TestRecycledHandleStoreIsCharged(t *testing.T) {
 	sys := splatSystem(t)
 	const n, width = 256, 8
@@ -301,23 +302,53 @@ func TestRecycledHandleStoreIsCharged(t *testing.T) {
 	if v.Handle() != h {
 		t.Fatalf("new vector got handle %d, want the recycled %d", v.Handle(), h)
 	}
-	before := sys.TranspositionUnit().Stats
-	if err := v.Store(data); err != nil {
+	// charged runs op and requires it to charge exactly lines lines at
+	// the configured per-line latency and energy.
+	charged := func(label string, lines int64, op func() error) {
+		t.Helper()
+		before := sys.TranspositionUnit().Stats
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		got := sys.TranspositionUnit().Stats
+		cfg := sys.Config().Transposition
+		if d := got.LinesTransposed - before.LinesTransposed; d != lines {
+			t.Errorf("%s transposed %d lines, want %d", label, d, lines)
+		}
+		if d, want := got.EnergyPJ-before.EnergyPJ, float64(lines)*cfg.EnergyPerLinePJ; math.Abs(d-want) > 1e-9*want {
+			t.Errorf("%s charged %g pJ, want %g", label, d, want)
+		}
+		if d, want := got.LatencyNs-before.LatencyNs, float64(lines)*cfg.LatencyPerLineNs; math.Abs(d-want) > 1e-9*want {
+			t.Errorf("%s charged %g ns, want %g", label, d, want)
+		}
+	}
+	load := func(v *Vector) func() error {
+		return func() error { _, err := v.Load(); return err }
+	}
+	charged("store to a recycled handle", n*width/8/64, func() error { return v.Store(data) })
+	charged("second store of new data", n*width/8/64, func() error { return v.Store(splatOf(9, n)) })
+	charged("load", n*width/8/64, load(v))
+
+	// 2048 16-bit elements on 256 columns: eight segments of 256
+	// elements, each 512 B or 8 lines.
+	const wideN, wideWidth, wideLines = 2048, 16, 2048 * 2 / 64
+	rng := rand.New(rand.NewSource(34))
+	var u, x, y *Vector
+	for _, p := range []**Vector{&u, &x, &y} {
+		if *p, err = sys.AllocVector(wideN, wideWidth); err != nil {
+			t.Fatal(err)
+		}
+		defer (*p).Free()
+	}
+	if len(u.segs) != 8 {
+		t.Fatalf("%d-element vector spans %d segments, want 8", wideN, len(u.segs))
+	}
+	for _, p := range []*Vector{u, x, y} {
+		charged("multi-segment store", wideLines, func() error { return p.Store(randData(rng, wideN, wideWidth)) })
+	}
+	charged("multi-segment load", wideLines, load(u))
+	if _, err := sys.Run("addition", u, x, y); err != nil {
 		t.Fatal(err)
 	}
-	got := sys.TranspositionUnit().Stats
-	if hits := got.BufferHits - before.BufferHits; hits != 0 {
-		t.Errorf("store to a recycled handle hit %d buffered lines of the freed vector", hits)
-	}
-	if lines := got.LinesTransposed - before.LinesTransposed; lines != n*width/8/64 {
-		t.Errorf("store to a recycled handle transposed %d lines, want %d", lines, n*width/8/64)
-	}
-	// The buffer still serves the object itself.
-	before = got
-	if err := v.Store(data); err != nil {
-		t.Fatal(err)
-	}
-	if hits := sys.TranspositionUnit().Stats.BufferHits - before.BufferHits; hits != n*width/8/64 {
-		t.Errorf("second store to the same vector hit %d lines, want %d", hits, n*width/8/64)
-	}
+	charged("load after a program rewrote the vector", wideLines, load(u))
 }
