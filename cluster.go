@@ -17,8 +17,7 @@ import (
 )
 
 // ClusterConfig configures a Cluster: how many independent channels it
-// owns, the geometry of each, and the default placement policy new
-// sharded vectors stripe with.
+// owns and the geometry of each.
 type ClusterConfig struct {
 	// Channels is the number of independent channels. Each channel is a
 	// full System — its own DRAM module, control unit, and
@@ -26,38 +25,18 @@ type ClusterConfig struct {
 	Channels int
 	// Channel configures every channel's System.
 	Channel Config
-	// Placement selects the default allocation policy.
-	Placement PlacementPolicy
 }
 
-// PlacementPolicy selects how AllocShardedVector stripes elements
-// across channels.
-type PlacementPolicy int
-
-const (
-	// PlaceRoundRobin stripes every allocation across all channels in
-	// fixed index order. Same-length vectors always share a plan, so
-	// operand groups stay shard-aligned without further care — the
-	// right default for compute-heavy programs.
-	PlaceRoundRobin PlacementPolicy = iota
-	// PlaceLeastLoaded orders channels by ascending allocated rows, so
-	// lightly used channels absorb the larger chunks. Every allocation
-	// changes the load it orders by, so even consecutive same-length
-	// allocations can receive different plans; operand groups that must
-	// meet in an operation should be allocated with AllocShardedGroup
-	// (one load snapshot, one shared plan) or with explicit affinity.
-	PlaceLeastLoaded
-)
-
-// DefaultClusterConfig returns a cluster of n default-geometry channels
-// with round-robin placement.
+// DefaultClusterConfig returns a cluster of n default-geometry channels.
 func DefaultClusterConfig(n int) ClusterConfig {
-	return ClusterConfig{Channels: n, Channel: DefaultConfig(), Placement: PlaceRoundRobin}
+	return ClusterConfig{Channels: n, Channel: DefaultConfig()}
 }
 
 // Cluster aggregates N independent channels into one compute fabric
 // with a single address space: ShardedVectors stripe their elements
-// across channels, Store/Load scatter and gather through the per-channel
+// across channels by one rule (cluster.MakePlan: near-equal contiguous
+// chunks in channel order, so a vector's layout depends only on its
+// length), Store/Load scatter and gather through the per-channel
 // transposition units concurrently, and ExecBatch fans a program out to
 // every channel in parallel, merging the results under an honest timing
 // model (per-channel critical paths combine as a max, work and energy
@@ -65,7 +44,6 @@ func DefaultClusterConfig(n int) ClusterConfig {
 type Cluster struct {
 	cfg      ClusterConfig
 	channels []*System
-	policy   cluster.Policy
 	objects  map[uint16]*ShardedVector
 	handles  handleSpace
 
@@ -102,17 +80,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Channels < 1 {
 		return nil, errorf("cluster needs at least 1 channel, have %d", cfg.Channels)
 	}
-	var policy cluster.Policy
-	switch cfg.Placement {
-	case PlaceRoundRobin:
-		policy = cluster.RoundRobin{}
-	case PlaceLeastLoaded:
-		policy = cluster.LeastLoaded{}
-	default:
-		return nil, errorf("unknown placement policy %d", cfg.Placement)
-	}
 	c := &Cluster{
-		cfg: cfg, policy: policy,
+		cfg:     cfg,
 		objects: make(map[uint16]*ShardedVector),
 		plans:   graph.NewPlanCache(DefaultPlanCacheSize, DefaultProfileThreshold, DefaultProfileMinJobs),
 		metrics: obs.NewRegistry(),
@@ -170,19 +139,9 @@ func (c *Cluster) Close() {
 	}
 }
 
-// loads returns the per-channel allocated-row counts policies shard
-// against.
-func (c *Cluster) loads() []int {
-	loads := make([]int, len(c.channels))
-	for i, sys := range c.channels {
-		loads[i] = sys.usedRows()
-	}
-	return loads
-}
-
 // ShardedVector is a cluster-wide vector: n elements striped over the
-// channels according to its placement plan, each channel's shard a
-// normal Vector on that channel's System.
+// channels according to its placement plan (see cluster.MakePlan), each
+// channel's shard a normal Vector on that channel's System.
 type ShardedVector struct {
 	cl     *Cluster
 	handle uint16
@@ -194,51 +153,10 @@ type ShardedVector struct {
 }
 
 // AllocShardedVector reserves a vector of n elements of the given width,
-// striped across channels by the cluster's placement policy.
+// striped across the channels. Vectors of equal length share a
+// placement plan, so they can meet in operations.
 func (c *Cluster) AllocShardedVector(n, width int) (*ShardedVector, error) {
-	return c.allocSharded(n, width, c.policy, func(sys *System, count int) (*Vector, error) {
-		return sys.AllocVector(count, width)
-	})
-}
-
-// AllocShardedGroup reserves count vectors of n elements under one
-// load snapshot, so all of them share a single placement plan and can
-// meet in operations regardless of the placement policy. This is the
-// way to allocate an operand group (sources plus destination) under
-// PlaceLeastLoaded, whose per-allocation plans otherwise diverge as
-// each allocation shifts the load it orders by.
-func (c *Cluster) AllocShardedGroup(n, width, count int) ([]*ShardedVector, error) {
-	if count < 1 {
-		return nil, errorf("group needs at least 1 vector, have %d", count)
-	}
-	order := c.policy.Order(c.loads())
-	group := make([]*ShardedVector, 0, count)
-	for i := 0; i < count; i++ {
-		v, err := c.allocSharded(n, width, cluster.Affinity{Channels: order}, func(sys *System, cnt int) (*Vector, error) {
-			return sys.AllocVector(cnt, width)
-		})
-		if err != nil {
-			for _, prev := range group {
-				prev.Free()
-			}
-			return nil, err
-		}
-		group = append(group, v)
-	}
-	return group, nil
-}
-
-// AllocShardedVectorOn is AllocShardedVector with explicit channel
-// affinity: elements stripe over exactly the listed channels, in order.
-// Operand groups allocated with the same affinity and length share a
-// plan regardless of the cluster's load.
-func (c *Cluster) AllocShardedVectorOn(n, width int, channels []int) (*ShardedVector, error) {
-	for _, ch := range channels {
-		if ch < 0 || ch >= len(c.channels) {
-			return nil, errorf("affinity channel %d out of range [0,%d)", ch, len(c.channels))
-		}
-	}
-	return c.allocSharded(n, width, cluster.Affinity{Channels: channels}, func(sys *System, count int) (*Vector, error) {
+	return c.allocSharded(n, width, func(sys *System, count int) (*Vector, error) {
 		return sys.AllocVector(count, width)
 	})
 }
@@ -250,15 +168,15 @@ func (c *Cluster) AllocShardedVectorOn(n, width int, channels []int) (*ShardedVe
 // which is what lets ExecBatch overlap their instructions within each
 // channel as well as across channels.
 func (c *Cluster) AllocShardedVectorAt(n, width, bank, sub int) (*ShardedVector, error) {
-	return c.allocSharded(n, width, c.policy, func(sys *System, count int) (*Vector, error) {
+	return c.allocSharded(n, width, func(sys *System, count int) (*Vector, error) {
 		return sys.AllocVectorAt(count, width, bank, sub)
 	})
 }
 
 // allocSharded plans the stripe and allocates one shard per span,
 // rolling everything back on failure.
-func (c *Cluster) allocSharded(n, width int, policy cluster.Policy, alloc func(sys *System, count int) (*Vector, error)) (*ShardedVector, error) {
-	plan, err := cluster.MakePlan(n, policy.Order(c.loads()))
+func (c *Cluster) allocSharded(n, width int, alloc func(sys *System, count int) (*Vector, error)) (*ShardedVector, error) {
+	plan, err := cluster.MakePlan(n, len(c.channels))
 	if err != nil {
 		return nil, err
 	}
@@ -388,9 +306,9 @@ type ClusterBatchStats = cluster.BatchStats
 // channel's hazard-aware scheduler. Results are indistinguishable from
 // executing the same program on one System holding all the data.
 //
-// Every operand of one instruction must be shard-aligned (same
-// placement plan — allocate operand groups with the same length and
-// policy, or with explicit affinity).
+// Every operand of one instruction must have the same length, so all
+// of them share one placement plan, and segment-aligned parts on every
+// channel (allocate an operand group at the same origin).
 //
 // The cluster remembers the last program it ran, sharded and prepared
 // on every channel: a later call with an equal instruction sequence
@@ -554,10 +472,10 @@ func (c *Cluster) shardProgram(prog isa.Program) (subProgs []isa.Program, ran []
 			}
 			if first == nil {
 				first = sv
-			} else if !sv.plan.Equal(first.plan) {
+			} else if sv.n != first.n {
 				return nil, nil, errorf(
-					"instruction %d (%s): objects %d and %d are not shard-aligned (allocate operand groups with the same length and placement)",
-					i, *in, first.handle, h)
+					"instruction %d (%s): object %d has %d elements, object %d has %d (operands must have the same length)",
+					i, *in, first.handle, first.n, h, sv.n)
 			}
 			r := rk.Of(h)
 			if mapped[r] {
@@ -651,7 +569,8 @@ func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, 
 
 // Run executes the named operation across the cluster: dst[i] =
 // op(srcs[0][i], …). It is the one-instruction convenience over
-// ExecBatch; all vectors must be shard-aligned.
+// ExecBatch; all vectors must have the same length and be allocated at
+// the same origin.
 func (c *Cluster) Run(opName string, dst *ShardedVector, srcs ...*ShardedVector) (ClusterBatchStats, error) {
 	d, err := ops.ByName(opName)
 	if err != nil {

@@ -20,7 +20,7 @@ func testClusterConfig(channels int) ClusterConfig {
 	cfg.DRAM.RowsPerSubarray = 256
 	cfg.DRAM.Banks = 2
 	cfg.DRAM.SubarraysPerBank = 2
-	return ClusterConfig{Channels: channels, Channel: cfg, Placement: PlaceRoundRobin}
+	return ClusterConfig{Channels: channels, Channel: cfg}
 }
 
 func testCluster(t testing.TB, channels int) *Cluster {
@@ -233,12 +233,17 @@ func TestClusterTimingMergeSemantics(t *testing.T) {
 
 func TestClusterShardAlignment(t *testing.T) {
 	c := testCluster(t, 2)
-	n, w := 100, 8
+	n, w := 101, 8 // odd split: channel 0 gets the bigger chunk
 	a, err := c.AllocShardedVector(n, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.AllocShardedVectorOn(n, w, []int{1}) // different plan
+	// Changing channel 0's load between allocations must not move the
+	// next vector's placement: its plan depends only on its length.
+	if _, err := c.Channel(0).AllocVector(16, 32); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.AllocShardedVector(n, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,29 +251,37 @@ func TestClusterShardAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Store(make([]uint64, n)); err != nil {
+	rng := rand.New(rand.NewSource(5))
+	ad, bd := randVals(rng, n, w), randVals(rng, n, w)
+	if err := a.Store(ad); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Store(make([]uint64, n)); err != nil {
+	if err := b.Store(bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Run("addition", dst, a, b)
-	if err == nil || !strings.Contains(err.Error(), "shard-aligned") {
-		t.Errorf("misaligned operands must be rejected, got: %v", err)
+	if _, err := c.Run("addition", dst, a, b); err != nil {
+		t.Fatalf("same-length operands must execute: %v", err)
+	}
+	got, err := dst.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if want := (ad[i] + bd[i]) & 0xff; got[i] != want {
+			t.Fatalf("element %d = %d, want %d", i, got[i], want)
+		}
 	}
 
-	// Affinity-allocated groups with matching plans do work.
-	a2, _ := c.AllocShardedVectorOn(n, w, []int{1})
-	dst2, _ := c.AllocShardedVectorOn(n, w, []int{1})
-	if err := a2.Store(make([]uint64, n)); err != nil {
+	short, err := c.AllocShardedVector(n-1, w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run("addition", dst2, a2, b); err != nil {
-		t.Errorf("affinity-aligned operands must execute: %v", err)
+	if err := short.Store(make([]uint64, n-1)); err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := c.AllocShardedVectorOn(n, w, []int{5}); err == nil {
-		t.Error("out-of-range affinity channel must be rejected")
+	_, err = c.Run("addition", dst, a, short)
+	if err == nil || !strings.Contains(err.Error(), "101 elements") || !strings.Contains(err.Error(), "has 100") {
+		t.Errorf("operands of different lengths must be rejected naming both counts, got: %v", err)
 	}
 }
 
@@ -315,61 +328,6 @@ func TestClusterRunRejectsFreedOperands(t *testing.T) {
 	}
 	if _, err := c.Run("addition", foreign, b, b); err == nil || !strings.Contains(err.Error(), "different cluster") {
 		t.Errorf("foreign destination must be rejected, got: %v", err)
-	}
-}
-
-func TestClusterLeastLoadedPlacement(t *testing.T) {
-	cfg := testClusterConfig(2)
-	cfg.Placement = PlaceLeastLoaded
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Preload channel 0 so channel 1 is the least loaded.
-	if _, err := c.Channel(0).AllocVector(16, 32); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.AllocShardedVector(10, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.plan.Spans[0].Channel; got != 1 {
-		t.Errorf("least-loaded placement put the first span on channel %d, want 1", got)
-	}
-	on := map[int]int{}
-	for _, sp := range v.plan.Spans {
-		on[sp.Channel] += sp.Count
-	}
-	if on[1] < on[0] {
-		t.Errorf("least-loaded channel must absorb the larger chunk: %v", v.plan.Spans)
-	}
-
-	// Individual least-loaded allocations shift the load they order by
-	// and can diverge; AllocShardedGroup plans the whole operand group
-	// from one load snapshot, so its members always meet in operations.
-	n, w := 513, 8 // odd split: the first channel in order gets the bigger chunk
-	group, err := c.AllocShardedGroup(n, w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range group[1:] {
-		if !v.plan.Equal(group[0].plan) {
-			t.Fatalf("group member %d has plan %v, member 0 has %v", i+1, v.plan.Spans, group[0].plan.Spans)
-		}
-	}
-	a, b, dst := group[0], group[1], group[2]
-	if err := a.Store(make([]uint64, n)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Store(make([]uint64, n)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run("addition", dst, a, b); err != nil {
-		t.Errorf("group-allocated operands must execute under least-loaded placement: %v", err)
-	}
-	if _, err := c.AllocShardedGroup(n, w, 0); err == nil {
-		t.Error("empty group must be rejected")
 	}
 }
 
@@ -498,11 +456,6 @@ func TestExecBatchCancelFacade(t *testing.T) {
 func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Channels: 0, Channel: DefaultConfig()}); err == nil {
 		t.Error("zero channels must be rejected")
-	}
-	cfg := testClusterConfig(1)
-	cfg.Placement = PlacementPolicy(99)
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("unknown placement policy must be rejected")
 	}
 	bad := testClusterConfig(2)
 	bad.Channel.DRAM.Banks = 0

@@ -312,8 +312,6 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 		}
 		if env.firstShard == nil {
 			env.firstShard = e
-		} else if !v.plan.Equal(env.firstShard.sleaf.plan) {
-			return 0, errorf("graph: leaf sharded vectors are not shard-aligned (allocate operand groups with the same length and placement)")
 		}
 		if id, err = env.g.Input(v.width); err != nil {
 			return 0, err

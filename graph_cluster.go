@@ -1,15 +1,14 @@
 package simdram
 
 import (
-	"simdram/internal/cluster"
 	"simdram/internal/graph"
 	"simdram/internal/isa"
 )
 
 // Lazy wraps a sharded vector as a lazy expression leaf. The vector
 // must belong to this Cluster and stay live until the expression is
-// materialized; every leaf of one expression must be shard-aligned
-// (same placement plan).
+// materialized; every leaf of one expression must have the same length
+// and be allocated at the same origin.
 func (c *Cluster) Lazy(v *ShardedVector) *Expr { return &Expr{kind: exprShardLeaf, sleaf: v} }
 
 // ClusterCompiled is Compiled for a Cluster: the same lowered bbop
@@ -42,39 +41,18 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 	}
 	defer env.recycle()
 	plan, stats := planExprs(env, c.plans, nil, 0)
-	// Compiler-allocated vectors must share the leaves' placement plan,
-	// or per-instruction shard alignment fails at execution. Striping
-	// over the first leaf's span order with the same element count
-	// reproduces its plan exactly; the allocator double-checks. An
-	// expression of only Input data leaves has no sharded leaf to
-	// follow, so the cluster's own policy plans the whole group from
-	// one load snapshot.
-	var firstPlan cluster.Plan
+	// Compiler-allocated vectors share the leaves' plan by length alone;
+	// on every channel they start at the first leaf's origin, as on a
+	// System, to stay segment-aligned with the leaves.
+	origin := 0
 	if env.firstShard != nil {
-		firstPlan = env.firstShard.sleaf.plan
-	} else {
-		firstPlan, err = cluster.MakePlan(env.n, c.policy.Order(c.loads()))
-		if err != nil {
-			return nil, err
-		}
-	}
-	order := make([]int, len(firstPlan.Spans))
-	for i, span := range firstPlan.Spans {
-		order[i] = span.Channel
+		origin = env.firstShard.sleaf.parts[0].origin()
 	}
 	lw, err := lowerPlan(env, plan, exprs,
 		func(width int) (graphObj, error) {
-			v, err := c.allocSharded(env.n, width, cluster.Affinity{Channels: order}, func(sys *System, count int) (*Vector, error) {
-				return sys.AllocVector(count, width)
+			return c.allocSharded(env.n, width, func(sys *System, count int) (*Vector, error) {
+				return sys.allocVector(count, width, origin)
 			})
-			if err != nil {
-				return nil, err
-			}
-			if !v.plan.Equal(firstPlan) {
-				v.Free()
-				return nil, errorf("graph: cannot reproduce the leaf placement plan for a temporary")
-			}
-			return v, nil
 		},
 		func(id graph.NodeID) graphObj { return env.leafOf[id].sleaf },
 		leafDataOf(env),

@@ -2,9 +2,11 @@ package simdram
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"simdram/internal/baseline/cpu"
 	"simdram/internal/isa"
 	"simdram/internal/ops"
 )
@@ -261,6 +263,36 @@ func TestGraphDifferentialCluster(t *testing.T) {
 	for _, r := range roots {
 		r.ShardedResult().Free()
 	}
+
+	// Leaves placed off origin 0: the compiler's temporaries must start
+	// at the leaves' origin on every channel to stay segment-aligned.
+	oc := testCluster(t, 2)
+	const on, ow = 100, 8
+	ov := make([][]uint64, 2)
+	ol := make([]*Expr, 2)
+	for i := range ol {
+		v, err := oc.AllocShardedVectorAt(on, ow, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov[i] = storeRand(t, rng, v)
+		ol[i] = oc.Lazy(v)
+	}
+	e := ol[0].Add(ol[1]).Mul(ol[0])
+	if _, err := oc.Materialize(e); err != nil {
+		t.Fatalf("off-origin leaves: %v", err)
+	}
+	add, _ := ops.ByName("addition")
+	mul, _ := ops.ByName("multiplication")
+	want := cpu.Run(mul, ow, [][]uint64{cpu.Run(add, ow, ov), ov[0]})
+	got, err := e.ShardedResult().Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("off-origin leaves: got %v, want %v", got, want)
+	}
+	e.ShardedResult().Free()
 }
 
 // TestGraphEveryOpDifferential lowers every operation in the catalog

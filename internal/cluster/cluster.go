@@ -13,7 +13,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -26,54 +25,31 @@ type Span struct {
 }
 
 // Plan is the placement of one sharded object: disjoint spans covering
-// [0, Len()) in element order. Two objects can meet in a cross-channel
-// operation only if their plans are identical — then element j of every
-// operand lives on the same channel at the same local index.
+// [0, Len()) in element order. A plan depends only on the element count
+// and the channel count, so objects of equal length share one: element
+// j of every operand lives on the same channel at the same local index.
 type Plan struct {
 	Spans []Span
 }
 
-// Equal reports whether two plans place elements identically.
-func (p Plan) Equal(o Plan) bool {
-	if len(p.Spans) != len(o.Spans) {
-		return false
-	}
-	for i := range p.Spans {
-		if p.Spans[i] != o.Spans[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// MakePlan stripes n elements over the given channel order as
-// near-equal contiguous chunks: every channel gets n/len(order)
-// elements and the first n%len(order) channels one extra. Channels may
-// appear in order at most once; an order longer than n simply leaves
-// the tail channels empty (no zero-count spans are emitted).
-func MakePlan(n int, order []int) (Plan, error) {
+// MakePlan stripes n elements over channels 0..channels-1 as near-equal
+// contiguous chunks: every channel gets n/channels elements and the
+// first n%channels channels one extra. With fewer elements than
+// channels the tail channels stay empty (no zero-count spans are
+// emitted).
+func MakePlan(n, channels int) (Plan, error) {
 	if n <= 0 {
 		return Plan{}, fmt.Errorf("cluster: plan size must be positive, have %d", n)
 	}
-	if len(order) == 0 {
-		return Plan{}, fmt.Errorf("cluster: empty channel order")
+	if channels <= 0 {
+		return Plan{}, fmt.Errorf("cluster: plan needs at least 1 channel, have %d", channels)
 	}
-	seen := map[int]bool{}
-	for _, ch := range order {
-		if ch < 0 {
-			return Plan{}, fmt.Errorf("cluster: negative channel %d", ch)
-		}
-		if seen[ch] {
-			return Plan{}, fmt.Errorf("cluster: channel %d listed twice", ch)
-		}
-		seen[ch] = true
-	}
-	base, extra := n/len(order), n%len(order)
+	base, extra := n/channels, n%channels
 	var p Plan
 	off := 0
-	for i, ch := range order {
+	for ch := 0; ch < channels; ch++ {
 		count := base
-		if i < extra {
+		if ch < extra {
 			count++
 		}
 		if count == 0 {
@@ -83,68 +59,6 @@ func MakePlan(n int, order []int) (Plan, error) {
 		off += count
 	}
 	return p, nil
-}
-
-// Policy chooses the channel order a new allocation stripes across,
-// given the current per-channel load (allocated rows). The order must
-// be deterministic in its inputs so that equal-sized allocations made
-// under equal load share a plan — the property cross-channel execution
-// relies on.
-type Policy interface {
-	Name() string
-	Order(loads []int) []int
-}
-
-// RoundRobin stripes every allocation across all channels in fixed
-// index order. Same-length vectors therefore always share a plan,
-// which makes round-robin the default policy for operand groups that
-// will meet in cross-channel operations.
-type RoundRobin struct{}
-
-func (RoundRobin) Name() string { return "round-robin" }
-
-// Order returns 0..len(loads)-1 regardless of load.
-func (RoundRobin) Order(loads []int) []int {
-	order := make([]int, len(loads))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// LeastLoaded orders channels by ascending allocated rows (ties broken
-// by index), so the channels with the most free rows absorb the larger
-// chunks. Every allocation changes the loads it orders by, so even
-// consecutive same-length allocations can receive different plans;
-// operand groups that must stay aligned should be planned from one
-// load snapshot (the facade's AllocShardedGroup) or pinned with
-// Affinity.
-type LeastLoaded struct{}
-
-func (LeastLoaded) Name() string { return "least-loaded-rows" }
-
-// Order sorts channel indices by load, ascending, stable in index.
-func (LeastLoaded) Order(loads []int) []int {
-	order := make([]int, len(loads))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] < loads[order[b]] })
-	return order
-}
-
-// Affinity pins allocations to an explicit channel sequence — the
-// caller's placement decision, e.g. to keep a tenant on a channel
-// subset or to co-locate operand groups.
-type Affinity struct {
-	Channels []int
-}
-
-func (Affinity) Name() string { return "affinity" }
-
-// Order returns the pinned channel sequence, ignoring load.
-func (a Affinity) Order(loads []int) []int {
-	return append([]int(nil), a.Channels...)
 }
 
 // Dispatch runs one task per entry of channels concurrently: every

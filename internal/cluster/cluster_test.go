@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 func TestMakePlanBalanced(t *testing.T) {
-	p, err := MakePlan(10, []int{0, 1, 2})
+	p, err := MakePlan(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,57 +26,22 @@ func TestMakePlanBalanced(t *testing.T) {
 
 func TestMakePlanSmallN(t *testing.T) {
 	// Fewer elements than channels: tail channels get no span at all.
-	p, err := MakePlan(2, []int{3, 1, 0, 2})
+	p, err := MakePlan(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Span{{Channel: 3, Off: 0, Count: 1}, {Channel: 1, Off: 1, Count: 1}}
+	want := []Span{{Channel: 0, Off: 0, Count: 1}, {Channel: 1, Off: 1, Count: 1}}
 	if len(p.Spans) != 2 || p.Spans[0] != want[0] || p.Spans[1] != want[1] {
 		t.Fatalf("spans = %v, want %v", p.Spans, want)
 	}
 }
 
 func TestMakePlanErrors(t *testing.T) {
-	if _, err := MakePlan(0, []int{0}); err == nil {
+	if _, err := MakePlan(0, 1); err == nil {
 		t.Error("zero elements must be rejected")
 	}
-	if _, err := MakePlan(4, nil); err == nil {
-		t.Error("empty order must be rejected")
-	}
-	if _, err := MakePlan(4, []int{0, 0}); err == nil {
-		t.Error("duplicate channel must be rejected")
-	}
-	if _, err := MakePlan(4, []int{-1}); err == nil {
-		t.Error("negative channel must be rejected")
-	}
-}
-
-func TestPlanEqual(t *testing.T) {
-	a, _ := MakePlan(8, []int{0, 1})
-	b, _ := MakePlan(8, []int{0, 1})
-	c, _ := MakePlan(8, []int{1, 0})
-	if !a.Equal(b) {
-		t.Error("identical plans must compare equal")
-	}
-	if a.Equal(c) {
-		t.Error("plans with different channel order must differ")
-	}
-}
-
-func TestPolicies(t *testing.T) {
-	loads := []int{30, 10, 20}
-	if got := (RoundRobin{}).Order(loads); fmt.Sprint(got) != "[0 1 2]" {
-		t.Errorf("RoundRobin order = %v", got)
-	}
-	if got := (LeastLoaded{}).Order(loads); fmt.Sprint(got) != "[1 2 0]" {
-		t.Errorf("LeastLoaded order = %v", got)
-	}
-	// Ties break by index, keeping the order deterministic.
-	if got := (LeastLoaded{}).Order([]int{5, 5, 1}); fmt.Sprint(got) != "[2 0 1]" {
-		t.Errorf("LeastLoaded tie order = %v", got)
-	}
-	if got := (Affinity{Channels: []int{2, 0}}).Order(loads); fmt.Sprint(got) != "[2 0]" {
-		t.Errorf("Affinity order = %v", got)
+	if _, err := MakePlan(4, 0); err == nil {
+		t.Error("zero channels must be rejected")
 	}
 }
 

@@ -116,7 +116,7 @@ func TestProfileFeedbackRecompileSystem(t *testing.T) {
 // 4-channel cluster: the recompiled plan must produce bit-identical
 // results to the cold compile across the sharded fabric.
 func TestProfileFeedbackRecompileCluster(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{Channels: 4, Channel: profileTestConfig(), Placement: PlaceRoundRobin})
+	cl, err := NewCluster(ClusterConfig{Channels: 4, Channel: profileTestConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

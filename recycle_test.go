@@ -253,9 +253,13 @@ func TestKeptProgramsSurviveRecycling(t *testing.T) {
 
 	// The Cluster's ExecBatch memo.
 	cl := testCluster(t, 2)
-	cvecs, err := cl.AllocShardedGroup(memoN, 8, 3)
-	if err != nil {
-		t.Fatal(err)
+	cvecs := make([]*ShardedVector, 3)
+	for i := range cvecs {
+		v, err := cl.AllocShardedVector(memoN, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cvecs[i] = v
 	}
 	cprog := isa.Program{{Op: isa.FromOp(ops.OpAdd), Dst: cvecs[2].Handle(), Src: [3]uint16{cvecs[0].Handle(), cvecs[1].Handle()}, Size: memoN, Width: 8}}
 	checkCluster := func() {

@@ -73,10 +73,6 @@ type ServerConfig struct {
 	// recompiles it with observed costs. Defaults to
 	// DefaultProfileThreshold; negative disables profile feedback.
 	ProfileThreshold float64
-	// ProfileMinJobs is how many executed jobs must fold into a shape's
-	// profile before divergence can trigger a recompile. Defaults to
-	// DefaultProfileMinJobs.
-	ProfileMinJobs int
 	// TraceSampling is the fraction of submitted jobs that get a span
 	// trace (1.0 = every job, 0 = tracing disabled — the default, and
 	// strictly allocation-free on the job hot path; fractions become
@@ -85,9 +81,6 @@ type ServerConfig struct {
 	// TraceDepth bounds how many completed job traces the flight
 	// recorder retains (the trace ring). Defaults to 64.
 	TraceDepth int
-	// EventDepth bounds how many error/eviction/recompile events the
-	// flight recorder retains. Defaults to 256.
-	EventDepth int
 	// SLOs declares latency objectives the server evaluates continuously
 	// against its windowed latency histograms, emitting burn-rate "slo"
 	// events into the flight recorder when one starts breaching. See the
@@ -106,6 +99,10 @@ type ServerConfig struct {
 	// effect.
 	VerifyPlans bool
 }
+
+// serverEventDepth bounds how many error/eviction/recompile events a
+// Server's flight recorder retains.
+const serverEventDepth = 256
 
 // DefaultServerConfig returns a server of n default-geometry channels
 // with a 8n-deep queue, no per-tenant quota, and the default plan
@@ -186,9 +183,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.ProfileThreshold == 0 {
 		cfg.ProfileThreshold = DefaultProfileThreshold
 	}
-	if cfg.ProfileMinJobs == 0 {
-		cfg.ProfileMinJobs = DefaultProfileMinJobs
-	}
 	channels := make([]*System, cfg.Channels)
 	for i := range channels {
 		sys, err := New(cfg.Channel)
@@ -200,17 +194,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.TraceDepth == 0 {
 		cfg.TraceDepth = 64
 	}
-	if cfg.EventDepth == 0 {
-		cfg.EventDepth = 256
-	}
 	s := &Server{
 		cfg:      cfg,
 		channels: channels,
-		plans:    graph.NewPlanCache(cfg.PlanCacheSize, cfg.ProfileThreshold, cfg.ProfileMinJobs),
+		plans:    graph.NewPlanCache(cfg.PlanCacheSize, cfg.ProfileThreshold, DefaultProfileMinJobs),
 		metrics:  obs.NewRegistry(),
 		hits:     make([]hitMemo, cfg.Channels),
 	}
-	s.rec = obs.NewFlightRecorder(cfg.TraceDepth, cfg.EventDepth)
+	s.rec = obs.NewFlightRecorder(cfg.TraceDepth, serverEventDepth)
 	s.tracer = obs.NewTracer(cfg.TraceSampling, s.rec)
 	evictions := s.metrics.Counter("server.plan_evictions")
 	s.plans.SetEvictHook(func(key string, hits uint64) {

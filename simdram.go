@@ -262,7 +262,7 @@ func (s *System) TranspositionUnit() *vertical.Unit { return s.tu }
 func (s *System) Lanes() int { return s.cfg.DRAM.Cols * s.cfg.DRAM.Banks }
 
 // usedRows returns the total number of allocated data rows across every
-// subarray — the load signal placement policies shard against.
+// subarray; tests' leak checks read it.
 func (s *System) usedRows() int {
 	used := 0
 	for _, bank := range s.rows {
