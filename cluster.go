@@ -209,6 +209,20 @@ func (v *ShardedVector) Len() int { return v.n }
 // Width returns the element width in bits.
 func (v *ShardedVector) Width() int { return v.width }
 
+// aligned reports whether every shard of v is segment-aligned with the
+// same channel's shard of o (see Vector.aligned).
+func (v *ShardedVector) aligned(o *ShardedVector) bool {
+	if len(v.parts) != len(o.parts) {
+		return false
+	}
+	for i, p := range v.parts {
+		if !p.aligned(o.parts[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // freeParts releases the per-channel shards.
 func (v *ShardedVector) freeParts() {
 	for _, part := range v.parts {

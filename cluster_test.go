@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"simdram/internal/ctrl"
+	"simdram/internal/dram"
 	"simdram/internal/isa"
 	"simdram/internal/ops"
 )
@@ -282,6 +283,35 @@ func TestClusterShardAlignment(t *testing.T) {
 	_, err = c.Run("addition", dst, a, short)
 	if err == nil || !strings.Contains(err.Error(), "101 elements") || !strings.Contains(err.Error(), "has 100") {
 		t.Errorf("operands of different lengths must be rejected naming both counts, got: %v", err)
+	}
+}
+
+// TestClusterCompileRejectsMisalignedShardLeaves compiles an addition
+// of two sharded vectors of one length placed at different banks: the
+// Cluster compiler must reject them as System.Compile rejects
+// misaligned Vector leaves, before any channel issues a DRAM command.
+func TestClusterCompileRejectsMisalignedShardLeaves(t *testing.T) {
+	c := testCluster(t, 2)
+	a, err := c.AllocShardedVectorAt(100, 8, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.AllocShardedVectorAt(100, 8, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]dram.Stats, c.Channels())
+	for i := range before {
+		before[i] = c.Channel(i).Module().Stats()
+	}
+	_, err = c.Compile(c.Lazy(a).Add(c.Lazy(b)))
+	if err == nil || !strings.Contains(err.Error(), "not segment-aligned") {
+		t.Fatalf("Compile of misaligned shard leaves returned %v, want a segment-alignment error", err)
+	}
+	for i, s := range before {
+		if got := c.Channel(i).Module().Stats(); got != s {
+			t.Errorf("channel %d: a rejected compile issued commands: stats %+v, were %+v", i, got, s)
+		}
 	}
 }
 

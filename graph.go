@@ -312,6 +312,8 @@ func (env *compileEnv) node(e *Expr) (graph.NodeID, error) {
 		}
 		if env.firstShard == nil {
 			env.firstShard = e
+		} else if !v.aligned(env.firstShard.sleaf) {
+			return 0, errorf("graph: leaf vectors are not segment-aligned (allocate them with the same length and placement)")
 		}
 		if id, err = env.g.Input(v.width); err != nil {
 			return 0, err

@@ -123,48 +123,57 @@ func checkNarrowMatchesWide(t *testing.T, rng *rand.Rand, name string, tn, tw *u
 }
 
 // BenchmarkSteps4 times the 4-word step loop alone, the Go loop and,
-// where the CPU has it, the AVX2 one, on the lowered template of 8-bit
-// addition bound on 256-column rows, reporting host ns per step.
+// where the CPU has it, the AVX2 one, on the lowered templates of 8-bit
+// addition and of 16-bit multiplication (the TPC-H operation that
+// dominates serving) bound on a 256-column, 512-row subarray,
+// reporting host ns per step.
 func BenchmarkSteps4(b *testing.B) {
 	cfg := dram.TestConfig()
 	cfg.Cols = 256
-	d, err := ops.ByCode(ops.OpAdd)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := ops.SynthesizeCached(d, 8, 2, ops.VariantSIMDRAM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tmpl := uprog.NewTemplate(s.Program, cfg)
-	bind, ok := packedBinding(s.Program, cfg)
-	if !ok {
-		b.Fatal("8-bit addition does not fit the test geometry")
-	}
-	sa := dram.NewSubarray(&cfg)
-	rows := make([][]uint64, tmpl.Rows())
-	if _, err := tmpl.BindInto(sa, bind, make([]int32, tmpl.Rows()), rows); err != nil {
-		b.Fatal(err)
-	}
-	// The template's virtual geometry: its regions as data rows, then
-	// the compute rows.
-	rm := sa.RowMap()
-	n := int32(tmpl.Rows()) - (rm.Rows() - rm.T)
-	plan := dram.RowMap{T: n, DCC: n + rm.DCC - rm.T, C0: n + rm.C0 - rm.T}.Plan(tmpl.Ops, true)
-	for _, vec := range []bool{false, true} {
-		name := "go"
-		if vec {
-			name = "vector"
+	cfg.RowsPerSubarray = 512
+	for _, bc := range []struct {
+		name  string
+		code  ops.Code
+		width int
+	}{{"add8", ops.OpAdd, 8}, {"mul16", ops.OpMul, 16}} {
+		d, err := ops.ByCode(bc.code)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			if vec && !dram.HaveVector() {
-				b.Skip("no vector step loop on this CPU")
+		s, err := ops.SynthesizeCached(d, bc.width, 2, ops.VariantSIMDRAM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmpl := uprog.NewTemplate(s.Program, cfg)
+		bind, ok := packedBinding(s.Program, cfg)
+		if !ok {
+			b.Fatalf("%s does not fit the test geometry", bc.name)
+		}
+		sa := dram.NewSubarray(&cfg)
+		rows := make([][]uint64, tmpl.Rows())
+		if _, err := tmpl.BindInto(sa, bind, make([]int32, tmpl.Rows()), rows); err != nil {
+			b.Fatal(err)
+		}
+		// The template's virtual geometry: its regions as data rows,
+		// then the compute rows.
+		rm := sa.RowMap()
+		n := int32(tmpl.Rows()) - (rm.Rows() - rm.T)
+		plan := dram.RowMap{T: n, DCC: n + rm.DCC - rm.T, C0: n + rm.C0 - rm.T}.Plan(tmpl.Ops, true)
+		for _, vec := range []bool{false, true} {
+			name := bc.name + "/go"
+			if vec {
+				name = bc.name + "/vector"
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dram.Steps4(rows, &plan, vec)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plan.Steps()), "ns/step")
-		})
+			b.Run(name, func(b *testing.B) {
+				if vec && !dram.HaveVector() {
+					b.Skip("no vector step loop on this CPU")
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dram.Steps4(rows, &plan, vec)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plan.Steps()), "ns/step")
+			})
+		}
 	}
 }

@@ -219,37 +219,47 @@ func TestHostReadWrite(t *testing.T) {
 // ChargeWrites and reads them through ReadView on one subarray, and
 // writes and reads them row by row through WriteRow and ReadRowInto on
 // another: the contents, the stats (energy bit for bit) and the traced
-// commands must agree. Views reach data rows only.
+// commands must agree, with OnCommand hooks set (the views charge row
+// by row) and without (they charge all rows at once). Views reach data
+// rows only.
 func TestRowViewsChargeLikeRowAccess(t *testing.T) {
-	views, single := testSubarray(t), testSubarray(t)
-	var viewCmds, singleCmds []Command
-	views.OnCommand = func(c Command) { viewCmds = append(viewCmds, c) }
-	single.OnCommand = func(c Command) { singleCmds = append(singleCmds, c) }
-	rng := rand.New(rand.NewSource(6))
-	words := views.cfg.WordsPerRow()
-	const base, n = 3, 5
-	for round := 0; round < 3; round++ {
-		rows := views.WriteView(base, n)
-		for r := range rows {
-			copy(rows[r], randRow(rng, words))
-			single.WriteRow(base+r, rows[r])
+	for _, hooked := range []bool{false, true} {
+		views, single := testSubarray(t), testSubarray(t)
+		var viewCmds, singleCmds []Command
+		if hooked {
+			views.OnCommand = func(c Command) { viewCmds = append(viewCmds, c) }
+			single.OnCommand = func(c Command) { singleCmds = append(singleCmds, c) }
 		}
-		views.ChargeWrites(base, n)
-		got := views.ReadView(base, n)
-		for r := range got {
-			want := make([]uint64, words)
-			single.ReadRowInto(base+r, want)
-			if !reflect.DeepEqual(got[r], want) {
-				t.Fatalf("round %d: row %d differs", round, base+r)
+		rng := rand.New(rand.NewSource(6))
+		words := views.cfg.WordsPerRow()
+		const base, n = 3, 5
+		for round := 0; round < 3; round++ {
+			rows := views.WriteView(base, n)
+			for r := range rows {
+				copy(rows[r], randRow(rng, words))
+				single.WriteRow(base+r, rows[r])
+			}
+			views.ChargeWrites(base, n)
+			got := views.ReadView(base, n)
+			for r := range got {
+				want := make([]uint64, words)
+				single.ReadRowInto(base+r, want)
+				if !reflect.DeepEqual(got[r], want) {
+					t.Fatalf("hooked %v, round %d: row %d differs", hooked, round, base+r)
+				}
 			}
 		}
+		if views.Stats != single.Stats || math.Float64bits(views.Stats.EnergyPJ) != math.Float64bits(single.Stats.EnergyPJ) {
+			t.Fatalf("hooked %v: views charged %v, single-row access %v", hooked, views.Stats, single.Stats)
+		}
+		if want := int64(3 * n); views.Stats.HostWrites != want || views.Stats.HostReads != want {
+			t.Fatalf("hooked %v: views charged %v, want %d host writes and reads", hooked, views.Stats, want)
+		}
+		if !reflect.DeepEqual(viewCmds, singleCmds) || hooked != (len(viewCmds) == 6*n) {
+			t.Fatalf("hooked %v: views traced %v, single-row access %v", hooked, viewCmds, singleCmds)
+		}
 	}
-	if views.Stats != single.Stats || math.Float64bits(views.Stats.EnergyPJ) != math.Float64bits(single.Stats.EnergyPJ) {
-		t.Fatalf("views charged %v, single-row access %v", views.Stats, single.Stats)
-	}
-	if !reflect.DeepEqual(viewCmds, singleCmds) {
-		t.Fatalf("views traced %v, single-row access %v", viewCmds, singleCmds)
-	}
+	views := testSubarray(t)
 	dataRows := views.cfg.DataRows()
 	for _, c := range []struct{ base, n int }{{-1, 2}, {dataRows - 1, 2}, {dataRows, 1}, {views.cfg.C0Row(), 1}, {0, 0}} {
 		for name, view := range map[string]func(){

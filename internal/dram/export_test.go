@@ -43,10 +43,14 @@ func HaveVector() bool { return haveVector }
 
 // Steps4 runs p's steps alone, with no charge, over the 4-word row
 // table rows: with the Go step loop, or with vector set the AVX2 one.
+// Like exec, it panics first if rows lacks a row p names.
 func Steps4(rows [][]uint64, p *Plan, vector bool) {
-	if !vector {
+	if p.nrows > len(rows) {
+		panic("dram: plan names a row outside the row table")
+	}
+	if vector {
+		steps4Vec(rows, p.code)
+	} else {
 		steps4(rows, p.code)
-	} else if !steps4Vec(rows, p.code) {
-		panic("dram: plan step outside the row table")
 	}
 }

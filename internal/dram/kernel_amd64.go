@@ -20,9 +20,10 @@ func xorVector(d, s []uint64, m uint64)
 // steps4Vec is steps4 on AVX2, one YMM register per row: it loads a
 // step's inputs before it stores any output, so an output may alias an
 // input, and takes each entry's polarity from a {zeros, ones} table.
-// Where steps4 panics — a row entry outside rows, a row shorter than 4
-// words, a step longer than the code left — it returns false, having
-// made the stores steps4 makes before its panic.
+// It checks nothing: code must be a built plan's (newPlan checked it
+// parses) and rows must hold every row the plan names (exec checks
+// that), each at least 4 words (the View invariant). Where steps4
+// would panic it reads and writes out of bounds.
 //
 //go:noescape
-func steps4Vec(rows [][]uint64, code []int32) bool
+func steps4Vec(rows [][]uint64, code []int32)

@@ -330,6 +330,66 @@ func TestPlanEnergyHookFree(t *testing.T) {
 	}
 }
 
+// TestExecViewShortTablePanicsBeforeStores runs a plan through a view
+// whose row table lacks a row the plan's second step writes: ExecView
+// must panic before the first step stores, leaving every row and the
+// stats as they were, on the 4-word step loops (Go and vector) and on
+// the row loops.
+func TestExecViewShortTablePanicsBeforeStores(t *testing.T) {
+	for _, c := range []struct {
+		cols   int
+		vector bool
+	}{{256, false}, {256, true}, {512, false}, {512, true}} {
+		if c.vector && !haveVector {
+			continue
+		}
+		func() {
+			prev := useVector
+			useVector = c.vector
+			defer func() { useVector = prev }()
+			cfg := TestConfig()
+			cfg.Cols = c.cols
+			s := NewSubarray(&cfg)
+			rng := rand.New(rand.NewSource(36))
+			for r := int32(0); r < s.rm.C0; r++ {
+				s.Poke(int(r), randRow(rng, cfg.WordsPerRow()))
+			}
+			ops := []Op{
+				{Kind: CmdAAP, Src: 0, NDst: 1, Dsts: [3]int32{1}},
+				{Kind: CmdAAP, Src: 0, NDst: 1, Dsts: [3]int32{20}},
+			}
+			for i := range ops {
+				if err := s.rm.CheckOp(&ops[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := s.rm.Plan(ops, false)
+			phys := make([]int32, 10)
+			for i := range phys {
+				phys[i] = int32(i)
+			}
+			v := s.NewView(phys, make([][]uint64, len(phys)))
+			before, stats := newRef(s).rows, s.Stats
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("cols=%d vector=%v: a plan naming row 20 ran through a 10-row view", c.cols, c.vector)
+					}
+				}()
+				s.ExecView(&v, &p)
+			}()
+			for r, want := range before {
+				if !slices.Equal(s.rows[r], want) {
+					t.Errorf("cols=%d vector=%v: row %d changed before the panic", c.cols, c.vector, r)
+				}
+			}
+			if s.Stats != stats {
+				t.Errorf("cols=%d vector=%v: stats %+v, were %+v", c.cols, c.vector, s.Stats, stats)
+			}
+		}()
+	}
+}
+
 // TestCheckOpRejects pins each condition the kernel relies on.
 func TestCheckOpRejects(t *testing.T) {
 	cfg := TestConfig()

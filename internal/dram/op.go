@@ -209,16 +209,15 @@ func OpRow(r int) int32 {
 
 // Exec is the command kernel: it runs p, whose ops passed CheckOp
 // against this subarray's RowMap. Nothing is re-validated per command
-// — an unchecked op can clobber a control row, though bounds checks
-// (Go's, and the vector step loop's own) still stop any row index
-// outside the subarray. After the
-// plan's steps have run, OnCommand, when set, sees each command in
-// order (hooks observe the commands, not intermediate row contents)
-// while each op's energy is charged in stream order. Without a hook
-// the energy is charged once, as each class's op count times its
-// per-command energy; with integral per-command energies, as the
-// defaults are, both sums are exact and so bit-identical. The plan's
-// command counters are added at the end.
+// — an unchecked op can clobber a control row, though no step reaches
+// past the subarray: a plan that names a row outside it panics before
+// any step runs. After the plan's steps have run, OnCommand, when set,
+// sees each command in order (hooks observe the commands, not
+// intermediate row contents) while each op's energy is charged in
+// stream order. Without a hook the energy is charged once, as each
+// class's op count times its per-command energy; with integral
+// per-command energies, as the defaults are, both sums are exact and
+// so bit-identical. The plan's command counters are added at the end.
 //
 //simdram:zeroalloc
 func (s *Subarray) Exec(p *Plan) {
@@ -231,6 +230,11 @@ func (s *Subarray) Exec(p *Plan) {
 // virtual geometry — a relocatable μProgram template — run on any
 // placement through a view, with no per-placement copy or check. A
 // view shares the subarray's row storage and is immutable once built.
+//
+// Invariant: every entry of a view's row table is one of its
+// subarray's rows, so every entry has the subarray's row width. The
+// step loop is picked by that width, and so needs no per-run check of
+// a row's length; only NewView fills the table.
 type View struct {
 	sa   *Subarray
 	rows [][]uint64 // virtual row → the physical row's storage
@@ -239,9 +243,9 @@ type View struct {
 
 // NewView returns the view of s whose virtual row v is physical row
 // phys[v], with rows, as long as phys, as its row table; the view
-// keeps both, so several views can share one slab. Several virtual
-// rows may name one physical row. NewView panics if a row lies outside
-// the subarray.
+// keeps both, so several views can share one slab, which must not
+// change while a view over it runs. Several virtual rows may name one
+// physical row. NewView panics if a row lies outside the subarray.
 func (s *Subarray) NewView(phys []int32, rows [][]uint64) View {
 	if len(rows) != len(phys) {
 		panic("dram: view row table and row map differ in length")
@@ -267,17 +271,22 @@ func (s *Subarray) ExecView(v *View, p *Plan) {
 }
 
 // exec is the kernel of Exec and ExecView over a row table: it runs
-// p's steps, then charges p's energy and counters. Row width alone
-// picks the step loop: 4-word (256-column) rows have their own, on
-// AVX2 where the CPU has it.
+// p's steps, then charges p's energy and counters. Its one check is
+// that rows holds every row p names; it panics, before any store, if
+// not. Row width alone picks the step loop: 4-word (256-column) rows
+// have their own, on AVX2 where the CPU has it, which checks nothing
+// (see Plan and View).
 //
 //simdram:zeroalloc
 func (s *Subarray) exec(rows [][]uint64, p *Plan) {
+	if p.nrows > len(rows) {
+		panic("dram: plan names a row outside the row table")
+	}
 	if len(s.rows[0]) == narrowWords {
-		if !useVector {
+		if useVector {
+			steps4Vec(rows, p.code)
+		} else {
 			steps4(rows, p.code)
-		} else if !steps4Vec(rows, p.code) {
-			panic("dram: plan step outside the row table")
 		}
 	} else {
 		steps(rows, p.code)

@@ -29,6 +29,12 @@ import (
 // stream order and shows each op to OnCommand, or, with no OnCommand
 // set, charges the energy of the plan's per-class op counts at once.
 // A plan is immutable and safe to share across goroutines.
+//
+// A plan is checked once, when it is built: its code parses whole into
+// steps, and nrows bounds the rows they name. A run then checks only
+// that its row table holds nrows rows, and the step loops check
+// nothing, as a control unit replays μOps that were checked when they
+// were generated.
 type Plan struct {
 	ops    []Op    // the stream: energy and traced commands, one per op
 	code   []int32 // the steps, each encoded as below
@@ -36,6 +42,7 @@ type Plan struct {
 	// classes counts the stream's ops per energy class, so a run
 	// without OnCommand charges its energy in one sum.
 	classes [numEnergyClasses]int64
+	nrows   int // one past the highest row any step names
 }
 
 // A step is encoded in Plan.code as its header n<<1 | maj, its inputs
@@ -93,13 +100,38 @@ func (m RowMap) Plan(ops []Op, lower bool) Plan {
 }
 
 // newPlan returns the plan of ops with the encoded steps code, its
-// command counters and energy-class counts taken from ops.
+// command counters and energy-class counts taken from ops. It panics
+// if code does not parse (see scanCode), which code encoded from ops
+// that passed CheckOp never does.
 func newPlan(ops []Op, code []int32) Plan {
-	p := Plan{ops: ops, code: code, counts: countOps(ops)}
+	nrows, ok := scanCode(code)
+	if !ok {
+		panic("dram: malformed plan code")
+	}
+	p := Plan{ops: ops, code: code, counts: countOps(ops), nrows: nrows}
 	for i := range ops {
 		p.classes[ops[i].energy]++
 	}
 	return p
+}
+
+// scanCode walks encoded steps once and returns one past the highest
+// row an entry names; ok is false unless every step has a non-negative
+// header, 1 to maxWrites outputs and all its entries inside code. The
+// step loops rely on both: they parse and index without a check.
+func scanCode(code []int32) (nrows int, ok bool) {
+	for c := code; len(c) > 0; {
+		h := c[0]
+		n := 1 + 2*int(h&stepMaj) + int(h>>1) // entries after the header
+		if h < 0 || h>>1 < 1 || h>>1 > maxWrites || n >= len(c) {
+			return 0, false
+		}
+		for _, x := range c[1 : 1+n] {
+			nrows = max(nrows, int(rowOf(x))+1)
+		}
+		c = c[1+n:]
+	}
+	return nrows, true
 }
 
 // numWrites bounds the entries writes stores for op.

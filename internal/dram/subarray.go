@@ -156,6 +156,11 @@ func (s *Subarray) WriteRow(row int, data []uint64) {
 //simdram:zeroalloc
 func (s *Subarray) ReadView(base, n int) [][]uint64 {
 	view := s.dataView(base, n)
+	if s.OnCommand == nil {
+		s.Stats.HostReads += int64(n)
+		s.Stats.EnergyPJ += float64(n) * s.cfg.Energy.RdPJ
+		return view
+	}
 	for r := base; r < base+n; r++ {
 		s.chargeRead(r)
 	}
@@ -177,9 +182,19 @@ func (s *Subarray) WriteView(base, n int) [][]uint64 { return s.dataView(base, n
 // of a fill through WriteView, or of rows that already hold what the
 // host would write.
 //
+// With no OnCommand hook, ChargeWrites and ReadView charge the n rows
+// at once, n times the per-row energy, as Exec charges a plan; with
+// integral per-row energies, as the defaults are, that sum is exact
+// and so bit-identical to n single-row charges.
+//
 //simdram:zeroalloc
 func (s *Subarray) ChargeWrites(base, n int) {
 	s.dataView(base, n)
+	if s.OnCommand == nil {
+		s.Stats.HostWrites += int64(n)
+		s.Stats.EnergyPJ += float64(n) * s.cfg.Energy.WrPJ
+		return
+	}
 	for r := base; r < base+n; r++ {
 		s.chargeWrite(r)
 	}
