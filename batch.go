@@ -43,7 +43,7 @@ func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 	if err != nil {
 		return BatchStats{}, err
 	}
-	st, _, err := s.runPreparedAttr(pp, nil, nil)
+	st, err := s.runPreparedAttr(pp, nil, nil)
 	pp.release() // a one-shot program: nothing runs it again
 	if err != nil {
 		return BatchStats{}, err
@@ -60,10 +60,9 @@ func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 // validation, and scheduling entirely; a one-shot owner releases it
 // after its run.
 type preparedProgram struct {
-	prep  *ctrl.Prepared // nil for a program of only trsp_init instructions
-	jobOf []int          // instruction index → job index, -1 for trsp_init
-	// opNs is the per-instruction latency buffer every run fills and
-	// returns (0 for trsp_init); callers consume it before the next run.
+	prep *ctrl.Prepared // nil for a program of only trsp_init instructions
+	// opNs is each instruction's modeled busy time (see
+	// ctrl.Prepared.DurNs; 0 for trsp_init), fixed at prepare.
 	opNs []float64
 	// binds pins every referenced handle to the Vector it resolved to:
 	// a run after the vector was freed (or its handle recycled) must
@@ -82,7 +81,7 @@ var ppPool = sync.Pool{New: func() any { return new(preparedProgram) }}
 // unit's storage (see ctrl.Prepared.Release) and pp itself with its
 // tables. The owner — a one-shot caller after its run, or a keeping
 // owner (a Compiled, a memo entry) when it lets the program go — must
-// hold no other reference to pp, or to the latencies a run returned.
+// hold no other reference to pp or its opNs.
 // A program whose binds name slab Vectors is released together with
 // the slab (see lowered.release), so no live program ever names a
 // recycled Vector.
@@ -91,7 +90,7 @@ func (pp *preparedProgram) release() {
 		pp.prep.Release()
 	}
 	clear(pp.binds) // drop the Vectors
-	*pp = preparedProgram{jobOf: pp.jobOf[:0], opNs: pp.opNs[:0], binds: pp.binds[:0], scratch: pp.scratch[:0]}
+	*pp = preparedProgram{opNs: pp.opNs[:0], binds: pp.binds[:0], scratch: pp.scratch[:0]}
 	ppPool.Put(pp)
 }
 
@@ -106,16 +105,17 @@ type scratchNeed struct {
 
 // prepScratch is what prepareProgramTraced needs only while it runs:
 // the hazard graph, the control unit's job table with its dependency
-// lists, the segment and base tables the jobs' segments are carved
-// from, and the set of handles already pinned (a 12 KB bitset that
-// would otherwise grow a fresh goroutine's stack). ctrl.Unit.Prepare
-// keeps no reference into them, so they go back to prepPool as prepare
-// returns.
+// lists, the instruction→job map, the segment and base tables the
+// jobs' segments are carved from, and the set of handles already
+// pinned (a 12 KB bitset that would otherwise grow a fresh goroutine's
+// stack). ctrl.Unit.Prepare keeps no reference into them, so they go
+// back to prepPool as prepare returns.
 type prepScratch struct {
 	deps  [][]int
 	flat  []int
 	jobs  []ctrl.Job
 	jdeps []int
+	jobOf []int // instruction index → job index, -1 for trsp_init
 	segs  segBufs
 	bound isa.HandleSet
 }
@@ -169,8 +169,9 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		}
 	}
 	pp := ppPool.Get().(*preparedProgram)
-	pp.jobOf = sized(pp.jobOf, len(prog))
 	pp.opNs = sized(pp.opNs, len(prog))
+	jobOf := sized(sc.jobOf, len(prog))
+	sc.jobOf = jobOf
 	// Compiled programs use about one handle per instruction.
 	pp.binds = grown(pp.binds, len(prog)+4)
 	nDeps := 0
@@ -213,7 +214,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 			bind(v)
 			// trsp_init only validates the object (see Exec): it writes
 			// nothing, so dropping it from the job graph loses no hazard.
-			pp.jobOf[i] = -1
+			jobOf[i] = -1
 			continue
 		}
 		d, dst, srcs, err := s.resolve(in, &srcBuf)
@@ -233,11 +234,11 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		}
 		d0 := len(jdeps)
 		for _, dep := range deps[i] {
-			if j := pp.jobOf[dep]; j >= 0 {
+			if j := jobOf[dep]; j >= 0 {
 				jdeps = append(jdeps, j)
 			}
 		}
-		pp.jobOf[i] = len(jobs)
+		jobOf[i] = len(jobs)
 		jobs = append(jobs, ctrl.Job{Program: p, Segments: jsegs, Deps: jdeps[d0:len(jdeps):len(jdeps)]})
 	}
 	pp.scratch = maxScratchNeeds(pp.scratch, s.cfg.DRAM.Banks, s.cfg.DRAM.SubarraysPerBank)
@@ -251,6 +252,12 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		return fail(err)
 	}
 	pp.prep = prep
+	durNs := prep.DurNs()
+	for i, j := range jobOf {
+		if j >= 0 {
+			pp.opNs[i] = durNs[j]
+		}
+	}
 	return pp, nil
 }
 
@@ -337,9 +344,9 @@ func maxScratchNeeds(needs []scratchNeed, banks, subs int) []scratchNeed {
 // ctrl.Attribution). It re-verifies the prepared program first (see
 // checkPrepared), then dispatches it. A nil sink keeps the run
 // allocation-free.
-func (s *System) runPreparedAttr(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, []float64, error) {
+func (s *System) runPreparedAttr(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, error) {
 	if err := s.checkPrepared(pp); err != nil {
-		return ctrl.BatchStats{}, nil, err
+		return ctrl.BatchStats{}, err
 	}
 	return s.execPrepared(pp, cancel, at)
 }
@@ -366,20 +373,9 @@ func (s *System) checkScratch(pp *preparedProgram) error {
 }
 
 // execPrepared dispatches a prepared program that passed checkPrepared.
-// The returned per-instruction latencies are pp's own buffer, valid
-// until its next run.
-func (s *System) execPrepared(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, []float64, error) {
+func (s *System) execPrepared(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, error) {
 	if pp.prep == nil {
-		return ctrl.BatchStats{}, pp.opNs, nil // program of only trsp_init instructions
+		return ctrl.BatchStats{}, nil // program of only trsp_init instructions
 	}
-	st, durNs, err := s.cu.Run(pp.prep, ctrl.RunOpts{Cancel: cancel, Attr: at})
-	if err != nil {
-		return st, nil, err
-	}
-	for i, j := range pp.jobOf {
-		if j >= 0 {
-			pp.opNs[i] = durNs[j]
-		}
-	}
-	return st, pp.opNs, nil
+	return s.cu.Run(pp.prep, ctrl.RunOpts{Cancel: cancel, Attr: at})
 }

@@ -48,8 +48,7 @@ type Cluster struct {
 	handles  handleSpace
 
 	// plans memoizes compiled expression shapes (see PlanCacheStats),
-	// each with the measured per-op latencies that drive its
-	// profile-guided recompile (see ProfileStats).
+	// with profile feedback off: only a Server profiles its jobs.
 	plans *graph.PlanCache
 
 	// metrics holds the cluster's dispatch observability: a batch
@@ -83,7 +82,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		objects: make(map[uint16]*ShardedVector),
-		plans:   graph.NewPlanCache(DefaultPlanCacheSize, DefaultProfileThreshold, DefaultProfileMinJobs),
+		plans:   graph.NewPlanCache(DefaultPlanCacheSize, -1, 0),
 		metrics: obs.NewRegistry(),
 	}
 	c.batches = c.metrics.Counter("cluster.batches")
@@ -342,7 +341,7 @@ func (c *Cluster) ExecBatch(prog isa.Program) (ClusterBatchStats, error) {
 		}
 		m = &batchMemo{key: append(isa.Program(nil), prog...), sp: sp}
 	}
-	st, _, err := c.runSharded(m.sp)
+	st, err := c.runSharded(m.sp)
 	if err != nil {
 		return ClusterBatchStats{}, err
 	}
@@ -400,7 +399,6 @@ type shardedProgram struct {
 	ran []int              // the channels with work
 	// Per-run scratch, so a replay allocates only what it returns.
 	perCh []ctrl.BatchStats
-	opNs  []float64
 }
 
 // prepareSharded validates and shards a program, then prepares every
@@ -417,7 +415,7 @@ func (c *Cluster) prepareSharded(prog isa.Program) (*shardedProgram, error) {
 	k := len(c.channels)
 	sp := &shardedProgram{
 		pp: make([]*preparedProgram, k), ran: ran,
-		perCh: make([]ctrl.BatchStats, k), opNs: make([]float64, len(prog)),
+		perCh: make([]ctrl.BatchStats, k),
 	}
 	err = cluster.Dispatch(ran, func(_, ch int) error {
 		var err error
@@ -538,19 +536,16 @@ var shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 // runSharded runs a prepared program — checked by the caller — on its
 // channels in parallel and merges the results under the cluster's
-// timing model. opNs[i] is the slowest channel's modeled busy time for
-// instruction i (the shard that bounds it), sp's own buffer; it is nil
-// when a channel's rewritten sub-program dropped instructions
-// (zero-sized shards), which breaks index alignment.
-func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, error) {
+// timing model.
+func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, error) {
 	clear(sp.perCh)
 	err := cluster.Dispatch(sp.ran, func(_, ch int) error {
-		st, _, err := c.channels[ch].execPrepared(sp.pp[ch], nil, nil)
+		st, err := c.channels[ch].execPrepared(sp.pp[ch], nil, nil)
 		sp.perCh[ch] = st
 		return err
 	})
 	if err != nil {
-		return ClusterBatchStats{}, nil, err
+		return ClusterBatchStats{}, err
 	}
 	// Per-channel dispatch distributions: each participating channel's
 	// modeled critical path for this batch.
@@ -560,25 +555,7 @@ func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, []float64, 
 		c.energy[ch].Add(sp.perCh[ch].EnergyPJ)
 		c.commands[ch].Add(uint64(sp.perCh[ch].Commands))
 	}
-	st := cluster.Merge(sp.perCh)
-	// Per-op attribution: the instruction's latency is its slowest
-	// shard. Only attributable when every participating channel ran the
-	// full program (a dropped zero-sized shard would shift indices).
-	opNs := sp.opNs
-	clear(opNs)
-	for _, ch := range sp.ran {
-		chOp := sp.pp[ch].opNs
-		if len(chOp) != len(opNs) {
-			opNs = nil
-			break
-		}
-		for i, d := range chOp {
-			if d > opNs[i] {
-				opNs[i] = d
-			}
-		}
-	}
-	return st, opNs, nil
+	return cluster.Merge(sp.perCh), nil
 }
 
 // Run executes the named operation across the cluster: dst[i] =

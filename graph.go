@@ -198,7 +198,9 @@ type CompileStats struct {
 	// from its measured profile: the shape's observed per-op latencies
 	// had diverged from the static cost model beyond the profile
 	// threshold, so the scheduler re-ran with observed costs and the
-	// cached plan was replaced.
+	// cached plan was replaced. Only a Server profiles its jobs; a
+	// System or Cluster compile never sets this or the two fields
+	// below.
 	Recompiled bool
 	// ProfiledPlan reports that the plan used (freshly rebuilt or
 	// cached) was scheduled with observed per-op costs rather than the
@@ -412,9 +414,10 @@ func optsKey(opts CompileOptions) string {
 // When the shape's measured per-op latencies have diverged from the
 // static cost model (PlanCache.TakeRecompile), the cached plan is
 // replaced by one rebuilt with observed costs — exactly one caller per
-// cached shape performs the recompile. Profile feedback only reprices
-// the schedule, so a naive compile, which keeps construction order,
-// takes none.
+// cached shape performs the recompile. Only a Server records profiles
+// (see runLazy), so a System's or Cluster's cache never recompiles.
+// Profile feedback only reprices the schedule, so a naive compile,
+// which keeps construction order, takes none.
 //
 // tr, when non-nil, receives "cache-lookup" and (on a cold compile or
 // recompile) "schedule" spans under parent — the serving layer's
@@ -879,42 +882,6 @@ func (lw *lowered) discardResults() {
 	lw.results = nil
 }
 
-// planFeedback carries what an execution needs to fold its measured
-// per-op latencies back into the shape's profile: the plan cache whose
-// entry holds the profile, the shape key, the plan (for op identities,
-// aligned with the lowered program), and the static cost model the
-// observations are compared against. A nil feedback records nothing.
-type planFeedback struct {
-	plans *graph.PlanCache
-	key   string
-	plan  *graph.Plan
-	model graph.CostFn
-}
-
-// record folds one executed batch's per-op latencies into the profile.
-func (f *planFeedback) record(opNs []float64) {
-	if f == nil {
-		return
-	}
-	f.plans.Record(f.key, f.plan, opNs, f.model)
-}
-
-// feedbackFor builds the execution→profile feedback for one planned
-// compilation on env's System or Cluster, or nil for a naive compile,
-// whose construction-order schedule profile feedback cannot improve.
-func feedbackFor(env *compileEnv, plan *graph.Plan) *planFeedback {
-	if env.opts.Naive {
-		return nil
-	}
-	f := &planFeedback{key: env.key, plan: plan, model: planModel(env.sys, env.cl)}
-	if env.sys != nil {
-		f.plans = env.sys.plans
-	} else {
-		f.plans = env.cl.plans
-	}
-	return f
-}
-
 // Compiled is a lazily built expression graph lowered for one System:
 // the batched bbop program plus the temporary, constant, and result
 // vectors it runs against. Execute may be called repeatedly (results
@@ -924,7 +891,6 @@ type Compiled struct {
 	sys   *System
 	lw    *lowered
 	stats CompileStats
-	fb    *planFeedback
 	freed bool
 	// pp is the prepared (bind-once) form of lw.prog, built on first
 	// Execute: later runs skip resolution, validation, and scheduling.
@@ -964,7 +930,7 @@ func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, er
 		return nil, err
 	}
 	lw.publish()
-	return &Compiled{sys: s, lw: lw, stats: stats, fb: feedbackFor(env, plan)}, nil
+	return &Compiled{sys: s, lw: lw, stats: stats}, nil
 }
 
 // leafDataOf resolves Input data leaves to their payloads for
@@ -988,16 +954,10 @@ type PlanCacheStats = graph.CacheStats
 // compiled-plan cache, which Compile/CompileWith/Materialize consult.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
 
-// ProfileStats reports a plan cache's profile-feedback counters:
-// profiled shapes, executed jobs folded into profiles, and
-// profile-guided recompiles.
+// ProfileStats reports a Server's profile-feedback counters (see
+// ServerStats.Profile): profiled shapes, executed jobs folded into
+// profiles, and profile-guided recompiles.
 type ProfileStats = graph.ProfileStats
-
-// ProfileStats reports the System's shape-profile counters: executed
-// Materialize/Execute batches fold their measured per-op latencies
-// into per-shape profiles, and divergent shapes are recompiled with
-// observed costs on their next Compile.
-func (s *System) ProfileStats() ProfileStats { return s.plans.ProfileStats() }
 
 // Materialize compiles and executes the expressions as one batch,
 // releasing every temporary afterwards. Each expression's value is then
@@ -1031,9 +991,7 @@ func (cp *Compiled) Program() isa.Program {
 // returns; calling it again recomputes them in place. The first run
 // binds the program once (instruction resolution, binding validation,
 // scheduling, bound μProgram views); repeated runs reuse that
-// prepared form and pay only the execution loop. Each successful run
-// folds its measured per-op latencies into the System's shape profile,
-// feeding the profile-guided recompile loop.
+// prepared form and pay only the execution loop.
 func (cp *Compiled) Execute() (BatchStats, error) {
 	if cp.freed {
 		return BatchStats{}, errorf("graph: compiled program already freed")
@@ -1050,12 +1008,7 @@ func (cp *Compiled) Execute() (BatchStats, error) {
 		}
 		cp.pp = pp
 	}
-	st, opNs, err := cp.sys.runPreparedAttr(cp.pp, nil, nil)
-	if err != nil {
-		return BatchStats{}, err
-	}
-	cp.fb.record(opNs)
-	return st, nil
+	return cp.sys.runPreparedAttr(cp.pp, nil, nil)
 }
 
 // Free releases the compiler-allocated temporaries and constant splats

@@ -18,7 +18,6 @@ type ClusterCompiled struct {
 	cl    *Cluster
 	lw    *lowered
 	stats CompileStats
-	fb    *planFeedback
 	freed bool
 	// sp is the program sharded and prepared (bind-once) on every
 	// channel, built on first Execute: later runs skip sharding,
@@ -66,18 +65,12 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 		return nil, err
 	}
 	lw.publish()
-	return &ClusterCompiled{cl: c, lw: lw, stats: stats, fb: feedbackFor(env, plan)}, nil
+	return &ClusterCompiled{cl: c, lw: lw, stats: stats}, nil
 }
 
 // PlanCacheStats reports the hit/miss counters of the Cluster's
 // compiled-plan cache, which Compile/CompileWith/Materialize consult.
 func (c *Cluster) PlanCacheStats() PlanCacheStats { return c.plans.Stats() }
-
-// ProfileStats reports the Cluster's shape-profile counters: executed
-// Materialize/Execute batches fold their measured per-op latencies
-// into per-shape profiles, and divergent shapes are recompiled with
-// observed costs on their next Compile.
-func (c *Cluster) ProfileStats() ProfileStats { return c.plans.ProfileStats() }
 
 // Materialize compiles and executes the expressions as one batch fanned
 // across every channel, releasing every temporary afterwards. Each
@@ -111,9 +104,7 @@ func (cp *ClusterCompiled) Program() isa.Program {
 // The first run shards the program and binds each channel's share once
 // (resolution, validation, scheduling, bound μProgram views);
 // repeated runs reuse those prepared forms and pay only the execution
-// loops. Each successful run folds its measured per-op latencies (the
-// slowest shard of each instruction) into the Cluster's shape profile,
-// feeding the profile-guided recompile loop.
+// loops.
 func (cp *ClusterCompiled) Execute() (ClusterBatchStats, error) {
 	if cp.freed {
 		return ClusterBatchStats{}, errorf("graph: compiled program already freed")
@@ -130,12 +121,7 @@ func (cp *ClusterCompiled) Execute() (ClusterBatchStats, error) {
 	} else if err := cp.cl.checkSharded(cp.sp); err != nil {
 		return ClusterBatchStats{}, err
 	}
-	st, opNs, err := cp.cl.runSharded(cp.sp)
-	if err != nil {
-		return ClusterBatchStats{}, err
-	}
-	cp.fb.record(opNs)
-	return st, nil
+	return cp.cl.runSharded(cp.sp)
 }
 
 // Free releases the compiler-allocated temporaries and constant splats.

@@ -25,7 +25,7 @@ func TestRunAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at Attribution
-	st, _, err := r.unit.Run(pb, RunOpts{Attr: &at})
+	st, err := r.unit.Run(pb, RunOpts{Attr: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at Attribution
-	st, _, err := r.unit.Run(pb, RunOpts{Attr: &at})
+	st, err := r.unit.Run(pb, RunOpts{Attr: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 	if one != st.EnergyPJ || one <= 0 {
 		t.Fatalf("first run billed %v, want %v > 0", one, st.EnergyPJ)
 	}
-	if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
+	if _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 		t.Fatal(err)
 	}
 	if got := sum(at.EnergyPJ); got != 2*one {
@@ -117,11 +117,11 @@ func TestRunZeroAlloc(t *testing.T) {
 	}
 	// Warm the pool and the cancel plumbing before measuring.
 	cancel := make(chan struct{})
-	if _, _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
+	if _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
+		if _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -144,12 +144,12 @@ func TestRunAttrSteadyZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at Attribution
-	if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
+	if _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		at.Reset()
-		if _, _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
+		if _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,34 +18,38 @@ import (
 
 // TestPool pins tryRun's contract on a size-1 pool: it refuses work
 // while the only worker is busy, and hands work over once the worker
-// is idle again.
+// is idle again. The worker is kept busy by a group whose batch
+// reports on an unbuffered channel: it blocks sending its result until
+// the test receives it.
 func TestPool(t *testing.T) {
 	p := NewPool(1)
-	// tryUntil retries until the worker takes f: a worker is idle only
+	cfg := dram.TestConfig()
+	sa := dram.NewSubarray(&cfg)
+	b := &batch{results: make(chan groupResult)}
+	g := &group{b: b, sa: sa}
+	// tryUntil retries until the worker takes g: a worker is idle only
 	// once it is back at its receive, which tryRun cannot wait for.
-	tryUntil := func(f func()) {
+	tryUntil := func() {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for !p.tryRun(task{f: f}) {
+		for !p.tryRun(g) {
 			if time.Now().After(deadline) {
-				t.Fatal("an idle worker never took the task")
+				t.Fatal("an idle worker never took the group")
 			}
 			runtime.Gosched()
 		}
 	}
-	started, release := make(chan struct{}), make(chan struct{})
-	tryUntil(func() {
-		close(started)
-		<-release
-	})
-	<-started
-	if p.tryRun(task{f: func() { t.Error("task ran on a busy pool") }}) {
+	tryUntil()
+	refused := &group{b: &batch{results: make(chan groupResult, 1)}, sa: sa}
+	if p.tryRun(refused) {
 		t.Fatal("tryRun on a pool whose only worker is blocked must return false")
 	}
-	close(release)
-	ran := make(chan struct{})
-	tryUntil(func() { close(ran) })
-	<-ran
+	<-b.results // the worker finishes its group and goes idle
+	tryUntil()
+	<-b.results
+	if len(refused.b.results) != 0 {
+		t.Error("a refused group ran")
+	}
 }
 
 // checkSegment reports whether the destination rows of one segment
@@ -234,13 +238,13 @@ func BenchmarkRunChain(b *testing.B) {
 				b.Fatal(err)
 			}
 			// One untimed run starts the process-wide pool.
-			if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+			if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+				if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

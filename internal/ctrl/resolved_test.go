@@ -35,7 +35,7 @@ func TestRunReleasedPreparedPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+	if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	pb.Release()
@@ -77,7 +77,7 @@ func TestReleasedStorageLeavesKeptBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+		if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		pb.Release()
@@ -85,7 +85,7 @@ func TestReleasedStorageLeavesKeptBatches(t *testing.T) {
 		r.checkDst(t, bank, sub, other.DstBase, want)
 		if i%50 == 0 {
 			want0 := r.seed(t, rng, 0, 0)
-			if _, _, err := r.unit.Run(kept, RunOpts{}); err != nil {
+			if _, err := r.unit.Run(kept, RunOpts{}); err != nil {
 				t.Fatal(err)
 			}
 			r.checkDst(t, 0, 0, r.bind.DstBase, want0)
@@ -118,7 +118,7 @@ func TestPrepareManySources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+	if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	pb.Release()
@@ -141,7 +141,7 @@ func TestPrepareReleaseAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+		if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		pb.Release()
@@ -174,12 +174,16 @@ func TestPreparedReuse(t *testing.T) {
 	}
 	var prev BatchStats
 	for run := 0; run < 3; run++ {
-		st, durNs, err := r.unit.Run(pb, RunOpts{})
+		st, err := r.unit.Run(pb, RunOpts{})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
+		durNs := pb.DurNs()
 		if len(durNs) != 2 {
 			t.Fatalf("run %d: durNs has %d entries, want 2", run, len(durNs))
+		}
+		if sum := durNs[0] + durNs[1]; sum != st.BusyNs {
+			t.Fatalf("run %d: durations sum to %v, BusyNs %v", run, sum, st.BusyNs)
 		}
 		if run > 0 && st != prev {
 			t.Fatalf("run %d stats %+v differ from first run %+v", run, st, prev)
@@ -190,8 +194,8 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-// TestPreparedMatchesBatchProfile checks the per-job profile Run
-// returns: job i's modeled busy time is its μProgram latency times the
+// TestPreparedMatchesBatchProfile checks the per-job durations a
+// Prepared holds: job i's modeled busy time is its μProgram latency times the
 // segment count on its busiest bank, the profile sums to the batch's
 // serial-equivalent BusyNs, and a second Prepare of the same jobs
 // reports identical stats.
@@ -212,10 +216,11 @@ func TestPreparedMatchesBatchProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, durNs, err := r.unit.Run(pb, RunOpts{})
+		st, err := r.unit.Run(pb, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		durNs := pb.DurNs()
 		if len(durNs) != 2 || durNs[0] != lat || durNs[1] != lat {
 			t.Fatalf("per-job profile %v, want [%v %v] (at most one segment per bank)", durNs, lat, lat)
 		}
@@ -291,7 +296,7 @@ func BenchmarkResolvedPreparedRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := r.unit.Run(pb, RunOpts{}); err != nil {
+		if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -325,10 +325,16 @@ type Prepared struct {
 	n int
 }
 
+// DurNs returns each job's modeled busy time — its μProgram latency
+// times the segment count on its busiest bank — fixed when pb was
+// prepared; it sums to every run's BatchStats.BusyNs. The slice is
+// pb's own storage, valid until pb is released.
+func (pb *Prepared) DurNs() []float64 { return pb.b.durNs }
+
 // Release returns pb's storage for reuse by later Prepares. The owner
 // must be done with pb — Run has returned and no later Run will come —
-// and so must every holder of the durations Run returned: running a
-// released batch panics. Releasing twice is a no-op.
+// and so must every holder of its DurNs: running a released batch
+// panics. Releasing twice is a no-op.
 func (pb *Prepared) Release() {
 	b := pb.b
 	if b == nil {
@@ -471,11 +477,7 @@ type RunOpts struct {
 // concurrently while hazards and shared subarrays serialize
 // (same-subarray jobs run in program order). Timing and the modeled
 // critical path come from the deterministic plan, not from host
-// scheduling; the returned durations are each job's modeled busy time
-// — μProgram latency times the segment count on its busiest bank —
-// which is the per-op cost a profile-guided scheduler folds back into
-// its cost model. They are pb's own buffer, valid until pb is
-// released.
+// scheduling: they are fixed when pb is prepared (see DurNs).
 //
 // The calling goroutine executes the batch itself. Each dispatch round
 // issues every ready job: every group but the round's last is offered
@@ -498,7 +500,7 @@ type RunOpts struct {
 // released Prepared panics.
 //
 //simdram:zeroalloc
-func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
+func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, error) {
 	b := pb.b
 	if b == nil {
 		panic("ctrl: Run of a released Prepared")
@@ -536,7 +538,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 				g0, g1 := b.jobGrp[id], b.jobGrp[id+1]
 				for g := g0; g < g1; g++ {
 					gr := &b.groups[g]
-					if (id == last && g == g1-1) || !pool.tryRun(task{g: gr}) {
+					if (id == last && g == g1-1) || !pool.tryRun(gr) {
 						gr.run()
 					}
 				}
@@ -565,7 +567,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 	if doneJobs < n {
 		u.runMu.Unlock()
 		//simdram:coldpath canceled batch
-		return BatchStats{}, nil, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, doneJobs, n)
+		return BatchStats{}, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, doneJobs, n)
 	}
 	st := BatchStats{
 		Instructions:   int64(n),
@@ -590,5 +592,5 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, []float64, error) {
 		at.SpanNs += b.spanNs
 	}
 	u.runMu.Unlock()
-	return st, b.durNs, nil
+	return st, nil
 }

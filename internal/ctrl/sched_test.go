@@ -100,7 +100,7 @@ func runOnce(u *Unit, jobs []Job, cancel <-chan struct{}) (BatchStats, error) {
 	if err != nil {
 		return BatchStats{}, err
 	}
-	st, _, err := u.Run(pb, RunOpts{Cancel: cancel})
+	st, err := u.Run(pb, RunOpts{Cancel: cancel})
 	return st, err
 }
 

@@ -155,14 +155,13 @@ type ProfileStats struct {
 }
 
 // Record folds one executed job into the profile of key's cache entry:
-// opNs[i] is the measured latency of the i-th scheduled instruction
-// (aligned with plan.Sched — what the batch engine reported for the
-// lowered program), and model prices the same instruction under the
+// opNs[i] is the modeled latency of the i-th scheduled instruction
+// (aligned with plan.Sched — the durations its prepared program was
+// scheduled with), and model prices the same instruction under the
 // static cost model. plan is the plan the job ran, which a recompile
 // may since have replaced. A shape with no entry (evicted, or a
-// disabled cache), feedback turned off, or a length mismatch (e.g. a
-// cluster execution that could not attribute per-op timings) records
-// nothing.
+// disabled cache), feedback turned off, or opNs not aligned with
+// plan.Sched records nothing.
 func (c *PlanCache) Record(key string, plan *Plan, opNs []float64, model CostFn) {
 	if c.disabled() || c.threshold < 0 || plan == nil || model == nil || len(opNs) != len(plan.Sched) || len(opNs) == 0 {
 		return

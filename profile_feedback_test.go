@@ -2,7 +2,10 @@ package simdram
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"simdram/internal/graph"
 )
 
 // profileTestConfig returns a geometry whose vectors span many
@@ -26,144 +29,95 @@ func profileShape(data []uint64) *Expr {
 	return hot.Apply("greater", cold.Mul(cold)).IfElse(a, b)
 }
 
-// TestProfileFeedbackRecompileSystem drives the full loop on one
-// System: repeated materializations of one shape fold measured per-op
-// latencies into its profile, divergence triggers exactly one
-// profile-guided recompile, and the recompiled plan's results are
-// bit-identical to the cold compile with a critical path no worse.
-func TestProfileFeedbackRecompileSystem(t *testing.T) {
-	sys, err := New(profileTestConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestDirectCompilesKeepTheirPlan pins that direct compiles take no
+// profile feedback: on a System and on a 4-channel Cluster, repeated
+// Compile→Execute rounds of the skewed shape — more than a Server needs
+// to recompile it — all run the first round's cached plan, with
+// bit-identical results and an equal critical path.
+func TestDirectCompilesKeepTheirPlan(t *testing.T) {
+	type round struct {
+		st     CompileStats
+		g      *graph.Graph // the plan's own graph: one per *graph.Plan
+		out    []uint64
+		pathNs float64
 	}
-	defer sys.Close()
-
-	const n = 1024 // 16 segments over 4 banks: measured = 4× the static model
-	data := make([]uint64, n)
-	for i := range data {
-		data[i] = uint64(i*37+11) & 0xFF
+	check := func(t *testing.T, run func(data []uint64) round, n int) {
+		data := make([]uint64, n)
+		for i := range data {
+			data[i] = uint64(i*37+11) & 0xFF
+		}
+		first := run(data)
+		if first.st.CacheHit || first.st.Recompiled || first.st.ProfiledPlan {
+			t.Fatalf("round 0 stats = %+v, want a plain cold compile", first.st)
+		}
+		for r := 1; r < DefaultProfileMinJobs+2; r++ {
+			got := run(data)
+			if !got.st.CacheHit || got.g != first.g {
+				t.Fatalf("round %d: CacheHit %v, same plan %v; want a hit on round 0's plan", r, got.st.CacheHit, got.g == first.g)
+			}
+			if got.st.Recompiled || got.st.ProfiledPlan {
+				t.Fatalf("round %d stats = %+v, want no profile-guided plan", r, got.st)
+			}
+			if !slices.Equal(got.out, first.out) {
+				t.Fatalf("round %d results differ from round 0's", r)
+			}
+			if got.pathNs != first.pathNs {
+				t.Fatalf("round %d critical path %v ns, round 0 %v ns", r, got.pathNs, first.pathNs)
+			}
+		}
 	}
-
-	var coldOut []uint64
-	var coldPathNs float64
-	recompiles := 0
-	for run := 0; run < DefaultProfileMinJobs+2; run++ {
-		e := profileShape(data)
-		cp, err := sys.Compile(e)
+	t.Run("System", func(t *testing.T) {
+		sys, err := New(profileTestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := cp.Stats()
-		bst, err := cp.Execute()
+		defer sys.Close()
+		// 1024 elements: 16 segments over 4 banks.
+		check(t, func(data []uint64) round {
+			e := profileShape(data)
+			cp, err := sys.Compile(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cp.Free()
+			bst, err := cp.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Result().Free()
+			out, err := e.Result().Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return round{cp.Stats(), cp.lw.g, out, bst.CriticalPathNs}
+		}, 1024)
+	})
+	t.Run("Cluster", func(t *testing.T) {
+		cl, err := NewCluster(ClusterConfig{Channels: 4, Channel: profileTestConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Result().Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp.Free()
-		e.Result().Free()
-
-		switch {
-		case run == 0:
-			if st.CacheHit || st.Recompiled {
-				t.Fatalf("run 0 stats = %+v, want a plain cold compile", st)
+		defer cl.Close()
+		// 2048 elements: 512 per channel, 8 segments over 4 banks.
+		check(t, func(data []uint64) round {
+			e := profileShape(data)
+			cp, err := cl.Compile(e)
+			if err != nil {
+				t.Fatal(err)
 			}
-			coldOut = append([]uint64(nil), got...)
-			coldPathNs = bst.CriticalPathNs
-		default:
-			for j := range got {
-				if got[j] != coldOut[j] {
-					t.Fatalf("run %d element %d: %d != cold compile's %d", run, j, got[j], coldOut[j])
-				}
+			defer cp.Free()
+			bst, err := cp.Execute()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if st.Recompiled {
-			recompiles++
-			if !st.ProfiledPlan {
-				t.Fatalf("run %d: Recompiled without ProfiledPlan: %+v", run, st)
+			defer e.ShardedResult().Free()
+			out, err := e.ShardedResult().Load()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.ProfileJobs < DefaultProfileMinJobs {
-				t.Fatalf("run %d: recompile with only %d profiled jobs", run, st.ProfileJobs)
-			}
-			if bst.CriticalPathNs > coldPathNs {
-				t.Fatalf("recompiled schedule's critical path %.2f ns > cold compile's %.2f ns",
-					bst.CriticalPathNs, coldPathNs)
-			}
-		}
-	}
-	if recompiles != 1 {
-		t.Fatalf("%d profile-guided recompiles, want exactly 1", recompiles)
-	}
-	if ps := sys.ProfileStats(); ps.Recompiles != 1 || ps.Jobs == 0 {
-		t.Fatalf("profile stats = %+v, want 1 recompile over recorded jobs", ps)
-	}
-	// Later compiles keep hitting the recompiled (profiled) plan.
-	e := profileShape(data)
-	cp, err := sys.Compile(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cp.Stats(); !st.CacheHit || !st.ProfiledPlan {
-		t.Fatalf("post-recompile compile stats = %+v, want a hit on the profiled plan", st)
-	}
-	cp.Free()
-	e.Result().Free()
-}
-
-// TestProfileFeedbackRecompileCluster is the same differential on a
-// 4-channel cluster: the recompiled plan must produce bit-identical
-// results to the cold compile across the sharded fabric.
-func TestProfileFeedbackRecompileCluster(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{Channels: 4, Channel: profileTestConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const n = 2048 // 512/channel → 8 segments over 4 banks per channel
-	data := make([]uint64, n)
-	for i := range data {
-		data[i] = uint64(i*53+7) & 0xFF
-	}
-
-	var coldOut []uint64
-	recompiled := false
-	for run := 0; run < DefaultProfileMinJobs+2; run++ {
-		e := profileShape(data)
-		cp, err := cl.Compile(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := cp.Stats()
-		if _, err := cp.Execute(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.ShardedResult().Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp.Free()
-		e.ShardedResult().Free()
-
-		if run == 0 {
-			coldOut = append([]uint64(nil), got...)
-		} else {
-			for j := range got {
-				if got[j] != coldOut[j] {
-					t.Fatalf("run %d element %d: %d != cold compile's %d", run, j, got[j], coldOut[j])
-				}
-			}
-		}
-		recompiled = recompiled || st.Recompiled
-	}
-	if !recompiled {
-		t.Fatal("cluster profile feedback never triggered a recompile")
-	}
-	if ps := cl.ProfileStats(); ps.Recompiles != 1 {
-		t.Fatalf("cluster profile stats = %+v, want exactly 1 recompile", ps)
-	}
+			return round{cp.Stats(), cp.lw.g, out, bst.CriticalPathNs}
+		}, 2048)
+	})
 }
 
 // TestServerProfileFeedback drives the serving loop: repeated jobs of

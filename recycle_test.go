@@ -439,7 +439,7 @@ func TestRecyclingLeavesMemoEntryIntact(t *testing.T) {
 	}
 	pp, prep := entry.pp, entry.pp.prep
 	binds := slices.Clone(pp.binds)
-	jobOf, scratch := slices.Clone(pp.jobOf), slices.Clone(pp.scratch)
+	opNs, scratch := slices.Clone(pp.opNs), slices.Clone(pp.scratch)
 	type rows struct {
 		handle uint16
 		width  int
@@ -456,7 +456,7 @@ func TestRecyclingLeavesMemoEntryIntact(t *testing.T) {
 		if k != key || e != entry || e.pp != pp || pp.prep != prep {
 			t.Fatalf("round %d: the hot shape's memo entry or its prepared program was replaced", round)
 		}
-		if !slices.Equal(pp.binds, binds) || !slices.Equal(pp.jobOf, jobOf) || !slices.Equal(pp.scratch, scratch) {
+		if !slices.Equal(pp.binds, binds) || !slices.Equal(pp.opNs, opNs) || !slices.Equal(pp.scratch, scratch) {
 			t.Fatalf("round %d: the memoized program's tables changed", round)
 		}
 		if !slices.Equal(entryVecs(e), vecs) {

@@ -739,9 +739,9 @@ func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lo
 // runLazy is the per-job serving pipeline on one channel: plan the
 // IR graph admission built (cache hit, cold compile, or
 // profile-guided recompile), bind payloads, execute with preemptive
-// cancellation, fold the measured per-op latencies into the shape's
-// profile, load every root, release everything. tr (nil when the job
-// is unsampled) receives the pipeline's span tree:
+// cancellation, fold the prepared program's per-op durations into the
+// shape's profile, load every root, release everything. tr (nil when
+// the job is unsampled) receives the pipeline's span tree:
 // compile{cache-lookup[, schedule], lower} → prepare[{resolve}] →
 // execute[worker]{run} → gather.
 //
@@ -811,11 +811,11 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		}
 		espan := tr.BeginOn("execute", 0, worker)
 		rspan := tr.BeginOn("run", espan, worker)
-		st, opNs, err := sys.execPrepared(pp, cancel, at)
+		st, err := sys.execPrepared(pp, cancel, at)
 		tr.End(rspan)
 		tr.End(espan)
 		if err == nil {
-			s.plans.Record(env.key, plan, opNs, sys.model)
+			s.plans.Record(env.key, plan, pp.opNs, sys.model)
 			res.Batch = st
 		}
 		// A full-path program the memo does not keep ran once and is

@@ -42,8 +42,8 @@ import (
 // cached graphs stay negligible next to the simulated DRAM itself.
 const DefaultPlanCacheSize = 128
 
-// Profile-feedback defaults: a shape's plan is recompiled with
-// observed per-op costs once at least DefaultProfileMinJobs executed
+// A Server's profile-feedback defaults: a shape's plan is recompiled
+// with observed per-op costs once at least DefaultProfileMinJobs executed
 // jobs have been folded into its profile and some op's mean measured
 // latency diverges from the static cost model by more than
 // DefaultProfileThreshold (relative). The static model is
@@ -106,8 +106,7 @@ type System struct {
 	handles handleSpace
 
 	// plans memoizes compiled expression shapes (see PlanCacheStats),
-	// each with the measured per-op latencies that drive its
-	// profile-guided recompile (see ProfileStats).
+	// with profile feedback off: only a Server profiles its jobs.
 	plans *graph.PlanCache
 	// model is the static cost model of cfg (modelCost), built once.
 	model graph.CostFn
@@ -217,7 +216,7 @@ func New(cfg Config) (*System, error) {
 		mod:   mod,
 		cu:    ctrl.New(mod, cfg.Variant),
 		tu:    vertical.NewUnit(cfg.Transposition),
-		plans: graph.NewPlanCache(DefaultPlanCacheSize, DefaultProfileThreshold, DefaultProfileMinJobs),
+		plans: graph.NewPlanCache(DefaultPlanCacheSize, -1, 0),
 		model: modelCost(cfg),
 	}
 	s.rows = make([][]*rowAlloc, cfg.DRAM.Banks)
