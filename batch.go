@@ -16,14 +16,13 @@ type BatchStats = ctrl.BatchStats
 // ExecBatch executes a program of bbop instructions as one batch. The
 // ISA layer extracts the data-hazard graph (read-after-write,
 // write-after-write, write-after-read over object handles), and the
-// control unit's scheduler issues instructions as their hazards
-// resolve: the calling goroutine executes them, and idle workers of a
-// process-wide pool take subarray groups that can run alongside —
-// instructions touching disjoint (bank, subarray) sets overlap,
-// dependent or bank-sharing instructions serialize. Results are
-// indistinguishable from issuing the program through Exec in order;
-// the returned stats report both the serial-equivalent and the
-// overlap-aware latency.
+// control unit's timing model overlaps instructions as their hazards
+// resolve: instructions touching disjoint (bank, subarray) sets
+// overlap, dependent or bank-sharing instructions serialize. The
+// calling goroutine executes the instructions in program order, so
+// results are indistinguishable from issuing the program through Exec
+// in order; the returned stats report both the serial-equivalent and
+// the overlap-aware latency.
 //
 // Before anything executes, the program passes the static IR verifier
 // (see VerifiedPlans) and every instruction is resolved and bound, so

@@ -178,9 +178,9 @@ func TestExecBatchOverlapTiming(t *testing.T) {
 	}
 }
 
-// TestExecBatchConcurrentStress issues many independent instructions
-// across every bank — mainly valuable under `go test -race`, where it
-// exercises concurrent dispatch through the shared worker pool.
+// TestExecBatchConcurrentStress issues one independent instruction per
+// subarray of every bank as one batch — the most bank overlap the
+// timing model sees — and checks every result.
 func TestExecBatchConcurrentStress(t *testing.T) {
 	cfg := simdram.DefaultConfig()
 	sys, err := simdram.New(cfg)

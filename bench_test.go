@@ -296,8 +296,7 @@ func BenchmarkExecSerial(b *testing.B) {
 }
 
 // BenchmarkExecBatch issues the same program through the batched
-// engine: hazard analysis, then execution on the calling goroutine,
-// with idle pool workers running bank-disjoint instructions alongside.
+// engine: hazard analysis, then execution on the calling goroutine.
 func BenchmarkExecBatch(b *testing.B) {
 	sys, prog := setupBatchProgram(b)
 	defer sys.Close()

@@ -1,8 +1,9 @@
 // Package cluster provides the channel-agnostic machinery behind the
 // public Cluster facade: placement of a sharded object's elements
-// across independent channels, concurrent per-channel dispatch with
-// cross-channel cancellation, and honest merging of per-channel batch
-// statistics (sums for work and energy, max for the makespan).
+// across independent channels, concurrent per-channel dispatch that
+// runs every channel's task to completion and joins their errors, and
+// honest merging of per-channel batch statistics (sums for work and
+// energy, max for the makespan).
 //
 // A "channel" here is one independent DRAM compute fabric — a full
 // System with its own module and control unit. The

@@ -23,7 +23,7 @@ type Unit struct {
 	variant ops.Variant
 
 	// runMu serializes Run: a unit executes one batch at a time, so
-	// concurrent callers never race on Stats, on a Prepared's dispatch
+	// concurrent callers never race on Stats, on a Prepared's per-run
 	// scratch, or on the rows their batches share.
 	runMu sync.Mutex
 

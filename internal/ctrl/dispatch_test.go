@@ -4,53 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"simdram/internal/dram"
 	"simdram/internal/uprog"
 	"simdram/internal/vertical"
 )
-
-// TestPool pins tryRun's contract on a size-1 pool: it refuses work
-// while the only worker is busy, and hands work over once the worker
-// is idle again. The worker is kept busy by a group whose batch
-// reports on an unbuffered channel: it blocks sending its result until
-// the test receives it.
-func TestPool(t *testing.T) {
-	p := NewPool(1)
-	cfg := dram.TestConfig()
-	sa := dram.NewSubarray(&cfg)
-	b := &batch{results: make(chan groupResult)}
-	g := &group{b: b, sa: sa}
-	// tryUntil retries until the worker takes g: a worker is idle only
-	// once it is back at its receive, which tryRun cannot wait for.
-	tryUntil := func() {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !p.tryRun(g) {
-			if time.Now().After(deadline) {
-				t.Fatal("an idle worker never took the group")
-			}
-			runtime.Gosched()
-		}
-	}
-	tryUntil()
-	refused := &group{b: &batch{results: make(chan groupResult, 1)}, sa: sa}
-	if p.tryRun(refused) {
-		t.Fatal("tryRun on a pool whose only worker is blocked must return false")
-	}
-	<-b.results // the worker finishes its group and goes idle
-	tryUntil()
-	<-b.results
-	if len(refused.b.results) != 0 {
-		t.Error("a refused group ran")
-	}
-}
 
 // checkSegment reports whether the destination rows of one segment
 // hold want in every lane (done) or are all zero (untouched); a
@@ -88,9 +50,9 @@ func cancelOnCommand(at int, sas ...*dram.Subarray) <-chan struct{} {
 }
 
 // TestRunCancelMidChain closes Cancel from inside job k of a
-// one-subarray chain. The chain runs on the dispatching goroutine, one
-// job per round, so exactly jobs 0..k complete: later destination rows
-// stay zero and ErrCanceled counts k+1 of n.
+// one-subarray chain. Run checks Cancel before every job, so exactly
+// jobs 0..k complete: later destination rows stay zero and ErrCanceled
+// counts k+1 of n.
 func TestRunCancelMidChain(t *testing.T) {
 	const n = 6
 	for _, k := range []int{0, 2, n - 2} {
@@ -128,15 +90,14 @@ func TestRunCancelMidChain(t *testing.T) {
 	}
 }
 
-// TestRunCancelMidRound cancels inside wide dispatch rounds. Jobs
-// alternate between two subarray pairs, each job one segment on bank 0
-// and one on bank 1, so every round offers up to four groups and runs
-// at least its last on the dispatching goroutine. The cancel fires
-// from inside job k's bank-0 group; every job must then be either
-// complete on both banks or untouched on both, job k and its
-// predecessors must complete, job k+2 must be skipped, and ErrCanceled
-// must count the completed jobs. At k = 0 the cancel fires inside the
-// first round, so exactly jobs 0 and 1 complete.
+// TestRunCancelMidRound cancels inside a batch of bank-parallel
+// jobs. Jobs alternate between two subarray pairs, each job one
+// segment on bank 1 and one on bank 0, so bank-disjoint jobs could
+// overlap under the timing model. The cancel fires from inside job
+// k's bank-0 group, its first group in bank-major order. Run checks
+// Cancel only between jobs, so exactly jobs 0..k complete on both
+// banks, every later job is untouched on both, and ErrCanceled counts
+// k+1 of n.
 func TestRunCancelMidRound(t *testing.T) {
 	const n = 8
 	for _, k := range []int{0, 2, 4} {
@@ -157,60 +118,101 @@ func TestRunCancelMidRound(t *testing.T) {
 			for j := range jobs {
 				b := uprog.Binding{SrcBase: r.bind.SrcBase, DstBase: dst(j), ScratchBase: dst(n)}
 				jobs[j] = Job{Program: r.prog, Segments: []Segment{
-					{Bank: 0, Sub: sub(j), Binding: b},
 					{Bank: 1, Sub: sub(j), Binding: b},
+					{Bank: 0, Sub: sub(j), Binding: b},
 				}}
 			}
-			// At k = 0 every subarray cancels on its first command, so
-			// no group of the first round can report before the close.
-			var cancel <-chan struct{}
-			if k == 0 {
-				cancel = cancelOnCommand(1, r.mod.Subarray(0, 0), r.mod.Subarray(0, 1), r.mod.Subarray(1, 0), r.mod.Subarray(1, 1))
-			} else {
-				cancel = cancelOnCommand((k/2)*len(r.prog.Ops)+1, r.mod.Subarray(0, sub(k)))
-			}
+			cancel := cancelOnCommand((k/2)*len(r.prog.Ops)+1, r.mod.Subarray(0, sub(k)))
 			_, err := runOnce(r.unit, jobs, cancel)
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("want ErrCanceled, got %v", err)
 			}
-			completed := 0
-			for j := 0; j < n; j++ {
-				var done, untouched int
-				for bank := 0; bank < 2; bank++ {
-					d, u := r.checkSegment(bank, sub(j), dst(j), want[[2]int{bank, sub(j)}])
-					if d {
-						done++
-					}
-					if u {
-						untouched++
-					}
-				}
-				switch {
-				case done == 2:
-					completed++
-				case untouched != 2:
-					t.Errorf("job %d was partly executed: %d of 2 groups complete, %d untouched", j, done, untouched)
-				case j <= k && sub(j) == sub(k):
-					t.Errorf("job %d precedes the canceling job %d but did not complete", j, k)
-				}
-				if j == k+2 && untouched != 2 {
-					t.Errorf("job %d depends on the canceling job %d but was issued", j, k)
-				}
-			}
-			if k == 0 && completed != 2 {
-				t.Errorf("cancel inside the first round: %d jobs completed, want 2", completed)
-			}
-			if msg := fmt.Sprintf("%d of %d", completed, n); !strings.Contains(err.Error(), msg) {
+			if msg := fmt.Sprintf("%d of %d", k+1, n); !strings.Contains(err.Error(), msg) {
 				t.Errorf("error %q must say %q", err, msg)
+			}
+			for j := 0; j < n; j++ {
+				for bank := 0; bank < 2; bank++ {
+					done, untouched := r.checkSegment(bank, sub(j), dst(j), want[[2]int{bank, sub(j)}])
+					if j <= k && !done {
+						t.Errorf("job %d bank %d: issued before the cancel but not complete", j, bank)
+					}
+					if j > k && !untouched {
+						t.Errorf("job %d bank %d: ran after the cancel", j, bank)
+					}
+				}
 			}
 		})
 	}
 }
 
+// TestRunEnergyOrder runs a batch of independent jobs over 4 banks × 2
+// subarrays on a geometry whose per-command energies are not integral,
+// so a sum of group energies depends on its order. Twenty runs, each
+// on a fresh module, must report bit-identical BatchStats.EnergyPJ and
+// per-bank Attribution.EnergyPJ, equal to the group energies summed in
+// program order (jobs in order, each job's groups bank-major). The
+// group energies come from a reference module that runs every group
+// as a batch of its own in that order, so each subarray's energy
+// counter sees the same history.
+func TestRunEnergyOrder(t *testing.T) {
+	cfg := dram.TestConfig()
+	cfg.Banks, cfg.SubarraysPerBank = 4, 2
+	cfg.Energy = dram.Energy{ActPJ: 2400.1, PrePJ: 600.3, TRAActPJ: 3600.7, WrPJ: 12000.9, RdPJ: 12000.9}
+	// Job j runs on subarray j/4 of banks j%4 and (j+1)%4, listed
+	// higher bank first, and writes its own destination block there.
+	const n = 8
+	jobs := func(r *batchRig) []Job {
+		js := make([]Job, n)
+		for j := range js {
+			b := uprog.Binding{SrcBase: r.bind.SrcBase, DstBase: 2*r.w + j*r.w, ScratchBase: 2*r.w + n*r.w}
+			lo, hi := min(j%4, (j+1)%4), max(j%4, (j+1)%4)
+			js[j] = Job{Program: r.prog, Segments: []Segment{
+				{Bank: hi, Sub: j / 4, Binding: b},
+				{Bank: lo, Sub: j / 4, Binding: b},
+			}}
+		}
+		return js
+	}
+
+	ref := newBatchRigCfg(t, cfg)
+	var want float64
+	wantBank := make([]float64, cfg.Banks)
+	for _, job := range jobs(ref) {
+		segs := slices.Clone(job.Segments)
+		slices.SortFunc(segs, func(x, y Segment) int { return x.Bank - y.Bank })
+		for _, seg := range segs {
+			st, err := runOnce(ref.unit, []Job{{Program: job.Program, Segments: []Segment{seg}}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += st.EnergyPJ
+			wantBank[seg.Bank] += st.EnergyPJ
+		}
+	}
+
+	for run := 0; run < 20; run++ {
+		r := newBatchRigCfg(t, cfg)
+		pb, err := r.unit.Prepare(jobs(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at Attribution
+		st, err := r.unit.Run(pb, RunOpts{Attr: &at})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.EnergyPJ != want {
+			t.Fatalf("run %d: EnergyPJ %v, want %v summed in program order", run, st.EnergyPJ, want)
+		}
+		if !slices.Equal(at.EnergyPJ, wantBank) {
+			t.Fatalf("run %d: per-bank energy %v, want %v summed in program order", run, at.EnergyPJ, wantBank)
+		}
+	}
+}
+
 // BenchmarkRunChain runs a 30-job RAW chain of 8-bit additions on one
-// subarray — every job depends on the previous one, so each dispatch
-// round holds one group and the chain runs on the calling goroutine.
-// It reports the dispatch cost per job around the command kernel.
+// subarray — every job depends on the previous one. It reports the
+// run loop's cost per job around the command kernel.
 func BenchmarkRunChain(b *testing.B) {
 	const chain = 30
 	for _, cols := range []int{256, 8192} {
@@ -233,22 +235,46 @@ func BenchmarkRunChain(b *testing.B) {
 					jobs[j].Deps = []int{j - 1}
 				}
 			}
-			pb, err := r.unit.Prepare(jobs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// One untimed run starts the process-wide pool.
-			if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chain), "ns/job")
+			benchmarkRun(b, r.unit, jobs)
 		})
 	}
+}
+
+// BenchmarkRunBatch runs 16 independent 8-bit additions, one per
+// (bank, subarray) of 4 × 4: the bank-parallel batch the timing model
+// overlaps, run job after job on the calling goroutine.
+func BenchmarkRunBatch(b *testing.B) {
+	for _, cols := range []int{256, 8192} {
+		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
+			cfg := dram.TestConfig()
+			cfg.Cols, cfg.Banks, cfg.SubarraysPerBank = cols, 4, 4
+			r := newBatchRigCfg(b, cfg)
+			rng := rand.New(rand.NewSource(51))
+			var jobs []Job
+			for bank := 0; bank < cfg.Banks; bank++ {
+				for sub := 0; sub < cfg.SubarraysPerBank; sub++ {
+					r.seed(b, rng, bank, sub)
+					jobs = append(jobs, Job{Program: r.prog, Segments: []Segment{{Bank: bank, Sub: sub, Binding: r.bind}}})
+				}
+			}
+			benchmarkRun(b, r.unit, jobs)
+		})
+	}
+}
+
+// benchmarkRun prepares jobs once and times Run of the prepared batch,
+// reporting the cost per job.
+func benchmarkRun(b *testing.B, u *Unit, jobs []Job) {
+	pb, err := u.Prepare(jobs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := u.Run(pb, RunOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/job")
 }

@@ -73,15 +73,14 @@ func (s *BatchStats) MergeParallel(o BatchStats) {
 }
 
 // ErrCanceled reports that batch execution stopped because the caller's
-// cancellation signal fired: in-flight work completed, unissued jobs
-// were skipped.
+// cancellation signal fired: the job running then completed, later
+// jobs were skipped.
 var ErrCanceled = errors.New("ctrl: batch canceled")
 
-// batch is everything a Prepared owns: the schedule plan computes,
-// one slab of bound μProgram views, and the dispatch tables Run works
-// through. Its storage is recycled: Prepared.Release hands it to
-// batchPool, and the next Prepare regrows it in place, so a one-shot
-// batch allocates nothing in steady state.
+// batch is everything a Prepared owns: the schedule plan computes and
+// one slab of bound μProgram views. Its storage is recycled:
+// Prepared.Release hands it to batchPool, and the next Prepare regrows
+// it in place, so a one-shot batch allocates nothing in steady state.
 type batch struct {
 	// The schedule. Job i's subarray groups are
 	// groups[jobGrp[i]:jobGrp[i+1]], bank-major, and a group's segments
@@ -109,20 +108,7 @@ type batch struct {
 	phys  []int32
 	rows  [][]uint64
 
-	// The constraint graph: job i's predecessors are
-	// preds[predOff[i]:predOff[i+1]] and the jobs its completion
-	// unblocks succs[succOff[i]:succOff[i+1]].
-	preds   []int32
-	predOff []int32
-	succs   []int32
-	succOff []int32
-	indeg0  []int32 // job → predecessor count
-
 	// Per-run scratch, reset at the top of every Run.
-	indeg      []int32
-	remain     []int32 // outstanding subarray groups per job
-	ready      []int32
-	results    chan groupResult
 	bankEnergy []float64 // bank → energy measured this run
 
 	// Planning scratch.
@@ -145,49 +131,46 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// group is one job's work on one subarray: its segments' views, run in
-// order by whichever goroutine takes the group.
+// group is one job's work on one subarray: its segments' views.
 type group struct {
-	b         *batch
 	job, bank int32
 	sub       int32
-	lo, hi    int32 // the group's segments: b.views[lo:hi]
+	lo, hi    int32 // the group's segments: views[lo:hi]
 	sa        *dram.Subarray
 }
 
-// run executes the group's views and reports to the dispatch loop.
-// Only one goroutine touches the group's subarray at a time (the
-// constraint graph serializes same-subarray jobs), so its stats delta
-// is race-free and attributable to this group.
+// run executes the group's views and returns the energy they spent:
+// the growth of the subarray's energy counter, which only this group
+// advances while it runs.
 //
 //simdram:zeroalloc
-func (g *group) run() {
-	b, sa := g.b, g.sa
-	before := sa.Stats
+func (g *group) run(views []uprog.View) float64 {
+	sa := g.sa
+	e0 := sa.Stats.EnergyPJ
 	for s := g.lo; s < g.hi; s++ {
-		uprog.RunView(sa, &b.views[s])
+		uprog.RunView(sa, &views[s])
 	}
-	b.results <- groupResult{job: g.job, bank: g.bank, energyPJ: sa.Stats.Sub(before).EnergyPJ}
+	return sa.Stats.EnergyPJ - e0
 }
 
-// plan validates the jobs and computes the constraint graph and timing
-// model into b. Timing is resolved deterministically in program order
-// — an in-order dispatch greedy schedule — so batch latency never
-// depends on the host's dynamic goroutine interleaving: job i starts
-// when its hazard predecessors have finished and every bank it touches
-// is free, runs for its μProgram latency times the segment count on
-// its busiest bank, and occupies its banks until it finishes.
+// plan validates the jobs and computes the timing model into b. Timing
+// is resolved deterministically in program order — an in-order
+// dispatch greedy schedule — so batch latency is fixed before anything
+// executes: job i starts when its hazard predecessors have finished
+// and every bank it touches is free, runs for its μProgram latency
+// times the segment count on its busiest bank, and occupies its banks
+// until it finishes.
 func (u *Unit) plan(b *batch, jobs []Job) error {
 	n, banks, subs := len(jobs), u.mod.NumBanks(), u.mod.SubarraysPerBank()
-	b.segs, b.groups, b.preds = b.segs[:0], b.groups[:0], b.preds[:0]
+	b.segs, b.groups = b.segs[:0], b.groups[:0]
 	b.jobGrp = sized(b.jobGrp, n+1)
-	b.predOff = sized(b.predOff, n+1)
 	b.tmpl = sized(b.tmpl, n)
 	b.durNs = sized(b.durNs, n)
 	b.finish = sized(b.finish, n)
 	b.busyNs, b.spanNs, b.nCmds = 0, 0, 0
 	b.bankBusy = sized(b.bankBusy, banks)
 	b.bankCmds = sized(b.bankCmds, banks)
+	b.bankEnergy = sized(b.bankEnergy, banks)
 	b.bankFree = sized(b.bankFree, banks)
 	b.lastOnSub = sized(b.lastOnSub, banks*subs)
 	timing := u.mod.Config().Timing
@@ -202,21 +185,22 @@ func (u *Unit) plan(b *batch, jobs []Job) error {
 		// Constraint predecessors: declared data hazards plus program-order
 		// edges between jobs sharing a subarray (the simulator's state
 		// hazard; in hardware the same pair also serializes on the bank).
-		p0 := len(b.preds)
+		// Both kinds name earlier jobs only, so program order satisfies
+		// them all; here they delay the job's modeled start.
+		start := 0.0
 		for _, d := range job.Deps {
 			if d < 0 || d >= i {
 				return fmt.Errorf("ctrl: job %d: dep %d is not an earlier job", i, d)
 			}
-			b.addPred(p0, int32(d))
+			start = max(start, b.finish[d])
 		}
 		for _, g := range b.groups[b.jobGrp[i]:] {
 			last := &b.lastOnSub[int(g.bank)*subs+int(g.sub)]
 			if *last > 0 {
-				b.addPred(p0, *last-1)
+				start = max(start, b.finish[*last-1])
 			}
 			*last = int32(i + 1)
 		}
-		b.predOff[i+1] = int32(len(b.preds))
 
 		// Timing: segments within one bank serialize on the bank's
 		// row-command bandwidth, banks overlap, so the job is busy for its
@@ -229,10 +213,7 @@ func (u *Unit) plan(b *batch, jobs []Job) error {
 		b.tmpl[i] = t
 		latNs := t.LatencyNs(timing)
 		cmdsPerSeg := int64(len(job.Program.Ops))
-		start, maxPerBank := 0.0, int32(0)
-		for _, d := range b.preds[p0:] {
-			start = max(start, b.finish[d])
-		}
+		maxPerBank := int32(0)
 		for bk, segs := range b.perBank {
 			if segs == 0 {
 				continue
@@ -282,7 +263,7 @@ func (u *Unit) group(b *batch, i int, segs []Segment) error {
 		}
 		bank, sub := sorted[s].Bank, sorted[s].Sub
 		b.groups = append(b.groups, group{
-			b: b, job: int32(i), bank: int32(bank), sub: int32(sub),
+			job: int32(i), bank: int32(bank), sub: int32(sub),
 			lo: int32(lo + s), hi: int32(lo + e), sa: u.mod.Subarray(bank, sub),
 		})
 		s = e
@@ -291,29 +272,14 @@ func (u *Unit) group(b *batch, i int, segs []Segment) error {
 	return nil
 }
 
-// addPred appends predecessor d to the job whose predecessors start at
-// preds[p0], unless it already has it.
-func (b *batch) addPred(p0 int, d int32) {
-	if !slices.Contains(b.preds[p0:], d) {
-		b.preds = append(b.preds, d)
-	}
-}
-
-// groupResult is one subarray group's completion report, sent to the
-// dispatch loop by whichever goroutine ran the group.
-type groupResult struct {
-	job, bank int32
-	energyPJ  float64
-}
-
 // Prepared is a batch bound once for repeated execution: the validated
-// schedule (constraint graph and deterministic timing) plus one bound
-// μProgram view per segment. Run executes it without re-planning or
-// re-binding anything — the run-many half of the bind-once/run-many
+// schedule (program-order groups and deterministic timing) plus one
+// bound μProgram view per segment. Run executes it without re-planning
+// or re-binding anything — the run-many half of the bind-once/run-many
 // pipeline, which a compiled graph caches alongside its plan. The
-// schedule and views are immutable; the dispatch scratch makes each
-// run allocation-free, and the unit's run lock keeps two runs from
-// sharing it.
+// schedule and views are immutable; the per-bank energy scratch makes
+// each run allocation-free, and the unit's run lock keeps two runs
+// from sharing it.
 //
 // A Prepared owns its storage: the views of all its segments share
 // one row-table slab. An owner that runs a batch once and drops it
@@ -382,7 +348,6 @@ func (u *Unit) Prepare(jobs []Job) (*Prepared, error) {
 		batchPool.Put(b)
 		return nil, err
 	}
-	b.dispatch(u.mod.NumBanks())
 	return &Prepared{b: b, n: len(jobs)}, nil
 }
 
@@ -419,46 +384,10 @@ func (u *Unit) bind(b *batch) error {
 	return errors.Join(failures...)
 }
 
-// dispatch precomputes everything Run needs per run — successor lists,
-// initial in-degrees, the result channel (buffered for every group, so
-// a group run on the dispatching goroutine never blocks reporting),
-// and per-bank scratch — so the run itself touches no allocator.
-func (b *batch) dispatch(banks int) {
-	n := len(b.durNs)
-	b.indeg0 = sized(b.indeg0, n)
-	b.succOff = sized(b.succOff, n+1)
-	for i := range n {
-		ps := b.preds[b.predOff[i]:b.predOff[i+1]]
-		b.indeg0[i] = int32(len(ps))
-		for _, p := range ps {
-			b.succOff[p+1]++
-		}
-	}
-	for i := range n {
-		b.succOff[i+1] += b.succOff[i]
-	}
-	// Successors fill in job order, so each job's list is ascending;
-	// remain serves as the per-job fill cursor until Run resets it.
-	b.succs = sized(b.succs, len(b.preds))
-	b.remain = sized(b.remain, n)
-	for i := range n {
-		for _, p := range b.preds[b.predOff[i]:b.predOff[i+1]] {
-			b.succs[b.succOff[p]+b.remain[p]] = int32(i)
-			b.remain[p]++
-		}
-	}
-	b.indeg = sized(b.indeg, n)
-	b.ready = sized(b.ready, n)[:0]
-	if cap(b.results) < len(b.groups) {
-		b.results = make(chan groupResult, len(b.groups))
-	}
-	b.bankEnergy = sized(b.bankEnergy, banks)
-}
-
 // RunOpts are the per-run options of Run.
 type RunOpts struct {
-	// Cancel, once closed, stops Run issuing new jobs: in-flight work
-	// drains and — if any job was thereby skipped — Run reports
+	// Cancel, once closed, stops Run issuing new jobs: the job running
+	// completes and — if any job was thereby skipped — Run reports
 	// ErrCanceled. The serving layer passes a running job's context's
 	// Done channel. A nil Cancel never fires.
 	Cancel <-chan struct{}
@@ -471,32 +400,25 @@ type RunOpts struct {
 }
 
 // Run executes a prepared batch — the control unit's only way to run
-// anything. Functional execution dispatches at (job, subarray-group)
-// granularity: a job is issued as soon as every constraint predecessor
-// has completed, so bank-disjoint independent instructions execute
-// concurrently while hazards and shared subarrays serialize
-// (same-subarray jobs run in program order). Timing and the modeled
-// critical path come from the deterministic plan, not from host
-// scheduling: they are fixed when pb is prepared (see DurNs).
-//
-// The calling goroutine executes the batch itself. Each dispatch round
-// issues every ready job: every group but the round's last is offered
-// to an idle worker of the process-wide pool, a group no worker is
-// waiting for runs here at once, and the last always runs here. A
-// dependency chain therefore never leaves the caller, while
-// bank-parallel groups spread over free cores. Cancellation is checked
-// between rounds, so every group of an issued job completes, and Run
-// returns only once every issued group has reported: nothing touches
-// pb after Run, so its owner may release it then.
+// anything — on the calling goroutine. It runs the jobs in program
+// order and each job's subarray groups in bank-major order. Program
+// order satisfies every constraint: a job's declared hazards and its
+// same-subarray predecessors are all earlier jobs, and different
+// subarrays share no rows. Bank-level overlap is a property of the
+// timing model, not of host execution: timing and the modeled
+// critical path are fixed when pb is prepared (see DurNs), and energy
+// is summed in program order, so every run of pb reports the same
+// stats.
 //
 // Every binding was checked when pb was prepared, so only cancellation
-// stops a batch part-way: issuing stops, in-flight work drains, and
-// jobs not yet issued are skipped, so DRAM state reflects a
-// prefix-consistent subset of the batch. The per-run work is only the
-// dependency dispatch and the view runs — no validation, binding,
+// stops a batch part-way. Cancel is checked before every job: the jobs
+// before it complete, no job is partly executed, and the rest are
+// skipped, so DRAM state reflects a program-order prefix of the batch.
+// The per-run work is only the view runs — no validation, binding,
 // planning, or heap allocation. Run holds the unit's run lock for the
 // whole batch, so concurrent calls on one unit execute one after
-// another and never share a Prepared's dispatch scratch. Running a
+// another and never share a Prepared's scratch. Nothing touches pb
+// after Run returns, so its owner may release it then. Running a
 // released Prepared panics.
 //
 //simdram:zeroalloc
@@ -506,68 +428,23 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, error) {
 		panic("ctrl: Run of a released Prepared")
 	}
 	u.runMu.Lock()
-	cancel, at := o.Cancel, o.Attr
-	n := pb.n
-	copy(b.indeg, b.indeg0)
-	for i := range n {
-		b.remain[i] = b.jobGrp[i+1] - b.jobGrp[i]
-	}
+	n, at := pb.n, o.Attr
 	clear(b.bankEnergy)
-	pool := sharedPool()
-
-	ready := b.ready[:0]
-	for i := range n {
-		if b.indeg[i] == 0 {
-			ready = append(ready, int32(i)) //simdram:prealloc b.ready holds every job
-		}
-	}
 	var energyPJ float64
-	canceled := false
-	doneJobs, inflight := 0, 0
-	for doneJobs < n {
-		if !canceled && cancel != nil {
-			select {
-			case <-cancel:
-				canceled = true
-			default:
-			}
+	for i := range n {
+		select {
+		case <-o.Cancel:
+			u.runMu.Unlock()
+			//simdram:coldpath canceled batch
+			return BatchStats{}, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, i, n)
+		default:
 		}
-		if !canceled && len(ready) > 0 {
-			last := ready[len(ready)-1]
-			for _, id := range ready {
-				g0, g1 := b.jobGrp[id], b.jobGrp[id+1]
-				for g := g0; g < g1; g++ {
-					gr := &b.groups[g]
-					if (id == last && g == g1-1) || !pool.tryRun(gr) {
-						gr.run()
-					}
-				}
-				inflight += int(g1 - g0)
-			}
+		for g := b.jobGrp[i]; g < b.jobGrp[i+1]; g++ {
+			gr := &b.groups[g]
+			e := gr.run(b.views)
+			energyPJ += e
+			b.bankEnergy[gr.bank] += e
 		}
-		ready = ready[:0]
-		if inflight == 0 {
-			break // canceled: nothing running, unissued jobs are skipped
-		}
-		r := <-b.results
-		inflight--
-		energyPJ += r.energyPJ
-		b.bankEnergy[r.bank] += r.energyPJ
-		b.remain[r.job]--
-		if b.remain[r.job] == 0 {
-			doneJobs++
-			for _, s := range b.succs[b.succOff[r.job]:b.succOff[r.job+1]] {
-				b.indeg[s]--
-				if b.indeg[s] == 0 {
-					ready = append(ready, s) //simdram:prealloc b.ready holds every job
-				}
-			}
-		}
-	}
-	if doneJobs < n {
-		u.runMu.Unlock()
-		//simdram:coldpath canceled batch
-		return BatchStats{}, fmt.Errorf("%w: %d of %d instructions completed", ErrCanceled, doneJobs, n)
 	}
 	st := BatchStats{
 		Instructions:   int64(n),

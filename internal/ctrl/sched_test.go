@@ -34,6 +34,12 @@ func newBatchRigCols(t testing.TB, cols int) *batchRig {
 	t.Helper()
 	cfg := dram.TestConfig()
 	cfg.Cols = cols
+	return newBatchRigCfg(t, cfg)
+}
+
+// newBatchRigCfg is newBatchRig on the given geometry.
+func newBatchRigCfg(t testing.TB, cfg dram.Config) *batchRig {
+	t.Helper()
 	mod, err := dram.NewModule(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -30,6 +30,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Sub returns s minus other (for interval measurements).
+//
+//simdram:testapi differential tests measure a module's activity between two snapshots
 func (s Stats) Sub(other Stats) Stats {
 	return Stats{
 		AAPs:       s.AAPs - other.AAPs,

@@ -233,10 +233,9 @@ func New(cfg Config) (*System, error) {
 func (s *System) Config() Config { return s.cfg }
 
 // Close marks the end of the System's use. A System owns no goroutines
-// — batches run on the calling goroutine, helped by idle workers of a
-// process-wide pool — so Close releases nothing today; it is kept so
-// callers can bracket a System's lifetime (Cluster.Close calls it). The
-// System stays usable after Close.
+// — batches run on the calling goroutine — so Close releases nothing
+// today; it is kept so callers can bracket a System's lifetime
+// (Cluster.Close calls it). The System stays usable after Close.
 func (s *System) Close() {}
 
 // Module exposes the underlying DRAM module (for experiments and fault
