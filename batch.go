@@ -42,7 +42,7 @@ func (s *System) ExecBatch(prog isa.Program) (BatchStats, error) {
 	if err != nil {
 		return BatchStats{}, err
 	}
-	st, err := s.runPreparedAttr(pp, nil, nil)
+	st, err := s.runPrepared(pp, nil)
 	pp.release() // a one-shot program: nothing runs it again
 	if err != nil {
 		return BatchStats{}, err
@@ -337,17 +337,14 @@ func maxScratchNeeds(needs []scratchNeed, banks, subs int) []scratchNeed {
 	return out
 }
 
-// runPreparedAttr executes a prepared program — the run-many half —
-// with an optional device-attribution sink: on success the run's
-// per-bank busy time, commands, and energy are accumulated into at (see
-// ctrl.Attribution). It re-verifies the prepared program first (see
-// checkPrepared), then dispatches it. A nil sink keeps the run
-// allocation-free.
-func (s *System) runPreparedAttr(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, error) {
+// runPrepared executes a prepared program — the run-many half. It
+// re-verifies the prepared program first (see checkPrepared), then
+// dispatches it.
+func (s *System) runPrepared(pp *preparedProgram, cancel <-chan struct{}) (ctrl.BatchStats, error) {
 	if err := s.checkPrepared(pp); err != nil {
 		return ctrl.BatchStats{}, err
 	}
-	return s.execPrepared(pp, cancel, at)
+	return s.execPrepared(pp, cancel)
 }
 
 // checkPrepared re-verifies object liveness and scratch headroom — the
@@ -372,9 +369,11 @@ func (s *System) checkScratch(pp *preparedProgram) error {
 }
 
 // execPrepared dispatches a prepared program that passed checkPrepared.
-func (s *System) execPrepared(pp *preparedProgram, cancel <-chan struct{}, at *ctrl.Attribution) (ctrl.BatchStats, error) {
+// A completed run adds to the control unit's per-bank bill (see
+// ctrl.Attribution).
+func (s *System) execPrepared(pp *preparedProgram, cancel <-chan struct{}) (ctrl.BatchStats, error) {
 	if pp.prep == nil {
 		return ctrl.BatchStats{}, nil // program of only trsp_init instructions
 	}
-	return s.cu.Run(pp.prep, ctrl.RunOpts{Cancel: cancel, Attr: at})
+	return s.cu.Run(pp.prep, ctrl.RunOpts{Cancel: cancel})
 }

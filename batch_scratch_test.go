@@ -58,7 +58,7 @@ func TestStaleScratchErrorDeterministic(t *testing.T) {
 				filler = append(filler, v)
 			}
 		}
-		_, err = s.runPreparedAttr(pp, nil, nil)
+		_, err = s.runPrepared(pp, nil)
 		if err == nil {
 			t.Fatal("a starved prepared program ran")
 		}

@@ -540,7 +540,7 @@ var shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
 func (c *Cluster) runSharded(sp *shardedProgram) (ClusterBatchStats, error) {
 	clear(sp.perCh)
 	err := cluster.Dispatch(sp.ran, func(_, ch int) error {
-		st, err := c.channels[ch].execPrepared(sp.pp[ch], nil, nil)
+		st, err := c.channels[ch].execPrepared(sp.pp[ch], nil)
 		sp.perCh[ch] = st
 		return err
 	})

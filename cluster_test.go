@@ -468,7 +468,7 @@ func TestExecBatchCancelFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.runPreparedAttr(pp, cancel, nil)
+	_, err = sys.runPrepared(pp, cancel)
 	if !errors.Is(err, ctrl.ErrCanceled) {
 		t.Fatalf("pre-canceled batch must report ErrCanceled, got: %v", err)
 	}

@@ -1,6 +1,8 @@
 package simdram
 
 import (
+	"fmt"
+
 	"simdram/internal/ctrl"
 	"simdram/internal/isa"
 	"simdram/internal/ops"
@@ -104,6 +106,9 @@ func (s *System) prepareOp(d ops.Def, dst *Vector, srcs []*Vector, buf *segBufs)
 	}
 	if dst.freed {
 		return nil, nil, errorf("%s: destination freed", d.Name)
+	}
+	if dst.view {
+		return nil, nil, fmt.Errorf("%w: it cannot be the destination of %s", ErrReadOnlyView, d.Name)
 	}
 	if want := d.DstWidth(width); dst.width != want {
 		return nil, nil, errorf("%s: destination width %d, operation produces %d", d.Name, dst.width, want)

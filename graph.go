@@ -1008,7 +1008,7 @@ func (cp *Compiled) Execute() (BatchStats, error) {
 		}
 		cp.pp = pp
 	}
-	return cp.sys.runPreparedAttr(cp.pp, nil, nil)
+	return cp.sys.runPrepared(cp.pp, nil)
 }
 
 // Free releases the compiler-allocated temporaries and constant splats

@@ -1,11 +1,11 @@
 package ctrl
 
-// Attribution is a per-bank resource-usage sink for prepared-batch
-// execution: Run (through RunOpts.Attr) *accumulates* into it, so one
-// Attribution can bill a whole session of runs, or be Reset between
-// jobs for per-job attribution. Slices are indexed by bank and grown
-// on demand; a caller that reuses one Attribution per worker pays no
-// steady-state allocations.
+// Attribution is a per-bank resource-usage sink. Every Unit owns one
+// (Unit.Attribution), sized to its module's banks by New, and every
+// successful Run *accumulates* into it, so it bills a whole session of
+// runs, or, Reset between jobs, one job. A canceled run adds nothing:
+// its partial DRAM effects are not billed, matching the error contract
+// that stats are not returned. Slices are indexed by bank.
 //
 // Semantics of the fields, per bank b:
 //   - BusyNs[b]: modeled time bank b spent executing (μProgram latency
@@ -47,18 +47,4 @@ func (a *Attribution) TotalCommands() int64 {
 		t += v
 	}
 	return t
-}
-
-// grow ensures the sink covers at least n banks, preserving totals.
-func (a *Attribution) grow(n int) {
-	if len(a.BusyNs) >= n {
-		return
-	}
-	busy := make([]float64, n)
-	copy(busy, a.BusyNs)
-	cmds := make([]int64, n)
-	copy(cmds, a.Commands)
-	energy := make([]float64, n)
-	copy(energy, a.EnergyPJ)
-	a.BusyNs, a.Commands, a.EnergyPJ = busy, cmds, energy
 }

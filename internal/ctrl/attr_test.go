@@ -10,7 +10,7 @@ import (
 	"simdram/internal/raceflag"
 )
 
-// TestRunAttribution checks the attribution sink against
+// TestRunAttribution checks the unit's attribution sink against
 // the batch's own aggregate stats: bank sums must equal the batch's
 // commands and energy exactly and its serial-equivalent busy time up
 // to float rounding, with the work landing on the banks that ran it.
@@ -24,11 +24,11 @@ func TestRunAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at Attribution
-	st, err := r.unit.Run(pb, RunOpts{Attr: &at})
+	st, err := r.unit.Run(pb, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := r.unit.Attribution()
 	if len(at.BusyNs) != r.mod.NumBanks() {
 		t.Fatalf("bills cover %d banks, want %d", len(at.BusyNs), r.mod.NumBanks())
 	}
@@ -61,7 +61,7 @@ func TestRunAttribution(t *testing.T) {
 }
 
 // TestAttributionAccumulatesAndResets pins the sink contract: repeated
-// runs accumulate, Reset zeroes in place.
+// runs accumulate, a canceled run adds nothing, Reset zeroes in place.
 func TestAttributionAccumulatesAndResets(t *testing.T) {
 	r := newBatchRig(t)
 	jobs := []Job{{Program: r.prog, Segments: []Segment{{Bank: 0, Sub: 0, Binding: r.bind}}}}
@@ -69,17 +69,22 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at Attribution
-	st, err := r.unit.Run(pb, RunOpts{Attr: &at})
+	st, err := r.unit.Run(pb, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := r.unit.Attribution()
 	one := sum(at.EnergyPJ)
 	if one != st.EnergyPJ || one <= 0 {
 		t.Fatalf("first run billed %v, want %v > 0", one, st.EnergyPJ)
 	}
-	if _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
+	if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 		t.Fatal(err)
+	}
+	canceled := make(chan struct{})
+	close(canceled)
+	if _, err := r.unit.Run(pb, RunOpts{Cancel: canceled}); err == nil {
+		t.Fatal("a run canceled before its first job must fail")
 	}
 	if got := sum(at.EnergyPJ); got != 2*one {
 		t.Errorf("two runs billed %v, want %v", got, 2*one)
@@ -96,11 +101,10 @@ func TestAttributionAccumulatesAndResets(t *testing.T) {
 	}
 }
 
-// TestRunZeroAlloc gates the full attribution-disabled run
-// path — dependency dispatch, pool hand-off, stream replay, stats fold
-// — at zero heap allocations per run. (The earlier
-// TestPreparedPlanZeroAllocPerRun gates only the μProgram replay
-// kernel; this covers everything around it.)
+// TestRunZeroAlloc gates the full run path — program-order dispatch,
+// stream replay, stats and bill fold — at zero heap allocations per
+// run. (The earlier TestPreparedPlanZeroAllocPerRun gates only the
+// μProgram replay kernel; this covers everything around it.)
 func TestRunZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
@@ -115,7 +119,7 @@ func TestRunZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the pool and the cancel plumbing before measuring.
+	// Warm the cancel plumbing before measuring.
 	cancel := make(chan struct{})
 	if _, err := r.unit.Run(pb, RunOpts{Cancel: cancel}); err != nil {
 		t.Fatal(err)
@@ -126,13 +130,13 @@ func TestRunZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("attribution-disabled Run allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("Run allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestRunAttrSteadyZeroAlloc: with a pre-grown sink, even
-// the attributed path stays allocation-free — the serving layer reuses
-// one sink per channel worker.
+// TestRunAttrSteadyZeroAlloc: billing into the unit's sink, Reset
+// between runs as the serving layer does between jobs, stays
+// allocation-free.
 func TestRunAttrSteadyZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
@@ -143,13 +147,13 @@ func TestRunAttrSteadyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at Attribution
-	if _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
+	at := r.unit.Attribution()
+	if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		at.Reset()
-		if _, err := r.unit.Run(pb, RunOpts{Attr: &at}); err != nil {
+		if _, err := r.unit.Run(pb, RunOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	})

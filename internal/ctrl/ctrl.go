@@ -28,6 +28,9 @@ type Unit struct {
 	runMu sync.Mutex
 
 	Stats ExecStats
+	// attr is the unit's per-bank bill: every successful Run adds to it
+	// (see Attribution).
+	attr Attribution
 }
 
 // ExecStats accumulates control-unit activity.
@@ -46,24 +49,22 @@ func (s *ExecStats) Add(other ExecStats) {
 	s.EnergyPJ += other.EnergyPJ
 }
 
-// Sub returns s minus other — the activity between two snapshots of a
-// unit's Stats, which is how a caller attributes a raw (non-prepared)
-// execution window to whoever requested it.
-func (s ExecStats) Sub(other ExecStats) ExecStats {
-	return ExecStats{
-		Instructions: s.Instructions - other.Instructions,
-		Commands:     s.Commands - other.Commands,
-		BusyNs:       s.BusyNs - other.BusyNs,
-		EnergyPJ:     s.EnergyPJ - other.EnergyPJ,
-	}
-}
-
 // New builds a control unit for the module using the given synthesis
 // variant (VariantSIMDRAM for the paper's flow, VariantAmbit for the
-// in-DRAM baseline).
+// in-DRAM baseline). Its per-bank bill covers every bank of mod.
 func New(mod *dram.Module, variant ops.Variant) *Unit {
-	return &Unit{mod: mod, variant: variant}
+	banks := mod.NumBanks()
+	return &Unit{mod: mod, variant: variant, attr: Attribution{
+		BusyNs:   make([]float64, banks),
+		Commands: make([]int64, banks),
+		EnergyPJ: make([]float64, banks),
+	}}
 }
+
+// Attribution returns the unit's per-bank bill, which every successful
+// Run adds to. The caller that owns the unit between runs may read and
+// Reset it; Run touches it only under the unit's run lock.
+func (u *Unit) Attribution() *Attribution { return &u.attr }
 
 // Program returns the (cached) μProgram for an operation at the given
 // width and operand count.

@@ -196,11 +196,11 @@ func TestRunEnergyOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var at Attribution
-		st, err := r.unit.Run(pb, RunOpts{Attr: &at})
+		st, err := r.unit.Run(pb, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		at := r.unit.Attribution()
 		if st.EnergyPJ != want {
 			t.Fatalf("run %d: EnergyPJ %v, want %v summed in program order", run, st.EnergyPJ, want)
 		}

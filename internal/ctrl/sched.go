@@ -391,12 +391,6 @@ type RunOpts struct {
 	// ErrCanceled. The serving layer passes a running job's context's
 	// Done channel. A nil Cancel never fires.
 	Cancel <-chan struct{}
-	// Attr, when non-nil, accumulates the run's per-bank modeled busy
-	// time, command counts and measured energy, plus the batch's
-	// critical path (see Attribution). A canceled run bills nothing:
-	// its partial DRAM effects are not attributed, matching the error
-	// contract that stats are not returned.
-	Attr *Attribution
 }
 
 // Run executes a prepared batch — the control unit's only way to run
@@ -408,7 +402,9 @@ type RunOpts struct {
 // timing model, not of host execution: timing and the modeled
 // critical path are fixed when pb is prepared (see DurNs), and energy
 // is summed in program order, so every run of pb reports the same
-// stats.
+// stats. A completed run adds its stats to u.Stats and its per-bank
+// busy time, commands and energy, plus its critical path, to the
+// unit's bill (see Attribution).
 //
 // Every binding was checked when pb was prepared, so only cancellation
 // stops a batch part-way. Cancel is checked before every job: the jobs
@@ -428,7 +424,7 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, error) {
 		panic("ctrl: Run of a released Prepared")
 	}
 	u.runMu.Lock()
-	n, at := pb.n, o.Attr
+	n := pb.n
 	clear(b.bankEnergy)
 	var energyPJ float64
 	for i := range n {
@@ -459,15 +455,13 @@ func (u *Unit) Run(pb *Prepared, o RunOpts) (BatchStats, error) {
 		BusyNs:       st.CriticalPathNs,
 		EnergyPJ:     st.EnergyPJ,
 	})
-	if at != nil {
-		at.grow(len(b.bankBusy))
-		for bk := range b.bankBusy {
-			at.BusyNs[bk] += b.bankBusy[bk]
-			at.Commands[bk] += b.bankCmds[bk]
-			at.EnergyPJ[bk] += b.bankEnergy[bk]
-		}
-		at.SpanNs += b.spanNs
+	at := &u.attr
+	for bk := range b.bankBusy {
+		at.BusyNs[bk] += b.bankBusy[bk]
+		at.Commands[bk] += b.bankCmds[bk]
+		at.EnergyPJ[bk] += b.bankEnergy[bk]
 	}
+	at.SpanNs += b.spanNs
 	u.runMu.Unlock()
 	return st, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"simdram/internal/ctrl"
 	"simdram/internal/graph"
 	"simdram/internal/obs"
 	"simdram/internal/sched"
@@ -322,6 +321,7 @@ type JobResult struct {
 // result, which the job fills in on its worker.
 type Future struct {
 	t    *sched.Ticket
+	job  job
 	res  JobResult
 	once sync.Once
 	err  error
@@ -374,7 +374,7 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 	// measured between. A job rejected at admission or canceled while
 	// still queued never reaches the worker, so its unfinished trace is
 	// dropped rather than recorded; a cancellation still lands in the
-	// event ring (endJob).
+	// event ring (runJob).
 	tr := s.tracer.Start()
 	// The job's IR graph and plan-cache key are built once, here, in one
 	// walk of its expressions: they price the job, and the worker
@@ -393,26 +393,7 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 		modeled = s.estimateModeledNs(env)
 	}
 	tr.End(aspan)
-	tenant := spec.Tenant
-	f, err := s.submit(ctx, spec, modeled, tr, func(f *Future) sched.Task {
-		return func(worker int, cancel <-chan struct{}) error {
-			at := s.dev.attrFor(worker)
-			runStart := time.Now()
-			err := envErr
-			if err == nil {
-				err = s.runLazy(s.channels[worker], worker, cancel, env, exprs, &f.res, tr, at)
-				env.recycle()
-			}
-			if err == nil {
-				// Feed the executed batch's modeled DRAM time back into the
-				// scheduler's per-tenant accounting, and bill the device
-				// attribution to the tenant and the channel that ran it.
-				s.sched.Observe(tenant, f.res.Batch.CriticalPathNs)
-				s.dev.observeJob(tenant, worker, at, int64(time.Since(runStart)))
-			}
-			return s.endJob(tenant, tr, err)
-		}
-	})
+	f, err := s.submit(ctx, spec, modeled, job{tr: tr, env: env, envErr: envErr, exprs: exprs})
 	if err != nil && env != nil {
 		env.recycle()
 	}
@@ -421,63 +402,51 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*
 
 // SubmitFn enqueues a raw job under the spec's QoS intent: fn runs
 // with exclusive use of one channel's System and the job's cancel
-// signal, the submission context's Done channel (nil when ctx can never
-// be canceled). It is the escape
-// hatch for work the expression graph cannot phrase — multi-batch
-// kernels, fault injection, experiments — under the same admission
-// control and fairness as lazy jobs. Raw jobs carry no modeled cost
-// estimate, so a deadline is checked against the estimated queue wait
-// plus the scheduler's trailing average job cost. fn finds every data
-// row free that a server without plan-cache replays would leave free:
-// the channel first releases the rows its memo of served shapes holds
-// (see hitMemo). fn must release every vector it allocates before
-// returning.
+// signal, the submission context's Done channel (nil when ctx can
+// never be canceled). It is the escape hatch for work the expression
+// graph cannot phrase — multi-batch kernels, fault injection,
+// experiments — under the same admission control, fairness and
+// billing as lazy jobs: every batch fn runs is billed to the job's
+// tenant, its channel and the channel's banks (see runJob). Raw jobs
+// carry no modeled cost estimate, so a deadline is checked against
+// the estimated queue wait plus the scheduler's trailing average job
+// cost. fn finds every data row free that a server without plan-cache
+// replays would leave free: the channel first releases the rows its
+// memo of served shapes holds (see hitMemo). fn must release every
+// vector it allocates before returning.
 func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System, cancel <-chan struct{}) error) (*Future, error) {
 	if fn == nil {
 		return nil, errorf("server: nil job")
 	}
-	tenant := spec.Tenant
-	tr := s.tracer.Start()
-	return s.submit(ctx, spec, 0, tr, func(*Future) sched.Task {
-		return func(worker int, cancel <-chan struct{}) error {
-			sys := s.channels[worker]
-			s.hits[worker].releaseRows()
-			espan := tr.BeginOn("execute", 0, worker)
-			// Raw jobs drive the System directly, so the finest attribution
-			// available is the channel unit's stats delta across the call —
-			// race-free because the worker owns the channel for the job's
-			// duration.
-			before := sys.cu.Stats
-			runStart := time.Now()
-			err := fn(sys, cancel)
-			wallNs := int64(time.Since(runStart))
-			tr.End(espan)
-			if err == nil {
-				delta := sys.cu.Stats.Sub(before)
-				// BusyNs accumulates batch critical paths, the same modeled
-				// DRAM time lazy jobs feed back — keep both pipelines priced
-				// in the same unit.
-				s.sched.Observe(tenant, delta.BusyNs)
-				s.dev.observeRaw(tenant, worker, delta, wallNs)
-			}
-			return s.endJob(tenant, tr, err)
-		}
-	})
+	return s.submit(ctx, spec, 0, job{tr: s.tracer.Start(), fn: fn})
+}
+
+// job is a served job's work, done on whichever channel comes free:
+// a lazy job's IR environment and roots (SubmitJob), or a raw job's fn
+// (SubmitFn). tr is the job's trace (nil when not sampled).
+type job struct {
+	tr     *obs.Trace
+	env    *compileEnv
+	envErr error // admission's compile-environment error: the lazy job fails with it
+	exprs  []*Expr
+	fn     func(sys *System, cancel <-chan struct{}) error
 }
 
 // submit admits a job under the spec's QoS intent, priced at modeled
-// DRAM-ns (0 when unknown) and traced by tr (nil when not sampled).
-// task builds the job's work around its Future, whose result the work
-// fills in on the worker.
-func (s *Server) submit(ctx context.Context, spec JobSpec, modeled float64, tr *obs.Trace, task func(*Future) sched.Task) (*Future, error) {
-	f := &Future{}
-	if tr != nil {
+// DRAM-ns (0 when unknown); the worker that picks it up runs it with
+// runJob.
+func (s *Server) submit(ctx context.Context, spec JobSpec, modeled float64, j job) (*Future, error) {
+	f := &Future{job: j}
+	if tr := j.tr; tr != nil {
 		f.res.TraceID = tr.ID
 	}
+	tenant := spec.Tenant
 	t, err := s.sched.SubmitRequest(ctx, sched.Request{
-		Tenant: spec.Tenant, Tier: spec.Tier,
-		Deadline: spec.Deadline, ModeledNs: modeled, Trace: tr,
-	}, task(f))
+		Tenant: tenant, Tier: spec.Tier,
+		Deadline: spec.Deadline, ModeledNs: modeled, Trace: j.tr,
+	}, func(worker int, cancel <-chan struct{}) error {
+		return s.runJob(f, tenant, worker, cancel)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -486,15 +455,39 @@ func (s *Server) submit(ctx context.Context, spec JobSpec, modeled float64, tr *
 	return f, nil
 }
 
-// endJob closes a job on its worker: a failure marks the trace and
-// lands in the event ring, and the trace goes to the flight recorder.
-// It returns err.
-func (s *Server) endJob(tenant string, tr *obs.Trace, err error) error {
-	if err != nil {
-		tr.SetErr(err.Error())
+// runJob runs f's job on channel worker and bills it. The channel's
+// control unit adds every batch it runs to its per-bank sink (see
+// ctrl.Attribution), and runJob resets the sink first, so what the
+// sink holds when the job ends is the job's bill, for lazy and raw
+// jobs alike: its modeled DRAM time (the batches' critical paths) feeds
+// the scheduler's per-tenant accounting, and the tenant, the channel
+// and its banks are billed (observeJob). A failed job bills nothing;
+// its failure marks the trace and lands in the event ring. The trace
+// goes to the flight recorder.
+func (s *Server) runJob(f *Future, tenant string, worker int, cancel <-chan struct{}) error {
+	j := &f.job
+	sys := s.channels[worker]
+	bill := sys.cu.Attribution()
+	bill.Reset()
+	start := time.Now()
+	var err error
+	if j.fn != nil {
+		s.hits[worker].releaseRows()
+		espan := j.tr.BeginOn("execute", 0, worker)
+		err = j.fn(sys, cancel)
+		j.tr.End(espan)
+	} else if err = j.envErr; err == nil {
+		err = s.runLazy(sys, worker, cancel, j.env, j.exprs, &f.res, j.tr)
+		j.env.recycle()
+	}
+	if err == nil {
+		s.sched.Observe(tenant, bill.SpanNs)
+		s.dev.observeJob(tenant, worker, bill, int64(time.Since(start)))
+	} else {
+		j.tr.SetErr(err.Error())
 		s.rec.Eventf("error", "tenant %s: %v", tenant, err)
 	}
-	s.tracer.Finish(tr)
+	s.tracer.Finish(j.tr)
 	return err
 }
 
@@ -752,7 +745,10 @@ func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lo
 // other job lowers and prepares in full, and a plan-cache hit then
 // records what it bound and prepared; a job that records nothing
 // releases its storage before the future resolves.
-func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace, at *ctrl.Attribution) error {
+//
+// runLazy bills nothing itself: its one batch adds to the channel
+// unit's sink, which runJob bills when the job ends.
+func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace) error {
 	cspan := tr.Begin("compile", 0)
 	env.sys = sys
 	plan, cst := planExprs(env, s.plans, tr, cspan)
@@ -811,7 +807,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		}
 		espan := tr.BeginOn("execute", 0, worker)
 		rspan := tr.BeginOn("run", espan, worker)
-		st, err := sys.execPrepared(pp, cancel, at)
+		st, err := sys.execPrepared(pp, cancel)
 		tr.End(rspan)
 		tr.End(espan)
 		if err == nil {

@@ -167,12 +167,13 @@ type tenantBill struct {
 // One instance per Server; per-channel state is only ever touched by
 // that channel's worker, tenant bills are created under mu.
 type deviceTelemetry struct {
-	reg   *obs.Registry
-	banks int
+	reg *obs.Registry
+	// completed and rejected are the scheduler's sched.completed and
+	// sched.rejected counters, which the windowed job rates sample.
+	completed, rejected *obs.Counter
 
-	// Per channel, indexed by worker: the reusable attribution sink and
-	// the cumulative series it drains into.
-	attrs    []*ctrl.Attribution
+	// Per channel, indexed by worker: the cumulative series the
+	// channel unit's per-job bill drains into.
 	busy     []*obs.FloatCounter // channel.busy_ns{channel=N}: modeled DRAM busy
 	wallBusy []*obs.FloatCounter // channel.wall_busy_ns{channel=N}: host execution wall time
 	energy   []*obs.FloatCounter // channel.energy_pj{channel=N}
@@ -200,7 +201,8 @@ type deviceTelemetry struct {
 func newDeviceTelemetry(channels, banks int, reg *obs.Registry) *deviceTelemetry {
 	d := &deviceTelemetry{
 		reg:         reg,
-		banks:       banks,
+		completed:   reg.Counter("sched.completed"),
+		rejected:    reg.Counter("sched.rejected"),
 		tenants:     map[string]*tenantBill{},
 		totalEnergy: reg.FloatCounter("device.energy_pj"),
 		jobsWin:     obs.NewWindowedSeries(telemetrySlice, telemetrySlices),
@@ -209,12 +211,6 @@ func newDeviceTelemetry(channels, banks int, reg *obs.Registry) *deviceTelemetry
 	}
 	for ch := 0; ch < channels; ch++ {
 		cl := strconv.Itoa(ch)
-		at := &ctrl.Attribution{
-			BusyNs:   make([]float64, banks),
-			Commands: make([]int64, banks),
-			EnergyPJ: make([]float64, banks),
-		}
-		d.attrs = append(d.attrs, at)
 		d.busy = append(d.busy, reg.FloatCounter(obs.TenantSeries("channel.busy_ns", "channel", cl)))
 		d.wallBusy = append(d.wallBusy, reg.FloatCounter(obs.TenantSeries("channel.wall_busy_ns", "channel", cl)))
 		d.energy = append(d.energy, reg.FloatCounter(obs.TenantSeries("channel.energy_pj", "channel", cl)))
@@ -239,14 +235,6 @@ func newDeviceTelemetry(channels, banks int, reg *obs.Registry) *deviceTelemetry
 	return d
 }
 
-// attrFor returns channel worker's reusable attribution sink, reset for
-// one job.
-func (d *deviceTelemetry) attrFor(worker int) *ctrl.Attribution {
-	at := d.attrs[worker]
-	at.Reset()
-	return at
-}
-
 // bill returns (creating on first sight) the tenant's cumulative
 // attribution series: tenant.dram_ns{tenant=T} and
 // tenant.energy_pj{tenant=T}.
@@ -264,15 +252,15 @@ func (d *deviceTelemetry) bill(tenant string) *tenantBill {
 	return b
 }
 
-// observeJob folds one completed lazy job's attribution into the
-// channel, bank, and tenant series. The tenant is billed the batch's
-// modeled critical path (SpanNs — the DRAM time its job actually
-// occupied the channel for under the overlap-aware model, the same
-// quantity sched.Observe records) and the job's total energy; the
-// channel and its banks absorb the per-bank detail.
+// observeJob folds one completed job's bill into the channel, bank,
+// and tenant series. The tenant is billed its batches' modeled
+// critical paths (SpanNs — the DRAM time its job actually occupied the
+// channel for under the overlap-aware model, the same quantity
+// sched.Observe records) and the job's total energy; the channel and
+// its banks absorb the per-bank detail.
 func (d *deviceTelemetry) observeJob(tenant string, worker int, at *ctrl.Attribution, wallRunNs int64) {
 	var energy float64
-	for b := 0; b < len(at.BusyNs) && b < d.banks; b++ {
+	for b := range at.BusyNs {
 		if at.BusyNs[b] > 0 {
 			d.bankBusy[worker][b].Add(at.BusyNs[b])
 			d.bankHist[worker].Observe(int64(at.BusyNs[b]))
@@ -293,29 +281,12 @@ func (d *deviceTelemetry) observeJob(tenant string, worker int, at *ctrl.Attribu
 	b.energyPJ.Add(energy)
 }
 
-// observeRaw folds a raw SubmitFn job's execution-stats delta into the
-// channel and tenant series. Raw jobs have no per-bank breakdown — the
-// unit's aggregate stats are the finest attribution available — so
-// they bill at channel granularity.
-func (d *deviceTelemetry) observeRaw(tenant string, worker int, delta ctrl.ExecStats, wallRunNs int64) {
-	d.busy[worker].Add(delta.BusyNs)
-	d.energy[worker].Add(delta.EnergyPJ)
-	if delta.Commands > 0 {
-		d.commands[worker].Add(uint64(delta.Commands))
-	}
-	d.wallBusy[worker].Add(float64(wallRunNs))
-	d.totalEnergy.Add(delta.EnergyPJ)
-	b := d.bill(tenant)
-	b.dramNs.Add(delta.BusyNs)
-	b.energyPJ.Add(delta.EnergyPJ)
-}
-
 // record samples the cumulative totals into the windowed rings and
 // refreshes the utilization gauges — called by the telemetry pump every
 // slice (and by Stats, where the once-per-slice gate dedups).
-func (d *deviceTelemetry) record(nowNs int64, completed, rejected uint64) {
-	d.jobsWin.Record(nowNs, float64(completed))
-	d.rejWin.Record(nowNs, float64(rejected))
+func (d *deviceTelemetry) record(nowNs int64) {
+	d.jobsWin.Record(nowNs, float64(d.completed.Value()))
+	d.rejWin.Record(nowNs, float64(d.rejected.Value()))
 	d.energyWin.Record(nowNs, d.totalEnergy.Value())
 	for ch := range d.wallWins {
 		wall := d.wallBusy[ch].Value()
@@ -420,8 +391,10 @@ func (s *Server) nowNs() int64 { return int64(time.Since(s.epoch)) }
 // pump's body, also callable directly (tests, Stats) because every ring
 // dedups to one sample per slice.
 func (s *Server) telemetryTick(nowNs int64) {
-	ss := s.sched.Stats()
-	s.dev.record(nowNs, ss.Completed, ss.Rejected)
+	s.dev.record(nowNs)
+	if len(s.slos) == 0 {
+		return
+	}
 	for _, sl := range s.slos {
 		sl.win.Record(nowNs, sl.hist.Snapshot())
 	}

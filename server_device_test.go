@@ -140,9 +140,9 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 	}
 }
 
-// TestServerRawSubmitAttribution: raw jobs bill at channel granularity
-// from the unit's exec-stats delta and feed the scheduler's modeled
-// time like lazy jobs do.
+// TestServerRawSubmitAttribution: a raw job's batches are billed to
+// its tenant, its channel and the channel's banks, and feed the
+// scheduler's modeled time like lazy jobs do.
 func TestServerRawSubmitAttribution(t *testing.T) {
 	srv := testServer(t, 1, nil)
 	fut, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "raw"}, func(sys *System, cancel <-chan struct{}) error {
@@ -150,10 +150,12 @@ func TestServerRawSubmitAttribution(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		defer a.Free()
 		dst, err := sys.AllocVector(32, 8)
 		if err != nil {
 			return err
 		}
+		defer dst.Free()
 		_, err = sys.Run("addition", dst, a, a)
 		return err
 	})
@@ -175,6 +177,90 @@ func TestServerRawSubmitAttribution(t *testing.T) {
 	if !relClose(ts.BilledNs, ts.ModeledNs, 1e-9) || ts.ModeledNs <= 0 {
 		t.Errorf("raw tenant BilledNs %v / ModeledNs %v must match and be positive", ts.BilledNs, ts.ModeledNs)
 	}
+	// Bank bills roll up to the channel and device totals, as a lazy
+	// job's do.
+	bills := bankBills(srv)
+	var bankEnergy, bankCmds float64
+	for name, v := range bills {
+		switch {
+		case strings.HasPrefix(name, "bank.energy_pj{"):
+			bankEnergy += v
+		case strings.HasPrefix(name, "bank.commands{"):
+			bankCmds += v
+		}
+	}
+	if bankEnergy <= 0 || !relClose(bankEnergy, dev.Channels[0].EnergyPJ, 1e-9) {
+		t.Errorf("bank energy sum %v != channel energy %v", bankEnergy, dev.Channels[0].EnergyPJ)
+	}
+	if bankCmds != float64(dev.Channels[0].Commands) {
+		t.Errorf("bank command sum %v != channel commands %d", bankCmds, dev.Channels[0].Commands)
+	}
+}
+
+// TestServerRawAndLazyBillAlike serves one expression twice on a
+// one-channel Server: once through SubmitJob, once through a SubmitFn
+// whose fn Materializes it. Both run the same batch on the same banks,
+// so each bank must be billed the same busy time and commands, and
+// the same energy up to float rounding.
+func TestServerRawAndLazyBillAlike(t *testing.T) {
+	srv := testServer(t, 1, nil)
+	rng := rand.New(rand.NewSource(23))
+	const n = 200 // two 128-column segments: banks 0 and 1
+	a, b, c := randData(rng, n, 8), randData(rng, n, 8), randData(rng, n, 8)
+	expr := func() *Expr { return Input(a, 8).Add(Input(b, 8)).Max(Input(c, 8)) }
+
+	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "lazy"}, expr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	lazy := bankBills(srv)
+	fut, err = srv.SubmitFn(context.Background(), JobSpec{Tenant: "raw"}, func(sys *System, cancel <-chan struct{}) error {
+		e := expr()
+		if _, err := sys.Materialize(e); err != nil {
+			return err
+		}
+		e.Result().Free()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	both := bankBills(srv)
+	billed := 0
+	for name, l := range lazy {
+		raw := both[name] - l
+		if l > 0 {
+			billed++
+		}
+		if strings.HasPrefix(name, "bank.energy_pj{") {
+			if !relClose(raw, l, 1e-9) {
+				t.Errorf("%s: raw job billed %v, lazy job %v", name, raw, l)
+			}
+		} else if raw != l {
+			t.Errorf("%s: raw job billed %v, lazy job %v", name, raw, l)
+		}
+	}
+	if billed < 6 {
+		t.Errorf("lazy job billed %d bank series, want busy time, commands and energy on both banks: %v", billed, lazy)
+	}
+}
+
+// bankBills returns the Server's per-bank series (bank.busy_ns,
+// bank.commands, bank.energy_pj) by name.
+func bankBills(srv *Server) map[string]float64 {
+	out := map[string]float64{}
+	for _, p := range srv.Metrics() {
+		if strings.HasPrefix(p.Name, "bank.") {
+			out[p.Name] = p.Value
+		}
+	}
+	return out
 }
 
 func TestServerSLOBreachEmitsEvent(t *testing.T) {

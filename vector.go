@@ -1,6 +1,15 @@
 package simdram
 
-import "sync"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
+
+// ErrReadOnlyView reports a write into a View, which aliases its base
+// vector's rows: a Store into it, or an operation with it as the
+// destination, would rewrite the base. Check with errors.Is.
+var ErrReadOnlyView = errors.New("simdram: a view is read-only")
 
 // Vector is a SIMDRAM object: n elements of a given bit width stored in
 // the vertical layout across one or more subarrays. Element j of segment
@@ -206,6 +215,8 @@ func (v *Vector) Free() {
 // starting at row base+k divides every element by 2^k with zero DRAM
 // commands — downstream operations simply read different row indices.
 // The view must stay inside v's rows (rowOffset+width ≤ v.Width()).
+// Writing the view, by Store or as an operation's destination, fails
+// with ErrReadOnlyView.
 func (v *Vector) View(rowOffset, width int) (*Vector, error) {
 	if v.freed {
 		return nil, errorf("view of freed vector")
@@ -242,6 +253,9 @@ func (v *Vector) View(rowOffset, width int) (*Vector, error) {
 func (v *Vector) Store(data []uint64) error {
 	if v.freed {
 		return errorf("store to freed vector")
+	}
+	if v.view {
+		return fmt.Errorf("%w: store into it", ErrReadOnlyView)
 	}
 	if len(data) != v.n {
 		return errorf("store: vector holds %d elements, data has %d", v.n, len(data))

@@ -1,6 +1,7 @@
 package simdram
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -245,10 +246,58 @@ func TestRunRejectsOverlappingViewOperand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shifted.Store(make([]uint64, n)); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := sys.Run("addition", dst, a, shifted); err != nil {
 		t.Errorf("non-overlapping view operand must be accepted: %v", err)
+	}
+}
+
+// TestViewsAreReadOnly: a view aliases its base's rows, so neither an
+// operation nor a Store may write through it. Both fail with
+// ErrReadOnlyView before anything runs: the base keeps its value and
+// the System's stats do not move.
+func TestViewsAreReadOnly(t *testing.T) {
+	sys := testSystem(t)
+	n := 32
+	base, _ := sys.AllocVector(n, 16)
+	a, _ := sys.AllocVector(n, 8)
+	b, _ := sys.AllocVector(n, 8)
+	fill := func(v uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for v, val := range map[*Vector]uint64{base: 0xabcd, a: 1, b: 1} {
+		if err := v.Store(fill(val)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	low, err := base.View(0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sys.SystemStats()
+	if _, err := sys.Run("addition", low, a, b); !errors.Is(err, ErrReadOnlyView) {
+		t.Errorf("addition into a view: err %v, want ErrReadOnlyView", err)
+	}
+	prog := isa.Program{{Op: isa.FromOp(ops.OpAdd), Dst: low.Handle(), Src: [3]uint16{a.Handle(), b.Handle()}, Size: uint32(n), Width: 8}}
+	if _, err := sys.ExecBatch(prog); !errors.Is(err, ErrReadOnlyView) {
+		t.Errorf("batch writing a view: err %v, want ErrReadOnlyView", err)
+	}
+	if err := low.Store(fill(2)); !errors.Is(err, ErrReadOnlyView) {
+		t.Errorf("Store into a view: err %v, want ErrReadOnlyView", err)
+	}
+	if after := sys.SystemStats(); after != before {
+		t.Errorf("rejected writes changed the System's stats: %+v, before %+v", after, before)
+	}
+	got, err := base.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != 0xabcd {
+			t.Fatalf("element %d of the base reads %#x after rejected writes, want 0xabcd", i, v)
+		}
 	}
 }
