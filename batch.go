@@ -105,10 +105,11 @@ type scratchNeed struct {
 // prepScratch is what prepareProgramTraced needs only while it runs:
 // the hazard graph, the control unit's job table with its dependency
 // lists, the instruction→job map, the segment and base tables the
-// jobs' segments are carved from, and the set of handles already
-// pinned (a 12 KB bitset that would otherwise grow a fresh goroutine's
-// stack). ctrl.Unit.Prepare keeps no reference into them, so they go
-// back to prepPool as prepare returns.
+// jobs' segments are carved from, the set of handles already pinned
+// (a 12 KB bitset) and the dense per-subarray table maxScratchNeeds
+// folds through — two tables that would otherwise grow a fresh
+// goroutine's stack. ctrl.Unit.Prepare keeps no reference into them,
+// so they go back to prepPool as prepare returns.
 type prepScratch struct {
 	deps  [][]int
 	flat  []int
@@ -117,6 +118,7 @@ type prepScratch struct {
 	jobOf []int // instruction index → job index, -1 for trsp_init
 	segs  segBufs
 	bound isa.HandleSet
+	most  []int // subarray (bank-major) → its largest scratch need, -1 for none
 }
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
@@ -240,7 +242,7 @@ func (s *System) prepareProgramTraced(prog isa.Program, lw *lowered, tr *obs.Tra
 		jobOf[i] = len(jobs)
 		jobs = append(jobs, ctrl.Job{Program: p, Segments: jsegs, Deps: jdeps[d0:len(jdeps):len(jdeps)]})
 	}
-	pp.scratch = maxScratchNeeds(pp.scratch, s.cfg.DRAM.Banks, s.cfg.DRAM.SubarraysPerBank)
+	pp.scratch = sc.maxScratchNeeds(pp.scratch, s.cfg.DRAM.Banks, s.cfg.DRAM.SubarraysPerBank)
 	if len(jobs) == 0 {
 		return pp, nil // program of only trsp_init instructions
 	}
@@ -311,16 +313,11 @@ func (s *System) scratchShort(prog isa.Program) bool {
 // maxScratchNeeds folds the per-instruction scratch needs into one
 // entry per subarray, holding the largest need, in (bank, sub) order —
 // so checkPrepared names the same subarray every time when several
-// lack headroom. The fold is one pass over a dense table of the
+// lack headroom. The fold is one pass over sc's dense table of the
 // geometry's banks × subs subarrays; the result reuses needs' array.
-func maxScratchNeeds(needs []scratchNeed, banks, subs int) []scratchNeed {
-	var buf [256]int // the paper geometry's 16 × 16 subarrays
-	most := buf[:0]
-	if n := banks * subs; n <= len(buf) {
-		most = buf[:n]
-	} else {
-		most = make([]int, n)
-	}
+func (sc *prepScratch) maxScratchNeeds(needs []scratchNeed, banks, subs int) []scratchNeed {
+	sc.most = sized(sc.most, banks*subs)
+	most := sc.most
 	for k := range most {
 		most[k] = -1
 	}

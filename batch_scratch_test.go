@@ -79,7 +79,7 @@ func TestStaleScratchErrorDeterministic(t *testing.T) {
 // TestMaxScratchNeeds checks the fold of per-instruction scratch needs:
 // one entry per subarray, the largest need, in (bank, sub) order.
 func TestMaxScratchNeeds(t *testing.T) {
-	got := maxScratchNeeds([]scratchNeed{
+	got := new(prepScratch).maxScratchNeeds([]scratchNeed{
 		{bank: 1, sub: 0, need: 2}, {bank: 0, sub: 1, need: 3}, {bank: 1, sub: 0, need: 5},
 		{bank: 0, sub: 0, need: 0}, {bank: 0, sub: 1, need: 1}, {bank: 1, sub: 0, need: 4},
 	}, 2, 2)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -41,11 +42,20 @@ func runServeTiersDemo(inflight, channels int, window time.Duration, m metrics) 
 	// The share gate assumes every tenant stays continuously backlogged:
 	// a tenant whose queue momentarily drains forfeits its weighted-fair
 	// position to work conservation, which reads as a share regression
-	// that isn't one. Queues this deep ride out host scheduling stalls
-	// (the channel simulations are CPU-bound and starve the submitter
-	// goroutines for tens of milliseconds on small machines).
-	if inflight < 64 {
-		inflight = 64
+	// that isn't one. A tenant's slot frees only once the goroutine
+	// waiting on its finished job runs, and a backlogged channel worker
+	// never blocks, so with no more Ps than channels the waiters and
+	// feeders run only when the Go scheduler preempts a worker. On a
+	// busy host that takes long enough for gold, which finishes four
+	// jobs to bronze's one, to fill its slots with finished jobs no
+	// waiter has seen, drain its queue, and cede the channels to bronze.
+	// Spare Ps let them run whenever the host gives the process a
+	// thread, and queues this deep ride out the stalls left.
+	if inflight < 256 {
+		inflight = 256
+	}
+	if runtime.GOMAXPROCS(0) < 2*channels {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2 * channels))
 	}
 	if window < 200*time.Millisecond {
 		window = 200 * time.Millisecond

@@ -626,17 +626,15 @@ type compiledResult struct {
 }
 
 // lowerPlan binds a planned graph to storage (bindPlan) and lowers it
-// to the bbop program over the bound objects' handles (lowerProgram).
-// On any failure everything allocated is released. Result pointers on
-// the expressions are NOT set here — callers publish them only after
-// the whole compilation succeeds, so a failed Compile never leaves an
+// to the bbop program over the bound objects' handles (lowerProgram):
+// the one bind-and-lower path of System and Cluster compiles and of
+// served jobs. alloc is the backend's placement-aligned allocator. On
+// any failure everything allocated is released. Result pointers on the
+// expressions are NOT set here — callers publish them only after the
+// whole compilation succeeds, so a failed Compile never leaves an
 // expression pointing at a freed vector.
-func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
-	alloc func(width int) (graphObj, error),
-	leafObj func(id graph.NodeID) graphObj,
-	leafData func(id graph.NodeID) ([]uint64, bool),
-) (*lowered, error) {
-	lw, err := bindPlan(env, plan, exprs, alloc, leafObj, leafData)
+func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr, alloc func(width int) (graphObj, error)) (*lowered, error) {
+	lw, err := bindPlan(env, plan, exprs, alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -647,27 +645,30 @@ func lowerPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 	return lw, nil
 }
 
+// liveLeaves counts g's live inputs and constants: the objects bindPlan
+// binds besides slots and roots, and at least the objects it stores.
+func liveLeaves(g *graph.Graph) int {
+	n := 0
+	for id := 0; id < g.Len(); id++ {
+		if k := g.Node(graph.NodeID(id)).Kind; k != graph.KindOp && g.Alive(graph.NodeID(id)) {
+			n++
+		}
+	}
+	return n
+}
+
 // bindPlan is the storage half of lowering: pooled slot objects for
 // intermediates, dedicated objects for roots (a node rooted twice
 // shares one), splat-stored objects for surviving constants, and
 // allocated-and-stored objects for data leaves, allocated in that
-// order. alloc is the backend's placement-aligned allocator; leafObj
-// resolves an input node to its caller-provided storage; leafData
-// resolves an input node to payload data the compiler must allocate
-// and store itself (an Input leaf). On any failure everything
-// allocated so far is released.
-func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
-	alloc func(width int) (graphObj, error),
-	leafObj func(id graph.NodeID) graphObj,
-	leafData func(id graph.NodeID) ([]uint64, bool),
-) (*lowered, error) {
+// order. Every live input resolves through env.leafOf: a Lazy leaf
+// binds the caller's Vector, a Cluster.Lazy leaf the caller's
+// ShardedVector, and an Input leaf an object alloc returns, stored
+// with its payload. On any failure everything allocated so far is
+// released.
+func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr, alloc func(width int) (graphObj, error)) (*lowered, error) {
 	g, asg := env.g, plan.Asg
-	stores := 0 // live inputs and constants: at least the objects stored
-	for id := 0; id < g.Len(); id++ {
-		if k := g.Node(graph.NodeID(id)).Kind; k != graph.KindOp && g.Alive(graph.NodeID(id)) {
-			stores++
-		}
-	}
+	stores := liveLeaves(g)
 	// The slot, node and temporary tables share one array; temps,
 	// which holds every slot plus the non-root stores, is
 	// capacity-capped so appending to it never spills into the others.
@@ -714,9 +715,13 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 		if node.Kind != graph.KindInput || !g.Alive(nid) {
 			continue
 		}
-		data, isData := leafData(nid)
-		if !isData {
-			lw.nodeObj[nid] = leafObj(nid)
+		leaf := env.leafOf[nid]
+		switch leaf.kind {
+		case exprLeaf:
+			lw.nodeObj[nid] = leaf.leaf
+			continue
+		case exprShardLeaf:
+			lw.nodeObj[nid] = leaf.sleaf
 			continue
 		}
 		o, err := alloc(node.Width)
@@ -728,7 +733,7 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 		} else {
 			lw.temps = append(lw.temps, o)
 		}
-		if err := o.Store(data); err != nil {
+		if err := o.Store(leaf.data); err != nil {
 			return fail(err)
 		}
 		lw.nodeObj[nid] = o
@@ -745,7 +750,7 @@ func bindPlan(env *compileEnv, plan *graph.Plan, exprs []*Expr,
 			// A data leaf's storage moves from pending to the results
 			// (a node rooted twice shares it); a caller's vector stays
 			// the caller's.
-			_, owned = leafData(rid)
+			owned = env.leafOf[rid].kind == exprData
 			for k, o := range pending {
 				if o == obj {
 					pending[k] = nil
@@ -917,10 +922,7 @@ func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, er
 		origin = env.firstVec.leaf.origin()
 	}
 	lw, err := lowerPlan(env, plan, exprs,
-		func(width int) (graphObj, error) { return s.allocVector(env.n, width, origin) },
-		func(id graph.NodeID) graphObj { return env.leafOf[id].leaf },
-		leafDataOf(env),
-	)
+		func(width int) (graphObj, error) { return s.allocVector(env.n, width, origin) })
 	if err != nil {
 		return nil, err
 	}
@@ -931,17 +933,6 @@ func (s *System) CompileWith(opts CompileOptions, exprs ...*Expr) (*Compiled, er
 	}
 	lw.publish()
 	return &Compiled{sys: s, lw: lw, stats: stats}, nil
-}
-
-// leafDataOf resolves Input data leaves to their payloads for
-// lowerPlan; Lazy vector leaves return false and bind through leafObj.
-func leafDataOf(env *compileEnv) func(graph.NodeID) ([]uint64, bool) {
-	return func(id graph.NodeID) ([]uint64, bool) {
-		if e := env.leafOf[id]; e != nil && e.kind == exprData {
-			return e.data, true
-		}
-		return nil, false
-	}
 }
 
 // PlanCacheStats reports a compiled-plan cache's counters: hits,

@@ -1,9 +1,6 @@
 package simdram
 
-import (
-	"simdram/internal/graph"
-	"simdram/internal/isa"
-)
+import "simdram/internal/isa"
 
 // Lazy wraps a sharded vector as a lazy expression leaf. The vector
 // must belong to this Cluster and stay live until the expression is
@@ -52,10 +49,7 @@ func (c *Cluster) CompileWith(opts CompileOptions, exprs ...*Expr) (*ClusterComp
 			return c.allocSharded(env.n, width, func(sys *System, count int) (*Vector, error) {
 				return sys.allocVector(count, width, origin)
 			})
-		},
-		func(id graph.NodeID) graphObj { return env.leafOf[id].sleaf },
-		leafDataOf(env),
-	)
+		})
 	if err != nil {
 		return nil, err
 	}

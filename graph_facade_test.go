@@ -556,6 +556,98 @@ func TestGraphErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("failed cluster compile publishes no results", func(t *testing.T) {
+		// Room for two 16-bit sharded vectors beside the Lazy leaf va:
+		// the sum's intermediate takes a slot, the Input leaf x (a root
+		// after the sum) takes the other, and the Input leaf y does not
+		// fit. Binding fails with x's storage pending and must free
+		// every row it took on every channel.
+		cfg := testClusterConfig(2)
+		cfg.Channel.DRAM.RowsPerSubarray = 128
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		used := func() int {
+			n := 0
+			for _, ch := range cl.channels {
+				n += ch.usedRows()
+			}
+			return n
+		}
+		va, _ := cl.AllocShardedVector(64, 16)
+		var filler []*ShardedVector
+		for {
+			v, err := cl.AllocShardedVector(64, 16)
+			if err != nil {
+				break
+			}
+			filler = append(filler, v)
+		}
+		if len(filler) < 2 {
+			t.Fatalf("only %d filler vectors fit", len(filler))
+		}
+		for _, v := range filler[len(filler)-2:] {
+			v.Free()
+		}
+		base := used()
+		x := Input(make([]uint64, 64), 16)
+		sum := x.Add(cl.Lazy(va)).Add(Input(make([]uint64, 64), 16))
+		if _, err := cl.Compile(sum, x); err == nil {
+			t.Fatal("four 16-bit vectors fit in the rows of three")
+		}
+		if sum.ShardedResult() != nil || x.ShardedResult() != nil {
+			t.Error("failed compile left a result pointer on an expression")
+		}
+		if got := used(); got != base {
+			t.Errorf("failed compile leaked rows: %d used, want %d", got, base)
+		}
+	})
+
+	t.Run("failed compile frees a root input leaf", func(t *testing.T) {
+		// Room for two 16-bit vectors: the Input leaves x and y bind,
+		// and the sum's result storage does not fit. x is also a root
+		// after the sum, so its storage is still pending adoption as a
+		// result when binding fails.
+		small := DefaultConfig()
+		small.DRAM.Cols = 256
+		small.DRAM.RowsPerSubarray = 128
+		small.DRAM.Banks = 2
+		small.DRAM.SubarraysPerBank = 2
+		ssys, err := New(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ssys.Close()
+		var filler []*Vector
+		for {
+			v, err := ssys.AllocVector(32, 16)
+			if err != nil {
+				break
+			}
+			filler = append(filler, v)
+		}
+		if len(filler) < 2 {
+			t.Fatalf("only %d filler vectors fit", len(filler))
+		}
+		for _, v := range filler[len(filler)-2:] {
+			v.Free()
+		}
+		base := ssys.usedRows()
+		x, y := Input(make([]uint64, 32), 16), Input(make([]uint64, 32), 16)
+		sum := x.Add(y)
+		if _, err := ssys.Compile(sum, x); err == nil {
+			t.Fatal("three 16-bit vectors fit in the rows of two")
+		}
+		if sum.Result() != nil || x.Result() != nil {
+			t.Error("failed compile left a result pointer on an expression")
+		}
+		if got := ssys.usedRows(); got != base {
+			t.Errorf("failed compile leaked rows: %d used, want %d", got, base)
+		}
+	})
+
 	t.Run("freed leaf", func(t *testing.T) {
 		vf, _ := sys.AllocVector(32, 8)
 		e := sys.Lazy(vf).Not()

@@ -22,19 +22,10 @@ const (
 	cacheVariants = int(VariantNoReuse) + 1
 )
 
-// progEntry caches one key's synthesis and its modeled latencies.
+// progEntry caches one key's synthesis.
 type progEntry struct {
 	mu    sync.Mutex // held through this entry's cold synthesis
 	synth atomic.Pointer[Synthesized]
-	costs atomic.Pointer[timedCost] // CostNs results, newest timing first
-}
-
-// timedCost is one CostNs result: the μProgram's latency under one
-// set of timing constants.
-type timedCost struct {
-	t    dram.Timing
-	ns   float64
-	next *timedCost
 }
 
 // entryTable holds one (code, variant)'s entries, by width and
@@ -81,55 +72,18 @@ func entryFor(code Code, width, n int, variant Variant) *progEntry {
 	return &progTable[table].Load()[entry]
 }
 
-// cost returns the latency cached for timing t.
-//
-//simdram:zeroalloc
-func (e *progEntry) cost(t dram.Timing) (float64, bool) {
-	for c := e.costs.Load(); c != nil; c = c.next {
-		if c.t == t {
-			return c.ns, true
-		}
-	}
-	return 0, false
-}
-
-// addCost caches ns as the latency under timing t, unless a
-// concurrent caller already has.
-func (e *progEntry) addCost(t dram.Timing, ns float64) {
-	for {
-		head := e.costs.Load()
-		for c := head; c != nil; c = c.next {
-			if c.t == t {
-				return
-			}
-		}
-		if e.costs.CompareAndSwap(head, &timedCost{t: t, ns: ns, next: head}) {
-			return
-		}
-	}
-}
-
 // CostNs returns the modeled single-subarray latency of executing one
 // instruction of operation d at the given width and operand count — the
 // per-op cost a schedule optimizer weighs instructions with. The number
 // comes from the operation's own (cached) μProgram under the module's
 // timing constants, so the scheduler plans with the same measured
-// per-op timings the execution engine bills, not with guesses. A
-// repeated query is a lock-free table hit.
+// per-op timings the execution engine bills, not with guesses. It is
+// uprog.Program.LatencyNs computed from the AAP and AP counts Synthesize
+// took, so a cached key costs a table hit and two multiply-adds.
 func CostNs(d Def, width, n int, variant Variant, t dram.Timing) (float64, error) {
-	e := lookupEntry(d.Code, width, n, variant)
-	if e != nil {
-		if ns, ok := e.cost(t); ok {
-			return ns, nil
-		}
-	}
 	s, err := SynthesizeCached(d, width, n, variant)
 	if err != nil {
 		return 0, err
 	}
-	ns := s.Program.LatencyNs(t)
-	if e = lookupEntry(d.Code, width, n, variant); e != nil {
-		e.addCost(t, ns)
-	}
-	return ns, nil
+	return float64(s.numAAP)*t.AAPLatency() + float64(s.numAP)*t.APLatency(), nil
 }

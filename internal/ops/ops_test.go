@@ -382,10 +382,11 @@ func TestSynthesizeCachedReturnsSameObject(t *testing.T) {
 	}
 }
 
-// TestCostNsMemoized checks the CostNs memo against the program it
-// prices: two passes over every catalog op at three widths, two
-// variants and two timings must each return the μProgram's own
-// latency, so no memo entry answers for another key.
+// TestCostNsMemoized checks CostNs, which prices from the command
+// counts cached with each synthesis, against the program it prices:
+// two passes over every catalog op at three widths, two variants and
+// two timings must each return the μProgram's own latency, so no
+// cached entry answers for another key or timing.
 func TestCostNsMemoized(t *testing.T) {
 	slow := dram.DDR4_2400()
 	slow.TRAS *= 2

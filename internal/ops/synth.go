@@ -52,6 +52,10 @@ type Synthesized struct {
 	Circuit *logic.Circuit
 	MIG     *mig.MIG
 	Program *uprog.Program
+
+	// numAAP and numAP are Program's AAP and AP command counts, taken
+	// once for CostNs.
+	numAAP, numAP int
 }
 
 // RefsForWidths returns the conventional operand-major symbolic
@@ -114,6 +118,7 @@ func Synthesize(d Def, width, n int, variant Variant) (*Synthesized, error) {
 	return &Synthesized{
 		Def: d, Width: width, N: arity, Variant: variant,
 		Circuit: circuit, MIG: m, Program: p,
+		numAAP: p.NumAAP(), numAP: p.NumAP(),
 	}, nil
 }
 

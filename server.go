@@ -545,22 +545,12 @@ type hitEntry struct {
 
 	// The binding, nil while the shape was only seen. plan and n are
 	// what it was lowered from: the key omits the element count, and a
-	// profile-guided recompile swaps the cache's plan.
+	// profile-guided recompile swaps the cache's plan. A replay stores
+	// through lw's own store list (see store).
 	plan *graph.Plan
 	n    int
 	lw   *lowered
 	pp   *preparedProgram
-	// stores repeats bindPlan's stores in its order.
-	stores []residentStore
-}
-
-// residentStore is one store a replay repeats: a data leaf's payload
-// or, when splat, a constant.
-type residentStore struct {
-	v     *Vector
-	node  graph.NodeID // the data leaf, for its payload
-	splat bool
-	val   uint64 // the constant
 }
 
 // hitMemoCap bounds one channel's memo, seen-only shapes included.
@@ -605,7 +595,7 @@ func (m *hitMemo) record(key string, plan *graph.Plan, n int, lw *lowered, pp *p
 		if e.lw != nil {
 			return false
 		}
-		e.keep(plan, n, lw, pp)
+		e.plan, e.n, e.lw, e.pp = plan, n, lw, pp
 		return true
 	}
 	if m.entries == nil {
@@ -655,19 +645,6 @@ func (m *hitMemo) clear() {
 	m.entries = nil
 }
 
-// keep makes lw and pp e's binding.
-func (e *hitEntry) keep(plan *graph.Plan, n int, lw *lowered, pp *preparedProgram) {
-	e.plan, e.n, e.lw, e.pp = plan, n, lw, pp
-	e.stores = make([]residentStore, len(lw.stored))
-	for i, id := range lw.stored {
-		st := residentStore{v: lw.nodeObj[id].(*Vector), node: id}
-		if node := plan.Graph.Node(id); node.Kind == graph.KindConst {
-			st.splat, st.val = true, node.Val
-		}
-		e.stores[i] = st
-	}
-}
-
 // release frees e's binding, leaving e seen only.
 func (e *hitEntry) release() {
 	if e.lw == nil {
@@ -675,21 +652,23 @@ func (e *hitEntry) release() {
 	}
 	e.lw.release()
 	e.pp.release()
-	e.plan, e.lw, e.pp, e.stores = nil, nil, nil, nil
+	e.plan, e.lw, e.pp = nil, nil, nil
 }
 
-// store writes one job's inputs into e's rows: each data leaf's
-// payload is stored and each constant splatted, in bindPlan's order, so
-// the job is charged exactly what the full path charges.
+// store writes one job's inputs into e's rows: it walks the nodes the
+// binding stored (lowered.stored), in bindPlan's order, splatting each
+// constant and storing each data leaf's payload from env, so the job is
+// charged exactly what the full path charges.
 //
 //simdram:zeroalloc
 func (e *hitEntry) store(env *compileEnv) error {
-	for _, st := range e.stores {
+	lw := e.lw
+	for _, id := range lw.stored {
 		var err error
-		if st.splat {
-			err = st.v.storeSplat(st.val)
+		if node := lw.g.Node(id); node.Kind == graph.KindConst {
+			err = lw.nodeObj[id].storeSplat(node.Val)
 		} else {
-			err = st.v.Store(env.leafOf[st.node].data)
+			err = lw.nodeObj[id].Store(env.leafOf[id].data)
 		}
 		if err != nil {
 			return err
@@ -698,34 +677,20 @@ func (e *hitEntry) store(env *compileEnv) error {
 	return nil
 }
 
-// bindJob binds plan's objects for one job on sys, storing its
-// inputs, and lowers its program; on failure it releases what it bound.
-// The job's Vectors come from one slab (see vectorSlab), sized for
-// every object bindPlan can allocate: a slot each, storage for each
-// live input and constant, and a result per root. The slab is the
+// bindJob binds and lowers plan for one job on sys (see lowerPlan),
+// its Vectors carved from one slab (see vectorSlab) sized for every
+// object bindPlan can allocate: a slot each, storage for each live
+// input and constant, and a result per root. The slab is the
 // binding's, recycled when it is released.
 func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lowered, error) {
-	g := env.g
-	count := len(plan.Asg.SlotWidths) + len(g.Roots())
-	for id := 0; id < g.Len(); id++ {
-		if g.Node(graph.NodeID(id)).Kind != graph.KindOp && g.Alive(graph.NodeID(id)) {
-			count++
-		}
-	}
+	count := len(plan.Asg.SlotWidths) + len(env.g.Roots()) + liveLeaves(env.g)
 	slab := newVectorSlab(sys, env.n, count)
-	lw, err := bindPlan(env, plan, exprs, slab.alloc,
-		func(id graph.NodeID) graphObj { return nil }, // no vector leaves: admission rejected them
-		leafDataOf(env),
-	)
+	lw, err := lowerPlan(env, plan, exprs, slab.alloc)
 	if err != nil {
 		slab.recycle()
 		return nil, err
 	}
 	lw.slab = slab
-	if err = lw.lowerProgram(env, plan); err != nil {
-		lw.release()
-		return nil, err
-	}
 	return lw, nil
 }
 
