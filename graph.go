@@ -431,26 +431,13 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent in
 		}
 	}
 	key := env.key
-	cfg := planCfg(env.sys, env.cl)
 	model := planModel(env.sys, env.cl)
 	var plan *graph.Plan
 	look := tr.Begin("cache-lookup", parent)
 	if !naive && cache.TakeRecompile(key) {
 		tr.End(look)
 		sspan := tr.Begin("schedule", parent)
-		observed := cache.ScheduleCost(key, model)
-		plan = buildPlan(env.g.Clone(), false, observed)
-		// The list scheduler is a heuristic: re-pricing can, on some
-		// DAGs, reorder priorities unfavorably. Price both candidate
-		// schedules under the observed costs and keep the better one,
-		// so a recompile can never install a worse schedule than the
-		// one it replaces.
-		staticSched := plan.Graph.Schedule(model)
-		if plan.Graph.EstimateMakespanNs(staticSched, observed, cfg.DRAM.Banks) <
-			plan.Graph.EstimateMakespanNs(plan.Sched, observed, cfg.DRAM.Banks) {
-			plan.Sched = staticSched
-			plan.Asg = graph.Assign(plan.Graph, plan.Sched, true)
-		}
+		plan = buildPlan(env.g.Clone(), false, cache.ScheduleCost(key, model))
 		plan.Profiled = true
 		cache.Replace(key, plan)
 		stats.Recompiled = true
@@ -518,16 +505,9 @@ func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, serv
 	return env, nil
 }
 
-// planCfg returns the channel geometry scheduling costs come from.
-func planCfg(sys *System, cl *Cluster) Config {
-	if sys != nil {
-		return sys.cfg
-	}
-	return cl.cfg.Channel
-}
-
-// planModel returns the static cost model of planCfg's channel (every
-// channel of a Cluster shares its configuration).
+// planModel returns the static cost model scheduling costs come from:
+// sys's, or a Cluster's first channel's (every channel of a Cluster
+// shares its configuration).
 func planModel(sys *System, cl *Cluster) graph.CostFn {
 	if sys != nil {
 		return sys.model

@@ -105,9 +105,17 @@ func (m PerfModel) Throughput(p *uprog.Program) float64 {
 // batches of Cols lanes, spread across banks, serialized within each
 // bank, stretched by the refresh tax.
 func (m PerfModel) LatencyNs(p *uprog.Program, n int) float64 {
-	segments := (n + m.Cfg.Cols - 1) / m.Cfg.Cols
-	rounds := (segments + m.Banks - 1) / m.Banks
-	return p.LatencyNs(m.Cfg.Timing) * float64(rounds) * m.Cfg.Timing.RefreshFactor()
+	return p.LatencyNs(m.Cfg.Timing) * float64(Rounds(n, m.Cfg.Cols, m.Banks)) * m.Cfg.Timing.RefreshFactor()
+}
+
+// Rounds returns the segment count on the busiest bank for n elements
+// laid out from segment origin 0 in subarray batches of cols lanes,
+// dealt round-robin over banks: ceil(ceil(n/cols)/banks). An
+// instruction over such operands runs its μProgram that many times
+// back to back, which is the multiplier plan applies to its latency.
+func Rounds(n, cols, banks int) int {
+	segments := (n + cols - 1) / cols
+	return (segments + banks - 1) / banks
 }
 
 // EnergyPJ returns the energy to process n elements. Partially filled

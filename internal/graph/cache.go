@@ -64,9 +64,8 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // entry is everything the cache keeps for one shape: the resident
-// plan, the bookkeeping eviction scores on, the shape's measured
-// profile, and the admission price of the plan. All of it lives and
-// dies with the entry.
+// plan, the bookkeeping eviction scores on, and the shape's measured
+// profile. All of it lives and dies with the entry.
 type entry struct {
 	plan    *Plan
 	cost    float64 // the plan's compile cost (see compileCost)
@@ -76,10 +75,6 @@ type entry struct {
 	// prof aggregates the jobs executed with the shape's plans; Replace
 	// keeps it, eviction drops it.
 	prof profile
-	// priceNs is the admission price of plan (see Price), valid while
-	// priced is set; Replace clears it.
-	priceNs float64
-	priced  bool
 }
 
 // flight is one in-progress compile of a shape: concurrent callers of
@@ -98,8 +93,8 @@ type flight struct {
 //
 // Each entry also owns its shape's profile — the per-op latencies
 // executed jobs measured (Record), which decide when the plan is
-// rebuilt with observed costs (TakeRecompile, ScheduleCost, Replace) —
-// and its admission price (Price). Evicting a shape drops all three.
+// rebuilt with observed costs (TakeRecompile, ScheduleCost, Replace).
+// Evicting a shape drops both.
 //
 // Eviction is recency-and-cost aware ("cost-lru"): a hit refreshes an
 // entry's recency, and the victim is the entry with the lowest
@@ -221,10 +216,9 @@ func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 
 // Replace stores a plan under key, overwriting any existing entry's
 // plan — the profile-guided recompile path, where the new plan
-// supersedes the stale one. The entry's recency is refreshed, its hits
-// restart from zero and its price is dropped (the next Price computes
-// it for p); its profile and recompile claim are kept. An absent key
-// is inserted.
+// supersedes the stale one. The entry's recency is refreshed and its
+// hits restart from zero; its profile and recompile claim are kept. An
+// absent key is inserted.
 func (c *PlanCache) Replace(key string, p *Plan) {
 	if c.disabled() {
 		return
@@ -237,6 +231,27 @@ func (c *PlanCache) Replace(key string, p *Plan) {
 		return
 	}
 	c.insertLocked(key, p)
+}
+
+// Price returns the admission price of key's cached plan: its serial
+// time at rounds segments per bank under cost (Graph.SerialNs), which
+// is the critical path the plan executes in. It reads the plan without
+// counting a hit or refreshing recency, and computes the price afresh
+// outside the lock. ok is false when key has no cached plan.
+func (c *PlanCache) Price(key string, cost CostFn, rounds int) (ns float64, ok bool) {
+	if c.disabled() {
+		return 0, false
+	}
+	var plan *Plan
+	c.mu.Lock()
+	if e := c.entries[key]; e != nil {
+		plan = e.plan
+	}
+	c.mu.Unlock()
+	if plan == nil {
+		return 0, false
+	}
+	return plan.Graph.SerialNs(plan.Sched, cost, rounds), true
 }
 
 // insertLocked inserts under the cost-LRU policy. Caller holds mu.

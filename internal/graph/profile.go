@@ -210,37 +210,6 @@ func (c *PlanCache) ScheduleCost(key string, base CostFn) CostFn {
 	return base
 }
 
-// Price returns the admission price of key's cached plan: its
-// estimated makespan on banks parallel banks under ScheduleCost(key,
-// base). The first call after the plan was inserted or replaced
-// computes it, outside the lock; later calls return the entry's copy.
-// ok is false when key has no cached plan.
-func (c *PlanCache) Price(key string, base CostFn, banks int) (ns float64, ok bool) {
-	if c.disabled() {
-		return 0, false
-	}
-	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
-		c.mu.Unlock()
-		return 0, false
-	}
-	if e.priced {
-		ns = e.priceNs
-		c.mu.Unlock()
-		return ns, true
-	}
-	plan, cost := e.plan, e.prof.scheduleCost(base)
-	c.mu.Unlock()
-	ns = plan.Graph.EstimateMakespanNs(plan.Sched, cost, banks)
-	c.mu.Lock()
-	if e.plan == plan {
-		e.priceNs, e.priced = ns, true
-	}
-	c.mu.Unlock()
-	return ns, true
-}
-
 // Jobs returns how many executed jobs have been folded into key's
 // profile (0 for shapes the cache does not hold).
 func (c *PlanCache) Jobs(key string) int {

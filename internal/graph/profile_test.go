@@ -129,21 +129,27 @@ func TestProfileStoreNilSafe(t *testing.T) {
 			t.Fatalf("%s: reported non-zero profile state", name)
 		}
 	}
-	if _, ok := nilCache.Price("k", unitModel(5), 1); ok {
-		t.Fatal("nil cache priced a plan")
+	for name, s := range map[string]*PlanCache{"nil": nilCache, "capacity 0": NewPlanCache(0, 0.25, 1)} {
+		s.Do("k", func() *Plan { return plan })
+		if _, ok := s.Price("k", unitModel(5), 1); ok {
+			t.Fatalf("%s cache priced a plan", name)
+		}
 	}
 }
 
 // TestProfileStoreConcurrent exercises Record/TakeRecompile/
-// ScheduleCost/Price under -race and proves at most one recompile is
-// claimed per shape.
+// ScheduleCost/Price/Replace under -race and proves at most one
+// recompile is claimed per shape and that every price is one of a
+// resident plan's.
 func TestProfileStoreConcurrent(t *testing.T) {
 	plan := profilePlan(t)
-	recompiled := profilePlan(t)
+	g := buildAddMax(t, 8, "max", "max")
+	recompiled := &Plan{Graph: g, Sched: g.ProgramOrder()}
 	s := profileCache(0.25, 1, plan, "k")
-	model := unitModel(100)
+	model := addMaxModel(t)
 	var wg sync.WaitGroup
 	wins := make([]int, 8)
+	bad := make([]float64, 8)
 	for w := 0; w < 8; w++ {
 		w := w
 		wg.Add(1)
@@ -153,34 +159,57 @@ func TestProfileStoreConcurrent(t *testing.T) {
 				s.Record("k", plan, []float64{300, 300}, model)
 				if s.TakeRecompile("k") {
 					wins[w]++
+				}
+				if i%2 == w%2 {
 					s.Replace("k", recompiled)
+				} else {
+					s.Replace("k", plan)
 				}
 				_ = s.ScheduleCost("k", model)
-				_, _ = s.Price("k", model, 2)
+				if ns, ok := s.Price("k", model, 2); !ok || (ns != 800 && ns != 1200) {
+					bad[w] = ns
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	total := 0
-	for _, n := range wins {
+	for w, n := range wins {
 		total += n
+		if bad[w] != 0 {
+			t.Fatalf("goroutine %d read a price of %v, want 800 or 1200 (a resident plan at 2 rounds)", w, bad[w])
+		}
 	}
 	if total != 1 {
 		t.Fatalf("%d goroutines claimed the recompile, want exactly 1", total)
 	}
 }
 
+// addMaxModel prices addition at 100 ns and max at 300 ns, so plans of
+// different op mixes price apart.
+func addMaxModel(t *testing.T) CostFn {
+	mx := opDef(t, "max")
+	return func(d ops.Def, _, _ int) float64 {
+		if d.Code == mx.Code {
+			return 300
+		}
+		return 100
+	}
+}
+
 // TestPlanCacheEvictionDropsProfileAndPrice pins the one-entry
-// lifetime: evicting a shape drops its profile, its recompile claim and
-// its price with its plan, so the shape comes back as a fresh entry.
+// lifetime: evicting a shape drops its profile and its recompile claim
+// with its plan, so the shape has no price and comes back as a fresh
+// entry. The price is always the plan's static serial time, observed
+// latencies or not.
 func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 	plan := profilePlan(t)
 	model := unitModel(100)
 	c := NewPlanCache(1, 0.25, 1)
 	c.insert("a", plan)
 	c.Record("a", plan, []float64{400, 100}, model)
-	if ns, ok := c.Price("a", model, 1); !ok || ns != 500 {
-		t.Fatalf("price = %v, %v; want 500 (observed add 400 + max 100)", ns, ok)
+	if ns, ok := c.Price("a", model, 1); !ok || ns != 200 {
+		t.Fatalf("price = %v, %v; want the static 200, whatever the profile observed", ns, ok)
 	}
 	if !c.TakeRecompile("a") {
 		t.Fatal("diverged shape did not claim its recompile")
@@ -198,8 +227,8 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 	}
 
 	c.insert("a", plan) // evicts "b"; "a" starts afresh
-	if ns, ok := c.Price("a", model, 1); !ok || ns != 200 {
-		t.Fatalf("re-inserted price = %v, %v; want the static 200", ns, ok)
+	if ns, ok := c.Price("a", model, 3); !ok || ns != 600 {
+		t.Fatalf("re-inserted price at 3 rounds = %v, %v; want 600", ns, ok)
 	}
 	c.Record("a", plan, []float64{400, 100}, model)
 	if !c.TakeRecompile("a") {
@@ -208,34 +237,39 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 }
 
 // TestPlanCacheReplaceKeepsProfile pins what a profile-guided
-// recompile keeps: Replace swaps the plan and drops its price, but the
-// profile and the claim stay, so TakeRecompile is true at most once
-// per cached shape and the next Price reprices the new plan.
+// recompile keeps: Replace swaps the plan, but the profile and the
+// claim stay, so TakeRecompile is true at most once per cached shape.
+// Price reads whichever plan is resident, so the next price is the new
+// plan's, and reading it counts no hit.
 func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
 	plan := profilePlan(t)
-	model := unitModel(100)
+	model := addMaxModel(t)
 	c := NewPlanCache(4, 0.25, 2)
 	c.insert("k", plan)
-	if ns, _ := c.Price("k", model, 1); ns != 200 {
-		t.Fatalf("cold price = %v, want the static 200", ns)
+	if ns, _ := c.Price("k", model, 1); ns != 400 {
+		t.Fatalf("price = %v, want add 100 + max 300", ns)
 	}
 	for i := 0; i < 2; i++ {
 		c.Record("k", plan, []float64{400, 100}, model)
 	}
-	// The price belongs to the plan: new observations do not move it.
-	if ns, _ := c.Price("k", model, 1); ns != 200 {
-		t.Fatalf("price moved under the same plan: %v, want 200", ns)
+	// The price belongs to the plan: observations do not move it.
+	if ns, _ := c.Price("k", model, 1); ns != 400 {
+		t.Fatalf("price moved under the same plan: %v, want 400", ns)
 	}
 	if !c.TakeRecompile("k") {
 		t.Fatal("diverged shape did not claim its recompile")
 	}
-	recompiled := profilePlan(t)
+	g := buildAddMax(t, 8, "max", "max")
+	recompiled := &Plan{Graph: g, Sched: g.ProgramOrder()}
 	c.Replace("k", recompiled)
 	if got := c.Jobs("k"); got != 2 {
 		t.Fatalf("Replace dropped the profile: %d jobs, want 2", got)
 	}
-	if ns, _ := c.Price("k", model, 1); ns != 500 {
-		t.Fatalf("price after Replace = %v, want 500 under the observed costs", ns)
+	if ns, _ := c.Price("k", model, 2); ns != 1200 {
+		t.Fatalf("price after Replace = %v, want the new plan's 2 × (300 + 300)", ns)
+	}
+	if st := c.Stats(); st.Hits != 0 {
+		t.Fatalf("Price counted %d hits, want 0", st.Hits)
 	}
 	for i := 0; i < 4; i++ {
 		c.Record("k", recompiled, []float64{400, 100}, model)
@@ -275,70 +309,5 @@ func BenchmarkPlanCacheChurn(b *testing.B) {
 		key := keys[i%shapes]
 		c.Do(key, func() *Plan { return plan })
 		c.Record(key, plan, opNs, model)
-	}
-}
-
-// TestScheduleConvergesUnderSkewedCosts is the scheduler-level
-// convergence property behind the recompile guard: on a DAG whose
-// observed per-op costs are skewed against the static model, the
-// schedule built with observed costs — priced by the same
-// deterministic bank-limited makespan estimate the recompile path
-// uses — is no worse than the statically priced schedule, and a
-// recompile that keeps the better of the two can never regress.
-func TestScheduleConvergesUnderSkewedCosts(t *testing.T) {
-	// One long chain of additions and several independent max nodes.
-	// The static model prices max far above addition; the "observed"
-	// ground truth inverts that, so static priorities overlap the
-	// wrong work.
-	g := New()
-	a, _ := g.Input(8)
-	b, _ := g.Input(8)
-	add, max := opDef(t, "addition"), opDef(t, "max")
-	chain := a
-	for i := 0; i < 6; i++ {
-		chain, _ = g.Op(add, chain, b)
-	}
-	for i := 0; i < 4; i++ {
-		m, _ := g.Op(max, a, b)
-		g.MarkRoot(m)
-	}
-	g.MarkRoot(chain)
-
-	static := func(d ops.Def, w, n int) float64 {
-		if d.Code == max.Code {
-			return 500
-		}
-		return 10
-	}
-	observed := func(d ops.Def, w, n int) float64 {
-		if d.Code == max.Code {
-			return 10
-		}
-		return 500
-	}
-
-	const machines = 2
-	staticSched := g.Schedule(static)
-	profiledSched := g.Schedule(observed)
-	staticSpan := g.EstimateMakespanNs(staticSched, observed, machines)
-	profiledSpan := g.EstimateMakespanNs(profiledSched, observed, machines)
-	if profiledSpan > staticSpan {
-		t.Fatalf("schedule built with observed costs prices worse than the static one under the same ground truth: %.0f > %.0f",
-			profiledSpan, staticSpan)
-	}
-	// Both schedules are topological orders of the same DAG: same node
-	// multiset, so a recompile swapping one for the other cannot change
-	// results.
-	seen := map[NodeID]bool{}
-	for _, id := range staticSched {
-		seen[id] = true
-	}
-	if len(staticSched) != len(profiledSched) {
-		t.Fatalf("schedules differ in length: %d vs %d", len(staticSched), len(profiledSched))
-	}
-	for _, id := range profiledSched {
-		if !seen[id] {
-			t.Fatalf("profiled schedule contains node %d the static one lacks", id)
-		}
 	}
 }

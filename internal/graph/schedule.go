@@ -17,48 +17,21 @@ import (
 // how many segments of a long vector serialize on one bank).
 type CostFn func(d ops.Def, width, n int) float64
 
-// EstimateMakespanNs prices a schedule under the given cost model with
-// a deterministic in-order greedy simulation on `machines` parallel
-// resources — the graph-level proxy for the batch engine's
-// bank-limited overlap (issue in schedule order; a node starts when
-// its argument nodes have finished and the earliest machine frees).
-// It lets two candidate schedules of the same graph be compared under
-// one cost model, which is how a profile-guided recompile guarantees
-// it never installs a schedule worse than the one it replaces. A nil
-// sched prices ProgramOrder's schedule without building it.
-func (g *Graph) EstimateMakespanNs(sched []NodeID, cost CostFn, machines int) float64 {
-	if machines < 1 {
-		machines = 1
-	}
-	sc := schedPool.Get().(*schedScratch)
-	defer schedPool.Put(sc)
-	finish := sized(sc.f0, len(g.nodes))
-	free := sized(sc.f1, machines)
-	sc.f0, sc.f1 = finish, free
-	makespan := 0.0
+// SerialNs prices a schedule as the control unit executes a served
+// job: every object of the job sits at segment origin 0, so every
+// instruction runs on the same subarrays, one after another, for its
+// μProgram latency times rounds — the segment count on the busiest
+// bank (ctrl.Rounds). The price is that running sum, cost(op) × rounds
+// added in schedule order, the same terms in the same order as the
+// control unit's finish times, so it equals the executed critical path
+// of the plan it prices. A nil sched prices ProgramOrder's schedule
+// without building it.
+func (g *Graph) SerialNs(sched []NodeID, cost CostFn, rounds int) float64 {
+	r := float64(rounds)
+	total := 0.0
 	price := func(id NodeID) {
 		node := g.Node(id)
-		start := 0.0
-		for _, a := range node.Args() {
-			if finish[a] > start {
-				start = finish[a]
-			}
-		}
-		m := 0
-		for i := 1; i < machines; i++ {
-			if free[i] < free[m] {
-				m = i
-			}
-		}
-		if free[m] > start {
-			start = free[m]
-		}
-		end := start + cost(*node.Op, g.OpWidth(id), len(node.Args()))
-		finish[id] = end
-		free[m] = end
-		if end > makespan {
-			makespan = end
-		}
+		total += cost(*node.Op, g.OpWidth(id), len(node.Args())) * r
 	}
 	if sched == nil {
 		for id := range g.nodes {
@@ -66,12 +39,12 @@ func (g *Graph) EstimateMakespanNs(sched []NodeID, cost CostFn, machines int) fl
 				price(NodeID(id))
 			}
 		}
-		return makespan
+		return total
 	}
 	for _, id := range sched {
 		price(id)
 	}
-	return makespan
+	return total
 }
 
 // ProgramOrder returns the live operation nodes in construction order —
@@ -91,10 +64,11 @@ func (g *Graph) ProgramOrder() []NodeID {
 // schedule: each node's priority is its own cost plus the most
 // expensive chain of dependents below it (its upward rank), and among
 // ready nodes the highest-priority one issues first, ties broken by ID
-// for determinism. Critical chains therefore start as early as the
-// hazard graph allows, which is what lets the batched engine overlap
-// the cheap side chains against them; it also tends to shorten
-// intermediate lifetimes on the critical chain, helping slot reuse.
+// for determinism. A served job's instructions run one after another
+// (see SerialNs), so the order does not change its modeled time; what
+// it does change is how long intermediates live, and issuing the
+// critical chain first tends to shorten the lifetimes on it, helping
+// slot reuse.
 // A nil cost schedules with unit costs.
 func (g *Graph) Schedule(cost CostFn) []NodeID {
 	if cost == nil {
@@ -193,10 +167,9 @@ func (g *Graph) Schedule(cost CostFn) []NodeID {
 	return sched
 }
 
-// schedScratch is the working storage of Schedule and
-// EstimateMakespanNs — per-node costs and ranks, counters and edge
-// lists — recycled through schedPool, so a compile allocates only the
-// schedule it returns.
+// schedScratch is the working storage of Schedule — per-node costs and
+// ranks, counters and edge lists — recycled through schedPool, so a
+// compile allocates only the schedule it returns.
 type schedScratch struct {
 	f0, f1 []float64
 	i0, i1 []int

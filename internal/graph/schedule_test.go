@@ -83,24 +83,65 @@ func TestScheduleAllocBudget(t *testing.T) {
 	}
 	sched := g.Schedule(cost)
 	if allocs := testing.AllocsPerRun(100, func() {
-		g.EstimateMakespanNs(sched, cost, 4)
-		g.EstimateMakespanNs(nil, cost, 4)
+		g.SerialNs(sched, cost, 4)
+		g.SerialNs(nil, cost, 4)
 	}); allocs > 0 {
-		t.Errorf("EstimateMakespanNs allocated %.0f times, want 0", allocs)
+		t.Errorf("SerialNs allocated %.0f times, want 0", allocs)
 	}
 }
 
-// TestEstimateNilScheduleIsProgramOrder pins what admission prices a
+// TestSerialNilScheduleIsProgramOrder pins what admission prices a
 // cold shape with: a nil schedule prices ProgramOrder's.
-func TestEstimateNilScheduleIsProgramOrder(t *testing.T) {
+func TestSerialNilScheduleIsProgramOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for range 20 {
 		g := randomGraph(t, rng, 24)
 		cost := func(d ops.Def, w, n int) float64 { return float64(1 + int(d.Code)%7) }
-		for _, m := range []int{1, 4, 16} {
-			if got, want := g.EstimateMakespanNs(nil, cost, m), g.EstimateMakespanNs(g.ProgramOrder(), cost, m); got != want {
-				t.Fatalf("machines %d: nil schedule priced %v, ProgramOrder %v", m, got, want)
+		for _, r := range []int{1, 3, 16} {
+			if got, want := g.SerialNs(nil, cost, r), g.SerialNs(g.ProgramOrder(), cost, r); got != want {
+				t.Fatalf("rounds %d: nil schedule priced %v, ProgramOrder %v", r, got, want)
 			}
 		}
+	}
+}
+
+// TestSerialNsSumsInScheduleOrder pins the serial price against a sum
+// computed by hand: every instruction runs rounds times back to back,
+// whatever the graph's parallelism, and the terms are added in
+// schedule order — the order the control unit's finish times grow in.
+func TestSerialNsSumsInScheduleOrder(t *testing.T) {
+	// Two independent chains: a bank-overlap model would price them
+	// below the sum; the serial price is the sum.
+	g := New()
+	a, _ := g.Input(8)
+	b, _ := g.Input(8)
+	add, mx := opDef(t, "addition"), opDef(t, "max")
+	x, _ := g.Op(add, a, b)
+	y, _ := g.Op(mx, a, b)
+	z, _ := g.Op(add, x, y)
+	w, _ := g.Op(mx, a, a)
+	g.MarkRoot(z)
+	g.MarkRoot(w)
+	cost := func(d ops.Def, _, _ int) float64 {
+		if d.Code == add.Code {
+			return 0.1
+		}
+		return 0.7
+	}
+	const rounds = 3
+	sched := []NodeID{w, y, x, z}
+	want := 0.0
+	for _, c := range []float64{0.7, 0.7, 0.1, 0.1} {
+		want += c * rounds
+	}
+	if got := g.SerialNs(sched, cost, rounds); got != want {
+		t.Fatalf("SerialNs = %v, want the in-order sum %v", got, want)
+	}
+	want = 0
+	for _, c := range []float64{0.1, 0.7, 0.1, 0.7} { // x, y, z, w
+		want += c
+	}
+	if got := g.SerialNs(nil, cost, 1); got != want {
+		t.Fatalf("SerialNs(nil, rounds 1) = %v, want the program-order sum %v", got, want)
 	}
 }

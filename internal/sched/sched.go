@@ -176,10 +176,10 @@ type Request struct {
 	// meet it.
 	Deadline time.Time
 	// ModeledNs is the request's modeled run cost (DRAM-ns critical
-	// path) when the caller knows it — a plan-cache hit gives the exact
-	// scheduled makespan, a cold shape the static model's estimate.
-	// Zero means unknown: the scheduler prices it at its trailing
-	// average charge.
+	// path) when the caller knows it — the serving layer gives a
+	// plan-cache hit's exact executed time, and a cold shape an upper
+	// bound from its unoptimized graph. Zero means unknown: the
+	// scheduler prices it at its trailing average charge.
 	ModeledNs float64
 	// Trace, when non-nil, receives the job's "queue" span under its
 	// root when a worker picks the job up, timed by the same two clock
@@ -947,7 +947,9 @@ type TierStats struct {
 	Dispatched, Rejected, DeadlineRejects, Preempts uint64
 	// ModeledNs is the cumulative modeled cost charged to this tier at
 	// dispatch — the tier's consumption in DRAM-ns, whose ratio across
-	// tiers is the achieved weighted share.
+	// tiers is the achieved weighted share. It sums admission prices
+	// (Request.ModeledNs), not executed time; the serving layer prices
+	// a plan-cache hit at exactly its executed time.
 	ModeledNs float64
 	// Merged queue/run latency quantiles over the tier's tenants.
 	QueueP50Ns, QueueP99Ns, QueueP999Ns int64

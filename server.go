@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"simdram/internal/ctrl"
 	"simdram/internal/graph"
 	"simdram/internal/obs"
 	"simdram/internal/sched"
@@ -62,9 +63,10 @@ type ServerConfig struct {
 	TenantQuota int
 	// PlanCacheSize bounds the shared compiled-plan cache. Defaults to
 	// DefaultPlanCacheSize; negative disables caching. A cached shape's
-	// profile and admission price live in its cache entry, so evicting
-	// the shape forgets its profile too, and a disabled cache turns
-	// profile feedback off.
+	// profile lives in its cache entry, so evicting the shape forgets
+	// its profile too, and a disabled cache turns profile feedback off.
+	// A cached shape is admitted at its plan's exact serial time, a
+	// cold one at its unoptimized graph's.
 	PlanCacheSize int
 	// ProfileThreshold is the relative divergence between a shape's
 	// mean measured per-op latencies and the static cost model beyond
@@ -287,8 +289,10 @@ type JobSpec struct {
 type AdmissionEstimate struct {
 	// EstimatedWaitNs is the queue wait admission predicted (compare
 	// with JobResult.QueueNs); ModeledNs the modeled run cost the job
-	// was priced with — the exact cached-plan makespan on a plan-cache
-	// hit, the static cost model's estimate on a cold shape.
+	// was priced with: the serial time of its instructions, which on a
+	// plan-cache hit equals the job's Batch.CriticalPathNs, and on a
+	// cold shape is the unoptimized graph's, at least the executed
+	// time.
 	EstimatedWaitNs int64
 	ModeledNs       float64
 }
@@ -355,10 +359,11 @@ func (f *Future) Wait() (*JobResult, error) {
 // to be overwritten by the shape's next job — which is what lets
 // millions of requests stream through a fixed set of channels.
 //
-// Admission prices the job before queueing it: the expression graph's
-// modeled critical path (exact scheduled makespan on a plan-cache
-// hit, static cost model on a cold shape) feeds the scheduler's
-// deadline and tier-backlog checks, and the resulting estimate is
+// Admission prices the job before queueing it at the serial time its
+// instructions execute in (exactly the executed critical path on a
+// plan-cache hit, an upper bound from the unoptimized graph on a cold
+// shape; see estimateModeledNs). The price feeds the scheduler's
+// deadline and tier-backlog checks and its fair-share charge, and is
 // surfaced in JobResult.Admission. SubmitJob never blocks on a full
 // queue; it fails immediately with a typed *AdmissionError (wrapping
 // ErrQueueFull, ErrTenantQuota, or ErrDeadlineInfeasible) or the
@@ -492,20 +497,22 @@ func (s *Server) runJob(f *Future, tenant string, worker int, cancel <-chan stru
 }
 
 // estimateModeledNs prices a lazy submission before it is queued from
-// its freshly built IR graph (no passes run). A shape the plan cache
-// holds is priced at its plan's scheduled makespan — exact for the plan
-// that will actually run — under the observed per-op latencies of the
-// shape's profile, once it has some; the price is kept in the cache
-// entry until the plan changes (PlanCache.Price), and the lookup
-// perturbs neither hit rate nor recency. A cold shape falls back to the
-// makespan of the unoptimized graph in program order under the static
-// cost model.
+// its freshly built IR graph (no passes run). Every object of a served
+// job sits at segment origin 0, so its instructions run one after
+// another, each for its μProgram latency times the busiest bank's
+// segment count; the price is that serial sum (graph.Graph.SerialNs).
+// A shape the plan cache holds is priced over its plan's schedule,
+// which is the critical path the plan executes in; the lookup perturbs
+// neither hit rate nor recency. A cold shape is priced over the
+// unoptimized graph in program order, an upper bound on what its plan
+// executes in, since folding, CSE and DCE only remove instructions.
 func (s *Server) estimateModeledNs(env *compileEnv) float64 {
-	banks := env.sys.cfg.DRAM.Banks
-	if ns, ok := s.plans.Price(env.key, env.sys.model, banks); ok {
+	dc := &env.sys.cfg.DRAM
+	rounds := ctrl.Rounds(env.n, dc.Cols, dc.Banks)
+	if ns, ok := s.plans.Price(env.key, env.sys.model, rounds); ok {
 		return ns
 	}
-	return env.g.EstimateMakespanNs(nil, env.sys.model, banks)
+	return env.g.SerialNs(nil, env.sys.model, rounds)
 }
 
 // hitMemo is one channel's memo of resident prepared programs for
@@ -830,12 +837,15 @@ type TenantServerStats struct {
 // TierServerStats is one QoS tier's serving counters: the scheduler's
 // per-tier dispatch/rejection/preemption counts, latency quantiles
 // merged bucket-wise across the tier's member tenants, and the tier's
-// achieved share of all modeled DRAM time the device has executed —
-// the number to compare against the configured weight ratio.
+// achieved share of the modeled DRAM time charged at dispatch — the
+// number to compare against the configured weight ratio.
 type TierServerStats struct {
 	sched.TierStats
-	// ShareOfDevice is the tier's fraction of the modeled time all
-	// tiers consumed (0 when nothing has run).
+	// ShareOfDevice is the tier's fraction of the modeled time charged
+	// to all tiers (TierStats.ModeledNs: admission prices, not executed
+	// time; 0 when nothing has run). A plan-cache hit is charged
+	// exactly its executed time, a cold shape its unoptimized graph's
+	// serial time, which is at least its executed time.
 	ShareOfDevice float64
 }
 
