@@ -2,7 +2,7 @@ package dram_test
 
 // The 256-column step loop checked on real μPrograms. These tests live
 // in dram's external test package, not in uprog's, because only dram's
-// own test files can switch the vector row loops.
+// own test files can switch the kernel's loops.
 
 import (
 	"fmt"
@@ -20,8 +20,9 @@ import (
 // template — both synthesis variants, widths 8 and 16, reductions at
 // three operands — on 256-column rows, where the kernel runs its
 // 4-word step loop, and on 512-column rows holding the same data in
-// each row's first 4 words, where it runs the row loops with the
-// vector loops off and, where the CPU has them, on. Each side runs the
+// each row's first 4 words, where it runs the row loops: the Go ones
+// and, where the CPU has them, the AVX2 and AVX-512 ones (with the
+// vector 4-word step loop on the narrow side). Each side runs the
 // view twice. Every row's first 4 words, the Stats (EnergyPJ
 // bit-exact) and the physical-row command traces must match.
 func TestNarrowKernelMatchesWideOnCatalog(t *testing.T) {
@@ -49,12 +50,12 @@ func TestNarrowKernelMatchesWideOnCatalog(t *testing.T) {
 					t.Fatalf("%s: does not fit the test geometry's %d data rows", name, narrow.DataRows())
 				}
 				tn, tw := uprog.NewTemplate(p, narrow), uprog.NewTemplate(p, wide)
-				for _, vec := range []bool{false, true} {
-					if vec && !dram.HaveVector() {
+				for _, ls := range dram.LoopSettings {
+					restore, ok := ls.Set()
+					if !ok {
 						continue
 					}
-					restore := dram.SetVector(vec)
-					checkNarrowMatchesWide(t, rng, fmt.Sprintf("%s vector=%v", name, vec), tn, tw, b, narrow, wide)
+					checkNarrowMatchesWide(t, rng, fmt.Sprintf("%s loops=%s", name, ls.Name), tn, tw, b, narrow, wide)
 					restore()
 					checked++
 				}

@@ -29,13 +29,26 @@ func (p *Plan) Passes() int {
 // it shares.
 func (p *Plan) Bytes() int { return 4 * len(p.code) }
 
-// SetVector selects the vector row loops, where the CPU has them, for
-// the external tests, and returns a function restoring the previous
-// choice.
-func SetVector(on bool) (restore func()) {
-	prev := useVector
-	useVector = on && haveVector
-	return func() { useVector = prev }
+// LoopSetting is one choice of the kernel's loops that tests run.
+type LoopSetting struct {
+	Name   string
+	Vector bool // the AVX2 row loops and 4-word step loop
+	AVX512 bool // with Vector, the AVX-512 row loops
+}
+
+// LoopSettings are every choice of loops: the Go ones, the AVX2 ones
+// and the AVX-512 row loops (beside the AVX2 4-word step loop).
+var LoopSettings = []LoopSetting{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}}
+
+// Set selects s's loops and returns a function restoring the previous
+// choice. Where the CPU lacks them it changes nothing, and ok is false.
+func (s LoopSetting) Set() (restore func(), ok bool) {
+	if s.Vector && !haveVector || s.AVX512 && !haveVector512 {
+		return func() {}, false
+	}
+	prev, prev512 := useVector, useVector512
+	useVector, useVector512 = s.Vector, s.AVX512
+	return func() { useVector, useVector512 = prev, prev512 }, true
 }
 
 // HaveVector reports whether the CPU has the vector row loops.

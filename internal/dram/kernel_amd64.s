@@ -97,6 +97,99 @@ xordone:
 	VZEROUPPER
 	RET
 
+// func majVector512(d, a, b, c []uint64, ma, mb, mc, md uint64)
+//
+// d[i] = maj(a[i]^ma, b[i]^mb, c[i]^mc) ^ md over whole 8-word blocks,
+// sixteen words per iteration while they last. Majority is self-dual,
+// so md folds into the input masks and VPTERNLOGQ $0xE8 computes the
+// rest. Each block is loaded in full before it is stored, so d may be
+// one of a, b and c.
+TEXT ·majVector512(SB), NOSPLIT, $0-128
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	MOVQ c_base+72(FP), R9
+	MOVQ md+120(FP), AX
+	MOVQ ma+96(FP), DX
+	XORQ AX, DX
+	VPBROADCASTQ DX, Z12
+	MOVQ mb+104(FP), DX
+	XORQ AX, DX
+	VPBROADCASTQ DX, Z13
+	MOVQ mc+112(FP), DX
+	XORQ AX, DX
+	VPBROADCASTQ DX, Z14
+	SHRQ $3, CX
+	JZ   maj512done
+
+maj512loop16:
+	CMPQ CX, $2
+	JB   maj512loop8
+	VPXORQ (SI), Z12, Z0
+	VPXORQ (R8), Z13, Z1
+	VPXORQ (R9), Z14, Z2
+	VPXORQ 64(SI), Z12, Z3
+	VPXORQ 64(R8), Z13, Z4
+	VPXORQ 64(R9), Z14, Z5
+	VPTERNLOGQ $0xE8, Z2, Z1, Z0
+	VPTERNLOGQ $0xE8, Z5, Z4, Z3
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z3, 64(DI)
+	ADDQ $128, SI
+	ADDQ $128, R8
+	ADDQ $128, R9
+	ADDQ $128, DI
+	SUBQ $2, CX
+	JMP  maj512loop16
+
+maj512loop8:
+	TESTQ CX, CX
+	JZ    maj512done
+	VPXORQ (SI), Z12, Z0
+	VPXORQ (R8), Z13, Z1
+	VPXORQ (R9), Z14, Z2
+	VPTERNLOGQ $0xE8, Z2, Z1, Z0
+	VMOVDQU64 Z0, (DI)
+
+maj512done:
+	VZEROUPPER
+	RET
+
+// func xorVector512(d, s []uint64, m uint64)
+//
+// d[i] = s[i] ^ m over whole 8-word blocks, sixteen words per
+// iteration while they last. d may be s.
+TEXT ·xorVector512(SB), NOSPLIT, $0-56
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ s_base+24(FP), SI
+	VPBROADCASTQ m+48(FP), Z15
+	SHRQ $3, CX
+	JZ   xor512done
+
+xor512loop16:
+	CMPQ CX, $2
+	JB   xor512loop8
+	VPXORQ (SI), Z15, Z0
+	VPXORQ 64(SI), Z15, Z1
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, 64(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $2, CX
+	JMP  xor512loop16
+
+xor512loop8:
+	TESTQ CX, CX
+	JZ    xor512done
+	VPXORQ (SI), Z15, Z0
+	VMOVDQU64 Z0, (DI)
+
+xor512done:
+	VZEROUPPER
+	RET
+
 // polarity<> is {zeros, ones}: the 4-word mask a row entry XORs in,
 // at offset 0 for a plain entry and 32 for a complemented one.
 DATA polarity<>+0(SB)/8, $0

@@ -191,30 +191,38 @@ func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
 // path), one Exec of the unlowered plan, the AAP/AP/MajCopy methods one
 // command at a time, and the naive reference — and requires identical
 // rows, Stats (EnergyPJ bit-exact) and command traces. It runs with the
-// vector loops forced off and, where the CPU has them, on. Row widths
-// cover the pure-Go row loops (64 and 192 columns), the 4-word step
-// loop and its vector form (256), exactly the vector row-loop
-// threshold (512), a vector body with a one-word tail (576) and wide
-// rows (8192).
+// vector loops forced off and, where the CPU has them, on: the AVX2
+// row loops, then the AVX-512 ones. Row widths cover the pure-Go row
+// loops (64 and 192 columns), the 4-word step loop and its vector form
+// (256), exactly the vector row-loop threshold (512), a vector body
+// with a one-word tail (576: one AVX-512 block, or two AVX2 blocks) and
+// wide rows (8192).
 func TestKernelMatchesReference(t *testing.T) {
-	defer func(v bool) { useVector = v }(useVector)
 	for _, cols := range []int{64, 192, 256, 512, 576, 8192} {
 		t.Run(fmt.Sprintf("cols=%d", cols), func(t *testing.T) {
-			for _, vec := range []bool{false, true} {
-				t.Run(fmt.Sprintf("vector=%v", vec), func(t *testing.T) {
-					if vec && !haveVector {
-						t.Skip("no vector row loops on this CPU")
-					}
-					useVector = vec
-					cfg := TestConfig()
-					cfg.Cols = cols
-					rng := rand.New(rand.NewSource(int64(cols)))
-					for trial := 0; trial < 8; trial++ {
-						checkKernelTrial(t, rng, &cfg, trial)
-					}
-				})
-			}
+			t.Run("vector=false", func(t *testing.T) { checkKernelLoops(t, cols, LoopSettings[0]) })
+			t.Run("vector=true", func(t *testing.T) {
+				for _, ls := range LoopSettings[1:] {
+					t.Run(ls.Name, func(t *testing.T) { checkKernelLoops(t, cols, ls) })
+				}
+			})
 		})
+	}
+}
+
+// checkKernelLoops runs TestKernelMatchesReference's trials at cols
+// columns on the loops ls selects, or skips where the CPU lacks them.
+func checkKernelLoops(t *testing.T, cols int, ls LoopSetting) {
+	restore, ok := ls.Set()
+	if !ok {
+		t.Skipf("no %s loops on this CPU", ls.Name)
+	}
+	defer restore()
+	cfg := TestConfig()
+	cfg.Cols = cols
+	rng := rand.New(rand.NewSource(int64(cols)))
+	for trial := 0; trial < 8; trial++ {
+		checkKernelTrial(t, rng, &cfg, trial)
 	}
 }
 
@@ -334,19 +342,18 @@ func TestPlanEnergyHookFree(t *testing.T) {
 // whose row table lacks a row the plan's second step writes: ExecView
 // must panic before the first step stores, leaving every row and the
 // stats as they were, on the 4-word step loops (Go and vector) and on
-// the row loops.
+// the row loops (Go, AVX2 and AVX-512).
 func TestExecViewShortTablePanicsBeforeStores(t *testing.T) {
 	for _, c := range []struct {
-		cols   int
-		vector bool
-	}{{256, false}, {256, true}, {512, false}, {512, true}} {
-		if c.vector && !haveVector {
-			continue
-		}
+		cols  int
+		loops LoopSetting
+	}{{256, LoopSettings[0]}, {256, LoopSettings[1]}, {512, LoopSettings[0]}, {512, LoopSettings[1]}, {512, LoopSettings[2]}} {
 		func() {
-			prev := useVector
-			useVector = c.vector
-			defer func() { useVector = prev }()
+			restore, ok := c.loops.Set()
+			if !ok {
+				return
+			}
+			defer restore()
 			cfg := TestConfig()
 			cfg.Cols = c.cols
 			s := NewSubarray(&cfg)
@@ -373,18 +380,18 @@ func TestExecViewShortTablePanicsBeforeStores(t *testing.T) {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("cols=%d vector=%v: a plan naming row 20 ran through a 10-row view", c.cols, c.vector)
+						t.Errorf("cols=%d loops=%s: a plan naming row 20 ran through a 10-row view", c.cols, c.loops.Name)
 					}
 				}()
 				s.ExecView(&v, &p)
 			}()
 			for r, want := range before {
 				if !slices.Equal(s.rows[r], want) {
-					t.Errorf("cols=%d vector=%v: row %d changed before the panic", c.cols, c.vector, r)
+					t.Errorf("cols=%d loops=%s: row %d changed before the panic", c.cols, c.loops.Name, r)
 				}
 			}
 			if s.Stats != stats {
-				t.Errorf("cols=%d vector=%v: stats %+v, were %+v", c.cols, c.vector, s.Stats, stats)
+				t.Errorf("cols=%d loops=%s: stats %+v, were %+v", c.cols, c.loops.Name, s.Stats, stats)
 			}
 		}()
 	}
@@ -454,5 +461,114 @@ func TestInjectBitFlipsDCCMirrors(t *testing.T) {
 				t.Fatalf("row %d word %d: complement row reads %x, want %x", row, w, comp[w], ^(data[w] ^ mask[w]))
 			}
 		}
+	}
+}
+
+// FuzzRowLoops holds every row loop the CPU has to majGo and xorGo. On
+// rows of 0 to 300 words (vector bodies with every tail length), it
+// runs majRow under each loop setting with all 16 polarities of the
+// three inputs and the output, d fresh or aliased to a, b or c, and
+// xorRow with a copy and a complement, d fresh or aliased to s. A loop
+// must leave d as the Go loop does, and every word past d's end and
+// every input d does not alias as it was. The loops that ran and the
+// ones skipped are logged, so a CPU without AVX-512 shows in a -v log.
+func FuzzRowLoops(f *testing.F) {
+	var loops []LoopSetting
+	var names []string
+	for _, ls := range LoopSettings {
+		restore, ok := ls.Set()
+		restore()
+		if !ok {
+			f.Logf("skipping the %s row loops: this CPU, or its OS, does not offer them", ls.Name)
+			continue
+		}
+		loops, names = append(loops, ls), append(names, ls.Name)
+	}
+	f.Logf("row loops checked against majGo and xorGo: %v", names)
+	for _, n := range []uint16{0, 1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 127, 128, 129, 300} {
+		f.Add(n, int64(n))
+	}
+	f.Fuzz(func(t *testing.T, n uint16, seed int64) {
+		checkRowLoops(t, loops, int(n%301), seed)
+	})
+}
+
+// rowGuard is the number of words checkRowLoops keeps past each row's
+// end to catch a loop that writes beyond it.
+const rowGuard = 9
+
+// checkRowLoops runs one FuzzRowLoops case: n-word rows from seed.
+func checkRowLoops(t *testing.T, loops []LoopSetting, n int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	// in holds a, b, c and d's starting words, each with its guard.
+	var in [4][]uint64
+	for k := range in {
+		in[k] = randRow(rng, n+rowGuard)
+	}
+	var rows [4][]uint64
+	reset := func() {
+		for k := range rows {
+			rows[k] = append(rows[k][:0], in[k]...)
+		}
+	}
+	// check requires rows[dk] to hold want in its first n words and
+	// every other word of rows as in.
+	check := func(what string, dk int, want []uint64) {
+		t.Helper()
+		for k := range rows {
+			for w, got := range rows[k] {
+				exp := in[k][w]
+				if k == dk && w < n {
+					exp = want[w]
+				}
+				if got != exp {
+					t.Fatalf("%s, %d words: row %d word %d = %x, want %x", what, n, k, w, got, exp)
+				}
+			}
+		}
+	}
+	want := make([]uint64, n)
+	for _, ls := range loops {
+		restore, _ := ls.Set()
+		for pol := 0; pol < 16; pol++ {
+			ma, mb, mc, md := -uint64(pol&1), -uint64(pol>>1&1), -uint64(pol>>2&1), -uint64(pol>>3)
+			majGo(want, in[0][:n], in[1][:n], in[2][:n], ma, mb, mc, md)
+			for dk := 3; dk >= 0; dk-- { // d fresh, then aliased to c, b and a
+				reset()
+				majRow(rows[dk][:n], rows[0][:n], rows[1][:n], rows[2][:n], ma, mb, mc, md)
+				check(fmt.Sprintf("%s majRow, polarity %04b, d row %d", ls.Name, pol, dk), dk, want)
+			}
+		}
+		for _, m := range []uint64{0, ^uint64(0)} {
+			xorGo(want, in[0][:n], m)
+			for _, dk := range []int{3, 0} { // d fresh, then aliased to s
+				reset()
+				xorRow(rows[dk][:n], rows[0][:n], m)
+				check(fmt.Sprintf("%s xorRow, mask %x, d row %d", ls.Name, m, dk), dk, want)
+			}
+		}
+		restore()
+	}
+}
+
+// BenchmarkRowLoops times one majority and one complement of 128-word
+// (8192-column) rows, what a wide step's first output and a DCC
+// partner cost, under each loop setting the CPU has.
+func BenchmarkRowLoops(b *testing.B) {
+	const words = 128
+	rng := rand.New(rand.NewSource(42))
+	x, y, z, d := randRow(rng, words), randRow(rng, words), randRow(rng, words), randRow(rng, words)
+	for _, ls := range LoopSettings {
+		b.Run(ls.Name, func(b *testing.B) {
+			restore, ok := ls.Set()
+			if !ok {
+				b.Skipf("no %s row loops on this CPU", ls.Name)
+			}
+			defer restore()
+			for i := 0; i < b.N; i++ {
+				majRow(d, x, y, z, 0, ^uint64(0), 0, 0)
+				xorRow(x, d, ^uint64(0))
+			}
+		})
 	}
 }

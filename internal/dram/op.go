@@ -275,7 +275,8 @@ func (s *Subarray) ExecView(v *View, p *Plan) {
 // that rows holds every row p names; it panics, before any store, if
 // not. Row width alone picks the step loop: 4-word (256-column) rows
 // have their own, on AVX2 where the CPU has it, which checks nothing
-// (see Plan and View).
+// (see Plan and View); wider rows run the row loops, on AVX-512 or
+// AVX2 where the CPU has them.
 //
 //simdram:zeroalloc
 func (s *Subarray) exec(rows [][]uint64, p *Plan) {

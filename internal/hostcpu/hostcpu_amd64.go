@@ -1,24 +1,28 @@
 package hostcpu
 
+// host is this CPU's feature registers, read once.
+var host = readRegs()
+
 // AVX2 reports AVX2 support, from CPUID and from XGETBV for the
 // operating system saving the YMM registers.
-var AVX2 = hasAVX2()
+var AVX2 = hasAVX2(host)
 
-func hasAVX2() bool {
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return false
+// AVX512 reports AVX-512 Foundation support, from CPUID and from
+// XGETBV for the operating system saving the opmask and ZMM registers.
+var AVX512 = hasAVX512(host)
+
+// readRegs reads the registers the feature checks test. XGETBV faults
+// unless the OS enabled it, which CPUID.1:ECX.OSXSAVE reports.
+func readRegs() (r regs) {
+	r.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, r.ecx1, _ = cpuid(1, 0)
+	if r.maxLeaf >= 7 {
+		_, r.ebx7, _, _ = cpuid(7, 0)
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
+	if r.ecx1&osxsave != 0 {
+		r.xcr0, _ = xgetbv()
 	}
-	const xmmYmm = 1<<1 | 1<<2
-	if eax, _ := xgetbv(); eax&xmmYmm != xmmYmm {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	return r
 }
 
 // cpuid executes CPUID with the given leaf and subleaf.

@@ -4,3 +4,6 @@ package hostcpu
 
 // AVX2 is false off amd64.
 const AVX2 = false
+
+// AVX512 is false off amd64.
+const AVX512 = false
