@@ -254,19 +254,26 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 	}
 	spansPerJob := float64(totalSpans) / float64(len(traces))
 
-	// Observability audit 2: for every job, the top-level span
-	// durations after admission must sum to the job's reported latency
-	// split (QueueNs + RunNs) within tolerance — the trace and the
-	// ticket measure the same pipeline on different clocks. The admit
-	// span precedes the ticket, so it is not part of the split.
+	// Observability audit 2: for every job, the top-level spans that
+	// start at or after the queue span must sum to the job's reported
+	// latency split (QueueNs + RunNs) within tolerance — the trace and
+	// the ticket measure the same pipeline on different clocks. The
+	// admit and compile spans precede the ticket, so they are not part
+	// of the split.
 	for _, jl := range lats {
 		jt, ok := byID[jl.traceID]
 		if !ok {
 			return fmt.Errorf("serving demo: job's trace %d not in the recorder", jl.traceID)
 		}
+		queued := int64(math.MaxInt64)
+		for _, sp := range jt.Spans {
+			if sp.Name == "queue" {
+				queued = sp.StartNs
+			}
+		}
 		var sum int64
 		for _, sp := range jt.Spans {
-			if sp.Parent == 0 && sp.Name != "admit" {
+			if sp.Parent == 0 && sp.StartNs >= queued {
 				sum += sp.DurNs()
 			}
 		}

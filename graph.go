@@ -479,8 +479,8 @@ func planExprs(env *compileEnv, cache *graph.PlanCache, tr *obs.Trace, parent in
 // plan-cache key under opts — the front half of compilation, which
 // planExprs completes — in a recycled env the caller recycles when it
 // is done with it. The server builds it once per job, at admission,
-// where the key and graph also price the job; served makes the same
-// walk reject what a Server cannot run (see unservable).
+// and plans and prices the job there; served makes the same walk
+// reject what a Server cannot run (see unservable).
 func buildEnv(sys *System, cl *Cluster, opts CompileOptions, exprs []*Expr, served bool) (*compileEnv, error) {
 	if len(exprs) == 0 {
 		return nil, errorf("graph: nothing to materialize")

@@ -51,6 +51,13 @@ func (t Timing) AAPLatency() float64 { return 2*t.TRAS + t.TRP }
 // a triple-row activation computing MAJ — ≈ tRAS + tRP (~46 ns).
 func (t Timing) APLatency() float64 { return t.TRAS + t.TRP }
 
+// CommandsNs returns the latency of nAAP AAPs and nAP APs issued back
+// to back on one subarray: the single timing formula every μProgram,
+// template and per-op cost is priced by.
+func (t Timing) CommandsNs(nAAP, nAP int) float64 {
+	return float64(nAAP)*t.AAPLatency() + float64(nAP)*t.APLatency()
+}
+
 // RowAccessLatency returns the latency of a normal host row access
 // (ACTIVATE + column access + PRECHARGE) used by the store/load paths.
 func (t Timing) RowAccessLatency() float64 { return t.TRCD + t.TRAS + t.TRP }

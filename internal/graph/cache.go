@@ -141,7 +141,7 @@ type PlanCache struct {
 // more than threshold (relative); a threshold below 0 turns profile
 // feedback off. A capacity below 1 disables the cache: Do always
 // computes without touching any counter, Replace and Record do
-// nothing, Price and TakeRecompile report false, and Stats and
+// nothing, TakeRecompile reports false, and Stats and
 // ProfileStats report the zero value.
 func NewPlanCache(capacity int, threshold float64, minJobs int) *PlanCache {
 	return &PlanCache{
@@ -178,8 +178,9 @@ func (c *PlanCache) Do(key string, compute func() *Plan) (*Plan, bool) {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
 			c.touch(e)
+			p := e.plan // Replace rewrites *e under mu
 			c.mu.Unlock()
-			return e.plan, true
+			return p, true
 		}
 		if f, ok := c.flights[key]; ok {
 			c.coalesced++
@@ -231,27 +232,6 @@ func (c *PlanCache) Replace(key string, p *Plan) {
 		return
 	}
 	c.insertLocked(key, p)
-}
-
-// Price returns the admission price of key's cached plan: its serial
-// time at rounds segments per bank under cost (Graph.SerialNs), which
-// is the critical path the plan executes in. It reads the plan without
-// counting a hit or refreshing recency, and computes the price afresh
-// outside the lock. ok is false when key has no cached plan.
-func (c *PlanCache) Price(key string, cost CostFn, rounds int) (ns float64, ok bool) {
-	if c.disabled() {
-		return 0, false
-	}
-	var plan *Plan
-	c.mu.Lock()
-	if e := c.entries[key]; e != nil {
-		plan = e.plan
-	}
-	c.mu.Unlock()
-	if plan == nil {
-		return 0, false
-	}
-	return plan.Graph.SerialNs(plan.Sched, cost, rounds), true
 }
 
 // insertLocked inserts under the cost-LRU policy. Caller holds mu.

@@ -129,18 +129,11 @@ func TestProfileStoreNilSafe(t *testing.T) {
 			t.Fatalf("%s: reported non-zero profile state", name)
 		}
 	}
-	for name, s := range map[string]*PlanCache{"nil": nilCache, "capacity 0": NewPlanCache(0, 0.25, 1)} {
-		s.Do("k", func() *Plan { return plan })
-		if _, ok := s.Price("k", unitModel(5), 1); ok {
-			t.Fatalf("%s cache priced a plan", name)
-		}
-	}
 }
 
 // TestProfileStoreConcurrent exercises Record/TakeRecompile/
-// ScheduleCost/Price/Replace under -race and proves at most one
-// recompile is claimed per shape and that every price is one of a
-// resident plan's.
+// ScheduleCost/Replace/Do under -race and proves at most one recompile
+// is claimed per shape and that every lookup returns a resident plan.
 func TestProfileStoreConcurrent(t *testing.T) {
 	plan := profilePlan(t)
 	g := buildAddMax(t, 8, "max", "max")
@@ -149,7 +142,7 @@ func TestProfileStoreConcurrent(t *testing.T) {
 	model := addMaxModel(t)
 	var wg sync.WaitGroup
 	wins := make([]int, 8)
-	bad := make([]float64, 8)
+	bad := make([]bool, 8)
 	for w := 0; w < 8; w++ {
 		w := w
 		wg.Add(1)
@@ -166,8 +159,8 @@ func TestProfileStoreConcurrent(t *testing.T) {
 					s.Replace("k", plan)
 				}
 				_ = s.ScheduleCost("k", model)
-				if ns, ok := s.Price("k", model, 2); !ok || (ns != 800 && ns != 1200) {
-					bad[w] = ns
+				if p, hit := s.Do("k", func() *Plan { return nil }); !hit || (p != plan && p != recompiled) {
+					bad[w] = true
 				}
 			}
 		}()
@@ -176,8 +169,8 @@ func TestProfileStoreConcurrent(t *testing.T) {
 	total := 0
 	for w, n := range wins {
 		total += n
-		if bad[w] != 0 {
-			t.Fatalf("goroutine %d read a price of %v, want 800 or 1200 (a resident plan at 2 rounds)", w, bad[w])
+		if bad[w] {
+			t.Fatalf("goroutine %d looked up a plan that was never resident", w)
 		}
 	}
 	if total != 1 {
@@ -197,20 +190,15 @@ func addMaxModel(t *testing.T) CostFn {
 	}
 }
 
-// TestPlanCacheEvictionDropsProfileAndPrice pins the one-entry
-// lifetime: evicting a shape drops its profile and its recompile claim
-// with its plan, so the shape has no price and comes back as a fresh
-// entry. The price is always the plan's static serial time, observed
-// latencies or not.
-func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
+// TestPlanCacheEvictionDropsProfile pins the one-entry lifetime:
+// evicting a shape drops its profile and its recompile claim with its
+// plan, so the shape comes back as a fresh entry.
+func TestPlanCacheEvictionDropsProfile(t *testing.T) {
 	plan := profilePlan(t)
 	model := unitModel(100)
 	c := NewPlanCache(1, 0.25, 1)
 	c.insert("a", plan)
 	c.Record("a", plan, []float64{400, 100}, model)
-	if ns, ok := c.Price("a", model, 1); !ok || ns != 200 {
-		t.Fatalf("price = %v, %v; want the static 200, whatever the profile observed", ns, ok)
-	}
 	if !c.TakeRecompile("a") {
 		t.Fatal("diverged shape did not claim its recompile")
 	}
@@ -219,17 +207,11 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 	if c.Jobs("a") != 0 {
 		t.Fatal("evicted shape kept its profile")
 	}
-	if _, ok := c.Price("a", model, 1); ok {
-		t.Fatal("evicted shape kept a price")
-	}
 	if st := c.ProfileStats(); st.Shapes != 0 || st.Jobs != 1 || st.Recompiles != 1 {
 		t.Fatalf("profile stats after eviction = %+v, want no profiled shape, 1 job, 1 recompile", st)
 	}
 
 	c.insert("a", plan) // evicts "b"; "a" starts afresh
-	if ns, ok := c.Price("a", model, 3); !ok || ns != 600 {
-		t.Fatalf("re-inserted price at 3 rounds = %v, %v; want 600", ns, ok)
-	}
 	c.Record("a", plan, []float64{400, 100}, model)
 	if !c.TakeRecompile("a") {
 		t.Fatal("re-inserted shape inherited the evicted entry's recompile claim")
@@ -238,23 +220,15 @@ func TestPlanCacheEvictionDropsProfileAndPrice(t *testing.T) {
 
 // TestPlanCacheReplaceKeepsProfile pins what a profile-guided
 // recompile keeps: Replace swaps the plan, but the profile and the
-// claim stay, so TakeRecompile is true at most once per cached shape.
-// Price reads whichever plan is resident, so the next price is the new
-// plan's, and reading it counts no hit.
+// claim stay, so TakeRecompile is true at most once per cached shape,
+// and the next lookup returns the new plan.
 func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
 	plan := profilePlan(t)
 	model := addMaxModel(t)
 	c := NewPlanCache(4, 0.25, 2)
 	c.insert("k", plan)
-	if ns, _ := c.Price("k", model, 1); ns != 400 {
-		t.Fatalf("price = %v, want add 100 + max 300", ns)
-	}
 	for i := 0; i < 2; i++ {
 		c.Record("k", plan, []float64{400, 100}, model)
-	}
-	// The price belongs to the plan: observations do not move it.
-	if ns, _ := c.Price("k", model, 1); ns != 400 {
-		t.Fatalf("price moved under the same plan: %v, want 400", ns)
 	}
 	if !c.TakeRecompile("k") {
 		t.Fatal("diverged shape did not claim its recompile")
@@ -265,11 +239,8 @@ func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
 	if got := c.Jobs("k"); got != 2 {
 		t.Fatalf("Replace dropped the profile: %d jobs, want 2", got)
 	}
-	if ns, _ := c.Price("k", model, 2); ns != 1200 {
-		t.Fatalf("price after Replace = %v, want the new plan's 2 × (300 + 300)", ns)
-	}
-	if st := c.Stats(); st.Hits != 0 {
-		t.Fatalf("Price counted %d hits, want 0", st.Hits)
+	if p, hit := c.Do("k", func() *Plan { return nil }); !hit || p != recompiled {
+		t.Fatalf("lookup after Replace = %p (hit %v), want the new plan %p", p, hit, recompiled)
 	}
 	for i := 0; i < 4; i++ {
 		c.Record("k", recompiled, []float64{400, 100}, model)
@@ -284,7 +255,7 @@ func TestPlanCacheReplaceKeepsProfile(t *testing.T) {
 
 // BenchmarkPlanCacheChurn drives a full cache with more shapes than it
 // holds: every operation is a miss that inserts a plan, evicts a
-// victim (with its profile and price) and records one job.
+// victim (with its profile) and records one job.
 func BenchmarkPlanCacheChurn(b *testing.B) {
 	const capacity, shapes = 128, 1024
 	g := New()

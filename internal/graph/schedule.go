@@ -24,25 +24,13 @@ type CostFn func(d ops.Def, width, n int) float64
 // bank (ctrl.Rounds). The price is that running sum, cost(op) × rounds
 // added in schedule order, the same terms in the same order as the
 // control unit's finish times, so it equals the executed critical path
-// of the plan it prices. A nil sched prices ProgramOrder's schedule
-// without building it.
+// of the plan it prices.
 func (g *Graph) SerialNs(sched []NodeID, cost CostFn, rounds int) float64 {
 	r := float64(rounds)
 	total := 0.0
-	price := func(id NodeID) {
+	for _, id := range sched {
 		node := g.Node(id)
 		total += cost(*node.Op, g.OpWidth(id), len(node.Args())) * r
-	}
-	if sched == nil {
-		for id := range g.nodes {
-			if g.nodes[id].Kind == KindOp && g.Alive(NodeID(id)) {
-				price(NodeID(id))
-			}
-		}
-		return total
-	}
-	for _, id := range sched {
-		price(id)
 	}
 	return total
 }

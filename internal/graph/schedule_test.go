@@ -70,7 +70,7 @@ var schedSink []NodeID
 
 // TestScheduleAllocBudget gates the scheduler's allocations: the
 // schedule it returns, and nothing for its working tables, nor for
-// pricing that schedule or the construction-order one.
+// pricing that schedule.
 func TestScheduleAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector allocates; gate runs in the non-race CI job")
@@ -84,24 +84,8 @@ func TestScheduleAllocBudget(t *testing.T) {
 	sched := g.Schedule(cost)
 	if allocs := testing.AllocsPerRun(100, func() {
 		g.SerialNs(sched, cost, 4)
-		g.SerialNs(nil, cost, 4)
 	}); allocs > 0 {
 		t.Errorf("SerialNs allocated %.0f times, want 0", allocs)
-	}
-}
-
-// TestSerialNilScheduleIsProgramOrder pins what admission prices a
-// cold shape with: a nil schedule prices ProgramOrder's.
-func TestSerialNilScheduleIsProgramOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for range 20 {
-		g := randomGraph(t, rng, 24)
-		cost := func(d ops.Def, w, n int) float64 { return float64(1 + int(d.Code)%7) }
-		for _, r := range []int{1, 3, 16} {
-			if got, want := g.SerialNs(nil, cost, r), g.SerialNs(g.ProgramOrder(), cost, r); got != want {
-				t.Fatalf("rounds %d: nil schedule priced %v, ProgramOrder %v", r, got, want)
-			}
-		}
 	}
 }
 
@@ -136,12 +120,5 @@ func TestSerialNsSumsInScheduleOrder(t *testing.T) {
 	}
 	if got := g.SerialNs(sched, cost, rounds); got != want {
 		t.Fatalf("SerialNs = %v, want the in-order sum %v", got, want)
-	}
-	want = 0
-	for _, c := range []float64{0.1, 0.7, 0.1, 0.7} { // x, y, z, w
-		want += c
-	}
-	if got := g.SerialNs(nil, cost, 1); got != want {
-		t.Fatalf("SerialNs(nil, rounds 1) = %v, want the program-order sum %v", got, want)
 	}
 }

@@ -85,5 +85,5 @@ func CostNs(d Def, width, n int, variant Variant, t dram.Timing) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	return float64(s.numAAP)*t.AAPLatency() + float64(s.numAP)*t.APLatency(), nil
+	return t.CommandsNs(s.numAAP, s.numAP), nil
 }

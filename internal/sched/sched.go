@@ -161,11 +161,17 @@ func normalizeTier(t Tier) Tier {
 // context's Done channel, nil when the context can never be canceled.
 type Task func(worker int, cancel <-chan struct{}) error
 
+// Unpriced is the Request.ModeledNs of a submission whose modeled run
+// cost the caller does not know (a raw job): the scheduler prices it at
+// its trailing average charge. A zero ModeledNs is a price, of a job
+// that runs nothing.
+const Unpriced = -1.0
+
 // Request carries a submission's QoS intent into admission: who is
 // submitting, under which tier, with what (optional) deadline and
-// modeled run cost. The zero value (plus Tenant) reproduces the legacy
-// Submit behavior: default tier, no deadline, cost learned from
-// history.
+// modeled run cost. The zero value (plus Tenant and ModeledNs Unpriced)
+// reproduces the legacy Submit behavior: default tier, no deadline,
+// cost learned from history.
 type Request struct {
 	Tenant string
 	// Tier names a declared Config.Tiers entry; empty or undeclared
@@ -176,10 +182,10 @@ type Request struct {
 	// meet it.
 	Deadline time.Time
 	// ModeledNs is the request's modeled run cost (DRAM-ns critical
-	// path) when the caller knows it — the serving layer gives a
-	// plan-cache hit's exact executed time, and a cold shape an upper
-	// bound from its unoptimized graph. Zero means unknown: the
-	// scheduler prices it at its trailing average charge.
+	// path) — the serving layer gives a lazy job its plan's exact
+	// executed time, 0 for a plan that runs nothing. Unpriced means
+	// unknown: the scheduler prices the request at its trailing average
+	// charge.
 	ModeledNs float64
 	// Trace, when non-nil, receives the job's "queue" span under its
 	// root when a worker picks the job up, timed by the same two clock
@@ -401,7 +407,7 @@ func New(cfg Config) *Scheduler {
 // ErrTenantQuota, and a context already expired fails with its error.
 // ctx may be nil (never cancels).
 func (s *Scheduler) Submit(ctx context.Context, tenant string, run Task) (*Ticket, error) {
-	return s.SubmitRequest(ctx, Request{Tenant: tenant}, run)
+	return s.SubmitRequest(ctx, Request{Tenant: tenant, ModeledNs: Unpriced}, run)
 }
 
 // SubmitRequest enqueues a job with full QoS intent: tier, deadline,
@@ -437,7 +443,7 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 	// backlog into predicted wall-clock wait through the calibration
 	// EWMA, spread across the worker pool.
 	charge := req.ModeledNs
-	if charge <= 0 {
+	if charge < 0 {
 		charge = s.avgChargeNs
 	}
 	estWait := int64(s.calib * s.pendingModeledNs / float64(s.cfg.Workers))
@@ -452,7 +458,7 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request, run Task) (*
 		s.mu.Unlock()
 		return nil, &AdmissionError{
 			Reason: reason, Tenant: req.Tenant, Tier: tier.Name,
-			QueueDepth: depth, EstimatedWaitNs: estWait, ModeledNs: req.ModeledNs,
+			QueueDepth: depth, EstimatedWaitNs: estWait, ModeledNs: max(req.ModeledNs, 0),
 			err: sentinel,
 		}
 	}

@@ -38,7 +38,7 @@ func TestTierOf(t *testing.T) {
 	defer s.Close()
 	defer close(gate)
 	submit := func(tenant, tier string) error {
-		_, err := s.SubmitRequest(nil, Request{Tenant: tenant, Tier: tier}, func(int, <-chan struct{}) error { return nil })
+		_, err := s.SubmitRequest(nil, Request{Tenant: tenant, Tier: tier, ModeledNs: Unpriced}, func(int, <-chan struct{}) error { return nil })
 		return err
 	}
 	if err := submit("a", "gold"); err != nil {
@@ -165,7 +165,7 @@ func TestBoostPreemptsQueuedWork(t *testing.T) {
 	for _, sub := range []struct{ tier, name string }{
 		{"bronze", "b1"}, {"bronze", "b2"}, {"gold", "g1"},
 	} {
-		tk, err := s.SubmitRequest(nil, Request{Tenant: sub.name, Tier: sub.tier}, task(sub.name))
+		tk, err := s.SubmitRequest(nil, Request{Tenant: sub.name, Tier: sub.tier, ModeledNs: Unpriced}, task(sub.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestTierBacklogShedding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := s.SubmitRequest(nil, Request{Tenant: "lat", Tier: "latency"}, func(int, <-chan struct{}) error { return nil })
+	_, err := s.SubmitRequest(nil, Request{Tenant: "lat", Tier: "latency", ModeledNs: Unpriced}, func(int, <-chan struct{}) error { return nil })
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("tier backlog shedding must unwrap to ErrQueueFull, got %v", err)
 	}

@@ -171,7 +171,7 @@ func (p *Program) NumAP() int {
 // under the given timing. Commands are strictly sequential inside a
 // subarray (a single row buffer).
 func (p *Program) LatencyNs(t dram.Timing) float64 {
-	return float64(p.NumAAP())*t.AAPLatency() + float64(p.NumAP())*t.APLatency()
+	return t.CommandsNs(p.NumAAP(), p.NumAP())
 }
 
 // EnergyPJ returns the energy of one execution on one subarray.

@@ -42,7 +42,7 @@ type Template struct {
 // LatencyNs is the template's Program.LatencyNs, from command counts
 // taken once when the template was built.
 func (t *Template) LatencyNs(tm dram.Timing) float64 {
-	return float64(t.nAAP)*tm.AAPLatency() + float64(t.nAP)*tm.APLatency()
+	return tm.CommandsNs(t.nAAP, t.nAP)
 }
 
 // templateCell is one of a program's cached templates.

@@ -65,8 +65,9 @@ type ServerConfig struct {
 	// DefaultPlanCacheSize; negative disables caching. A cached shape's
 	// profile lives in its cache entry, so evicting the shape forgets
 	// its profile too, and a disabled cache turns profile feedback off.
-	// A cached shape is admitted at its plan's exact serial time, a
-	// cold one at its unoptimized graph's.
+	// Every job is admitted at its own plan's exact serial time, cached
+	// or freshly compiled; a cold shape compiles at admission, so the
+	// cache decides only how much admission pays for the plan.
 	PlanCacheSize int
 	// ProfileThreshold is the relative divergence between a shape's
 	// mean measured per-op latencies and the static cost model beyond
@@ -140,8 +141,8 @@ type Server struct {
 	cfg      ServerConfig
 	channels []*System
 	sched    *sched.Scheduler
-	// plans holds every served shape's plan, profile and admission
-	// price (see graph.PlanCache).
+	// plans holds every served shape's plan and profile (see
+	// graph.PlanCache).
 	plans *graph.PlanCache
 
 	// Observability: one registry for every layer's counters and
@@ -252,19 +253,20 @@ func (s *Server) VerifiedPlans() int64 {
 
 // Close stops admission, fails queued jobs with ErrServerClosed,
 // waits for running jobs, stops the telemetry pump, and releases every
-// channel.
+// channel. Concurrent and repeated calls are safe: one caller tears
+// the server down and the others return once it has.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.pumpStop)
 		<-s.pumpDone
+		s.sched.Close()
+		for i := range s.hits {
+			s.hits[i].clear()
+		}
+		for _, sys := range s.channels {
+			sys.Close()
+		}
 	})
-	s.sched.Close()
-	for i := range s.hits {
-		s.hits[i].clear()
-	}
-	for _, sys := range s.channels {
-		sys.Close()
-	}
 }
 
 // JobSpec carries a submission's QoS intent: who is submitting, under
@@ -289,10 +291,10 @@ type JobSpec struct {
 type AdmissionEstimate struct {
 	// EstimatedWaitNs is the queue wait admission predicted (compare
 	// with JobResult.QueueNs); ModeledNs the modeled run cost the job
-	// was priced with: the serial time of its instructions, which on a
-	// plan-cache hit equals the job's Batch.CriticalPathNs, and on a
-	// cold shape is the unoptimized graph's, at least the executed
-	// time.
+	// was priced with: the serial time of its plan's instructions,
+	// which equals the job's Batch.CriticalPathNs on a plan-cache hit, a
+	// cold compile and a recompile alike (0 for a plan that runs
+	// nothing).
 	EstimatedWaitNs int64
 	ModeledNs       float64
 }
@@ -351,54 +353,64 @@ func (f *Future) Wait() (*JobResult, error) {
 }
 
 // SubmitJob enqueues the expressions as one job under the spec's QoS
-// intent: on whichever channel comes free, the graph compiles (or
-// reuses a cached plan), Input payloads are stored, the batch
-// executes, and every root's value is loaded into the JobResult. No
-// data outlives the request: the job's storage is released before the
-// future resolves, or, for a shape resident on the channel, kept only
-// to be overwritten by the shape's next job — which is what lets
+// intent. The job's plan is acquired here, on the submitting goroutine:
+// a plan-cache hit, a cold compile, or a profile-guided recompile. On
+// whichever channel comes free, Input payloads are then stored, the
+// batch executes, and every root's value is loaded into the JobResult.
+// No data outlives the request: the job's storage is released before
+// the future resolves, or, for a shape resident on the channel, kept
+// only to be overwritten by the shape's next job — which is what lets
 // millions of requests stream through a fixed set of channels.
 //
 // Admission prices the job before queueing it at the serial time its
-// instructions execute in (exactly the executed critical path on a
-// plan-cache hit, an upper bound from the unoptimized graph on a cold
-// shape; see estimateModeledNs). The price feeds the scheduler's
-// deadline and tier-backlog checks and its fair-share charge, and is
-// surfaced in JobResult.Admission. SubmitJob never blocks on a full
-// queue; it fails immediately with a typed *AdmissionError (wrapping
-// ErrQueueFull, ErrTenantQuota, or ErrDeadlineInfeasible) or the
-// context's error. ctx may be nil (never cancels).
+// plan executes in, which is exactly its executed critical path
+// (Graph.SerialNs over the plan's schedule; 0 for a plan that runs
+// nothing). The price feeds the scheduler's deadline and tier-backlog
+// checks and its fair-share charge, and is surfaced in
+// JobResult.Admission. There is no cheaper check before the compile: a
+// submission the scheduler rejects still leaves its plan cached, so a
+// retry of a cold shape is a plan-cache hit. SubmitJob never blocks on
+// a full queue; it fails immediately with a typed *AdmissionError
+// (wrapping ErrQueueFull, ErrTenantQuota, or ErrDeadlineInfeasible) or
+// the context's error. ctx may be nil (never cancels).
 func (s *Server) SubmitJob(ctx context.Context, spec JobSpec, exprs ...*Expr) (*Future, error) {
 	if len(exprs) == 0 {
 		return nil, errorf("server: nothing to submit")
 	}
-	// A sampled job carries a trace whose root "job" span opens here,
-	// before admission pricing, which the "admit" span covers; the
-	// scheduler records the "queue" span when a worker picks the job
-	// up, from the same admission and dispatch timestamps QueueNs is
-	// measured between. A job rejected at admission or canceled while
-	// still queued never reaches the worker, so its unfinished trace is
-	// dropped rather than recorded; a cancellation still lands in the
-	// event ring (runJob).
+	// A sampled job carries a trace whose root "job" span opens here.
+	// The "admit" span covers the IR build and the "compile" span the
+	// plan and its price; the scheduler records the "queue" span when a
+	// worker picks the job up, from the same admission and dispatch
+	// timestamps QueueNs is measured between. A job rejected at
+	// admission or canceled while still queued never reaches the worker,
+	// so its unfinished trace is dropped rather than recorded; a
+	// cancellation still lands in the event ring (runJob).
 	tr := s.tracer.Start()
 	// The job's IR graph and plan-cache key are built once, here, in one
-	// walk of its expressions: they price the job, and the worker
-	// compiles from them. An expression a Server cannot run on any
-	// channel is rejected outright. Pricing is best-effort: a malformed
-	// expression (e.g. element-count mismatch) keeps its contract of
-	// failing the future at run time — it is admitted unpriced and fails
-	// with the compiler's error.
+	// walk of its expressions. An expression a Server cannot run on any
+	// channel is rejected outright. A malformed expression (e.g.
+	// element-count mismatch) keeps its contract of failing the future at
+	// run time: it is admitted at price 0, since it runs nothing, and
+	// fails with the compiler's error.
 	aspan := tr.Begin("admit", 0)
 	env, envErr := buildEnv(s.channels[0], nil, CompileOptions{}, exprs, true)
 	if _, ok := envErr.(unservable); ok {
 		return nil, envErr
 	}
-	var modeled float64
-	if envErr == nil {
-		modeled = s.estimateModeledNs(env)
-	}
 	tr.End(aspan)
-	f, err := s.submit(ctx, spec, modeled, job{tr: tr, env: env, envErr: envErr, exprs: exprs})
+	j := job{tr: tr, env: env, envErr: envErr, exprs: exprs}
+	var price float64
+	if envErr == nil {
+		cspan := tr.Begin("compile", 0)
+		j.plan, j.cst = planExprs(env, s.plans, tr, cspan)
+		if j.cst.Recompiled {
+			s.rec.Eventf("recompile", "profile-guided recompile after %d jobs (key %.24q…)", j.cst.ProfileJobs, env.key)
+		}
+		dc := &env.sys.cfg.DRAM
+		price = j.plan.Graph.SerialNs(j.plan.Sched, env.sys.model, ctrl.Rounds(env.n, dc.Cols, dc.Banks))
+		tr.End(cspan)
+	}
+	f, err := s.submit(ctx, spec, price, j)
 	if err != nil && env != nil {
 		env.recycle()
 	}
@@ -423,23 +435,25 @@ func (s *Server) SubmitFn(ctx context.Context, spec JobSpec, fn func(sys *System
 	if fn == nil {
 		return nil, errorf("server: nil job")
 	}
-	return s.submit(ctx, spec, 0, job{tr: s.tracer.Start(), fn: fn})
+	return s.submit(ctx, spec, sched.Unpriced, job{tr: s.tracer.Start(), fn: fn})
 }
 
 // job is a served job's work, done on whichever channel comes free:
-// a lazy job's IR environment and roots (SubmitJob), or a raw job's fn
-// (SubmitFn). tr is the job's trace (nil when not sampled).
+// a lazy job's IR environment, plan and roots (SubmitJob), or a raw
+// job's fn (SubmitFn). tr is the job's trace (nil when not sampled).
 type job struct {
 	tr     *obs.Trace
 	env    *compileEnv
 	envErr error // admission's compile-environment error: the lazy job fails with it
+	plan   *graph.Plan
+	cst    CompileStats // how admission acquired plan
 	exprs  []*Expr
 	fn     func(sys *System, cancel <-chan struct{}) error
 }
 
 // submit admits a job under the spec's QoS intent, priced at modeled
-// DRAM-ns (0 when unknown); the worker that picks it up runs it with
-// runJob.
+// DRAM-ns (sched.Unpriced when unknown); the worker that picks it up
+// runs it with runJob.
 func (s *Server) submit(ctx context.Context, spec JobSpec, modeled float64, j job) (*Future, error) {
 	f := &Future{job: j}
 	if tr := j.tr; tr != nil {
@@ -482,7 +496,7 @@ func (s *Server) runJob(f *Future, tenant string, worker int, cancel <-chan stru
 		err = j.fn(sys, cancel)
 		j.tr.End(espan)
 	} else if err = j.envErr; err == nil {
-		err = s.runLazy(sys, worker, cancel, j.env, j.exprs, &f.res, j.tr)
+		err = s.runLazy(sys, worker, cancel, j, &f.res)
 		j.env.recycle()
 	}
 	if err == nil {
@@ -494,25 +508,6 @@ func (s *Server) runJob(f *Future, tenant string, worker int, cancel <-chan stru
 	}
 	s.tracer.Finish(j.tr)
 	return err
-}
-
-// estimateModeledNs prices a lazy submission before it is queued from
-// its freshly built IR graph (no passes run). Every object of a served
-// job sits at segment origin 0, so its instructions run one after
-// another, each for its μProgram latency times the busiest bank's
-// segment count; the price is that serial sum (graph.Graph.SerialNs).
-// A shape the plan cache holds is priced over its plan's schedule,
-// which is the critical path the plan executes in; the lookup perturbs
-// neither hit rate nor recency. A cold shape is priced over the
-// unoptimized graph in program order, an upper bound on what its plan
-// executes in, since folding, CSE and DCE only remove instructions.
-func (s *Server) estimateModeledNs(env *compileEnv) float64 {
-	dc := &env.sys.cfg.DRAM
-	rounds := ctrl.Rounds(env.n, dc.Cols, dc.Banks)
-	if ns, ok := s.plans.Price(env.key, env.sys.model, rounds); ok {
-		return ns
-	}
-	return env.g.SerialNs(nil, env.sys.model, rounds)
 }
 
 // hitMemo is one channel's memo of resident prepared programs for
@@ -701,14 +696,12 @@ func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lo
 	return lw, nil
 }
 
-// runLazy is the per-job serving pipeline on one channel: plan the
-// IR graph admission built (cache hit, cold compile, or
-// profile-guided recompile), bind payloads, execute with preemptive
+// runLazy is the per-job serving pipeline on one channel, from the
+// plan admission acquired: bind payloads, execute with preemptive
 // cancellation, fold the prepared program's per-op durations into the
-// shape's profile, load every root, release everything. tr (nil when
+// shape's profile, load every root, release everything. j.tr (nil when
 // the job is unsampled) receives the pipeline's span tree:
-// compile{cache-lookup[, schedule], lower} → prepare[{resolve}] →
-// execute[worker]{run} → gather.
+// lower → prepare[{resolve}] → execute[worker]{run} → gather.
 //
 // A plan-cache hit on a shape the channel's memo holds resident (see
 // hitMemo) replays the entry: its "lower" span only stores the inputs
@@ -720,15 +713,10 @@ func bindJob(sys *System, env *compileEnv, plan *graph.Plan, exprs []*Expr) (*lo
 //
 // runLazy bills nothing itself: its one batch adds to the channel
 // unit's sink, which runJob bills when the job ends.
-func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *compileEnv, exprs []*Expr, res *JobResult, tr *obs.Trace) error {
-	cspan := tr.Begin("compile", 0)
-	env.sys = sys
-	plan, cst := planExprs(env, s.plans, tr, cspan)
-	res.Compile = cst
-	if cst.Recompiled {
-		s.rec.Eventf("recompile", "profile-guided recompile after %d jobs (key %.24q…)", cst.ProfileJobs, env.key)
-	}
-	lspan := tr.Begin("lower", cspan)
+func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, j *job, res *JobResult) error {
+	env, plan, exprs, tr := j.env, j.plan, j.exprs, j.tr
+	res.Compile = j.cst
+	lspan := tr.Begin("lower", 0)
 	memo := &s.hits[worker]
 	var lw *lowered
 	var pp *preparedProgram
@@ -752,7 +740,6 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		}
 	}
 	tr.End(lspan)
-	tr.End(cspan)
 	if err != nil {
 		return err
 	}
@@ -789,7 +776,7 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, env *c
 		// A full-path program the memo does not keep ran once and is
 		// dropped: recycle its storage.
 		if hit == nil {
-			kept = err == nil && cst.CacheHit && memo.record(env.key, plan, env.n, lw, pp)
+			kept = err == nil && j.cst.CacheHit && memo.record(env.key, plan, env.n, lw, pp)
 			if !kept {
 				pp.release()
 			}
@@ -843,9 +830,8 @@ type TierServerStats struct {
 	sched.TierStats
 	// ShareOfDevice is the tier's fraction of the modeled time charged
 	// to all tiers (TierStats.ModeledNs: admission prices, not executed
-	// time; 0 when nothing has run). A plan-cache hit is charged
-	// exactly its executed time, a cold shape its unoptimized graph's
-	// serial time, which is at least its executed time.
+	// time; 0 when nothing has run). A lazy job is charged exactly its
+	// executed time, or the dispatch's 1 ns floor when it runs nothing.
 	ShareOfDevice float64
 }
 

@@ -852,3 +852,26 @@ func TestServerMemoEvictHookConcurrent(t *testing.T) {
 		requireRowsResident(t, srv, ch, "after the clients")
 	}
 }
+
+// TestServerConcurrentClose closes a server whose memo holds a resident
+// shape from two goroutines at once: one tears the server down, and the
+// other returns once it has, so the memo's entry is released once.
+func TestServerConcurrentClose(t *testing.T) {
+	srv := memoServer(t, nil)
+	warmMemo(t, srv, rand.New(rand.NewSource(45)))
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.Close()
+		}()
+	}
+	wg.Wait()
+	if len(srv.hits[0].entries) != 0 {
+		t.Fatal("Close left the memo's entries")
+	}
+	if _, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "late"}, func(*System, <-chan struct{}) error { return nil }); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submission after Close: %v, want ErrServerClosed", err)
+	}
+}

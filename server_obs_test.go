@@ -105,10 +105,12 @@ func TestServerTracesEveryJobAtFullSampling(t *testing.T) {
 					jt.ID, name, sp.StartNs, sp.EndNs, par.Name, par.StartNs, par.EndNs)
 			}
 		}
-		// Admission pricing (the IR build) is a child of the job span
-		// that ends before the job is queued.
-		if ad, q := spanByName(jt, "admit"), spanByName(jt, "queue"); ad.Parent != 0 || ad.EndNs > q.StartNs {
-			t.Fatalf("trace %d: admit span %+v must be a child of job that ends before queue %+v", jt.ID, ad, q)
+		// Admission (the IR build) and the compile that prices the job
+		// are children of the job span that end before the job is
+		// queued, in that order.
+		ad, cp, q := spanByName(jt, "admit"), spanByName(jt, "compile"), spanByName(jt, "queue")
+		if ad.Parent != 0 || cp.Parent != 0 || ad.EndNs > cp.StartNs || cp.EndNs > q.StartNs {
+			t.Fatalf("trace %d: admit %+v and compile %+v must be children of job that end before queue %+v", jt.ID, ad, cp, q)
 		}
 		// Channel-bound stages carry the channel that ran the job.
 		ex := spanByName(jt, "execute")
@@ -131,8 +133,9 @@ func TestServerSpanDurationsMatchLatencySplit(t *testing.T) {
 	// The acceptance criterion: a traced job's top-level span durations
 	// must sum (within tolerance) to the job's reported latency split
 	// (QueueNs + RunNs). Queue is measured by both clocks with
-	// microseconds of skew; the top-level pipeline spans (compile,
-	// prepare, execute, gather) tile the worker's run window.
+	// microseconds of skew; the top-level pipeline spans (lower,
+	// prepare, execute, gather) tile the worker's run window. Admission
+	// and the compile precede the ticket, so they are not part of it.
 	srv := obsServer(t, 1, nil)
 	rng := rand.New(rand.NewSource(5))
 	a, b := randData(rng, 256, 8), randData(rng, 256, 8)
@@ -155,7 +158,7 @@ func TestServerSpanDurationsMatchLatencySplit(t *testing.T) {
 		t.Fatalf("trace %d not in recorder", res.TraceID)
 	}
 	var sum int64
-	for _, name := range []string{"queue", "compile", "prepare", "execute", "gather"} {
+	for _, name := range []string{"queue", "lower", "prepare", "execute", "gather"} {
 		sp := spanByName(*jt, name)
 		if sp == nil {
 			t.Fatalf("missing span %q", name)
@@ -228,8 +231,9 @@ func TestServerQueueSpanIsQueueNs(t *testing.T) {
 
 // TestServerAdmissionTracing checks the admission edge of tracing: a
 // submission rejected at admission records no trace, even though its
-// trace opened before pricing, and a malformed job — admitted
-// unpriced — fails its future with the compiler's error.
+// trace opened before pricing, and a malformed job — admitted at
+// price 0, since it runs nothing — fails its future with the
+// compiler's error.
 func TestServerAdmissionTracing(t *testing.T) {
 	srv := obsServer(t, 1, nil)
 	rng := rand.New(rand.NewSource(3))
@@ -245,7 +249,7 @@ func TestServerAdmissionTracing(t *testing.T) {
 	bad := Input(randData(rng, 64, 8), 8).Add(Input(randData(rng, 32, 8), 8))
 	fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: "t1"}, bad)
 	if err != nil {
-		t.Fatalf("a malformed job must be admitted unpriced: %v", err)
+		t.Fatalf("a malformed job must be admitted: %v", err)
 	}
 	if fut.res.Admission.ModeledNs != 0 {
 		t.Fatalf("malformed job priced at %vns", fut.res.Admission.ModeledNs)
