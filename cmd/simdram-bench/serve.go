@@ -43,13 +43,13 @@ var (
 // samples.
 // The demo also exercises the device-telemetry layer: every tenant's
 // per-job batch stats are re-summed demo-side and cross-checked
-// against the server's attribution bills (tenant.energy_pj,
-// tenant.dram_ns), channel bills must sum to tenant bills, and a
-// deliberately slow "slowpoke" tenant trips a configured run_p99 SLO
-// whose burn-rate event must land in the flight recorder. With
-// -telemetry-addr the demo serves /metrics (Prometheus exposition) and
-// /debug/simdram (JSON) while it runs, and -telemetry-hold keeps the
-// endpoint up afterwards for scrapers.
+// against the tenant's bill in Stats (ModeledNs, EnergyPJ; exported as
+// tenant.dram_ns and tenant.energy_pj), channel bills must sum to
+// tenant bills, and a deliberately slow "slowpoke" tenant trips a
+// configured run_p99 SLO whose burn-rate event must land in the flight
+// recorder. With -telemetry-addr the demo serves /metrics (Prometheus
+// exposition) and /debug/simdram (JSON) while it runs, and
+// -telemetry-hold keeps the endpoint up afterwards for scrapers.
 func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAddr string, telemetryHold time.Duration, m metrics) error {
 	if tenants < 1 || jobs < 1 || inflight < 1 || channels < 1 {
 		return fmt.Errorf("-serve needs positive -tenants/-jobs/-inflight/-channels")
@@ -327,11 +327,10 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 		return fmt.Errorf("serving demo: SLO breach emitted no burn-rate event into the flight recorder")
 	}
 
-	// Attribution audit: the server's device bills are an independent
-	// pipeline (per-bank attribution summed through the registry); they
-	// must agree with the demo's own re-aggregation of each tenant's
-	// batch stats, and the channel bills must sum to the tenant bills.
-	dev := srv.DeviceStats()
+	// Attribution audit: each tenant's bill must agree with the demo's
+	// own re-aggregation of its jobs' batch stats, and the channel
+	// bills (per-bank attribution) must sum to the tenant bills.
+	billed := srv.Stats()
 	relDiff := func(a, b float64) float64 {
 		if a == b {
 			return 0
@@ -340,30 +339,32 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 	}
 	var steadyEnergy float64
 	for tenant, want := range demoEnergy {
-		bill, ok := dev.Tenants[tenant]
+		bill, ok := billed.Tenants[tenant]
 		if !ok {
-			return fmt.Errorf("serving demo: tenant %s has no device bill", tenant)
+			return fmt.Errorf("serving demo: tenant %s has no bill", tenant)
 		}
 		if relDiff(bill.EnergyPJ, want) > 1e-9 {
 			return fmt.Errorf("serving demo: tenant %s billed %.3f pJ, its batches reported %.3f pJ", tenant, bill.EnergyPJ, want)
 		}
-		if relDiff(bill.DRAMNs, demoDRAM[tenant]) > 1e-9 {
-			return fmt.Errorf("serving demo: tenant %s billed %.3f DRAM-ns, its batches reported %.3f", tenant, bill.DRAMNs, demoDRAM[tenant])
+		if relDiff(bill.ModeledNs, demoDRAM[tenant]) > 1e-9 {
+			return fmt.Errorf("serving demo: tenant %s billed %.3f DRAM-ns, its batches reported %.3f", tenant, bill.ModeledNs, demoDRAM[tenant])
 		}
 		steadyEnergy += want
 	}
-	var chanEnergy, chanBusy, billedTotal float64
-	for _, ch := range dev.Channels {
+	var chanEnergy, chanBusy, billedTotal, tenantEnergy float64
+	for _, ch := range billed.Device {
 		chanEnergy += ch.EnergyPJ
 		chanBusy += ch.BusyNs
 	}
-	var tenantEnergy float64
-	for _, bill := range dev.Tenants {
+	for _, bill := range billed.Tenants {
 		tenantEnergy += bill.EnergyPJ
-		billedTotal += bill.DRAMNs
+		billedTotal += bill.ModeledNs
 	}
 	if relDiff(chanEnergy, tenantEnergy) > 1e-9 {
 		return fmt.Errorf("serving demo: channel energy bills sum to %.3f pJ, tenant bills to %.3f pJ", chanEnergy, tenantEnergy)
+	}
+	if relDiff(chanBusy, billedTotal) > 1e-9 {
+		return fmt.Errorf("serving demo: channel busy time sums to %.3f ns, tenant bills to %.3f ns", chanBusy, billedTotal)
 	}
 
 	fmt.Printf("serving demo: %d tenants × %d jobs (%d in flight each) over %d channels, %d shapes × %d elements\n",
@@ -381,7 +382,7 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 	fmt.Printf("  admission:          %d submitted, %d completed, %d rejected, %d canceled\n",
 		st.Submitted, st.Completed, st.Rejected, st.Canceled)
 	fmt.Printf("  device telemetry:   ")
-	for i, ch := range dev.Channels {
+	for i, ch := range billed.Device {
 		if i > 0 {
 			fmt.Printf(", ")
 		}
@@ -389,10 +390,8 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 			ch.Channel, ch.BusyNs/1e3, ch.EnergyPJ/1e3, ch.Commands, ch.Utilization)
 	}
 	fmt.Println()
-	// Per-tenant utilization from the attribution bills (each tenant's
-	// share of all billed DRAM time), cross-checked against the
-	// scheduler's independently-modeled time: >1% divergence between the
-	// two pipelines is a billing bug, not noise.
+	// Per-tenant utilization from the bills: each tenant's share of all
+	// billed DRAM time.
 	fmt.Printf("  per-tenant p99 run: ")
 	names := make([]string, 0, len(st.Tenants))
 	for name := range st.Tenants {
@@ -400,7 +399,6 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 	}
 	sort.Strings(names)
 	shown := 0
-	var diverged []string
 	for _, name := range names {
 		if name == "warmup" || name == "slowpoke" {
 			continue
@@ -411,23 +409,15 @@ func runServeDemo(tenants, jobs, inflight, channels, traceJobs int, telemetryAdd
 		ts := st.Tenants[name]
 		util := 0.0
 		if billedTotal > 0 {
-			util = dev.Tenants[name].DRAMNs / billedTotal
+			util = billed.Tenants[name].ModeledNs / billedTotal
 		}
 		fmt.Printf("%s %.2fms (util %.2f)", name, float64(ts.RunP99Ns)/1e6, util)
-		if ts.ModeledNs > 0 && relDiff(ts.BilledNs, ts.ModeledNs) > 0.01 {
-			fmt.Printf(" [BILLING DIVERGED: billed %.0fns vs modeled %.0fns]", ts.BilledNs, ts.ModeledNs)
-			diverged = append(diverged, name)
-		}
 		shown++
 	}
 	fmt.Println()
 	fmt.Printf("  slo:                slowpoke run_p99 %.2fms > %.2fms target, burn %.0fx over %d samples (%d event)\n",
 		float64(slowpoke.CurrentNs)/1e6, float64(slowpokeTargetNs)/1e6, slowpoke.BurnRate, slowpoke.Samples, sloEvents)
 	printTraces(srv, traceJobs)
-
-	if len(diverged) > 0 {
-		return fmt.Errorf("serving demo: tenants %v: billed DRAM time diverges >1%% from the scheduler's modeled time", diverged)
-	}
 
 	m["serve.jobs"] = float64(total)
 	m["serve.jobs_per_sec"] = jobsPerSec

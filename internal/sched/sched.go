@@ -294,12 +294,14 @@ type tenantState struct {
 
 	submitted, completed, failed, rejected, canceled uint64
 	busyNs, waitNs                                   int64
-	modeledNs                                        float64
-	// modeledCtr mirrors modeledNs as the registry series
-	// sched.modeled_ns{tenant=T}, so the device-attribution pipeline can
-	// cross-check its per-tenant DRAM-time bills against what the
-	// scheduler observed without going through Stats.
-	modeledCtr *obs.FloatCounter
+	// modeledNs and energyPJ are the tenant's bill: the modeled DRAM
+	// time and energy of its executed jobs, as reported through
+	// Observe. dramCtr and energyCtr export them as the registry series
+	// tenant.dram_ns{tenant=T} and tenant.energy_pj{tenant=T}; Stats
+	// reads the fields, which stay the tenant's own past the
+	// registry's series cap.
+	modeledNs, energyPJ float64
+	dramCtr, energyCtr  *obs.FloatCounter
 
 	// queueHist/runHist are the tenant's latency distributions,
 	// registered as sched.queue_ns{tenant=T} / sched.run_ns{tenant=T}.
@@ -673,15 +675,16 @@ func (s *Scheduler) pop() *Ticket {
 	return j
 }
 
-// Observe feeds one executed job's modeled cost back into the
-// tenant's accounting — the serving layer reports each completed
-// batch's modeled DRAM time (critical path) here, so capacity stats
-// can price tenants in simulated-hardware time rather than host wall
-// time (which inflates under host contention). The trailing average
-// charge (which prices estimate-less submissions) updates here too.
+// Observe bills one executed job to its tenant: the serving layer
+// reports each completed job's modeled DRAM time (its batches'
+// critical paths) and energy here, so tenants are billed in
+// simulated-hardware time rather than host wall time (which inflates
+// under host contention). The tenant's record is its one ledger. The
+// trailing average charge (which prices estimate-less submissions)
+// updates here too. A job that ran no DRAM time bills nothing.
 // Unknown tenants (e.g. already evicted by the tenant-state cap) are
 // recorded fresh.
-func (s *Scheduler) Observe(tenant string, modeledNs float64) {
+func (s *Scheduler) Observe(tenant string, modeledNs, energyPJ float64) {
 	if modeledNs <= 0 {
 		return
 	}
@@ -689,7 +692,9 @@ func (s *Scheduler) Observe(tenant string, modeledNs float64) {
 	defer s.mu.Unlock()
 	ts := s.tenantLocked(tenant)
 	ts.modeledNs += modeledNs
-	ts.modeledCtr.Add(modeledNs)
+	ts.energyPJ += energyPJ
+	ts.dramCtr.Add(modeledNs)
+	ts.energyCtr.Add(energyPJ)
 	if s.avgChargeNs <= 0 {
 		s.avgChargeNs = modeledNs
 	} else {
@@ -715,11 +720,12 @@ func (s *Scheduler) tenantLocked(tenant string) *tenantState {
 	ts := s.tenants[tenant]
 	if ts == nil {
 		ts = &tenantState{
-			tier:       DefaultTierName,
-			weight:     1,
-			queueHist:  s.metrics.Histogram(obs.TenantSeries("sched.queue_ns", "tenant", tenant)),
-			runHist:    s.metrics.Histogram(obs.TenantSeries("sched.run_ns", "tenant", tenant)),
-			modeledCtr: s.metrics.FloatCounter(obs.TenantSeries("sched.modeled_ns", "tenant", tenant)),
+			tier:      DefaultTierName,
+			weight:    1,
+			queueHist: s.metrics.Histogram(obs.TenantSeries("sched.queue_ns", "tenant", tenant)),
+			runHist:   s.metrics.Histogram(obs.TenantSeries("sched.run_ns", "tenant", tenant)),
+			dramCtr:   s.metrics.FloatCounter(obs.TenantSeries("tenant.dram_ns", "tenant", tenant)),
+			energyCtr: s.metrics.FloatCounter(obs.TenantSeries("tenant.energy_pj", "tenant", tenant)),
 		}
 		s.tenants[tenant] = ts
 	}
@@ -925,9 +931,11 @@ type TenantStats struct {
 	// WaitNs cumulative time they spent queued. Monotonic, never
 	// negative, regardless of the order jobs complete in.
 	BusyNs, WaitNs int64
-	// ModeledNs is the cumulative modeled execution cost reported via
-	// Observe — zero unless the execution layer feeds its stats back.
-	ModeledNs float64
+	// ModeledNs and EnergyPJ are the tenant's bill: the cumulative
+	// modeled DRAM time and energy reported via Observe, zero unless
+	// the execution layer feeds its stats back. A record evicted by the
+	// tenant-state cap takes its bill with it.
+	ModeledNs, EnergyPJ float64
 	// Queue/Run quantiles come from the tenant's log-scale latency
 	// histograms (relative error bounded at 1/8): honest tail latency
 	// per tenant, not a mean in disguise. Zero until a job finishes.
@@ -997,7 +1005,7 @@ func (s *Scheduler) Stats() Stats {
 			Rejected: ts.rejected, Canceled: ts.canceled,
 			Queued: len(ts.queue), Running: ts.running,
 			BusyNs: ts.busyNs, WaitNs: ts.waitNs,
-			ModeledNs:  ts.modeledNs,
+			ModeledNs: ts.modeledNs, EnergyPJ: ts.energyPJ,
 			QueueP50Ns: qh.Quantile(0.50), QueueP99Ns: qh.Quantile(0.99), QueueP999Ns: qh.Quantile(0.999),
 			RunP50Ns: rh.Quantile(0.50), RunP99Ns: rh.Quantile(0.99), RunP999Ns: rh.Quantile(0.999),
 		}

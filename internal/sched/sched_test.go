@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"simdram/internal/obs"
 )
 
 // blockedScheduler returns a 1-worker scheduler whose worker is
@@ -354,12 +356,14 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	}
 }
 
-// TestObserveFeedsTenantModeledTime pins the execution-stats feedback
-// path: modeled costs reported through Observe accumulate per tenant,
-// non-positive reports are ignored, and unknown tenants get a fresh
+// TestObserveFeedsTenantModeledTime pins the tenant ledger: modeled
+// time and energy reported through Observe accumulate in the tenant's
+// record and its tenant.dram_ns / tenant.energy_pj series, reports
+// with no modeled time are ignored, and unknown tenants get a fresh
 // record.
 func TestObserveFeedsTenantModeledTime(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4})
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 1, QueueDepth: 4, Metrics: reg})
 	defer s.Close()
 	tk, err := s.Submit(nil, "a", func(int, <-chan struct{}) error { return nil })
 	if err != nil {
@@ -368,16 +372,25 @@ func TestObserveFeedsTenantModeledTime(t *testing.T) {
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	s.Observe("a", 1500)
-	s.Observe("a", 500)
-	s.Observe("a", 0)          // ignored
-	s.Observe("a", -10)        // ignored
-	s.Observe("phantom", 2000) // never submitted: fresh record
+	s.Observe("a", 1500, 30)
+	s.Observe("a", 500, 10)
+	s.Observe("a", 0, 7)          // ignored
+	s.Observe("a", -10, 7)        // ignored
+	s.Observe("phantom", 2000, 5) // never submitted: fresh record
 	st := s.Stats()
-	if got := st.Tenants["a"].ModeledNs; got != 2000 {
-		t.Fatalf("tenant a ModeledNs = %v, want 2000", got)
-	}
-	if got := st.Tenants["phantom"].ModeledNs; got != 2000 {
-		t.Fatalf("phantom tenant ModeledNs = %v, want 2000", got)
+	for _, c := range []struct {
+		tenant          string
+		modeled, energy float64
+	}{{"a", 2000, 40}, {"phantom", 2000, 5}} {
+		ts := st.Tenants[c.tenant]
+		if ts.ModeledNs != c.modeled || ts.EnergyPJ != c.energy {
+			t.Errorf("tenant %s billed %v ns / %v pJ, want %v / %v", c.tenant, ts.ModeledNs, ts.EnergyPJ, c.modeled, c.energy)
+		}
+		if got := reg.FloatCounter(obs.TenantSeries("tenant.dram_ns", "tenant", c.tenant)).Value(); got != c.modeled {
+			t.Errorf("tenant.dram_ns{tenant=%s} = %v, want %v", c.tenant, got, c.modeled)
+		}
+		if got := reg.FloatCounter(obs.TenantSeries("tenant.energy_pj", "tenant", c.tenant)).Value(); got != c.energy {
+			t.Errorf("tenant.energy_pj{tenant=%s} = %v, want %v", c.tenant, got, c.energy)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package verify statically checks a compiled isa.Program (and,
 // optionally, the object binding it will run against) before anything
 // is issued to the control unit. The SIMDRAM lowering chain — graph
-// DAG → isa.Program → ctrl batch plan → uprog.ResolvedStream — is
+// DAG → isa.Program → ctrl batch plan → lowered uprog.Template views — is
 // otherwise only validated dynamically, so a miscompile (a slot-reuse
 // WAR bug, a stale hazard edge, a width mismatch on a custom op)
 // would surface as silently wrong results. The verifier turns those

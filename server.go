@@ -478,11 +478,11 @@ func (s *Server) submit(ctx context.Context, spec JobSpec, modeled float64, j jo
 // control unit adds every batch it runs to its per-bank sink (see
 // ctrl.Attribution), and runJob resets the sink first, so what the
 // sink holds when the job ends is the job's bill, for lazy and raw
-// jobs alike: its modeled DRAM time (the batches' critical paths) feeds
-// the scheduler's per-tenant accounting, and the tenant, the channel
-// and its banks are billed (observeJob). A failed job bills nothing;
-// its failure marks the trace and lands in the event ring. The trace
-// goes to the flight recorder.
+// jobs alike: the channel and its banks are billed (observeJob), and
+// the job's modeled DRAM time (the batches' critical paths) and energy
+// go to the tenant's one ledger, its scheduler record (Observe). A
+// failed job bills nothing; its failure marks the trace and lands in
+// the event ring. The trace goes to the flight recorder.
 func (s *Server) runJob(f *Future, tenant string, worker int, cancel <-chan struct{}) error {
 	j := &f.job
 	sys := s.channels[worker]
@@ -500,8 +500,8 @@ func (s *Server) runJob(f *Future, tenant string, worker int, cancel <-chan stru
 		j.env.recycle()
 	}
 	if err == nil {
-		s.sched.Observe(tenant, bill.SpanNs)
-		s.dev.observeJob(tenant, worker, bill, int64(time.Since(start)))
+		energy := s.dev.observeJob(worker, bill, int64(time.Since(start)))
+		s.sched.Observe(tenant, bill.SpanNs, energy)
 	} else {
 		j.tr.SetErr(err.Error())
 		s.rec.Eventf("error", "tenant %s: %v", tenant, err)
@@ -803,22 +803,16 @@ func (s *Server) runLazy(sys *System, worker int, cancel <-chan struct{}, j *job
 }
 
 // TenantServerStats is one tenant's serving counters: the scheduler's
-// (tier, counters, wall and modeled busy time, and queue/run latency
-// quantiles from the tenant's log-scale histograms, bounded relative
-// error 1/8; ModeledNs is the batch critical path of the tenant's
-// completed jobs) plus its share of execution time and its bills.
+// (tier, counters, wall busy time, queue/run latency quantiles from
+// the tenant's log-scale histograms, bounded relative error 1/8, and
+// its bill: ModeledNs and EnergyPJ, the batch critical paths and
+// energy of the tenant's completed jobs) plus its share of execution
+// time.
 type TenantServerStats struct {
 	sched.TenantStats
 	// Utilization is the tenant's share of all execution time the
 	// server has performed so far (0 when nothing has run).
 	Utilization float64
-	// BilledNs/BilledEnergyPJ are the device-attribution pipeline's
-	// cumulative bills for the tenant (tenant.dram_ns / tenant.energy_pj
-	// series): modeled DRAM time and energy its jobs consumed. BilledNs
-	// tracks ModeledNs — the two are computed by independent pipelines
-	// and cross-checked by the -serve demo.
-	BilledNs       float64
-	BilledEnergyPJ float64
 }
 
 // TierServerStats is one QoS tier's serving counters: the scheduler's
@@ -856,13 +850,19 @@ type ServerStats struct {
 	// the 1s/10s/60s windows (zero until the telemetry pump has a
 	// baseline sample).
 	Rates []WindowRates
+	// Device is the per-channel device attribution: busy time, energy,
+	// commands and utilization. While no tenant record has been
+	// evicted, the channels' busy time and energy sum to the tenants'
+	// ModeledNs and EnergyPJ.
+	Device []ChannelTelemetry
 }
 
 // CacheHitRate returns the plan cache's hit rate.
 func (s ServerStats) CacheHitRate() float64 { return s.Cache.HitRate() }
 
 // Stats returns a snapshot of queue depth, admission counters, plan
-// cache hit rate, and per-tenant utilization.
+// cache hit rate, per-tenant utilization and bills, and per-channel
+// device attribution.
 func (s *Server) Stats() ServerStats {
 	ss := s.sched.Stats()
 	st := ServerStats{
@@ -875,6 +875,7 @@ func (s *Server) Stats() ServerStats {
 		Tenants: make(map[string]TenantServerStats, len(ss.Tenants)),
 		Tiers:   make(map[string]TierServerStats, len(ss.Tiers)),
 		Rates:   s.dev.rates(s.nowNs(), ss.Completed, ss.Rejected),
+		Device:  s.dev.channels(),
 	}
 	var totalTierModeled float64
 	for _, ts := range ss.Tiers {
@@ -887,7 +888,6 @@ func (s *Server) Stats() ServerStats {
 		}
 		st.Tiers[name] = t
 	}
-	bills := s.dev.snapshot().Tenants
 	var totalBusy int64
 	for _, ts := range ss.Tenants {
 		totalBusy += ts.BusyNs
@@ -896,10 +896,6 @@ func (s *Server) Stats() ServerStats {
 		t := TenantServerStats{TenantStats: ts}
 		if totalBusy > 0 {
 			t.Utilization = float64(ts.BusyNs) / float64(totalBusy)
-		}
-		if b, ok := bills[name]; ok {
-			t.BilledNs = b.DRAMNs
-			t.BilledEnergyPJ = b.EnergyPJ
 		}
 		st.Tenants[name] = t
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the server's device-telemetry layer: per-channel and
-// per-bank resource attribution (busy time, commands, energy billed to
-// the tenant that caused them), windowed rates over the admission
-// counters, and declarative SLO tracking with burn-rate events. See
-// docs/observability.md ("Device telemetry").
+// per-bank resource attribution (busy time, commands, energy; the
+// tenant that caused them is billed in its scheduler record), windowed
+// rates over the admission counters, and declarative SLO tracking with
+// burn-rate events. See docs/observability.md ("Device telemetry").
 
 // Windows the serving stats report trailing rates over.
 var rateWindows = []time.Duration{time.Second, 10 * time.Second, 60 * time.Second}
@@ -24,9 +24,13 @@ var rateWindows = []time.Duration{time.Second, 10 * time.Second, 60 * time.Secon
 // window resolution).
 const telemetrySlice = 100 * time.Millisecond
 
-// telemetrySlices sizes the rings to retain a bit more than the widest
-// rate window (60 s) at telemetrySlice resolution.
-const telemetrySlices = int(64*time.Second/telemetrySlice) + 1
+// telemetryHistory is how far back the windowed rings reach: a bit
+// more than the widest rate window (60 s). It bounds an SLO's Window.
+const telemetryHistory = 64 * time.Second
+
+// telemetrySlices sizes the rings to retain telemetryHistory at
+// telemetrySlice resolution.
+const telemetrySlices = int(telemetryHistory/telemetrySlice) + 1
 
 // SLO declares one latency objective the server evaluates continuously:
 // the Metric quantile of Tenant's jobs must stay at or below TargetNs
@@ -40,7 +44,8 @@ type SLO struct {
 	Tenant   string
 	Metric   string
 	TargetNs int64
-	// Window is the trailing evaluation window; 0 defaults to 10s.
+	// Window is the trailing evaluation window; 0 defaults to 10s, and
+	// it may not exceed the 64s of history the server retains.
 	Window time.Duration
 }
 
@@ -124,6 +129,9 @@ func newSLOTrackers(slos []SLO, metrics *obs.Registry) ([]*sloTracker, error) {
 		if cfg.Window <= 0 {
 			cfg.Window = 10 * time.Second
 		}
+		if cfg.Window > telemetryHistory {
+			return nil, errorf("server: SLO %d: window %v exceeds the %v of telemetry history the server retains", i, cfg.Window, telemetryHistory)
+		}
 		name := base
 		if cfg.Tenant != "" {
 			name = obs.TenantSeries(base, "tenant", cfg.Tenant)
@@ -156,16 +164,11 @@ func (sl *sloTracker) status(nowNs int64) SLOStatus {
 	return st
 }
 
-// tenantBill is one tenant's cumulative device attribution.
-type tenantBill struct {
-	dramNs   *obs.FloatCounter
-	energyPJ *obs.FloatCounter
-}
-
 // deviceTelemetry aggregates per-job attribution into registry series
 // and keeps the windowed rings the rate and utilization surfaces read.
 // One instance per Server; per-channel state is only ever touched by
-// that channel's worker, tenant bills are created under mu.
+// that channel's worker. It holds no per-tenant state: a tenant's bill
+// is its scheduler record (sched.Scheduler.Observe).
 type deviceTelemetry struct {
 	reg *obs.Registry
 	// completed and rejected are the scheduler's sched.completed and
@@ -188,9 +191,6 @@ type deviceTelemetry struct {
 
 	totalEnergy *obs.FloatCounter // device.energy_pj
 
-	mu      sync.Mutex
-	tenants map[string]*tenantBill
-
 	// Windowed rings, recorded by the telemetry pump.
 	jobsWin   *obs.WindowedSeries
 	rejWin    *obs.WindowedSeries
@@ -203,7 +203,6 @@ func newDeviceTelemetry(channels, banks int, reg *obs.Registry) *deviceTelemetry
 		reg:         reg,
 		completed:   reg.Counter("sched.completed"),
 		rejected:    reg.Counter("sched.rejected"),
-		tenants:     map[string]*tenantBill{},
 		totalEnergy: reg.FloatCounter("device.energy_pj"),
 		jobsWin:     obs.NewWindowedSeries(telemetrySlice, telemetrySlices),
 		rejWin:      obs.NewWindowedSeries(telemetrySlice, telemetrySlices),
@@ -235,30 +234,12 @@ func newDeviceTelemetry(channels, banks int, reg *obs.Registry) *deviceTelemetry
 	return d
 }
 
-// bill returns (creating on first sight) the tenant's cumulative
-// attribution series: tenant.dram_ns{tenant=T} and
-// tenant.energy_pj{tenant=T}.
-func (d *deviceTelemetry) bill(tenant string) *tenantBill {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b := d.tenants[tenant]
-	if b == nil {
-		b = &tenantBill{
-			dramNs:   d.reg.FloatCounter(obs.TenantSeries("tenant.dram_ns", "tenant", tenant)),
-			energyPJ: d.reg.FloatCounter(obs.TenantSeries("tenant.energy_pj", "tenant", tenant)),
-		}
-		d.tenants[tenant] = b
-	}
-	return b
-}
-
-// observeJob folds one completed job's bill into the channel, bank,
-// and tenant series. The tenant is billed its batches' modeled
-// critical paths (SpanNs — the DRAM time its job actually occupied the
-// channel for under the overlap-aware model, the same quantity
-// sched.Observe records) and the job's total energy; the channel and
-// its banks absorb the per-bank detail.
-func (d *deviceTelemetry) observeJob(tenant string, worker int, at *ctrl.Attribution, wallRunNs int64) {
+// observeJob folds one completed job's bill into the channel and bank
+// series and returns the job's total energy. The channel is billed its
+// batches' modeled critical paths (SpanNs — the DRAM time the job
+// occupied it for under the overlap-aware model) and the energy; its
+// banks absorb the per-bank detail.
+func (d *deviceTelemetry) observeJob(worker int, at *ctrl.Attribution, wallRunNs int64) (energyPJ float64) {
 	var energy float64
 	for b := range at.BusyNs {
 		if at.BusyNs[b] > 0 {
@@ -276,9 +257,7 @@ func (d *deviceTelemetry) observeJob(tenant string, worker int, at *ctrl.Attribu
 	d.commands[worker].Add(uint64(at.TotalCommands()))
 	d.wallBusy[worker].Add(float64(wallRunNs))
 	d.totalEnergy.Add(energy)
-	b := d.bill(tenant)
-	b.dramNs.Add(at.SpanNs)
-	b.energyPJ.Add(energy)
+	return energy
 }
 
 // record samples the cumulative totals into the windowed rings and
@@ -330,7 +309,7 @@ func (d *deviceTelemetry) rates(nowNs int64, completed, rejected uint64) []Windo
 }
 
 // ChannelTelemetry is one channel's cumulative device attribution plus
-// its trailing utilization, as reported by Server.DeviceStats.
+// its trailing utilization, as reported in ServerStats.Device.
 type ChannelTelemetry struct {
 	Channel int
 	// BusyNs is the modeled DRAM time of the jobs the channel ran (sum
@@ -345,27 +324,11 @@ type ChannelTelemetry struct {
 	Utilization float64
 }
 
-// TenantDeviceStats is one tenant's cumulative device bill.
-type TenantDeviceStats struct {
-	// DRAMNs is the modeled DRAM time billed to the tenant — the summed
-	// critical paths of its jobs, the capacity measure deadline-aware
-	// admission will price.
-	DRAMNs   float64
-	EnergyPJ float64
-}
-
-// DeviceStats is the device-attribution snapshot: who used the
-// hardware (tenants) and where the usage landed (channels).
-type DeviceStats struct {
-	Channels []ChannelTelemetry
-	Tenants  map[string]TenantDeviceStats
-}
-
-// snapshot builds the public device-stats view.
-func (d *deviceTelemetry) snapshot() DeviceStats {
-	st := DeviceStats{Channels: make([]ChannelTelemetry, len(d.busy))}
+// channels builds the per-channel device view.
+func (d *deviceTelemetry) channels() []ChannelTelemetry {
+	out := make([]ChannelTelemetry, len(d.busy))
 	for ch := range d.busy {
-		st.Channels[ch] = ChannelTelemetry{
+		out[ch] = ChannelTelemetry{
 			Channel:     ch,
 			BusyNs:      d.busy[ch].Value(),
 			WallBusyNs:  d.wallBusy[ch].Value(),
@@ -374,13 +337,7 @@ func (d *deviceTelemetry) snapshot() DeviceStats {
 			Utilization: float64(d.util[ch].Value()) / 1e6,
 		}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st.Tenants = make(map[string]TenantDeviceStats, len(d.tenants))
-	for name, b := range d.tenants {
-		st.Tenants[name] = TenantDeviceStats{DRAMNs: b.dramNs.Value(), EnergyPJ: b.energyPJ.Value()}
-	}
-	return st
+	return out
 }
 
 // nowNs is the server's monotonic telemetry clock: nanoseconds since
@@ -447,11 +404,6 @@ func (s *Server) SLOStatus() []SLOStatus {
 	}
 	return s.evalSLOs(s.nowNs())
 }
-
-// DeviceStats returns the device-attribution snapshot: per-channel
-// busy/energy/commands/utilization and per-tenant DRAM-time and energy
-// bills.
-func (s *Server) DeviceStats() DeviceStats { return s.dev.snapshot() }
 
 // pump is the background telemetry loop: every slice it samples the
 // cumulative counters into the windowed rings, refreshes utilization

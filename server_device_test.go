@@ -3,6 +3,7 @@ package simdram
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -23,9 +24,11 @@ func relClose(a, b, tol float64) bool {
 }
 
 // TestServerDeviceAttributionSums is the acceptance check for the
-// attribution pipeline: per-tenant energy bills must equal the sum of
-// the tenants' own batch stats, channel bills must sum to the tenant
-// bills, and the per-channel/per-bank series must be in the registry.
+// attribution pipeline: each tenant's bill (its scheduler record's
+// ModeledNs and EnergyPJ) must equal the sum of the tenant's own batch
+// stats, channel bills must sum to the tenant bills, bank bills to the
+// device total, and the per-channel/per-bank series must be in the
+// registry.
 func TestServerDeviceAttributionSums(t *testing.T) {
 	srv := testServer(t, 2, nil)
 	rng := rand.New(rand.NewSource(21))
@@ -49,25 +52,25 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 		wantDRAM[tenant] += res.Batch.CriticalPathNs
 	}
 
-	dev := srv.DeviceStats()
+	st := srv.Stats()
 	var tenantEnergy, tenantDRAM float64
 	for name, want := range wantEnergy {
-		bill, ok := dev.Tenants[name]
+		bill, ok := st.Tenants[name]
 		if !ok {
-			t.Fatalf("tenant %s has no device bill", name)
+			t.Fatalf("tenant %s has no bill", name)
 		}
 		if !relClose(bill.EnergyPJ, want, 1e-9) {
 			t.Errorf("tenant %s billed %v pJ, batches reported %v", name, bill.EnergyPJ, want)
 		}
-		if !relClose(bill.DRAMNs, wantDRAM[name], 1e-9) {
-			t.Errorf("tenant %s billed %v DRAM-ns, batches reported %v", name, bill.DRAMNs, wantDRAM[name])
+		if !relClose(bill.ModeledNs, wantDRAM[name], 1e-9) {
+			t.Errorf("tenant %s billed %v DRAM-ns, batches reported %v", name, bill.ModeledNs, wantDRAM[name])
 		}
 		tenantEnergy += bill.EnergyPJ
-		tenantDRAM += bill.DRAMNs
+		tenantDRAM += bill.ModeledNs
 	}
 	var chanEnergy, chanBusy float64
 	var chanCmds uint64
-	for _, ch := range dev.Channels {
+	for _, ch := range st.Device {
 		chanEnergy += ch.EnergyPJ
 		chanBusy += ch.BusyNs
 		chanCmds += ch.Commands
@@ -82,22 +85,8 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 		t.Error("channels executed jobs but report zero commands")
 	}
 
-	// The server-level stats expose the same bills per tenant, and the
-	// billed DRAM time tracks the scheduler's modeled time (same
-	// quantity, independent pipeline).
-	st := srv.Stats()
-	for name := range wantEnergy {
-		ts := st.Tenants[name]
-		if !relClose(ts.BilledEnergyPJ, wantEnergy[name], 1e-9) {
-			t.Errorf("Stats tenant %s BilledEnergyPJ %v, want %v", name, ts.BilledEnergyPJ, wantEnergy[name])
-		}
-		if !relClose(ts.BilledNs, ts.ModeledNs, 1e-9) {
-			t.Errorf("Stats tenant %s BilledNs %v diverges from ModeledNs %v", name, ts.BilledNs, ts.ModeledNs)
-		}
-	}
-
-	// Registry series: per-channel and per-bank attribution must be
-	// scrapeable by name.
+	// Registry series: per-channel and per-bank attribution and the
+	// tenants' bills must be scrapeable by name.
 	byName := map[string]MetricPoint{}
 	for _, p := range srv.Metrics() {
 		byName[p.Name] = p
@@ -111,7 +100,15 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 		busySeries += p.Value
 	}
 	if !relClose(busySeries, chanBusy, 1e-9) {
-		t.Errorf("channel.busy_ns series sum %v != DeviceStats busy sum %v", busySeries, chanBusy)
+		t.Errorf("channel.busy_ns series sum %v != Stats channel busy sum %v", busySeries, chanBusy)
+	}
+	for name := range wantEnergy {
+		if got := byName["tenant.energy_pj{tenant="+name+"}"].Value; !relClose(got, wantEnergy[name], 1e-9) {
+			t.Errorf("tenant.energy_pj{tenant=%s} = %v, batches reported %v", name, got, wantEnergy[name])
+		}
+		if got := byName["tenant.dram_ns{tenant="+name+"}"].Value; !relClose(got, wantDRAM[name], 1e-9) {
+			t.Errorf("tenant.dram_ns{tenant=%s} = %v, batches reported %v", name, got, wantDRAM[name])
+		}
 	}
 	for _, name := range []string{
 		"channel.energy_pj{channel=0}",
@@ -120,8 +117,6 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 		"bank.busy_ns{bank=0,channel=0}",
 		"bank.energy_pj{bank=0,channel=0}",
 		"bank.commands{bank=0,channel=0}",
-		"tenant.energy_pj{tenant=alice}",
-		"tenant.dram_ns{tenant=bob}",
 		"device.energy_pj",
 	} {
 		if _, ok := byName[name]; !ok {
@@ -140,9 +135,58 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 	}
 }
 
+// TestServerTenantLedgerBounded serves more distinct tenants than the
+// scheduler retains records for, one job each. Every tenant Stats
+// still reports must be billed exactly its own job, and the retained
+// records stay within the scheduler's cap: the bill lives in the
+// bounded record, not in registry series, which past the registry's
+// series cap share one overflow series.
+func TestServerTenantLedgerBounded(t *testing.T) {
+	const (
+		tenants = 5000
+		// schedTenantCap is sched's tenantStateCap.
+		schedTenantCap = 4096
+	)
+	srv := testServer(t, 2, nil)
+	rng := rand.New(rand.NewSource(44))
+	want := make(map[string]BatchStats, tenants)
+	for i := 0; i < tenants; i++ {
+		tenant := fmt.Sprintf("tenant-%d", i)
+		a, b := randData(rng, 64, 8), randData(rng, 64, 8)
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: tenant}, Input(a, 8).Add(Input(b, 8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[tenant] = res.Batch
+	}
+	st := srv.Stats()
+	if len(st.Tenants) == 0 || len(st.Tenants) > schedTenantCap {
+		t.Fatalf("Stats holds %d tenants, want 1..%d", len(st.Tenants), schedTenantCap)
+	}
+	wrong := 0
+	for name, ts := range st.Tenants {
+		w, ok := want[name]
+		if !ok {
+			t.Fatalf("Stats reports tenant %s, which submitted nothing", name)
+		}
+		if !relClose(ts.ModeledNs, w.CriticalPathNs, 1e-9) || !relClose(ts.EnergyPJ, w.EnergyPJ, 1e-9) {
+			if wrong++; wrong <= 3 {
+				t.Errorf("tenant %s billed %v ns / %v pJ, its job ran %v ns / %v pJ",
+					name, ts.ModeledNs, ts.EnergyPJ, w.CriticalPathNs, w.EnergyPJ)
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d tenants report a bill that is not their own job's", wrong, len(st.Tenants))
+	}
+}
+
 // TestServerRawSubmitAttribution: a raw job's batches are billed to
-// its tenant, its channel and the channel's banks, and feed the
-// scheduler's modeled time like lazy jobs do.
+// its tenant, its channel and the channel's banks, like lazy jobs.
 func TestServerRawSubmitAttribution(t *testing.T) {
 	srv := testServer(t, 1, nil)
 	fut, err := srv.SubmitFn(context.Background(), JobSpec{Tenant: "raw"}, func(sys *System, cancel <-chan struct{}) error {
@@ -165,17 +209,17 @@ func TestServerRawSubmitAttribution(t *testing.T) {
 	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	dev := srv.DeviceStats()
-	bill, ok := dev.Tenants["raw"]
-	if !ok || bill.EnergyPJ <= 0 || bill.DRAMNs <= 0 {
+	st := srv.Stats()
+	bill, ok := st.Tenants["raw"]
+	if !ok || bill.EnergyPJ <= 0 || bill.ModeledNs <= 0 {
 		t.Fatalf("raw tenant bill missing or zero: %+v", bill)
 	}
-	if !relClose(dev.Channels[0].EnergyPJ, bill.EnergyPJ, 1e-9) {
-		t.Errorf("channel energy %v != raw tenant bill %v", dev.Channels[0].EnergyPJ, bill.EnergyPJ)
+	ch := st.Device[0]
+	if !relClose(ch.EnergyPJ, bill.EnergyPJ, 1e-9) {
+		t.Errorf("channel energy %v != raw tenant bill %v", ch.EnergyPJ, bill.EnergyPJ)
 	}
-	ts := srv.Stats().Tenants["raw"]
-	if !relClose(ts.BilledNs, ts.ModeledNs, 1e-9) || ts.ModeledNs <= 0 {
-		t.Errorf("raw tenant BilledNs %v / ModeledNs %v must match and be positive", ts.BilledNs, ts.ModeledNs)
+	if !relClose(ch.BusyNs, bill.ModeledNs, 1e-9) {
+		t.Errorf("channel busy %v != raw tenant bill %v", ch.BusyNs, bill.ModeledNs)
 	}
 	// Bank bills roll up to the channel and device totals, as a lazy
 	// job's do.
@@ -189,11 +233,11 @@ func TestServerRawSubmitAttribution(t *testing.T) {
 			bankCmds += v
 		}
 	}
-	if bankEnergy <= 0 || !relClose(bankEnergy, dev.Channels[0].EnergyPJ, 1e-9) {
-		t.Errorf("bank energy sum %v != channel energy %v", bankEnergy, dev.Channels[0].EnergyPJ)
+	if bankEnergy <= 0 || !relClose(bankEnergy, ch.EnergyPJ, 1e-9) {
+		t.Errorf("bank energy sum %v != channel energy %v", bankEnergy, ch.EnergyPJ)
 	}
-	if bankCmds != float64(dev.Channels[0].Commands) {
-		t.Errorf("bank command sum %v != channel commands %d", bankCmds, dev.Channels[0].Commands)
+	if bankCmds != float64(ch.Commands) {
+		t.Errorf("bank command sum %v != channel commands %d", bankCmds, ch.Commands)
 	}
 }
 
@@ -323,11 +367,12 @@ func TestServerSLOBreachEmitsEvent(t *testing.T) {
 
 func TestServerSLOConfigValidation(t *testing.T) {
 	for _, bad := range []SLO{
-		{Metric: "latency_p99", TargetNs: 1},          // unknown phase
-		{Metric: "run_pxx", TargetNs: 1},              // non-numeric quantile
-		{Metric: "run", TargetNs: 1},                  // no quantile
-		{Metric: "run_p99"},                           // no target
-		{Tenant: "t", Metric: "job_p99", TargetNs: 1}, // job_pN is global-only
+		{Metric: "latency_p99", TargetNs: 1},                      // unknown phase
+		{Metric: "run_pxx", TargetNs: 1},                          // non-numeric quantile
+		{Metric: "run", TargetNs: 1},                              // no quantile
+		{Metric: "run_p99"},                                       // no target
+		{Tenant: "t", Metric: "job_p99", TargetNs: 1},             // job_pN is global-only
+		{Metric: "run_p99", TargetNs: 1, Window: 2 * time.Minute}, // longer than the retained history
 	} {
 		cfg := DefaultServerConfig(1)
 		cfg.Channel.DRAM.Cols = 128

@@ -394,6 +394,9 @@ func TestServerDebugHandler(t *testing.T) {
 	if doc.Traces[0].Spans[0].Name != "job" {
 		t.Fatalf("trace root lost in JSON round-trip: %+v", doc.Traces[0])
 	}
+	if len(doc.Stats.Device) != doc.Stats.Channels || doc.Stats.Device[0].Commands == 0 {
+		t.Fatalf("debug stats lack the channel view: %+v", doc.Stats.Device)
+	}
 
 	// The wire keys are the endpoint's contract: decode without the Go
 	// types so a renamed or dropped JSON tag fails here.
