@@ -19,17 +19,27 @@ import (
 // TestNarrowKernelMatchesWideOnCatalog runs every catalog operation's
 // template — both synthesis variants, widths 8 and 16, reductions at
 // three operands — on 256-column rows, where the kernel runs its
-// 4-word step loop, and on 512-column rows holding the same data in
-// each row's first 4 words, where it runs the row loops: the Go ones
-// and, where the CPU has them, the AVX2 and AVX-512 ones (with the
-// vector 4-word step loop on the narrow side). Each side runs the
-// view twice. Every row's first 4 words, the Stats (EnergyPJ
-// bit-exact) and the physical-row command traces must match.
+// 4-word step loop, and on wider rows holding the same data in each
+// row's first 4 words, where it runs the wide loops: steps on the Go
+// row loops and, where the CPU has them, on the AVX2 ones, and the
+// AVX-512 step loop (with the vector 4-word step loop on the narrow
+// side). The wide rows are 320 columns (one masked AVX-512 block),
+// 512 (one whole block) and 960 (a whole block and a masked one).
+// Each side runs the view twice. Every row's first 4 words, the Stats
+// (EnergyPJ bit-exact) and the physical-row command traces must match.
 func TestNarrowKernelMatchesWideOnCatalog(t *testing.T) {
+	for _, cols := range []int{320, 512, 960} {
+		t.Run(fmt.Sprintf("cols=%d", cols), func(t *testing.T) { checkCatalogNarrowMatchesWide(t, cols) })
+	}
+}
+
+// checkCatalogNarrowMatchesWide runs TestNarrowKernelMatchesWideOnCatalog
+// with wide rows of cols columns.
+func checkCatalogNarrowMatchesWide(t *testing.T, cols int) {
 	narrow := dram.TestConfig()
 	narrow.RowsPerSubarray = 512 // room for 16-bit division's scratch
 	wide := narrow
-	narrow.Cols, wide.Cols = 256, 512
+	narrow.Cols, wide.Cols = 256, cols
 	rng := rand.New(rand.NewSource(25))
 	checked := 0
 	for _, variant := range []ops.Variant{ops.VariantSIMDRAM, ops.VariantAmbit} {
@@ -103,7 +113,7 @@ func checkNarrowMatchesWide(t *testing.T, rng *rand.Rand, name string, tn, tw *u
 	}
 	vw, err := tw.BindInto(sw, b, make([]int32, tw.Rows()), make([][]uint64, tw.Rows()))
 	if err != nil {
-		t.Fatalf("%s: bind 512 columns: %v", name, err)
+		t.Fatalf("%s: bind %d columns: %v", name, wide.Cols, err)
 	}
 	for run := 0; run < 2; run++ {
 		uprog.RunView(sn, &vn)
@@ -111,15 +121,15 @@ func checkNarrowMatchesWide(t *testing.T, rng *rand.Rand, name string, tn, tw *u
 		for r := 0; r < narrow.RowsPerSubarray; r++ {
 			got, want := sn.PeekRow(r), sw.PeekRow(r)[:narrow.WordsPerRow()]
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s run %d: row %d is %x at 256 columns, %x at 512", name, run, r, got, want)
+				t.Fatalf("%s run %d: row %d is %x at 256 columns, %x at %d", name, run, r, got, want, wide.Cols)
 			}
 		}
 		if sn.Stats != sw.Stats || math.Float64bits(sn.Stats.EnergyPJ) != math.Float64bits(sw.Stats.EnergyPJ) {
-			t.Fatalf("%s run %d: stats %+v at 256 columns, %+v at 512", name, run, sn.Stats, sw.Stats)
+			t.Fatalf("%s run %d: stats %+v at 256 columns, %+v at %d", name, run, sn.Stats, sw.Stats, wide.Cols)
 		}
 	}
 	if len(traceN) == 0 || !slices.Equal(traceN, traceW) {
-		t.Fatalf("%s: 256-column trace (%d commands) differs from the 512-column one (%d)", name, len(traceN), len(traceW))
+		t.Fatalf("%s: 256-column trace (%d commands) differs from the %d-column one (%d)", name, len(traceN), wide.Cols, len(traceW))
 	}
 }
 
@@ -129,8 +139,25 @@ func checkNarrowMatchesWide(t *testing.T, rng *rand.Rand, name string, tn, tw *u
 // dominates serving) bound on a 256-column, 512-row subarray,
 // reporting host ns per step.
 func BenchmarkSteps4(b *testing.B) {
+	vector := dram.LoopSettings[1]
+	vector.Name = "vector"
+	benchSteps(b, 256, []dram.LoopSetting{dram.LoopSettings[0], vector})
+}
+
+// BenchmarkStepsWide times the step loop of 8192-column rows alone —
+// steps on the Go row loops, steps on the AVX2 row loops, and, where
+// the CPU has it, the AVX-512 step loop — on the plans BenchmarkSteps4
+// runs, reporting host ns per step and allocs/op.
+func BenchmarkStepsWide(b *testing.B) {
+	benchSteps(b, 8192, dram.LoopSettings)
+}
+
+// benchSteps runs BenchmarkSteps4 and BenchmarkStepsWide at cols
+// columns: one sub-benchmark per plan and loop setting, named after
+// both.
+func benchSteps(b *testing.B, cols int, loops []dram.LoopSetting) {
 	cfg := dram.TestConfig()
-	cfg.Cols = 256
+	cfg.Cols = cols
 	cfg.RowsPerSubarray = 512
 	for _, bc := range []struct {
 		name  string
@@ -160,18 +187,16 @@ func BenchmarkSteps4(b *testing.B) {
 		rm := sa.RowMap()
 		n := int32(tmpl.Rows()) - (rm.Rows() - rm.T)
 		plan := dram.RowMap{T: n, DCC: n + rm.DCC - rm.T, C0: n + rm.C0 - rm.T}.Plan(tmpl.Ops, true)
-		for _, vec := range []bool{false, true} {
-			name := bc.name + "/go"
-			if vec {
-				name = bc.name + "/vector"
-			}
-			b.Run(name, func(b *testing.B) {
-				if vec && !dram.HaveVector() {
-					b.Skip("no vector step loop on this CPU")
+		for _, ls := range loops {
+			b.Run(bc.name+"/"+ls.Name, func(b *testing.B) {
+				restore, ok := ls.Set()
+				if !ok {
+					b.Skipf("no %s loops on this CPU", ls.Name)
 				}
+				defer restore()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dram.Steps4(rows, &plan, vec)
+					dram.Steps(rows, &plan)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plan.Steps()), "ns/step")
 			})

@@ -33,11 +33,13 @@ func (p *Plan) Bytes() int { return 4 * len(p.code) }
 type LoopSetting struct {
 	Name   string
 	Vector bool // the AVX2 row loops and 4-word step loop
-	AVX512 bool // with Vector, the AVX-512 row loops
+	AVX512 bool // with Vector, the AVX-512 step loop for every width but 4 words
 }
 
-// LoopSettings are every choice of loops: the Go ones, the AVX2 ones
-// and the AVX-512 row loops (beside the AVX2 4-word step loop).
+// LoopSettings are every choice of loops: the Go ones; the AVX2 ones;
+// and the AVX-512 step loop on rows of every width but 4 words, beside
+// the AVX2 4-word step loop. The row loops have no AVX-512 form: under
+// avx512 they run only where steps is called directly.
 var LoopSettings = []LoopSetting{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}}
 
 // Set selects s's loops and returns a function restoring the previous
@@ -51,19 +53,13 @@ func (s LoopSetting) Set() (restore func(), ok bool) {
 	return func() { useVector, useVector512 = prev, prev512 }, true
 }
 
-// HaveVector reports whether the CPU has the vector row loops.
-func HaveVector() bool { return haveVector }
-
-// Steps4 runs p's steps alone, with no charge, over the 4-word row
-// table rows: with the Go step loop, or with vector set the AVX2 one.
-// Like exec, it panics first if rows lacks a row p names.
-func Steps4(rows [][]uint64, p *Plan, vector bool) {
+// Steps runs p's steps alone, with no charge, over the row table rows,
+// on the step loop exec picks for rows of rows[0]'s width under the
+// current loop setting. Like exec, it panics first if rows lacks a row
+// p names.
+func Steps(rows [][]uint64, p *Plan) {
 	if p.nrows > len(rows) {
 		panic("dram: plan names a row outside the row table")
 	}
-	if vector {
-		steps4Vec(rows, p.code)
-	} else {
-		steps4(rows, p.code)
-	}
+	runSteps(rows, p.code, len(rows[0]))
 }

@@ -13,29 +13,26 @@ const vectorMinWords = 8
 // to run every path on one machine.
 var useVector = haveVector
 
-// useVector512 selects, with useVector, the AVX-512 forms of the row
-// loops: eight words per block and one VPTERNLOGQ per majority. The
-// 4-word step loop has no AVX-512 form. Like useVector it is set from
-// the CPU once, and only tests flip it.
+// useVector512 selects, with useVector, the AVX-512 step loop for rows
+// of every width but narrowWords: one pass per step, storing every
+// output as it computes. The row loops and the 4-word step loop have
+// no AVX-512 form. Like useVector it is set from the CPU once, and only
+// tests flip it.
 var useVector512 = haveVector512
 
 // majRow models a triple-row activation on a lowered step: d gets the
 // bitwise majority of a⊕ma, b⊕mb and c⊕mc, complemented by md. d may
 // be one of a, b and c: each word is read before it is written. Rows
-// of vectorMinWords words or more run the AVX-512 or the AVX2 loop,
-// where the CPU has it, and the Go loop finishes their tail.
+// of vectorMinWords words or more run the AVX2 loop, where the CPU has
+// it, and the Go loop finishes their tail of fewer than 4 words. Only
+// steps calls it: on an AVX-512 host the wide step loop runs instead.
 func majRow(d, a, b, c []uint64, ma, mb, mc, md uint64) {
 	n := len(d)
 	a, b, c = a[:n], b[:n], c[:n]
 	i := 0
 	if useVector && n >= vectorMinWords {
-		if useVector512 {
-			i = n &^ 7
-			majVector512(d[:i], a[:i], b[:i], c[:i], ma, mb, mc, md)
-		} else {
-			i = n &^ 3
-			majVector(d[:i], a[:i], b[:i], c[:i], ma, mb, mc, md)
-		}
+		i = n &^ 3
+		majVector(d[:i], a[:i], b[:i], c[:i], ma, mb, mc, md)
 	}
 	majGo(d[i:], a[i:], b[i:], c[i:], ma, mb, mc, md)
 }
@@ -62,13 +59,8 @@ func xorRow(d, s []uint64, m uint64) {
 	s = s[:n]
 	i := 0
 	if useVector && n >= vectorMinWords {
-		if useVector512 {
-			i = n &^ 7
-			xorVector512(d[:i], s[:i], m)
-		} else {
-			i = n &^ 3
-			xorVector(d[:i], s[:i], m)
-		}
+		i = n &^ 3
+		xorVector(d[:i], s[:i], m)
 	}
 	xorGo(d[i:], s[i:], m)
 }

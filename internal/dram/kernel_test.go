@@ -192,13 +192,16 @@ func randomOps(rng *rand.Rand, cfg *Config, n int) []Op {
 // command at a time, and the naive reference — and requires identical
 // rows, Stats (EnergyPJ bit-exact) and command traces. It runs with the
 // vector loops forced off and, where the CPU has them, on: the AVX2
-// row loops, then the AVX-512 ones. Row widths cover the pure-Go row
-// loops (64 and 192 columns), the 4-word step loop and its vector form
-// (256), exactly the vector row-loop threshold (512), a vector body
-// with a one-word tail (576: one AVX-512 block, or two AVX2 blocks) and
-// wide rows (8192).
+// loops, then the AVX-512 step loop. Row widths cover the pure-Go row
+// loops (64 and 192 columns; one masked AVX-512 block), the 4-word
+// step loop and its vector form (256), a masked AVX-512 block alone
+// (320: 5 words), exactly the vector row-loop threshold (512: one
+// whole AVX-512 block), a vector body with a one-word tail (576: one
+// whole AVX-512 block and a masked one, or two AVX2 blocks), a whole
+// block and a masked one of 7 words (960: 15 words) and wide rows
+// (8192).
 func TestKernelMatchesReference(t *testing.T) {
-	for _, cols := range []int{64, 192, 256, 512, 576, 8192} {
+	for _, cols := range []int{64, 192, 256, 320, 512, 576, 960, 8192} {
 		t.Run(fmt.Sprintf("cols=%d", cols), func(t *testing.T) {
 			t.Run("vector=false", func(t *testing.T) { checkKernelLoops(t, cols, LoopSettings[0]) })
 			t.Run("vector=true", func(t *testing.T) {
@@ -300,7 +303,7 @@ func checkKernelTrial(t *testing.T, rng *rand.Rand, cfg *Config, trial int) {
 // on top of host-transfer energy, at every width
 // TestKernelMatchesReference covers.
 func TestPlanEnergyHookFree(t *testing.T) {
-	for _, cols := range []int{64, 192, 256, 512, 576, 8192} {
+	for _, cols := range []int{64, 192, 256, 320, 512, 576, 960, 8192} {
 		cfg := TestConfig()
 		cfg.Cols = cols
 		rng := rand.New(rand.NewSource(int64(cols)))
@@ -342,7 +345,8 @@ func TestPlanEnergyHookFree(t *testing.T) {
 // whose row table lacks a row the plan's second step writes: ExecView
 // must panic before the first step stores, leaving every row and the
 // stats as they were, on the 4-word step loops (Go and vector) and on
-// the row loops (Go, AVX2 and AVX-512).
+// the wide ones (steps on the Go and AVX2 row loops, and the AVX-512
+// step loop).
 func TestExecViewShortTablePanicsBeforeStores(t *testing.T) {
 	for _, c := range []struct {
 		cols  int
@@ -470,12 +474,17 @@ func TestInjectBitFlipsDCCMirrors(t *testing.T) {
 // three inputs and the output, d fresh or aliased to a, b or c, and
 // xorRow with a copy and a complement, d fresh or aliased to s. A loop
 // must leave d as the Go loop does, and every word past d's end and
-// every input d does not alias as it was. The loops that ran and the
-// ones skipped are logged, so a CPU without AVX-512 shows in a -v log.
+// every input d does not alias as it was. The row loops have Go and
+// AVX2 forms; the avx512 setting picks a step loop, not a row loop,
+// and FuzzSteps checks it. The loops that ran and the ones skipped are
+// logged, so a CPU without AVX2 shows in a -v log.
 func FuzzRowLoops(f *testing.F) {
 	var loops []LoopSetting
 	var names []string
 	for _, ls := range LoopSettings {
+		if ls.AVX512 {
+			continue
+		}
 		restore, ok := ls.Set()
 		restore()
 		if !ok {
@@ -553,12 +562,13 @@ func checkRowLoops(t *testing.T, loops []LoopSetting, n int, seed int64) {
 
 // BenchmarkRowLoops times one majority and one complement of 128-word
 // (8192-column) rows, what a wide step's first output and a DCC
-// partner cost, under each loop setting the CPU has.
+// partner cost in steps, on the Go row loops and, where the CPU has
+// them, the AVX2 ones.
 func BenchmarkRowLoops(b *testing.B) {
 	const words = 128
 	rng := rand.New(rand.NewSource(42))
 	x, y, z, d := randRow(rng, words), randRow(rng, words), randRow(rng, words), randRow(rng, words)
-	for _, ls := range LoopSettings {
+	for _, ls := range LoopSettings[:2] {
 		b.Run(ls.Name, func(b *testing.B) {
 			restore, ok := ls.Set()
 			if !ok {

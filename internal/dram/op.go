@@ -273,25 +273,15 @@ func (s *Subarray) ExecView(v *View, p *Plan) {
 // exec is the kernel of Exec and ExecView over a row table: it runs
 // p's steps, then charges p's energy and counters. Its one check is
 // that rows holds every row p names; it panics, before any store, if
-// not. Row width alone picks the step loop: 4-word (256-column) rows
-// have their own, on AVX2 where the CPU has it, which checks nothing
-// (see Plan and View); wider rows run the row loops, on AVX-512 or
-// AVX2 where the CPU has them.
+// not. Row width and the CPU pick the step loop (see runSteps); the
+// vector ones check nothing (see Plan and View).
 //
 //simdram:zeroalloc
 func (s *Subarray) exec(rows [][]uint64, p *Plan) {
 	if p.nrows > len(rows) {
 		panic("dram: plan names a row outside the row table")
 	}
-	if len(s.rows[0]) == narrowWords {
-		if useVector {
-			steps4Vec(rows, p.code)
-		} else {
-			steps4(rows, p.code)
-		}
-	} else {
-		steps(rows, p.code)
-	}
+	runSteps(rows, p.code, len(s.rows[0]))
 	energy := s.cfg.Energy.opTable()
 	e, hook := s.Stats.EnergyPJ, s.OnCommand
 	if hook == nil {
@@ -310,9 +300,32 @@ func (s *Subarray) exec(rows [][]uint64, p *Plan) {
 	s.Stats.Add(p.counts)
 }
 
+// runSteps runs code over rows of words words on the step loop for
+// that width and CPU: 4-word (256-column) rows run steps4, on AVX2
+// where the CPU has it; every other width runs the AVX-512 step loop,
+// one pass per step, where the CPU has it, and otherwise steps, on the
+// AVX2 row loops where the CPU has them.
+//
+//simdram:zeroalloc
+func runSteps(rows [][]uint64, code []int32, words int) {
+	switch {
+	case words == narrowWords && useVector:
+		steps4Vec(rows, code)
+	case words == narrowWords:
+		steps4(rows, code)
+	case useVector512:
+		stepsVec512(rows, code, words)
+	default:
+		steps(rows, code)
+	}
+}
+
 // steps runs the encoded steps code over rows of any width with the
 // row loops: the first output gets the step's value, and every other
-// output is filled from it.
+// output is filled from it. An output whose row is the first output's
+// (aliased virtual rows) changes what that row holds, so the outputs
+// after it are filled from its polarity: as in the other step loops,
+// where two outputs name one row the last one wins.
 //
 //simdram:zeroalloc
 func steps(rows [][]uint64, code []int32) {
@@ -333,7 +346,11 @@ func steps(rows [][]uint64, code []int32) {
 			xorRow(d, rows[rowOf(in[0])], mask(in[0])^m)
 		}
 		for _, x := range o[1:] {
-			xorRow(rows[rowOf(x)], d, m^mask(x))
+			r := rows[rowOf(x)]
+			xorRow(r, d, m^mask(x))
+			if &r[0] == &d[0] {
+				m = mask(x)
+			}
 		}
 	}
 }

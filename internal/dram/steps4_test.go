@@ -18,13 +18,12 @@ func (b *byteSource) next() byte {
 	return x
 }
 
-// The flaws steps4Case gives a case, one at most: the ways a row table
-// or encoded steps can break what the step loops rely on. A long row
-// breaks nothing: both loops read a row's first 4 words.
+// The flaws stepsCase gives a case, one at most: the ways a row table
+// or encoded steps can break what the step loops rely on.
 const (
 	flawNone        = iota
-	flawShortRow    // a storage row of fewer than 4 words
-	flawLongRow     // a storage row of 6 words
+	flawShortRow    // a storage row shorter than the case's width
+	flawLongRow     // a storage row 2 words longer
 	flawEntry       // a row entry past the table
 	flawNegHeader   // a negative header
 	flawLongHeader  // a header naming more outputs than the code holds
@@ -34,12 +33,13 @@ const (
 	numFlaws
 )
 
-// steps4Case decodes FuzzSteps4's input into storage rows, a row table
-// over them (table[i] is row i's storage row) and encoded steps. The
-// table has more entries than there is storage, so rows alias as a
-// view's virtual rows may. Half the cases have no flaw; the others
-// have one, picked from the input.
-func steps4Case(data []byte) (store [][]uint64, table []int, code []int32) {
+// stepsCase decodes a fuzz input into storage rows of words words, a
+// row table over them (table[i] is row i's storage row) and encoded
+// steps. The table has more entries than there is storage, so rows
+// alias as a view's virtual rows may, and a step's output may repeat
+// one of its earlier outputs with the other polarity. Half the cases
+// have no flaw; the others have one, picked from the input.
+func stepsCase(data []byte, words int) (store [][]uint64, table []int, code []int32) {
 	src := byteSource(data)
 	rng := rand.New(rand.NewSource(int64(src.next())<<8 | int64(src.next())))
 	flaw := int(src.next()) % (2 * numFlaws)
@@ -48,13 +48,13 @@ func steps4Case(data []byte) (store [][]uint64, table []int, code []int32) {
 	}
 	store = make([][]uint64, 1+int(src.next())%8)
 	for i := range store {
-		store[i] = make([]uint64, narrowWords)
+		store[i] = make([]uint64, words)
 	}
 	switch k := int(src.next()) % len(store); flaw {
 	case flawShortRow:
-		store[k] = make([]uint64, int(src.next())%narrowWords)
+		store[k] = make([]uint64, int(src.next())%words)
 	case flawLongRow:
-		store[k] = make([]uint64, narrowWords+2)
+		store[k] = make([]uint64, words+2)
 	}
 	for _, row := range store {
 		for w := range row {
@@ -91,10 +91,15 @@ func steps4Case(data []byte) (store [][]uint64, table []int, code []int32) {
 			}
 		}
 		code = append(code, header)
+		first := len(code) + 1 + 2*int(maj) // the step's first output
 		for k := int32(0); k < 1+2*maj+n; k++ {
 			e := src.next()
 			entries = append(entries, len(code))
-			code = append(code, polar(int32(e>>1)%int32(len(table)), e))
+			x := polar(int32(e>>1)%int32(len(table)), e)
+			if at := len(code); at > first && e%7 == 0 {
+				x = ^code[first+int(e>>3)%(at-first)] // an earlier output, complemented
+			}
+			code = append(code, x)
 		}
 	}
 	switch {
@@ -116,51 +121,82 @@ func tableRows(store [][]uint64, table []int) [][]uint64 {
 	return rows
 }
 
-// steps4Accepts reports whether the kernel lets code run over rows:
-// code parses (newPlan's check), rows holds every row it names (exec's
-// check), and every row holds 4 words or more (what the View invariant
-// gives exec once it has picked the 4-word loop: a subarray whose rows
-// are 4 words has no other rows).
-func steps4Accepts(rows [][]uint64, code []int32) bool {
+// stepsAccepts reports whether the kernel lets code run over rows on a
+// step loop whose rows fit: code parses (newPlan's check), rows holds
+// every row it names (exec's check), and every row's length passes
+// fits (what the View invariant gives exec once it has picked the
+// loop: a subarray has rows of one width).
+func stepsAccepts(rows [][]uint64, code []int32, fits func(words int) bool) bool {
 	nrows, ok := scanCode(code)
 	if !ok || nrows > len(rows) {
 		return false
 	}
 	for _, r := range rows {
-		if len(r) < narrowWords {
+		if !fits(len(r)) {
 			return false
 		}
 	}
 	return true
 }
 
-// checkSteps4 runs one FuzzSteps4 input through the Go step loop and,
-// when the kernel's checks accept it, through the vector one.
-func checkSteps4(t *testing.T, data []byte) {
-	store, table, code := steps4Case(data)
-	goStore, vecStore := make([][]uint64, len(store)), make([][]uint64, len(store))
+// stepGuard is the number of words guardedClone keeps past each row's
+// end to catch a loop that writes beyond it.
+const stepGuard = 9
+
+// guardedClone returns a copy of store whose every row is followed by
+// stepGuard words of a fixed pattern, which checkStepLoop requires to
+// be left as they are.
+func guardedClone(store [][]uint64) [][]uint64 {
+	out := make([][]uint64, len(store))
 	for i, row := range store {
-		goStore[i], vecStore[i] = slices.Clone(row), slices.Clone(row)
+		g := make([]uint64, len(row)+stepGuard)
+		copy(g, row)
+		for w := len(row); w < len(g); w++ {
+			g[w] = 0x5a5a5a5a5a5a5a5a ^ uint64(w)
+		}
+		out[i] = g[:len(row)]
 	}
+	return out
+}
+
+// stepLoop is one step loop a fuzz target holds to an oracle.
+type stepLoop struct {
+	name string
+	run  func(rows [][]uint64, code []int32, words int)
+}
+
+// checkStepLoop runs one case through the oracle and, when the
+// kernel's checks accept it, through loop: both must leave every
+// storage row, and the guard words past it, alike.
+func checkStepLoop(t *testing.T, store [][]uint64, table []int, code []int32, words int, oracle, loop stepLoop, fits func(int) bool) {
+	t.Helper()
+	want, got := guardedClone(store), guardedClone(store)
 	panicked := func() (p bool) {
 		defer func() { p = recover() != nil }()
-		steps4(tableRows(goStore, table), code)
+		oracle.run(tableRows(want, table), code, words)
 		return false
 	}()
-	rows := tableRows(vecStore, table)
-	if !steps4Accepts(rows, code) {
+	rows := tableRows(got, table)
+	if !stepsAccepts(rows, code, fits) {
 		return
 	}
 	if panicked {
-		t.Fatalf("the kernel's checks accept a case steps4 panics on (code %v, table %v)", code, table)
+		t.Fatalf("the kernel's checks accept a case %s panics on (%d words, code %v, table %v)", oracle.name, words, code, table)
 	}
-	steps4Vec(rows, code)
+	loop.run(rows, code, words)
 	for i := range store {
-		if !slices.Equal(goStore[i], vecStore[i]) {
-			t.Fatalf("storage row %d: steps4 left %x, steps4Vec %x (code %v, table %v)", i, goStore[i], vecStore[i], code, table)
+		w, g := want[i][:cap(want[i])], got[i][:cap(got[i])]
+		if !slices.Equal(w, g) {
+			t.Fatalf("storage row %d (%d words and %d guard words): %s left %x, %s %x (code %v, table %v)",
+				i, len(store[i]), stepGuard, oracle.name, w, loop.name, g, code, table)
 		}
 	}
 }
+
+var (
+	goSteps4  = stepLoop{"steps4", func(rows [][]uint64, code []int32, _ int) { steps4(rows, code) }}
+	vecSteps4 = stepLoop{"steps4Vec", func(rows [][]uint64, code []int32, _ int) { steps4Vec(rows, code) }}
+)
 
 // FuzzSteps4 holds the AVX2 4-word step loop, which checks nothing, to
 // the Go one on random row tables and encoded steps — complemented
@@ -169,10 +205,13 @@ func checkSteps4(t *testing.T, data []byte) {
 // out-of-range entry, a bad header or cut code. The checks newPlan
 // and exec make must reject every case on which the Go loop panics,
 // and on every case they accept both loops must leave identical rows.
+// A long row breaks nothing here: both loops read a row's first 4
+// words.
 func FuzzSteps4(f *testing.F) {
 	if !haveVector {
 		f.Skip("no vector step loop on this CPU")
 	}
+	fits := func(n int) bool { return n >= narrowWords }
 	rng := rand.New(rand.NewSource(4))
 	accepted := 0
 	const seeds = 64
@@ -180,15 +219,85 @@ func FuzzSteps4(f *testing.F) {
 		data := make([]byte, 8+rng.Intn(160))
 		rng.Read(data)
 		f.Add(data)
-		store, table, code := steps4Case(data)
-		if steps4Accepts(tableRows(store, table), code) {
+		store, table, code := stepsCase(data, narrowWords)
+		if stepsAccepts(tableRows(store, table), code, fits) {
 			accepted++
 		}
 	}
 	if accepted == 0 || accepted == seeds {
 		f.Fatalf("the kernel's checks accept %d of %d seed cases; the seeds must test both sides", accepted, seeds)
 	}
-	f.Fuzz(checkSteps4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store, table, code := stepsCase(data, narrowWords)
+		checkStepLoop(t, store, table, code, narrowWords, goSteps4, vecSteps4, fits)
+	})
+}
+
+// FuzzSteps holds every step loop the CPU has to steps on its Go row
+// loops, on stepsCase's cases at row widths of 1 to 40 words — every
+// tail length of the AVX-512 loop's masked block, alone or after whole
+// blocks. Where the kernel's checks accept a case (its rows all of the
+// case's width, as the View invariant makes them), steps on the AVX2
+// row loops, the AVX-512 step loop and, at 4 words, both 4-word loops
+// must leave the rows and the guard words past them as the oracle
+// does; where the oracle panics, the checks must reject the case. The
+// loops that ran and the ones skipped are logged, so a CPU without
+// AVX-512 shows in a -v log.
+func FuzzSteps(f *testing.F) {
+	oracle := stepLoop{"steps (Go row loops)", func(rows [][]uint64, code []int32, _ int) {
+		restore, _ := LoopSettings[0].Set()
+		defer restore()
+		steps(rows, code)
+	}}
+	var loops []stepLoop
+	add := func(ok bool, l stepLoop) {
+		if !ok {
+			f.Logf("skipping %s: this CPU, or its OS, does not offer it", l.name)
+			return
+		}
+		loops = append(loops, l)
+	}
+	add(haveVector, stepLoop{"steps (AVX2 row loops)", func(rows [][]uint64, code []int32, _ int) {
+		restore, _ := LoopSettings[1].Set()
+		defer restore()
+		steps(rows, code)
+	}})
+	add(haveVector512, stepLoop{"stepsVec512", stepsVec512})
+	add(true, goSteps4)
+	add(haveVector, vecSteps4)
+	var names []string
+	for _, l := range loops {
+		names = append(names, l.name)
+	}
+	f.Logf("step loops checked against %s: %v", oracle.name, names)
+	rng := rand.New(rand.NewSource(45))
+	accepted, seeds := 0, 0
+	for _, words := range []uint8{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 40} {
+		for i := 0; i < 4; i++ {
+			data := make([]byte, 8+rng.Intn(160))
+			rng.Read(data)
+			f.Add(words-1, data)
+			store, table, code := stepsCase(data, int(words))
+			if stepsAccepts(tableRows(store, table), code, func(n int) bool { return n == int(words) }) {
+				accepted++
+			}
+			seeds++
+		}
+	}
+	if accepted == 0 || accepted == seeds {
+		f.Fatalf("the kernel's checks accept %d of %d seed cases; the seeds must test both sides", accepted, seeds)
+	}
+	f.Fuzz(func(t *testing.T, w uint8, data []byte) {
+		words := 1 + int(w)%40
+		store, table, code := stepsCase(data, words)
+		fits := func(n int) bool { return n == words }
+		for _, l := range loops {
+			if (l.name == goSteps4.name || l.name == vecSteps4.name) && words != narrowWords {
+				continue
+			}
+			checkStepLoop(t, store, table, code, words, oracle, l, fits)
+		}
+	})
 }
 
 // TestNewPlanRejectsMalformedCode builds plans from code that does not

@@ -319,15 +319,52 @@ type Metric struct {
 	Hist *HistSnapshot
 }
 
-// maxSeries bounds how many distinct series one registry retains:
-// beyond it, new names share the overflow series, so unbounded label
-// cardinality (a tenant ID per request) cannot grow the registry
-// without bound. The per-kind overflow series is named "obs.overflow".
+// maxSeries bounds how many distinct series of one kind a registry
+// creates by name: beyond it, a new name lands on its overflow series
+// (see overflowName), so unbounded label cardinality (a tenant ID per
+// request) cannot grow the registry without bound.
 const maxSeries = 8192
 
-// OverflowSeries is the shared series name updates land on once a
-// registry is at capacity.
+// OverflowSeries is the label value of an overflow series, and the
+// whole name of the one an unlabeled name lands on once a registry is
+// at capacity.
 const OverflowSeries = "obs.overflow"
+
+// overflowName returns the series name lands on past maxSeries: name
+// with every label value replaced by OverflowSeries, so each metric
+// keeps an overflow series of its own and values of different units
+// never add (tenant.dram_ns{tenant=T} lands on
+// tenant.dram_ns{tenant=obs.overflow}); a name with no labels lands on
+// OverflowSeries itself. Overflow series are few, one per base name
+// and label-key set, and are not counted against the cap.
+func overflowName(name string) string {
+	base, labels := ParseSeries(name)
+	if labels == nil {
+		return OverflowSeries
+	}
+	kv := make([]string, 0, 2*len(labels))
+	for _, l := range labels {
+		kv = append(kv, l[0], OverflowSeries)
+	}
+	return Labels(base, kv...)
+}
+
+// series returns the named series of one kind's map, creating it if
+// absent; past maxSeries a new name lands on its overflow series.
+func series[T any](m map[string]*T, name string) *T {
+	if s, ok := m[name]; ok {
+		return s
+	}
+	if len(m) >= maxSeries {
+		name = overflowName(name)
+		if s, ok := m[name]; ok {
+			return s
+		}
+	}
+	s := new(T)
+	m[name] = s
+	return s
+}
 
 // Registry is a named collection of metrics. Lookups are get-or-create
 // and intended for setup paths (hold the returned pointer on the hot
@@ -361,42 +398,19 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		if len(r.counters) >= maxSeries {
-			name = OverflowSeries
-			if c, ok = r.counters[name]; ok {
-				return c
-			}
-		}
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return series(r.counters, name)
 }
 
 // FloatCounter returns the named float counter, creating it if absent
-// (nil from a nil registry). Float counters share the counter
-// namespace's capacity rules: past maxSeries, new names land on the
-// shared overflow series.
+// (nil from a nil registry). Past maxSeries, new names land on their
+// overflow series, as counters' do.
 func (r *Registry) FloatCounter(name string) *FloatCounter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.fcounters[name]
-	if !ok {
-		if len(r.fcounters) >= maxSeries {
-			name = OverflowSeries
-			if c, ok = r.fcounters[name]; ok {
-				return c
-			}
-		}
-		c = &FloatCounter{}
-		r.fcounters[name] = c
-	}
-	return c
+	return series(r.fcounters, name)
 }
 
 // Gauge returns the named gauge, creating it if absent (nil from a nil
@@ -407,18 +421,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		if len(r.gauges) >= maxSeries {
-			name = OverflowSeries
-			if g, ok = r.gauges[name]; ok {
-				return g
-			}
-		}
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return series(r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it if absent (nil
@@ -429,18 +432,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		if len(r.hists) >= maxSeries {
-			name = OverflowSeries
-			if h, ok = r.hists[name]; ok {
-				return h
-			}
-		}
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return series(r.hists, name)
 }
 
 // Snapshot returns every series, sorted by name within each kind

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -189,6 +190,60 @@ func TestRegistryOverflowCap(t *testing.T) {
 	}
 	if r.Counter(OverflowSeries) != over {
 		t.Fatal("overflow series must be addressable by name")
+	}
+}
+
+// TestRegistryOverflowPerMetric fills every kind to its cap, then
+// requires a new labeled name to land on its own metric's overflow
+// series, so two metrics past the cap never share a series, and an
+// unlabeled one on OverflowSeries.
+func TestRegistryOverflowPerMetric(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < maxSeries; i++ {
+		name := TenantSeries("fill", "i", fmt.Sprint(i))
+		r.Counter(name)
+		r.FloatCounter(name)
+		r.Gauge(name)
+		r.Histogram(name)
+	}
+	ns, pj := TenantSeries("tenant.dram_ns", "tenant", "late"), TenantSeries("tenant.energy_pj", "tenant", "late")
+	r.FloatCounter(ns).Add(3)
+	r.FloatCounter(pj).Add(5)
+	r.FloatCounter(TenantSeries("tenant.dram_ns", "tenant", "later")).Add(4)
+	if got := r.FloatCounter("tenant.dram_ns{tenant=obs.overflow}").Value(); got != 7 {
+		t.Errorf("tenant.dram_ns overflow holds %v, want 7", got)
+	}
+	if got := r.FloatCounter("tenant.energy_pj{tenant=obs.overflow}").Value(); got != 5 {
+		t.Errorf("tenant.energy_pj overflow holds %v, want 5", got)
+	}
+	two := Labels("b", "k1", "x", "k2", "y")
+	if got, want := overflowName(two), "b{k1=obs.overflow,k2=obs.overflow}"; got != want {
+		t.Errorf("overflowName(%s) = %s, want %s", two, got, want)
+	}
+	r.Counter(ns).Inc()
+	r.Counter(pj).Add(2)
+	r.Gauge(ns).Set(6)
+	r.Histogram(ns).Observe(9)
+	r.Counter("unlabeled").Inc()
+	if got := r.Counter("tenant.dram_ns{tenant=obs.overflow}").Value(); got != 1 {
+		t.Errorf("counter overflow holds %d, want 1", got)
+	}
+	if got := r.Counter("tenant.energy_pj{tenant=obs.overflow}").Value(); got != 2 {
+		t.Errorf("counter overflow holds %d, want 2", got)
+	}
+	if got := r.Gauge("tenant.dram_ns{tenant=obs.overflow}").Value(); got != 6 {
+		t.Errorf("gauge overflow holds %d, want 6", got)
+	}
+	if got := r.Histogram("tenant.dram_ns{tenant=obs.overflow}").Snapshot().Count; got != 1 {
+		t.Errorf("histogram overflow holds %d observations, want 1", got)
+	}
+	if got := r.Counter(OverflowSeries).Value(); got != 1 {
+		t.Errorf("an unlabeled name past the cap: %s holds %d, want 1", OverflowSeries, got)
+	}
+	for _, m := range r.Snapshot() {
+		if strings.Contains(m.Name, "late") {
+			t.Errorf("series %s was created past the cap", m.Name)
+		}
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"simdram/internal/obs"
 )
 
 // relClose reports |a−b| ≤ tol·max(|a|,|b|) — energy and busy-time
@@ -140,7 +142,7 @@ func TestServerDeviceAttributionSums(t *testing.T) {
 // still reports must be billed exactly its own job, and the retained
 // records stay within the scheduler's cap: the bill lives in the
 // bounded record, not in registry series, which past the registry's
-// series cap share one overflow series.
+// series cap land on one overflow series per metric.
 func TestServerTenantLedgerBounded(t *testing.T) {
 	const (
 		tenants = 5000
@@ -182,6 +184,46 @@ func TestServerTenantLedgerBounded(t *testing.T) {
 	}
 	if wrong > 0 {
 		t.Errorf("%d of %d tenants report a bill that is not their own job's", wrong, len(st.Tenants))
+	}
+}
+
+// TestServerTenantSeriesOverflowKeepsUnits serves more distinct
+// tenants, one job each, than the registry's series cap holds
+// tenant.dram_ns and tenant.energy_pj series for. Each metric's
+// named series plus its own overflow series must add up to its total
+// over every job: nanoseconds and picojoules never share a series.
+func TestServerTenantSeriesOverflowKeepsUnits(t *testing.T) {
+	const tenants = 5000
+	srv := testServer(t, 2, nil)
+	rng := rand.New(rand.NewSource(45))
+	var wantNs, wantPJ float64
+	for i := 0; i < tenants; i++ {
+		a, b := randData(rng, 64, 8), randData(rng, 64, 8)
+		fut, err := srv.SubmitJob(context.Background(), JobSpec{Tenant: fmt.Sprintf("tenant-%d", i)}, Input(a, 8).Add(Input(b, 8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNs += res.Batch.CriticalPathNs
+		wantPJ += res.Batch.EnergyPJ
+	}
+	sums, series := map[string]float64{}, map[string]int{}
+	for _, p := range srv.Metrics() {
+		base, _ := obs.ParseSeries(p.Name)
+		sums[base] += p.Value
+		series[base]++
+	}
+	if n := series["tenant.dram_ns"]; n >= tenants {
+		t.Fatalf("%d tenants have %d tenant.dram_ns series: the registry's series cap was not reached", tenants, n)
+	}
+	if got := sums["tenant.dram_ns"]; !relClose(got, wantNs, 1e-9) {
+		t.Errorf("tenant.dram_ns series sum to %v ns, the jobs ran %v ns", got, wantNs)
+	}
+	if got := sums["tenant.energy_pj"]; !relClose(got, wantPJ, 1e-9) {
+		t.Errorf("tenant.energy_pj series sum to %v pJ, the jobs used %v pJ", got, wantPJ)
 	}
 }
 
